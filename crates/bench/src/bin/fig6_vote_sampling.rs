@@ -9,18 +9,15 @@
 //!
 //! ```text
 //! cargo run --release -p rvs-bench --bin fig6_vote_sampling \
-//!     [--quick] [--no-cache] [--peers N] [--shards K] [--runs N] \
-//!     [--hours H] [--audit]
+//!     [--quick] [--no-cache] [--peers N] [--runs N] [--hours H] [--audit]
 //! ```
 //!
 //! `--no-cache` disables the incremental contribution cache (every
 //! experience check recomputes its maxflow), for before/after comparisons
 //! of the `maxflow_evaluations` counter. `--peers`/`--runs`/`--hours`
-//! rescale the experiment; `--shards K` partitions each run across the
-//! scale-out engine of DESIGN.md §14 (results are identical for every K —
-//! only wall-clock changes); `--audit` runs the invariant auditor and
-//! fails loudly on any violation. The CI scale smoke is
-//! `--quick --peers 10000 --shards 4 --runs 1 --hours 8 --audit`.
+//! rescale the experiment; `--audit` runs the invariant auditor and fails
+//! loudly on any violation. The CI scale smoke is
+//! `--quick --peers 10000 --runs 1 --hours 2 --audit`.
 
 use rvs_bench::{flag_usize, header, maybe_write_json, quick_mode, timed};
 use rvs_metrics::TimeSeries;
@@ -62,16 +59,10 @@ fn main() {
     if let Some(runs) = flag_usize("runs") {
         cfg.runs = runs.max(1);
     }
-    if let Some(shards) = flag_usize("shards") {
-        cfg.shards = shards;
-    }
     // rvs-lint: allow(ambient-env) -- CLI flag parsing at the binary entry point
     if std::env::args().any(|a| a == "--audit") {
         cfg.audit = true;
         println!("invariant auditor ENABLED (--audit)");
-    }
-    if cfg.shards > 1 {
-        println!("scale-out: {} shards over the cross-shard bus", cfg.shards);
     }
     println!(
         "trace: {} peers × {} runs; B_min={}, B_max={}, V_max={}, K={}, T={} MiB\n",

@@ -27,6 +27,6 @@ mod retry;
 mod schedule;
 
 pub use config::{BurstLoss, FaultConfig, RetryConfig};
-pub use plane::{FaultLane, FaultPlane, PartitionView, SendOutcome};
+pub use plane::{FaultPlane, SendOutcome};
 pub use retry::{Backoff, BackoffDecision};
 pub use schedule::{CrashSpec, FaultSchedule, PartitionSpec};

@@ -34,32 +34,20 @@ struct Partition {
     active: bool,
 }
 
-/// An immutable snapshot of the currently *active* partition member sets,
-/// cheap to clone into parallel send jobs. Partition membership only
-/// changes between rounds (at fault-schedule events), so a view captured
-/// at round start is exact for the whole round.
-#[derive(Debug, Clone, Default)]
-pub struct PartitionView {
-    active_sets: Vec<BTreeSet<NodeId>>,
-}
-
-impl PartitionView {
-    /// True when any active partition separates `a` from `b` (exactly one
-    /// of the two is inside the partition's member set).
-    pub fn partitioned(&self, a: NodeId, b: NodeId) -> bool {
-        self.active_sets
-            .iter()
-            .any(|members| members.contains(&a) != members.contains(&b))
-    }
+/// True when any active partition separates `a` from `b` (exactly one of
+/// the two is inside the partition's member set).
+fn partitioned(partitions: &[Partition], a: NodeId, b: NodeId) -> bool {
+    partitions
+        .iter()
+        .any(|p| p.active && p.members.contains(&a) != p.members.contains(&b))
 }
 
 /// Per-sender fault lane: an independent RNG stream plus Gilbert–Elliott
 /// channel state, forked from the plane's base stream **keyed by sender
-/// id** — never by thread id — so the decide sequence each sender observes
-/// is a pure function of `(seed, sender, send index)` and survives any
-/// resharding across threads.
+/// id**, so the decide sequence each sender observes is a pure function
+/// of `(seed, sender, send index)`, whatever the other senders do.
 #[derive(Debug, Clone)]
-pub struct FaultLane {
+struct FaultLane {
     rng: DetRng,
     burst_bad: bool,
 }
@@ -79,15 +67,15 @@ impl FaultLane {
     /// `counters`; independent-loss drops are counted by the caller in the
     /// encounter block, where the legacy `message_loss` knob has always
     /// lived.
-    pub fn decide(
+    fn decide(
         &mut self,
         cfg: &FaultConfig,
-        view: &PartitionView,
+        partitions: &[Partition],
         counters: &mut FaultCounters,
         a: NodeId,
         b: NodeId,
     ) -> SendOutcome {
-        if view.partitioned(a, b) {
+        if partitioned(partitions, a, b) {
             counters.partitioned += 1;
             return SendOutcome::DropPartitioned;
         }
@@ -158,17 +146,13 @@ impl FaultLane {
 /// (iff `base_latency_ms > 0` and `jitter_spread > 0`), duplication draw
 /// (iff `0 < duplicate < 1`, plus a latency draw for the copy). With an
 /// inert config a lane consumes **zero** draws, which is what keeps
-/// zero-fault runs byte-identical to runs without the plane. Because each
-/// sender has its own lane, the parallel round engine can move lanes into
-/// send jobs ([`FaultPlane::take_lanes`]) without changing any sender's
-/// decide stream.
+/// zero-fault runs byte-identical to runs without the plane.
 #[derive(Debug)]
 pub struct FaultPlane {
     cfg: FaultConfig,
     lane_base: DetRng,
     lanes: Vec<FaultLane>,
     partitions: Vec<Partition>,
-    view: PartitionView,
     counters: FaultCounters,
 }
 
@@ -181,7 +165,6 @@ impl FaultPlane {
             lane_base,
             lanes: Vec::new(),
             partitions: Vec::new(),
-            view: PartitionView::default(),
             counters: FaultCounters::default(),
         }
     }
@@ -198,8 +181,7 @@ impl FaultPlane {
 
     /// Mutable access for counters incremented by the host (`retries`,
     /// `backoff_gaveups`, `crash_restarts`, `reordered`, `dedup_suppressed`,
-    /// `dropped_expired` — events only the delivery loop can observe), and
-    /// for merging per-shard counter deltas back after a parallel round.
+    /// `dropped_expired` — events only the delivery loop can observe).
     pub fn counters_mut(&mut self) -> &mut FaultCounters {
         &mut self.counters
     }
@@ -211,7 +193,6 @@ impl FaultPlane {
             members: members.into_iter().collect(),
             active: false,
         });
-        self.rebuild_view();
         self.partitions.len() - 1
     }
 
@@ -220,28 +201,11 @@ impl FaultPlane {
         if let Some(p) = self.partitions.get_mut(idx) {
             p.active = active;
         }
-        self.rebuild_view();
-    }
-
-    fn rebuild_view(&mut self) {
-        self.view = PartitionView {
-            active_sets: self
-                .partitions
-                .iter()
-                .filter(|p| p.active)
-                .map(|p| p.members.clone())
-                .collect(),
-        };
     }
 
     /// True when any active partition separates `a` from `b`.
     pub fn partitioned(&self, a: NodeId, b: NodeId) -> bool {
-        self.view.partitioned(a, b)
-    }
-
-    /// A cloneable snapshot of the active partition sets, for send jobs.
-    pub fn partition_view(&self) -> PartitionView {
-        self.view.clone()
+        partitioned(&self.partitions, a, b)
     }
 
     /// Whether any sender's Gilbert–Elliott channel is in the bad state.
@@ -258,19 +222,6 @@ impl FaultPlane {
         }
     }
 
-    /// Move all lanes out for a parallel send phase. The caller must hand
-    /// every lane back via [`FaultPlane::restore_lanes`] in sender order;
-    /// a decide while lanes are lent out would mint a fresh lane and
-    /// corrupt the sender's stream, so don't do that.
-    pub fn take_lanes(&mut self) -> Vec<FaultLane> {
-        std::mem::take(&mut self.lanes)
-    }
-
-    /// Hand lanes back after a parallel send phase (in sender order).
-    pub fn restore_lanes(&mut self, lanes: Vec<FaultLane>) {
-        self.lanes = lanes;
-    }
-
     /// Decide the fate of one send from `a` to `b`, consuming draws from
     /// `a`'s lane. See the type-level determinism contract.
     pub fn decide(&mut self, a: NodeId, b: NodeId) -> SendOutcome {
@@ -278,11 +229,11 @@ impl FaultPlane {
         let FaultPlane {
             cfg,
             lanes,
-            view,
+            partitions,
             counters,
             ..
         } = self;
-        lanes[a.index()].decide(cfg, view, counters, a, b)
+        lanes[a.index()].decide(cfg, partitions, counters, a, b)
     }
 }
 
@@ -298,46 +249,6 @@ impl rvs_checkpoint::Persist for FaultLane {
         Ok(FaultLane {
             rng: DetRng::restore(dec)?,
             burst_bad: dec.bool()?,
-        })
-    }
-}
-
-/// Stable binary encoding: one discriminant byte, then (for `Deliver`) the
-/// primary delay and optional duplicate delay. Used as the body of the
-/// cross-shard bus envelopes (`rvs-shard`), so the discriminant values are
-/// part of the checkpoint wire format — changing them bumps
-/// `rvs_checkpoint::FORMAT_VERSION`.
-impl rvs_checkpoint::Persist for SendOutcome {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        match self {
-            SendOutcome::DropIndependent => enc.u8(0),
-            SendOutcome::DropBurst => enc.u8(1),
-            SendOutcome::DropPartitioned => enc.u8(2),
-            SendOutcome::Deliver {
-                delay,
-                duplicate_delay,
-            } => {
-                enc.u8(3);
-                delay.persist(enc);
-                duplicate_delay.persist(enc);
-            }
-        }
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(match dec.u8()? {
-            0 => SendOutcome::DropIndependent,
-            1 => SendOutcome::DropBurst,
-            2 => SendOutcome::DropPartitioned,
-            3 => SendOutcome::Deliver {
-                delay: SimDuration::restore(dec)?,
-                duplicate_delay: Option::restore(dec)?,
-            },
-            other => {
-                return Err(rvs_checkpoint::DecodeError::Corrupt(format!(
-                    "unknown SendOutcome discriminant {other}"
-                )))
-            }
         })
     }
 }
@@ -358,9 +269,7 @@ impl rvs_checkpoint::Persist for Partition {
 }
 
 /// Stable binary encoding: config, lane-base RNG, lanes, partitions,
-/// counters. The [`PartitionView`] is volatile by design — it is a pure
-/// projection of the partitions, rebuilt on restore.
-// rvs-lint: allow(persist-coverage) -- `view` is a pure projection of `partitions`, rebuilt by restore below; persisting it would store the same data twice
+/// counters.
 impl rvs_checkpoint::Persist for FaultPlane {
     fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
         self.cfg.persist(enc);
@@ -371,16 +280,13 @@ impl rvs_checkpoint::Persist for FaultPlane {
     }
 
     fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        let mut plane = FaultPlane {
+        Ok(FaultPlane {
             cfg: FaultConfig::restore(dec)?,
             lane_base: DetRng::restore(dec)?,
             lanes: Vec::restore(dec)?,
             partitions: Vec::restore(dec)?,
-            view: PartitionView::default(),
             counters: FaultCounters::restore(dec)?,
-        };
-        plane.rebuild_view();
-        Ok(plane)
+        })
     }
 }
 
@@ -440,50 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn taken_lanes_decide_identically_to_the_plane() {
-        // The parallel send phase moves lanes out, decides, and restores
-        // them; the outcome stream must match in-plane decides exactly.
-        let cfg = FaultConfig {
-            base_latency_ms: 500,
-            jitter_spread: 0.5,
-            loss: 0.1,
-            duplicate: 0.05,
-            burst: Some(BurstLoss::with_overall_loss(0.2, 5.0)),
-            retry: None,
-        };
-        let mut in_plane = plane(cfg);
-        let a: Vec<SendOutcome> = (0..300u32)
-            .map(|i| in_plane.decide(NodeId(i % 5), NodeId((i + 1) % 5)))
-            .collect();
-
-        let mut lent = plane(cfg);
-        lent.ensure_lanes(5);
-        let view = lent.partition_view();
-        let mut lanes = lent.take_lanes();
-        let mut counters = FaultCounters::default();
-        let b: Vec<SendOutcome> = (0..300u32)
-            .map(|i| {
-                let s = (i % 5) as usize;
-                lanes[s].decide(
-                    &cfg,
-                    &view,
-                    &mut counters,
-                    NodeId(i % 5),
-                    NodeId((i + 1) % 5),
-                )
-            })
-            .collect();
-        lent.restore_lanes(lanes);
-        assert_eq!(a, b);
-        lent.counters_mut().merge_from(&counters);
-        assert_eq!(
-            in_plane.counters().total(),
-            lent.counters().total(),
-            "merged lane counters must match in-plane counting"
-        );
-    }
-
-    #[test]
     fn partition_cuts_exactly_cross_traffic() {
         let mut p = plane(FaultConfig::default());
         let idx = p.add_partition([NodeId(0), NodeId(1)]);
@@ -498,9 +360,6 @@ mod tests {
         assert_eq!(p.counters().partitioned, 1);
         p.set_partition_active(idx, false);
         assert!(!p.partitioned(NodeId(0), NodeId(2)));
-        // The cloneable view agrees with the plane at each toggle.
-        p.set_partition_active(idx, true);
-        assert!(p.partition_view().partitioned(NodeId(0), NodeId(2)));
     }
 
     #[test]

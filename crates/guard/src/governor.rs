@@ -2,10 +2,10 @@
 //! and capped-doubling quarantine.
 //!
 //! One [`PeerGuard`] exists per population member; the [`Governor`] owns
-//! the vector plus the guard-plane counters. All mutation happens in the
-//! serial apply/encounter phase of the round engine — the governor is
-//! never touched from the parallel planning shards — so its state
-//! evolution is independent of thread count by construction.
+//! the vector plus the guard-plane counters. All mutation happens on the
+//! serial send/encounter path of the round engine — the governor is
+//! never touched from pool workers — so its state evolution is
+//! independent of thread count by construction.
 //!
 //! Determinism contract: the governor draws no randomness, reads no wall
 //! clock, and iterates peers in index order. Its full state is

@@ -21,7 +21,6 @@ pub const PROTOCOL_CRATES: &[&str] = &[
     "faults",
     "checkpoint",
     "guard",
-    "shard",
 ];
 
 /// Which part of the workspace a rule applies to.

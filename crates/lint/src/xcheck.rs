@@ -392,7 +392,6 @@ const CONFIG_STRUCTS: &[(&str, &str)] = &[
     ("crates/core/src/protocol.rs", "VoteSamplingConfig"),
     ("crates/faults/src/config.rs", "FaultConfig"),
     ("crates/guard/src/config.rs", "GuardConfig"),
-    ("crates/shard/src/lib.rs", "ShardConfig"),
 ];
 
 /// Paper parameters: (struct, field, symbol DESIGN.md must use).
@@ -474,8 +473,6 @@ const THREADING_KNOBS: &[(&str, &str)] = &[
     ("RVS_THREADS", "crates/sim/src/pool.rs"),
     ("--threads", "src/bin/rvs.rs"),
     ("set_threads", "crates/scenario/src/system.rs"),
-    ("--shards", "src/bin/rvs.rs"),
-    ("set_shards", "crates/scenario/src/system.rs"),
 ];
 
 /// **threading-config**: every threading knob must exist in the source file

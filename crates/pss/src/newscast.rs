@@ -187,10 +187,9 @@ impl NewscastPss {
 
 impl NewscastPss {
     /// Sample without mutating the sampler: views only change during
-    /// [`NewscastPss::gossip_round`] and churn, never on sampling, so the
-    /// parallel send phase can share one view set across per-peer jobs
-    /// (each drawing from its own RNG lane) and match the `&mut` trait
-    /// path draw for draw.
+    /// [`NewscastPss::gossip_round`] and churn, never on sampling, so each
+    /// peer can draw from its own RNG lane and match the `&mut` trait path
+    /// draw for draw.
     pub fn sample_from(&self, requester: NodeId, rng: &mut DetRng) -> Option<NodeId> {
         let view = &self.views[requester.index()];
         let candidates: Vec<NodeId> = view

@@ -73,9 +73,8 @@ impl OraclePss {
 
 impl OraclePss {
     /// Sample without mutating the sampler: the oracle's state only
-    /// changes on churn, never on sampling, so the parallel send phase can
-    /// share one view across per-peer jobs (each drawing from its own RNG
-    /// lane) and match the `&mut` trait path draw for draw.
+    /// changes on churn, never on sampling, so each peer can draw from its
+    /// own RNG lane and match the `&mut` trait path draw for draw.
     pub fn sample_from(&self, requester: NodeId, rng: &mut DetRng) -> Option<NodeId> {
         match self.online.len() {
             0 => None,

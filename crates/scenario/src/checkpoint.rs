@@ -157,14 +157,7 @@ pub fn golden_file_name(seed: u64) -> String {
 /// committed blobs against the current build and re-encodes them
 /// byte-identically.
 pub fn golden_system(seed: u64) -> crate::System {
-    let trace =
-        rvs_trace::TraceGenConfig::quick(12, rvs_sim::SimDuration::from_hours(6)).generate(seed);
-    let (setup, _) = crate::experiments::vote_sampling::fig6_setup(&trace, 0.25, 0.25, seed);
-    let cfg = crate::ProtocolConfig {
-        experience_t_mib: 1.0,
-        ..crate::ProtocolConfig::default()
-    };
-    let mut system = crate::System::new(trace, cfg, setup, seed);
+    let mut system = golden_cast(12, 6, seed, rvs_faults::FaultSchedule::default());
     system.run_until(
         SimTime::from_hours(GOLDEN_HOURS),
         rvs_sim::SimDuration::from_hours(1),
@@ -173,9 +166,138 @@ pub fn golden_system(seed: u64) -> crate::System {
     system
 }
 
+/// The cast every golden run shares: a quick trace of `peers` × `hours`,
+/// the fig6 moderators and voters at 25 % / 25 %, experience threshold
+/// 1 MiB, deliveries routed through `schedule`.
+fn golden_cast(
+    peers: usize,
+    hours: u64,
+    seed: u64,
+    schedule: rvs_faults::FaultSchedule,
+) -> crate::System {
+    let trace = rvs_trace::TraceGenConfig::quick(peers, rvs_sim::SimDuration::from_hours(hours))
+        .generate(seed);
+    let (setup, _) = crate::experiments::vote_sampling::fig6_setup(&trace, 0.25, 0.25, seed);
+    let cfg = crate::ProtocolConfig {
+        experience_t_mib: 1.0,
+        ..crate::ProtocolConfig::default()
+    };
+    crate::System::with_faults(trace, cfg, setup, seed, schedule)
+}
+
 /// The golden checkpoint for `seed` — [`golden_system`] snapshotted.
 pub fn golden_checkpoint(seed: u64) -> Checkpoint {
     golden_system(seed).checkpoint()
+}
+
+/// Names of the committed result goldens under `tests/golden/results/`
+/// (`<name>.json`): one fixed-seed run per send path — plain fig6, loss
+/// with backoff resends, and the chaos schedule under flooders, a
+/// malformer and an armed guard.
+pub const GOLDEN_RESULTS: [&str; 3] = ["fig6-seed1", "churn-retry-seed1", "byzantine-chaos-seed1"];
+
+/// Re-run the result golden `name` on `threads` workers and render what
+/// it observed as pretty JSON: the telemetry counters, every trace
+/// peer's displayed ranking, and the in-flight count. Unlike the
+/// checkpoint goldens this carries no encoding, so it survives
+/// `FORMAT_VERSION` bumps and pins the *results* of the faulty and
+/// guarded paths across refactors. Wall-clock `phase_nanos` is stripped,
+/// and so is a `shard` block: the committed files were recorded on a
+/// commit whose snapshots still had one, and must reproduce there too.
+///
+/// # Panics
+/// On a name outside [`GOLDEN_RESULTS`].
+pub fn golden_result(name: &str, threads: usize) -> String {
+    use rvs_faults::{
+        BurstLoss, CrashSpec, FaultConfig, FaultSchedule, PartitionSpec, RetryConfig,
+    };
+    use rvs_sim::{NodeId, SimDuration};
+    use serde::{Serialize as _, Value};
+
+    let (peers, hours, attack, schedule) = match name {
+        "fig6-seed1" => (16, 12, false, FaultSchedule::default()),
+        // Loss + retry: backoff resends interleave with the round sends.
+        "churn-retry-seed1" => (
+            14,
+            15,
+            false,
+            FaultSchedule {
+                config: FaultConfig {
+                    loss: 0.15,
+                    retry: Some(RetryConfig::default()),
+                    ..FaultConfig::default()
+                },
+                partitions: vec![],
+                crashes: vec![],
+            },
+        ),
+        // Latency + jitter, burst loss, duplication, one partition, two
+        // crash-restarts, retry — under flooders and a malformer.
+        "byzantine-chaos-seed1" => (
+            18,
+            18,
+            true,
+            FaultSchedule {
+                config: FaultConfig {
+                    base_latency_ms: 5_000,
+                    jitter_spread: 1.0,
+                    loss: 0.0,
+                    duplicate: 0.05,
+                    burst: Some(BurstLoss::with_overall_loss(0.3, 8.0)),
+                    retry: Some(RetryConfig::default()),
+                },
+                partitions: vec![PartitionSpec {
+                    name: "split".into(),
+                    members: (0..6).map(NodeId::from_index).collect(),
+                    start: SimTime::from_hours(4),
+                    heal: SimTime::from_hours(8),
+                }],
+                crashes: vec![
+                    CrashSpec {
+                        node: NodeId::from_index(3),
+                        at: SimTime::from_hours(6),
+                    },
+                    CrashSpec {
+                        node: NodeId::from_index(9),
+                        at: SimTime::from_hours(12),
+                    },
+                ],
+            },
+        ),
+        other => panic!("unknown result golden `{other}`"),
+    };
+    let mut system = golden_cast(peers, hours, 1, schedule);
+    if attack {
+        system.set_guard_config(rvs_guard::GuardConfig {
+            inbox_cap: 8,
+            ..rvs_guard::GuardConfig::active()
+        });
+        system.set_flooder(rvs_attacks::Flooder::new(
+            (peers - 4..peers).map(NodeId::from_index),
+            10,
+        ));
+        system.set_malformer(rvs_attacks::Malformer::new(100));
+    }
+    system.set_threads(threads);
+    system.run_until(
+        SimTime::from_hours(hours),
+        SimDuration::from_hours(hours / 3),
+        |_, _| {},
+    );
+
+    let Value::Object(mut telemetry) = system.telemetry_snapshot().to_value() else {
+        unreachable!("a snapshot serializes as an object");
+    };
+    telemetry.retain(|(key, _)| key != "phase_nanos" && key != "shard");
+    let rankings = (0..system.trace_peer_count())
+        .map(|i| system.display_ranking(NodeId::from_index(i)).to_value())
+        .collect();
+    let result = Value::Object(vec![
+        ("telemetry".into(), Value::Object(telemetry)),
+        ("rankings".into(), Value::Array(rankings)),
+        ("in_flight".into(), Value::UInt(system.in_flight())),
+    ]);
+    serde_json::to_string_pretty(&result).expect("value serialization cannot fail") + "\n"
 }
 
 #[cfg(test)]

@@ -40,10 +40,6 @@ pub struct VoteSamplingConfig {
     pub sample_every: SimDuration,
     /// Simulated span.
     pub duration: SimDuration,
-    /// Shard count K for the scale-out engine (1 = monolithic). Purely a
-    /// scheduling knob: K can never change results, so curves and
-    /// counters are identical for any value.
-    pub shards: usize,
     /// Run each trace under the invariant auditor and panic on any
     /// violation (used by the CI scale smoke; off by default because the
     /// auditor costs wall-clock).
@@ -62,7 +58,6 @@ impl VoteSamplingConfig {
             base_seed: 100,
             sample_every: SimDuration::from_hours(2),
             duration: SimDuration::from_days(7),
-            shards: 1,
             audit: false,
         }
     }
@@ -83,7 +78,6 @@ impl VoteSamplingConfig {
             base_seed: seed,
             sample_every: SimDuration::from_hours(4),
             duration: SimDuration::from_hours(36),
-            shards: 1,
             audit: false,
         }
     }
@@ -167,7 +161,6 @@ fn run_one(cfg: &VoteSamplingConfig, run: usize) -> (TimeSeries, [ModeratorId; 3
     let trace = cfg.trace.generate(seed);
     let (setup, m) = fig6_setup(&trace, cfg.positive_fraction, cfg.negative_fraction, seed);
     let mut system = System::new(trace, cfg.protocol, setup, seed);
-    system.set_shards(cfg.shards);
     if cfg.audit {
         system.enable_audit();
     }

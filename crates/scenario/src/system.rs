@@ -9,20 +9,15 @@ use rvs_bartercast::{validate_records, AdaptiveThreshold, BarterCast};
 use rvs_bittorrent::BitTorrentNet;
 use rvs_checkpoint::Persist as _;
 use rvs_core::{validate_topk, validate_vote_list, BallotBox, VoteEntry, VoteSampling};
-use rvs_faults::{
-    Backoff, BackoffDecision, FaultConfig, FaultLane, FaultPlane, FaultSchedule, PartitionView,
-    SendOutcome,
-};
+use rvs_faults::{Backoff, BackoffDecision, FaultPlane, FaultSchedule, SendOutcome};
 use rvs_guard::{Governor, GuardConfig, MessageClass, RejectReason};
 use rvs_metrics::{collective_experience_value, correct_ordering_fraction, pollution_fraction};
 use rvs_modcast::{validate_moderation_list, KeyRegistry, LocalVote, ModerationCast};
 use rvs_pss::{NewscastConfig, NewscastPss, OraclePss};
-use rvs_shard::{ShardBus, ShardConfig};
 use rvs_sim::{pool, DetRng, Engine, ModeratorId, NodeId, Pool, SimTime};
-use rvs_telemetry::{EncounterCounters, FaultCounters, PhaseTimer, Snapshot};
+use rvs_telemetry::{EncounterCounters, PhaseTimer, Snapshot};
 use rvs_trace::{Trace, TraceEventKind};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Evaluator nodes whose contribution caches are coherence-sampled per
 /// audited gossip round.
@@ -151,8 +146,8 @@ impl Pss {
         }
     }
     /// Read-only sampling: PSS state never changes on sampling (only on
-    /// churn and gossip rounds), so parallel send jobs can share one view
-    /// while drawing from their own per-peer RNG lanes.
+    /// churn and gossip rounds); the draw comes from the requester's own
+    /// RNG lane.
     fn sample_from(&self, requester: NodeId, rng: &mut DetRng) -> Option<NodeId> {
         match self {
             Pss::Oracle(o) => o.sample_from(requester, rng),
@@ -229,14 +224,13 @@ pub struct System {
     // Dedicated stream for audit sampling so enabling the auditor never
     // perturbs protocol randomness.
     rng_audit: DetRng,
-    /// Per-peer send-phase RNG lanes (PSS sample draws), keyed by peer id
-    /// so the stream each peer observes is independent of sharding.
+    /// Per-peer send RNG lanes (PSS sample draws), keyed by peer id so
+    /// the stream each peer observes depends on nothing but its own sends.
     send_rng: Vec<DetRng>,
 
-    // Parallel round engine. The pool shards per-peer send planning and
-    // per-swarm BitTorrent windows; results merge in canonical order, so
-    // `threads` can never change results (proven by
-    // tests/parallel_differential.rs).
+    // Parallel round engine. The pool shards per-swarm BitTorrent
+    // windows; results merge in canonical order, so `threads` can never
+    // change results (proven by tests/parallel_differential.rs).
     threads: usize,
     pool: Pool,
     /// First BitTorrent tick not yet materialized.
@@ -287,17 +281,6 @@ pub struct System {
     /// Per-node count of scheduled (in-flight) deliveries headed to the
     /// node — the bounded-inbox gauge the guard's `inbox_cap` polices.
     inbox_load: Vec<u32>,
-
-    // Sharded scale-out plane. Every planned send — intra- or cross-shard
-    // — serializes through the bus with the canonical codec and is
-    // delivered at the round barrier in (round, sender, seq) order, so
-    // K=1 and K>1 share one code path and K can never change results
-    // (proven by tests/shard_differential.rs).
-    bus: ShardBus,
-    /// Shard membership lists, ascending within each shard — a pure
-    /// projection of `(n_total, K)`, rebuilt on `set_shards`/restore and
-    /// deliberately outside the checkpoint.
-    shard_members: Vec<Vec<NodeId>>,
 }
 
 impl System {
@@ -445,8 +428,6 @@ impl System {
             malformer: None,
             rng_malform: root.fork(7),
             inbox_load: vec![0; n_total],
-            bus: ShardBus::new(ShardConfig::default()),
-            shard_members: rvs_shard::members(n_total, 1),
         }
     }
 
@@ -535,9 +516,6 @@ impl System {
         self.malformer.persist(&mut enc);
         self.rng_malform.persist(&mut enc);
         self.inbox_load.persist(&mut enc);
-
-        enc.tag("shard");
-        self.bus.persist(&mut enc);
 
         Checkpoint {
             bytes: enc.into_bytes(),
@@ -628,9 +606,6 @@ impl System {
         let malformer: Option<Malformer> = Option::restore(&mut dec)?;
         let rng_malform = DetRng::restore(&mut dec)?;
         let inbox_load: Vec<u32> = Vec::restore(&mut dec)?;
-
-        dec.tag("shard")?;
-        let bus = ShardBus::restore(&mut dec)?;
         dec.finish()?;
 
         // Cross-field consistency: a blob that decodes field-by-field can
@@ -685,12 +660,6 @@ impl System {
                 "BitTorrent online snapshot {} != substrate population {}",
                 bt_online0.len(),
                 net.online_flags().len()
-            )));
-        }
-        if let Some(env) = bus.queued_envelopes().find(|e| e.sender.index() >= n_total) {
-            return Err(corrupt(format!(
-                "in-flight bus envelope names sender {} outside population {n_total}",
-                env.sender.index()
             )));
         }
 
@@ -755,16 +724,14 @@ impl System {
             malformer,
             rng_malform,
             inbox_load,
-            shard_members: rvs_shard::members(n_total, bus.shards()),
-            bus,
         })
     }
 
     /// Set the worker-thread count for the parallel round engine (clamped
     /// to at least 1; 1 runs everything inline on the caller's thread).
-    /// Thread count can never change results — per-peer and per-swarm RNG
-    /// streams are keyed by id and cross-shard effects merge in canonical
-    /// order — so this is purely a wall-clock knob.
+    /// Thread count can never change results — per-swarm RNG streams are
+    /// keyed by id and window effects merge in canonical order — so this
+    /// is purely a wall-clock knob.
     pub fn set_threads(&mut self, threads: usize) {
         let threads = threads.max(1);
         if threads != self.threads {
@@ -776,42 +743,6 @@ impl System {
     /// The worker-thread count the round engine is using.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Re-partition the population into `shards` deterministic shards
-    /// (clamped to at least 1). Like [`System::set_threads`], this is
-    /// purely a scheduling knob: shard membership is a pure function of
-    /// `(peer id, K)`, every planned send serializes through the bus, and
-    /// delivery order at the round barrier is canonical, so K can never
-    /// change results (proven by `tests/shard_differential.rs`). Legal
-    /// between rounds at any time, including after a restore from a
-    /// checkpoint taken under a different K.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.bus.set_shards(shards);
-        self.shard_members = rvs_shard::members(self.n_total, self.bus.shards());
-    }
-
-    /// The shard count K of the scale-out plane.
-    pub fn shards(&self) -> usize {
-        self.bus.shards()
-    }
-
-    /// The shard owning `node` under the current partition.
-    pub fn shard_of(&self, node: NodeId) -> usize {
-        rvs_shard::route(node, self.bus.shards())
-    }
-
-    /// The members of `shard`, in ascending id order. Observer sampling
-    /// can aggregate per shard through this view; per-shard aggregates
-    /// merge to exactly the global value (see
-    /// [`System::ordering_accuracy_in_shard`]).
-    pub fn shard_members(&self, shard: usize) -> &[NodeId] {
-        &self.shard_members[shard]
-    }
-
-    /// The cross-shard bus (queued envelopes, routing counters).
-    pub fn shard_bus(&self) -> &ShardBus {
-        &self.bus
     }
 
     /// Switch on runtime invariant auditing (idempotent). The [`Auditor`]
@@ -848,7 +779,6 @@ impl System {
             },
             faults: self.faults.counters().clone(),
             guard: self.guard.counters().clone(),
-            shard: self.bus.counters().clone(),
             phase_nanos: self.timer.phases().clone(),
         }
     }
@@ -1032,27 +962,6 @@ impl System {
         correct_ordering_fraction(rankings.iter().map(|r| r.as_slice()), expected)
     }
 
-    /// [`System::ordering_accuracy`] restricted to the trace members of
-    /// one shard, as `(correct, sampled)` counts. Count form makes the
-    /// observer shard-aware without losing exactness: summing the counts
-    /// over all shards reproduces the global fraction bit-for-bit (a
-    /// sum of per-shard `f64` fractions would not), which the shard
-    /// differential suite asserts.
-    pub fn ordering_accuracy_in_shard(&self, shard: usize, expected: &[ModeratorId]) -> (u64, u64) {
-        let mut correct = 0u64;
-        let mut total = 0u64;
-        for &n in &self.shard_members[shard] {
-            if n.index() >= self.n_trace {
-                continue;
-            }
-            total += 1;
-            if rvs_metrics::orders_correctly(&self.display_ranking(n), expected) {
-                correct += 1;
-            }
-        }
-        (correct, total)
-    }
-
     /// Fraction of *newly arrived honest* nodes (trace peers outside the
     /// pre-seeded core that have arrived by now) ranking `spam` top
     /// (Figure 8).
@@ -1221,11 +1130,8 @@ impl System {
         }
     }
 
-    /// One protocol gossip round over every online node: a parallel
-    /// *plan* phase (per-peer PSS sample + fault decide, each peer drawing
-    /// from its own RNG lanes) followed by a strictly serial *apply* phase
-    /// in ascending sender order — the canonical `(round, sender, seq)`
-    /// merge order that makes results independent of thread count.
+    /// One protocol gossip round: every online node, in ascending id
+    /// order, picks one partner and runs the exchange (Figs 1–3).
     fn gossip_round(&mut self) {
         // Quarantine bookkeeping first: refill budgets, decay strikes,
         // release served sentences — and re-validate what released peers
@@ -1236,13 +1142,16 @@ impl System {
         self.pss.gossip_round(self.now, &mut self.rng_pss);
         self.publish_due_moderations();
         self.cast_due_votes();
-        let plans = self.plan_sends();
-        for (i, j, outcome) in plans {
-            // Attempt 1 is the initial send; retries re-enter via dispatch.
-            self.apply_outcome(i, j, 1, outcome);
+        // One fault lane per node from the first round on, whoever has
+        // sent so far: the persisted `faults` section keeps a fixed length.
+        self.faults.ensure_lanes(self.n_total);
+        for idx in 0..self.n_total {
+            let i = NodeId::from_index(idx);
+            if self.is_online(i) {
+                self.initiate(i);
+            }
         }
-        // Flood traffic rides after the honest plan, strictly serial, so
-        // the per-peer draw order is independent of thread count.
+        // Flood traffic rides after the honest sends.
         self.run_flooder_sends();
         if self.adaptive.is_some() {
             self.observe_dispersion();
@@ -1251,17 +1160,14 @@ impl System {
             let e = &self.enc;
             let f = self.faults.counters();
             let g = self.guard.counters();
-            let s = self.bus.counters();
             let now = self.now;
             let in_flight = self.pending_primary;
-            let bus_in_flight = self.bus.in_flight();
             // Fault-aware conservation: every attempt is delivered, dropped
-            // for an attributed reason, still in flight (scheduled delivery
-            // or envelope queued on the shard bus at the round cut), or
-            // refused at the bus admission gate. Duplicate copies are
-            // outside the identity by construction — they never touch
-            // `attempted` or `delivered` (a duplicate shed by a full inbox
-            // lands in `inbox_dropped_dup`, also outside it).
+            // for an attributed reason, or still in flight (a scheduled
+            // delivery). Duplicate copies are outside the identity by
+            // construction — they never touch `attempted` or `delivered`
+            // (a duplicate shed by a full inbox lands in
+            // `inbox_dropped_dup`, also outside it).
             let accounted = e.delivered
                 + e.dropped_no_sample
                 + e.dropped_offline_target
@@ -1271,15 +1177,12 @@ impl System {
                 + f.partitioned
                 + f.dropped_expired
                 + g.inbox_dropped
-                + in_flight
-                + bus_in_flight
-                + s.envelopes_rejected;
+                + in_flight;
             aud.check(e.attempted == accounted, || {
                 format!(
                     "encounter conservation broken at {now}: {e:?} faults {f:?} \
-                     inbox-dropped {} in-flight {in_flight} bus-in-flight \
-                     {bus_in_flight} bus-rejected {}",
-                    g.inbox_dropped, s.envelopes_rejected
+                     inbox-dropped {} in-flight {in_flight}",
+                    g.inbox_dropped
                 )
             });
             // Sampled cache coherence: pick a few evaluators, re-derive a
@@ -1299,181 +1202,44 @@ impl System {
         }
     }
 
-    /// Plan this round's sends shard by shard: snapshot the online flags
-    /// and partition state, lend the (read-only) PSS views to the pool,
-    /// and move each member's RNG lane and fault lane into its shard's
-    /// planning job (sub-chunked across threads). Every planned send —
-    /// fault fate already decided on the sender's own lane, so attribution
-    /// is shard-invariant — is serialized with the canonical codec and
-    /// posted to the [`ShardBus`]; the round barrier drains the bus in
-    /// canonical `(round, sender, seq)` order, which is exactly the
-    /// ascending-sender order of the monolithic engine. The result is a
-    /// pure function of per-peer streams — never of sharding or
-    /// threading.
-    fn plan_sends(&mut self) -> Vec<(NodeId, NodeId, SendOutcome)> {
-        let n = self.n_total;
-        struct SendCtx {
-            pss: Pss,
-            online: Vec<bool>,
-            cfg: FaultConfig,
-            view: PartitionView,
+    /// One gossip initiation by online peer `i` — a round send or a flood
+    /// send: sample a partner from `i`'s own send lane, then hand the send
+    /// to [`System::dispatch`] unless the sample is missing, `i` itself,
+    /// or offline (stale PSS views).
+    fn initiate(&mut self, i: NodeId) {
+        self.enc.attempted += 1;
+        let Some(j) = self.pss.sample_from(i, &mut self.send_rng[i.index()]) else {
+            self.enc.dropped_no_sample += 1;
+            return;
+        };
+        if i == j {
+            self.enc.dropped_self_target += 1;
+            return;
         }
-        self.faults.ensure_lanes(n);
-        self.bus.begin_round(self.bus.round() + 1);
-        let ctx = Arc::new(SendCtx {
-            pss: std::mem::replace(&mut self.pss, Pss::Oracle(OraclePss::new(0))),
-            online: (0..n)
-                .map(|i| self.is_online(NodeId::from_index(i)))
-                .collect(),
-            cfg: *self.faults.config(),
-            view: self.faults.partition_view(),
-        });
-        // Lane lending, keyed by peer id: each shard job takes exactly its
-        // members' RNG and fault lanes and hands them back with its
-        // results, so every lane advances identically under any K.
-        let mut send_rng: Vec<Option<DetRng>> = std::mem::take(&mut self.send_rng)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut lanes: Vec<Option<FaultLane>> =
-            self.faults.take_lanes().into_iter().map(Some).collect();
-
-        type ChunkResult = (
-            Vec<(NodeId, DetRng, FaultLane)>,
-            Vec<(NodeId, NodeId, SendOutcome)>,
-            EncounterCounters,
-            FaultCounters,
-        );
-        let shards = self.bus.shards();
-        // Sub-chunk each shard's member list so K < threads still keeps
-        // every worker busy; chunk geometry can't affect results (lanes
-        // are per-peer, counters commute, delivery order is canonical).
-        let subs = self.pool.threads().div_ceil(shards).max(1);
-        let mut jobs: Vec<Box<dyn FnOnce() -> ChunkResult + Send + 'static>> = Vec::new();
-        for members in &self.shard_members {
-            if members.is_empty() {
-                continue;
-            }
-            let chunk_size = members.len().div_ceil(subs.min(members.len()));
-            for chunk in members.chunks(chunk_size) {
-                let owned: Vec<(NodeId, DetRng, FaultLane)> = chunk
-                    .iter()
-                    .map(|&p| {
-                        let rng = send_rng[p.index()]
-                            .take()
-                            .expect("route() puts each peer in exactly one shard");
-                        let lane = lanes[p.index()]
-                            .take()
-                            .expect("route() puts each peer in exactly one shard");
-                        (p, rng, lane)
-                    })
-                    .collect();
-                let ctx = Arc::clone(&ctx);
-                jobs.push(Box::new(move || {
-                    let mut owned = owned;
-                    let mut plans = Vec::new();
-                    let mut enc = EncounterCounters::default();
-                    let mut fc = FaultCounters::default();
-                    for (i, rng, lane) in &mut owned {
-                        let i = *i;
-                        if !ctx.online[i.index()] {
-                            continue;
-                        }
-                        enc.attempted += 1;
-                        let Some(j) = ctx.pss.sample_from(i, rng) else {
-                            enc.dropped_no_sample += 1;
-                            continue;
-                        };
-                        if i == j {
-                            enc.dropped_self_target += 1;
-                            continue;
-                        }
-                        // Contacting an offline peer fails (stale PSS views).
-                        if !ctx.online[j.index()] {
-                            enc.dropped_offline_target += 1;
-                            continue;
-                        }
-                        // Every send routes through the fault plane, which
-                        // decides loss/latency/duplication from the sender's
-                        // own lane — before serialization, so the fate rides
-                        // inside the envelope and is shard-invariant.
-                        let outcome = lane.decide(&ctx.cfg, &ctx.view, &mut fc, i, j);
-                        if matches!(outcome, SendOutcome::DropIndependent) {
-                            // Independent loss keeps its historical home in the
-                            // encounter block (`message_loss` attribution).
-                            enc.dropped_message_loss += 1;
-                        }
-                        plans.push((i, j, outcome));
-                    }
-                    (owned, plans, enc, fc)
-                }));
-            }
+        if !self.is_online(j) {
+            self.enc.dropped_offline_target += 1;
+            return;
         }
-
-        for (owned, chunk_plans, enc, fc) in self.pool.scatter(jobs) {
-            for (p, rng, lane) in owned {
-                send_rng[p.index()] = Some(rng);
-                lanes[p.index()] = Some(lane);
-            }
-            for (i, j, outcome) in chunk_plans {
-                // The inter-shard wire format: the canonical codec over
-                // (target, fate), framed by the envelope header.
-                self.bus.post(i, j, rvs_checkpoint::to_bytes(&(j, outcome)));
-            }
-            self.enc.merge_from(&enc);
-            self.faults.counters_mut().merge_from(&fc);
-        }
-        self.send_rng = send_rng
-            .into_iter()
-            .map(|o| o.expect("every lent lane came back with its job"))
-            .collect();
-        self.faults.restore_lanes(
-            lanes
-                .into_iter()
-                .map(|o| o.expect("every lent lane came back with its job"))
-                .collect(),
-        );
-        let ctx = Arc::try_unwrap(ctx)
-            .unwrap_or_else(|_| unreachable!("scatter joined every job, so no Arc clone survives"));
-        self.pss = ctx.pss;
-
-        // Round barrier: release the bus in canonical order and decode
-        // each envelope back into a plan. Decode failures and out-of-range
-        // targets can only come from a hostile checkpoint blob's carried
-        // envelopes — refused with counter attribution, never a panic.
-        let mut plans = Vec::new();
-        for env in self.bus.drain_barrier() {
-            match rvs_checkpoint::from_bytes::<(NodeId, SendOutcome)>(&env.payload) {
-                Ok((j, outcome)) if j.index() < n => plans.push((env.sender, j, outcome)),
-                Ok(_) | Err(_) => self.bus.counters_mut().envelopes_rejected += 1,
-            }
-        }
-        plans
+        // Attempt 1 is the initial send; retries re-enter via dispatch.
+        self.dispatch(i, j, 1);
     }
 
-    /// Route one send from `i` to `j` through the fault plane (the serial
-    /// path, used by backoff resends). The caller has already counted
-    /// `attempted` and verified both endpoints online.
+    /// Route one send from `i` to `j` through the fault plane, which
+    /// decides loss/latency/duplication on the sender's own lane: drops
+    /// feed the retry path, deliveries assign the (serial, monotone)
+    /// message id and either run the exchange inline or schedule it. The
+    /// caller has already counted `attempted` and verified both endpoints
+    /// online.
     fn dispatch(&mut self, i: NodeId, j: NodeId, attempt: u32) {
-        let outcome = self.faults.decide(i, j);
-        if matches!(outcome, SendOutcome::DropIndependent) {
-            // Independent loss keeps its historical home in the encounter
-            // block (`message_loss` attribution).
-            self.enc.dropped_message_loss += 1;
-        }
-        self.apply_outcome(i, j, attempt, outcome);
-    }
-
-    /// Apply a decided send outcome: drops feed the retry path, deliveries
-    /// assign the (serial, monotone) message id and either run the
-    /// exchange inline or schedule it. Strictly serial — this is where
-    /// cross-peer state changes, in canonical sender order.
-    fn apply_outcome(&mut self, i: NodeId, j: NodeId, attempt: u32, outcome: SendOutcome) {
-        match outcome {
-            SendOutcome::DropIndependent
-            | SendOutcome::DropBurst
-            | SendOutcome::DropPartitioned => {
-                // Loss attribution already happened where the decide ran.
+        match self.faults.decide(i, j) {
+            SendOutcome::DropIndependent => {
+                // Independent loss keeps its historical home in the
+                // encounter block (`message_loss` attribution).
+                self.enc.dropped_message_loss += 1;
+                self.maybe_retry(i, j, attempt);
+            }
+            // The plane attributed these drops where it decided them.
+            SendOutcome::DropBurst | SendOutcome::DropPartitioned => {
                 self.maybe_retry(i, j, attempt);
             }
             SendOutcome::Deliver {
@@ -1691,9 +1457,7 @@ impl System {
         }
         self.enc.attempted += 1;
         // Resends draw from the sender's own send lane — the same stream
-        // its round sends use — so the per-peer draw order is a fixed
-        // interleaving of rounds and (serially processed) retries,
-        // independent of thread count.
+        // its round sends use.
         let target = match self.pss.sample_from(from, &mut self.send_rng[from.index()]) {
             Some(t) if t != from && t != to => t,
             _ => to,
@@ -2100,9 +1864,8 @@ impl System {
     }
 
     /// Extra gossip initiations from the flooding crowd, after the honest
-    /// plan. Flood traffic uses each flooder's own send lane and the
-    /// normal fault-plane path — loss, partitions, retries, and the
-    /// conservation identity all apply.
+    /// sends. Flood traffic takes the same path as any send — loss,
+    /// partitions, retries, and the conservation identity all apply.
     fn run_flooder_sends(&mut self) {
         let Some(f) = &self.flooder else { return };
         let per_round = f.per_round();
@@ -2113,20 +1876,7 @@ impl System {
             }
             for _ in 0..per_round {
                 self.guard.counters_mut().flooder_sends += 1;
-                self.enc.attempted += 1;
-                let Some(j) = self.pss.sample_from(m, &mut self.send_rng[m.index()]) else {
-                    self.enc.dropped_no_sample += 1;
-                    continue;
-                };
-                if j == m {
-                    self.enc.dropped_self_target += 1;
-                    continue;
-                }
-                if !self.is_online(j) {
-                    self.enc.dropped_offline_target += 1;
-                    continue;
-                }
-                self.dispatch(m, j, 1);
+                self.initiate(m);
             }
         }
     }

@@ -257,31 +257,6 @@ counter_block! {
     }
 }
 
-counter_block! {
-    /// Cross-shard bus activity, owned by `shard::ShardBus`. These are the
-    /// only counters allowed to differ between a K-shard run and the K=1
-    /// monolithic run (the shard differential suite compares snapshots
-    /// through [`Snapshot::modulo_shards`]); everything else is part of the
-    /// byte-identity contract.
-    pub struct ShardCounters {
-        /// Envelopes posted whose sender and target live on different shards.
-        pub envelopes_routed,
-        /// Envelopes posted whose sender and target share a shard.
-        pub envelopes_local,
-        /// Serialized payload bytes carried across the bus (all envelopes).
-        pub bus_bytes,
-        /// Envelopes delivered at a later round barrier than the one they
-        /// were posted in (only checkpoint-carried envelopes defer).
-        pub envelopes_deferred,
-        /// Envelopes refused by the bus admission gate (malformed key,
-        /// wrong shard, non-monotone sequence). Zero in honest runs.
-        pub envelopes_rejected,
-        /// High-watermark of envelopes queued on the bus at any point —
-        /// the gauge a future backpressure policy would police.
-        pub queue_high_watermark,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Shared atomic counter for `&self` hot paths
 // ---------------------------------------------------------------------------
@@ -357,8 +332,6 @@ pub struct Snapshot {
     pub faults: FaultCounters,
     /// Byzantine guard-plane counters.
     pub guard: GuardCounters,
-    /// Cross-shard bus counters.
-    pub shard: ShardCounters,
     /// Wall-clock time per named phase, in nanoseconds.
     pub phase_nanos: BTreeMap<String, u64>,
 }
@@ -374,7 +347,6 @@ impl Snapshot {
         self.pss.merge_from(&other.pss);
         self.faults.merge_from(&other.faults);
         self.guard.merge_from(&other.guard);
-        self.shard.merge_from(&other.shard);
         for (phase, nanos) in &other.phase_nanos {
             let slot = self.phase_nanos.entry(phase.clone()).or_insert(0);
             *slot = slot.saturating_add(*nanos);
@@ -407,17 +379,6 @@ impl Snapshot {
         out.barter.maxflow_evaluations = 0;
         out.barter.cache_hits = 0;
         out.barter.cache_misses = 0;
-        out
-    }
-
-    /// A copy with the [`ShardCounters`] block zeroed. Bus bookkeeping is
-    /// the one block that legitimately varies with the shard count K (a
-    /// K=1 run routes nothing); every other counter must be identical
-    /// across K — the shard differential suite compares through this
-    /// projection.
-    pub fn modulo_shards(&self) -> Snapshot {
-        let mut out = self.clone();
-        out.shard = ShardCounters::default();
         out
     }
 
@@ -561,11 +522,9 @@ mod tests {
 
     #[test]
     fn chunked_merge_is_shard_invariant() {
-        // The sharded round engine folds per-chunk counter deltas with
-        // merge_from in chunk order; field-wise saturating addition is
-        // associative + commutative, so any chunking of the same deltas
-        // must produce the same totals. This is the counter half of the
-        // thread-count-invariance proof.
+        // Per-run and per-chunk counter deltas are folded with merge_from;
+        // field-wise saturating addition is associative + commutative, so
+        // any chunking of the same deltas must produce the same totals.
         let deltas: Vec<EncounterCounters> = (1..=12)
             .map(|i| EncounterCounters {
                 attempted: i,

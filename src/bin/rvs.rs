@@ -18,7 +18,7 @@ use robust_vote_sampling::faults::FaultSchedule;
 use robust_vote_sampling::guard::GuardConfig;
 use robust_vote_sampling::metrics::TimeSeries;
 use robust_vote_sampling::scenario::checkpoint::{
-    golden_checkpoint, golden_file_name, GOLDEN_SEEDS,
+    golden_checkpoint, golden_file_name, golden_result, GOLDEN_RESULTS, GOLDEN_SEEDS,
 };
 use robust_vote_sampling::scenario::experiments::experience::dataset_statistics;
 use robust_vote_sampling::scenario::experiments::spam::fig8_setup;
@@ -38,21 +38,22 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = parse_flags(&args[1..]);
-    match cmd.as_str() {
-        "trace" => cmd_trace(&flags),
-        "stats" => cmd_stats(&flags),
-        "run" => cmd_run(&flags),
-        "attack" => cmd_attack(&flags),
-        "ckpt" => cmd_ckpt(&args[1..], &flags),
+    let rest = &args[1..];
+    let outcome = match cmd.as_str() {
+        "trace" => parse_flags(rest, TRACE_FLAGS).and_then(|f| cmd_trace(&f)),
+        "stats" => parse_flags(rest, STATS_FLAGS).and_then(|f| cmd_stats(&f)),
+        "run" => parse_flags(rest, RUN_FLAGS).and_then(cmd_run),
+        "attack" => parse_flags(rest, ATTACK_FLAGS).and_then(cmd_attack),
+        "ckpt" => cmd_ckpt(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
-            ExitCode::SUCCESS
+            Ok(())
         }
-        other => {
-            eprintln!("unknown command `{other}`\n{USAGE}");
-            ExitCode::FAILURE
-        }
+        other => Err(usage_error(&format!("unknown command `{other}`"))),
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
 }
 
@@ -62,10 +63,10 @@ rvs — robust vote sampling playground
 USAGE:
     rvs trace  [--seed N] [--peers N] [--hours N] [--out FILE]
         generate a filelist-calibrated churn trace (JSON when --out given)
-    rvs stats  [--seed N] [--traces N]
+    rvs stats  [--seed N] [--traces N] [--peers N] [--hours N]
         dataset statistics over N traces (the paper's §VI summary)
     rvs run    [--seed N] [--peers N] [--hours N] [--t-mib X] [--loss X]
-               [--faults FILE] [--guard on|FILE] [--threads N] [--shards K]
+               [--faults FILE] [--guard on|FILE] [--threads N]
                [--telemetry FILE|-] [--checkpoint-every N]
                [--checkpoint-dir D] [--resume FILE]
         full-stack Figure 6 scenario; prints the accuracy curve and the
@@ -81,9 +82,8 @@ USAGE:
         checkpoint and continues the run to --hours — byte-identical to
         never having stopped (DESIGN.md §12), on any --threads
     rvs attack [--seed N] [--peers N] [--core N] [--crowd N] [--hours N]
-               [--flood N] [--flood-rate N] [--malform PM]
-               [--guard on|FILE] [--threads N] [--shards K]
-               [--telemetry FILE|-]
+               [--t-mib X] [--flood N] [--flood-rate N] [--malform PM]
+               [--guard on|FILE] [--threads N] [--telemetry FILE|-]
         Figure 8 flash-crowd scenario; prints the pollution curve.
         --flood N turns the N highest-index trace peers into flooders
         (--flood-rate extra sends per member per round, default 12);
@@ -93,36 +93,87 @@ USAGE:
     rvs ckpt inspect FILE
         print a checkpoint's header summary (any format version)
     rvs ckpt regen [--dir D]
-        regenerate the golden checkpoint corpus (default D: tests/golden)
+        regenerate the golden corpus: checkpoints in D (default
+        tests/golden), result goldens in D/results
 
     --threads N shards the simulation round engine across N worker
     threads (0 = honour RVS_THREADS, the default). Results are
     byte-identical for every N; see DESIGN.md §11.
-    --shards K partitions the population into K deterministic shards
-    whose cross-shard gossip rides serialized envelopes on the shard
-    bus (0 = keep the current count, default 1). Results are
-    byte-identical for every K; see DESIGN.md §14.
     --telemetry dumps a JSON snapshot of the per-protocol counters (and
     wall-clock phase timings) to FILE, or to stdout when FILE is `-`.";
 
-fn parse_flags(rest: &[String]) -> BTreeMap<String, String> {
-    let mut flags = BTreeMap::new();
-    let mut it = rest.iter();
-    while let Some(k) = it.next() {
-        if let Some(name) = k.strip_prefix("--") {
-            if let Some(v) = it.next() {
-                flags.insert(name.to_string(), v.clone());
-            }
-        }
-    }
-    flags
+const TRACE_FLAGS: &[&str] = &["seed", "peers", "hours", "out"];
+const STATS_FLAGS: &[&str] = &["seed", "traces", "peers", "hours"];
+const RUN_FLAGS: &[&str] = &[
+    "seed",
+    "peers",
+    "hours",
+    "t-mib",
+    "loss",
+    "faults",
+    "guard",
+    "threads",
+    "telemetry",
+    "checkpoint-every",
+    "checkpoint-dir",
+    "resume",
+];
+const ATTACK_FLAGS: &[&str] = &[
+    "seed",
+    "peers",
+    "core",
+    "crowd",
+    "hours",
+    "t-mib",
+    "flood",
+    "flood-rate",
+    "malform",
+    "guard",
+    "threads",
+    "telemetry",
+];
+
+/// Report a command-line mistake: one line naming it, then the usage
+/// text, both on stderr.
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("{msg}\n{USAGE}");
+    ExitCode::FAILURE
 }
 
-fn get<T: std::str::FromStr>(flags: &BTreeMap<String, String>, key: &str, default: T) -> T {
-    flags
-        .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Parse `--name value` pairs, accepting only the names in `allowed`.
+/// Anything else — an unknown flag, a positional argument, a flag with no
+/// value — is an error rather than a silently different run.
+fn parse_flags(rest: &[String], allowed: &[&str]) -> Result<BTreeMap<String, String>, ExitCode> {
+    let mut flags = BTreeMap::new();
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        let Some(name) = arg.strip_prefix("--") else {
+            return Err(usage_error(&format!("unexpected argument `{arg}`")));
+        };
+        if !allowed.contains(&name) {
+            return Err(usage_error(&format!("unknown flag `{arg}`")));
+        }
+        let Some(value) = it.next() else {
+            return Err(usage_error(&format!("flag `{arg}` needs a value")));
+        };
+        flags.insert(name.to_string(), value.clone());
+    }
+    Ok(flags)
+}
+
+/// The value of `--key`, or `default` when the flag is absent; a value
+/// that does not parse as `T` is an error.
+fn get<T: std::str::FromStr>(
+    flags: &BTreeMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, ExitCode> {
+    match flags.get(key) {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| usage_error(&format!("invalid value `{v}` for --{key}"))),
+    }
 }
 
 /// Honour `--telemetry FILE|-`: dump the system's counter snapshot as JSON
@@ -148,23 +199,12 @@ fn dump_telemetry(system: &System, flags: &BTreeMap<String, String>) -> Result<(
 /// default) keeps the RVS_THREADS-derived count the System booted with.
 /// Thread count never changes results — only wall-clock time — which is
 /// proven byte-for-byte by tests/parallel_differential.rs.
-fn apply_threads(system: &mut System, flags: &BTreeMap<String, String>) {
-    let threads: usize = get(flags, "threads", 0);
+fn apply_threads(system: &mut System, flags: &BTreeMap<String, String>) -> Result<(), ExitCode> {
+    let threads: usize = get(flags, "threads", 0)?;
     if threads > 0 {
         system.set_threads(threads.min(64));
     }
-}
-
-/// Honour `--shards K`: partition the population into K deterministic
-/// shards (0, the default, keeps the system's current count — 1 for a
-/// fresh system, the checkpointed count after --resume). Shard count
-/// never changes results — only the scale-out geometry — which is proven
-/// byte-for-byte by tests/shard_differential.rs.
-fn apply_shards(system: &mut System, flags: &BTreeMap<String, String>) {
-    let shards: usize = get(flags, "shards", 0);
-    if shards > 0 {
-        system.set_shards(shards);
-    }
+    Ok(())
 }
 
 /// Honour `--guard on|FILE`: arm the Byzantine guard plane with the
@@ -196,10 +236,10 @@ fn apply_guard(system: &mut System, flags: &BTreeMap<String, String>) -> Result<
     Ok(())
 }
 
-fn trace_cfg(flags: &BTreeMap<String, String>) -> TraceGenConfig {
-    let peers: usize = get(flags, "peers", 100);
-    let hours: u64 = get(flags, "hours", 168);
-    if peers == 100 && hours == 168 {
+fn trace_cfg(flags: &BTreeMap<String, String>) -> Result<TraceGenConfig, ExitCode> {
+    let peers: usize = get(flags, "peers", 100)?;
+    let hours: u64 = get(flags, "hours", 168)?;
+    Ok(if peers == 100 && hours == 168 {
         TraceGenConfig::filelist_like()
     } else {
         TraceGenConfig {
@@ -208,12 +248,12 @@ fn trace_cfg(flags: &BTreeMap<String, String>) -> TraceGenConfig {
             founder_count: (peers / 5).max(1),
             ..TraceGenConfig::filelist_like()
         }
-    }
+    })
 }
 
-fn cmd_trace(flags: &BTreeMap<String, String>) -> ExitCode {
-    let seed: u64 = get(flags, "seed", 42);
-    let cfg = trace_cfg(flags);
+fn cmd_trace(flags: &BTreeMap<String, String>) -> Result<(), ExitCode> {
+    let seed: u64 = get(flags, "seed", 42)?;
+    let cfg = trace_cfg(flags)?;
     let trace = cfg.generate(seed);
     println!("{}", TraceStats::compute(&trace));
     if let Some(path) = flags.get("out") {
@@ -221,28 +261,27 @@ fn cmd_trace(flags: &BTreeMap<String, String>) -> ExitCode {
             Ok(()) => println!("\nwritten to {path}"),
             Err(e) => {
                 eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
+                return Err(ExitCode::FAILURE);
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_stats(flags: &BTreeMap<String, String>) -> ExitCode {
-    let seed: u64 = get(flags, "seed", 1);
-    let traces: usize = get(flags, "traces", 10);
-    let cfg = trace_cfg(flags);
+fn cmd_stats(flags: &BTreeMap<String, String>) -> Result<(), ExitCode> {
+    let seed: u64 = get(flags, "seed", 1)?;
+    let traces: usize = get(flags, "traces", 10)?;
+    let cfg = trace_cfg(flags)?;
     let (_, mean) = dataset_statistics(&cfg, traces, seed);
     println!("mean over {traces} traces:\n{mean}");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_run(flags: &BTreeMap<String, String>) -> ExitCode {
-    let seed: u64 = get(flags, "seed", 7);
-    let mut flags = flags.clone();
+fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
+    let seed: u64 = get(&flags, "seed", 7)?;
     flags.entry("peers".into()).or_insert_with(|| "40".into());
     flags.entry("hours".into()).or_insert_with(|| "48".into());
-    let hours: u64 = get(&flags, "hours", 48);
+    let hours: u64 = get(&flags, "hours", 48)?;
     if flags.contains_key("telemetry") {
         telemetry::set_enabled(true);
     }
@@ -253,14 +292,14 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> ExitCode {
             Ok(c) => c,
             Err(e) => {
                 eprintln!("failed to load checkpoint {path}: {e}");
-                return ExitCode::FAILURE;
+                return Err(ExitCode::FAILURE);
             }
         };
         let system = match System::restore(&ckpt) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("cannot restore {path}: {e}");
-                return ExitCode::FAILURE;
+                return Err(ExitCode::FAILURE);
             }
         };
         eprintln!("resumed from {path} at {}", system.now());
@@ -269,12 +308,12 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> ExitCode {
         let (_, m) = fig6_setup(system.trace(), 0.15, 0.15, system.seed());
         (system, m)
     } else {
-        let cfg = trace_cfg(&flags);
+        let cfg = trace_cfg(&flags)?;
         let trace = cfg.generate(seed);
         let (setup, m) = fig6_setup(&trace, 0.15, 0.15, seed);
         let protocol = ProtocolConfig {
-            experience_t_mib: get(&flags, "t-mib", 5.0),
-            message_loss: get(&flags, "loss", 0.0),
+            experience_t_mib: get(&flags, "t-mib", 5.0)?,
+            message_loss: get(&flags, "loss", 0.0)?,
             ..ProtocolConfig::default()
         };
         let schedule = match flags.get("faults") {
@@ -283,14 +322,14 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> ExitCode {
                     Ok(t) => t,
                     Err(e) => {
                         eprintln!("failed to read fault schedule {path}: {e}");
-                        return ExitCode::FAILURE;
+                        return Err(ExitCode::FAILURE);
                     }
                 };
                 match FaultSchedule::from_json(&text) {
                     Ok(s) => s,
                     Err(e) => {
                         eprintln!("invalid fault schedule {path}: {e}");
-                        return ExitCode::FAILURE;
+                        return Err(ExitCode::FAILURE);
                     }
                 }
             }
@@ -301,14 +340,11 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> ExitCode {
             m,
         )
     };
-    apply_threads(&mut system, &flags);
-    apply_shards(&mut system, &flags);
-    if let Err(code) = apply_guard(&mut system, &flags) {
-        return code;
-    }
+    apply_threads(&mut system, &flags)?;
+    apply_guard(&mut system, &flags)?;
     let end = SimTime::from_hours(hours);
     let sample = SimDuration::from_hours((hours / 12).max(1));
-    let ckpt_every: u64 = get(&flags, "checkpoint-every", 0);
+    let ckpt_every: u64 = get(&flags, "checkpoint-every", 0)?;
     let mut series = TimeSeries::new("accuracy");
     if ckpt_every == 0 {
         system.run_until(end, sample, |sys, now| {
@@ -342,7 +378,7 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> ExitCode {
         });
         if let Some(msg) = save_error {
             eprintln!("failed to write checkpoint {msg}");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     }
     println!("fraction of nodes ranking M1 > M2 > M3:");
@@ -356,25 +392,21 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> ExitCode {
         "{}",
         ModeratorBoard::from_ballot(system.votes().ballot(observer), 5)
     );
-    if let Err(code) = dump_telemetry(&system, &flags) {
-        return code;
-    }
-    ExitCode::SUCCESS
+    dump_telemetry(&system, &flags)
 }
 
 /// `rvs ckpt inspect FILE` / `rvs ckpt regen [--dir D]`.
-fn cmd_ckpt(rest: &[String], flags: &BTreeMap<String, String>) -> ExitCode {
+fn cmd_ckpt(rest: &[String]) -> Result<(), ExitCode> {
     match rest.first().map(String::as_str) {
         Some("inspect") => {
-            let Some(path) = rest.get(1).filter(|p| !p.starts_with("--")) else {
-                eprintln!("usage: rvs ckpt inspect FILE");
-                return ExitCode::FAILURE;
+            let [_, path] = rest else {
+                return Err(usage_error("usage: rvs ckpt inspect FILE"));
             };
             let ckpt = match Checkpoint::load(Path::new(path)) {
                 Ok(c) => c,
                 Err(e) => {
                     eprintln!("failed to load checkpoint {path}: {e}");
-                    return ExitCode::FAILURE;
+                    return Err(ExitCode::FAILURE);
                 }
             };
             match ckpt.peek_info() {
@@ -386,74 +418,83 @@ fn cmd_ckpt(rest: &[String], flags: &BTreeMap<String, String>) -> ExitCode {
                              the file cannot be resumed here"
                         );
                     }
-                    ExitCode::SUCCESS
+                    Ok(())
                 }
                 Err(e) => {
                     eprintln!("cannot read checkpoint header of {path}: {e}");
-                    ExitCode::FAILURE
+                    Err(ExitCode::FAILURE)
                 }
             }
         }
         Some("regen") => {
-            let dir = flags
-                .get("dir")
-                .cloned()
+            let dir = parse_flags(&rest[1..], &["dir"])?
+                .remove("dir")
                 .unwrap_or_else(|| "tests/golden".to_string());
             if let Err(e) = std::fs::create_dir_all(&dir) {
                 eprintln!("cannot create {dir}: {e}");
-                return ExitCode::FAILURE;
+                return Err(ExitCode::FAILURE);
             }
             for seed in GOLDEN_SEEDS {
                 let path = Path::new(&dir).join(golden_file_name(seed));
                 if let Err(e) = golden_checkpoint(seed).save(&path) {
                     eprintln!("failed to write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
+                    return Err(ExitCode::FAILURE);
                 }
                 println!("wrote {}", path.display());
             }
-            ExitCode::SUCCESS
+            let results = Path::new(&dir).join("results");
+            if let Err(e) = std::fs::create_dir_all(&results) {
+                eprintln!("cannot create {}: {e}", results.display());
+                return Err(ExitCode::FAILURE);
+            }
+            for name in GOLDEN_RESULTS {
+                let path = results.join(format!("{name}.json"));
+                if let Err(e) = std::fs::write(&path, golden_result(name, 1)) {
+                    eprintln!("failed to write {}: {e}", path.display());
+                    return Err(ExitCode::FAILURE);
+                }
+                println!("wrote {}", path.display());
+            }
+            Ok(())
         }
-        _ => {
-            eprintln!("usage: rvs ckpt inspect FILE | rvs ckpt regen [--dir D]");
-            ExitCode::FAILURE
-        }
+        _ => Err(usage_error(
+            "usage: rvs ckpt inspect FILE | rvs ckpt regen [--dir D]",
+        )),
     }
 }
 
-fn cmd_attack(flags: &BTreeMap<String, String>) -> ExitCode {
-    let seed: u64 = get(flags, "seed", 7);
-    let mut flags = flags.clone();
+fn cmd_attack(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
+    let seed: u64 = get(&flags, "seed", 7)?;
     flags.entry("peers".into()).or_insert_with(|| "40".into());
     flags.entry("hours".into()).or_insert_with(|| "48".into());
-    let hours: u64 = get(&flags, "hours", 48);
-    let core: usize = get(&flags, "core", 10);
-    let crowd: usize = get(&flags, "crowd", 20);
-    let cfg = trace_cfg(&flags);
+    let hours: u64 = get(&flags, "hours", 48)?;
+    let core: usize = get(&flags, "core", 10)?;
+    let crowd: usize = get(&flags, "crowd", 20)?;
+    let cfg = trace_cfg(&flags)?;
     let trace = cfg.generate(seed);
     if trace.peer_count() <= core {
         eprintln!("--core must be smaller than --peers");
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     }
     let setup = fig8_setup(&trace, core, crowd);
     let spam = NodeId::from_index(trace.peer_count());
     let protocol = ProtocolConfig {
-        experience_t_mib: get(&flags, "t-mib", 5.0),
+        experience_t_mib: get(&flags, "t-mib", 5.0)?,
         ..ProtocolConfig::default()
     };
     if flags.contains_key("telemetry") {
         telemetry::set_enabled(true);
     }
     let mut system = System::new(trace, protocol, setup, seed);
-    apply_threads(&mut system, &flags);
-    apply_shards(&mut system, &flags);
+    apply_threads(&mut system, &flags)?;
     // Byzantine adversaries: flooders are the highest-index trace peers
     // (the founder core occupies the low indices), the malformer mutates
     // guarded wire messages at the given per-mille rate. Either attack
     // needs the guard plane up to be observable, so arm the active
     // preset unless --guard picked a config explicitly.
-    let flood: usize = get(&flags, "flood", 0);
-    let flood_rate: u32 = get(&flags, "flood-rate", 12);
-    let malform: u32 = get(&flags, "malform", 0);
+    let flood: usize = get(&flags, "flood", 0)?;
+    let flood_rate: u32 = get(&flags, "flood-rate", 12)?;
+    let malform: u32 = get(&flags, "malform", 0)?;
     let n_trace = system.trace_peer_count();
     if flood > 0 {
         let members = (n_trace.saturating_sub(flood)..n_trace).map(NodeId::from_index);
@@ -465,9 +506,7 @@ fn cmd_attack(flags: &BTreeMap<String, String>) -> ExitCode {
     if (flood > 0 || malform > 0) && !flags.contains_key("guard") {
         system.set_guard_config(GuardConfig::active());
     }
-    if let Err(code) = apply_guard(&mut system, &flags) {
-        return code;
-    }
+    apply_guard(&mut system, &flags)?;
     let mut series = TimeSeries::new(format!("crowd={crowd}/core={core}"));
     system.run_until(
         SimTime::from_hours(hours),
@@ -490,8 +529,5 @@ fn cmd_attack(flags: &BTreeMap<String, String>) -> ExitCode {
             g.malformer_mutations,
         );
     }
-    if let Err(code) = dump_telemetry(&system, &flags) {
-        return code;
-    }
-    ExitCode::SUCCESS
+    dump_telemetry(&system, &flags)
 }

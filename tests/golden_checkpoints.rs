@@ -11,7 +11,7 @@ use robust_vote_sampling::scenario::checkpoint::{
     golden_checkpoint, golden_file_name, GOLDEN_HOURS, GOLDEN_SEEDS,
 };
 use robust_vote_sampling::scenario::{Checkpoint, System};
-use rvs_checkpoint::FORMAT_VERSION;
+use rvs_checkpoint::{DecodeError, FORMAT_VERSION};
 use rvs_sim::{SimDuration, SimTime};
 use std::path::PathBuf;
 
@@ -91,6 +91,48 @@ fn golden_checkpoints_resume_cleanly_under_audit() {
             "golden seed {seed}: auditor never ran after resume"
         );
     }
+}
+
+#[test]
+fn legacy_v3_golden_is_refused_not_misread() {
+    // A file written before the `shard` section was cut (format 3) must
+    // be refused with the typed version error — never decoded into a
+    // plausible-looking system — while its frozen identity prefix stays
+    // readable, through the library and through `rvs ckpt inspect`.
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/legacy/fig6-seed1.v3.ckpt");
+    let ckpt = Checkpoint::load(&path).expect("legacy golden loads (header + identity prefix)");
+    match System::restore(&ckpt) {
+        Err(e) => assert_eq!(
+            e,
+            DecodeError::WrongVersion {
+                found: 3,
+                supported: FORMAT_VERSION
+            }
+        ),
+        Ok(_) => panic!("a format-3 checkpoint restored under format {FORMAT_VERSION}"),
+    }
+    let info = ckpt.peek_info().expect("identity prefix is frozen");
+    assert_eq!(info.version, 3);
+    assert_eq!(info.seed, 1);
+    assert_eq!(info.now, SimTime::from_hours(GOLDEN_HOURS));
+    assert_eq!((info.trace_peers, info.total_nodes), (12, 12));
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rvs"))
+        .args(["ckpt", "inspect"])
+        .arg(&path)
+        .output()
+        .expect("rvs runs");
+    assert!(out.status.success(), "inspect must summarize foreign files");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&info.to_string()),
+        "inspect output:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("cannot be resumed here"),
+        "inspect output:\n{stdout}"
+    );
 }
 
 #[test]

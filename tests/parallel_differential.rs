@@ -1,12 +1,13 @@
-//! Differential proof that the sharded round engine is byte-identical to
-//! the serial engine at every thread count.
+//! Differential proof that the round engine is byte-identical at every
+//! thread count.
 //!
 //! Each scenario runs once at 1 thread (the zero-worker inline path) and
 //! again at 2, 4, and 8 threads, through the full stack: trace replay,
-//! windowed BitTorrent swarms, the sharded gossip send phase, BarterCast,
-//! ModerationCast, vote sampling, and — in the churn and chaos variants —
-//! the fault-injection plane with retry/backoff. The runs must agree on a
-//! fingerprint that captures every observable the system exposes:
+//! BitTorrent windows sharded per swarm over the pool, the serial gossip
+//! round, BarterCast, ModerationCast, vote sampling, and — in the churn
+//! and chaos variants — the fault-injection plane with retry/backoff.
+//! The runs must agree on a fingerprint that captures every observable
+//! the system exposes:
 //!
 //! * the full telemetry counter snapshot (compact JSON bytes),
 //! * every node's displayed moderator ranking and ballot voter count,
@@ -116,8 +117,8 @@ fn assert_thread_invariant(
     }
 }
 
-/// A mid-strength schedule exercising loss + retry/backoff (the serial
-/// resend path interleaved with the parallel send phase).
+/// A mid-strength schedule exercising loss + retry/backoff (backoff
+/// resends interleaved with the round sends).
 fn churn_schedule() -> FaultSchedule {
     FaultSchedule {
         config: FaultConfig {
