@@ -180,8 +180,8 @@ impl BarterCast {
     }
 
     /// Count one record-exchange encounter. The scenario engine calls
-    /// this when it drives the two delivery halves itself (guarded path)
-    /// instead of going through [`BarterCast::exchange`].
+    /// this when it drives the two delivery halves itself instead of
+    /// going through [`BarterCast::exchange`].
     pub fn mark_exchange(&self) {
         self.exchanges.incr();
     }

@@ -4,32 +4,29 @@
 use crate::audit::Auditor;
 use crate::checkpoint::Checkpoint;
 use crate::config::{ProtocolConfig, ScenarioSetup};
+use encounter::votes_from;
 use rvs_attacks::{FlashCrowd, Flooder, Malformer};
-use rvs_bartercast::{validate_records, AdaptiveThreshold, BarterCast};
+use rvs_bartercast::{AdaptiveThreshold, BarterCast};
 use rvs_bittorrent::BitTorrentNet;
 use rvs_checkpoint::Persist as _;
-use rvs_core::{validate_topk, validate_vote_list, BallotBox, VoteEntry, VoteSampling};
-use rvs_faults::{Backoff, BackoffDecision, FaultPlane, FaultSchedule, SendOutcome};
-use rvs_guard::{Governor, GuardConfig, MessageClass, RejectReason};
+use rvs_core::{VoteEntry, VoteSampling};
+use rvs_faults::{Backoff, FaultPlane, FaultSchedule, SendOutcome};
+use rvs_guard::{Governor, GuardConfig, RejectReason};
 use rvs_metrics::{collective_experience_value, correct_ordering_fraction, pollution_fraction};
-use rvs_modcast::{validate_moderation_list, KeyRegistry, LocalVote, ModerationCast};
+use rvs_modcast::{KeyRegistry, LocalVote, ModerationCast};
 use rvs_pss::{NewscastConfig, NewscastPss, OraclePss};
 use rvs_sim::{pool, DetRng, Engine, ModeratorId, NodeId, Pool, SimTime};
 use rvs_telemetry::{EncounterCounters, PhaseTimer, Snapshot};
 use rvs_trace::{Trace, TraceEventKind};
 use std::collections::BTreeSet;
 
+mod encounter;
+
 /// Evaluator nodes whose contribution caches are coherence-sampled per
 /// audited gossip round.
 const AUDIT_CACHE_NODES_PER_ROUND: usize = 2;
 /// Cached `(i, j)` pairs re-derived per sampled evaluator.
 const AUDIT_CACHE_PAIRS_PER_NODE: usize = 2;
-/// Bound on each node's remembered VoxPopuli decliners (responder
-/// rotation state). The message-id dedup window is bounded too, but its
-/// cap is configurable — see [`GuardConfig::seen_window`] and
-/// [`System::mark_seen`].
-const DECLINER_WINDOW: usize = 8;
-
 /// Events routed through the fault-plane delivery engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FaultEvent {
@@ -119,11 +116,6 @@ impl rvs_checkpoint::Persist for FaultEvent {
             ))),
         }
     }
-}
-
-/// Number of vote entries `voter` currently holds in `ballot`.
-fn votes_from(ballot: &BallotBox, voter: NodeId) -> usize {
-    ballot.iter().filter(|&(v, _, _, _)| v == voter).count()
 }
 
 /// The peer sampling service in use.
@@ -266,8 +258,7 @@ pub struct System {
     vox_decliners: Vec<BTreeSet<NodeId>>,
 
     // Byzantine message plane. With the default (disabled) GuardConfig
-    // the governor admits everything, the gates never run, and the
-    // encounter takes the exact legacy path.
+    // the governor admits everything and the encounter's gate is open.
     guard: Governor,
     /// The flooding adversary, when armed: extra gossip initiations per
     /// member per round, routed through the normal send path.
@@ -796,7 +787,7 @@ impl System {
 
     /// Arm (or re-arm) the guard plane. Re-arming resets every peer's
     /// budgets to the new config; rejection counters are kept. With
-    /// `enabled == false` the engine takes the exact legacy path.
+    /// `enabled == false` the encounter's gate stands open.
     pub fn set_guard_config(&mut self, cfg: GuardConfig) {
         self.guard.set_config(cfg);
     }
@@ -1518,351 +1509,6 @@ impl System {
         }
     }
 
-    /// A full protocol encounter between online nodes `i` (active) and
-    /// `j`. With the guard plane disabled this is the exact legacy
-    /// exchange; with it enabled, every sub-message crosses a typed
-    /// validation gate and the sender's rate budget first.
-    fn encounter(&mut self, i: NodeId, j: NodeId) {
-        if self.guard.enabled() {
-            self.encounter_guarded(i, j);
-        } else {
-            self.encounter_plain(i, j);
-        }
-    }
-
-    /// The legacy ungated encounter (guard plane disabled).
-    fn encounter_plain(&mut self, i: NodeId, j: NodeId) {
-        // BarterCast: refresh own records, then swap them.
-        self.bc.sync_own_records(i, self.net.ledger());
-        self.bc.sync_own_records(j, self.net.ledger());
-        self.bc.exchange(i, j);
-
-        // ModerationCast push/pull.
-        self.mc
-            .exchange(&self.registry, i, j, self.now, &mut self.rng_gossip);
-
-        // Vote sampling: experience computed before any merge.
-        let e_i_accepts_j = self.experienced(i, j);
-        let e_j_accepts_i = self.experienced(j, i);
-        // Audit pre-state: votes each side currently holds from the other.
-        let pre = self.audit.is_some().then(|| {
-            (
-                votes_from(self.vs.ballot(i), j),
-                votes_from(self.vs.ballot(j), i),
-            )
-        });
-        let list_i = self.outgoing_vote_list(i);
-        let list_j = self.outgoing_vote_list(j);
-        self.vs
-            .deliver_vote_list(j, i, &list_j, self.now, e_i_accepts_j);
-        self.vs
-            .deliver_vote_list(i, j, &list_i, self.now, e_j_accepts_i);
-
-        // VoxPopuli bootstrap: crowd members answer with fabricated lists;
-        // honest nodes follow Fig 3c.
-        let mut vox_breach = false;
-        if self.cfg.vox_enabled && !self.is_crowd(i) && self.vs.needs_bootstrap(i) {
-            if self.is_crowd(j) {
-                let crowd = self.crowd.as_ref().expect("crowd member implies crowd");
-                let list = crowd.topk_response(&[], self.cfg.votes.k);
-                self.vs.deliver_external_topk(i, list);
-            } else if let Some(rc) = self.faults.config().retry {
-                // Graceful degradation under faults: requests are gated by
-                // capped exponential backoff, and recent decliners are
-                // skipped (responder rotation) so a bootstrapping node does
-                // not hammer the same unhelpful peer.
-                let idx = i.index();
-                if self.vox_backoff[idx].ready(self.now) && !self.vox_decliners[idx].contains(&j) {
-                    let j_bootstrapping = self.vs.needs_bootstrap(j);
-                    self.vox_backoff[idx].on_attempt(self.now, &rc);
-                    let answered = self.vs.vox_request(i, j);
-                    vox_breach = answered && j_bootstrapping;
-                    if answered {
-                        self.vox_backoff[idx].on_success();
-                        self.vox_decliners[idx].clear();
-                    } else {
-                        let decliners = &mut self.vox_decliners[idx];
-                        decliners.insert(j);
-                        while decliners.len() > DECLINER_WINDOW {
-                            decliners.pop_first();
-                        }
-                        match self.vox_backoff[idx].on_failure(self.now, &rc) {
-                            BackoffDecision::Retry => self.faults.counters_mut().retries += 1,
-                            BackoffDecision::GaveUp => {
-                                // The round is abandoned; after a cooldown a
-                                // fresh round may query anyone again.
-                                self.faults.counters_mut().backoff_gaveups += 1;
-                                self.vox_decliners[idx].clear();
-                            }
-                        }
-                    }
-                }
-            } else {
-                // Retry-free legacy path: ask whoever the encounter offers.
-                let j_bootstrapping = self.vs.needs_bootstrap(j);
-                let answered = self.vs.vox_request(i, j);
-                vox_breach = answered && j_bootstrapping;
-            }
-        }
-
-        if let Some((pre_j_in_i, pre_i_in_j)) = pre {
-            self.audit_encounter(
-                i,
-                j,
-                (e_i_accepts_j, e_j_accepts_i),
-                (pre_j_in_i, pre_i_in_j),
-                (true, true),
-                vox_breach,
-            );
-        }
-    }
-
-    /// The gated encounter (guard plane enabled). Structure mirrors
-    /// [`System::encounter_plain`], but each sub-message first crosses
-    /// the wire (where an armed [`Malformer`] may corrupt it), then the
-    /// sender's admission budget, then the class's typed validation gate;
-    /// only accepted messages reach the protocol layer, and each
-    /// rejection is attributed to exactly one [`RejectReason`] counter.
-    /// The responding half of an exchange runs only when the initiating
-    /// half was accepted — a peer does not answer a message it refused.
-    fn encounter_guarded(&mut self, i: NodeId, j: NodeId) {
-        // BarterCast: refresh own records, then swap them, each
-        // direction gated.
-        self.bc.sync_own_records(i, self.net.ledger());
-        self.bc.sync_own_records(j, self.net.ledger());
-        self.bc.mark_exchange();
-        if self.deliver_barter_half(i, j) {
-            self.deliver_barter_half(j, i);
-        }
-
-        // ModerationCast push/pull (extraction order matches the plain
-        // path: i's list first, then j's, both from the gossip stream).
-        let mods_i = self.mc.extract_from(i, &mut self.rng_gossip);
-        let mods_j = self.mc.extract_from(j, &mut self.rng_gossip);
-        if self.deliver_moderations_half(i, j, mods_i) {
-            self.deliver_moderations_half(j, i, mods_j);
-        }
-
-        // Vote sampling: experience computed before any merge.
-        let e_i_accepts_j = self.experienced(i, j);
-        let e_j_accepts_i = self.experienced(j, i);
-        let pre = self.audit.is_some().then(|| {
-            (
-                votes_from(self.vs.ballot(i), j),
-                votes_from(self.vs.ballot(j), i),
-            )
-        });
-        let list_i = self.outgoing_vote_list(i);
-        let list_j = self.outgoing_vote_list(j);
-        let votes_i_to_j = self.deliver_votes_half(i, j, list_i, e_j_accepts_i);
-        let votes_j_to_i = votes_i_to_j && self.deliver_votes_half(j, i, list_j, e_i_accepts_j);
-
-        // VoxPopuli bootstrap, with the response intercepted on the wire
-        // and gated like any other inbound message.
-        let mut vox_breach = false;
-        if self.cfg.vox_enabled && !self.is_crowd(i) && self.vs.needs_bootstrap(i) {
-            if self.is_crowd(j) {
-                let crowd = self.crowd.as_ref().expect("crowd member implies crowd");
-                let list = crowd.topk_response(&[], self.cfg.votes.k);
-                self.deliver_topk_half(i, j, list);
-            } else if let Some(rc) = self.faults.config().retry {
-                // Same backoff/rotation degradation as the plain path; a
-                // gate rejection reads as an unhelpful responder.
-                let idx = i.index();
-                if self.vox_backoff[idx].ready(self.now) && !self.vox_decliners[idx].contains(&j) {
-                    let j_bootstrapping = self.vs.needs_bootstrap(j);
-                    self.vox_backoff[idx].on_attempt(self.now, &rc);
-                    let answered = self.vox_exchange_guarded(i, j);
-                    vox_breach = answered && j_bootstrapping;
-                    if answered {
-                        self.vox_backoff[idx].on_success();
-                        self.vox_decliners[idx].clear();
-                    } else {
-                        let decliners = &mut self.vox_decliners[idx];
-                        decliners.insert(j);
-                        while decliners.len() > DECLINER_WINDOW {
-                            decliners.pop_first();
-                        }
-                        match self.vox_backoff[idx].on_failure(self.now, &rc) {
-                            BackoffDecision::Retry => self.faults.counters_mut().retries += 1,
-                            BackoffDecision::GaveUp => {
-                                self.faults.counters_mut().backoff_gaveups += 1;
-                                self.vox_decliners[idx].clear();
-                            }
-                        }
-                    }
-                }
-            } else {
-                let j_bootstrapping = self.vs.needs_bootstrap(j);
-                let answered = self.vox_exchange_guarded(i, j);
-                vox_breach = answered && j_bootstrapping;
-            }
-        }
-
-        if let Some((pre_j_in_i, pre_i_in_j)) = pre {
-            self.audit_encounter(
-                i,
-                j,
-                (e_i_accepts_j, e_j_accepts_i),
-                (pre_j_in_i, pre_i_in_j),
-                (votes_j_to_i, votes_i_to_j),
-                vox_breach,
-            );
-        }
-    }
-
-    /// Pass one outbound payload across the (possibly hostile) wire:
-    /// when the malformer is armed it draws once per message and may
-    /// corrupt it in place via `mutate`.
-    fn cross_wire<T>(
-        &mut self,
-        payload: &mut T,
-        mutate: impl FnOnce(&Malformer, &mut T, SimTime, &mut DetRng) -> bool,
-    ) {
-        if let Some(m) = self.malformer {
-            if m.should_mutate(&mut self.rng_malform)
-                && mutate(&m, payload, self.now, &mut self.rng_malform)
-            {
-                self.guard.counters_mut().malformer_mutations += 1;
-            }
-        }
-    }
-
-    /// One gated BarterCast half: `s`'s own records into `r`. Returns
-    /// whether the message was accepted.
-    fn deliver_barter_half(&mut self, s: NodeId, r: NodeId) -> bool {
-        let mut recs = self.bc.own_records(s);
-        self.cross_wire(&mut recs, |m, p, _, rng| m.mutate_records(p, s, rng));
-        if let Err(reason) = self.guard.admit(s, MessageClass::BarterRecords, self.now) {
-            self.guard.note_rejection(s, reason, self.now);
-            return false;
-        }
-        // An honest record set holds at most two directed edges per
-        // counterparty, hence the 2n length bound.
-        let max_kib = self.guard.config().max_record_kib;
-        match validate_records(&recs, s, 2 * self.n_total, self.n_total, max_kib) {
-            Ok(()) => {
-                self.guard.note_accepted();
-                self.bc.deliver_records(r, s, &recs);
-                true
-            }
-            Err(reason) => {
-                self.guard.note_rejection(s, reason, self.now);
-                false
-            }
-        }
-    }
-
-    /// One gated ModerationCast half: `s`'s extracted list into `r`.
-    /// Returns whether the message was accepted.
-    fn deliver_moderations_half(
-        &mut self,
-        s: NodeId,
-        r: NodeId,
-        mut list: Vec<rvs_modcast::Moderation>,
-    ) -> bool {
-        self.cross_wire(&mut list, |m, p, now, rng| {
-            m.mutate_moderations(p, now, rng)
-        });
-        if let Err(reason) = self.guard.admit(s, MessageClass::Moderations, self.now) {
-            self.guard.note_rejection(s, reason, self.now);
-            return false;
-        }
-        let skew = self.guard.config().max_timestamp_skew;
-        match validate_moderation_list(
-            &list,
-            &self.registry,
-            self.cfg.modcast.max_list,
-            self.n_total,
-            self.now,
-            skew,
-        ) {
-            Ok(()) => {
-                self.guard.note_accepted();
-                self.mc.deliver_list(&self.registry, r, &list, self.now);
-                true
-            }
-            Err(reason) => {
-                self.guard.note_rejection(s, reason, self.now);
-                false
-            }
-        }
-    }
-
-    /// One gated vote-list half: `s`'s local votes into `r`'s ballot
-    /// (`experienced` is `E_r(s)`). Returns whether the message was
-    /// accepted by the gate — the experience function then decides the
-    /// merge, exactly as on the plain path.
-    fn deliver_votes_half(
-        &mut self,
-        s: NodeId,
-        r: NodeId,
-        mut list: Vec<VoteEntry>,
-        experienced: bool,
-    ) -> bool {
-        self.cross_wire(&mut list, |m, p, now, rng| m.mutate_votes(p, now, rng));
-        if let Err(reason) = self.guard.admit(s, MessageClass::VoteList, self.now) {
-            self.guard.note_rejection(s, reason, self.now);
-            return false;
-        }
-        let gcfg = *self.guard.config();
-        match validate_vote_list(
-            &list,
-            self.n_total,
-            self.n_total,
-            self.now,
-            gcfg.max_timestamp_skew,
-            gcfg.replay_window,
-        ) {
-            Ok(()) => {
-                self.guard.note_accepted();
-                self.vs
-                    .deliver_vote_list(s, r, &list, self.now, experienced);
-                true
-            }
-            Err(reason) => {
-                self.guard.note_rejection(s, reason, self.now);
-                false
-            }
-        }
-    }
-
-    /// One gated top-K response from `s` to bootstrapping `r` with an
-    /// explicit (external or fabricated) list. Returns whether it was
-    /// accepted and delivered.
-    fn deliver_topk_half(&mut self, r: NodeId, s: NodeId, mut list: rvs_core::TopKList) -> bool {
-        self.cross_wire(&mut list, |m, p, _, rng| m.mutate_topk(p, rng));
-        if let Err(reason) = self.guard.admit(s, MessageClass::TopK, self.now) {
-            self.guard.note_rejection(s, reason, self.now);
-            return false;
-        }
-        match validate_topk(&list, self.cfg.votes.k, self.n_total) {
-            Ok(()) => {
-                self.guard.note_accepted();
-                self.vs.deliver_external_topk(r, list);
-                true
-            }
-            Err(reason) => {
-                self.guard.note_rejection(s, reason, self.now);
-                false
-            }
-        }
-    }
-
-    /// A guarded honest VoxPopuli round trip: `j`'s top-K response is
-    /// intercepted on the wire and gated before delivery. Returns whether
-    /// a valid response reached `i` (declines and gate rejections both
-    /// read as "not answered" to the backoff logic).
-    fn vox_exchange_guarded(&mut self, i: NodeId, j: NodeId) -> bool {
-        match self.vs.topk_response(j) {
-            Some(list) => self.deliver_topk_half(i, j, list),
-            None => {
-                self.vs.note_vox_decline();
-                false
-            }
-        }
-    }
-
     /// Extra gossip initiations from the flooding crowd, after the honest
     /// sends. Flood traffic takes the same path as any send — loss,
     /// partitions, retries, and the conservation identity all apply.
@@ -1905,78 +1551,6 @@ impl System {
         }
     }
 
-    /// Post-encounter invariant checks (audit mode only): ballot bound,
-    /// experience gating, and VoxPopuli bootstrap honesty. `delivered`
-    /// marks which vote lists actually crossed the guard gate
-    /// (`(j→i, i→j)`; both true on the ungated path) — the gating checks
-    /// only constrain halves that were delivered.
-    fn audit_encounter(
-        &mut self,
-        i: NodeId,
-        j: NodeId,
-        (e_i_accepts_j, e_j_accepts_i): (bool, bool),
-        (pre_j_in_i, pre_i_in_j): (usize, usize),
-        (delivered_j_to_i, delivered_i_to_j): (bool, bool),
-        vox_breach: bool,
-    ) {
-        let b_max = self.cfg.votes.b_max;
-        let revalidate = self.cfg.votes.revalidate;
-        let now = self.now;
-        let post_j_in_i = votes_from(self.vs.ballot(i), j);
-        let post_i_in_j = votes_from(self.vs.ballot(j), i);
-        let uv_i = self.vs.ballot(i).unique_voters();
-        let uv_j = self.vs.ballot(j).unique_voters();
-        let aud = self.audit.as_mut().expect("caller checked audit is on");
-        aud.check(uv_i <= b_max, || {
-            format!("{i}'s ballot holds {uv_i} unique voters > B_max {b_max} at {now}")
-        });
-        aud.check(uv_j <= b_max, || {
-            format!("{j}'s ballot holds {uv_j} unique voters > B_max {b_max} at {now}")
-        });
-        // A rejected sender must not add votes: untouched without
-        // revalidation, shed entirely with it.
-        if delivered_j_to_i && !e_i_accepts_j {
-            let ok = if revalidate {
-                post_j_in_i == 0
-            } else {
-                post_j_in_i == pre_j_in_i
-            };
-            aud.check(ok, || {
-                format!(
-                    "inexperienced {j}'s votes in {i}'s ballot went \
-                     {pre_j_in_i} -> {post_j_in_i} at {now}"
-                )
-            });
-        }
-        if delivered_i_to_j && !e_j_accepts_i {
-            let ok = if revalidate {
-                post_i_in_j == 0
-            } else {
-                post_i_in_j == pre_i_in_j
-            };
-            aud.check(ok, || {
-                format!(
-                    "inexperienced {i}'s votes in {j}'s ballot went \
-                     {pre_i_in_j} -> {post_i_in_j} at {now}"
-                )
-            });
-        }
-        aud.check(!vox_breach, || {
-            format!("bootstrapping {j} answered {i}'s VoxPopuli request at {now}")
-        });
-    }
-
-    fn outgoing_vote_list(&mut self, node: NodeId) -> Vec<VoteEntry> {
-        if self.is_crowd(node) {
-            self.crowd
-                .as_ref()
-                .expect("crowd member implies crowd")
-                .vote_list()
-        } else {
-            self.vs.vote_list_of(node, &self.mc, &mut self.rng_gossip)
-        }
-    }
-
     fn observe_dispersion(&mut self) {
         let adaptive = self.adaptive.as_mut().expect("caller checked");
         for (idx, threshold) in adaptive.iter_mut().take(self.n_trace).enumerate() {
@@ -1991,116 +1565,5 @@ impl System {
     /// Current adaptive thresholds (ablation A1), if enabled.
     pub fn adaptive_thresholds(&self) -> Option<&[AdaptiveThreshold]> {
         self.adaptive.as_deref()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::experiments::vote_sampling::fig6_setup;
-    use rvs_core::Vote;
-    use rvs_sim::SimDuration;
-    use rvs_trace::TraceGenConfig;
-
-    /// Satellite regression: accept → quarantine → release. A vote list
-    /// accepted before its sender was quarantined must be re-validated
-    /// when the quarantine lifts — with `revalidate` on, entries no
-    /// first-hand experience backs are shed and the shedding is
-    /// attributed to `release_forgets`.
-    #[test]
-    fn quarantine_release_revalidates_unbacked_votes() {
-        let seed = 9;
-        let trace = TraceGenConfig::quick(8, SimDuration::from_hours(2)).generate(seed);
-        let (setup, moderators) = fig6_setup(&trace, 0.25, 0.25, seed);
-        let mut protocol = ProtocolConfig {
-            experience_t_mib: 1.0,
-            ..ProtocolConfig::default()
-        };
-        protocol.votes.revalidate = true;
-        let mut system = System::new(trace, protocol, setup, seed);
-        system.set_guard_config(GuardConfig::active());
-
-        let observer = NodeId::from_index(0);
-        let suspect = NodeId::from_index(5);
-        // Accept: the suspect's list lands in the observer's ballot. The
-        // delivery-time experience flag was true, but no transfer backs
-        // it, so the post-release re-validation must find nothing
-        // first-hand and shed the voter.
-        let list = [VoteEntry {
-            moderator: moderators[0],
-            vote: Vote::Positive,
-            made_at: system.now,
-        }];
-        system
-            .vs
-            .deliver_vote_list(suspect, observer, &list, system.now, true);
-        assert_eq!(votes_from(system.vs.ballot(observer), suspect), 1);
-
-        // Quarantine: strike the suspect up to the threshold.
-        for _ in 0..system.guard.config().strike_threshold {
-            system
-                .guard
-                .note_rejection(suspect, RejectReason::RateLimited, system.now);
-        }
-        assert!(system.guard.is_quarantined(suspect, system.now));
-        assert_eq!(system.guard.counters().quarantines_started, 1);
-
-        // Release: advance past the base quarantine and run the
-        // per-round maintenance hook exactly as `gossip_round` does.
-        system.now = system.now.saturating_add(SimDuration::from_hours(8));
-        let released = system.guard.on_round(system.now);
-        assert_eq!(released, vec![suspect]);
-        for peer in released {
-            system.revalidate_released(peer);
-        }
-
-        assert_eq!(
-            votes_from(system.vs.ballot(observer), suspect),
-            0,
-            "unbacked votes must be shed on release"
-        );
-        assert_eq!(system.guard.counters().quarantines_released, 1);
-        assert_eq!(system.guard.counters().release_revalidations, 1);
-        assert_eq!(system.guard.counters().release_forgets, 1);
-    }
-
-    /// Without `revalidate`, release keeps previously accepted votes —
-    /// the shedding is an explicit opt-in policy, not a side effect.
-    #[test]
-    fn quarantine_release_keeps_votes_without_revalidate() {
-        let seed = 9;
-        let trace = TraceGenConfig::quick(8, SimDuration::from_hours(2)).generate(seed);
-        let (setup, moderators) = fig6_setup(&trace, 0.25, 0.25, seed);
-        let protocol = ProtocolConfig {
-            experience_t_mib: 1.0,
-            ..ProtocolConfig::default()
-        };
-        let mut system = System::new(trace, protocol, setup, seed);
-        system.set_guard_config(GuardConfig::active());
-
-        let observer = NodeId::from_index(0);
-        let suspect = NodeId::from_index(5);
-        let list = [VoteEntry {
-            moderator: moderators[0],
-            vote: Vote::Positive,
-            made_at: system.now,
-        }];
-        system
-            .vs
-            .deliver_vote_list(suspect, observer, &list, system.now, true);
-
-        for _ in 0..system.guard.config().strike_threshold {
-            system
-                .guard
-                .note_rejection(suspect, RejectReason::RateLimited, system.now);
-        }
-        system.now = system.now.saturating_add(SimDuration::from_hours(8));
-        for peer in system.guard.on_round(system.now) {
-            system.revalidate_released(peer);
-        }
-
-        assert_eq!(votes_from(system.vs.ballot(observer), suspect), 1);
-        assert_eq!(system.guard.counters().release_revalidations, 1);
-        assert_eq!(system.guard.counters().release_forgets, 0);
     }
 }

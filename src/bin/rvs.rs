@@ -80,7 +80,9 @@ USAGE:
         --checkpoint-every N writes a checkpoint every N simulated hours
         into --checkpoint-dir (default `.`); --resume FILE restores a
         checkpoint and continues the run to --hours — byte-identical to
-        never having stopped (DESIGN.md §12), on any --threads
+        never having stopped (DESIGN.md §12), on any --threads; the
+        checkpoint fixes --seed --peers --t-mib --loss --faults, so
+        those are refused next to --resume
     rvs attack [--seed N] [--peers N] [--core N] [--crowd N] [--hours N]
                [--t-mib X] [--flood N] [--flood-rate N] [--malform PM]
                [--guard on|FILE] [--threads N] [--telemetry FILE|-]
@@ -176,6 +178,44 @@ fn get<T: std::str::FromStr>(
     }
 }
 
+/// Like [`get`], for a value that must also lie in a range: `ok` decides,
+/// `want` names the range in the complaint. A parsable but impossible
+/// value (`--peers 0`, `--loss 1.5`, `--t-mib nan`) is the user's mistake
+/// and is reported here, not by an assertion deep inside the library.
+fn get_in<T: std::str::FromStr + std::fmt::Display>(
+    flags: &BTreeMap<String, String>,
+    key: &str,
+    default: T,
+    want: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<T, ExitCode> {
+    let v = get(flags, key, default)?;
+    if ok(&v) {
+        Ok(v)
+    } else {
+        Err(usage_error(&format!("--{key} must be {want}, got {v}")))
+    }
+}
+
+/// A count that must be at least `min`.
+fn get_at_least(
+    flags: &BTreeMap<String, String>,
+    key: &str,
+    default: usize,
+    min: usize,
+) -> Result<usize, ExitCode> {
+    get_in(flags, key, default, &format!("at least {min}"), |&n| {
+        n >= min
+    })
+}
+
+/// `--t-mib X`: the experience threshold `T` in MiB.
+fn get_t_mib(flags: &BTreeMap<String, String>) -> Result<f64, ExitCode> {
+    get_in(flags, "t-mib", 5.0, "a finite number >= 0", |t| {
+        t.is_finite() && *t >= 0.0
+    })
+}
+
 /// Honour `--telemetry FILE|-`: dump the system's counter snapshot as JSON
 /// to FILE (stdout when `-`). Call `telemetry::set_enabled(true)` *before*
 /// the run so the wall-clock phase timers populate too.
@@ -236,8 +276,13 @@ fn apply_guard(system: &mut System, flags: &BTreeMap<String, String>) -> Result<
     Ok(())
 }
 
-fn trace_cfg(flags: &BTreeMap<String, String>) -> Result<TraceGenConfig, ExitCode> {
-    let peers: usize = get(flags, "peers", 100)?;
+/// The trace generator's configuration from `--peers` / `--hours`;
+/// `min_peers` is the smallest population the calling command can cast.
+fn trace_cfg(
+    flags: &BTreeMap<String, String>,
+    min_peers: usize,
+) -> Result<TraceGenConfig, ExitCode> {
+    let peers = get_at_least(flags, "peers", 100, min_peers)?;
     let hours: u64 = get(flags, "hours", 168)?;
     Ok(if peers == 100 && hours == 168 {
         TraceGenConfig::filelist_like()
@@ -253,7 +298,7 @@ fn trace_cfg(flags: &BTreeMap<String, String>) -> Result<TraceGenConfig, ExitCod
 
 fn cmd_trace(flags: &BTreeMap<String, String>) -> Result<(), ExitCode> {
     let seed: u64 = get(flags, "seed", 42)?;
-    let cfg = trace_cfg(flags)?;
+    let cfg = trace_cfg(flags, 1)?;
     let trace = cfg.generate(seed);
     println!("{}", TraceStats::compute(&trace));
     if let Some(path) = flags.get("out") {
@@ -270,14 +315,25 @@ fn cmd_trace(flags: &BTreeMap<String, String>) -> Result<(), ExitCode> {
 
 fn cmd_stats(flags: &BTreeMap<String, String>) -> Result<(), ExitCode> {
     let seed: u64 = get(flags, "seed", 1)?;
-    let traces: usize = get(flags, "traces", 10)?;
-    let cfg = trace_cfg(flags)?;
+    let traces = get_at_least(flags, "traces", 10, 1)?;
+    let cfg = trace_cfg(flags, 1)?;
     let (_, mean) = dataset_statistics(&cfg, traces, seed);
     println!("mean over {traces} traces:\n{mean}");
     Ok(())
 }
 
 fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
+    // --resume takes everything that shapes a fresh run from the
+    // checkpoint; naming one of those flags too asks for a run that
+    // cannot be had, not for one that quietly ignores it.
+    if flags.contains_key("resume") {
+        let fresh = ["seed", "peers", "t-mib", "loss", "faults"];
+        if let Some(flag) = fresh.iter().find(|f| flags.contains_key(**f)) {
+            return Err(usage_error(&format!(
+                "--{flag} cannot be combined with --resume: the checkpoint fixes it"
+            )));
+        }
+    }
     let seed: u64 = get(&flags, "seed", 7)?;
     flags.entry("peers".into()).or_insert_with(|| "40".into());
     flags.entry("hours".into()).or_insert_with(|| "48".into());
@@ -308,12 +364,15 @@ fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
         let (_, m) = fig6_setup(system.trace(), 0.15, 0.15, system.seed());
         (system, m)
     } else {
-        let cfg = trace_cfg(&flags)?;
+        // The Fig 6 cast needs three moderators and three more peers.
+        let cfg = trace_cfg(&flags, 6)?;
         let trace = cfg.generate(seed);
         let (setup, m) = fig6_setup(&trace, 0.15, 0.15, seed);
         let protocol = ProtocolConfig {
-            experience_t_mib: get(&flags, "t-mib", 5.0)?,
-            message_loss: get(&flags, "loss", 0.0)?,
+            experience_t_mib: get_t_mib(&flags)?,
+            message_loss: get_in(&flags, "loss", 0.0, "a probability in [0, 1]", |l| {
+                (0.0..=1.0).contains(l)
+            })?,
             ..ProtocolConfig::default()
         };
         let schedule = match flags.get("faults") {
@@ -468,9 +527,9 @@ fn cmd_attack(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
     flags.entry("peers".into()).or_insert_with(|| "40".into());
     flags.entry("hours".into()).or_insert_with(|| "48".into());
     let hours: u64 = get(&flags, "hours", 48)?;
-    let core: usize = get(&flags, "core", 10)?;
-    let crowd: usize = get(&flags, "crowd", 20)?;
-    let cfg = trace_cfg(&flags)?;
+    let core = get_at_least(&flags, "core", 10, 1)?;
+    let crowd = get_at_least(&flags, "crowd", 20, 1)?;
+    let cfg = trace_cfg(&flags, 1)?;
     let trace = cfg.generate(seed);
     if trace.peer_count() <= core {
         eprintln!("--core must be smaller than --peers");
@@ -479,7 +538,7 @@ fn cmd_attack(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
     let setup = fig8_setup(&trace, core, crowd);
     let spam = NodeId::from_index(trace.peer_count());
     let protocol = ProtocolConfig {
-        experience_t_mib: get(&flags, "t-mib", 5.0)?,
+        experience_t_mib: get_t_mib(&flags)?,
         ..ProtocolConfig::default()
     };
     if flags.contains_key("telemetry") {

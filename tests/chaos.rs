@@ -424,6 +424,85 @@ fn byzantine_schedule_is_thread_count_invariant() {
     assert_eq!(serial.in_flight(), sharded.in_flight());
 }
 
+/// The fig6 cast, 24 peers × 12 h, audited, under `schedule` and `guard`
+/// with no adversary.
+fn honest_run(seed: u64, schedule: FaultSchedule, guard: GuardConfig) -> System {
+    let trace = TraceGenConfig::quick(24, SimDuration::from_hours(12)).generate(seed);
+    let (setup, _) = fig6_setup(&trace, 0.25, 0.25, seed);
+    let protocol = ProtocolConfig {
+        experience_t_mib: 1.0,
+        ..ProtocolConfig::default()
+    };
+    let mut system = System::with_faults(trace, protocol, setup, seed, schedule);
+    system.set_guard_config(guard);
+    system.enable_audit();
+    system.run_until(
+        SimTime::from_hours(12),
+        SimDuration::from_hours(12),
+        |_, _| {},
+    );
+    system
+}
+
+#[test]
+fn byzantine_armed_guard_is_transparent_to_honest_traffic() {
+    // The licence for the single encounter path, kept as a property: a
+    // guard that is armed but never has cause to refuse (budgets and
+    // inbox no honest peer can exhaust) changes nothing the run observes
+    // — so the gate in front of the exchange is the only difference
+    // between an armed and a disarmed encounter.
+    let roomy = GuardConfig {
+        bucket_capacity: 1 << 20,
+        bucket_refill: 1 << 20,
+        inbox_cap: u32::MAX,
+        ..GuardConfig::active()
+    };
+    let lossy = FaultSchedule {
+        config: FaultConfig {
+            loss: 0.15,
+            retry: Some(RetryConfig::default()),
+            ..FaultConfig::default()
+        },
+        ..FaultSchedule::inert()
+    };
+    for seed in 1..=3 {
+        for schedule in [FaultSchedule::inert(), lossy.clone()] {
+            let armed = honest_run(seed, schedule.clone(), roomy);
+            let disarmed = honest_run(seed, schedule, GuardConfig::default());
+            assert_clean_audit(&armed);
+            assert_clean_audit(&disarmed);
+
+            let g = armed.telemetry_snapshot().guard;
+            assert!(g.accepted > 0, "seed {seed}: the armed gate saw no traffic");
+            assert_eq!(
+                g.total(),
+                g.accepted,
+                "seed {seed}: the armed guard refused or struck honest traffic: {g:?}"
+            );
+
+            let modulo_guard = |s: &System| {
+                let mut snap = s.telemetry_snapshot().counters_only();
+                snap.guard = Default::default();
+                snap.to_json_compact()
+            };
+            assert_eq!(
+                modulo_guard(&armed),
+                modulo_guard(&disarmed),
+                "seed {seed}: arming the guard changed honest telemetry"
+            );
+            for idx in 0..armed.total_nodes() {
+                let peer = NodeId::from_index(idx);
+                assert_eq!(
+                    armed.display_ranking(peer),
+                    disarmed.display_ranking(peer),
+                    "seed {seed}: arming the guard changed {peer}'s ranking"
+                );
+            }
+            assert_eq!(armed.in_flight(), disarmed.in_flight());
+        }
+    }
+}
+
 #[test]
 fn flooded_dedup_windows_stay_bounded() {
     // Satellite regression: a deliberately tiny dedup window under flood

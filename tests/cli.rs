@@ -50,6 +50,63 @@ fn unparsable_values_are_rejected() {
 }
 
 #[test]
+fn parsable_but_impossible_values_are_rejected() {
+    // Each of these parses, and used to end in a library assertion (or,
+    // for the rates, in a silently meaningless run).
+    for cmd in ["trace", "stats", "run", "attack"] {
+        let floor = if cmd == "run" { 6 } else { 1 };
+        assert_rejected(
+            &[cmd, "--peers", "0"],
+            &format!("--peers must be at least {floor}, got 0"),
+        );
+    }
+    assert_rejected(
+        &["run", "--peers", "5"],
+        "--peers must be at least 6, got 5",
+    );
+    assert_rejected(
+        &["stats", "--traces", "0"],
+        "--traces must be at least 1, got 0",
+    );
+    assert_rejected(
+        &["attack", "--core", "0"],
+        "--core must be at least 1, got 0",
+    );
+    assert_rejected(
+        &["attack", "--crowd", "0"],
+        "--crowd must be at least 1, got 0",
+    );
+    for loss in ["1.5", "-1", "NaN"] {
+        assert_rejected(
+            &["run", "--loss", loss],
+            &format!("--loss must be a probability in [0, 1], got {loss}"),
+        );
+    }
+    for cmd in ["run", "attack"] {
+        assert_rejected(
+            &[cmd, "--t-mib", "NaN"],
+            "--t-mib must be a finite number >= 0, got NaN",
+        );
+    }
+}
+
+#[test]
+fn resume_rejects_the_fresh_run_flags_it_would_ignore() {
+    for (flag, value) in [
+        ("--seed", "3"),
+        ("--peers", "12"),
+        ("--t-mib", "1"),
+        ("--loss", "0.1"),
+        ("--faults", "f.json"),
+    ] {
+        assert_rejected(
+            &["run", "--resume", "x.ckpt", flag, value],
+            &format!("{flag} cannot be combined with --resume: the checkpoint fixes it"),
+        );
+    }
+}
+
+#[test]
 fn a_trailing_flag_without_value_is_rejected() {
     assert_rejected(
         &["run", "--peers", "12", "--hours", "1", "--telemetry"],
