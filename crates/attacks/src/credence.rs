@@ -13,14 +13,13 @@
 //! (where even a never-voting node ranks moderators from sampled votes).
 
 use rvs_sim::{DetRng, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A vote on an object: genuine (+1) or spam (−1).
 pub type ObjectVote = i8;
 
 /// The voting histories of a Credence population: `peer → object → ±1`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct VoteHistories {
     votes: BTreeMap<NodeId, BTreeMap<u32, ObjectVote>>,
 }
@@ -88,7 +87,7 @@ impl VoteHistories {
 }
 
 /// Outcome of one Credence population simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CredenceOutcome {
     /// Fraction of peers voting at all.
     pub participation: f64,

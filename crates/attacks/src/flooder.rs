@@ -58,20 +58,7 @@ impl Flooder {
     }
 }
 
-/// Stable binary encoding: member set, then the per-round budget.
-impl rvs_checkpoint::Persist for Flooder {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.members.persist(enc);
-        enc.u32(self.per_round);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(Flooder {
-            members: BTreeSet::restore(dec)?,
-            per_round: dec.u32()?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(Flooder { members, per_round });
 
 #[cfg(test)]
 mod tests {

@@ -198,18 +198,7 @@ impl Malformer {
     }
 }
 
-/// Stable binary encoding: the per-mille rate.
-impl rvs_checkpoint::Persist for Malformer {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.u32(self.rate_pm);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(Malformer {
-            rate_pm: dec.u32()?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(Malformer { rate_pm });
 
 #[cfg(test)]
 mod tests {

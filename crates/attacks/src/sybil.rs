@@ -12,10 +12,8 @@
 //! outvoting a core of size `C` requires more than `C` experienced
 //! identities.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost model for a Sybil/flash-crowd operator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SybilCost {
     /// The experience threshold `T` in MiB.
     pub t_mib: f64,

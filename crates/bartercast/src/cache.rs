@@ -76,6 +76,11 @@ impl ContributionCache {
         }
     }
 
+    /// Number of evaluator nodes.
+    pub(crate) fn population(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// Reconcile node `i`'s entries with its graph's current epoch,
     /// evicting exactly the entries whose value may have changed.
     pub(crate) fn reconcile(&mut self, i: NodeId, graph: &SubjectiveGraph, max_hops: usize) {
@@ -148,35 +153,14 @@ impl ContributionCache {
     }
 }
 
-/// Stable binary encoding: reconciled epoch, then the memoized entries.
-impl rvs_checkpoint::Persist for NodeCache {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.u64(self.seen_epoch);
-        self.entries.persist(enc);
-    }
+rvs_checkpoint::persist_struct!(NodeCache {
+    seen_epoch,
+    entries
+});
 
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(NodeCache {
-            seen_epoch: dec.u64()?,
-            entries: BTreeMap::restore(dec)?,
-        })
-    }
-}
-
-/// Stable binary encoding: one [`NodeCache`] per evaluator node, in node
-/// order. Persisted verbatim so cache hit/miss behaviour — and therefore the
-/// maxflow-evaluation counters — resumes byte-identically.
-impl rvs_checkpoint::Persist for ContributionCache {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.nodes.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(ContributionCache {
-            nodes: Vec::restore(dec)?,
-        })
-    }
-}
+// Persisted verbatim so cache hit/miss behaviour — and therefore the
+// maxflow-evaluation counters — resumes byte-identically.
+rvs_checkpoint::persist_struct!(ContributionCache { nodes });
 
 #[cfg(test)]
 mod tests {

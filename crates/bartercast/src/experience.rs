@@ -13,10 +13,9 @@
 
 use crate::protocol::BarterCast;
 use rvs_sim::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// The paper's fixed-threshold experience function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdExperience {
     /// Threshold in MiB (paper: 5 MB).
     pub t_mib: f64,
@@ -54,7 +53,7 @@ impl ThresholdExperience {
 /// > D_max, above which we increase T. If incoming votes result in an
 /// > increase in the dispersion level and take it above D_max, the value of
 /// > T is increased and vice versa."
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveThreshold {
     /// Current threshold in MiB.
     pub t_mib: f64,
@@ -89,29 +88,14 @@ impl Default for AdaptiveThreshold {
     }
 }
 
-/// Stable binary encoding: the six `f64` fields in declaration order, each
-/// as IEEE bits.
-impl rvs_checkpoint::Persist for AdaptiveThreshold {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.f64(self.t_mib);
-        enc.f64(self.t_min_mib);
-        enc.f64(self.t_max_mib);
-        enc.f64(self.raise_mib);
-        enc.f64(self.decay_mib);
-        enc.f64(self.d_max);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(AdaptiveThreshold {
-            t_mib: dec.f64()?,
-            t_min_mib: dec.f64()?,
-            t_max_mib: dec.f64()?,
-            raise_mib: dec.f64()?,
-            decay_mib: dec.f64()?,
-            d_max: dec.f64()?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(AdaptiveThreshold {
+    t_mib,
+    t_min_mib,
+    t_max_mib,
+    raise_mib,
+    decay_mib,
+    d_max
+});
 
 impl AdaptiveThreshold {
     /// The paper's literal symmetric sketch ("the value of T is increased

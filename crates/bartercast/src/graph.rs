@@ -8,7 +8,6 @@
 //! (counters are cumulative, so for honest reporters max == newest).
 
 use rvs_sim::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// How many recently changed edges a graph remembers for fine-grained cache
@@ -18,7 +17,7 @@ const CHANGE_LOG_CAP: usize = 256;
 
 /// Per-edge pair of reports: what the sender claimed and what the receiver
 /// claimed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct EdgeReports {
     /// KiB claimed by the edge's source (`from` reported its own upload).
     by_from: u64,
@@ -32,20 +31,7 @@ impl EdgeReports {
     }
 }
 
-/// Stable binary encoding: the two reported counters in declaration order.
-impl rvs_checkpoint::Persist for EdgeReports {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.u64(self.by_from);
-        enc.u64(self.by_to);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(EdgeReports {
-            by_from: dec.u64()?,
-            by_to: dec.u64()?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(EdgeReports { by_from, by_to });
 
 /// One node's subjective view of the transfer network.
 ///
@@ -54,7 +40,7 @@ impl rvs_checkpoint::Persist for EdgeReports {
 /// are rejected or stale leave the epoch untouched). Together with a bounded
 /// log of recently changed edges this lets contribution caches invalidate
 /// lazily and precisely instead of recomputing on every query.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SubjectiveGraph {
     edges: BTreeMap<(NodeId, NodeId), EdgeReports>,
     /// Count of effective-weight changes since creation.
@@ -172,24 +158,13 @@ impl SubjectiveGraph {
     }
 }
 
-/// Stable binary encoding: edge map, mutation epoch, then the bounded
-/// change log oldest-first. The bookkeeping is persisted verbatim so that
-/// contribution-cache invalidation resumes exactly where it left off.
-impl rvs_checkpoint::Persist for SubjectiveGraph {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.edges.persist(enc);
-        enc.u64(self.epoch);
-        self.changed.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(SubjectiveGraph {
-            edges: BTreeMap::restore(dec)?,
-            epoch: dec.u64()?,
-            changed: VecDeque::restore(dec)?,
-        })
-    }
-}
+// The epoch and the bounded change log (oldest first) are persisted
+// verbatim so contribution-cache invalidation resumes where it left off.
+rvs_checkpoint::persist_struct!(SubjectiveGraph {
+    edges,
+    epoch,
+    changed
+});
 
 #[cfg(test)]
 mod tests {

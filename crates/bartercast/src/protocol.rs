@@ -13,11 +13,10 @@ use crate::maxflow::max_flow_bounded;
 use rvs_bittorrent::TransferLedger;
 use rvs_sim::{DetRng, NodeId};
 use rvs_telemetry::{BarterCounters, SharedCounter};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// Tuning for BarterCast.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BarterCastConfig {
     /// Maximum records sent per exchange (largest-first, as deployed).
     pub max_records_per_exchange: usize,
@@ -51,26 +50,15 @@ impl BarterCastConfig {
     }
 }
 
-/// Stable binary encoding: the three tuning fields in declaration order.
-impl rvs_checkpoint::Persist for BarterCastConfig {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.usize(self.max_records_per_exchange);
-        enc.usize(self.max_hops);
-        enc.bool(self.cache_contributions);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(BarterCastConfig {
-            max_records_per_exchange: dec.usize()?,
-            max_hops: dec.usize()?,
-            cache_contributions: dec.bool()?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(BarterCastConfig {
+    max_records_per_exchange,
+    max_hops,
+    cache_contributions
+});
 
 /// One direct-transfer record: "`from` uploaded `kib` KiB to `to`", as
 /// reported by one of the endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Record {
     /// Uploader.
     pub from: NodeId,
@@ -80,24 +68,9 @@ pub struct Record {
     pub kib: u64,
 }
 
-/// Stable binary encoding: uploader, downloader, KiB. (Records are a
-/// wire message, not persistent state — this encoding exists for the
-/// wire-fuzz corpus, which decodes adversarial bytes through it.)
-impl rvs_checkpoint::Persist for Record {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.from.persist(enc);
-        self.to.persist(enc);
-        enc.u64(self.kib);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(Record {
-            from: NodeId::restore(dec)?,
-            to: NodeId::restore(dec)?,
-            kib: dec.u64()?,
-        })
-    }
-}
+// Records are a wire message, not persistent state: this encoding exists
+// for the wire-fuzz corpus, which decodes adversarial bytes through it.
+rvs_checkpoint::persist_struct!(Record { from, to, kib });
 
 /// Network-wide BarterCast state: one subjective graph per node.
 #[derive(Debug, Clone)]
@@ -135,6 +108,13 @@ impl BarterCast {
     /// The configuration in force.
     pub fn config(&self) -> BarterCastConfig {
         self.cfg
+    }
+
+    /// True when every per-node table (graphs, contribution cache) has
+    /// exactly `n` entries — what a restored instance must satisfy before
+    /// it is indexed by node id.
+    pub fn has_population(&self, n: usize) -> bool {
+        self.graphs.len() == n && self.cache.borrow().population() == n
     }
 
     /// Population-wide record-exchange, maxflow, and cache counters.
@@ -337,32 +317,15 @@ impl BarterCast {
     }
 }
 
-/// Stable binary encoding: config, per-node subjective graphs, the
-/// contribution cache (persisted verbatim so cache hit/miss behaviour
-/// resumes exactly), then the four counters in declaration order.
-impl rvs_checkpoint::Persist for BarterCast {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.cfg.persist(enc);
-        self.graphs.persist(enc);
-        self.cache.borrow().persist(enc);
-        self.exchanges.persist(enc);
-        self.maxflow_evaluations.persist(enc);
-        self.cache_hits.persist(enc);
-        self.cache_misses.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(BarterCast {
-            cfg: BarterCastConfig::restore(dec)?,
-            graphs: Vec::restore(dec)?,
-            cache: RefCell::new(ContributionCache::restore(dec)?),
-            exchanges: SharedCounter::restore(dec)?,
-            maxflow_evaluations: SharedCounter::restore(dec)?,
-            cache_hits: SharedCounter::restore(dec)?,
-            cache_misses: SharedCounter::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(BarterCast {
+    cfg,
+    graphs,
+    cache,
+    exchanges,
+    maxflow_evaluations,
+    cache_hits,
+    cache_misses
+});
 
 #[cfg(test)]
 mod tests {

@@ -1,10 +1,9 @@
 //! Piece possession bitmaps.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fixed-size bitmap recording which pieces of a file a peer holds.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Bitfield {
     words: Vec<u64>,
     len: u32,

@@ -33,20 +33,10 @@ impl ChokePolicy {
     }
 }
 
-/// Stable binary encoding: the two slot counts in declaration order.
-impl rvs_checkpoint::Persist for ChokePolicy {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.usize(self.regular_slots);
-        enc.usize(self.optimistic_slots);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(ChokePolicy {
-            regular_slots: dec.usize()?,
-            optimistic_slots: dec.usize()?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(ChokePolicy {
+    regular_slots,
+    optimistic_slots
+});
 
 /// Outcome of a rechoke round.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -6,14 +6,13 @@
 //! estimates approximate.
 
 use rvs_sim::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Cumulative upload totals per ordered peer pair `(from, to)`.
 ///
 /// Backed by a `BTreeMap` so iteration order — and therefore every
 /// downstream computation — is deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TransferLedger {
     kib: BTreeMap<(NodeId, NodeId), u64>,
     /// Mirror keyed `(to, from)` so per-downloader queries are range scans.
@@ -122,25 +121,14 @@ impl TransferLedger {
     }
 }
 
-/// Stable binary encoding: forward map, reverse index, grand total — all
-/// three persisted (the reverse index is derivable but rebuilding it on
-/// restore would cost a full scan for no robustness gain; the differential
-/// tests cover their agreement).
-impl rvs_checkpoint::Persist for TransferLedger {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.kib.persist(enc);
-        self.incoming.persist(enc);
-        enc.u64(self.total_kib);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(TransferLedger {
-            kib: BTreeMap::restore(dec)?,
-            incoming: BTreeMap::restore(dec)?,
-            total_kib: dec.u64()?,
-        })
-    }
-}
+// The reverse index is derivable, but rebuilding it on restore would cost
+// a full scan for no robustness gain; the differential tests cover the
+// agreement of the two maps.
+rvs_checkpoint::persist_struct!(TransferLedger {
+    kib,
+    incoming,
+    total_kib
+});
 
 #[cfg(test)]
 mod tests {

@@ -59,20 +59,7 @@ impl Default for NetConfig {
     }
 }
 
-/// Stable binary encoding: swarm tuning, then the tick length.
-impl rvs_checkpoint::Persist for NetConfig {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.swarm.persist(enc);
-        self.tick.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(NetConfig {
-            swarm: SwarmConfig::restore(dec)?,
-            tick: SimDuration::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(NetConfig { swarm, tick });
 
 /// One swarm plus everything its ticks touch: its RNG stream (keyed by
 /// swarm id) and the seed budgets of its altruists. Self-contained so a
@@ -85,22 +72,11 @@ struct SwarmRunner {
     seed_budget: BTreeMap<NodeId, SimDuration>,
 }
 
-/// Stable binary encoding: swarm state, RNG stream, seed budgets.
-impl rvs_checkpoint::Persist for SwarmRunner {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.sim.persist(enc);
-        self.rng.persist(enc);
-        self.seed_budget.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(SwarmRunner {
-            sim: SwarmSim::restore(dec)?,
-            rng: DetRng::restore(dec)?,
-            seed_budget: BTreeMap::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(SwarmRunner {
+    sim,
+    rng,
+    seed_budget
+});
 
 fn link_of(profiles: &[PeerProfile], peer: NodeId) -> LinkProfile {
     let p = &profiles[peer.index()];
@@ -256,6 +232,15 @@ impl BitTorrentNet {
     /// Is `peer` currently online?
     pub fn is_online(&self, peer: NodeId) -> bool {
         self.online[peer.index()]
+    }
+
+    /// True when the per-peer and per-swarm tables are sized for `trace` —
+    /// what a restored substrate must satisfy before trace events index it.
+    pub fn fits(&self, trace: &Trace) -> bool {
+        let peers = trace.peer_count();
+        self.profiles.len() == peers
+            && self.online.len() == peers
+            && self.swarms.len() == trace.swarms.len()
     }
 
     /// Online flags for every trace peer, indexed by id.
@@ -437,30 +422,14 @@ impl BitTorrentNet {
     }
 }
 
-/// Stable binary encoding: config, peer profiles (the `Arc` is unshared on
-/// restore — profiles are immutable, so sharing is an optimization, not
-/// semantics), swarm runners, online flags, global ledger, completion log.
-impl rvs_checkpoint::Persist for BitTorrentNet {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.cfg.persist(enc);
-        self.profiles.as_ref().persist(enc);
-        self.swarms.persist(enc);
-        self.online.persist(enc);
-        self.ledger.persist(enc);
-        self.completions.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(BitTorrentNet {
-            cfg: NetConfig::restore(dec)?,
-            profiles: Arc::new(Vec::restore(dec)?),
-            swarms: Vec::restore(dec)?,
-            online: Vec::restore(dec)?,
-            ledger: TransferLedger::restore(dec)?,
-            completions: Vec::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(BitTorrentNet {
+    cfg,
+    profiles,
+    swarms,
+    online,
+    ledger,
+    completions
+});
 
 #[cfg(test)]
 mod tests {

@@ -49,18 +49,7 @@ impl Availability {
     }
 }
 
-/// Stable binary encoding: the per-piece copy counters in piece order.
-impl rvs_checkpoint::Persist for Availability {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.counts.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(Availability {
-            counts: Vec::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(Availability { counts });
 
 /// Choose the next piece for `mine` to request from `theirs`.
 ///

@@ -4,11 +4,10 @@
 use crate::net::BitTorrentNet;
 use crate::swarm::SwarmSim;
 use rvs_sim::SwarmId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A point-in-time health snapshot of one swarm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwarmHealth {
     /// The swarm.
     pub swarm: SwarmId,

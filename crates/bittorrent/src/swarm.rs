@@ -26,26 +26,7 @@ pub enum MemberRole {
     Seeder,
 }
 
-/// Stable binary encoding: role as a `u8` discriminant
-/// (0 = Leecher, 1 = Seeder).
-impl rvs_checkpoint::Persist for MemberRole {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.u8(match self {
-            MemberRole::Leecher => 0,
-            MemberRole::Seeder => 1,
-        });
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        match dec.u8()? {
-            0 => Ok(MemberRole::Leecher),
-            1 => Ok(MemberRole::Seeder),
-            d => Err(rvs_checkpoint::DecodeError::Corrupt(format!(
-                "invalid MemberRole discriminant {d}"
-            ))),
-        }
-    }
-}
+rvs_checkpoint::persist_enum!(MemberRole { Leecher = 0, Seeder = 1 });
 
 /// Tuning knobs for the swarm simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,23 +49,11 @@ impl Default for SwarmConfig {
     }
 }
 
-/// Stable binary encoding: choke policy, rechoke interval, optimistic
-/// rotation period.
-impl rvs_checkpoint::Persist for SwarmConfig {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.choke.persist(enc);
-        self.rechoke_interval.persist(enc);
-        enc.u32(self.optimistic_every);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(SwarmConfig {
-            choke: ChokePolicy::restore(dec)?,
-            rechoke_interval: SimDuration::restore(dec)?,
-            optimistic_every: dec.u32()?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(SwarmConfig {
+    choke,
+    rechoke_interval,
+    optimistic_every
+});
 
 /// A download that finished during a tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,22 +66,7 @@ pub struct Completion {
     pub time: SimTime,
 }
 
-/// Stable binary encoding: peer, swarm, detection time.
-impl rvs_checkpoint::Persist for Completion {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.peer.persist(enc);
-        self.swarm.persist(enc);
-        self.time.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(Completion {
-            peer: NodeId::restore(dec)?,
-            swarm: SwarmId::restore(dec)?,
-            time: SimTime::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(Completion { peer, swarm, time });
 
 /// Link capacities and reachability of a member, supplied at join time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,54 +103,24 @@ impl Member {
     }
 }
 
-/// Stable binary encoding: connectable flag, uplink, downlink.
-impl rvs_checkpoint::Persist for LinkProfile {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.bool(self.connectable);
-        enc.u32(self.uplink_kibps);
-        enc.u32(self.downlink_kibps);
-    }
+rvs_checkpoint::persist_struct!(LinkProfile {
+    connectable,
+    uplink_kibps,
+    downlink_kibps
+});
 
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(LinkProfile {
-            connectable: dec.bool()?,
-            uplink_kibps: dec.u32()?,
-            downlink_kibps: dec.u32()?,
-        })
-    }
-}
-
-/// Stable binary encoding: the ten member fields in declaration order;
-/// in-flight KiB remainders and uncredited fractions as IEEE bits.
-impl rvs_checkpoint::Persist for Member {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.bitfield.persist(enc);
-        self.role.persist(enc);
-        enc.bool(self.online);
-        self.link.persist(enc);
-        self.unchoked.persist(enc);
-        self.optimistic.persist(enc);
-        enc.u32(self.rechokes);
-        self.in_flight.persist(enc);
-        self.window_recv.persist(enc);
-        self.uncredited.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(Member {
-            bitfield: Bitfield::restore(dec)?,
-            role: MemberRole::restore(dec)?,
-            online: dec.bool()?,
-            link: LinkProfile::restore(dec)?,
-            unchoked: Vec::restore(dec)?,
-            optimistic: Option::restore(dec)?,
-            rechokes: dec.u32()?,
-            in_flight: BTreeMap::restore(dec)?,
-            window_recv: BTreeMap::restore(dec)?,
-            uncredited: BTreeMap::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(Member {
+    bitfield,
+    role,
+    online,
+    link,
+    unchoked,
+    optimistic,
+    rechokes,
+    in_flight,
+    window_recv,
+    uncredited
+});
 
 /// Simulation state of a single swarm.
 #[derive(Debug, Clone)]
@@ -508,27 +432,13 @@ impl SwarmSim {
     }
 }
 
-/// Stable binary encoding: spec, config, members, availability counters,
-/// next rechoke time.
-impl rvs_checkpoint::Persist for SwarmSim {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.spec.persist(enc);
-        self.cfg.persist(enc);
-        self.members.persist(enc);
-        self.availability.persist(enc);
-        self.next_rechoke.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(SwarmSim {
-            spec: rvs_trace::SwarmSpec::restore(dec)?,
-            cfg: SwarmConfig::restore(dec)?,
-            members: BTreeMap::restore(dec)?,
-            availability: Availability::restore(dec)?,
-            next_rechoke: SimTime::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(SwarmSim {
+    spec,
+    cfg,
+    members,
+    availability,
+    next_rechoke
+});
 
 /// BitTorrent reachability: at least one endpoint must be connectable.
 #[inline]

@@ -4,15 +4,22 @@
 //! Long chaos and experiment runs (and the ROADMAP's production-scale
 //! ambitions) need to survive process restarts: run to round R, write a
 //! checkpoint, and later resume **byte-identically** to a run that never
-//! stopped. That bar rules out `derive`-based serialization — a reordered
-//! field or a silently-skipped member would still compile — so persistence
-//! here is explicit:
+//! stopped. That bar rules out `derive`-based serialization — the layout
+//! would follow declaration order silently, and a reordered field would
+//! still compile — so persistence here is explicit:
 //!
-//! * [`Persist`] — a trait each stateful type implements by hand, writing
-//!   every field in a fixed, documented order and reading it back the same
-//!   way. Implementations live *in the owning crate*, next to the private
-//!   fields they serialize, so a field added without a matching `persist`
-//!   line is caught by the roundtrip property tests rather than by luck.
+//! * [`Persist`] — the trait each stateful type implements *in the owning
+//!   crate*, next to the private fields it serializes. A type whose
+//!   encoding is its fields in a fixed order states that order once, with
+//!   [`persist_struct!`] (or [`persist_enum!`] for a field-less enum): the
+//!   one list expands to both `persist` and `restore`, so the halves
+//!   cannot disagree, and the compiler rejects a list that forgets,
+//!   misspells or repeats a field. Each field's wire width follows its
+//!   declared type; the committed golden checkpoints pin those widths.
+//!   Only a type whose halves genuinely differ implements the trait by
+//!   hand — a `restore` that validates what it read, an enum with
+//!   payloads, an encoder that first sorts into canonical order — and
+//!   rvs-lint's `persist-coverage` rule checks those impls field by field.
 //! * [`Encoder`] / [`Decoder`] — little-endian primitive codecs with
 //!   length-prefixed collections, `f64::to_bits` floats (bit-exact, no
 //!   text roundtrip), and section [tags](Encoder::tag) that turn a
@@ -28,8 +35,10 @@
 //! and document the bump in DESIGN.md §12 (a CI cross-check enforces the
 //! documentation half).
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// Current checkpoint format version. Bump on ANY encoding change and
 /// document the new layout in DESIGN.md §12.
@@ -101,11 +110,84 @@ pub trait Persist: Sized {
     fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError>;
 }
 
+/// Implement [`Persist`] for a struct from one list of its fields:
+/// `persist` writes them in the listed order, `restore` reads them back in
+/// the same order into the struct literal. The list *is* the layout — any
+/// change to it is a format change and bumps [`FORMAT_VERSION`]. A tuple
+/// struct lists its fields by index.
+///
+/// ```
+/// struct Window { start: u64, open: bool, seen: Vec<u32> }
+/// rvs_checkpoint::persist_struct!(Window { start, open, seen });
+///
+/// let w = Window { start: 7, open: true, seen: vec![1, 2] };
+/// let bytes = rvs_checkpoint::to_bytes(&w);
+/// let back: Window = rvs_checkpoint::from_bytes(&bytes).unwrap();
+/// assert_eq!((back.start, back.open, back.seen), (7, true, vec![1, 2]));
+/// ```
+///
+/// The list must name every field exactly once — a forgotten field is a
+/// compile error, not a silently shorter checkpoint:
+///
+/// ```compile_fail
+/// struct Window { start: u64, open: bool }
+/// rvs_checkpoint::persist_struct!(Window { start });
+/// ```
+#[macro_export]
+macro_rules! persist_struct {
+    ($ty:ident { $($field:tt),+ $(,)? }) => {
+        impl $crate::Persist for $ty {
+            fn persist(&self, enc: &mut $crate::Encoder) {
+                $( $crate::Persist::persist(&self.$field, enc); )+
+            }
+
+            fn restore(dec: &mut $crate::Decoder<'_>) -> Result<Self, $crate::DecodeError> {
+                Ok($ty { $( $field: $crate::Persist::restore(dec)?, )+ })
+            }
+        }
+    };
+}
+
+/// Implement [`Persist`] for a field-less enum as one `u8` discriminant,
+/// from one `Variant = byte` table. An unlisted variant does not compile;
+/// an unlisted byte restores as [`DecodeError::Corrupt`].
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// enum Role { Leecher, Seeder }
+/// rvs_checkpoint::persist_enum!(Role { Leecher = 0, Seeder = 1 });
+///
+/// assert_eq!(rvs_checkpoint::to_bytes(&Role::Seeder), [1]);
+/// assert_eq!(rvs_checkpoint::from_bytes::<Role>(&[0]), Ok(Role::Leecher));
+/// assert!(rvs_checkpoint::from_bytes::<Role>(&[2]).is_err());
+/// ```
+#[macro_export]
+macro_rules! persist_enum {
+    ($ty:ident { $($variant:ident = $byte:literal),+ $(,)? }) => {
+        impl $crate::Persist for $ty {
+            fn persist(&self, enc: &mut $crate::Encoder) {
+                enc.u8(match self { $( $ty::$variant => $byte, )+ });
+            }
+
+            fn restore(dec: &mut $crate::Decoder<'_>) -> Result<Self, $crate::DecodeError> {
+                match dec.u8()? {
+                    $( $byte => Ok($ty::$variant), )+
+                    d => Err($crate::DecodeError::Corrupt(format!(
+                        concat!("invalid ", stringify!($ty), " discriminant {}"),
+                        d
+                    ))),
+                }
+            }
+        }
+    };
+}
+
 /// Appends little-endian primitives and [`Persist`] values to a byte
 /// buffer.
 #[derive(Debug, Default, Clone)]
 pub struct Encoder {
     buf: Vec<u8>,
+    sections: Vec<(String, usize)>,
 }
 
 impl Encoder {
@@ -175,8 +257,17 @@ impl Encoder {
     /// [`DecodeError::Corrupt`] naming the expected section.
     pub fn tag(&mut self, name: &str) {
         debug_assert!(name.len() <= u8::MAX as usize, "section tag too long");
+        self.sections.push((name.to_string(), self.buf.len()));
         self.u8(name.len() as u8);
         self.raw(name.as_bytes());
+    }
+
+    /// Every section written so far, in order: the [`tag`](Encoder::tag)
+    /// name and the offset its tag starts at. A section runs to the next
+    /// one's offset (the last to the end), which is what lets
+    /// `rvs ckpt diff` name the first section two blobs disagree in.
+    pub fn sections(&self) -> &[(String, usize)] {
+        &self.sections
     }
 
     /// Append any [`Persist`] value.
@@ -506,6 +597,28 @@ impl<T: Persist + Ord> Persist for BTreeSet<T> {
     }
 }
 
+/// Shared immutable state is written through the pointer and comes back
+/// unshared: sharing is an optimization, not semantics.
+impl<T: Persist> Persist for Arc<T> {
+    fn persist(&self, enc: &mut Encoder) {
+        (**self).persist(enc);
+    }
+    fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Arc::new(T::restore(dec)?))
+    }
+}
+
+/// Interior-mutable state is written as the value inside. Checkpoints are
+/// taken between rounds, when nothing holds a mutable borrow.
+impl<T: Persist> Persist for RefCell<T> {
+    fn persist(&self, enc: &mut Encoder) {
+        self.borrow().persist(enc);
+    }
+    fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(RefCell::new(T::restore(dec)?))
+    }
+}
+
 /// Encode `value` as a standalone byte vector (no file header).
 pub fn to_bytes<T: Persist>(value: &T) -> Vec<u8> {
     let mut enc = Encoder::new();
@@ -572,6 +685,113 @@ mod tests {
         roundtrip(&set);
         let dq: VecDeque<u32> = [5, 6, 7].into_iter().collect();
         roundtrip(&dq);
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Mixed {
+        a: u8,
+        b: u32,
+        c: u64,
+        d: usize,
+        e: bool,
+        f: f64,
+        g: Option<u32>,
+        h: Vec<u64>,
+        i: BTreeMap<u32, String>,
+    }
+
+    /// What `Mixed` would have been written as before the macro existed.
+    #[derive(Debug, PartialEq)]
+    struct ByHand(Mixed);
+
+    impl Persist for ByHand {
+        fn persist(&self, enc: &mut Encoder) {
+            enc.u8(self.0.a);
+            enc.u32(self.0.b);
+            enc.u64(self.0.c);
+            enc.usize(self.0.d);
+            enc.bool(self.0.e);
+            enc.f64(self.0.f);
+            self.0.g.persist(enc);
+            self.0.h.persist(enc);
+            self.0.i.persist(enc);
+        }
+        fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+            Ok(ByHand(Mixed {
+                a: dec.u8()?,
+                b: dec.u32()?,
+                c: dec.u64()?,
+                d: dec.usize()?,
+                e: dec.bool()?,
+                f: dec.f64()?,
+                g: Option::restore(dec)?,
+                h: Vec::restore(dec)?,
+                i: BTreeMap::restore(dec)?,
+            }))
+        }
+    }
+
+    persist_struct!(Mixed {
+        a,
+        b,
+        c,
+        d,
+        e,
+        f,
+        g,
+        h,
+        i
+    });
+
+    #[test]
+    fn persist_struct_writes_what_the_hand_written_impl_wrote() {
+        let v = Mixed {
+            a: 7,
+            b: 0xDEAD_BEEF,
+            c: u64::MAX - 1,
+            d: 12_345,
+            e: true,
+            f: -0.0,
+            g: Some(9),
+            h: vec![1, 2, 3],
+            i: [(1, "a".into()), (9, "b".into())].into(),
+        };
+        let bytes = to_bytes(&v);
+        assert_eq!(bytes, to_bytes(&ByHand(v.clone())));
+        // Field for field, through either impl.
+        roundtrip(&v);
+        assert_eq!(from_bytes::<ByHand>(&bytes), Ok(ByHand(v)));
+    }
+
+    #[test]
+    fn persist_struct_takes_tuple_fields_by_index() {
+        #[derive(Debug, PartialEq)]
+        struct Millis(u64);
+        persist_struct!(Millis { 0 });
+        roundtrip(&Millis(86_400_000));
+        assert_eq!(to_bytes(&Millis(5)), to_bytes(&5u64));
+    }
+
+    #[test]
+    fn shared_and_interior_mutable_values_persist_as_their_contents() {
+        let inner = vec![3u32, 1, 4];
+        roundtrip(&Arc::new(inner.clone()));
+        roundtrip(&RefCell::new(inner.clone()));
+        assert_eq!(to_bytes(&Arc::new(inner.clone())), to_bytes(&inner));
+        assert_eq!(to_bytes(&RefCell::new(inner.clone())), to_bytes(&inner));
+    }
+
+    #[test]
+    fn sections_record_where_each_tag_starts() {
+        let mut enc = Encoder::new();
+        enc.u64(1);
+        enc.tag("net");
+        enc.u32(2);
+        enc.tag("pss");
+        assert_eq!(
+            enc.sections(),
+            [("net".to_string(), 8), ("pss".to_string(), 8 + 4 + 4)]
+        );
     }
 
     #[test]

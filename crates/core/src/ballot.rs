@@ -16,7 +16,6 @@
 
 use crate::vote::{Vote, VoteEntry};
 use rvs_sim::{ModeratorId, NodeId, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What a [`BallotBox::merge`] actually did — how many vote entries were
@@ -31,7 +30,7 @@ pub struct MergeOutcome {
 }
 
 /// A bounded sample of other peers' votes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BallotBox {
     b_max: usize,
     /// `(voter, moderator) → (vote, received_at)`.

@@ -10,11 +10,10 @@
 use crate::ballot::BallotBox;
 use crate::ranking::rank_ballot;
 use rvs_sim::ModeratorId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One row of the moderator leaderboard.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoardEntry {
     /// Rank, 1-based.
     pub rank: usize,
@@ -33,7 +32,7 @@ pub struct BoardEntry {
 }
 
 /// The top-K moderator screen built from a local ballot box.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModeratorBoard {
     /// Rows in rank order.
     pub entries: Vec<BoardEntry>,

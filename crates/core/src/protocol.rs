@@ -24,10 +24,9 @@ use crate::voxpopuli::VoxCache;
 use rvs_modcast::ModerationCast;
 use rvs_sim::{DetRng, NodeId, SimTime};
 use rvs_telemetry::{VoteCounters, VoxPopuliCounters};
-use serde::{Deserialize, Serialize};
 
 /// Protocol parameters (defaults are the paper's §VI-B operating point).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VoteSamplingConfig {
     /// Minimum unique voters before ballot statistics are used (paper: 5).
     pub b_min: usize,
@@ -101,6 +100,13 @@ impl VoteSampling {
     /// The configuration in force.
     pub fn config(&self) -> VoteSamplingConfig {
         self.cfg
+    }
+
+    /// True when every per-node table (ballot boxes, VoxPopuli caches) has
+    /// exactly `n` entries — what a restored instance must satisfy before
+    /// it is indexed by node id.
+    pub fn has_population(&self, n: usize) -> bool {
+        self.ballots.len() == n && self.vox.len() == n
     }
 
     /// Node `i`'s ballot box.
@@ -290,52 +296,23 @@ impl VoteSampling {
     }
 }
 
-/// Stable binary encoding: fields in declaration order.
-impl rvs_checkpoint::Persist for VoteSamplingConfig {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.usize(self.b_min);
-        enc.usize(self.b_max);
-        enc.usize(self.v_max);
-        enc.usize(self.k);
-        enc.usize(self.max_votes_per_msg);
-        self.policy.persist(enc);
-        enc.bool(self.revalidate);
-    }
+rvs_checkpoint::persist_struct!(VoteSamplingConfig {
+    b_min,
+    b_max,
+    v_max,
+    k,
+    max_votes_per_msg,
+    policy,
+    revalidate
+});
 
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(VoteSamplingConfig {
-            b_min: dec.usize()?,
-            b_max: dec.usize()?,
-            v_max: dec.usize()?,
-            k: dec.usize()?,
-            max_votes_per_msg: dec.usize()?,
-            policy: VoteListPolicy::restore(dec)?,
-            revalidate: dec.bool()?,
-        })
-    }
-}
-
-/// Stable binary encoding: config, per-node ballots, per-node VoxPopuli
-/// caches, then both counter blocks.
-impl rvs_checkpoint::Persist for VoteSampling {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.cfg.persist(enc);
-        self.ballots.persist(enc);
-        self.vox.persist(enc);
-        self.counters.persist(enc);
-        self.vox_counters.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(VoteSampling {
-            cfg: VoteSamplingConfig::restore(dec)?,
-            ballots: Vec::restore(dec)?,
-            vox: Vec::restore(dec)?,
-            counters: VoteCounters::restore(dec)?,
-            vox_counters: VoxPopuliCounters::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(VoteSampling {
+    cfg,
+    ballots,
+    vox,
+    counters,
+    vox_counters
+});
 
 #[cfg(test)]
 mod tests {

@@ -8,12 +8,11 @@
 
 use crate::ballot::BallotBox;
 use rvs_sim::ModeratorId;
-use serde::{Deserialize, Serialize};
 
 /// How raw ballot tallies become a moderator score. The paper: "any
 /// suitable method could be applied such as simple summation or more
 /// complex proportional approaches"; `ablation_rank_merge` compares them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScoreMethod {
     /// `positives − negatives` (the default everywhere in this crate).
     Summation,
@@ -25,7 +24,7 @@ pub enum ScoreMethod {
 
 /// A ranked list of at most K moderators, best first — the message
 /// exchanged by VoxPopuli and the output shown to the user.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopKList {
     /// Moderators in rank order (index 0 = best).
     pub ranked: Vec<ModeratorId>,
@@ -56,18 +55,7 @@ impl TopKList {
     }
 }
 
-/// Stable binary encoding: the ranked moderator list, best first.
-impl rvs_checkpoint::Persist for TopKList {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.ranked.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(TopKList {
-            ranked: Vec::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(TopKList { ranked });
 
 /// Score and rank the moderators sampled in `ballot`, truncated to `k`.
 ///

@@ -8,10 +8,9 @@
 
 use rvs_modcast::LocalVote;
 use rvs_sim::{DetRng, ModeratorId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A vote on a moderator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Vote {
     /// Approval (+): quality moderator.
     Positive,
@@ -30,7 +29,7 @@ impl From<LocalVote> for Vote {
 
 /// One entry of a local vote list: the local user's own vote on one
 /// moderator, with the time the vote was made.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VoteEntry {
     /// The moderator voted on.
     pub moderator: ModeratorId,
@@ -41,7 +40,7 @@ pub struct VoteEntry {
 }
 
 /// Selection policy when a vote list exceeds the per-message budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VoteListPolicy {
     /// Newest votes first.
     Recency,
@@ -85,65 +84,15 @@ pub fn select_votes(
     }
 }
 
-/// Stable binary encoding: a `u8` discriminant (0 = Positive, 1 = Negative).
-impl rvs_checkpoint::Persist for Vote {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.u8(match self {
-            Vote::Positive => 0,
-            Vote::Negative => 1,
-        });
-    }
+rvs_checkpoint::persist_enum!(Vote { Positive = 0, Negative = 1 });
 
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        match dec.u8()? {
-            0 => Ok(Vote::Positive),
-            1 => Ok(Vote::Negative),
-            d => Err(rvs_checkpoint::DecodeError::Corrupt(format!(
-                "invalid Vote discriminant {d}"
-            ))),
-        }
-    }
-}
+rvs_checkpoint::persist_struct!(VoteEntry {
+    moderator,
+    vote,
+    made_at
+});
 
-/// Stable binary encoding: moderator, vote, timestamp.
-impl rvs_checkpoint::Persist for VoteEntry {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.moderator.persist(enc);
-        self.vote.persist(enc);
-        self.made_at.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(VoteEntry {
-            moderator: ModeratorId::restore(dec)?,
-            vote: Vote::restore(dec)?,
-            made_at: SimTime::restore(dec)?,
-        })
-    }
-}
-
-/// Stable binary encoding: a `u8` discriminant (0 = Recency, 1 = Random,
-/// 2 = RecencyAndRandom).
-impl rvs_checkpoint::Persist for VoteListPolicy {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.u8(match self {
-            VoteListPolicy::Recency => 0,
-            VoteListPolicy::Random => 1,
-            VoteListPolicy::RecencyAndRandom => 2,
-        });
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        match dec.u8()? {
-            0 => Ok(VoteListPolicy::Recency),
-            1 => Ok(VoteListPolicy::Random),
-            2 => Ok(VoteListPolicy::RecencyAndRandom),
-            d => Err(rvs_checkpoint::DecodeError::Corrupt(format!(
-                "invalid VoteListPolicy discriminant {d}"
-            ))),
-        }
-    }
-}
+rvs_checkpoint::persist_enum!(VoteListPolicy { Recency = 0, Random = 1, RecencyAndRandom = 2 });
 
 #[cfg(test)]
 mod tests {

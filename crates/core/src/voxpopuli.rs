@@ -8,13 +8,12 @@
 
 use crate::ranking::TopKList;
 use rvs_sim::ModeratorId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// How cached top-K lists are merged into one ranking. The paper applies
 /// "simple averaging of the rank" but notes "any rank merging method could
 /// be used"; the alternatives are compared by `ablation_rank_merge`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeMethod {
     /// Mean rank over all lists, absent ⇒ rank `K+1` (the paper's method).
     MeanRank,
@@ -27,7 +26,7 @@ pub enum MergeMethod {
 }
 
 /// Bounded cache of received top-K lists with rank-average merging.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VoxCache {
     v_max: usize,
     k: usize,

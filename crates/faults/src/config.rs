@@ -129,65 +129,27 @@ impl RetryConfig {
     }
 }
 
-/// Stable binary encoding: fields in declaration order (probabilities as
-/// `f64::to_bits`; optional sub-configs via the `Option` encoding).
-impl rvs_checkpoint::Persist for FaultConfig {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.u64(self.base_latency_ms);
-        enc.f64(self.jitter_spread);
-        enc.f64(self.loss);
-        enc.f64(self.duplicate);
-        self.burst.persist(enc);
-        self.retry.persist(enc);
-    }
+rvs_checkpoint::persist_struct!(FaultConfig {
+    base_latency_ms,
+    jitter_spread,
+    loss,
+    duplicate,
+    burst,
+    retry
+});
 
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(FaultConfig {
-            base_latency_ms: dec.u64()?,
-            jitter_spread: dec.f64()?,
-            loss: dec.f64()?,
-            duplicate: dec.f64()?,
-            burst: Option::restore(dec)?,
-            retry: Option::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(BurstLoss {
+    p_enter_bad,
+    p_exit_bad,
+    loss_good,
+    loss_bad
+});
 
-/// Stable binary encoding: the four probabilities as `f64::to_bits`.
-impl rvs_checkpoint::Persist for BurstLoss {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.f64(self.p_enter_bad);
-        enc.f64(self.p_exit_bad);
-        enc.f64(self.loss_good);
-        enc.f64(self.loss_bad);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(BurstLoss {
-            p_enter_bad: dec.f64()?,
-            p_exit_bad: dec.f64()?,
-            loss_good: dec.f64()?,
-            loss_bad: dec.f64()?,
-        })
-    }
-}
-
-/// Stable binary encoding: attempt budget, base delay, cap.
-impl rvs_checkpoint::Persist for RetryConfig {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.u32(self.max_attempts);
-        self.backoff_base.persist(enc);
-        self.backoff_cap.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(RetryConfig {
-            max_attempts: dec.u32()?,
-            backoff_base: SimDuration::restore(dec)?,
-            backoff_cap: SimDuration::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(RetryConfig {
+    max_attempts,
+    backoff_base,
+    backoff_cap
+});
 
 #[cfg(test)]
 mod tests {

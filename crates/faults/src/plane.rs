@@ -237,58 +237,17 @@ impl FaultPlane {
     }
 }
 
-/// Stable binary encoding: lane RNG state then the Gilbert–Elliott channel
-/// state bit.
-impl rvs_checkpoint::Persist for FaultLane {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.rng.persist(enc);
-        enc.bool(self.burst_bad);
-    }
+rvs_checkpoint::persist_struct!(FaultLane { rng, burst_bad });
 
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(FaultLane {
-            rng: DetRng::restore(dec)?,
-            burst_bad: dec.bool()?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(Partition { members, active });
 
-/// Stable binary encoding: member set then the active flag.
-impl rvs_checkpoint::Persist for Partition {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.members.persist(enc);
-        enc.bool(self.active);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(Partition {
-            members: BTreeSet::restore(dec)?,
-            active: dec.bool()?,
-        })
-    }
-}
-
-/// Stable binary encoding: config, lane-base RNG, lanes, partitions,
-/// counters.
-impl rvs_checkpoint::Persist for FaultPlane {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.cfg.persist(enc);
-        self.lane_base.persist(enc);
-        self.lanes.persist(enc);
-        self.partitions.persist(enc);
-        self.counters.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(FaultPlane {
-            cfg: FaultConfig::restore(dec)?,
-            lane_base: DetRng::restore(dec)?,
-            lanes: Vec::restore(dec)?,
-            partitions: Vec::restore(dec)?,
-            counters: FaultCounters::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(FaultPlane {
+    cfg,
+    lane_base,
+    lanes,
+    partitions,
+    counters
+});
 
 #[cfg(test)]
 mod tests {

@@ -70,20 +70,10 @@ impl Backoff {
     }
 }
 
-/// Stable binary encoding: attempts used, then the next-allowed instant.
-impl rvs_checkpoint::Persist for Backoff {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.u32(self.attempts);
-        self.next_allowed.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(Backoff {
-            attempts: dec.u32()?,
-            next_allowed: SimTime::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(Backoff {
+    attempts,
+    next_allowed
+});
 
 #[cfg(test)]
 mod tests {

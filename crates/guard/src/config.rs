@@ -115,44 +115,21 @@ impl GuardConfig {
     }
 }
 
-/// Stable binary encoding: every field in declaration order. Changing
-/// this layout is a checkpoint format change — bump
-/// `rvs_checkpoint::FORMAT_VERSION`.
-impl rvs_checkpoint::Persist for GuardConfig {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.bool(self.enabled);
-        enc.u32(self.bucket_capacity);
-        enc.u32(self.bucket_refill);
-        enc.u32(self.inbox_cap);
-        enc.u32(self.strike_threshold);
-        enc.u32(self.strike_decay);
-        self.quarantine_base.persist(enc);
-        self.quarantine_cap.persist(enc);
-        self.max_timestamp_skew.persist(enc);
-        self.replay_window.persist(enc);
-        enc.u64(self.max_record_kib);
-        enc.u32(self.id_slack);
-        enc.u32(self.seen_window);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(GuardConfig {
-            enabled: dec.bool()?,
-            bucket_capacity: dec.u32()?,
-            bucket_refill: dec.u32()?,
-            inbox_cap: dec.u32()?,
-            strike_threshold: dec.u32()?,
-            strike_decay: dec.u32()?,
-            quarantine_base: SimDuration::restore(dec)?,
-            quarantine_cap: SimDuration::restore(dec)?,
-            max_timestamp_skew: SimDuration::restore(dec)?,
-            replay_window: SimDuration::restore(dec)?,
-            max_record_kib: dec.u64()?,
-            id_slack: dec.u32()?,
-            seen_window: dec.u32()?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(GuardConfig {
+    enabled,
+    bucket_capacity,
+    bucket_refill,
+    inbox_cap,
+    strike_threshold,
+    strike_decay,
+    quarantine_base,
+    quarantine_cap,
+    max_timestamp_skew,
+    replay_window,
+    max_record_kib,
+    id_slack,
+    seen_window
+});
 
 #[cfg(test)]
 mod tests {

@@ -70,24 +70,12 @@ impl PeerGuard {
     }
 }
 
-/// Stable binary encoding: buckets, strikes, quarantine end, level.
-impl rvs_checkpoint::Persist for PeerGuard {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.tokens.persist(enc);
-        enc.u32(self.strikes);
-        self.quarantine_until.persist(enc);
-        enc.u32(self.quarantine_level);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(PeerGuard {
-            tokens: <[u32; MessageClass::COUNT]>::restore(dec)?,
-            strikes: dec.u32()?,
-            quarantine_until: Option::restore(dec)?,
-            quarantine_level: dec.u32()?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(PeerGuard {
+    tokens,
+    strikes,
+    quarantine_until,
+    quarantine_level
+});
 
 /// The population-wide rate/budget governor.
 #[derive(Debug, Clone)]
@@ -282,24 +270,11 @@ impl Governor {
     }
 }
 
-/// Stable binary encoding: config, per-peer records in index order,
-/// counters. Changing this layout is a checkpoint format change — bump
-/// `rvs_checkpoint::FORMAT_VERSION`.
-impl rvs_checkpoint::Persist for Governor {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.cfg.persist(enc);
-        self.peers.persist(enc);
-        self.counters.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(Governor {
-            cfg: GuardConfig::restore(dec)?,
-            peers: Vec::restore(dec)?,
-            counters: GuardCounters::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(Governor {
+    cfg,
+    peers,
+    counters
+});
 
 #[cfg(test)]
 mod tests {

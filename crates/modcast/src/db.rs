@@ -12,11 +12,10 @@
 
 use crate::moderation::{Moderation, ModerationId};
 use rvs_sim::{DetRng, ModeratorId, NodeId, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The local user's explicit vote on a moderator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocalVote {
     /// Thumbs-up: quality moderator.
     Approve,
@@ -24,29 +23,10 @@ pub enum LocalVote {
     Disapprove,
 }
 
-/// Stable binary encoding: vote as a `u8` discriminant
-/// (0 = Approve, 1 = Disapprove).
-impl rvs_checkpoint::Persist for LocalVote {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.u8(match self {
-            LocalVote::Approve => 0,
-            LocalVote::Disapprove => 1,
-        });
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        match dec.u8()? {
-            0 => Ok(LocalVote::Approve),
-            1 => Ok(LocalVote::Disapprove),
-            d => Err(rvs_checkpoint::DecodeError::Corrupt(format!(
-                "invalid LocalVote discriminant {d}"
-            ))),
-        }
-    }
-}
+rvs_checkpoint::persist_enum!(LocalVote { Approve = 0, Disapprove = 1 });
 
 /// Selection policy for `Extract()`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExtractPolicy {
     /// Newest-received first.
     Recency,
@@ -56,28 +36,7 @@ pub enum ExtractPolicy {
     RecencyAndRandom,
 }
 
-/// Stable binary encoding: policy as a `u8` discriminant
-/// (0 = Recency, 1 = Random, 2 = RecencyAndRandom).
-impl rvs_checkpoint::Persist for ExtractPolicy {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.u8(match self {
-            ExtractPolicy::Recency => 0,
-            ExtractPolicy::Random => 1,
-            ExtractPolicy::RecencyAndRandom => 2,
-        });
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        match dec.u8()? {
-            0 => Ok(ExtractPolicy::Recency),
-            1 => Ok(ExtractPolicy::Random),
-            2 => Ok(ExtractPolicy::RecencyAndRandom),
-            d => Err(rvs_checkpoint::DecodeError::Corrupt(format!(
-                "invalid ExtractPolicy discriminant {d}"
-            ))),
-        }
-    }
-}
+rvs_checkpoint::persist_enum!(ExtractPolicy { Recency = 0, Random = 1, RecencyAndRandom = 2 });
 
 /// Why (or whether) [`LocalDb::insert`] stored an item. Telemetry needs to
 /// tell the approval gate apart from ordinary duplicate suppression.

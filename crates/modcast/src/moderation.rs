@@ -2,12 +2,11 @@
 
 use crate::sign::{digest, KeyRegistry, Signature};
 use rvs_sim::{ModeratorId, SimTime, SwarmId};
-use serde::{Deserialize, Serialize};
 
 /// Ground-truth quality of a moderation's metadata. Only the evaluation
 /// harness reads this label — protocols never see it (nodes judge
 /// moderators through votes, exactly as in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContentQuality {
     /// Metadata faithfully describes the content.
     Genuine,
@@ -15,30 +14,11 @@ pub enum ContentQuality {
     Spam,
 }
 
-/// Stable binary encoding: quality as a `u8` discriminant
-/// (0 = Genuine, 1 = Spam).
-impl rvs_checkpoint::Persist for ContentQuality {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.u8(match self {
-            ContentQuality::Genuine => 0,
-            ContentQuality::Spam => 1,
-        });
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        match dec.u8()? {
-            0 => Ok(ContentQuality::Genuine),
-            1 => Ok(ContentQuality::Spam),
-            d => Err(rvs_checkpoint::DecodeError::Corrupt(format!(
-                "invalid ContentQuality discriminant {d}"
-            ))),
-        }
-    }
-}
+rvs_checkpoint::persist_enum!(ContentQuality { Genuine = 0, Spam = 1 });
 
 /// Identity of a moderation: `(moderator, seq)` — each moderator numbers
 /// its items sequentially.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ModerationId {
     /// The creating moderator.
     pub moderator: ModeratorId,
@@ -46,23 +26,10 @@ pub struct ModerationId {
     pub seq: u32,
 }
 
-/// Stable binary encoding: moderator, then the sequence number.
-impl rvs_checkpoint::Persist for ModerationId {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.moderator.persist(enc);
-        enc.u32(self.seq);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(ModerationId {
-            moderator: ModeratorId::restore(dec)?,
-            seq: dec.u32()?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(ModerationId { moderator, seq });
 
 /// A signed metadata item describing one swarm's content.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Moderation {
     /// Who created (and signed) this moderation.
     pub moderator: ModeratorId,
@@ -128,29 +95,16 @@ impl Moderation {
     }
 }
 
-/// Stable binary encoding: the six fields in declaration order, signature
-/// included verbatim (re-signing on restore would require the registry).
-impl rvs_checkpoint::Persist for Moderation {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.moderator.persist(enc);
-        enc.u32(self.seq);
-        self.swarm.persist(enc);
-        self.created.persist(enc);
-        self.quality.persist(enc);
-        self.sig.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(Moderation {
-            moderator: ModeratorId::restore(dec)?,
-            seq: dec.u32()?,
-            swarm: SwarmId::restore(dec)?,
-            created: SimTime::restore(dec)?,
-            quality: ContentQuality::restore(dec)?,
-            sig: Signature::restore(dec)?,
-        })
-    }
-}
+// The signature is persisted verbatim (re-signing on restore would need
+// the registry).
+rvs_checkpoint::persist_struct!(Moderation {
+    moderator,
+    seq,
+    swarm,
+    created,
+    quality,
+    sig
+});
 
 #[cfg(test)]
 mod tests {

@@ -11,10 +11,9 @@ use crate::moderation::{ContentQuality, Moderation};
 use crate::sign::KeyRegistry;
 use rvs_sim::{DetRng, ModeratorId, NodeId, SimTime, SwarmId};
 use rvs_telemetry::ModerationCounters;
-use serde::{Deserialize, Serialize};
 
 /// Tuning for ModerationCast.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModerationCastConfig {
     /// `local_db` capacity per node.
     pub db_capacity: usize,
@@ -34,22 +33,11 @@ impl Default for ModerationCastConfig {
     }
 }
 
-/// Stable binary encoding: the three tuning fields in declaration order.
-impl rvs_checkpoint::Persist for ModerationCastConfig {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.usize(self.db_capacity);
-        enc.usize(self.max_list);
-        self.policy.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(ModerationCastConfig {
-            db_capacity: dec.usize()?,
-            max_list: dec.usize()?,
-            policy: ExtractPolicy::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(ModerationCastConfig {
+    db_capacity,
+    max_list,
+    policy
+});
 
 /// Network-wide ModerationCast state: one `local_db` per node.
 #[derive(Debug, Clone)]
@@ -76,6 +64,13 @@ impl ModerationCast {
     /// Population-wide dissemination counters.
     pub fn counters(&self) -> &ModerationCounters {
         &self.counters
+    }
+
+    /// True when every per-node table (databases, sequence counters) has
+    /// exactly `n` entries — what a restored instance must satisfy before
+    /// it is indexed by node id.
+    pub fn has_population(&self, n: usize) -> bool {
+        self.dbs.len() == n && self.next_seq.len() == n
     }
 
     /// Node `i`'s database.
@@ -184,25 +179,12 @@ impl ModerationCast {
     }
 }
 
-/// Stable binary encoding: config, per-node databases, per-moderator
-/// sequence counters, then the dissemination counters.
-impl rvs_checkpoint::Persist for ModerationCast {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.cfg.persist(enc);
-        self.dbs.persist(enc);
-        self.next_seq.persist(enc);
-        self.counters.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(ModerationCast {
-            cfg: ModerationCastConfig::restore(dec)?,
-            dbs: Vec::restore(dec)?,
-            next_seq: Vec::restore(dec)?,
-            counters: ModerationCounters::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(ModerationCast {
+    cfg,
+    dbs,
+    next_seq,
+    counters
+});
 
 #[cfg(test)]
 mod tests {

@@ -15,23 +15,12 @@
 //! for the PKI's certificate directory. See DESIGN.md ("Substitutions").
 
 use rvs_sim::{DetRng, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A simulated signature value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Signature(pub u64);
 
-/// Stable binary encoding: the raw signature word.
-impl rvs_checkpoint::Persist for Signature {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.u64(self.0);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(Signature(dec.u64()?))
-    }
-}
+rvs_checkpoint::persist_struct!(Signature { 0 });
 
 /// 64-bit message digest over arbitrary fields (SplitMix-style mixing).
 pub fn digest(fields: &[u64]) -> u64 {

@@ -12,10 +12,9 @@
 use crate::PeerSampler;
 use rvs_sim::{DetRng, NodeId, SimTime};
 use rvs_telemetry::PssCounters;
-use serde::{Deserialize, Serialize};
 
 /// Tuning for the Newscast PSS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NewscastConfig {
     /// Entries kept per view (classic Newscast uses 20–30). Departed peers
     /// age out once `view_size` fresher descriptors circulate — the classic
@@ -211,20 +210,7 @@ impl PeerSampler for NewscastPss {
     }
 }
 
-/// Stable binary encoding: peer then heartbeat.
-impl rvs_checkpoint::Persist for Entry {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.peer.persist(enc);
-        self.heartbeat.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(Entry {
-            peer: NodeId::restore(dec)?,
-            heartbeat: SimTime::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(Entry { peer, heartbeat });
 
 /// Stable binary encoding: view size, per-node views in their exact
 /// in-memory entry order (order feeds partner-selection draws), online
@@ -248,6 +234,12 @@ impl rvs_checkpoint::Persist for NewscastPss {
         // inbound views pass, so a damaged or adversarial checkpoint
         // surfaces as a typed error instead of a corrupt overlay.
         let population = views.len();
+        if online.len() != population {
+            return Err(rvs_checkpoint::DecodeError::Corrupt(format!(
+                "newscast online flags {} != views {population}",
+                online.len()
+            )));
+        }
         for (i, view) in views.iter().enumerate() {
             let peers: Vec<NodeId> = view.iter().map(|e| e.peer).collect();
             if let Err(reason) = crate::validate::validate_view(&peers, population, cfg.view_size) {

@@ -30,6 +30,16 @@ impl OraclePss {
         }
     }
 
+    /// Population size.
+    pub fn len(&self) -> usize {
+        self.position.len()
+    }
+
+    /// True when the population is empty.
+    pub fn is_empty(&self) -> bool {
+        self.position.is_empty()
+    }
+
     fn ensure_capacity(&mut self, peer: NodeId) {
         if peer.index() >= self.position.len() {
             self.position.resize(peer.index() + 1, None);
@@ -109,33 +119,12 @@ impl PeerSampler for OraclePss {
 /// bounds, so it is rejected as corrupt instead.
 impl rvs_checkpoint::Persist for OraclePss {
     fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.usize(self.position.len());
-        for slot in &self.position {
-            match slot {
-                None => enc.u8(0),
-                Some(pos) => {
-                    enc.u8(1);
-                    enc.u32(*pos);
-                }
-            }
-        }
+        self.position.persist(enc);
         self.online.persist(enc);
     }
 
     fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        let n = dec.seq_len()?;
-        let mut position = Vec::with_capacity(n);
-        for _ in 0..n {
-            position.push(match dec.u8()? {
-                0 => None,
-                1 => Some(dec.u32()?),
-                d => {
-                    return Err(rvs_checkpoint::DecodeError::Corrupt(format!(
-                        "invalid OraclePss position discriminant {d}"
-                    )))
-                }
-            });
-        }
+        let position: Vec<Option<u32>> = Vec::restore(dec)?;
         let online: Vec<NodeId> = Vec::restore(dec)?;
         let occupied = position.iter().filter(|p| p.is_some()).count();
         if occupied != online.len() {

@@ -8,10 +8,11 @@
 //! ([`rvs_checkpoint::FORMAT_VERSION`]); layout and versioning policy are
 //! documented in DESIGN.md §12.
 
-use rvs_checkpoint::{peek_version, DecodeError};
+use rvs_checkpoint::{peek_version, DecodeError, Decoder, Persist as _};
 use rvs_sim::SimTime;
 use std::fmt;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 
 /// A serialized [`crate::System`] snapshot.
@@ -41,6 +42,24 @@ pub struct CheckpointInfo {
     /// Size of the whole blob in bytes.
     pub bytes: usize,
 }
+
+/// The identity prefix that follows the header, frozen across format
+/// versions so `rvs ckpt inspect` can summarize any checkpoint file.
+/// [`crate::System::checkpoint`] writes it, [`crate::System::restore`]
+/// and [`Checkpoint::peek_info`] read it — through this one layout.
+pub(crate) struct Identity {
+    pub(crate) seed: u64,
+    pub(crate) now: SimTime,
+    pub(crate) trace_peers: usize,
+    pub(crate) total_nodes: usize,
+}
+
+rvs_checkpoint::persist_struct!(Identity {
+    seed,
+    now,
+    trace_peers,
+    total_nodes
+});
 
 impl fmt::Display for CheckpointInfo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -81,21 +100,8 @@ impl Checkpoint {
     /// reports [`DecodeError::WrongVersion`] for blobs this build cannot
     /// restore.
     pub fn info(&self) -> Result<CheckpointInfo, DecodeError> {
-        let version = peek_version(&self.bytes)?;
-        let mut dec = rvs_checkpoint::Decoder::new(&self.bytes);
-        rvs_checkpoint::read_header(&mut dec)?;
-        let seed = dec.u64()?;
-        let now = rvs_checkpoint::Persist::restore(&mut dec)?;
-        let trace_peers = dec.usize()?;
-        let total_nodes = dec.usize()?;
-        Ok(CheckpointInfo {
-            version,
-            seed,
-            now,
-            trace_peers,
-            total_nodes,
-            bytes: self.bytes.len(),
-        })
+        rvs_checkpoint::read_header(&mut Decoder::new(&self.bytes))?;
+        self.peek_info()
     }
 
     /// Like [`Checkpoint::info`], but tolerant of future format versions:
@@ -104,22 +110,41 @@ impl Checkpoint {
     /// parse.
     pub fn peek_info(&self) -> Result<CheckpointInfo, DecodeError> {
         let version = peek_version(&self.bytes)?;
-        let mut dec = rvs_checkpoint::Decoder::new(&self.bytes);
+        let mut dec = Decoder::new(&self.bytes);
         // Skip magic + version (already validated by peek_version).
         dec.take(rvs_checkpoint::MAGIC.len())?;
         dec.u32()?;
-        let seed = dec.u64()?;
-        let now = rvs_checkpoint::Persist::restore(&mut dec)?;
-        let trace_peers = dec.usize()?;
-        let total_nodes = dec.usize()?;
+        let id = Identity::restore(&mut dec)?;
         Ok(CheckpointInfo {
             version,
-            seed,
-            now,
-            trace_peers,
-            total_nodes,
+            seed: id.seed,
+            now: id.now,
+            trace_peers: id.trace_peers,
+            total_nodes: id.total_nodes,
             bytes: self.bytes.len(),
         })
+    }
+
+    /// The tagged sections as `(name, byte range)`, tag included, in file
+    /// order; the header and identity prefix precede the first. Tags are
+    /// not self-delimiting, so the index is recovered by restoring and
+    /// re-encoding: only a blob this build reproduces byte-for-byte has
+    /// one.
+    pub fn sections(&self) -> Result<Vec<(String, Range<usize>)>, DecodeError> {
+        let enc = crate::System::restore(self)?.encode();
+        let starts = enc.sections();
+        let ends = starts.iter().skip(1).map(|&(_, start)| start);
+        let index = starts
+            .iter()
+            .zip(ends.chain([enc.len()]))
+            .map(|((name, start), end)| (name.clone(), *start..end))
+            .collect();
+        if enc.into_bytes() != self.bytes {
+            return Err(DecodeError::Corrupt(
+                "not in this build's canonical encoding".into(),
+            ));
+        }
+        Ok(index)
     }
 
     /// Write the blob to `path` (atomically: temp file + rename, so a
@@ -137,6 +162,63 @@ impl Checkpoint {
         Checkpoint::from_bytes(bytes)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
+}
+
+/// Where two checkpoints part ways, for humans: the identity-prefix
+/// fields that differ, then the first tagged section whose bytes differ,
+/// with its offset and length on either side. `None` when the blobs are
+/// equal. `rvs ckpt diff` prints this, and the byte-identity tests put it
+/// in their failure messages, so a refactor that moves a byte says *which
+/// section* moved. A blob this build cannot restore has no section index;
+/// the report then falls back to the first differing byte, placed in the
+/// other blob's sections when that one restores.
+pub fn first_divergence(a: &Checkpoint, b: &Checkpoint) -> Option<String> {
+    if a.bytes == b.bytes {
+        return None;
+    }
+    let mut out = String::new();
+    if let (Ok(ia), Ok(ib)) = (a.peek_info(), b.peek_info()) {
+        for (la, lb) in ia.to_string().lines().zip(ib.to_string().lines()) {
+            if la != lb {
+                let value_b = lb.split_once(": ").map_or(lb, |(_, v)| v);
+                out.push_str(&format!("{la}  vs  {value_b}\n"));
+            }
+        }
+    }
+    match (a.sections(), b.sections()) {
+        (Ok(ia), Ok(ib)) => {
+            let differing = ia
+                .iter()
+                .zip(&ib)
+                .find(|((_, ra), (_, rb))| a.bytes[ra.clone()] != b.bytes[rb.clone()]);
+            match differing {
+                Some(((name, ra), (_, rb))) => out.push_str(&format!(
+                    "first differing section: `{name}` (A: offset {}, {} bytes; B: offset {}, {} bytes)",
+                    ra.start,
+                    ra.len(),
+                    rb.start,
+                    rb.len()
+                )),
+                None => out.push_str("every tagged section is equal"),
+            }
+        }
+        (ia, ib) => {
+            let common = a.bytes.iter().zip(&b.bytes).take_while(|(x, y)| x == y);
+            let at = common.count();
+            out.push_str(&format!("first differing byte: offset {at}"));
+            for (label, index) in [("A", ia), ("B", ib)] {
+                match index {
+                    Ok(index) => {
+                        if let Some((name, _)) = index.iter().find(|(_, r)| r.contains(&at)) {
+                            out.push_str(&format!("\n{label}: inside section `{name}`"));
+                        }
+                    }
+                    Err(e) => out.push_str(&format!("\n{label}: no section index ({e})")),
+                }
+            }
+        }
+    }
+    Some(out)
 }
 
 /// Seeds of the committed golden checkpoint corpus under `tests/golden/`.
@@ -190,6 +272,95 @@ pub fn golden_checkpoint(seed: u64) -> Checkpoint {
     golden_system(seed).checkpoint()
 }
 
+/// File name of the committed coverage golden under `tests/golden/`.
+pub const GOLDEN_COVERAGE: &str = "coverage-seed1.ckpt";
+
+/// Simulated instant the coverage golden is cut at: inside the partition
+/// (4 h–8 h), after the first crash-restart (6 h), and one tick past a
+/// gossip round, so that round's delayed deliveries are still in flight.
+pub const GOLDEN_COVERAGE_CUT: SimTime = SimTime::from_secs(7 * 3600 + 30 * 60 + 10);
+
+/// The state the two fig6 goldens never hold, in one run: the fig8 cast
+/// (pre-seeded core of 6 + churning crowd of 8 on an 18-peer trace) over
+/// the Newscast PSS with adaptive thresholds, under the chaos schedule, an
+/// armed guard, flooders and a malformer, advanced to
+/// [`GOLDEN_COVERAGE_CUT`]. With `persist_struct!` a field's wire width
+/// follows its declared type; this blob is what pins those widths for
+/// crowd, view, threshold, partition, burst, backoff and quarantine state.
+pub fn golden_coverage_system() -> crate::System {
+    let trace =
+        rvs_trace::TraceGenConfig::quick(18, rvs_sim::SimDuration::from_hours(18)).generate(1);
+    let setup = crate::experiments::spam::fig8_setup(&trace, 6, 8);
+    let cfg = crate::ProtocolConfig {
+        experience_t_mib: 1.0,
+        adaptive_t: Some(rvs_bartercast::AdaptiveThreshold {
+            t_mib: 1.0,
+            t_min_mib: 0.25,
+            ..rvs_bartercast::AdaptiveThreshold::default()
+        }),
+        use_newscast_pss: true,
+        ..crate::ProtocolConfig::default()
+    };
+    let mut system = crate::System::with_faults(trace, cfg, setup, 1, chaos_schedule());
+    arm_byzantine(&mut system);
+    system.run_until(
+        GOLDEN_COVERAGE_CUT,
+        rvs_sim::SimDuration::from_hours(1),
+        |_, _| {},
+    );
+    system
+}
+
+/// The chaos schedule the byzantine goldens run under: latency + jitter,
+/// burst loss, duplication, one partition (4 h–8 h), two crash-restarts
+/// (6 h, 12 h), retry.
+fn chaos_schedule() -> rvs_faults::FaultSchedule {
+    use rvs_faults::{BurstLoss, CrashSpec, FaultConfig, PartitionSpec, RetryConfig};
+    use rvs_sim::NodeId;
+    rvs_faults::FaultSchedule {
+        config: FaultConfig {
+            base_latency_ms: 5_000,
+            jitter_spread: 1.0,
+            loss: 0.0,
+            duplicate: 0.05,
+            burst: Some(BurstLoss::with_overall_loss(0.3, 8.0)),
+            retry: Some(RetryConfig::default()),
+        },
+        partitions: vec![PartitionSpec {
+            name: "split".into(),
+            members: (0..6).map(NodeId::from_index).collect(),
+            start: SimTime::from_hours(4),
+            heal: SimTime::from_hours(8),
+        }],
+        crashes: vec![
+            CrashSpec {
+                node: NodeId::from_index(3),
+                at: SimTime::from_hours(6),
+            },
+            CrashSpec {
+                node: NodeId::from_index(9),
+                at: SimTime::from_hours(12),
+            },
+        ],
+    }
+}
+
+/// Arm the byzantine goldens' adversaries: the active guard preset with a
+/// small inbox, the four highest-index trace peers flooding, and a
+/// malformer mutating 10 % of guarded messages.
+fn arm_byzantine(system: &mut crate::System) {
+    let peers = system.trace_peer_count();
+    system.set_guard_config(rvs_guard::GuardConfig {
+        inbox_cap: 8,
+        ..rvs_guard::GuardConfig::active()
+    });
+    system.set_flooder(rvs_attacks::Flooder::new(
+        (peers - 4..peers).map(rvs_sim::NodeId::from_index),
+        10,
+    ));
+    system.set_malformer(rvs_attacks::Malformer::new(100));
+}
+
 /// Names of the committed result goldens under `tests/golden/results/`
 /// (`<name>.json`): one fixed-seed run per send path — plain fig6, loss
 /// with backoff resends, and the chaos schedule under flooders, a
@@ -208,9 +379,7 @@ pub const GOLDEN_RESULTS: [&str; 3] = ["fig6-seed1", "churn-retry-seed1", "byzan
 /// # Panics
 /// On a name outside [`GOLDEN_RESULTS`].
 pub fn golden_result(name: &str, threads: usize) -> String {
-    use rvs_faults::{
-        BurstLoss, CrashSpec, FaultConfig, FaultSchedule, PartitionSpec, RetryConfig,
-    };
+    use rvs_faults::{FaultConfig, FaultSchedule, RetryConfig};
     use rvs_sim::{NodeId, SimDuration};
     use serde::{Serialize as _, Value};
 
@@ -231,52 +400,12 @@ pub fn golden_result(name: &str, threads: usize) -> String {
                 crashes: vec![],
             },
         ),
-        // Latency + jitter, burst loss, duplication, one partition, two
-        // crash-restarts, retry — under flooders and a malformer.
-        "byzantine-chaos-seed1" => (
-            18,
-            18,
-            true,
-            FaultSchedule {
-                config: FaultConfig {
-                    base_latency_ms: 5_000,
-                    jitter_spread: 1.0,
-                    loss: 0.0,
-                    duplicate: 0.05,
-                    burst: Some(BurstLoss::with_overall_loss(0.3, 8.0)),
-                    retry: Some(RetryConfig::default()),
-                },
-                partitions: vec![PartitionSpec {
-                    name: "split".into(),
-                    members: (0..6).map(NodeId::from_index).collect(),
-                    start: SimTime::from_hours(4),
-                    heal: SimTime::from_hours(8),
-                }],
-                crashes: vec![
-                    CrashSpec {
-                        node: NodeId::from_index(3),
-                        at: SimTime::from_hours(6),
-                    },
-                    CrashSpec {
-                        node: NodeId::from_index(9),
-                        at: SimTime::from_hours(12),
-                    },
-                ],
-            },
-        ),
+        "byzantine-chaos-seed1" => (18, 18, true, chaos_schedule()),
         other => panic!("unknown result golden `{other}`"),
     };
     let mut system = golden_cast(peers, hours, 1, schedule);
     if attack {
-        system.set_guard_config(rvs_guard::GuardConfig {
-            inbox_cap: 8,
-            ..rvs_guard::GuardConfig::active()
-        });
-        system.set_flooder(rvs_attacks::Flooder::new(
-            (peers - 4..peers).map(NodeId::from_index),
-            10,
-        ));
-        system.set_malformer(rvs_attacks::Malformer::new(100));
+        arm_byzantine(&mut system);
     }
     system.set_threads(threads);
     system.run_until(

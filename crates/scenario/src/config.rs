@@ -62,39 +62,18 @@ impl Default for ProtocolConfig {
     }
 }
 
-/// Stable binary encoding: every tuning field in declaration order —
-/// substrate configs first, then the gossip period, experience threshold,
-/// optional adaptive threshold, the two feature flags, and the legacy
-/// message-loss knob.
-impl rvs_checkpoint::Persist for ProtocolConfig {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.net.persist(enc);
-        self.bartercast.persist(enc);
-        self.modcast.persist(enc);
-        self.votes.persist(enc);
-        self.gossip_every.persist(enc);
-        enc.f64(self.experience_t_mib);
-        self.adaptive_t.persist(enc);
-        enc.bool(self.vox_enabled);
-        enc.bool(self.use_newscast_pss);
-        enc.f64(self.message_loss);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(ProtocolConfig {
-            net: NetConfig::restore(dec)?,
-            bartercast: BarterCastConfig::restore(dec)?,
-            modcast: ModerationCastConfig::restore(dec)?,
-            votes: rvs_core::VoteSamplingConfig::restore(dec)?,
-            gossip_every: SimDuration::restore(dec)?,
-            experience_t_mib: dec.f64()?,
-            adaptive_t: Option::restore(dec)?,
-            vox_enabled: dec.bool()?,
-            use_newscast_pss: dec.bool()?,
-            message_loss: dec.f64()?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(ProtocolConfig {
+    net,
+    bartercast,
+    modcast,
+    votes,
+    gossip_every,
+    experience_t_mib,
+    adaptive_t,
+    vox_enabled,
+    use_newscast_pss,
+    message_loss
+});
 
 /// A moderator that publishes one moderation when it first appears.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,24 +88,12 @@ pub struct ModeratorSpec {
     pub publish_at: SimTime,
 }
 
-/// Stable binary encoding: moderator, swarm, quality, publication time.
-impl rvs_checkpoint::Persist for ModeratorSpec {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.moderator.persist(enc);
-        self.swarm.persist(enc);
-        self.quality.persist(enc);
-        self.publish_at.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(ModeratorSpec {
-            moderator: ModeratorId::restore(dec)?,
-            swarm: SwarmId::restore(dec)?,
-            quality: ContentQuality::restore(dec)?,
-            publish_at: SimTime::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(ModeratorSpec {
+    moderator,
+    swarm,
+    quality,
+    publish_at
+});
 
 /// A voter assignment: `voter` casts `vote` on `moderator` as soon as it
 /// has received one of the moderator's items ("voting nodes do not vote
@@ -141,22 +108,11 @@ pub struct VoterSpec {
     pub vote: LocalVote,
 }
 
-/// Stable binary encoding: voter, moderator, vote.
-impl rvs_checkpoint::Persist for VoterSpec {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.voter.persist(enc);
-        self.moderator.persist(enc);
-        self.vote.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(VoterSpec {
-            voter: NodeId::restore(dec)?,
-            moderator: ModeratorId::restore(dec)?,
-            vote: LocalVote::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(VoterSpec {
+    voter,
+    moderator,
+    vote
+});
 
 /// A pre-seeded experienced core (Figure 8 setup: "we fixed 30 nodes to be
 /// part of the experienced core. At the start of the run the entire core
@@ -169,20 +125,10 @@ pub struct PreseededCore {
     pub top_moderator: ModeratorId,
 }
 
-/// Stable binary encoding: member list, then the converged top moderator.
-impl rvs_checkpoint::Persist for PreseededCore {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.members.persist(enc);
-        self.top_moderator.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(PreseededCore {
-            members: Vec::restore(dec)?,
-            top_moderator: ModeratorId::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(PreseededCore {
+    members,
+    top_moderator
+});
 
 /// A flash crowd of colluding fresh identities promoting a spam moderator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -260,25 +206,12 @@ pub struct ScenarioSetup {
     pub crowd: Option<CrowdSpec>,
 }
 
-/// Stable binary encoding: moderators, voters, optional core, optional
-/// crowd.
-impl rvs_checkpoint::Persist for ScenarioSetup {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.moderators.persist(enc);
-        self.voters.persist(enc);
-        self.core.persist(enc);
-        self.crowd.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(ScenarioSetup {
-            moderators: Vec::restore(dec)?,
-            voters: Vec::restore(dec)?,
-            core: Option::restore(dec)?,
-            crowd: Option::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(ScenarioSetup {
+    moderators,
+    voters,
+    core,
+    crowd
+});
 
 impl Default for PreseededCore {
     fn default() -> Self {

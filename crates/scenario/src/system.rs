@@ -2,7 +2,7 @@
 //! trace.
 
 use crate::audit::Auditor;
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, Identity};
 use crate::config::{ProtocolConfig, ScenarioSetup};
 use encounter::votes_from;
 use rvs_attacks::{FlashCrowd, Flooder, Malformer};
@@ -149,6 +149,12 @@ impl Pss {
     fn gossip_round(&mut self, now: SimTime, rng: &mut DetRng) {
         if let Pss::Newscast(n) = self {
             n.gossip_round(now, rng);
+        }
+    }
+    fn len(&self) -> usize {
+        match self {
+            Pss::Oracle(o) => o.len(),
+            Pss::Newscast(n) => n.len(),
         }
     }
 }
@@ -438,14 +444,23 @@ impl System {
     /// `tests/checkpoint_differential.rs`); layout and versioning policy
     /// are documented in DESIGN.md §12.
     pub fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            bytes: self.encode().into_bytes(),
+        }
+    }
+
+    /// [`System::checkpoint`]'s encoder before it is reduced to bytes: it
+    /// still knows where each tagged section starts.
+    pub(crate) fn encode(&self) -> rvs_checkpoint::Encoder {
         let mut enc = rvs_checkpoint::Encoder::new();
         rvs_checkpoint::write_header(&mut enc);
-        // Identity prefix, frozen across format versions so that
-        // `rvs ckpt inspect` can summarize any checkpoint file.
-        enc.u64(self.seed);
-        self.now.persist(&mut enc);
-        enc.usize(self.n_trace);
-        enc.usize(self.n_total);
+        Identity {
+            seed: self.seed,
+            now: self.now,
+            trace_peers: self.n_trace,
+            total_nodes: self.n_total,
+        }
+        .persist(&mut enc);
 
         enc.tag("cfg");
         self.cfg.persist(&mut enc);
@@ -507,10 +522,7 @@ impl System {
         self.malformer.persist(&mut enc);
         self.rng_malform.persist(&mut enc);
         self.inbox_load.persist(&mut enc);
-
-        Checkpoint {
-            bytes: enc.into_bytes(),
-        }
+        enc
     }
 
     /// Rebuild a [`System`] from a [`Checkpoint`], re-deriving every
@@ -532,10 +544,12 @@ impl System {
         let corrupt = |msg: String| rvs_checkpoint::DecodeError::Corrupt(msg);
         let mut dec = rvs_checkpoint::Decoder::new(ckpt.as_bytes());
         rvs_checkpoint::read_header(&mut dec)?;
-        let seed = dec.u64()?;
-        let now = SimTime::restore(&mut dec)?;
-        let n_trace = dec.usize()?;
-        let n_total = dec.usize()?;
+        let Identity {
+            seed,
+            now,
+            trace_peers: n_trace,
+            total_nodes: n_total,
+        } = Identity::restore(&mut dec)?;
 
         dec.tag("cfg")?;
         let cfg = ProtocolConfig::restore(&mut dec)?;
@@ -619,7 +633,17 @@ impl System {
                 crowd_online.len()
             )));
         }
+        if adaptive.is_some() != cfg.adaptive_t.is_some() {
+            return Err(corrupt(
+                "adaptive-threshold state does not match the configured `adaptive_t`".into(),
+            ));
+        }
         for (name, len) in [
+            ("PSS population", pss.len()),
+            (
+                "adaptive thresholds",
+                adaptive.as_ref().map_or(n_total, Vec::len),
+            ),
             ("send RNG lanes", send_rng.len()),
             ("dedup windows", seen_msgs.len()),
             ("backoff states", vox_backoff.len()),
@@ -629,6 +653,17 @@ impl System {
         ] {
             if len != n_total {
                 return Err(corrupt(format!("{name} {len} != total nodes {n_total}")));
+            }
+        }
+        for (name, ok) in [
+            ("bartercast", bc.has_population(n_total)),
+            ("modcast", mc.has_population(n_total)),
+            ("votes", vs.has_population(n_total)),
+        ] {
+            if !ok {
+                return Err(corrupt(format!(
+                    "{name} tables are not sized for {n_total} nodes"
+                )));
             }
         }
         if published.len() != setup.moderators.len() || vote_cast.len() != setup.voters.len() {
@@ -646,11 +681,12 @@ impl System {
                 trace.events.len()
             )));
         }
-        if bt_online0.len() != net.online_flags().len() {
+        if !net.fits(&trace) || bt_online0.len() != n_trace {
             return Err(corrupt(format!(
-                "BitTorrent online snapshot {} != substrate population {}",
+                "BitTorrent substrate or its online snapshot ({}) is not sized for the trace \
+                 ({n_trace} peers, {} swarms)",
                 bt_online0.len(),
-                net.online_flags().len()
+                trace.swarms.len()
             )));
         }
 

@@ -45,18 +45,7 @@ macro_rules! id_newtype {
             }
         }
 
-        /// Stable binary encoding: the raw `u32` index.
-        impl rvs_checkpoint::Persist for $name {
-            fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-                enc.u32(self.0);
-            }
-
-            fn restore(
-                dec: &mut rvs_checkpoint::Decoder<'_>,
-            ) -> Result<Self, rvs_checkpoint::DecodeError> {
-                Ok(Self(dec.u32()?))
-            }
-        }
+        rvs_checkpoint::persist_struct!($name { 0 });
     };
 }
 

@@ -184,20 +184,9 @@ impl DetRng {
     }
 }
 
-/// Stable binary encoding: the four xoshiro256\*\* state words in order.
-/// Restoring resumes the stream at exactly the next draw.
-impl rvs_checkpoint::Persist for DetRng {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        for w in &self.s {
-            enc.u64(*w);
-        }
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        let s = [dec.u64()?, dec.u64()?, dec.u64()?, dec.u64()?];
-        Ok(DetRng { s })
-    }
-}
+// The four xoshiro256** state words: restoring resumes the stream at
+// exactly the next draw.
+rvs_checkpoint::persist_struct!(DetRng { s });
 
 impl RngCore for DetRng {
     #[inline]

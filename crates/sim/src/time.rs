@@ -154,27 +154,9 @@ impl SimDuration {
     }
 }
 
-/// Stable binary encoding: the raw millisecond count.
-impl rvs_checkpoint::Persist for SimTime {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.u64(self.0);
-    }
+rvs_checkpoint::persist_struct!(SimTime { 0 });
 
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(SimTime(dec.u64()?))
-    }
-}
-
-/// Stable binary encoding: the raw millisecond count.
-impl rvs_checkpoint::Persist for SimDuration {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.u64(self.0);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(SimDuration(dec.u64()?))
-    }
-}
+rvs_checkpoint::persist_struct!(SimDuration { 0 });
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;

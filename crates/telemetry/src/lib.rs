@@ -15,11 +15,10 @@
 //! experiment harness relies on (aggregate of per-run snapshots is
 //! independent of thread scheduling), verified by proptests in this crate.
 
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
-
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // Global enable flag (gates timers only; counters are always on)
@@ -65,20 +64,9 @@ macro_rules! counter_block {
             }
         }
 
-        /// Stable binary encoding: every counter as a `u64`, in declaration
-        /// order. Adding, removing, or reordering fields is a checkpoint
-        /// format change and must bump `rvs_checkpoint::FORMAT_VERSION`.
-        impl rvs_checkpoint::Persist for $name {
-            fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-                $( enc.u64(self.$field); )+
-            }
-
-            fn restore(
-                dec: &mut rvs_checkpoint::Decoder<'_>,
-            ) -> Result<Self, rvs_checkpoint::DecodeError> {
-                Ok(Self { $( $field: dec.u64()?, )+ })
-            }
-        }
+        // Every counter, in declaration order: adding, removing or
+        // reordering fields is a checkpoint format change.
+        rvs_checkpoint::persist_struct!($name { $($field),+ });
     };
 }
 

@@ -16,10 +16,9 @@
 
 use crate::model::{PeerProfile, SwarmSpec, Trace, TraceEvent, TraceEventKind};
 use rvs_sim::{DetRng, NodeId, SimDuration, SimTime, SwarmId};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the synthetic trace generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceGenConfig {
     /// Number of unique peers (paper: 100).
     pub n_peers: usize,

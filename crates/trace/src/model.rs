@@ -107,68 +107,25 @@ impl rvs_checkpoint::Persist for TraceEventKind {
     }
 }
 
-/// Stable binary encoding: time, peer, kind.
-impl rvs_checkpoint::Persist for TraceEvent {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.time.persist(enc);
-        self.peer.persist(enc);
-        self.kind.persist(enc);
-    }
+rvs_checkpoint::persist_struct!(TraceEvent { time, peer, kind });
 
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(TraceEvent {
-            time: SimTime::restore(dec)?,
-            peer: NodeId::restore(dec)?,
-            kind: TraceEventKind::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(PeerProfile {
+    id,
+    arrival,
+    connectable,
+    free_rider,
+    seed_duration,
+    uplink_kibps,
+    downlink_kibps
+});
 
-/// Stable binary encoding: fields in declaration order.
-impl rvs_checkpoint::Persist for PeerProfile {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.id.persist(enc);
-        self.arrival.persist(enc);
-        enc.bool(self.connectable);
-        enc.bool(self.free_rider);
-        self.seed_duration.persist(enc);
-        enc.u32(self.uplink_kibps);
-        enc.u32(self.downlink_kibps);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(PeerProfile {
-            id: NodeId::restore(dec)?,
-            arrival: SimTime::restore(dec)?,
-            connectable: dec.bool()?,
-            free_rider: dec.bool()?,
-            seed_duration: SimDuration::restore(dec)?,
-            uplink_kibps: dec.u32()?,
-            downlink_kibps: dec.u32()?,
-        })
-    }
-}
-
-/// Stable binary encoding: fields in declaration order.
-impl rvs_checkpoint::Persist for SwarmSpec {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.id.persist(enc);
-        self.created.persist(enc);
-        enc.u32(self.file_size_mib);
-        enc.u32(self.piece_size_kib);
-        self.initial_seeder.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(SwarmSpec {
-            id: SwarmId::restore(dec)?,
-            created: SimTime::restore(dec)?,
-            file_size_mib: dec.u32()?,
-            piece_size_kib: dec.u32()?,
-            initial_seeder: NodeId::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(SwarmSpec {
+    id,
+    created,
+    file_size_mib,
+    piece_size_kib,
+    initial_seeder
+});
 
 /// Validation failures for a [`Trace`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -340,26 +297,13 @@ impl Trace {
     }
 }
 
-/// Stable binary encoding: seed, duration, peers, swarms, events.
-impl rvs_checkpoint::Persist for Trace {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        enc.u64(self.seed);
-        self.duration.persist(enc);
-        self.peers.persist(enc);
-        self.swarms.persist(enc);
-        self.events.persist(enc);
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        Ok(Trace {
-            seed: dec.u64()?,
-            duration: SimDuration::restore(dec)?,
-            peers: Vec::restore(dec)?,
-            swarms: Vec::restore(dec)?,
-            events: Vec::restore(dec)?,
-        })
-    }
-}
+rvs_checkpoint::persist_struct!(Trace {
+    seed,
+    duration,
+    peers,
+    swarms,
+    events
+});
 
 #[cfg(test)]
 mod tests {

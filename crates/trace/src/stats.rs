@@ -2,12 +2,11 @@
 //! §VI (our experiment index calls it "Table 1").
 
 use crate::model::{Trace, TraceEventKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Summary statistics of a [`Trace`], matching the quantities reported for
 /// the filelist.org dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     /// Number of unique peers observed (paper: 100).
     pub unique_peers: usize,

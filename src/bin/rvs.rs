@@ -18,7 +18,8 @@ use robust_vote_sampling::faults::FaultSchedule;
 use robust_vote_sampling::guard::GuardConfig;
 use robust_vote_sampling::metrics::TimeSeries;
 use robust_vote_sampling::scenario::checkpoint::{
-    golden_checkpoint, golden_file_name, golden_result, GOLDEN_RESULTS, GOLDEN_SEEDS,
+    first_divergence, golden_checkpoint, golden_coverage_system, golden_file_name, golden_result,
+    GOLDEN_COVERAGE, GOLDEN_RESULTS, GOLDEN_SEEDS,
 };
 use robust_vote_sampling::scenario::experiments::experience::dataset_statistics;
 use robust_vote_sampling::scenario::experiments::spam::fig8_setup;
@@ -94,6 +95,10 @@ USAGE:
         --guard overrides it; rejection counters land in --telemetry
     rvs ckpt inspect FILE
         print a checkpoint's header summary (any format version)
+    rvs ckpt diff A B
+        compare two checkpoints this build can restore: prints the header
+        fields that differ and the first section whose bytes differ;
+        exits 0 and prints `identical` when the files are equal, 1 otherwise
     rvs ckpt regen [--dir D]
         regenerate the golden corpus: checkpoints in D (default
         tests/golden), result goldens in D/results
@@ -344,13 +349,7 @@ fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
     // --resume restores everything (seed, trace, cast, fault plane) from
     // the checkpoint; the fresh-run flags configure a new system.
     let (mut system, m) = if let Some(path) = flags.get("resume") {
-        let ckpt = match Checkpoint::load(Path::new(path)) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("failed to load checkpoint {path}: {e}");
-                return Err(ExitCode::FAILURE);
-            }
-        };
+        let ckpt = load_ckpt(path)?;
         let system = match System::restore(&ckpt) {
             Ok(s) => s,
             Err(e) => {
@@ -454,21 +453,21 @@ fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
     dump_telemetry(&system, &flags)
 }
 
-/// `rvs ckpt inspect FILE` / `rvs ckpt regen [--dir D]`.
+fn load_ckpt(path: &str) -> Result<Checkpoint, ExitCode> {
+    Checkpoint::load(Path::new(path)).map_err(|e| {
+        eprintln!("failed to load checkpoint {path}: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// `rvs ckpt inspect FILE` / `rvs ckpt diff A B` / `rvs ckpt regen [--dir D]`.
 fn cmd_ckpt(rest: &[String]) -> Result<(), ExitCode> {
     match rest.first().map(String::as_str) {
         Some("inspect") => {
             let [_, path] = rest else {
                 return Err(usage_error("usage: rvs ckpt inspect FILE"));
             };
-            let ckpt = match Checkpoint::load(Path::new(path)) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("failed to load checkpoint {path}: {e}");
-                    return Err(ExitCode::FAILURE);
-                }
-            };
-            match ckpt.peek_info() {
+            match load_ckpt(path)?.peek_info() {
                 Ok(info) => {
                     println!("{info}");
                     if info.version != FORMAT_VERSION {
@@ -485,6 +484,24 @@ fn cmd_ckpt(rest: &[String]) -> Result<(), ExitCode> {
                 }
             }
         }
+        Some("diff") => {
+            if let Some(flag) = rest.iter().find(|arg| arg.starts_with("--")) {
+                return Err(usage_error(&format!("unknown flag `{flag}`")));
+            }
+            let [_, a, b] = rest else {
+                return Err(usage_error("usage: rvs ckpt diff A B"));
+            };
+            match first_divergence(&load_ckpt(a)?, &load_ckpt(b)?) {
+                None => {
+                    println!("identical");
+                    Ok(())
+                }
+                Some(report) => {
+                    println!("{report}");
+                    Err(ExitCode::FAILURE)
+                }
+            }
+        }
         Some("regen") => {
             let dir = parse_flags(&rest[1..], &["dir"])?
                 .remove("dir")
@@ -493,9 +510,14 @@ fn cmd_ckpt(rest: &[String]) -> Result<(), ExitCode> {
                 eprintln!("cannot create {dir}: {e}");
                 return Err(ExitCode::FAILURE);
             }
-            for seed in GOLDEN_SEEDS {
-                let path = Path::new(&dir).join(golden_file_name(seed));
-                if let Err(e) = golden_checkpoint(seed).save(&path) {
+            let fig6 = GOLDEN_SEEDS.map(|seed| (golden_file_name(seed), golden_checkpoint(seed)));
+            let coverage = (
+                GOLDEN_COVERAGE.to_string(),
+                golden_coverage_system().checkpoint(),
+            );
+            for (name, ckpt) in fig6.into_iter().chain([coverage]) {
+                let path = Path::new(&dir).join(name);
+                if let Err(e) = ckpt.save(&path) {
                     eprintln!("failed to write {}: {e}", path.display());
                     return Err(ExitCode::FAILURE);
                 }
@@ -517,7 +539,7 @@ fn cmd_ckpt(rest: &[String]) -> Result<(), ExitCode> {
             Ok(())
         }
         _ => Err(usage_error(
-            "usage: rvs ckpt inspect FILE | rvs ckpt regen [--dir D]",
+            "usage: rvs ckpt inspect FILE | rvs ckpt diff A B | rvs ckpt regen [--dir D]",
         )),
     }
 }

@@ -9,7 +9,10 @@
 //! * flipping any bit of a real checkpoint never panics: either a typed
 //!   error surfaces, or the blob still describes a consistent system whose
 //!   re-encoding is a canonical fixed point;
-//! * version skew is a typed `WrongVersion` before any payload is trusted.
+//! * version skew is a typed `WrongVersion` before any payload is trusted;
+//! * crafted blobs whose sections each decode but describe different
+//!   populations — a shortened per-node vector, a layer spliced in from a
+//!   smaller run — are `Corrupt`, not a system that panics a round later.
 
 use proptest::prelude::*;
 use robust_vote_sampling::faults::FaultSchedule;
@@ -21,11 +24,15 @@ use rvs_trace::TraceGenConfig;
 use std::sync::OnceLock;
 
 fn build(peers: usize, hours: u64, seed: u64) -> System {
+    build_with(peers, hours, seed, ProtocolConfig::default())
+}
+
+fn build_with(peers: usize, hours: u64, seed: u64, protocol: ProtocolConfig) -> System {
     let trace = TraceGenConfig::quick(peers, SimDuration::from_hours(hours)).generate(seed);
     let (setup, _m) = fig6_setup(&trace, 0.25, 0.25, seed);
     let protocol = ProtocolConfig {
         experience_t_mib: 1.0,
-        ..ProtocolConfig::default()
+        ..protocol
     };
     System::with_faults(trace, protocol, setup, seed, FaultSchedule::default())
 }
@@ -124,6 +131,96 @@ proptest! {
                     supported: rvs_checkpoint::FORMAT_VERSION
                 }
             ),
+        }
+    }
+}
+
+/// A 6-hour run of `peers` peers under `protocol`, checkpointed at 3 h.
+fn mid_run(peers: usize, protocol: ProtocolConfig) -> Checkpoint {
+    let mut system = build_with(peers, 6, 7, protocol);
+    system.run_until(
+        SimTime::from_hours(3),
+        SimDuration::from_hours(1),
+        |_, _| {},
+    );
+    system.checkpoint()
+}
+
+/// `host` with its section `name` replaced by `donor`'s.
+fn splice(host: &Checkpoint, donor: &Checkpoint, name: &str) -> Vec<u8> {
+    let range = |ckpt: &Checkpoint| {
+        let sections = ckpt.sections().expect("self-produced checkpoint indexes");
+        let (_, range) = sections.into_iter().find(|(n, _)| n == name).expect(name);
+        range
+    };
+    let (at, from) = (range(host), range(donor));
+    let mut bytes = host.as_bytes()[..at.start].to_vec();
+    bytes.extend_from_slice(&donor.as_bytes()[from]);
+    bytes.extend_from_slice(&host.as_bytes()[at.end..]);
+    bytes
+}
+
+/// The blob must be refused as `Corrupt` with a message naming `what`.
+fn assert_corrupt(bytes: &[u8], what: &str) {
+    match try_restore(bytes) {
+        Err(DecodeError::Corrupt(msg)) => assert!(msg.contains(what), "{what}: got `{msg}`"),
+        Err(other) => panic!("{what}: expected Corrupt, got {other}"),
+        Ok(_) => panic!("{what}: crafted blob restored"),
+    }
+}
+
+fn adaptive() -> ProtocolConfig {
+    ProtocolConfig {
+        adaptive_t: Some(Default::default()),
+        ..ProtocolConfig::default()
+    }
+}
+
+#[test]
+fn short_adaptive_vector_is_corrupt_not_a_later_panic() {
+    // `scenario` section of a fig6 cast (no crowd, no core): tag, one
+    // bool, two empty length-prefixed collections, then the
+    // `Option<Vec<AdaptiveThreshold>>` — presence byte, length, and one
+    // 48-byte entry per node. Claim one entry and drop the other nine.
+    let ckpt = mid_run(10, adaptive());
+    let sections = ckpt.sections().expect("indexes");
+    let (_, scenario) = sections.iter().find(|(n, _)| n == "scenario").unwrap();
+    let len_at = scenario.start + (1 + "scenario".len()) + 1 + 8 + 8 + 1;
+    let mut bytes = ckpt.as_bytes().to_vec();
+    assert_eq!(bytes[len_at - 1], 1, "presence byte");
+    assert_eq!(bytes[len_at..len_at + 8], 10u64.to_le_bytes());
+    bytes[len_at..len_at + 8].copy_from_slice(&1u64.to_le_bytes());
+    bytes.drain(len_at + 8 + 48..len_at + 8 + 10 * 48);
+    assert_corrupt(&bytes, "adaptive thresholds 1 != total nodes 10");
+}
+
+#[test]
+fn adaptive_state_must_match_the_configuration() {
+    let (with, without) = (
+        mid_run(10, adaptive()),
+        mid_run(10, ProtocolConfig::default()),
+    );
+    assert_corrupt(&splice(&with, &without, "cfg"), "adaptive_t");
+    assert_corrupt(&splice(&without, &with, "cfg"), "adaptive_t");
+}
+
+#[test]
+fn a_layer_from_a_smaller_run_is_corrupt_not_a_later_panic() {
+    for newscast in [false, true] {
+        let protocol = ProtocolConfig {
+            use_newscast_pss: newscast,
+            ..ProtocolConfig::default()
+        };
+        let (host, donor) = (mid_run(10, protocol), mid_run(8, protocol));
+        for (section, what) in [
+            ("net", "BitTorrent substrate"),
+            ("pss", "PSS population 8 != total nodes 10"),
+            ("bartercast", "bartercast tables"),
+            ("modcast", "modcast tables"),
+            ("votes", "votes tables"),
+            ("guard", "guard records 8 != total nodes 10"),
+        ] {
+            assert_corrupt(&splice(&host, &donor, section), what);
         }
     }
 }

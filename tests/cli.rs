@@ -123,3 +123,57 @@ fn a_well_formed_command_still_runs() {
     assert!(out.status.success(), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("fraction of nodes ranking"));
 }
+
+#[test]
+fn ckpt_diff_names_the_first_differing_section() {
+    use robust_vote_sampling::scenario::{Checkpoint, System};
+    use rvs_sim::{SimDuration, SimTime};
+    use std::path::Path;
+
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fig6-seed1.ckpt");
+    let later = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-diff-one-hour-later.ckpt");
+    let mut system = System::restore(&Checkpoint::load(&golden).unwrap()).unwrap();
+    system.run_until(
+        system.now() + SimDuration::from_hours(1),
+        SimDuration::from_hours(1),
+        |_, _| {},
+    );
+    assert_eq!(system.now(), SimTime::from_hours(3));
+    system.checkpoint().save(&later).unwrap();
+
+    let diff = |b: &Path| {
+        let out = Command::new(env!("CARGO_BIN_EXE_rvs"))
+            .args(["ckpt", "diff"])
+            .args([&golden, b])
+            .output()
+            .expect("rvs runs");
+        (
+            out.status.success(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+        )
+    };
+    assert_eq!(diff(&golden), (true, "identical\n".to_string()));
+    // Configuration, cast and trace are the same run's; the BitTorrent
+    // substrate is the first section an extra hour changes.
+    let (same, report) = diff(&later);
+    assert!(!same, "differing files must exit non-zero");
+    assert!(report.contains("simulated time : 002:00:00  vs  003:00:00"));
+    assert!(report.contains("first differing section: `net`"));
+
+    // A file this build cannot restore has no section index; the report
+    // falls back to the header fields and the first differing byte.
+    let legacy = golden.with_file_name("legacy/fig6-seed1.v3.ckpt");
+    let (same, report) = diff(&legacy);
+    assert!(!same);
+    assert!(report.contains("format version : 4  vs  3"), "{report}");
+    assert!(
+        report.contains("first differing byte: offset 8\nB: no section index"),
+        "{report}"
+    );
+
+    assert_rejected(
+        &["ckpt", "diff", "--json", "a", "b"],
+        "unknown flag `--json`",
+    );
+    assert_rejected(&["ckpt", "diff", "a"], "usage: rvs ckpt diff A B");
+}

@@ -8,11 +8,12 @@
 //! of those steps was skipped.
 
 use robust_vote_sampling::scenario::checkpoint::{
-    golden_checkpoint, golden_file_name, GOLDEN_HOURS, GOLDEN_SEEDS,
+    first_divergence, golden_checkpoint, golden_coverage_system, golden_file_name, GOLDEN_COVERAGE,
+    GOLDEN_COVERAGE_CUT, GOLDEN_HOURS, GOLDEN_SEEDS,
 };
 use robust_vote_sampling::scenario::{Checkpoint, System};
 use rvs_checkpoint::{DecodeError, FORMAT_VERSION};
-use rvs_sim::{SimDuration, SimTime};
+use rvs_sim::{NodeId, SimDuration, SimTime};
 use std::path::PathBuf;
 
 fn golden_path(seed: u64) -> PathBuf {
@@ -58,16 +59,83 @@ fn current_build_reproduces_golden_bytes_exactly() {
     // way, resume compatibility with old checkpoints is broken and the
     // format version must be bumped.
     for seed in GOLDEN_SEEDS {
-        let committed = std::fs::read(golden_path(seed))
+        let committed = Checkpoint::load(&golden_path(seed))
             .unwrap_or_else(|e| panic!("golden seed {seed} unreadable: {e}"));
-        let fresh = golden_checkpoint(seed).into_bytes();
-        assert_eq!(
-            fresh, committed,
-            "golden seed {seed}: current build no longer reproduces the committed checkpoint; \
+        assert_reproduced(
+            &format!("golden seed {seed}"),
+            &golden_checkpoint(seed),
+            &committed,
+        );
+    }
+}
+
+/// `fresh` (A) must equal `committed` (B); when it does not, say which
+/// section moved instead of dumping two byte vectors.
+fn assert_reproduced(what: &str, fresh: &Checkpoint, committed: &Checkpoint) {
+    if let Some(divergence) = first_divergence(fresh, committed) {
+        panic!(
+            "{what}: current build (A) no longer reproduces the committed checkpoint (B):\n\
+             {divergence}\n\
              if the format change is intentional, bump FORMAT_VERSION, update DESIGN.md §12, \
              and regenerate with `cargo run --bin rvs -- ckpt regen`"
         );
     }
+}
+
+#[test]
+fn coverage_golden_holds_the_state_the_fig6_goldens_lack() {
+    // Recorded on the commit *before* `persist_struct!` replaced the
+    // hand-written impls: with the macro a field's wire width follows its
+    // declared type, and this blob pins the widths of every type the fig6
+    // goldens never contain. First show it really contains them.
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(GOLDEN_COVERAGE);
+    let committed = Checkpoint::load(&path).unwrap_or_else(|e| {
+        panic!("{GOLDEN_COVERAGE} unreadable ({e}); run `cargo run --bin rvs -- ckpt regen`")
+    });
+    let info = committed.info().expect("coverage golden describes itself");
+    assert_eq!(info.version, FORMAT_VERSION);
+    assert_eq!(info.now, GOLDEN_COVERAGE_CUT);
+    assert!(info.total_nodes > info.trace_peers, "no crowd");
+
+    let mut system = System::restore(&committed).expect("coverage golden restores");
+    let now = system.now();
+    assert!(system.in_flight() > 0, "no delivery in flight");
+    assert!(system.crowd().is_some(), "no crowd handle rebuilt");
+    assert!(system.adaptive_thresholds().is_some(), "no adaptive state");
+    assert!(
+        system
+            .fault_plane()
+            .partitioned(NodeId::from_index(0), NodeId::from_index(10)),
+        "no partition"
+    );
+    assert!(system.guard().quarantined_count(now) > 0, "no quarantine");
+    let counters = system.telemetry_snapshot();
+    assert!(counters.pss.exchanges > 0, "no Newscast view exchange");
+    assert!(counters.guard.flooder_sends > 0, "no flooder");
+    assert!(counters.guard.malformer_mutations > 0, "no malformer");
+    assert!(counters.faults.retries > 0, "no backoff resend");
+
+    // Restored state re-encodes to the committed bytes, and the current
+    // build re-running the scenario reproduces them too.
+    assert_reproduced("coverage re-encode", &system.checkpoint(), &committed);
+    assert_reproduced(
+        "coverage golden",
+        &golden_coverage_system().checkpoint(),
+        &committed,
+    );
+
+    // And it resumes clean under audit through the partition heal (8 h)
+    // and the quarantine releases.
+    system.enable_audit();
+    system.run_until(
+        SimTime::from_hours(10),
+        SimDuration::from_hours(1),
+        |_, _| {},
+    );
+    assert_eq!(system.audit_violations(), &[] as &[String]);
+    assert!(system.auditor().expect("audit enabled").checks() > 0);
 }
 
 #[test]
