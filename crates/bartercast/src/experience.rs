@@ -34,16 +34,6 @@ impl ThresholdExperience {
     pub fn is_experienced(&self, bc: &BarterCast, i: NodeId, j: NodeId) -> bool {
         bc.contribution_mib(i, j) >= self.t_mib
     }
-
-    /// `E_i(j)` for a whole batch of peers at once. Reconciles `i`'s
-    /// contribution cache a single time, so a round's worth of gating
-    /// checks against one evaluator costs one cache pass plus the misses.
-    pub fn experienced_batch(&self, bc: &BarterCast, i: NodeId, peers: &[NodeId]) -> Vec<bool> {
-        bc.contributions_mib(i, peers)
-            .into_iter()
-            .map(|f| f >= self.t_mib)
-            .collect()
-    }
 }
 
 /// Adaptive threshold (paper §VII): per-node `T` steered by the dispersion
@@ -114,15 +104,6 @@ impl AdaptiveThreshold {
         bc.contribution_mib(i, j) >= self.t_mib
     }
 
-    /// Batched `E_i(j)` under the current adaptive threshold (single cache
-    /// reconciliation, like [`ThresholdExperience::experienced_batch`]).
-    pub fn experienced_batch(&self, bc: &BarterCast, i: NodeId, peers: &[NodeId]) -> Vec<bool> {
-        bc.contributions_mib(i, peers)
-            .into_iter()
-            .map(|f| f >= self.t_mib)
-            .collect()
-    }
-
     /// Feed one dispersion observation `d ∈ [0, 1]` (e.g. the fraction of
     /// moderators whose incoming votes conflict). Raises `T` by
     /// `raise_mib` when `d > D_max`, lowers it by `decay_mib` otherwise,
@@ -180,26 +161,6 @@ mod tests {
         assert!(e.is_experienced(&bc, NodeId(1), NodeId(2)));
         // Even a node with no contribution passes at T=0.
         assert!(e.is_experienced(&bc, NodeId(1), NodeId(0)));
-    }
-
-    #[test]
-    fn batch_gating_agrees_with_single_checks() {
-        let bc = bc_with_upload(7 * 1024);
-        let e = ThresholdExperience::PAPER_DEFAULT;
-        let peers = [NodeId(0), NodeId(2)];
-        let batch = e.experienced_batch(&bc, NodeId(1), &peers);
-        assert_eq!(batch.len(), 2);
-        for (k, &j) in peers.iter().enumerate() {
-            assert_eq!(batch[k], e.is_experienced(&bc, NodeId(1), j));
-        }
-        let a = AdaptiveThreshold {
-            t_mib: 5.0,
-            ..Default::default()
-        };
-        let adaptive_batch = a.experienced_batch(&bc, NodeId(1), &peers);
-        for (k, &j) in peers.iter().enumerate() {
-            assert_eq!(adaptive_batch[k], a.is_experienced(&bc, NodeId(1), j));
-        }
     }
 
     #[test]

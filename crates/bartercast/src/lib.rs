@@ -14,19 +14,17 @@
 //! Modules:
 //!
 //! * [`graph`] — per-node subjective transfer graphs with reporter-checked
-//!   edge insertion (a peer may only report its *own* transfers) and a
-//!   mutation epoch + bounded change log driving cache invalidation;
+//!   edge insertion (a peer may only report its *own* transfers), one
+//!   `max`-accumulated weight per edge;
 //! * [`maxflow`] — hop-bounded Edmonds–Karp, matching the deployed
 //!   BarterCast's 2-hop maxflow that limits the leverage of false reports;
-//! * [`cache`] — incremental memoization of `f_{j→i}` with epoch-based,
-//!   fine-grained invalidation (proven equivalent to recomputation by
-//!   differential tests);
+//!   at 2 hops a closed-form sum over `j`'s out-edges, cheap enough that
+//!   every contribution query recomputes it (no cache — DESIGN.md §4);
 //! * [`protocol`] — the record-exchange gossip ([`BarterCast`]);
 //! * [`experience`] — the threshold experience function
 //!   `E_i(j) ⇔ f_{j→i} ≥ T` plus the adaptive-threshold variant sketched in
 //!   the paper's discussion (§VII).
 
-pub mod cache;
 pub mod experience;
 pub mod graph;
 pub mod maxflow;

@@ -35,7 +35,7 @@ pub fn max_flow_bounded(graph: &SubjectiveGraph, src: NodeId, dst: NodeId, max_h
                 continue;
             }
             let cap_in = graph.edge_kib(x, dst);
-            flow += cap_out.min(cap_in);
+            flow = flow.saturating_add(cap_out.min(cap_in));
         }
         return flow;
     }
@@ -133,10 +133,11 @@ pub(crate) fn edmonds_karp_bounded(
             if let Some(fwd) = residual.get_mut(&(u, v)) {
                 *fwd = fwd.saturating_sub(bottleneck);
             }
-            *residual.entry((v, u)).or_insert(0) += bottleneck;
+            let back = residual.entry((v, u)).or_insert(0);
+            *back = back.saturating_add(bottleneck);
             v = u;
         }
-        total += bottleneck;
+        total = total.saturating_add(bottleneck);
     }
 }
 
@@ -255,8 +256,15 @@ mod tests {
             for _ in 0..edges {
                 let f = rng.below(n as u64) as u32;
                 let t = rng.below(n as u64) as u32;
+                // A quarter of the weights sit just below `u64::MAX`, so both
+                // implementations are held to the same saturated answer.
+                let w = if rng.below(4) == 0 {
+                    u64::MAX - rng.below(100)
+                } else {
+                    1 + rng.below(100)
+                };
                 if f != t {
-                    graph.insert_report(NodeId(f), NodeId(f), NodeId(t), 1 + rng.below(100));
+                    graph.insert_report(NodeId(f), NodeId(f), NodeId(t), w);
                 }
             }
             let s = NodeId(rng.below(n as u64) as u32);

@@ -7,13 +7,11 @@
 //! hearsay — which the receiver installs into its graph. Contribution
 //! estimates are hop-bounded maxflows over the receiver's graph.
 
-use crate::cache::{ContributionCache, Lookup};
 use crate::graph::SubjectiveGraph;
 use crate::maxflow::max_flow_bounded;
 use rvs_bittorrent::TransferLedger;
-use rvs_sim::{DetRng, NodeId};
+use rvs_sim::NodeId;
 use rvs_telemetry::{BarterCounters, SharedCounter};
-use std::cell::RefCell;
 
 /// Tuning for BarterCast.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,11 +20,6 @@ pub struct BarterCastConfig {
     pub max_records_per_exchange: usize,
     /// Hop bound for contribution maxflow (deployed Tribler uses 2).
     pub max_hops: usize,
-    /// Memoize contribution queries per `(i, j)` pair with epoch-based
-    /// invalidation (see [`crate::cache`]). Results are proven identical
-    /// with and without the cache; switching it off exists for the
-    /// differential tests and for measuring the cache's effect.
-    pub cache_contributions: bool,
 }
 
 impl Default for BarterCastConfig {
@@ -34,26 +27,13 @@ impl Default for BarterCastConfig {
         BarterCastConfig {
             max_records_per_exchange: 50,
             max_hops: 2,
-            cache_contributions: true,
-        }
-    }
-}
-
-impl BarterCastConfig {
-    /// This configuration with contribution caching disabled — the
-    /// reference twin the differential tests compare against.
-    pub fn without_cache(self) -> Self {
-        BarterCastConfig {
-            cache_contributions: false,
-            ..self
         }
     }
 }
 
 rvs_checkpoint::persist_struct!(BarterCastConfig {
     max_records_per_exchange,
-    max_hops,
-    cache_contributions
+    max_hops
 });
 
 /// One direct-transfer record: "`from` uploaded `kib` KiB to `to`", as
@@ -77,18 +57,10 @@ rvs_checkpoint::persist_struct!(Record { from, to, kib });
 pub struct BarterCast {
     cfg: BarterCastConfig,
     graphs: Vec<SubjectiveGraph>,
-    // Memoized contributions, reconciled lazily against graph epochs.
-    // `RefCell` because `contribution_kib` takes `&self` (it sits under
-    // read-only accessors all the way up the stack) yet a hit still has to
-    // be recorded; queries never re-enter the cache, so the short borrows
-    // in `query_cached` can't conflict.
-    cache: RefCell<ContributionCache>,
     // Shared (relaxed-atomic) counters: `contribution_kib` takes `&self`
     // and sits on the experience function's hot path.
     exchanges: SharedCounter,
     maxflow_evaluations: SharedCounter,
-    cache_hits: SharedCounter,
-    cache_misses: SharedCounter,
 }
 
 impl BarterCast {
@@ -97,11 +69,8 @@ impl BarterCast {
         BarterCast {
             cfg,
             graphs: vec![SubjectiveGraph::new(); n],
-            cache: RefCell::new(ContributionCache::new(n)),
             exchanges: SharedCounter::default(),
             maxflow_evaluations: SharedCounter::default(),
-            cache_hits: SharedCounter::default(),
-            cache_misses: SharedCounter::default(),
         }
     }
 
@@ -110,20 +79,18 @@ impl BarterCast {
         self.cfg
     }
 
-    /// True when every per-node table (graphs, contribution cache) has
-    /// exactly `n` entries — what a restored instance must satisfy before
-    /// it is indexed by node id.
+    /// True when there is exactly one graph per node of an `n`-node
+    /// population — what a restored instance must satisfy before it is
+    /// indexed by node id.
     pub fn has_population(&self, n: usize) -> bool {
-        self.graphs.len() == n && self.cache.borrow().population() == n
+        self.graphs.len() == n
     }
 
-    /// Population-wide record-exchange, maxflow, and cache counters.
+    /// Population-wide record-exchange and maxflow counters.
     pub fn counters(&self) -> BarterCounters {
         BarterCounters {
             exchanges: self.exchanges.get(),
             maxflow_evaluations: self.maxflow_evaluations.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
         }
     }
 
@@ -197,134 +164,24 @@ impl BarterCast {
     }
 
     /// Contribution of `j` towards `i` in KiB: hop-bounded maxflow `j → i`
-    /// over `i`'s subjective graph (the paper's `f_{j→i}`). Served from the
-    /// incremental cache when enabled; the differential tests prove both
-    /// paths byte-identical.
+    /// over `i`'s subjective graph (the paper's `f_{j→i}`), computed on
+    /// every query.
     pub fn contribution_kib(&self, i: NodeId, j: NodeId) -> u64 {
-        if !self.cfg.cache_contributions {
-            self.maxflow_evaluations.incr();
-            return max_flow_bounded(&self.graphs[i.index()], j, i, self.cfg.max_hops);
-        }
-        let mut cache = self.cache.borrow_mut();
-        let graph = &self.graphs[i.index()];
-        cache.reconcile(i, graph, self.cfg.max_hops);
-        self.query_cached(&mut cache, graph, i, j)
+        self.maxflow_evaluations.incr();
+        max_flow_bounded(&self.graphs[i.index()], j, i, self.cfg.max_hops)
     }
 
     /// Contribution in MiB (the unit the paper's threshold `T` uses).
     pub fn contribution_mib(&self, i: NodeId, j: NodeId) -> f64 {
         self.contribution_kib(i, j) as f64 / 1024.0
     }
-
-    /// Batched contributions `f_{j→i}` for one evaluator `i` and many
-    /// peers, in KiB. Reconciles `i`'s cache once instead of per query —
-    /// the shape the round-level gating sweeps and the Figure 5 contribution
-    /// matrix use.
-    pub fn contributions_kib(&self, i: NodeId, peers: &[NodeId]) -> Vec<u64> {
-        if !self.cfg.cache_contributions {
-            return peers
-                .iter()
-                .map(|&j| {
-                    self.maxflow_evaluations.incr();
-                    max_flow_bounded(&self.graphs[i.index()], j, i, self.cfg.max_hops)
-                })
-                .collect();
-        }
-        let mut cache = self.cache.borrow_mut();
-        let graph = &self.graphs[i.index()];
-        cache.reconcile(i, graph, self.cfg.max_hops);
-        peers
-            .iter()
-            .map(|&j| self.query_cached(&mut cache, graph, i, j))
-            .collect()
-    }
-
-    /// Batched [`Self::contribution_mib`].
-    pub fn contributions_mib(&self, i: NodeId, peers: &[NodeId]) -> Vec<f64> {
-        self.contributions_kib(i, peers)
-            .into_iter()
-            .map(|kib| kib as f64 / 1024.0)
-            .collect()
-    }
-
-    /// One cache-aware query against an already reconciled node cache.
-    fn query_cached(
-        &self,
-        cache: &mut ContributionCache,
-        graph: &SubjectiveGraph,
-        i: NodeId,
-        j: NodeId,
-    ) -> u64 {
-        match cache.lookup(i, j) {
-            Lookup::Hit(kib) => {
-                self.cache_hits.incr();
-                kib
-            }
-            Lookup::Miss => {
-                self.cache_misses.incr();
-                self.maxflow_evaluations.incr();
-                let kib = max_flow_bounded(graph, j, i, self.cfg.max_hops);
-                cache.store(i, j, kib);
-                kib
-            }
-        }
-    }
-
-    /// `f_{j→i}` recomputed directly from the graph, bypassing cache and
-    /// counters. This is the oracle the runtime auditor and the
-    /// differential tests compare cached answers against.
-    pub fn contribution_kib_uncached(&self, i: NodeId, j: NodeId) -> u64 {
-        max_flow_bounded(&self.graphs[i.index()], j, i, self.cfg.max_hops)
-    }
-
-    /// Number of live cache entries for evaluator `i` (diagnostics only).
-    pub fn cached_entry_count(&self, i: NodeId) -> usize {
-        self.cache.borrow().len(i)
-    }
-
-    /// Sampled cache-coherence audit for evaluator `i`: reconcile its
-    /// cache, draw up to `sample` surviving entries at random, recompute
-    /// each from scratch, and describe every mismatch. An empty result
-    /// means the sampled entries are exact; the scenario [`Auditor`] calls
-    /// this every gossip round and asserts emptiness.
-    ///
-    /// [`Auditor`]: https://docs.rs/rvs-scenario
-    pub fn audit_cache_coherence(&self, i: NodeId, sample: usize, rng: &mut DetRng) -> Vec<String> {
-        if !self.cfg.cache_contributions || sample == 0 {
-            return Vec::new();
-        }
-        let entries: Vec<(NodeId, u64)> = {
-            let mut cache = self.cache.borrow_mut();
-            cache.reconcile(i, &self.graphs[i.index()], self.cfg.max_hops);
-            cache.entries(i).collect()
-        };
-        if entries.is_empty() {
-            return Vec::new();
-        }
-        let picks = rng.sample_indices(entries.len(), sample);
-        let mut violations = Vec::new();
-        for idx in picks {
-            let (j, cached) = entries[idx];
-            let fresh = self.contribution_kib_uncached(i, j);
-            if cached != fresh {
-                violations.push(format!(
-                    "stale contribution cache: f_{{{j}->{i}}} cached {cached} KiB, \
-                     recomputed {fresh} KiB"
-                ));
-            }
-        }
-        violations
-    }
 }
 
 rvs_checkpoint::persist_struct!(BarterCast {
     cfg,
     graphs,
-    cache,
     exchanges,
-    maxflow_evaluations,
-    cache_hits,
-    cache_misses
+    maxflow_evaluations
 });
 
 #[cfg(test)]
@@ -442,86 +299,36 @@ mod tests {
     }
 
     #[test]
-    fn repeated_queries_hit_the_cache() {
-        let l = ledger(&[(2, 1, 10 * 1024)]);
-        let mut bc = BarterCast::new(3, BarterCastConfig::default());
-        bc.sync_own_records(NodeId(1), &l);
-        let first = bc.contribution_kib(NodeId(1), NodeId(2));
-        let again = bc.contribution_kib(NodeId(1), NodeId(2));
-        assert_eq!(first, again);
-        let c = bc.counters();
-        assert_eq!(
-            c.maxflow_evaluations, 1,
-            "second query must be served cached"
-        );
-        assert_eq!(c.cache_misses, 1);
-        assert_eq!(c.cache_hits, 1);
-    }
-
-    #[test]
     fn graph_mutation_invalidates_affected_pair() {
         let mut l = ledger(&[(2, 1, 1024)]);
         let mut bc = BarterCast::new(4, BarterCastConfig::default());
         bc.sync_own_records(NodeId(1), &l);
         assert_eq!(bc.contribution_kib(NodeId(1), NodeId(2)), 1024);
-        // New upload lands: the cached value must not survive.
+        // New upload lands: the next query must see it.
         l.credit(NodeId(2), NodeId(1), 1024);
         bc.sync_own_records(NodeId(1), &l);
         assert_eq!(bc.contribution_kib(NodeId(1), NodeId(2)), 2048);
     }
 
     #[test]
-    fn cache_disabled_twin_counts_every_evaluation() {
-        let l = ledger(&[(2, 1, 512)]);
-        let mut bc = BarterCast::new(3, BarterCastConfig::default().without_cache());
-        bc.sync_own_records(NodeId(1), &l);
-        for _ in 0..5 {
-            assert_eq!(bc.contribution_kib(NodeId(1), NodeId(2)), 512);
-        }
-        let c = bc.counters();
-        assert_eq!(c.maxflow_evaluations, 5);
-        assert_eq!(c.cache_hits + c.cache_misses, 0);
-    }
-
-    #[test]
-    fn batch_matches_single_queries() {
-        let l = ledger(&[(2, 1, 100), (3, 1, 200), (3, 2, 50)]);
-        let mut bc = BarterCast::new(4, BarterCastConfig::default());
-        for i in 0..4 {
-            bc.sync_own_records(NodeId(i), &l);
-        }
-        bc.exchange(NodeId(1), NodeId(2));
-        bc.exchange(NodeId(1), NodeId(3));
-        let peers: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let batch = bc.contributions_kib(NodeId(1), &peers);
-        for (k, &j) in peers.iter().enumerate() {
-            assert_eq!(batch[k], bc.contribution_kib(NodeId(1), j));
-            assert_eq!(batch[k], bc.contribution_kib_uncached(NodeId(1), j));
-        }
-    }
-
-    #[test]
-    fn coherence_audit_is_clean_under_churn() {
-        use rvs_sim::DetRng;
-        let mut rng = DetRng::new(7);
-        let mut l = TransferLedger::new();
-        let mut bc = BarterCast::new(6, BarterCastConfig::default());
-        for round in 0..50u64 {
-            l.credit(
-                NodeId(rng.below(6) as u32),
-                NodeId(rng.below(6) as u32 % 5),
-                1 + rng.below(500),
-            );
-            let a = NodeId(rng.below(6) as u32);
-            let b = NodeId(rng.below(6) as u32);
-            bc.sync_own_records(a, &l);
-            bc.sync_own_records(b, &l);
-            bc.exchange(a, b);
-            let i = NodeId(rng.below(6) as u32);
-            let j = NodeId(rng.below(6) as u32);
-            bc.contribution_kib(i, j);
-            let violations = bc.audit_cache_coherence(i, 4, &mut rng);
-            assert!(violations.is_empty(), "round {round}: {violations:?}");
+    fn flow_saturates_instead_of_overflowing() {
+        // 3 → 1 directly at `u64::MAX`, plus 10 KiB via 2: the answer is
+        // "at least `u64::MAX`", on the closed form and on Edmonds–Karp.
+        for max_hops in [2, 3] {
+            let cfg = BarterCastConfig {
+                max_hops,
+                ..BarterCastConfig::default()
+            };
+            let mut bc = BarterCast::new(4, cfg);
+            for (reporter, from, to, kib) in [(3, 3, 1, u64::MAX), (3, 3, 2, 10), (2, 2, 1, 10)] {
+                let record = Record {
+                    from: NodeId(from),
+                    to: NodeId(to),
+                    kib,
+                };
+                assert!(bc.inject_report(NodeId(1), NodeId(reporter), record));
+            }
+            assert_eq!(bc.contribution_kib(NodeId(1), NodeId(3)), u64::MAX);
         }
     }
 }

@@ -1,17 +1,12 @@
 #![allow(missing_docs)] // criterion_group! generates undocumented public items
 
 //! BarterCast contribution queries: 2-hop closed form and general
-//! bounded Edmonds–Karp on random subjective graphs of growing size, plus
-//! the incremental contribution cache under repeat queries and churn, and
-//! a fig6-style end-to-end run with the cache on vs off.
+//! bounded Edmonds–Karp on random subjective graphs of growing size.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rvs_bartercast::maxflow::max_flow_bounded;
-use rvs_bartercast::{BarterCast, BarterCastConfig, Record, SubjectiveGraph};
-use rvs_scenario::experiments::vote_sampling::fig6_setup;
-use rvs_scenario::{ProtocolConfig, System};
-use rvs_sim::{DetRng, NodeId, SimDuration, SimTime};
-use rvs_trace::TraceGenConfig;
+use rvs_bartercast::SubjectiveGraph;
+use rvs_sim::{DetRng, NodeId};
 
 fn random_graph(nodes: u32, edges: usize, seed: u64) -> SubjectiveGraph {
     let mut rng = DetRng::new(seed);
@@ -60,113 +55,5 @@ fn bench_maxflow(c: &mut Criterion) {
     group.finish();
 }
 
-/// A `BarterCast` whose node-0 subjective graph carries `edges` random
-/// reports (reporter = the uploader, so every report is accepted).
-fn populated_bartercast(nodes: u32, edges: usize, cfg: BarterCastConfig) -> BarterCast {
-    let mut bc = BarterCast::new(nodes as usize, cfg);
-    let mut rng = DetRng::new(11);
-    let mut installed = 0;
-    while installed < edges {
-        let f = NodeId(rng.below(nodes as u64) as u32);
-        let t = NodeId(rng.below(nodes as u64) as u32);
-        let rec = Record {
-            from: f,
-            to: t,
-            kib: 1 + rng.below(10_000),
-        };
-        if f != t && bc.inject_report(NodeId(0), f, rec) {
-            installed += 1;
-        }
-    }
-    bc
-}
-
-fn bench_contribution_cache(c: &mut Criterion) {
-    let mut group = c.benchmark_group("contribution_cache");
-    let (nodes, edges) = (100u32, 1_000usize);
-    let peers: Vec<NodeId> = (1..20).map(NodeId).collect();
-
-    // Repeat queries against an unchanged graph: after the first pass every
-    // lookup is a cache hit.
-    let warm = populated_bartercast(nodes, edges, BarterCastConfig::default());
-    group.bench_function(BenchmarkId::new("repeat_queries", "cached"), |b| {
-        b.iter(|| black_box(warm.contributions_kib(NodeId(0), &peers)));
-    });
-    let cold = populated_bartercast(nodes, edges, BarterCastConfig::default().without_cache());
-    group.bench_function(BenchmarkId::new("repeat_queries", "uncached"), |b| {
-        b.iter(|| black_box(cold.contributions_kib(NodeId(0), &peers)));
-    });
-
-    // Churn: each iteration installs one fresh report (bumping the epoch)
-    // before querying the row, so the cached path pays reconciliation plus
-    // the recomputation of whatever the fine-grained rules evicted.
-    for cached in [true, false] {
-        let cfg = if cached {
-            BarterCastConfig::default()
-        } else {
-            BarterCastConfig::default().without_cache()
-        };
-        let mut bc = populated_bartercast(nodes, edges, cfg);
-        let mut rng = DetRng::new(23);
-        let mut kib = 10_001u64;
-        group.bench_function(
-            BenchmarkId::new("churn", if cached { "cached" } else { "uncached" }),
-            |b| {
-                b.iter(|| {
-                    let f = NodeId(1 + rng.below(nodes as u64 - 1) as u32);
-                    kib += 1;
-                    let rec = Record {
-                        from: f,
-                        to: NodeId(0),
-                        kib,
-                    };
-                    bc.inject_report(NodeId(0), f, rec);
-                    black_box(bc.contributions_kib(NodeId(0), &peers))
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Fig6-style full-stack run, cache on vs off: the end-to-end win of
-/// memoizing `f_{j→i}` across gossip rounds.
-fn bench_endtoend_caching(c: &mut Criterion) {
-    let mut group = c.benchmark_group("vote_sampling_cache");
-    group.sample_size(10);
-    let trace = TraceGenConfig::quick(16, SimDuration::from_hours(6)).generate(5);
-    let (setup, m) = fig6_setup(&trace, 0.25, 0.25, 5);
-    for cached in [true, false] {
-        let protocol = if cached {
-            ProtocolConfig::default()
-        } else {
-            ProtocolConfig::default().without_contribution_cache()
-        };
-        group.bench_function(
-            BenchmarkId::new(
-                "fullstack_16peers_6h",
-                if cached { "cached" } else { "uncached" },
-            ),
-            |b| {
-                b.iter(|| {
-                    let mut system = System::new(trace.clone(), protocol, setup.clone(), 5);
-                    system.run_until(
-                        SimTime::from_hours(6),
-                        SimDuration::from_hours(6),
-                        |_, _| {},
-                    );
-                    black_box(system.ordering_accuracy(&m))
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_maxflow,
-    bench_contribution_cache,
-    bench_endtoend_caching
-);
+criterion_group!(benches, bench_maxflow);
 criterion_main!(benches);

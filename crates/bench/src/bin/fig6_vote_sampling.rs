@@ -9,23 +9,25 @@
 //!
 //! ```text
 //! cargo run --release -p rvs-bench --bin fig6_vote_sampling \
-//!     [--quick] [--no-cache] [--peers N] [--runs N] [--hours H] [--audit]
+//!     [--quick] [--json FILE] [--peers N] [--runs N] [--hours H] [--audit]
 //! ```
 //!
-//! `--no-cache` disables the incremental contribution cache (every
-//! experience check recomputes its maxflow), for before/after comparisons
-//! of the `maxflow_evaluations` counter. `--peers`/`--runs`/`--hours`
-//! rescale the experiment; `--audit` runs the invariant auditor and fails
-//! loudly on any violation. The CI scale smoke is
+//! `--peers`/`--runs`/`--hours` rescale the experiment; `--audit` runs the
+//! invariant auditor and fails loudly on any violation; any other argument
+//! is refused. The CI scale smoke is
 //! `--quick --peers 10000 --runs 1 --hours 2 --audit`.
 
-use rvs_bench::{flag_usize, header, maybe_write_json, quick_mode, timed};
+use rvs_bench::{flag_usize, header, maybe_write_json, quick_mode, reject_unknown_args, timed};
 use rvs_metrics::TimeSeries;
 use rvs_scenario::{run_vote_sampling, VoteSamplingConfig};
 use rvs_sim::SimDuration;
 use rvs_trace::TraceGenConfig;
 
 fn main() {
+    reject_unknown_args(
+        &["--quick", "--audit"],
+        &["--json", "--peers", "--runs", "--hours"],
+    );
     let quick = quick_mode();
     header("F6", "vote-sampling effectiveness over time", quick);
     let mut cfg = if quick {
@@ -33,11 +35,6 @@ fn main() {
     } else {
         VoteSamplingConfig::paper()
     };
-    // rvs-lint: allow(ambient-env) -- CLI flag parsing at the binary entry point
-    if std::env::args().any(|a| a == "--no-cache") {
-        cfg.protocol = cfg.protocol.without_contribution_cache();
-        println!("contribution cache DISABLED (--no-cache)");
-    }
     if let Some(hours) = flag_usize("hours") {
         cfg.trace.duration = SimDuration::from_hours(hours as u64);
         cfg.duration = SimDuration::from_hours(hours as u64);

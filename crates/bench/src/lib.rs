@@ -62,6 +62,40 @@ pub fn flag_usize(name: &str) -> Option<usize> {
     None
 }
 
+/// The first command-line argument that is neither one of `switches`, one
+/// of `valued`, nor the value following a `valued` flag.
+fn first_unknown_arg(
+    args: impl IntoIterator<Item = String>,
+    switches: &[&str],
+    valued: &[&str],
+) -> Option<String> {
+    let mut args = args.into_iter();
+    while let Some(a) = args.next() {
+        if valued.contains(&a.as_str()) {
+            args.next();
+        } else if !switches.contains(&a.as_str()) {
+            return Some(a);
+        }
+    }
+    None
+}
+
+/// Exit with a usage error on an argument the binary does not take (a
+/// misspelt or removed flag, a stray value) rather than silently running
+/// the default experiment. `switches` stand alone; each of `valued` is
+/// followed by one value.
+pub fn reject_unknown_args(switches: &[&str], valued: &[&str]) {
+    if let Some(a) = first_unknown_arg(std::env::args().skip(1), switches, valued) {
+        let takes: Vec<String> = switches
+            .iter()
+            .map(|s| s.to_string())
+            .chain(valued.iter().map(|v| format!("{v} VALUE")))
+            .collect();
+        eprintln!("unknown argument {a:?}; takes: {}", takes.join(" "));
+        std::process::exit(2);
+    }
+}
+
 /// Print a standard experiment header.
 pub fn header(id: &str, title: &str, quick: bool) {
     println!("================================================================");
@@ -89,5 +123,20 @@ mod tests {
     #[test]
     fn timed_passes_value_through() {
         assert_eq!(timed("t", || 41 + 1), 42);
+    }
+
+    #[test]
+    fn unknown_arguments_are_found_and_listed_ones_pass() {
+        let unknown = |line: &str| {
+            let args = line.split_whitespace().map(String::from);
+            first_unknown_arg(args, &["--quick", "--audit"], &["--peers", "--json"])
+        };
+        assert_eq!(unknown(""), None);
+        assert_eq!(unknown("--quick --peers 100 --json out.json --audit"), None);
+        // A valued flag swallows exactly one argument, whatever it is.
+        assert_eq!(unknown("--json --quick"), None);
+        assert_eq!(unknown("--peer 10000"), Some("--peer".into()));
+        assert_eq!(unknown("--quick --no-such"), Some("--no-such".into()));
+        assert_eq!(unknown("--peers 100 200"), Some("200".into()));
     }
 }

@@ -1,6 +1,6 @@
 //! `rvs-lint` — tidy-style static analysis for the vote-sampling workspace.
 //!
-//! The paper's evaluation and this repo's cached-equivalence proofs are only
+//! The paper's evaluation and this repo's differential proofs are only
 //! meaningful when runs are bit-reproducible: differential tests demand
 //! `f64::to_bits`-identical results and the runtime auditor assumes all
 //! randomness flows through seeded, forked RNG streams. Nothing in the

@@ -14,10 +14,6 @@
 //!   revalidation its earlier votes must be shed entirely).
 //! * **VoxPopuli honesty** — a node that is itself bootstrapping never
 //!   serves a top-K response.
-//! * **Contribution-cache coherence** — each round a random subset of
-//!   BarterCast's cached `f_{j→i}` values is re-derived from the subjective
-//!   graph by a cache-free maxflow and must match byte-for-byte (sampled,
-//!   because re-deriving every pair would defeat the cache being audited).
 //!
 //! Violations are collected as human-readable strings rather than panicking
 //! in place, so a failing run can report every breach at once; the

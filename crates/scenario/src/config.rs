@@ -35,16 +35,6 @@ pub struct ProtocolConfig {
     pub message_loss: f64,
 }
 
-impl ProtocolConfig {
-    /// This configuration with BarterCast's incremental contribution cache
-    /// switched off — the reference twin the cached-vs-uncached determinism
-    /// regression tests run against.
-    pub fn without_contribution_cache(mut self) -> Self {
-        self.bartercast.cache_contributions = false;
-        self
-    }
-}
-
 impl Default for ProtocolConfig {
     fn default() -> Self {
         ProtocolConfig {

@@ -81,16 +81,14 @@ pub fn run_experience_formation(cfg: &ExperienceConfig) -> Vec<TimeSeries> {
     let peers: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
     let end = SimTime::ZERO + cfg.duration;
     system.run_until(end, cfg.sample_every, |sys, now| {
-        // One pass over the contribution matrix covers every threshold;
-        // each evaluator's row goes through the batched cache path (one
-        // reconciliation per row instead of per pair).
+        // One pass over the contribution matrix covers every threshold.
         let mut counts = vec![0u64; thresholds.len()];
-        for (i, &evaluator) in peers.iter().enumerate() {
-            let row = sys.bartercast().contributions_mib(evaluator, &peers);
-            for (j, &f) in row.iter().enumerate() {
-                if i == j {
+        for &evaluator in &peers {
+            for &peer in &peers {
+                if evaluator == peer {
                     continue;
                 }
+                let f = sys.bartercast().contribution_mib(evaluator, peer);
                 for (k, &t) in thresholds.iter().enumerate() {
                     if f >= t {
                         counts[k] += 1;

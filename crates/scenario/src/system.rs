@@ -22,11 +22,6 @@ use std::collections::BTreeSet;
 
 mod encounter;
 
-/// Evaluator nodes whose contribution caches are coherence-sampled per
-/// audited gossip round.
-const AUDIT_CACHE_NODES_PER_ROUND: usize = 2;
-/// Cached `(i, j)` pairs re-derived per sampled evaluator.
-const AUDIT_CACHE_PAIRS_PER_NODE: usize = 2;
 /// Events routed through the fault-plane delivery engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FaultEvent {
@@ -219,9 +214,6 @@ pub struct System {
     next_gossip: SimTime,
     rng_gossip: DetRng,
     rng_pss: DetRng,
-    // Dedicated stream for audit sampling so enabling the auditor never
-    // perturbs protocol randomness.
-    rng_audit: DetRng,
     /// Per-peer send RNG lanes (PSS sample draws), keyed by peer id so
     /// the stream each peer observes depends on nothing but its own sends.
     send_rng: Vec<DetRng>,
@@ -402,7 +394,6 @@ impl System {
             next_gossip: SimTime::ZERO,
             rng_gossip: root.fork(2),
             rng_pss: root.fork(3),
-            rng_audit: root.fork(4),
             send_rng: (0..n_total as u64).map(|i| send_base.fork(i)).collect(),
             threads,
             pool: Pool::new(threads),
@@ -495,7 +486,6 @@ impl System {
         enc.tag("rng");
         self.rng_gossip.persist(&mut enc);
         self.rng_pss.persist(&mut enc);
-        self.rng_audit.persist(&mut enc);
         self.send_rng.persist(&mut enc);
 
         enc.tag("bt");
@@ -584,7 +574,6 @@ impl System {
         dec.tag("rng")?;
         let rng_gossip = DetRng::restore(&mut dec)?;
         let rng_pss = DetRng::restore(&mut dec)?;
-        let rng_audit = DetRng::restore(&mut dec)?;
         let send_rng: Vec<DetRng> = Vec::restore(&mut dec)?;
 
         dec.tag("bt")?;
@@ -728,7 +717,6 @@ impl System {
             next_gossip,
             rng_gossip,
             rng_pss,
-            rng_audit,
             send_rng,
             threads,
             pool: Pool::new(threads),
@@ -942,35 +930,14 @@ impl System {
         self.bc.contribution_mib(i, j) >= t
     }
 
-    /// Batched `E_i(j)` for one evaluator against many peers. Reconciles
-    /// `i`'s contribution cache once for the whole sweep, so round-level
-    /// gating over a candidate set costs one cache pass plus the misses.
-    pub fn experienced_batch(&self, i: NodeId, peers: &[NodeId]) -> Vec<bool> {
-        let t = match &self.adaptive {
-            Some(per_node) => per_node[i.index()].t_mib,
-            None => self.cfg.experience_t_mib,
-        };
-        self.bc
-            .contributions_mib(i, peers)
-            .into_iter()
-            .map(|f| f >= t)
-            .collect()
-    }
-
     /// Contribution `f_{j→i}` in MiB for an explicit threshold sweep.
     pub fn contribution_mib(&self, i: NodeId, j: NodeId) -> f64 {
         self.bc.contribution_mib(i, j)
     }
 
     /// CEV over the trace population for threshold `t_mib` (Figure 5).
-    /// Sweeps each evaluator's row through the batched cache path.
     pub fn cev(&self, t_mib: f64) -> f64 {
-        let peers: Vec<NodeId> = (0..self.n_trace).map(NodeId::from_index).collect();
-        let rows: Vec<Vec<f64>> = peers
-            .iter()
-            .map(|&i| self.bc.contributions_mib(i, &peers))
-            .collect();
-        collective_experience_value(self.n_trace, |i, j| rows[i.index()][j.index()] >= t_mib)
+        collective_experience_value(self.n_trace, |i, j| self.bc.contribution_mib(i, j) >= t_mib)
     }
 
     /// The ranking node `i` would display to its user: the VoxPopuli merge
@@ -1212,20 +1179,6 @@ impl System {
                     g.inbox_dropped
                 )
             });
-            // Sampled cache coherence: pick a few evaluators, re-derive a
-            // random subset of their cached contributions from scratch, and
-            // demand byte-identical values.
-            for _ in 0..AUDIT_CACHE_NODES_PER_ROUND {
-                let node = NodeId::from_index(self.rng_audit.index(self.n_total));
-                let violations = self.bc.audit_cache_coherence(
-                    node,
-                    AUDIT_CACHE_PAIRS_PER_NODE,
-                    &mut self.rng_audit,
-                );
-                aud.check(violations.is_empty(), || {
-                    format!("at {now}: {}", violations.join("; "))
-                });
-            }
         }
     }
 

@@ -140,13 +140,9 @@ counter_block! {
     pub struct BarterCounters {
         /// Record-exchange encounters executed.
         pub exchanges,
-        /// Bounded max-flow evaluations actually computed (the experience
-        /// function's hot path; with caching on, only the cache misses).
+        /// Bounded max-flow evaluations (the experience function's hot
+        /// path): one per contribution query.
         pub maxflow_evaluations,
-        /// Contribution queries answered from the incremental cache.
-        pub cache_hits,
-        /// Contribution queries that missed the cache and recomputed.
-        pub cache_misses,
     }
 }
 
@@ -357,19 +353,6 @@ impl Snapshot {
         out
     }
 
-    /// A copy with the contribution-cache-dependent BarterCast counters
-    /// zeroed (`maxflow_evaluations`, `cache_hits`, `cache_misses`). Two
-    /// runs that differ only in whether the contribution cache is enabled
-    /// must produce identical snapshots under this projection — the
-    /// cached-vs-uncached determinism regression tests compare through it.
-    pub fn modulo_cache(&self) -> Snapshot {
-        let mut out = self.clone();
-        out.barter.maxflow_evaluations = 0;
-        out.barter.cache_hits = 0;
-        out.barter.cache_misses = 0;
-        out
-    }
-
     /// Total encounter drops across all drop reasons.
     pub fn total_dropped(&self) -> u64 {
         let e = &self.encounters;
@@ -490,22 +473,6 @@ mod tests {
         let a = sample_snapshot(42);
         assert_eq!(a.merged(&Snapshot::default()), a);
         assert_eq!(Snapshot::default().merged(&a), a);
-    }
-
-    #[test]
-    fn modulo_cache_zeroes_only_cache_counters() {
-        let mut s = sample_snapshot(3);
-        s.barter.exchanges = 11;
-        s.barter.maxflow_evaluations = 22;
-        s.barter.cache_hits = 33;
-        s.barter.cache_misses = 44;
-        let m = s.modulo_cache();
-        assert_eq!(m.barter.exchanges, 11);
-        assert_eq!(m.barter.maxflow_evaluations, 0);
-        assert_eq!(m.barter.cache_hits, 0);
-        assert_eq!(m.barter.cache_misses, 0);
-        assert_eq!(m.encounters, s.encounters);
-        assert_eq!(m.votes, s.votes);
     }
 
     #[test]

@@ -163,44 +163,56 @@ fn golden_checkpoints_resume_cleanly_under_audit() {
 
 #[test]
 fn legacy_v3_golden_is_refused_not_misread() {
-    // A file written before the `shard` section was cut (format 3) must
-    // be refused with the typed version error — never decoded into a
-    // plausible-looking system — while its frozen identity prefix stays
-    // readable, through the library and through `rvs ckpt inspect`.
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/legacy/fig6-seed1.v3.ckpt");
-    let ckpt = Checkpoint::load(&path).expect("legacy golden loads (header + identity prefix)");
-    match System::restore(&ckpt) {
-        Err(e) => assert_eq!(
-            e,
-            DecodeError::WrongVersion {
-                found: 3,
-                supported: FORMAT_VERSION
-            }
-        ),
-        Ok(_) => panic!("a format-3 checkpoint restored under format {FORMAT_VERSION}"),
-    }
-    let info = ckpt.peek_info().expect("identity prefix is frozen");
-    assert_eq!(info.version, 3);
-    assert_eq!(info.seed, 1);
-    assert_eq!(info.now, SimTime::from_hours(GOLDEN_HOURS));
-    assert_eq!((info.trace_peers, info.total_nodes), (12, 12));
+    // A file written before the `shard` section was cut (format 3), or
+    // before the contribution cache and the per-reporter edge pair were
+    // (format 4), must be refused with the typed version error — never
+    // decoded into a plausible-looking system — while its frozen identity
+    // prefix stays readable, through the library and through
+    // `rvs ckpt inspect`.
+    let legacy = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/legacy");
+    let corpus = [("fig6-seed1.v3.ckpt", 3), ("fig6-seed1.v4.ckpt", 4)];
+    assert_eq!(
+        std::fs::read_dir(&legacy)
+            .expect("legacy corpus exists")
+            .count(),
+        corpus.len(),
+        "every file under legacy/ is covered below"
+    );
+    for (file, found) in corpus {
+        let path = legacy.join(file);
+        let ckpt = Checkpoint::load(&path).expect("legacy golden loads (header + identity prefix)");
+        match System::restore(&ckpt) {
+            Err(e) => assert_eq!(
+                e,
+                DecodeError::WrongVersion {
+                    found,
+                    supported: FORMAT_VERSION
+                }
+            ),
+            Ok(_) => panic!("a format-{found} checkpoint restored under format {FORMAT_VERSION}"),
+        }
+        let info = ckpt.peek_info().expect("identity prefix is frozen");
+        assert_eq!(info.version, found);
+        assert_eq!(info.seed, 1);
+        assert_eq!(info.now, SimTime::from_hours(GOLDEN_HOURS));
+        assert_eq!((info.trace_peers, info.total_nodes), (12, 12));
 
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rvs"))
-        .args(["ckpt", "inspect"])
-        .arg(&path)
-        .output()
-        .expect("rvs runs");
-    assert!(out.status.success(), "inspect must summarize foreign files");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains(&info.to_string()),
-        "inspect output:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("cannot be resumed here"),
-        "inspect output:\n{stdout}"
-    );
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_rvs"))
+            .args(["ckpt", "inspect"])
+            .arg(&path)
+            .output()
+            .expect("rvs runs");
+        assert!(out.status.success(), "inspect must summarize foreign files");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains(&info.to_string()),
+            "inspect output:\n{stdout}"
+        );
+        assert!(
+            stdout.contains("cannot be resumed here"),
+            "inspect output:\n{stdout}"
+        );
+    }
 }
 
 #[test]
