@@ -33,15 +33,26 @@ impl SubjectiveGraph {
     /// Cumulative counters only grow, so a report smaller than the stored
     /// one is ignored (stale gossip).
     pub fn insert_report(&mut self, reporter: NodeId, from: NodeId, to: NodeId, kib: u64) -> bool {
-        if reporter != from && reporter != to {
-            return false;
-        }
-        if from == to {
-            return false;
+        self.upsert(reporter, from, to, kib).is_some()
+    }
+
+    /// [`insert_report`](Self::insert_report), telling the caller what it
+    /// did to the edge: `None` for a rejected report, else the weight
+    /// before and after.
+    pub(crate) fn upsert(
+        &mut self,
+        reporter: NodeId,
+        from: NodeId,
+        to: NodeId,
+        kib: u64,
+    ) -> Option<(u64, u64)> {
+        if (reporter != from && reporter != to) || from == to {
+            return None;
         }
         let w = self.edges.entry((from, to)).or_default();
-        *w = (*w).max(kib);
-        true
+        let old = *w;
+        *w = old.max(kib);
+        Some((old, *w))
     }
 
     /// Effective weight of edge `(from → to)` in KiB.
@@ -59,11 +70,15 @@ impl SubjectiveGraph {
 
     /// Outgoing neighbours of `node` with edge weights.
     pub fn out_edges(&self, node: NodeId) -> Vec<(NodeId, u64)> {
+        self.out_edges_iter(node).collect()
+    }
+
+    /// [`out_edges`](Self::out_edges) without the `Vec`.
+    pub(crate) fn out_edges_iter(&self, node: NodeId) -> impl Iterator<Item = (NodeId, u64)> + '_ {
         self.edges
             .range((node, NodeId(0))..=(node, NodeId(u32::MAX)))
             .filter(|(_, &w)| w > 0)
             .map(|(&(_, t), &w)| (t, w))
-            .collect()
     }
 
     /// Number of distinct nonzero edges.

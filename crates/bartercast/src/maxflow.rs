@@ -30,7 +30,7 @@ pub fn max_flow_bounded(graph: &SubjectiveGraph, src: NodeId, dst: NodeId, max_h
         // is simply their sum — no augmenting-path search needed. This is
         // the hot path for the deployed 2-hop BarterCast configuration.
         let mut flow = graph.edge_kib(src, dst);
-        for (x, cap_out) in graph.out_edges(src) {
+        for (x, cap_out) in graph.out_edges_iter(src) {
             if x == dst {
                 continue;
             }

@@ -10,8 +10,10 @@
 use crate::graph::SubjectiveGraph;
 use crate::maxflow::max_flow_bounded;
 use rvs_bittorrent::TransferLedger;
+use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
 use rvs_sim::NodeId;
 use rvs_telemetry::{BarterCounters, SharedCounter};
+use std::cmp::Reverse;
 
 /// Tuning for BarterCast.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,11 +54,55 @@ pub struct Record {
 // for the wire-fuzz corpus, which decodes adversarial bytes through it.
 rvs_checkpoint::persist_struct!(Record { from, to, kib });
 
+/// A record in send order: largest first, ties by edge.
+type SendKey = (Reverse<u64>, NodeId, NodeId);
+
+fn send_key(from: NodeId, to: NodeId, kib: u64) -> SendKey {
+    (Reverse(kib), from, to)
+}
+
+/// What a node has to say about itself, kept beside its graph so that
+/// neither sending nor syncing scans the graph.
+#[derive(Debug, Clone, Default)]
+struct OwnRecords {
+    /// The node's nonzero incident edges in its graph, sorted.
+    sent: Vec<SendKey>,
+    /// The ledger's `peer_totals` for the node at its last sync, `None`
+    /// until the first one.
+    synced: Option<(u64, u64)>,
+}
+
+impl OwnRecords {
+    /// The index of `owner` over `graph`, by the scan it replaces.
+    fn of(graph: &SubjectiveGraph, owner: NodeId) -> Self {
+        let mut sent: Vec<SendKey> = graph
+            .edges()
+            .filter(|&(from, to, _)| from == owner || to == owner)
+            .map(|(from, to, kib)| send_key(from, to, kib))
+            .collect();
+        sent.sort_unstable();
+        OwnRecords { sent, synced: None }
+    }
+
+    /// An incident edge went from weight `old` to the larger `new`.
+    fn reweigh(&mut self, from: NodeId, to: NodeId, old: u64, new: u64) {
+        if let Ok(at) = self.sent.binary_search(&send_key(from, to, old)) {
+            self.sent.remove(at);
+        }
+        let key = send_key(from, to, new);
+        let at = self.sent.binary_search(&key).unwrap_or_else(|at| at);
+        self.sent.insert(at, key);
+    }
+}
+
 /// Network-wide BarterCast state: one subjective graph per node.
 #[derive(Debug, Clone)]
 pub struct BarterCast {
     cfg: BarterCastConfig,
     graphs: Vec<SubjectiveGraph>,
+    /// Per node, derived from its graph (and, for `synced`, from the ledger
+    /// it last saw): every graph mutation goes through [`BarterCast::report`].
+    own: Vec<OwnRecords>,
     // Shared (relaxed-atomic) counters: `contribution_kib` takes `&self`
     // and sits on the experience function's hot path.
     exchanges: SharedCounter,
@@ -69,6 +115,7 @@ impl BarterCast {
         BarterCast {
             cfg,
             graphs: vec![SubjectiveGraph::new(); n],
+            own: vec![OwnRecords::default(); n],
             exchanges: SharedCounter::default(),
             maxflow_evaluations: SharedCounter::default(),
         }
@@ -99,31 +146,56 @@ impl BarterCast {
         &self.graphs[i.index()]
     }
 
+    /// The one place a graph changes: `reporter` tells `receiver` that
+    /// `from` uploaded `kib` KiB to `to`. Returns whether the graph's
+    /// endpoint rule accepted the report.
+    fn report(
+        &mut self,
+        receiver: NodeId,
+        reporter: NodeId,
+        from: NodeId,
+        to: NodeId,
+        kib: u64,
+    ) -> bool {
+        let Some((old, new)) = self.graphs[receiver.index()].upsert(reporter, from, to, kib) else {
+            return false;
+        };
+        if old != new && (from == receiver || to == receiver) {
+            self.own[receiver.index()].reweigh(from, to, old, new);
+        }
+        true
+    }
+
     /// Refresh node `i`'s knowledge of its own direct transfers from the
     /// simulation's ground-truth ledger (its BitTorrent client's local
     /// statistics — always truthful for honest nodes).
+    ///
+    /// `ledger` is one ledger that only grows between calls. Its credits
+    /// are strictly positive, so when its totals for `i` are what the last
+    /// sync saw, no row of `i` has changed and there is nothing to do.
     pub fn sync_own_records(&mut self, i: NodeId, ledger: &TransferLedger) {
-        let g = &mut self.graphs[i.index()];
+        let totals = ledger.peer_totals(i);
+        if self.own[i.index()].synced == Some(totals) {
+            return;
+        }
         for (to, kib) in ledger.uploads_from(i) {
-            g.insert_report(i, i, to, kib);
+            self.report(i, i, i, to, kib);
         }
         for (from, kib) in ledger.uploads_to(i) {
-            g.insert_report(i, from, i, kib);
+            self.report(i, i, from, i, kib);
         }
+        self.own[i.index()].synced = Some(totals);
     }
 
     /// Node `i`'s own direct records (edges incident to `i`), largest
     /// first, truncated to the per-exchange budget.
     pub fn own_records(&self, i: NodeId) -> Vec<Record> {
-        let g = &self.graphs[i.index()];
-        let mut recs: Vec<Record> = g
-            .edges()
-            .filter(|&(f, t, _)| f == i || t == i)
-            .map(|(from, to, kib)| Record { from, to, kib })
-            .collect();
-        recs.sort_by_key(|r| (std::cmp::Reverse(r.kib), r.from, r.to));
-        recs.truncate(self.cfg.max_records_per_exchange);
-        recs
+        self.own[i.index()]
+            .sent
+            .iter()
+            .take(self.cfg.max_records_per_exchange)
+            .map(|&(Reverse(kib), from, to)| Record { from, to, kib })
+            .collect()
     }
 
     /// Count one record-exchange encounter. The scenario engine calls
@@ -138,7 +210,7 @@ impl BarterCast {
     /// by the graph: only edges incident to `reporter` are accepted.
     pub fn deliver_records(&mut self, receiver: NodeId, reporter: NodeId, recs: &[Record]) {
         for r in recs {
-            self.graphs[receiver.index()].insert_report(reporter, r.from, r.to, r.kib);
+            self.report(receiver, reporter, r.from, r.to, r.kib);
         }
     }
 
@@ -160,7 +232,7 @@ impl BarterCast {
     /// endpoint-validity rule, so fabrication is limited to edges incident
     /// to the reporter.
     pub fn inject_report(&mut self, receiver: NodeId, reporter: NodeId, record: Record) -> bool {
-        self.graphs[receiver.index()].insert_report(reporter, record.from, record.to, record.kib)
+        self.report(receiver, reporter, record.from, record.to, record.kib)
     }
 
     /// Contribution of `j` towards `i` in KiB: hop-bounded maxflow `j → i`
@@ -177,12 +249,33 @@ impl BarterCast {
     }
 }
 
-rvs_checkpoint::persist_struct!(BarterCast {
-    cfg,
-    graphs,
-    exchanges,
-    maxflow_evaluations
-});
+/// Stable binary encoding: config, the graphs, the two counters.
+// rvs-lint: allow(persist-coverage) -- `own` is derived: `sent` is a function of the persisted `graphs`, which `restore` re-indexes node by node (`OwnRecords::of`), and `synced` restarts at `None`, which costs each node one idempotent resync
+impl Persist for BarterCast {
+    fn persist(&self, enc: &mut Encoder) {
+        self.cfg.persist(enc);
+        self.graphs.persist(enc);
+        self.exchanges.persist(enc);
+        self.maxflow_evaluations.persist(enc);
+    }
+
+    fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let cfg = BarterCastConfig::restore(dec)?;
+        let graphs: Vec<SubjectiveGraph> = Vec::restore(dec)?;
+        let own = graphs
+            .iter()
+            .enumerate()
+            .map(|(i, g)| OwnRecords::of(g, NodeId::from_index(i)))
+            .collect();
+        Ok(BarterCast {
+            cfg,
+            graphs,
+            own,
+            exchanges: SharedCounter::restore(dec)?,
+            maxflow_evaluations: SharedCounter::restore(dec)?,
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -308,6 +401,51 @@ mod tests {
         l.credit(NodeId(2), NodeId(1), 1024);
         bc.sync_own_records(NodeId(1), &l);
         assert_eq!(bc.contribution_kib(NodeId(1), NodeId(2)), 2048);
+    }
+
+    #[test]
+    fn sync_is_skipped_exactly_when_the_ledger_has_nothing_new_for_the_node() {
+        let mut l = ledger(&[(2, 1, 1024), (3, 4, 10)]);
+        let mut bc = BarterCast::new(5, BarterCastConfig::default());
+        bc.sync_own_records(NodeId(1), &l);
+        let before = bc.graph(NodeId(1)).clone();
+        // A credit to an unrelated pair leaves node 1's totals alone.
+        l.credit(NodeId(3), NodeId(4), 500);
+        bc.sync_own_records(NodeId(1), &l);
+        assert_eq!(bc.graph(NodeId(1)), &before);
+        assert_eq!(bc.own[1].synced, Some(l.peer_totals(NodeId(1))));
+        // A credit touching node 1 — as uploader or as downloader — is seen.
+        l.credit(NodeId(1), NodeId(4), 7);
+        bc.sync_own_records(NodeId(1), &l);
+        assert_eq!(bc.graph(NodeId(1)).edge_kib(NodeId(1), NodeId(4)), 7);
+        l.credit(NodeId(2), NodeId(1), 1);
+        bc.sync_own_records(NodeId(1), &l);
+        assert_eq!(bc.graph(NodeId(1)).edge_kib(NodeId(2), NodeId(1)), 1025);
+        assert_eq!(bc.own_records(NodeId(1))[0].kib, 1025);
+    }
+
+    #[test]
+    fn restore_rebuilds_the_index_and_forgets_the_sync_mark() {
+        let l = ledger(&[(2, 1, 1024), (1, 3, 9), (3, 4, 10)]);
+        let mut bc = BarterCast::new(5, BarterCastConfig::default());
+        for i in 0..5 {
+            bc.sync_own_records(NodeId(i), &l);
+        }
+        bc.exchange(NodeId(1), NodeId(3));
+        let mut back: BarterCast =
+            rvs_checkpoint::from_bytes(&rvs_checkpoint::to_bytes(&bc)).expect("roundtrip");
+        for i in 0..5 {
+            assert_eq!(back.own[i].sent, bc.own[i].sent, "node {i}");
+            assert_eq!(back.own[i].synced, None);
+        }
+        // The forced resync changes nothing the uninterrupted run has.
+        back.sync_own_records(NodeId(1), &l);
+        assert_eq!(back.graph(NodeId(1)), bc.graph(NodeId(1)));
+        assert_eq!(back.own[1].synced, bc.own[1].synced);
+        assert_eq!(
+            rvs_checkpoint::to_bytes(&back),
+            rvs_checkpoint::to_bytes(&bc)
+        );
     }
 
     #[test]

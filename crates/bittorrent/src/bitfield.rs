@@ -91,6 +91,12 @@ impl Bitfield {
         }
     }
 
+    /// The backing words, 64 pieces each; bits beyond `len` are zero.
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Iterate over the indices of pieces present in `other` but missing
     /// here — the pieces this peer could request from `other`.
     pub fn missing_from<'a>(&'a self, other: &'a Bitfield) -> impl Iterator<Item = u32> + 'a {
@@ -122,19 +128,24 @@ impl Bitfield {
 
     /// Iterate over all held piece indices.
     pub fn ones(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    Some(wi as u32 * 64 + b)
-                }
-            })
-        })
+        ones_of(&self.words)
     }
+}
+
+/// Indices of the set bits of `words`, ascending.
+pub(crate) fn ones_of(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut bits = w;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                None
+            } else {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                Some(wi as u32 * 64 + b)
+            }
+        })
+    })
 }
 
 /// Stable binary encoding: words, piece count, set-bit count. Restore

@@ -5,6 +5,7 @@
 //! records are drawn from, and what the experience function's contribution
 //! estimates approximate.
 
+use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
 use rvs_sim::NodeId;
 use std::collections::BTreeMap;
 
@@ -18,6 +19,9 @@ pub struct TransferLedger {
     /// Mirror keyed `(to, from)` so per-downloader queries are range scans.
     incoming: BTreeMap<(NodeId, NodeId), u64>,
     total_kib: u64,
+    /// `(uploaded, downloaded)` KiB per peer: the row sums of `kib` and of
+    /// `incoming`. Peers without a transfer have no entry.
+    totals: BTreeMap<NodeId, (u64, u64)>,
 }
 
 impl TransferLedger {
@@ -34,6 +38,8 @@ impl TransferLedger {
         *self.kib.entry((from, to)).or_insert(0) += kib;
         *self.incoming.entry((to, from)).or_insert(0) += kib;
         self.total_kib += kib;
+        self.totals.entry(from).or_default().0 += kib;
+        self.totals.entry(to).or_default().1 += kib;
     }
 
     /// Fold another ledger's credits into this one. Credits are plain
@@ -48,6 +54,11 @@ impl TransferLedger {
             *self.incoming.entry((to, from)).or_insert(0) += kib;
         }
         self.total_kib += other.total_kib;
+        for (&peer, &(up, down)) in &other.totals {
+            let mine = self.totals.entry(peer).or_default();
+            mine.0 += up;
+            mine.1 += down;
+        }
     }
 
     /// KiB uploaded from `from` to `to`.
@@ -60,21 +71,22 @@ impl TransferLedger {
         self.uploaded_kib(from, to) as f64 / 1024.0
     }
 
+    /// `(uploaded, downloaded)` KiB totals of `peer` over all partners.
+    /// Credits are strictly positive, so while a ledger only grows, equal
+    /// totals at two points in time mean no row of `peer` changed between
+    /// them.
+    pub fn peer_totals(&self, peer: NodeId) -> (u64, u64) {
+        self.totals.get(&peer).copied().unwrap_or_default()
+    }
+
     /// Total KiB `peer` has uploaded to anyone.
     pub fn total_uploaded_kib(&self, peer: NodeId) -> u64 {
-        self.kib
-            .iter()
-            .filter(|((f, _), _)| *f == peer)
-            .map(|(_, &v)| v)
-            .sum()
+        self.peer_totals(peer).0
     }
 
     /// Total KiB `peer` has downloaded from anyone.
     pub fn total_downloaded_kib(&self, peer: NodeId) -> u64 {
-        self.incoming
-            .range((peer, NodeId(0))..=(peer, NodeId(u32::MAX)))
-            .map(|(_, &v)| v)
-            .sum()
+        self.peer_totals(peer).1
     }
 
     /// Sharing ratio (uploaded / downloaded); `None` when nothing was
@@ -121,14 +133,48 @@ impl TransferLedger {
     }
 }
 
-// The reverse index is derivable, but rebuilding it on restore would cost
-// a full scan for no robustness gain; the differential tests cover the
-// agreement of the two maps.
-rvs_checkpoint::persist_struct!(TransferLedger {
-    kib,
-    incoming,
-    total_kib
-});
+/// Stable binary encoding: the forward map, its transpose, the grand
+/// total. The last two are functions of the first and a checkpoint is
+/// outside input, so restore checks both against `kib` before the per-peer
+/// totals are summed from it.
+// rvs-lint: allow(persist-coverage) -- `totals` is derived: the row and column sums of the persisted `kib`, summed again at the end of `restore` from the map it has just checked
+impl Persist for TransferLedger {
+    fn persist(&self, enc: &mut Encoder) {
+        self.kib.persist(enc);
+        self.incoming.persist(enc);
+        self.total_kib.persist(enc);
+    }
+
+    fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let corrupt = |what: &str| Err(DecodeError::Corrupt(format!("TransferLedger: {what}")));
+        let kib: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::restore(dec)?;
+        let incoming: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::restore(dec)?;
+        let total_kib = u64::restore(dec)?;
+        let transposed = incoming.len() == kib.len()
+            && kib
+                .iter()
+                .all(|(&(from, to), v)| incoming.get(&(to, from)) == Some(v));
+        if !transposed {
+            return corrupt("`incoming` is not the transpose of `kib`");
+        }
+        let sum = kib.values().try_fold(0u64, |acc, &v| acc.checked_add(v));
+        if sum != Some(total_kib) {
+            return corrupt("`total_kib` is not the sum of `kib`");
+        }
+        // No per-peer sum can overflow: each is at most `total_kib`.
+        let mut totals: BTreeMap<NodeId, (u64, u64)> = BTreeMap::new();
+        for (&(from, to), &v) in &kib {
+            totals.entry(from).or_default().0 += v;
+            totals.entry(to).or_default().1 += v;
+        }
+        Ok(TransferLedger {
+            kib,
+            incoming,
+            total_kib,
+            totals,
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -245,5 +291,55 @@ mod tests {
         merged.merge_from(&a);
         assert_eq!(merged, direct);
         assert_eq!(merged.total_kib(), direct.total_kib());
+    }
+
+    #[test]
+    fn per_peer_totals_follow_credits_and_merges() {
+        let mut a = TransferLedger::new();
+        a.credit(NodeId(1), NodeId(2), 10);
+        a.credit(NodeId(3), NodeId(1), 4);
+        let mut b = TransferLedger::new();
+        b.credit(NodeId(1), NodeId(2), 5);
+        b.credit(NodeId(2), NodeId(3), 1);
+        a.merge_from(&b);
+        assert_eq!(a.peer_totals(NodeId(1)), (15, 4));
+        assert_eq!(a.peer_totals(NodeId(2)), (1, 15));
+        assert_eq!(a.peer_totals(NodeId(3)), (4, 1));
+        assert_eq!(a.peer_totals(NodeId(9)), (0, 0));
+        let back: TransferLedger =
+            rvs_checkpoint::from_bytes(&rvs_checkpoint::to_bytes(&a)).expect("roundtrip");
+        assert_eq!(back, a);
+    }
+
+    #[test]
+    fn restore_checks_the_derived_maps_against_the_forward_one() {
+        let mut l = TransferLedger::new();
+        l.credit(NodeId(1), NodeId(2), 10);
+        l.credit(NodeId(3), NodeId(1), 4);
+        let corrupt = |l: &TransferLedger| match rvs_checkpoint::from_bytes::<TransferLedger>(
+            &rvs_checkpoint::to_bytes(l),
+        ) {
+            Err(DecodeError::Corrupt(msg)) => msg,
+            other => panic!("expected Corrupt, got {other:?}"),
+        };
+        let mut altered = l.clone();
+        *altered
+            .incoming
+            .get_mut(&(NodeId(2), NodeId(1)))
+            .expect("row") += 1;
+        assert!(corrupt(&altered).contains("transpose"));
+        let mut extra = l.clone();
+        extra.incoming.insert((NodeId(7), NodeId(8)), 1);
+        assert!(corrupt(&extra).contains("transpose"));
+        let mut total = l.clone();
+        total.total_kib -= 1;
+        assert!(corrupt(&total).contains("sum"));
+        // Rows whose sum does not fit are not a total either.
+        let mut huge = TransferLedger::new();
+        huge.credit(NodeId(1), NodeId(2), u64::MAX);
+        huge.kib.insert((NodeId(2), NodeId(1)), 2);
+        huge.incoming.insert((NodeId(1), NodeId(2)), 2);
+        huge.total_kib = 1;
+        assert!(corrupt(&huge).contains("sum"));
     }
 }

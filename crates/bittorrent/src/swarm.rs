@@ -12,10 +12,11 @@
 use crate::bitfield::Bitfield;
 use crate::choke::{rechoke, ChokePolicy};
 use crate::ledger::TransferLedger;
-use crate::selection::{pick_piece, Availability};
+use crate::selection::{pick_piece_avoiding, Availability};
+use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
 use rvs_sim::{DetRng, NodeId, SimDuration, SimTime, SwarmId};
 use rvs_trace::SwarmSpec;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Role of a swarm member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,12 +96,6 @@ struct Member {
     window_recv: BTreeMap<NodeId, u64>,
     /// Fractional KiB not yet credited to the ledger, per source.
     uncredited: BTreeMap<NodeId, f64>,
-}
-
-impl Member {
-    fn requested_pieces(&self) -> BTreeSet<u32> {
-        self.in_flight.values().map(|&(p, _)| p).collect()
-    }
 }
 
 rvs_checkpoint::persist_struct!(LinkProfile {
@@ -338,36 +333,36 @@ impl SwarmSim {
         let dt_secs = dt.as_secs_f64();
         let piece_kib = self.spec.piece_size_kib as f64;
         let mut completions = Vec::new();
+        let mut cand = Vec::new();
         for (u, v) in conns {
             let nu = up_count[&u] as f64;
             let mv = down_count[&v] as f64;
-            let up_rate = self.members[&u].link.uplink_kibps as f64 / nu;
-            let down_rate = self.members[&v].link.downlink_kibps as f64 / mv;
+            // Connections were enumerated over `self.members`; a missing
+            // endpoint ends this connection rather than the process.
+            let Some((member_u, member_v)) = pair_mut(&mut self.members, u, v) else {
+                continue;
+            };
+            let up_rate = member_u.link.uplink_kibps as f64 / nu;
+            let down_rate = member_v.link.downlink_kibps as f64 / mv;
             let mut budget = up_rate.min(down_rate) * dt_secs;
             if budget <= 0.0 {
                 continue;
             }
-            // Snapshot of u's bitfield drives piece selection for v.
-            let u_bitfield = self.members[&u].bitfield.clone();
-            let was_complete = self.members[&v].bitfield.is_complete();
+            let was_complete = member_v.bitfield.is_complete();
             let mut received = 0.0f64;
-            // Connections were enumerated over `self.members`; a missing
-            // downloader ends this connection rather than the process.
-            while let Some(member_v) = self.members.get_mut(&v) {
+            loop {
                 // Ensure v has an in-flight piece from u.
                 if !member_v.in_flight.contains_key(&u) {
-                    let requested = member_v.requested_pieces();
                     // Prefer unrequested pieces; fall back to any missing
                     // piece (endgame mode) so transfers never stall.
-                    let pick = {
-                        let mut masked = member_v.bitfield.clone();
-                        for p in &requested {
-                            masked.set(*p);
-                        }
-                        pick_piece(&masked, &u_bitfield, &self.availability, rng).or_else(|| {
-                            pick_piece(&member_v.bitfield, &u_bitfield, &self.availability, rng)
-                        })
-                    };
+                    let pick = pick_piece_avoiding(
+                        &member_v.bitfield,
+                        &member_u.bitfield,
+                        member_v.in_flight.values().map(|&(p, _)| p),
+                        &self.availability,
+                        rng,
+                        &mut cand,
+                    );
                     match pick {
                         Some(p) => {
                             member_v.in_flight.insert(u, (p, piece_kib));
@@ -398,9 +393,6 @@ impl SwarmSim {
                 }
             }
             if received > 0.0 {
-                let Some(member_v) = self.members.get_mut(&v) else {
-                    continue;
-                };
                 *member_v.window_recv.entry(u).or_insert(0) += received.round() as u64;
                 let frac = member_v.uncredited.entry(u).or_insert(0.0);
                 *frac += received;
@@ -409,7 +401,6 @@ impl SwarmSim {
                     *frac -= whole as f64;
                     ledger.credit(u, v, whole);
                 }
-                let member_v = &self.members[&v];
                 if !was_complete && member_v.bitfield.is_complete() {
                     completions.push(Completion {
                         peer: v,
@@ -432,18 +423,85 @@ impl SwarmSim {
     }
 }
 
-rvs_checkpoint::persist_struct!(SwarmSim {
-    spec,
-    cfg,
-    members,
-    availability,
-    next_rechoke
-});
+/// Stable binary encoding: spec, config, members, the availability counts,
+/// next rechoke. The counts are a function of the member bitfields, so
+/// restore checks them piece by piece — a count one too low would wrap on
+/// the next `leave` — and only then builds the level index, which is sized
+/// by the highest count.
+impl Persist for SwarmSim {
+    fn persist(&self, enc: &mut Encoder) {
+        self.spec.persist(enc);
+        self.cfg.persist(enc);
+        self.members.persist(enc);
+        self.availability.counts().persist(enc);
+        self.next_rechoke.persist(enc);
+    }
+
+    fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let corrupt = |what: String| Err(DecodeError::Corrupt(format!("SwarmSim: {what}")));
+        let spec = SwarmSpec::restore(dec)?;
+        let cfg = SwarmConfig::restore(dec)?;
+        let members: BTreeMap<NodeId, Member> = BTreeMap::restore(dec)?;
+        let counts: Vec<u32> = Vec::restore(dec)?;
+        if spec.piece_size_kib == 0 {
+            return corrupt("piece size is zero".to_string());
+        }
+        let pieces = spec.piece_count();
+        if counts.len() != pieces as usize {
+            return corrupt(format!(
+                "{} availability counts for {pieces} pieces",
+                counts.len()
+            ));
+        }
+        let mut holders = vec![0u32; counts.len()];
+        for (peer, m) in &members {
+            if m.bitfield.len() != pieces {
+                return corrupt(format!(
+                    "member {peer} has a bitfield over {} pieces, the file has {pieces}",
+                    m.bitfield.len()
+                ));
+            }
+            if m.in_flight.values().any(|&(p, _)| p >= pieces) {
+                return corrupt(format!("member {peer} requests a piece past {pieces}"));
+            }
+            for p in m.bitfield.ones() {
+                holders[p as usize] += 1;
+            }
+        }
+        if let Some(p) = (0..counts.len()).find(|&p| counts[p] != holders[p]) {
+            return corrupt(format!(
+                "piece {p} is counted {} times, {} members hold it",
+                counts[p], holders[p]
+            ));
+        }
+        Ok(SwarmSim {
+            spec,
+            cfg,
+            members,
+            availability: Availability::from_counts(counts),
+            next_rechoke: SimTime::restore(dec)?,
+        })
+    }
+}
 
 /// BitTorrent reachability: at least one endpoint must be connectable.
 #[inline]
 fn can_connect(a: LinkProfile, b: LinkProfile) -> bool {
     a.connectable || b.connectable
+}
+
+/// The uploader `u` (shared) and the downloader `v` (exclusive) of one
+/// connection, borrowed from the member map at once: the two ends of the
+/// key range between them are distinct entries.
+fn pair_mut(
+    members: &mut BTreeMap<NodeId, Member>,
+    u: NodeId,
+    v: NodeId,
+) -> Option<(&Member, &mut Member)> {
+    let mut range = members.range_mut(u.min(v)..=u.max(v));
+    let (lo, hi) = (range.next()?, range.next_back()?);
+    let (up, down) = if u < v { (lo, hi) } else { (hi, lo) };
+    (*up.0 == u && *down.0 == v).then_some((&*up.1, down.1))
 }
 
 #[cfg(test)]
@@ -646,5 +704,79 @@ mod tests {
             ledger
         };
         assert_eq!(run(), run());
+    }
+
+    /// A swarm mid-download: a seeder, leechers at different stages, one
+    /// member gone again.
+    fn busy_swarm() -> SwarmSim {
+        let mut sim = SwarmSim::new(spec(300), SwarmConfig::default());
+        sim.join(NodeId(0), MemberRole::Seeder, link(true, 512), true);
+        for i in 1..6 {
+            sim.join(NodeId(i), MemberRole::Leecher, link(i % 2 == 0, 256), true);
+        }
+        let mut ledger = TransferLedger::new();
+        let mut rng = DetRng::new(5);
+        let dt = SimDuration::from_secs(10);
+        for k in 0..40 {
+            sim.tick(SimTime::from_secs(10 * k), dt, &mut ledger, &mut rng);
+        }
+        sim.leave(NodeId(3));
+        sim
+    }
+
+    fn corrupt_message(sim: &SwarmSim) -> String {
+        match rvs_checkpoint::from_bytes::<SwarmSim>(&rvs_checkpoint::to_bytes(sim)) {
+            Err(DecodeError::Corrupt(msg)) => msg,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restored_availability_is_the_incrementally_maintained_one() {
+        let sim = busy_swarm();
+        let progress = sim.progress(NodeId(1)).expect("member");
+        assert!(progress > 0.0 && progress < 1.0, "mid-download: {progress}");
+        let back: SwarmSim =
+            rvs_checkpoint::from_bytes(&rvs_checkpoint::to_bytes(&sim)).expect("roundtrip");
+        assert_eq!(back.availability, sim.availability);
+    }
+
+    #[test]
+    fn restore_checks_the_counts_against_the_members() {
+        let sim = busy_swarm();
+        let held = sim.members[&NodeId(0)]
+            .bitfield
+            .ones()
+            .next()
+            .expect("seeder");
+        // One count too low: the next `leave` would take it below zero.
+        let mut low = sim.clone();
+        let mut counts = sim.availability.counts().clone();
+        counts[held as usize] -= 1;
+        low.availability = Availability::from_counts(counts.clone());
+        assert!(corrupt_message(&low).contains("is counted"));
+        // A short vector would index out of range on the next pick.
+        let mut short = sim.clone();
+        counts.pop();
+        short.availability = Availability::from_counts(counts);
+        assert!(corrupt_message(&short).contains("availability counts for"));
+        // A member whose bitfield is over another file's pieces.
+        let mut alien = sim.clone();
+        let pieces = sim.spec.piece_count();
+        alien.members.get_mut(&NodeId(1)).expect("member").bitfield = Bitfield::empty(pieces + 64);
+        assert!(corrupt_message(&alien).contains("bitfield over"));
+        // A request for a piece the file does not have.
+        let mut beyond = sim.clone();
+        let requests = &mut beyond
+            .members
+            .get_mut(&NodeId(1))
+            .expect("member")
+            .in_flight;
+        requests.insert(NodeId(0), (pieces, 1.0));
+        assert!(corrupt_message(&beyond).contains("requests a piece past"));
+        // A piece size of zero has no piece count at all.
+        let mut sizeless = sim.clone();
+        sizeless.spec.piece_size_kib = 0;
+        assert!(corrupt_message(&sizeless).contains("piece size is zero"));
     }
 }

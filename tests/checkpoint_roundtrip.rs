@@ -12,7 +12,10 @@
 //! * version skew is a typed `WrongVersion` before any payload is trusted;
 //! * crafted blobs whose sections each decode but describe different
 //!   populations — a shortened per-node vector, a layer spliced in from a
-//!   smaller run — are `Corrupt`, not a system that panics a round later.
+//!   smaller run — are `Corrupt`, not a system that panics a round later;
+//! * so are blobs whose stored *derived* values disagree with what they
+//!   are derived from: a swarm's availability counts against its members'
+//!   bitfields, the ledger's transpose against its forward map.
 
 use proptest::prelude::*;
 use robust_vote_sampling::faults::FaultSchedule;
@@ -223,4 +226,72 @@ fn a_layer_from_a_smaller_run_is_corrupt_not_a_later_panic() {
             assert_corrupt(&splice(&host, &donor, section), what);
         }
     }
+}
+
+/// Where `needle` — the encoding of one component of the system — sits in
+/// the checkpoint.
+fn locate(bytes: &[u8], needle: &[u8]) -> usize {
+    let at = bytes.windows(needle.len()).position(|w| w == needle);
+    at.expect("the component's encoding is part of the checkpoint")
+}
+
+#[test]
+fn availability_counts_that_disagree_with_the_members_are_corrupt() {
+    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
+    let net = system.net();
+    let busiest = (0..net.swarm_count())
+        .map(rvs_sim::SwarmId::from_index)
+        .max_by_key(|&id| net.swarm(id).member_count())
+        .expect("the trace has swarms");
+    let swarm = net.swarm(busiest);
+    assert!(swarm.member_count() > 0, "someone holds a piece");
+    // A `SwarmSim` ends with its counts — a length and one `u32` per piece
+    // — and the 8 bytes of its next rechoke.
+    let pieces = swarm.spec().piece_count() as usize;
+    let sim = rvs_checkpoint::to_bytes(swarm);
+    let honest = base_bytes().to_vec();
+    let counts_at = locate(&honest, &sim) + sim.len() - 8 - 4 * pieces;
+    let len_at = counts_at - 8;
+    assert_eq!(honest[len_at..counts_at], (pieces as u64).to_le_bytes());
+    let count = |p: usize| {
+        let at = counts_at + 4 * p;
+        (
+            at,
+            u32::from_le_bytes(honest[at..at + 4].try_into().unwrap()),
+        )
+    };
+
+    // One count decremented: restores today, wraps below zero on `leave`.
+    let (at, held) = (0..pieces)
+        .map(count)
+        .find(|&(_, c)| c > 0)
+        .expect("held piece");
+    let mut low = honest.clone();
+    low[at..at + 4].copy_from_slice(&(held - 1).to_le_bytes());
+    assert_corrupt(&low, "is counted");
+
+    // The vector shortened by its last entry.
+    let mut short = honest.clone();
+    short[len_at..counts_at].copy_from_slice(&(pieces as u64 - 1).to_le_bytes());
+    short.drain(counts_at + 4 * (pieces - 1)..counts_at + 4 * pieces);
+    assert_corrupt(&short, "availability counts for");
+}
+
+#[test]
+fn a_ledger_whose_transpose_disagrees_is_corrupt() {
+    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
+    let ledger = system.net().ledger();
+    let rows = ledger.edge_count();
+    assert!(rows > 0, "something was transferred");
+    // Two maps of `rows` 16-byte entries behind a length each, then the total.
+    let encoded = rvs_checkpoint::to_bytes(ledger);
+    assert_eq!(encoded.len(), 2 * (8 + 16 * rows) + 8);
+    let honest = base_bytes().to_vec();
+    let incoming_at = locate(&honest, &encoded) + 8 + 16 * rows;
+    let mut altered = honest.clone();
+    altered[incoming_at + 8 + 8] ^= 1; // low byte of the first row's KiB
+    assert_corrupt(&altered, "transpose");
+    let mut total = honest;
+    total[incoming_at + 8 + 16 * rows] ^= 1;
+    assert_corrupt(&total, "sum");
 }
