@@ -14,10 +14,11 @@
 //! ```
 
 use rvs_attacks::simulate_credence;
-use rvs_bench::{header, quick_mode, timed};
+use rvs_bench::{header, quick_mode, reject_unknown_args, timed};
 use rvs_sim::DetRng;
 
 fn main() {
+    reject_unknown_args(&["--quick"], &[]);
     let quick = quick_mode();
     header(
         "A8",

@@ -9,12 +9,13 @@
 //! cargo run --release -p rvs-bench --bin ablation_voxpopuli [--quick]
 //! ```
 
-use rvs_bench::{header, quick_mode, timed};
+use rvs_bench::{header, quick_mode, reject_unknown_args, timed};
 use rvs_metrics::TimeSeries;
 use rvs_scenario::experiments::ablations::run_voxpopuli_ablation;
 use rvs_scenario::VoteSamplingConfig;
 
 fn main() {
+    reject_unknown_args(&["--quick"], &[]);
     let quick = quick_mode();
     header("A6", "VoxPopuli on/off: bootstrap speed", quick);
     let cfg = if quick {

@@ -10,12 +10,13 @@
 //! cargo run --release -p rvs-bench --bin fig5_experience [--quick]
 //! ```
 
-use rvs_bench::{header, maybe_write_json, quick_mode, timed};
+use rvs_bench::{header, maybe_write_json, quick_mode, reject_unknown_args, timed};
 use rvs_metrics::TimeSeries;
 use rvs_scenario::{run_experience_formation, ExperienceConfig};
 use rvs_sim::SimTime;
 
 fn main() {
+    reject_unknown_args(&["--quick"], &["--json"]);
     let quick = quick_mode();
     header(
         "F5",

@@ -13,11 +13,12 @@
 //! cargo run --release -p rvs-bench --bin fig8_spam_attack [--quick]
 //! ```
 
-use rvs_bench::{header, maybe_write_json, quick_mode, timed};
+use rvs_bench::{header, maybe_write_json, quick_mode, reject_unknown_args, timed};
 use rvs_metrics::TimeSeries;
 use rvs_scenario::{run_spam_attack, SpamAttackConfig};
 
 fn main() {
+    reject_unknown_args(&["--quick"], &["--json"]);
     let quick = quick_mode();
     header("F8", "flash-crowd spam attack: new-node pollution", quick);
     let mut cfg = if quick {

@@ -3,7 +3,7 @@
 //!
 //! Every binary accepts `--quick` to run a scaled-down configuration
 //! (minutes → seconds) and prints the same rows/series the paper reports,
-//! as aligned text tables. Paper-vs-measured comparisons are recorded in
+//! as aligned text tables; each refuses an argument it does not read. Paper-vs-measured comparisons are recorded in
 //! `EXPERIMENTS.md`.
 
 use std::time::Instant;
@@ -138,5 +138,20 @@ mod tests {
         assert_eq!(unknown("--peer 10000"), Some("--peer".into()));
         assert_eq!(unknown("--quick --no-such"), Some("--no-such".into()));
         assert_eq!(unknown("--peers 100 200"), Some("200".into()));
+        // What the binaries other than `fig6_vote_sampling` take: `--quick`,
+        // and `--json` only where a series is written. A misspelt `--quick`
+        // must not fall through to the paper-scale run.
+        let unknown = |line: &str, valued: &[&str]| {
+            let args = line.split_whitespace().map(String::from);
+            first_unknown_arg(args, &["--quick"], valued)
+        };
+        assert_eq!(unknown("--quick", &[]), None);
+        assert_eq!(unknown("--quik", &[]), Some("--quik".into()));
+        assert_eq!(unknown("--quick --json out.json", &["--json"]), None);
+        assert_eq!(
+            unknown("--quick --json out.json", &[]),
+            Some("--json".into())
+        );
+        assert_eq!(unknown("--audit", &["--json"]), Some("--audit".into()));
     }
 }

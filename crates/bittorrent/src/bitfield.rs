@@ -122,8 +122,21 @@ impl Bitfield {
 
     /// True when `other` holds at least one piece this peer lacks — i.e.
     /// this peer is *interested* in `other` (BitTorrent interest rule).
+    /// The counts settle most pairs: a complete peer wants nothing, an
+    /// empty one offers nothing, and a peer holding more pieces than this
+    /// one must hold one it lacks. Only the rest compare words (bits past
+    /// `len` are zero on both sides).
     pub fn interested_in(&self, other: &Bitfield) -> bool {
-        self.missing_from(other).next().is_some()
+        debug_assert_eq!(self.len, other.len);
+        if self.is_complete() || other.count == 0 {
+            return false;
+        }
+        other.count > self.count
+            || self
+                .words
+                .iter()
+                .zip(&other.words)
+                .any(|(mine, theirs)| !mine & theirs != 0)
     }
 
     /// Iterate over all held piece indices.

@@ -7,6 +7,7 @@
 //! and rotate their slots across interested peers.
 
 use rvs_sim::{DetRng, NodeId};
+use std::cmp::Reverse;
 
 /// Slot configuration for the choker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,10 +87,19 @@ pub fn rechoke(
     }
 
     // Reciprocation: best recent uploaders first; NodeId tie-break keeps the
-    // ordering total and deterministic.
-    let mut ranked: Vec<NodeId> = interested.to_vec();
-    ranked.sort_by_key(|&p| (std::cmp::Reverse(recent_kib_from(p)), p));
-    unchoked = ranked.iter().copied().take(policy.regular_slots).collect();
+    // ordering total and deterministic. Each candidate is asked for its
+    // volume once; equal keys are equal entries, so an unstable sort ranks
+    // them the one possible way.
+    let mut ranked: Vec<(Reverse<u64>, NodeId)> = interested
+        .iter()
+        .map(|&p| (Reverse(recent_kib_from(p)), p))
+        .collect();
+    ranked.sort_unstable();
+    unchoked = ranked
+        .iter()
+        .map(|&(_, p)| p)
+        .take(policy.regular_slots)
+        .collect();
 
     // Optimistic slot: keep the current holder unless rotating or invalid.
     let mut optimistic = current_optimistic

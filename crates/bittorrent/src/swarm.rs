@@ -6,7 +6,8 @@
 //! online), (c) splits each peer's uplink across its active uploads and
 //! each downloader's downlink across its active downloads, (d) advances
 //! per-connection piece downloads by `rate × dt`, and (e) reports
-//! completions. All state iterates in `BTreeMap` order and all coin flips
+//! completions. Members sit in one slice in ascending id order — a member's
+//! index in it is its *slot*, and a tick works on slots — and all coin flips
 //! come from the caller's [`DetRng`], so runs are reproducible.
 
 use crate::bitfield::Bitfield;
@@ -80,7 +81,7 @@ pub struct LinkProfile {
     pub downlink_kibps: u32,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Member {
     bitfield: Bitfield,
     role: MemberRole,
@@ -122,7 +123,8 @@ rvs_checkpoint::persist_struct!(Member {
 pub struct SwarmSim {
     spec: SwarmSpec,
     cfg: SwarmConfig,
-    members: BTreeMap<NodeId, Member>,
+    /// Ascending by id, one entry per member.
+    members: Vec<(NodeId, Member)>,
     availability: Availability,
     next_rechoke: SimTime,
 }
@@ -134,7 +136,7 @@ impl SwarmSim {
         SwarmSim {
             spec,
             cfg,
-            members: BTreeMap::new(),
+            members: Vec::new(),
             availability: Availability::new(pieces),
             next_rechoke: spec.created,
         }
@@ -145,42 +147,50 @@ impl SwarmSim {
         &self.spec
     }
 
+    /// Where `peer` sits in `members`, or where it would be inserted.
+    fn slot(&self, peer: NodeId) -> Result<usize, usize> {
+        self.members.binary_search_by_key(&peer, |&(id, _)| id)
+    }
+
+    fn member(&self, peer: NodeId) -> Option<&Member> {
+        self.slot(peer).ok().map(|at| &self.members[at].1)
+    }
+
     /// Add a member. Seeders start with a complete bitfield. No-op if the
     /// peer is already a member.
     pub fn join(&mut self, peer: NodeId, role: MemberRole, link: LinkProfile, online: bool) {
-        if self.members.contains_key(&peer) {
+        let Err(at) = self.slot(peer) else {
             return;
-        }
+        };
         let pieces = self.spec.piece_count();
         let bitfield = match role {
             MemberRole::Seeder => Bitfield::full(pieces),
             MemberRole::Leecher => Bitfield::empty(pieces),
         };
         self.availability.add_bitfield(&bitfield);
-        self.members.insert(
-            peer,
-            Member {
-                bitfield,
-                role,
-                online,
-                link,
-                unchoked: Vec::new(),
-                optimistic: None,
-                rechokes: 0,
-                in_flight: BTreeMap::new(),
-                window_recv: BTreeMap::new(),
-                uncredited: BTreeMap::new(),
-            },
-        );
+        let member = Member {
+            bitfield,
+            role,
+            online,
+            link,
+            unchoked: Vec::new(),
+            optimistic: None,
+            rechokes: 0,
+            in_flight: BTreeMap::new(),
+            window_recv: BTreeMap::new(),
+            uncredited: BTreeMap::new(),
+        };
+        self.members.insert(at, (peer, member));
     }
 
     /// Remove a member entirely (quit the swarm).
     pub fn leave(&mut self, peer: NodeId) {
-        if let Some(m) = self.members.remove(&peer) {
+        if let Ok(at) = self.slot(peer) {
+            let (_, m) = self.members.remove(at);
             self.availability.remove_bitfield(&m.bitfield);
         }
         // Drop dangling references held by others.
-        for m in self.members.values_mut() {
+        for (_, m) in &mut self.members {
             m.unchoked.retain(|&p| p != peer);
             if m.optimistic == Some(peer) {
                 m.optimistic = None;
@@ -192,24 +202,24 @@ impl SwarmSim {
     /// Mark a member online/offline (churn). Offline members keep their
     /// bitfield but take no part in transfers; in-flight fetches pause.
     pub fn set_online(&mut self, peer: NodeId, online: bool) {
-        if let Some(m) = self.members.get_mut(&peer) {
-            m.online = online;
+        if let Ok(at) = self.slot(peer) {
+            self.members[at].1.online = online;
         }
     }
 
     /// Is `peer` currently a member?
     pub fn is_member(&self, peer: NodeId) -> bool {
-        self.members.contains_key(&peer)
+        self.slot(peer).is_ok()
     }
 
     /// The member's role, if present.
     pub fn role(&self, peer: NodeId) -> Option<MemberRole> {
-        self.members.get(&peer).map(|m| m.role)
+        self.member(peer).map(|m| m.role)
     }
 
     /// Download progress in `[0, 1]`, if a member.
     pub fn progress(&self, peer: NodeId) -> Option<f64> {
-        self.members.get(&peer).map(|m| m.bitfield.progress())
+        self.member(peer).map(|m| m.bitfield.progress())
     }
 
     /// Number of members (online or not).
@@ -219,22 +229,22 @@ impl SwarmSim {
 
     /// All member ids, ascending.
     pub fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.members.keys().copied()
+        self.members.iter().map(|&(id, _)| id)
     }
 
     /// Number of online seeders.
     pub fn online_seeders(&self) -> usize {
         self.members
-            .values()
-            .filter(|m| m.online && m.role == MemberRole::Seeder)
+            .iter()
+            .filter(|(_, m)| m.online && m.role == MemberRole::Seeder)
             .count()
     }
 
     /// Number of online leechers.
     pub fn online_leechers(&self) -> usize {
         self.members
-            .values()
-            .filter(|m| m.online && m.role == MemberRole::Leecher)
+            .iter()
+            .filter(|(_, m)| m.online && m.role == MemberRole::Leecher)
             .count()
     }
 
@@ -255,42 +265,36 @@ impl SwarmSim {
     }
 
     fn run_rechoke(&mut self, rng: &mut DetRng) {
-        let ids: Vec<NodeId> = self.members.keys().copied().collect();
-        for &u in &ids {
-            let m = &self.members[&u];
+        let mut interested: Vec<NodeId> = Vec::new();
+        for u in 0..self.members.len() {
+            let (id, m) = &self.members[u];
             if !m.online {
                 continue;
             }
             // Peers interested in u: online, connectable with u, lacking a
             // piece u has.
-            let interested: Vec<NodeId> = ids
-                .iter()
-                .copied()
-                .filter(|&v| v != u)
-                .filter(|&v| {
-                    let mv = &self.members[&v];
-                    mv.online
-                        && can_connect(m.link, mv.link)
-                        && mv.bitfield.interested_in(&m.bitfield)
-                })
-                .collect();
-            let m = &self.members[&u];
-            let rotate = m.rechokes.is_multiple_of(self.cfg.optimistic_every);
-            let window = m.window_recv.clone();
+            interested.clear();
+            interested.extend(
+                self.members
+                    .iter()
+                    .filter(|(v, mv)| {
+                        v != id
+                            && mv.online
+                            && can_connect(m.link, mv.link)
+                            && mv.bitfield.interested_in(&m.bitfield)
+                    })
+                    .map(|&(v, _)| v),
+            );
             let decision = rechoke(
                 m.role == MemberRole::Seeder,
                 &interested,
-                |p| window.get(&p).copied().unwrap_or(0),
+                |p| m.window_recv.get(&p).copied().unwrap_or(0),
                 self.cfg.choke,
-                rotate,
+                m.rechokes.is_multiple_of(self.cfg.optimistic_every),
                 m.optimistic,
                 rng,
             );
-            // `u` came from iterating `self.members`, so the re-borrow can
-            // only miss if the member set changed mid-loop — skip, not panic.
-            let Some(m) = self.members.get_mut(&u) else {
-                continue;
-            };
+            let m = &mut self.members[u].1;
             m.unchoked = decision.unchoked;
             m.optimistic = decision.optimistic;
             m.rechokes += 1;
@@ -305,45 +309,52 @@ impl SwarmSim {
         ledger: &mut TransferLedger,
         rng: &mut DetRng,
     ) -> Vec<Completion> {
-        // Phase 1: enumerate active connections (u uploads to v).
-        let mut conns: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut up_count: BTreeMap<NodeId, u32> = BTreeMap::new();
-        let mut down_count: BTreeMap<NodeId, u32> = BTreeMap::new();
-        for (&u, m) in &self.members {
+        // Phase 1: enumerate active connections (slot u uploads to slot v).
+        // `unchoked` holds ids, so each entry is resolved to its slot here,
+        // once; from then on the tick indexes.
+        let mut conns: Vec<(usize, usize)> = Vec::new();
+        for (u, (_, m)) in self.members.iter().enumerate() {
             if !m.online {
                 continue;
             }
-            for &v in &m.unchoked {
-                let Some(mv) = self.members.get(&v) else {
+            for &peer in &m.unchoked {
+                let Ok(v) = self.slot(peer) else {
                     continue;
                 };
-                if !mv.online || !can_connect(m.link, mv.link) {
-                    continue;
+                let mv = &self.members[v].1;
+                if mv.online
+                    && can_connect(m.link, mv.link)
+                    && mv.bitfield.interested_in(&m.bitfield)
+                {
+                    conns.push((u, v));
                 }
-                if !mv.bitfield.interested_in(&m.bitfield) {
-                    continue;
-                }
-                conns.push((u, v));
-                *up_count.entry(u).or_insert(0) += 1;
-                *down_count.entry(v).or_insert(0) += 1;
             }
+        }
+        if conns.is_empty() {
+            return Vec::new();
+        }
+        let mut up_count = vec![0u32; self.members.len()];
+        let mut down_count = vec![0u32; self.members.len()];
+        for &(u, v) in &conns {
+            up_count[u] += 1;
+            down_count[v] += 1;
         }
 
         // Phase 2: move bytes along each connection.
         let dt_secs = dt.as_secs_f64();
         let piece_kib = self.spec.piece_size_kib as f64;
         let mut completions = Vec::new();
+        let mut completed: Vec<usize> = Vec::new();
         let mut cand = Vec::new();
         for (u, v) in conns {
-            let nu = up_count[&u] as f64;
-            let mv = down_count[&v] as f64;
-            // Connections were enumerated over `self.members`; a missing
-            // endpoint ends this connection rather than the process.
+            let (uid, vid) = (self.members[u].0, self.members[v].0);
+            // A member is never interested in itself, so the two slots
+            // differ; a connection that says otherwise ends here.
             let Some((member_u, member_v)) = pair_mut(&mut self.members, u, v) else {
                 continue;
             };
-            let up_rate = member_u.link.uplink_kibps as f64 / nu;
-            let down_rate = member_v.link.downlink_kibps as f64 / mv;
+            let up_rate = member_u.link.uplink_kibps as f64 / up_count[u] as f64;
+            let down_rate = member_v.link.downlink_kibps as f64 / down_count[v] as f64;
             let mut budget = up_rate.min(down_rate) * dt_secs;
             if budget <= 0.0 {
                 continue;
@@ -352,7 +363,7 @@ impl SwarmSim {
             let mut received = 0.0f64;
             loop {
                 // Ensure v has an in-flight piece from u.
-                if !member_v.in_flight.contains_key(&u) {
+                if !member_v.in_flight.contains_key(&uid) {
                     // Prefer unrequested pieces; fall back to any missing
                     // piece (endgame mode) so transfers never stall.
                     let pick = pick_piece_avoiding(
@@ -365,14 +376,14 @@ impl SwarmSim {
                     );
                     match pick {
                         Some(p) => {
-                            member_v.in_flight.insert(u, (p, piece_kib));
+                            member_v.in_flight.insert(uid, (p, piece_kib));
                         }
                         None => break, // nothing useful on this connection
                     }
                 }
                 // Inserted just above when absent; treat a miss as "nothing
                 // useful on this connection".
-                let Some((piece, remaining)) = member_v.in_flight.get_mut(&u) else {
+                let Some((piece, remaining)) = member_v.in_flight.get_mut(&uid) else {
                     break;
                 };
                 let step = budget.min(*remaining);
@@ -381,7 +392,7 @@ impl SwarmSim {
                 received += step;
                 if *remaining <= 1e-9 {
                     let done = *piece;
-                    member_v.in_flight.remove(&u);
+                    member_v.in_flight.remove(&uid);
                     if member_v.bitfield.set(done) {
                         self.availability.add_piece(done);
                     }
@@ -393,17 +404,18 @@ impl SwarmSim {
                 }
             }
             if received > 0.0 {
-                *member_v.window_recv.entry(u).or_insert(0) += received.round() as u64;
-                let frac = member_v.uncredited.entry(u).or_insert(0.0);
+                *member_v.window_recv.entry(uid).or_insert(0) += received.round() as u64;
+                let frac = member_v.uncredited.entry(uid).or_insert(0.0);
                 *frac += received;
                 let whole = frac.floor() as u64;
                 if whole > 0 {
                     *frac -= whole as f64;
-                    ledger.credit(u, v, whole);
+                    ledger.credit(uid, vid, whole);
                 }
                 if !was_complete && member_v.bitfield.is_complete() {
+                    completed.push(v);
                     completions.push(Completion {
-                        peer: v,
+                        peer: vid,
                         swarm: self.spec.id,
                         time: now,
                     });
@@ -413,18 +425,19 @@ impl SwarmSim {
 
         // Promote completed leechers to seeders; the caller decides whether
         // they stay (altruist) or leave (free-rider).
-        for c in &completions {
-            if let Some(m) = self.members.get_mut(&c.peer) {
-                m.role = MemberRole::Seeder;
-                m.in_flight.clear();
-            }
+        for v in completed {
+            let m = &mut self.members[v].1;
+            m.role = MemberRole::Seeder;
+            m.in_flight.clear();
         }
         completions
     }
 }
 
-/// Stable binary encoding: spec, config, members, the availability counts,
-/// next rechoke. The counts are a function of the member bitfields, so
+/// Stable binary encoding: spec, config, members (a length, then id and
+/// member in ascending id order), the availability counts, next rechoke.
+/// Slots are found by binary search, so restore refuses ids that are not
+/// strictly ascending. The counts are a function of the member bitfields, so
 /// restore checks them piece by piece — a count one too low would wrap on
 /// the next `leave` — and only then builds the level index, which is sized
 /// by the highest count.
@@ -441,8 +454,14 @@ impl Persist for SwarmSim {
         let corrupt = |what: String| Err(DecodeError::Corrupt(format!("SwarmSim: {what}")));
         let spec = SwarmSpec::restore(dec)?;
         let cfg = SwarmConfig::restore(dec)?;
-        let members: BTreeMap<NodeId, Member> = BTreeMap::restore(dec)?;
+        let members: Vec<(NodeId, Member)> = Vec::restore(dec)?;
         let counts: Vec<u32> = Vec::restore(dec)?;
+        if let Some(w) = members.windows(2).find(|w| w[0].0 >= w[1].0) {
+            return corrupt(format!(
+                "member {} follows member {}, ids must ascend",
+                w[1].0, w[0].0
+            ));
+        }
         if spec.piece_size_kib == 0 {
             return corrupt("piece size is zero".to_string());
         }
@@ -490,23 +509,27 @@ fn can_connect(a: LinkProfile, b: LinkProfile) -> bool {
     a.connectable || b.connectable
 }
 
-/// The uploader `u` (shared) and the downloader `v` (exclusive) of one
-/// connection, borrowed from the member map at once: the two ends of the
-/// key range between them are distinct entries.
+/// The uploader in slot `u` (shared) and the downloader in slot `v`
+/// (exclusive), borrowed at once from the two sides of a split.
 fn pair_mut(
-    members: &mut BTreeMap<NodeId, Member>,
-    u: NodeId,
-    v: NodeId,
+    members: &mut [(NodeId, Member)],
+    u: usize,
+    v: usize,
 ) -> Option<(&Member, &mut Member)> {
-    let mut range = members.range_mut(u.min(v)..=u.max(v));
-    let (lo, hi) = (range.next()?, range.next_back()?);
-    let (up, down) = if u < v { (lo, hi) } else { (hi, lo) };
-    (*up.0 == u && *down.0 == v).then_some((&*up.1, down.1))
+    let (lo, hi) = members.split_at_mut(u.max(v));
+    let (below, above) = (&mut lo.get_mut(u.min(v))?.1, &mut hi.first_mut()?.1);
+    Some(if u < v {
+        (&*below, above)
+    } else {
+        (&*above, below)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    mod oracle;
 
     fn spec(pieces_mib: u32) -> SwarmSpec {
         SwarmSpec {
@@ -724,6 +747,11 @@ mod tests {
         sim
     }
 
+    fn member_mut(sim: &mut SwarmSim, peer: NodeId) -> &mut Member {
+        let at = sim.slot(peer).expect("member");
+        &mut sim.members[at].1
+    }
+
     fn corrupt_message(sim: &SwarmSim) -> String {
         match rvs_checkpoint::from_bytes::<SwarmSim>(&rvs_checkpoint::to_bytes(sim)) {
             Err(DecodeError::Corrupt(msg)) => msg,
@@ -744,7 +772,9 @@ mod tests {
     #[test]
     fn restore_checks_the_counts_against_the_members() {
         let sim = busy_swarm();
-        let held = sim.members[&NodeId(0)]
+        let held = sim
+            .member(NodeId(0))
+            .expect("member")
             .bitfield
             .ones()
             .next()
@@ -763,15 +793,11 @@ mod tests {
         // A member whose bitfield is over another file's pieces.
         let mut alien = sim.clone();
         let pieces = sim.spec.piece_count();
-        alien.members.get_mut(&NodeId(1)).expect("member").bitfield = Bitfield::empty(pieces + 64);
+        member_mut(&mut alien, NodeId(1)).bitfield = Bitfield::empty(pieces + 64);
         assert!(corrupt_message(&alien).contains("bitfield over"));
         // A request for a piece the file does not have.
         let mut beyond = sim.clone();
-        let requests = &mut beyond
-            .members
-            .get_mut(&NodeId(1))
-            .expect("member")
-            .in_flight;
+        let requests = &mut member_mut(&mut beyond, NodeId(1)).in_flight;
         requests.insert(NodeId(0), (pieces, 1.0));
         assert!(corrupt_message(&beyond).contains("requests a piece past"));
         // A piece size of zero has no piece count at all.

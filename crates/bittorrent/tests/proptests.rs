@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rvs_bittorrent::swarm::{LinkProfile, MemberRole, SwarmConfig};
-use rvs_bittorrent::{SwarmSim, TransferLedger};
+use rvs_bittorrent::{Bitfield, SwarmSim, TransferLedger};
 use rvs_sim::{DetRng, NodeId, SimDuration, SimTime, SwarmId};
 use rvs_trace::SwarmSpec;
 
@@ -126,5 +126,34 @@ proptest! {
         // Within one piece of rounding slack.
         prop_assert!(moved + 256 >= file_kib && moved <= file_kib + 256,
             "moved {moved} KiB vs file {file_kib} KiB");
+    }
+
+    /// `interested_in` answers from the two counts and, failing that, from
+    /// the words; the definition is a piece the other side holds and this
+    /// one lacks. Densities 0 and 8 are the empty and the full bitfield,
+    /// `tail` 0 a file that ends on a word boundary.
+    #[test]
+    fn interest_is_a_missing_piece(
+        words in 0u32..4,
+        tail in 0u32..64,
+        mine_eighths in 0u64..9,
+        theirs_eighths in 0u64..9,
+        seed in 0u64..1_000_000,
+    ) {
+        let len = words * 64 + tail;
+        let mut rng = DetRng::new(seed);
+        let mut fill = |eighths: u64| {
+            let mut bf = Bitfield::empty(len);
+            for p in 0..len {
+                if rng.below(8) < eighths {
+                    bf.set(p);
+                }
+            }
+            bf
+        };
+        let (mine, theirs) = (fill(mine_eighths), fill(theirs_eighths));
+        for (a, b) in [(&mine, &theirs), (&theirs, &mine), (&mine, &mine)] {
+            prop_assert_eq!(a.interested_in(b), a.missing_from(b).next().is_some());
+        }
     }
 }

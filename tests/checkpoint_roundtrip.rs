@@ -15,7 +15,9 @@
 //!   smaller run — are `Corrupt`, not a system that panics a round later;
 //! * so are blobs whose stored *derived* values disagree with what they
 //!   are derived from: a swarm's availability counts against its members'
-//!   bitfields, the ledger's transpose against its forward map.
+//!   bitfields, the ledger's transpose against its forward map;
+//! * and a swarm whose members are not in strictly ascending id order,
+//!   which is what a member's slot is found by.
 
 use proptest::prelude::*;
 use robust_vote_sampling::faults::FaultSchedule;
@@ -275,6 +277,34 @@ fn availability_counts_that_disagree_with_the_members_are_corrupt() {
     short[len_at..counts_at].copy_from_slice(&(pieces as u64 - 1).to_le_bytes());
     short.drain(counts_at + 4 * (pieces - 1)..counts_at + 4 * pieces);
     assert_corrupt(&short, "availability counts for");
+}
+
+#[test]
+fn swarm_members_out_of_order_or_duplicated_are_corrupt() {
+    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
+    let net = system.net();
+    let swarm = (0..net.swarm_count())
+        .map(|i| net.swarm(rvs_sim::SwarmId::from_index(i)))
+        .max_by_key(|swarm| swarm.member_count())
+        .expect("the trace has swarms");
+    let ids: Vec<rvs_sim::NodeId> = swarm.members().collect();
+    assert!(ids.len() >= 2, "two members to put out of order");
+    // A `SwarmSim` opens with its spec and its configuration; the members
+    // follow as a length and, first of all, the first member's id.
+    let sim = rvs_checkpoint::to_bytes(swarm);
+    let honest = base_bytes().to_vec();
+    let len_at = locate(&honest, &sim)
+        + rvs_checkpoint::to_bytes(swarm.spec()).len()
+        + rvs_checkpoint::to_bytes(&rvs_bittorrent::swarm::SwarmConfig::default()).len();
+    let first_at = len_at + 8;
+    assert_eq!(honest[len_at..first_at], (ids.len() as u64).to_le_bytes());
+    assert_eq!(honest[first_at..first_at + 4], ids[0].0.to_le_bytes());
+    // The second member's id twice, then the first member behind the second.
+    for first in [ids[1].0, ids[1].0 + 1] {
+        let mut crafted = honest.clone();
+        crafted[first_at..first_at + 4].copy_from_slice(&first.to_le_bytes());
+        assert_corrupt(&crafted, "ids must ascend");
+    }
 }
 
 #[test]
