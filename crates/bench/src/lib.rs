@@ -3,8 +3,8 @@
 //!
 //! Every binary accepts `--quick` to run a scaled-down configuration
 //! (minutes → seconds) and prints the same rows/series the paper reports,
-//! as aligned text tables; each refuses an argument it does not read. Paper-vs-measured comparisons are recorded in
-//! `EXPERIMENTS.md`.
+//! as aligned text tables; each refuses an argument it does not read.
+//! Paper-vs-measured comparisons are recorded in `EXPERIMENTS.md`.
 
 use std::time::Instant;
 

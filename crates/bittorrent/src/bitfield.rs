@@ -141,24 +141,19 @@ impl Bitfield {
 
     /// Iterate over all held piece indices.
     pub fn ones(&self) -> impl Iterator<Item = u32> + '_ {
-        ones_of(&self.words)
-    }
-}
-
-/// Indices of the set bits of `words`, ascending.
-pub(crate) fn ones_of(words: &[u64]) -> impl Iterator<Item = u32> + '_ {
-    words.iter().enumerate().flat_map(|(wi, &w)| {
-        let mut bits = w;
-        std::iter::from_fn(move || {
-            if bits == 0 {
-                None
-            } else {
-                let b = bits.trailing_zeros();
-                bits &= bits - 1;
-                Some(wi as u32 * 64 + b)
-            }
+        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+            let mut bits = w;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    None
+                } else {
+                    let b = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    Some(wi as u32 * 64 + b)
+                }
+            })
         })
-    })
+    }
 }
 
 /// Stable binary encoding: words, piece count, set-bit count. Restore

@@ -16,7 +16,7 @@
 //! * [`net::BitTorrentNet`] — all swarms of a trace plus churn handling,
 //!   driven by fixed simulation ticks.
 //!
-//! The simulator is deterministic: member maps are ordered (`BTreeMap`),
+//! The simulator is deterministic: members are kept in ascending id order,
 //! and all randomness (optimistic unchoke, tie-breaks) comes from the
 //! caller-supplied [`rvs_sim::DetRng`].
 

@@ -5,13 +5,13 @@
 //! at random. The very first piece is chosen uniformly at random instead,
 //! so a newcomer gets *some* piece quickly and can start reciprocating.
 //!
-//! The tie-break is a reservoir over the candidates in index order, and its
-//! draws are the swarm's RNG stream, so the pick has to reproduce them draw
-//! for draw. [`Availability`] keeps one bitset per availability level, which
-//! turns the per-candidate walk into word operations plus exactly the draws
-//! the walk would have made (DESIGN.md §4 has the argument).
+//! The tie-break is one draw: with `T` candidates on the rarest level the
+//! pick is the `below(T)`-th of them in index order, and a lone rarest
+//! candidate is taken without a draw. [`Availability`] keeps one bitset per
+//! availability level, so finding the level, counting `T` and selecting
+//! the winner are word operations (DESIGN.md §4).
 
-use crate::bitfield::{ones_of, Bitfield};
+use crate::bitfield::Bitfield;
 use rvs_sim::DetRng;
 
 /// Per-swarm piece availability, maintained incrementally as members join,
@@ -119,18 +119,10 @@ impl Availability {
         self.counts[piece as usize]
     }
 
-    /// The pick over candidate words `cand` (one bit per requestable piece).
-    ///
-    /// Rarest-first is defined as a reservoir walk: candidates in index
-    /// order, a strictly rarer one resets the reservoir, an equally rare one
-    /// joins it and draws `below(ties)` to decide whether it takes it over.
-    /// With `m` the lowest level holding a candidate and `first` the first
-    /// candidate on it, the walk behaves as written up to `first`, is reset
-    /// by `first`, and from there only the other candidates on level `m`
-    /// draw — `below(2)`, `below(3)`, … in index order, the last draw of 0
-    /// winning. So: find `m` and `first` by word operations, replay the walk
-    /// on the few candidates before `first` for its draws, then make the
-    /// level-`m` draws without visiting a piece.
+    /// The pick over candidate words `cand` (one bit per requestable piece):
+    /// uniform over the candidates on the lowest availability level that
+    /// holds one. With `T` of them the winner is the `below(T)`-th in index
+    /// order — one draw per pick, none when `T == 1`.
     fn pick(&self, cand: &[u64], random_first: bool, rng: &mut DetRng) -> Option<u32> {
         if cand.iter().all(|&w| w == 0) {
             return None;
@@ -139,41 +131,21 @@ impl Availability {
             let n: u32 = cand.iter().map(|w| w.count_ones()).sum();
             return select(cand.iter().copied(), rng.index(n as usize) as u32);
         }
-        let (level, first_word) = self
+        let level = self
             .level_pop
             .iter()
             .enumerate()
             .filter(|&(_, &pop)| pop > 0)
-            .find_map(|(a, _)| {
-                let level = self.level(a);
-                let w = cand.iter().zip(level).position(|(c, l)| c & l != 0)?;
-                Some((level, w))
-            })?;
-        let first =
-            first_word as u32 * 64 + (cand[first_word] & level[first_word]).trailing_zeros();
-        walk_draws(
-            ones_of(&cand[..=first_word]).take_while(|&p| p < first),
-            self,
-            rng,
-        );
-        let on_level = || {
-            cand[first_word..]
-                .iter()
-                .zip(&level[first_word..])
-                .map(|(c, l)| c & l)
+            .map(|(a, _)| self.level(a))
+            .find(|level| cand.iter().zip(*level).any(|(c, l)| c & l != 0))?;
+        let rarest = || cand.iter().zip(level).map(|(c, l)| c & l);
+        let ties: u32 = rarest().map(|w| w.count_ones()).sum();
+        let winner = if ties > 1 {
+            rng.below(ties as u64) as u32
+        } else {
+            0
         };
-        let ties: u32 = on_level().map(|w| w.count_ones()).sum();
-        // The draws touch nothing but the generator, so they run on a local
-        // copy the optimiser can keep in registers.
-        let mut local = rng.clone();
-        let mut winner = 0;
-        for k in 1..ties {
-            if local.below(k as u64 + 1) == 0 {
-                winner = k;
-            }
-        }
-        *rng = local;
-        Some(first_word as u32 * 64 + select(on_level(), winner)?)
+        select(rarest(), winner)
     }
 }
 
@@ -193,29 +165,6 @@ fn select(words: impl Iterator<Item = u64>, mut n: u32) -> Option<u32> {
     None
 }
 
-/// The draws the reservoir walk makes over `candidates` (index order): a
-/// strictly rarer piece resets the tie count, an equally rare one draws.
-/// Which piece the reservoir holds is not tracked — the caller stops the
-/// walk at the piece that resets it.
-fn walk_draws(
-    candidates: impl Iterator<Item = u32>,
-    availability: &Availability,
-    rng: &mut DetRng,
-) {
-    let mut best_avail = u32::MAX;
-    let mut ties = 0u64;
-    for piece in candidates {
-        let a = availability.count(piece);
-        if a < best_avail {
-            best_avail = a;
-            ties = 1;
-        } else if a == best_avail {
-            ties += 1;
-            rng.below(ties);
-        }
-    }
-}
-
 /// Write the pieces `theirs` offers and `mine` lacks into `cand`.
 fn candidates(mine: &Bitfield, theirs: &Bitfield, cand: &mut Vec<u64>) {
     debug_assert_eq!(mine.len(), theirs.len());
@@ -233,7 +182,7 @@ fn candidates(mine: &Bitfield, theirs: &Bitfield, cand: &mut Vec<u64>) {
 /// * If `mine` is empty, pick uniformly at random among the pieces `theirs`
 ///   offers (random first piece).
 /// * Otherwise pick the rarest candidate by `availability`, breaking ties
-///   uniformly at random (reservoir over the minimum).
+///   uniformly at random (one draw over the tied candidates).
 ///
 /// Returns `None` when `theirs` offers nothing new.
 pub fn pick_piece(
@@ -367,39 +316,32 @@ mod tests {
         assert_eq!(a.count(2), 0);
     }
 
-    /// Rarest-first as it was written before the level index: walk every
-    /// candidate in index order with a reservoir over the running minimum.
-    /// This is the definition the indexed pick must match draw for draw.
+    /// Rarest-first as a walk over the pieces, the definition the indexed
+    /// pick must match draw for draw: collect the candidates of the lowest
+    /// availability in index order and draw once among them — not at all
+    /// when there is one.
     fn pick_piece_scan(
         mine: &Bitfield,
         theirs: &Bitfield,
         availability: &Availability,
         rng: &mut DetRng,
     ) -> Option<u32> {
+        let candidates: Vec<u32> = mine.missing_from(theirs).collect();
+        if candidates.is_empty() {
+            return None;
+        }
         if mine.count() == 0 {
-            let candidates: Vec<u32> = mine.missing_from(theirs).collect();
-            if candidates.is_empty() {
-                return None;
-            }
             return Some(candidates[rng.index(candidates.len())]);
         }
-        let mut best: Option<u32> = None;
-        let mut best_avail = u32::MAX;
-        let mut ties = 0u64;
-        for piece in mine.missing_from(theirs) {
-            let a = availability.count(piece);
-            if a < best_avail {
-                best_avail = a;
-                best = Some(piece);
-                ties = 1;
-            } else if a == best_avail {
-                ties += 1;
-                if rng.below(ties) == 0 {
-                    best = Some(piece);
-                }
-            }
+        let lowest = candidates.iter().map(|&p| availability.count(p)).min()?;
+        let rarest: Vec<u32> = candidates
+            .into_iter()
+            .filter(|&p| availability.count(p) == lowest)
+            .collect();
+        match rarest[..] {
+            [only] => Some(only),
+            _ => Some(rarest[rng.below(rarest.len() as u64) as usize]),
         }
-        best
     }
 
     /// The swarm's pick as it was written: mask the in-flight pieces into a
@@ -481,8 +423,7 @@ mod tests {
                 Some(pieces - 1)
             );
             assert_same_pick(&all_but_last, &seeder, &[pieces - 1], &avail, seed);
-            // Every candidate on one level: one draw per candidate after
-            // the first, none before it.
+            // Every candidate on one level.
             let avail = avail_from(&[&seeder, &started], pieces);
             assert_same_pick(&started, &seeder, &[], &avail, seed);
             assert_same_pick(&started, &seeder, &[0, 1, 2, 63, 64, 128], &avail, seed);
@@ -494,6 +435,63 @@ mod tests {
             assert!(pick >= Some(128), "rarest pieces are 128 and 129");
             assert_same_pick(&started, &seeder, &[128], &avail, seed);
             assert_same_pick(&started, &seeder, &[128, 129], &avail, seed);
+        }
+    }
+
+    /// A leecher that holds piece 0, a seeder, and `ties` pieces (spread
+    /// over the words of a 330-piece file) that nobody else holds; every
+    /// other piece has a third holder and is commoner.
+    fn swarm_with_ties(ties: u32) -> (Bitfield, Bitfield, Availability, Vec<u32>) {
+        let pieces = 330;
+        let rarest: Vec<u32> = (0..ties).map(|k| 1 + k * (pieces - 1) / ties).collect();
+        let mine = bitfield_of(pieces, [0]);
+        let seeder = Bitfield::full(pieces);
+        let common = bitfield_of(pieces, (1..pieces).filter(|p| !rarest.contains(p)));
+        let avail = avail_from(&[&mine, &seeder, &common], pieces);
+        (mine, seeder, avail, rarest)
+    }
+
+    #[test]
+    fn a_pick_draws_once_among_the_tied_and_never_for_a_lone_rarest() {
+        for ties in [1, 2, 3, 64, 65, 300] {
+            let (mine, seeder, avail, rarest) = swarm_with_ties(ties);
+            for seed in 0..20 {
+                let (mut rng, mut expected) = (DetRng::new(seed), DetRng::new(seed));
+                let pick = pick_piece(&mine, &seeder, &avail, &mut rng);
+                let nth = match ties {
+                    1 => 0,
+                    _ => expected.below(ties as u64) as usize,
+                };
+                assert_eq!(pick, Some(rarest[nth]), "{ties} ties, seed {seed}");
+                assert_eq!(rng, expected, "{ties} ties: one `below({ties})`, or none");
+            }
+        }
+    }
+
+    #[test]
+    fn the_one_draw_is_uniform_over_the_tied() {
+        for ties in [2u32, 3, 64, 65, 300] {
+            let (mine, seeder, avail, rarest) = swarm_with_ties(ties);
+            let per_piece = 400;
+            let mut rng = DetRng::new(ties as u64);
+            let mut hits = std::collections::BTreeMap::new();
+            for _ in 0..per_piece * ties {
+                let pick = pick_piece(&mine, &seeder, &avail, &mut rng).expect("candidates");
+                *hits.entry(pick).or_insert(0u32) += 1;
+            }
+            assert_eq!(
+                hits.keys().copied().collect::<Vec<_>>(),
+                rarest,
+                "every tied piece is picked, nothing else is"
+            );
+            // Binomial(400 T, 1 / T): mean 400, deviation below 20; the
+            // worst of 300 pieces stays well inside six of them.
+            for (piece, &n) in &hits {
+                assert!(
+                    (280..=520).contains(&n),
+                    "{ties} ties: piece {piece} hit {n}"
+                );
+            }
         }
     }
 

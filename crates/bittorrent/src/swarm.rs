@@ -99,6 +99,28 @@ struct Member {
     uncredited: BTreeMap<NodeId, f64>,
 }
 
+impl Member {
+    /// A member as it joins: a seeder's bitfield is complete, a leecher's
+    /// empty; nothing unchoked, requested or received yet.
+    fn joining(pieces: u32, role: MemberRole, link: LinkProfile, online: bool) -> Self {
+        Member {
+            bitfield: match role {
+                MemberRole::Seeder => Bitfield::full(pieces),
+                MemberRole::Leecher => Bitfield::empty(pieces),
+            },
+            role,
+            online,
+            link,
+            unchoked: Vec::new(),
+            optimistic: None,
+            rechokes: 0,
+            in_flight: BTreeMap::new(),
+            window_recv: BTreeMap::new(),
+            uncredited: BTreeMap::new(),
+        }
+    }
+}
+
 rvs_checkpoint::persist_struct!(LinkProfile {
     connectable,
     uplink_kibps,
@@ -162,24 +184,8 @@ impl SwarmSim {
         let Err(at) = self.slot(peer) else {
             return;
         };
-        let pieces = self.spec.piece_count();
-        let bitfield = match role {
-            MemberRole::Seeder => Bitfield::full(pieces),
-            MemberRole::Leecher => Bitfield::empty(pieces),
-        };
-        self.availability.add_bitfield(&bitfield);
-        let member = Member {
-            bitfield,
-            role,
-            online,
-            link,
-            unchoked: Vec::new(),
-            optimistic: None,
-            rechokes: 0,
-            in_flight: BTreeMap::new(),
-            window_recv: BTreeMap::new(),
-            uncredited: BTreeMap::new(),
-        };
+        let member = Member::joining(self.spec.piece_count(), role, link, online);
+        self.availability.add_bitfield(&member.bitfield);
         self.members.insert(at, (peer, member));
     }
 
@@ -189,13 +195,17 @@ impl SwarmSim {
             let (_, m) = self.members.remove(at);
             self.availability.remove_bitfield(&m.bitfield);
         }
-        // Drop dangling references held by others.
+        // Drop dangling references held by others, the per-source rows
+        // included: a fraction left in `uncredited` would be checkpointed
+        // for ever and handed to the peer if it joined again.
         for (_, m) in &mut self.members {
             m.unchoked.retain(|&p| p != peer);
             if m.optimistic == Some(peer) {
                 m.optimistic = None;
             }
             m.in_flight.remove(&peer);
+            m.window_recv.remove(&peer);
+            m.uncredited.remove(&peer);
         }
     }
 
@@ -693,6 +703,35 @@ mod tests {
             &mut rng,
         );
         assert_eq!(ledger.total_kib(), before);
+    }
+
+    #[test]
+    fn leave_drops_what_the_others_kept_per_source() {
+        // 100 KiB/s for a third of a second is 33.3 KiB: the tick ends
+        // mid-piece and leaves a fraction of a KiB uncredited.
+        let mut sim = SwarmSim::new(spec(10), SwarmConfig::default());
+        sim.join(NodeId(1), MemberRole::Leecher, link(true, 512), true);
+        let fresh = rvs_checkpoint::to_bytes(&sim).len();
+        let mut ledger = TransferLedger::new();
+        let mut rng = DetRng::new(1);
+        let dt = SimDuration::from_millis(333);
+        for (k, seeder) in [NodeId(0), NodeId(7), NodeId(9)].into_iter().enumerate() {
+            sim.join(seeder, MemberRole::Seeder, link(true, 100), true);
+            sim.tick(SimTime::from_secs(10 * k as u64), dt, &mut ledger, &mut rng);
+            let downloader = sim.member(NodeId(1)).expect("member");
+            let carried = downloader.uncredited[&seeder];
+            assert!(carried > 0.0 && carried < 1.0, "a fraction: {carried}");
+            assert!(downloader.window_recv.contains_key(&seeder));
+            sim.leave(seeder);
+            let downloader = sim.member(NodeId(1)).expect("member");
+            assert!(downloader.uncredited.is_empty() && downloader.window_recv.is_empty());
+            assert!(downloader.in_flight.is_empty() && downloader.unchoked.is_empty());
+        }
+        // Three departed peers later the downloader encodes as on day one.
+        assert_eq!(rvs_checkpoint::to_bytes(&sim).len(), fresh);
+        // A peer that joins again starts from nothing carried.
+        sim.join(NodeId(0), MemberRole::Seeder, link(true, 100), true);
+        assert!(sim.member(NodeId(1)).expect("member").uncredited.is_empty());
     }
 
     #[test]

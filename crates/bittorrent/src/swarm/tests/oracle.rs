@@ -35,27 +35,9 @@ impl MapSwarm {
         if self.members.contains_key(&peer) {
             return;
         }
-        let pieces = self.spec.piece_count();
-        let bitfield = match role {
-            MemberRole::Seeder => Bitfield::full(pieces),
-            MemberRole::Leecher => Bitfield::empty(pieces),
-        };
-        self.availability.add_bitfield(&bitfield);
-        self.members.insert(
-            peer,
-            Member {
-                bitfield,
-                role,
-                online,
-                link,
-                unchoked: Vec::new(),
-                optimistic: None,
-                rechokes: 0,
-                in_flight: BTreeMap::new(),
-                window_recv: BTreeMap::new(),
-                uncredited: BTreeMap::new(),
-            },
-        );
+        let member = Member::joining(self.spec.piece_count(), role, link, online);
+        self.availability.add_bitfield(&member.bitfield);
+        self.members.insert(peer, member);
     }
 
     fn leave(&mut self, peer: NodeId) {
@@ -68,6 +50,8 @@ impl MapSwarm {
                 m.optimistic = None;
             }
             m.in_flight.remove(&peer);
+            m.window_recv.remove(&peer);
+            m.uncredited.remove(&peer);
         }
     }
 

@@ -237,15 +237,19 @@ fn locate(bytes: &[u8], needle: &[u8]) -> usize {
     at.expect("the component's encoding is part of the checkpoint")
 }
 
+/// The swarm of the honest checkpoint with the most members.
+fn busiest_swarm(system: &System) -> &rvs_bittorrent::SwarmSim {
+    let net = system.net();
+    (0..net.swarm_count())
+        .map(|i| net.swarm(rvs_sim::SwarmId::from_index(i)))
+        .max_by_key(|swarm| swarm.member_count())
+        .expect("the trace has swarms")
+}
+
 #[test]
 fn availability_counts_that_disagree_with_the_members_are_corrupt() {
     let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
-    let net = system.net();
-    let busiest = (0..net.swarm_count())
-        .map(rvs_sim::SwarmId::from_index)
-        .max_by_key(|&id| net.swarm(id).member_count())
-        .expect("the trace has swarms");
-    let swarm = net.swarm(busiest);
+    let swarm = busiest_swarm(&system);
     assert!(swarm.member_count() > 0, "someone holds a piece");
     // A `SwarmSim` ends with its counts — a length and one `u32` per piece
     // — and the 8 bytes of its next rechoke.
@@ -282,11 +286,7 @@ fn availability_counts_that_disagree_with_the_members_are_corrupt() {
 #[test]
 fn swarm_members_out_of_order_or_duplicated_are_corrupt() {
     let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
-    let net = system.net();
-    let swarm = (0..net.swarm_count())
-        .map(|i| net.swarm(rvs_sim::SwarmId::from_index(i)))
-        .max_by_key(|swarm| swarm.member_count())
-        .expect("the trace has swarms");
+    let swarm = busiest_swarm(&system);
     let ids: Vec<rvs_sim::NodeId> = swarm.members().collect();
     assert!(ids.len() >= 2, "two members to put out of order");
     // A `SwarmSim` opens with its spec and its configuration; the members
