@@ -162,7 +162,9 @@ pub mod prelude {
     }
 }
 
-/// Per-test configuration. Only `cases` is honoured.
+/// Per-test configuration. Only `cases` is honoured; as in the published
+/// crate, the environment's `PROPTEST_CASES` replaces the default of 256
+/// (an explicit `with_cases` wins).
 #[derive(Debug, Clone)]
 pub struct ProptestConfig {
     pub cases: u32,
@@ -176,7 +178,11 @@ impl ProptestConfig {
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        ProptestConfig { cases: 256 }
+        let cases = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(256);
+        ProptestConfig { cases }
     }
 }
 

@@ -7,8 +7,11 @@
 //! `b`; the edge weight is the maximum over the accepted reports (counters
 //! are cumulative, so for honest reporters max == newest).
 
+use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
 use rvs_sim::NodeId;
-use std::collections::BTreeMap;
+
+/// One source's out-edges, ascending by target.
+type Row = Vec<(NodeId, u64)>;
 
 /// One node's subjective view of the transfer network.
 ///
@@ -16,7 +19,21 @@ use std::collections::BTreeMap;
 /// many redundant or stale reports each one absorbed along the way.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SubjectiveGraph {
-    edges: BTreeMap<(NodeId, NodeId), u64>,
+    /// Ascending by source, no row empty. A zero weight stays where a
+    /// report created it (it is persisted), and reads as no edge.
+    rows: Vec<(NodeId, Row)>,
+}
+
+/// `Vec::insert` that grows a full vector by a quarter instead of doubling
+/// it. A graph is hundreds of rows, most of a handful of entries, that only
+/// ever grow: doubling held capacity for 2,773 entries to store 1,988 and
+/// cost 10 % of peak RSS at 1,000 peers (EXPERIMENTS.md, "Subjective graph:
+/// rows, and contribution as a merge").
+pub(crate) fn insert_snug<T>(v: &mut Vec<T>, at: usize, item: T) {
+    if v.len() == v.capacity() {
+        v.reserve_exact(1 + v.len() / 4);
+    }
+    v.insert(at, item);
 }
 
 impl SubjectiveGraph {
@@ -49,23 +66,55 @@ impl SubjectiveGraph {
         if (reporter != from && reporter != to) || from == to {
             return None;
         }
-        let w = self.edges.entry((from, to)).or_default();
-        let old = *w;
-        *w = old.max(kib);
-        Some((old, *w))
+        let at = match self.rows.binary_search_by_key(&from, |&(source, _)| source) {
+            Ok(at) => at,
+            Err(at) => {
+                insert_snug(&mut self.rows, at, (from, Row::new()));
+                at
+            }
+        };
+        let row = &mut self.rows[at].1;
+        match row.binary_search_by_key(&to, |&(target, _)| target) {
+            Ok(at) => {
+                let old = row[at].1;
+                row[at].1 = old.max(kib);
+                Some((old, row[at].1))
+            }
+            Err(at) => {
+                insert_snug(row, at, (to, kib));
+                Some((0, kib))
+            }
+        }
+    }
+
+    /// The stored out-edges of `from`, zero weights included, ascending by
+    /// target.
+    pub(crate) fn row(&self, from: NodeId) -> &[(NodeId, u64)] {
+        match self.rows.binary_search_by_key(&from, |&(source, _)| source) {
+            Ok(at) => &self.rows[at].1,
+            Err(_) => &[],
+        }
     }
 
     /// Effective weight of edge `(from → to)` in KiB.
     pub fn edge_kib(&self, from: NodeId, to: NodeId) -> u64 {
-        self.edges.get(&(from, to)).copied().unwrap_or(0)
+        let row = self.row(from);
+        match row.binary_search_by_key(&to, |&(target, _)| target) {
+            Ok(at) => row[at].1,
+            Err(_) => 0,
+        }
     }
 
     /// All edges with nonzero weight, deterministic order.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
-        self.edges
+        self.stored().filter(|&(_, _, w)| w > 0)
+    }
+
+    /// Every stored entry, ascending by `(from, to)`: the persisted order.
+    fn stored(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
+        self.rows
             .iter()
-            .filter(|(_, &w)| w > 0)
-            .map(|(&(f, t), &w)| (f, t, w))
+            .flat_map(|(from, row)| row.iter().map(move |&(to, w)| (*from, to, w)))
     }
 
     /// Outgoing neighbours of `node` with edge weights.
@@ -75,32 +124,62 @@ impl SubjectiveGraph {
 
     /// [`out_edges`](Self::out_edges) without the `Vec`.
     pub(crate) fn out_edges_iter(&self, node: NodeId) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.edges
-            .range((node, NodeId(0))..=(node, NodeId(u32::MAX)))
-            .filter(|(_, &w)| w > 0)
-            .map(|(&(_, t), &w)| (t, w))
+        self.row(node).iter().copied().filter(|&(_, w)| w > 0)
     }
 
     /// Number of distinct nonzero edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.values().filter(|&&w| w > 0).count()
+        self.edges().count()
     }
 
     /// All node ids mentioned by any edge (sorted, deduplicated).
     pub fn nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .edges
-            .iter()
-            .filter(|(_, &w)| w > 0)
-            .flat_map(|(&(f, t), _)| [f, t])
-            .collect();
+        let mut v: Vec<NodeId> = self.edges().flat_map(|(f, t, _)| [f, t]).collect();
         v.sort_unstable();
         v.dedup();
         v
     }
 }
 
-rvs_checkpoint::persist_struct!(SubjectiveGraph { edges });
+/// Stable binary encoding, the one a `BTreeMap<(NodeId, NodeId), u64>` has:
+/// the entry count, then `(from, to, kib)` ascending. Written by hand
+/// because the rows are not that map; a checkpoint is outside input, so
+/// restore refuses what no sequence of reports can store — entries out of
+/// order or repeated (the rows are binary-searched) and self-loops.
+impl Persist for SubjectiveGraph {
+    fn persist(&self, enc: &mut Encoder) {
+        enc.usize(self.rows.iter().map(|(_, row)| row.len()).sum());
+        for entry in self.stored() {
+            entry.persist(enc);
+        }
+    }
+
+    fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let corrupt = |what: &str| Err(DecodeError::Corrupt(format!("SubjectiveGraph: {what}")));
+        let len = dec.seq_len()?;
+        let mut rows: Vec<(NodeId, Row)> = Vec::new();
+        let mut last = None;
+        for _ in 0..len {
+            let (from, to, kib) = <(NodeId, NodeId, u64)>::restore(dec)?;
+            if last >= Some((from, to)) {
+                return corrupt("edges must ascend");
+            }
+            if from == to {
+                return corrupt("self-loop");
+            }
+            last = Some((from, to));
+            match rows.last_mut() {
+                Some((source, row)) if *source == from => row.push((to, kib)),
+                _ => rows.push((from, vec![(to, kib)])),
+            }
+        }
+        // Pushing doubled the capacities; hand back what `insert_snug`
+        // would not have taken.
+        rows.iter_mut().for_each(|(_, row)| row.shrink_to_fit());
+        rows.shrink_to_fit();
+        Ok(SubjectiveGraph { rows })
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -15,12 +15,15 @@
 //!
 //! * [`graph`] — per-node subjective transfer graphs with reporter-checked
 //!   edge insertion (a peer may only report its *own* transfers), one
-//!   `max`-accumulated weight per edge;
+//!   `max`-accumulated weight per edge, stored as per-source rows sorted
+//!   by target;
 //! * [`maxflow`] — hop-bounded Edmonds–Karp, matching the deployed
 //!   BarterCast's 2-hop maxflow that limits the leverage of false reports;
-//!   at 2 hops a closed-form sum over `j`'s out-edges, cheap enough that
-//!   every contribution query recomputes it (no cache — DESIGN.md §4);
-//! * [`protocol`] — the record-exchange gossip ([`BarterCast`]);
+//!   at 2 hops a closed-form sum over `j`'s out-edges;
+//! * [`protocol`] — the record-exchange gossip ([`BarterCast`]), which
+//!   answers a 2-hop contribution query as one merge of `j`'s out-row with
+//!   the owner's in-column, cheap enough that every query recomputes it
+//!   (no cache — DESIGN.md §4);
 //! * [`experience`] — the threshold experience function
 //!   `E_i(j) ⇔ f_{j→i} ≥ T` plus the adaptive-threshold variant sketched in
 //!   the paper's discussion (§VII).
@@ -30,6 +33,9 @@ pub mod graph;
 pub mod maxflow;
 pub mod protocol;
 pub mod validate;
+
+#[cfg(test)]
+mod tests;
 
 pub use experience::{AdaptiveThreshold, ThresholdExperience};
 pub use graph::SubjectiveGraph;

@@ -7,7 +7,7 @@
 //! hearsay — which the receiver installs into its graph. Contribution
 //! estimates are hop-bounded maxflows over the receiver's graph.
 
-use crate::graph::SubjectiveGraph;
+use crate::graph::{insert_snug, SubjectiveGraph};
 use crate::maxflow::max_flow_bounded;
 use rvs_bittorrent::TransferLedger;
 use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
@@ -62,11 +62,15 @@ fn send_key(from: NodeId, to: NodeId, kib: u64) -> SendKey {
 }
 
 /// What a node has to say about itself, kept beside its graph so that
-/// neither sending nor syncing scans the graph.
+/// neither sending, syncing nor a contribution query scans the graph.
 #[derive(Debug, Clone, Default)]
 struct OwnRecords {
     /// The node's nonzero incident edges in its graph, sorted.
     sent: Vec<SendKey>,
+    /// The node's in-column — its graph's nonzero edges `x → node` as
+    /// `(x, kib)`, ascending by `x`: the graph's rows are by source, so
+    /// this is the one column a 2-hop flow towards the node joins against.
+    inbound: Vec<(NodeId, u64)>,
     /// The ledger's `peer_totals` for the node at its last sync, `None`
     /// until the first one.
     synced: Option<(u64, u64)>,
@@ -81,18 +85,68 @@ impl OwnRecords {
             .map(|(from, to, kib)| send_key(from, to, kib))
             .collect();
         sent.sort_unstable();
-        OwnRecords { sent, synced: None }
+        let inbound = graph
+            .edges()
+            .filter(|&(_, to, _)| to == owner)
+            .map(|(from, _, kib)| (from, kib))
+            .collect();
+        OwnRecords {
+            sent,
+            inbound,
+            synced: None,
+        }
     }
 
-    /// An incident edge went from weight `old` to the larger `new`.
-    fn reweigh(&mut self, from: NodeId, to: NodeId, old: u64, new: u64) {
+    /// An edge incident to `owner` went from weight `old` to the larger
+    /// `new`.
+    fn reweigh(&mut self, owner: NodeId, from: NodeId, to: NodeId, old: u64, new: u64) {
         if let Ok(at) = self.sent.binary_search(&send_key(from, to, old)) {
             self.sent.remove(at);
         }
         let key = send_key(from, to, new);
         let at = self.sent.binary_search(&key).unwrap_or_else(|at| at);
         self.sent.insert(at, key);
+        if to == owner {
+            match self.inbound.binary_search_by_key(&from, |&(x, _)| x) {
+                Ok(at) => self.inbound[at].1 = new,
+                Err(at) => insert_snug(&mut self.inbound, at, (from, new)),
+            }
+        }
     }
+}
+
+/// The rows of a ledger row-set (ascending by counterparty) that would
+/// raise an edge of `known` (ascending too, absent = 0): one merge.
+fn behind<'a>(
+    ledger: impl Iterator<Item = (NodeId, u64)> + 'a,
+    known: &'a [(NodeId, u64)],
+) -> impl Iterator<Item = (NodeId, u64)> + 'a {
+    let mut known = known.iter().peekable();
+    ledger.filter(move |&(peer, kib)| {
+        while known.next_if(|&&(x, _)| x < peer).is_some() {}
+        !matches!(known.peek(), Some(&&(x, w)) if x == peer && w >= kib)
+    })
+}
+
+/// `Σ_x min(w(j, x), w(x, i))` plus `w(j, i)`, saturating: the 2-hop
+/// closed form of [`max_flow_bounded`] as one merge of `j`'s out-row (which
+/// holds the direct edge at `x == i`) with `i`'s in-column.
+fn two_hop_flow(i: NodeId, out_of_j: &[(NodeId, u64)], into_i: &[(NodeId, u64)]) -> u64 {
+    let mut into_i = into_i.iter().peekable();
+    let mut flow = 0u64;
+    for &(x, cap_out) in out_of_j {
+        if x == i {
+            flow = flow.saturating_add(cap_out);
+            continue;
+        }
+        while into_i.next_if(|&&(y, _)| y < x).is_some() {}
+        if let Some(&&(y, cap_in)) = into_i.peek() {
+            if y == x {
+                flow = flow.saturating_add(cap_out.min(cap_in));
+            }
+        }
+    }
+    flow
 }
 
 /// Network-wide BarterCast state: one subjective graph per node.
@@ -157,11 +211,13 @@ impl BarterCast {
         to: NodeId,
         kib: u64,
     ) -> bool {
+        #[cfg(test)]
+        tests::REPORTS.with(|n| n.set(n.get() + 1));
         let Some((old, new)) = self.graphs[receiver.index()].upsert(reporter, from, to, kib) else {
             return false;
         };
         if old != new && (from == receiver || to == receiver) {
-            self.own[receiver.index()].reweigh(from, to, old, new);
+            self.own[receiver.index()].reweigh(receiver, from, to, old, new);
         }
         true
     }
@@ -173,15 +229,22 @@ impl BarterCast {
     /// `ledger` is one ledger that only grows between calls. Its credits
     /// are strictly positive, so when its totals for `i` are what the last
     /// sync saw, no row of `i` has changed and there is nothing to do.
+    /// Otherwise the ledger's two rows for `i` are merged against `i`'s
+    /// out-row and in-column, and only a row that raises an edge is
+    /// reported (a handful of the dozens a busy node has).
     pub fn sync_own_records(&mut self, i: NodeId, ledger: &TransferLedger) {
         let totals = ledger.peer_totals(i);
-        if self.own[i.index()].synced == Some(totals) {
+        let own = &self.own[i.index()];
+        if own.synced == Some(totals) {
             return;
         }
-        for (to, kib) in ledger.uploads_from(i) {
+        let out_row = self.graphs[i.index()].row(i);
+        let uploads: Vec<_> = behind(ledger.uploads_from(i), out_row).collect();
+        let downloads: Vec<_> = behind(ledger.uploads_to(i), &own.inbound).collect();
+        for (to, kib) in uploads {
             self.report(i, i, i, to, kib);
         }
-        for (from, kib) in ledger.uploads_to(i) {
+        for (from, kib) in downloads {
             self.report(i, i, from, i, kib);
         }
         self.own[i.index()].synced = Some(totals);
@@ -237,10 +300,16 @@ impl BarterCast {
 
     /// Contribution of `j` towards `i` in KiB: hop-bounded maxflow `j → i`
     /// over `i`'s subjective graph (the paper's `f_{j→i}`), computed on
-    /// every query.
+    /// every query. At the deployed two hops that is one merge of two
+    /// sorted rows; [`max_flow_bounded`] is its oracle.
     pub fn contribution_kib(&self, i: NodeId, j: NodeId) -> u64 {
         self.maxflow_evaluations.incr();
-        max_flow_bounded(&self.graphs[i.index()], j, i, self.cfg.max_hops)
+        let graph = &self.graphs[i.index()];
+        if self.cfg.max_hops == 2 && i != j {
+            two_hop_flow(i, graph.row(j), &self.own[i.index()].inbound)
+        } else {
+            max_flow_bounded(graph, j, i, self.cfg.max_hops)
+        }
     }
 
     /// Contribution in MiB (the unit the paper's threshold `T` uses).
@@ -250,7 +319,7 @@ impl BarterCast {
 }
 
 /// Stable binary encoding: config, the graphs, the two counters.
-// rvs-lint: allow(persist-coverage) -- `own` is derived: `sent` is a function of the persisted `graphs`, which `restore` re-indexes node by node (`OwnRecords::of`), and `synced` restarts at `None`, which costs each node one idempotent resync
+// rvs-lint: allow(persist-coverage) -- `own` is derived: `sent` and `inbound` are functions of the persisted `graphs`, which `restore` re-indexes node by node (`OwnRecords::of`), and `synced` restarts at `None`, which costs each node one idempotent resync
 impl Persist for BarterCast {
     fn persist(&self, enc: &mut Encoder) {
         self.cfg.persist(enc);
@@ -280,6 +349,12 @@ impl Persist for BarterCast {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Calls of [`BarterCast::report`] on this thread.
+        pub(super) static REPORTS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn ledger(edges: &[(u32, u32, u64)]) -> TransferLedger {
         let mut l = TransferLedger::new();
@@ -425,6 +500,80 @@ mod tests {
     }
 
     #[test]
+    fn a_sync_that_changes_nothing_reports_nothing() {
+        let mut l = ledger(&[(2, 1, 1024), (1, 3, 9), (4, 1, 5), (1, 4, 70)]);
+        let mut bc = BarterCast::new(5, BarterCastConfig::default());
+        bc.sync_own_records(NodeId(1), &l);
+        // Edges the ledger never held, claimed by their other endpoint: the
+        // merge has to step over them, two at a time.
+        for (reporter, from, to) in [(0, 1, 0), (2, 1, 2), (0, 0, 1), (3, 3, 1)] {
+            let rec = Record {
+                from: NodeId(from),
+                to: NodeId(to),
+                kib: 11,
+            };
+            assert!(bc.inject_report(NodeId(1), NodeId(reporter), rec));
+        }
+        // Restore forgets the sync mark, so the next sync is not skipped —
+        // and finds every row of the ledger already in the graph.
+        let mut back: BarterCast =
+            rvs_checkpoint::from_bytes(&rvs_checkpoint::to_bytes(&bc)).expect("roundtrip");
+        let before = REPORTS.get();
+        back.sync_own_records(NodeId(1), &l);
+        assert_eq!(REPORTS.get(), before, "no row raises an edge");
+        assert_eq!(back.own[1].synced, Some(l.peer_totals(NodeId(1))));
+        // One credit: one row is behind, one report.
+        l.credit(NodeId(4), NodeId(1), 1);
+        back.sync_own_records(NodeId(1), &l);
+        assert_eq!(REPORTS.get(), before + 1);
+        assert_eq!(back.graph(NodeId(1)).edge_kib(NodeId(4), NodeId(1)), 6);
+    }
+
+    #[test]
+    fn skipping_rows_already_held_never_loses_a_missing_row() {
+        // Node 1's ledger rows towards 0, 2, 3, 4, 5 and from 0, 2, 4.
+        let l = ledger(&[
+            (1, 0, 10),
+            (1, 2, 20),
+            (1, 3, 30),
+            (1, 4, 40),
+            (1, 5, 50),
+            (0, 1, 7),
+            (2, 1, 8),
+            (4, 1, 9),
+        ]);
+        let mut bc = BarterCast::new(6, BarterCastConfig::default());
+        // Counterparties got there first: 2 and 4 told node 1 of its uploads
+        // to them (one at the ledger's weight, one above it), 2 of its
+        // download from 2, and 3 claimed a zero — a stored entry that is
+        // still behind the ledger.
+        for (reporter, from, to, kib) in [(2, 1, 2, 20), (4, 1, 4, 99), (2, 2, 1, 8), (3, 1, 3, 0)]
+        {
+            let rec = Record {
+                from: NodeId(from),
+                to: NodeId(to),
+                kib,
+            };
+            assert!(bc.inject_report(NodeId(1), NodeId(reporter), rec));
+        }
+        let before = REPORTS.get();
+        bc.sync_own_records(NodeId(1), &l);
+        // 1→0, 1→3, 1→5, 0→1 and 4→1 were behind; 1→2, 1→4 and 2→1 were not.
+        assert_eq!(REPORTS.get(), before + 5);
+        let g = bc.graph(NodeId(1));
+        for (to, kib) in [(0, 10), (2, 20), (3, 30), (4, 99), (5, 50)] {
+            assert_eq!(g.edge_kib(NodeId(1), NodeId(to)), kib, "1 -> {to}");
+        }
+        for (from, kib) in [(0, 7), (2, 8), (4, 9)] {
+            assert_eq!(g.edge_kib(NodeId(from), NodeId(1)), kib, "{from} -> 1");
+        }
+        assert_eq!(
+            bc.own[1].inbound,
+            [(NodeId(0), 7), (NodeId(2), 8), (NodeId(4), 9)]
+        );
+    }
+
+    #[test]
     fn restore_rebuilds_the_index_and_forgets_the_sync_mark() {
         let l = ledger(&[(2, 1, 1024), (1, 3, 9), (3, 4, 10)]);
         let mut bc = BarterCast::new(5, BarterCastConfig::default());
@@ -436,6 +585,7 @@ mod tests {
             rvs_checkpoint::from_bytes(&rvs_checkpoint::to_bytes(&bc)).expect("roundtrip");
         for i in 0..5 {
             assert_eq!(back.own[i].sent, bc.own[i].sent, "node {i}");
+            assert_eq!(back.own[i].inbound, bc.own[i].inbound, "node {i}");
             assert_eq!(back.own[i].synced, None);
         }
         // The forced resync changes nothing the uninterrupted run has.

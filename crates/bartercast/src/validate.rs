@@ -10,7 +10,6 @@
 use crate::protocol::Record;
 use rvs_guard::RejectReason;
 use rvs_sim::NodeId;
-use std::collections::BTreeSet;
 
 /// Validate an inbound record list from `reporter`: at most `max_len`
 /// records, endpoints inside the population (`max_id`, exclusive), no
@@ -27,7 +26,8 @@ pub fn validate_records(
     if recs.len() > max_len {
         return Err(RejectReason::ListTooLong);
     }
-    let mut seen = BTreeSet::new();
+    // The edges seen so far, sorted: at most `max_len` of them.
+    let mut seen: Vec<(NodeId, NodeId)> = Vec::with_capacity(recs.len());
     for r in recs {
         if r.from.index() >= max_id || r.to.index() >= max_id {
             return Err(RejectReason::InvalidNode);
@@ -41,8 +41,9 @@ pub fn validate_records(
         if r.kib > max_kib {
             return Err(RejectReason::Oversized);
         }
-        if !seen.insert((r.from, r.to)) {
-            return Err(RejectReason::DuplicateEntry);
+        match seen.binary_search(&(r.from, r.to)) {
+            Ok(_) => return Err(RejectReason::DuplicateEntry),
+            Err(at) => seen.insert(at, (r.from, r.to)),
         }
     }
     Ok(())

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rvs_bartercast::maxflow::max_flow_bounded;
-use rvs_bartercast::{BarterCast, BarterCastConfig, Record, SubjectiveGraph};
+use rvs_bartercast::{BarterCast, BarterCastConfig, SubjectiveGraph};
 use rvs_bittorrent::TransferLedger;
 use rvs_sim::NodeId;
 
@@ -20,110 +20,7 @@ fn graph_of(edges: &[(u32, u32, u64)]) -> SubjectiveGraph {
     g
 }
 
-/// One step of a BarterCast's life, over a population of 5.
-#[derive(Debug, Clone)]
-enum Step {
-    /// The ledger grows (a self-credit or zero is ignored by the ledger).
-    Credit(u32, u32, u64),
-    Sync(u32),
-    Exchange(u32, u32),
-    /// `(receiver, reporter)` and records that need not be the reporter's.
-    Deliver(u32, u32, Vec<(u32, u32, u64)>),
-    /// `(receiver, reporter, from, to, kib)`: third-party, self-loop, stale,
-    /// zero and saturated reports all occur.
-    Inject(u32, u32, u32, u32, u64),
-    /// Checkpoint, drop, restore.
-    Restore,
-}
-
-fn arb_kib() -> impl Strategy<Value = u64> {
-    prop_oneof![Just(0u64), 1u64..40, 1u64..40, Just(u64::MAX)]
-}
-
-fn arb_step() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (0u32..5, 0u32..5, 0u64..30).prop_map(|(f, t, k)| Step::Credit(f, t, k)),
-        (0u32..5, 0u32..5, 0u64..30).prop_map(|(f, t, k)| Step::Credit(f, t, k)),
-        (0u32..5).prop_map(Step::Sync),
-        (0u32..5).prop_map(Step::Sync),
-        (0u32..5, 0u32..5).prop_map(|(i, j)| Step::Exchange(i, j)),
-        (
-            0u32..5,
-            0u32..5,
-            prop::collection::vec((0u32..5, 0u32..5, arb_kib()), 0..6)
-        )
-            .prop_map(|(to, by, recs)| Step::Deliver(to, by, recs)),
-        (0u32..5, 0u32..5, 0u32..5, 0u32..5, arb_kib())
-            .prop_map(|(to, by, f, t, k)| Step::Inject(to, by, f, t, k)),
-        Just(Step::Restore),
-    ]
-}
-
-/// `own_records` as it was computed before the index: scan the node's
-/// graph for its incident edges, sort by the send key, truncate.
-fn own_records_scan(bc: &BarterCast, i: NodeId) -> Vec<Record> {
-    let mut recs: Vec<Record> = bc
-        .graph(i)
-        .edges()
-        .filter(|&(f, t, _)| f == i || t == i)
-        .map(|(from, to, kib)| Record { from, to, kib })
-        .collect();
-    recs.sort_by_key(|r| (std::cmp::Reverse(r.kib), r.from, r.to));
-    recs.truncate(bc.config().max_records_per_exchange);
-    recs
-}
-
 proptest! {
-    /// The owner-incident index is the scan it replaced, at every point of
-    /// any interleaving of the calls that change a graph — including across
-    /// a checkpoint, where it is rebuilt and every node resyncs once — and
-    /// a skipped sync never leaves a graph short of the ledger.
-    #[test]
-    fn own_records_index_is_the_graph_scan(steps in prop::collection::vec(arb_step(), 1..80)) {
-        for budget in [1usize, 2, 50] {
-            let cfg = BarterCastConfig { max_records_per_exchange: budget, ..BarterCastConfig::default() };
-            let mut bc = BarterCast::new(5, cfg);
-            let mut ledger = TransferLedger::new();
-            for step in &steps {
-                match step.clone() {
-                    Step::Credit(f, t, k) => ledger.credit(NodeId(f), NodeId(t), k),
-                    Step::Sync(i) => {
-                        bc.sync_own_records(NodeId(i), &ledger);
-                        for (to, kib) in ledger.uploads_from(NodeId(i)) {
-                            prop_assert!(bc.graph(NodeId(i)).edge_kib(NodeId(i), to) >= kib);
-                        }
-                        for (from, kib) in ledger.uploads_to(NodeId(i)) {
-                            prop_assert!(bc.graph(NodeId(i)).edge_kib(from, NodeId(i)) >= kib);
-                        }
-                    }
-                    Step::Exchange(i, j) => bc.exchange(NodeId(i), NodeId(j)),
-                    Step::Deliver(to, by, recs) => {
-                        let recs: Vec<Record> = recs
-                            .into_iter()
-                            .map(|(f, t, kib)| Record { from: NodeId(f), to: NodeId(t), kib })
-                            .collect();
-                        bc.deliver_records(NodeId(to), NodeId(by), &recs);
-                    }
-                    Step::Inject(to, by, f, t, kib) => {
-                        let record = Record { from: NodeId(f), to: NodeId(t), kib };
-                        bc.inject_report(NodeId(to), NodeId(by), record);
-                    }
-                    Step::Restore => {
-                        bc = rvs_checkpoint::from_bytes(&rvs_checkpoint::to_bytes(&bc))
-                            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-                    }
-                }
-                for i in 0..5 {
-                    prop_assert_eq!(
-                        bc.own_records(NodeId(i)),
-                        own_records_scan(&bc, NodeId(i)),
-                        "node {} under budget {} after {:?}", i, budget, step
-                    );
-                }
-            }
-        }
-    }
-
     /// Flow is bounded by source out-capacity and sink in-capacity, and is
     /// monotone in the hop budget.
     #[test]

@@ -105,21 +105,20 @@ impl TransferLedger {
         self.kib.iter().map(|(&(f, t), &v)| (f, t, v))
     }
 
-    /// Directed edges into `to`: `(from, kib)` pairs (range scan on the
-    /// reverse index).
-    pub fn uploads_to(&self, to: NodeId) -> Vec<(NodeId, u64)> {
+    /// Directed edges into `to`: `(from, kib)` pairs ascending by `from`
+    /// (range scan on the reverse index).
+    pub fn uploads_to(&self, to: NodeId) -> impl Iterator<Item = (NodeId, u64)> + '_ {
         self.incoming
             .range((to, NodeId(0))..=(to, NodeId(u32::MAX)))
             .map(|(&(_, f), &v)| (f, v))
-            .collect()
     }
 
-    /// Directed edges out of `from`: `(to, kib)` pairs (range scan).
-    pub fn uploads_from(&self, from: NodeId) -> Vec<(NodeId, u64)> {
+    /// Directed edges out of `from`: `(to, kib)` pairs ascending by `to`
+    /// (range scan).
+    pub fn uploads_from(&self, from: NodeId) -> impl Iterator<Item = (NodeId, u64)> + '_ {
         self.kib
             .range((from, NodeId(0))..=(from, NodeId(u32::MAX)))
             .map(|(&(_, t), &v)| (t, v))
-            .collect()
     }
 
     /// Number of distinct ordered pairs with nonzero transfer.
@@ -221,7 +220,7 @@ mod tests {
         l.credit(NodeId(5), NodeId(1), 10);
         l.credit(NodeId(7), NodeId(1), 20);
         l.credit(NodeId(5), NodeId(2), 99);
-        let mut ins = l.uploads_to(NodeId(1));
+        let mut ins: Vec<_> = l.uploads_to(NodeId(1)).collect();
         ins.sort();
         assert_eq!(ins, vec![(NodeId(5), 10), (NodeId(7), 20)]);
     }
@@ -233,10 +232,10 @@ mod tests {
         l.credit(NodeId(5), NodeId(3), 30);
         l.credit(NodeId(6), NodeId(1), 99);
         assert_eq!(
-            l.uploads_from(NodeId(5)),
+            l.uploads_from(NodeId(5)).collect::<Vec<_>>(),
             vec![(NodeId(1), 10), (NodeId(3), 30)]
         );
-        assert!(l.uploads_from(NodeId(9)).is_empty());
+        assert!(l.uploads_from(NodeId(9)).next().is_none());
     }
 
     #[test]
@@ -246,8 +245,8 @@ mod tests {
             l.credit(NodeId(i % 5), NodeId((i + 1) % 7), (i as u64 + 1) * 10);
         }
         for (f, t, v) in l.iter() {
-            assert!(l.uploads_to(t).contains(&(f, v)));
-            assert!(l.uploads_from(f).contains(&(t, v)));
+            assert!(l.uploads_to(t).any(|row| row == (f, v)));
+            assert!(l.uploads_from(f).any(|row| row == (t, v)));
         }
     }
 

@@ -308,6 +308,38 @@ fn swarm_members_out_of_order_or_duplicated_are_corrupt() {
 }
 
 #[test]
+fn graph_edges_out_of_order_or_duplicated_are_corrupt() {
+    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
+    let bc = system.bartercast();
+    let graph = (0..system.total_nodes())
+        .map(|i| bc.graph(rvs_sim::NodeId::from_index(i)))
+        .max_by_key(|graph| graph.edge_count())
+        .expect("a population");
+    let edges: Vec<_> = graph.edges().collect();
+    assert!(edges.len() >= 2, "two edges to put out of order");
+    // A graph is a length and 16-byte `(from, to, kib)` entries; the map it
+    // used to be let the last of two equal keys win and sorted the rest.
+    let encoded = rvs_checkpoint::to_bytes(graph);
+    let honest = base_bytes().to_vec();
+    let first_at = locate(&honest, &encoded) + 8;
+    let (from, to, _) = edges[0];
+    assert_eq!(honest[first_at..first_at + 4], from.0.to_le_bytes());
+    assert_eq!(honest[first_at + 4..first_at + 8], to.0.to_le_bytes());
+    // The first entry's key again in the second, then the first two swapped.
+    let mut twice = honest.clone();
+    twice.copy_within(first_at..first_at + 8, first_at + 16);
+    assert_corrupt(&twice, "edges must ascend");
+    let mut swapped = honest.clone();
+    swapped.copy_within(first_at + 16..first_at + 32, first_at);
+    swapped[first_at + 16..first_at + 32].copy_from_slice(&honest[first_at..first_at + 16]);
+    assert_corrupt(&swapped, "edges must ascend");
+    // An edge no report can install.
+    let mut looped = honest;
+    looped.copy_within(first_at..first_at + 4, first_at + 4);
+    assert_corrupt(&looped, "self-loop");
+}
+
+#[test]
 fn a_ledger_whose_transpose_disagrees_is_corrupt() {
     let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
     let ledger = system.net().ledger();
