@@ -7,21 +7,70 @@
 
 use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
 use rvs_sim::NodeId;
-use std::collections::BTreeMap;
+
+/// Where a swarm tick books the whole KiB a connection moved: the ledger
+/// itself, or a window's list that [`TransferLedger::credit_window`] folds
+/// into the ledger afterwards.
+pub trait CreditSink {
+    /// Book `kib` KiB uploaded from `from` to `to`.
+    fn credit(&mut self, from: NodeId, to: NodeId, kib: u64);
+}
+
+impl CreditSink for TransferLedger {
+    fn credit(&mut self, from: NodeId, to: NodeId, kib: u64) {
+        TransferLedger::credit(self, from, to, kib);
+    }
+}
+
+impl CreditSink for Vec<(NodeId, NodeId, u64)> {
+    fn credit(&mut self, from: NodeId, to: NodeId, kib: u64) {
+        self.push((from, to, kib));
+    }
+}
+
+/// One peer's counterparties and the KiB moved with each, ascending by
+/// counterparty, no entry zero.
+type Row = Vec<(NodeId, u64)>;
+
+/// What the ledger holds about one peer that took part in a transfer.
+#[derive(Debug, Clone, PartialEq)]
+struct Account {
+    peer: NodeId,
+    /// The sums of `out` and of `inc`.
+    uploaded: u64,
+    downloaded: u64,
+    /// `(to, kib)`: what `peer` uploaded to each downloader.
+    out: Row,
+    /// `(from, kib)`: what `peer` downloaded from each uploader — the
+    /// transpose of the other accounts' `out`.
+    inc: Row,
+}
+
+/// Add `kib` to `row`'s entry for `peer`, which is created when absent.
+fn add(row: &mut Row, peer: NodeId, kib: u64) {
+    match row.binary_search_by_key(&peer, |&(p, _)| p) {
+        Ok(at) => row[at].1 += kib,
+        Err(at) => row.insert(at, (peer, kib)),
+    }
+}
+
+/// `row`'s entry for `peer`, if it has one.
+fn entry(row: &[(NodeId, u64)], peer: NodeId) -> Option<u64> {
+    let at = row.binary_search_by_key(&peer, |&(p, _)| p).ok()?;
+    Some(row[at].1)
+}
 
 /// Cumulative upload totals per ordered peer pair `(from, to)`.
 ///
-/// Backed by a `BTreeMap` so iteration order — and therefore every
-/// downstream computation — is deterministic.
+/// One account per peer, ascending by id, each holding the peer's two rows
+/// in ascending order, so iteration order — and therefore every downstream
+/// computation — is deterministic. Accounts are found by binary search, not
+/// by index: an id may come out of a checkpoint and must not size anything.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TransferLedger {
-    kib: BTreeMap<(NodeId, NodeId), u64>,
-    /// Mirror keyed `(to, from)` so per-downloader queries are range scans.
-    incoming: BTreeMap<(NodeId, NodeId), u64>,
+    /// Ascending by peer; peers without a transfer have no account.
+    accounts: Vec<Account>,
     total_kib: u64,
-    /// `(uploaded, downloaded)` KiB per peer: the row sums of `kib` and of
-    /// `incoming`. Peers without a transfer have no entry.
-    totals: BTreeMap<NodeId, (u64, u64)>,
 }
 
 impl TransferLedger {
@@ -30,40 +79,63 @@ impl TransferLedger {
         Self::default()
     }
 
+    fn account(&self, peer: NodeId) -> Option<&Account> {
+        let at = self.accounts.binary_search_by_key(&peer, |a| a.peer).ok()?;
+        Some(&self.accounts[at])
+    }
+
+    fn account_mut(&mut self, peer: NodeId) -> &mut Account {
+        let at = match self.accounts.binary_search_by_key(&peer, |a| a.peer) {
+            Ok(at) => at,
+            Err(at) => {
+                let fresh = Account {
+                    peer,
+                    uploaded: 0,
+                    downloaded: 0,
+                    out: Row::new(),
+                    inc: Row::new(),
+                };
+                self.accounts.insert(at, fresh);
+                at
+            }
+        };
+        &mut self.accounts[at]
+    }
+
     /// Credit `kib` KiB uploaded from `from` to `to`.
     pub fn credit(&mut self, from: NodeId, to: NodeId, kib: u64) {
         if kib == 0 || from == to {
             return;
         }
-        *self.kib.entry((from, to)).or_insert(0) += kib;
-        *self.incoming.entry((to, from)).or_insert(0) += kib;
+        let uploader = self.account_mut(from);
+        uploader.uploaded += kib;
+        add(&mut uploader.out, to, kib);
+        let downloader = self.account_mut(to);
+        downloader.downloaded += kib;
+        add(&mut downloader.inc, from, kib);
         self.total_kib += kib;
-        self.totals.entry(from).or_default().0 += kib;
-        self.totals.entry(to).or_default().1 += kib;
     }
 
-    /// Fold another ledger's credits into this one. Credits are plain
-    /// integer sums, so the merge is associative and commutative — the
-    /// parallel window driver relies on this to combine per-swarm delta
-    /// ledgers into the global ledger in canonical swarm order.
-    pub fn merge_from(&mut self, other: &TransferLedger) {
-        for (&(from, to), &kib) in &other.kib {
-            *self.kib.entry((from, to)).or_insert(0) += kib;
-        }
-        for (&(to, from), &kib) in &other.incoming {
-            *self.incoming.entry((to, from)).or_insert(0) += kib;
-        }
-        self.total_kib += other.total_kib;
-        for (&peer, &(up, down)) in &other.totals {
-            let mine = self.totals.entry(peer).or_default();
-            mine.0 += up;
-            mine.1 += down;
+    /// Credit a window's list of `(from, to, kib)` bookings: sorted by pair,
+    /// each pair's bookings summed and credited once. Credits are plain
+    /// integer sums, so the result is the one the bookings give applied one
+    /// by one in any order — the parallel window driver relies on this to
+    /// fold per-swarm lists into the global ledger in canonical swarm order.
+    pub fn credit_window(&mut self, credits: &mut [(NodeId, NodeId, u64)]) {
+        credits.sort_unstable_by_key(|&(from, to, _)| (from, to));
+        let mut sorted = credits.iter().copied().peekable();
+        while let Some((from, to, mut kib)) = sorted.next() {
+            while let Some((_, _, more)) = sorted.next_if(|&(f, t, _)| (f, t) == (from, to)) {
+                kib += more;
+            }
+            self.credit(from, to, kib);
         }
     }
 
     /// KiB uploaded from `from` to `to`.
     pub fn uploaded_kib(&self, from: NodeId, to: NodeId) -> u64 {
-        self.kib.get(&(from, to)).copied().unwrap_or(0)
+        let uploader = self.account(from);
+        uploader.and_then(|a| entry(&a.out, to)).unwrap_or(0)
     }
 
     /// MiB uploaded from `from` to `to`.
@@ -76,7 +148,8 @@ impl TransferLedger {
     /// totals at two points in time mean no row of `peer` changed between
     /// them.
     pub fn peer_totals(&self, peer: NodeId) -> (u64, u64) {
-        self.totals.get(&peer).copied().unwrap_or_default()
+        self.account(peer)
+            .map_or((0, 0), |a| (a.uploaded, a.downloaded))
     }
 
     /// Total KiB `peer` has uploaded to anyone.
@@ -102,28 +175,33 @@ impl TransferLedger {
 
     /// Iterate over all `(from, to, kib)` entries in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
-        self.kib.iter().map(|(&(f, t), &v)| (f, t, v))
+        self.accounts
+            .iter()
+            .flat_map(|a| a.out.iter().map(move |&(to, kib)| (a.peer, to, kib)))
     }
 
-    /// Directed edges into `to`: `(from, kib)` pairs ascending by `from`
-    /// (range scan on the reverse index).
+    /// The transpose of [`iter`](Self::iter): `(to, from, kib)`, ascending.
+    fn iter_incoming(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
+        self.accounts
+            .iter()
+            .flat_map(|a| a.inc.iter().map(move |&(from, kib)| (a.peer, from, kib)))
+    }
+
+    /// Directed edges into `to`: `(from, kib)` pairs ascending by `from`.
     pub fn uploads_to(&self, to: NodeId) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.incoming
-            .range((to, NodeId(0))..=(to, NodeId(u32::MAX)))
-            .map(|(&(_, f), &v)| (f, v))
+        let row = self.account(to).map_or(&[][..], |a| &a.inc);
+        row.iter().copied()
     }
 
-    /// Directed edges out of `from`: `(to, kib)` pairs ascending by `to`
-    /// (range scan).
+    /// Directed edges out of `from`: `(to, kib)` pairs ascending by `to`.
     pub fn uploads_from(&self, from: NodeId) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.kib
-            .range((from, NodeId(0))..=(from, NodeId(u32::MAX)))
-            .map(|(&(_, t), &v)| (t, v))
+        let row = self.account(from).map_or(&[][..], |a| &a.out);
+        row.iter().copied()
     }
 
     /// Number of distinct ordered pairs with nonzero transfer.
     pub fn edge_count(&self) -> usize {
-        self.kib.len()
+        self.accounts.iter().map(|a| a.out.len()).sum()
     }
 
     /// Total KiB transferred across all pairs.
@@ -132,45 +210,101 @@ impl TransferLedger {
     }
 }
 
-/// Stable binary encoding: the forward map, its transpose, the grand
-/// total. The last two are functions of the first and a checkpoint is
-/// outside input, so restore checks both against `kib` before the per-peer
-/// totals are summed from it.
-// rvs-lint: allow(persist-coverage) -- `totals` is derived: the row and column sums of the persisted `kib`, summed again at the end of `restore` from the map it has just checked
+fn corrupt<T>(what: &str) -> Result<T, DecodeError> {
+    Err(DecodeError::Corrupt(format!("TransferLedger: {what}")))
+}
+
+/// One persisted pair map read back as rows: a length, then
+/// `((peer, other), kib)` entries that must strictly ascend (a map let the
+/// last of two equal keys win), with no zero and no self entry (`credit`
+/// books neither). Returns the entry count beside the rows.
+fn restore_rows(dec: &mut Decoder<'_>) -> Result<(usize, Vec<(NodeId, Row)>), DecodeError> {
+    let len = dec.seq_len()?;
+    let mut rows: Vec<(NodeId, Row)> = Vec::new();
+    let mut last = None;
+    for _ in 0..len {
+        let ((peer, other), kib) = <((NodeId, NodeId), u64)>::restore(dec)?;
+        if last >= Some((peer, other)) {
+            return corrupt("entries must ascend");
+        }
+        if peer == other {
+            return corrupt("self-edge");
+        }
+        if kib == 0 {
+            return corrupt("zero entry");
+        }
+        last = Some((peer, other));
+        match rows.last_mut() {
+            Some((p, row)) if *p == peer => row.push((other, kib)),
+            _ => rows.push((peer, vec![(other, kib)])),
+        }
+    }
+    Ok((len, rows))
+}
+
+/// Stable binary encoding, the bytes of the two pair maps the ledger used
+/// to be: the forward entries `((from, to), kib)` behind their count, the
+/// transposed entries `((to, from), kib)` behind theirs, the grand total.
+/// The last two are functions of the first and a checkpoint is outside
+/// input, so restore checks both against the forward entries before it
+/// sums the per-peer totals from them.
 impl Persist for TransferLedger {
     fn persist(&self, enc: &mut Encoder) {
-        self.kib.persist(enc);
-        self.incoming.persist(enc);
+        enc.usize(self.edge_count());
+        for (from, to, kib) in self.iter() {
+            ((from, to), kib).persist(enc);
+        }
+        enc.usize(self.accounts.iter().map(|a| a.inc.len()).sum());
+        for (to, from, kib) in self.iter_incoming() {
+            ((to, from), kib).persist(enc);
+        }
         self.total_kib.persist(enc);
     }
 
     fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let corrupt = |what: &str| Err(DecodeError::Corrupt(format!("TransferLedger: {what}")));
-        let kib: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::restore(dec)?;
-        let incoming: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::restore(dec)?;
-        let total_kib = u64::restore(dec)?;
-        let transposed = incoming.len() == kib.len()
-            && kib
-                .iter()
-                .all(|(&(from, to), v)| incoming.get(&(to, from)) == Some(v));
-        if !transposed {
+        let (edges, out) = restore_rows(dec)?;
+        let (transposed, inc) = restore_rows(dec)?;
+        let total = u64::restore(dec)?;
+        // Equally many entries, no key twice, and every transposed entry
+        // found forward with its value: a bijection.
+        let forward = |from: NodeId, to: NodeId| {
+            let at = out.binary_search_by_key(&from, |&(p, _)| p).ok()?;
+            entry(&out[at].1, to)
+        };
+        let is_transpose = transposed == edges
+            && inc.iter().all(|(to, row)| {
+                row.iter()
+                    .all(|&(from, kib)| forward(from, *to) == Some(kib))
+            });
+        if !is_transpose {
             return corrupt("`incoming` is not the transpose of `kib`");
         }
-        let sum = kib.values().try_fold(0u64, |acc, &v| acc.checked_add(v));
-        if sum != Some(total_kib) {
+        let sum = out
+            .iter()
+            .flat_map(|(_, row)| row)
+            .try_fold(0u64, |acc, &(_, kib)| acc.checked_add(kib));
+        if sum != Some(total) {
             return corrupt("`total_kib` is not the sum of `kib`");
         }
-        // No per-peer sum can overflow: each is at most `total_kib`.
-        let mut totals: BTreeMap<NodeId, (u64, u64)> = BTreeMap::new();
-        for (&(from, to), &v) in &kib {
-            totals.entry(from).or_default().0 += v;
-            totals.entry(to).or_default().1 += v;
+        // One account per peer of either side, in one ascending merge. No
+        // per-peer sum can overflow: each is at most the total.
+        let mut accounts = Vec::new();
+        let (mut out, mut inc) = (out.into_iter().peekable(), inc.into_iter().peekable());
+        let head = |row: Option<&(NodeId, Row)>| row.map(|&(peer, _)| peer);
+        while let Some(peer) = head(out.peek()).into_iter().chain(head(inc.peek())).min() {
+            let out = out.next_if(|&(p, _)| p == peer).map_or(Row::new(), |r| r.1);
+            let inc = inc.next_if(|&(p, _)| p == peer).map_or(Row::new(), |r| r.1);
+            accounts.push(Account {
+                peer,
+                uploaded: out.iter().map(|&(_, kib)| kib).sum(),
+                downloaded: inc.iter().map(|&(_, kib)| kib).sum(),
+                out,
+                inc,
+            });
         }
         Ok(TransferLedger {
-            kib,
-            incoming,
-            total_kib,
-            totals,
+            accounts,
+            total_kib: total,
         })
     }
 }
@@ -263,44 +397,15 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_equals_interleaved_credits() {
-        // Credits split across delta ledgers and merged must equal the
-        // same credits applied directly, in any order.
-        let credits = [
-            (NodeId(0), NodeId(1), 10u64),
-            (NodeId(1), NodeId(0), 20),
-            (NodeId(2), NodeId(1), 5),
-            (NodeId(0), NodeId(1), 7),
-        ];
-        let mut direct = TransferLedger::new();
-        for &(f, t, k) in &credits {
-            direct.credit(f, t, k);
-        }
-        let mut a = TransferLedger::new();
-        let mut b = TransferLedger::new();
-        for (i, &(f, t, k)) in credits.iter().enumerate() {
-            if i % 2 == 0 {
-                a.credit(f, t, k);
-            } else {
-                b.credit(f, t, k);
-            }
-        }
-        let mut merged = TransferLedger::new();
-        merged.merge_from(&b);
-        merged.merge_from(&a);
-        assert_eq!(merged, direct);
-        assert_eq!(merged.total_kib(), direct.total_kib());
-    }
-
-    #[test]
-    fn per_peer_totals_follow_credits_and_merges() {
+    fn per_peer_totals_follow_credits_and_windows() {
         let mut a = TransferLedger::new();
         a.credit(NodeId(1), NodeId(2), 10);
         a.credit(NodeId(3), NodeId(1), 4);
-        let mut b = TransferLedger::new();
-        b.credit(NodeId(1), NodeId(2), 5);
-        b.credit(NodeId(2), NodeId(3), 1);
-        a.merge_from(&b);
+        a.credit_window(&mut [
+            (NodeId(2), NodeId(3), 1),
+            (NodeId(1), NodeId(2), 3),
+            (NodeId(1), NodeId(2), 2),
+        ]);
         assert_eq!(a.peer_totals(NodeId(1)), (15, 4));
         assert_eq!(a.peer_totals(NodeId(2)), (1, 15));
         assert_eq!(a.peer_totals(NodeId(3)), (4, 1));
@@ -322,13 +427,10 @@ mod tests {
             other => panic!("expected Corrupt, got {other:?}"),
         };
         let mut altered = l.clone();
-        *altered
-            .incoming
-            .get_mut(&(NodeId(2), NodeId(1)))
-            .expect("row") += 1;
+        altered.account_mut(NodeId(2)).inc[0].1 += 1;
         assert!(corrupt(&altered).contains("transpose"));
         let mut extra = l.clone();
-        extra.incoming.insert((NodeId(7), NodeId(8)), 1);
+        extra.account_mut(NodeId(7)).inc.push((NodeId(8), 1));
         assert!(corrupt(&extra).contains("transpose"));
         let mut total = l.clone();
         total.total_kib -= 1;
@@ -336,9 +438,36 @@ mod tests {
         // Rows whose sum does not fit are not a total either.
         let mut huge = TransferLedger::new();
         huge.credit(NodeId(1), NodeId(2), u64::MAX);
-        huge.kib.insert((NodeId(2), NodeId(1)), 2);
-        huge.incoming.insert((NodeId(1), NodeId(2)), 2);
+        huge.account_mut(NodeId(2)).out.push((NodeId(1), 2));
+        huge.account_mut(NodeId(1)).inc.push((NodeId(2), 2));
         huge.total_kib = 1;
         assert!(corrupt(&huge).contains("sum"));
     }
+
+    #[test]
+    fn restore_refuses_what_credit_never_books() {
+        // The forward map alone, as bytes: a length and `((from, to), kib)`.
+        let ledger_of = |forward: &[((u32, u32), u64)]| {
+            let mut enc = Encoder::new();
+            forward.to_vec().persist(&mut enc);
+            rvs_checkpoint::from_bytes::<TransferLedger>(&enc.into_bytes())
+        };
+        let refused = |forward: &[((u32, u32), u64)]| match ledger_of(forward) {
+            Err(DecodeError::Corrupt(msg)) => msg,
+            other => panic!("expected Corrupt, got {other:?}"),
+        };
+        assert!(refused(&[((1, 2), 5), ((1, 2), 6)]).contains("ascend"));
+        assert!(refused(&[((1, 3), 5), ((1, 2), 6)]).contains("ascend"));
+        assert!(refused(&[((2, 1), 5), ((1, 2), 6)]).contains("ascend"));
+        assert!(refused(&[((1, 2), 0)]).contains("zero entry"));
+        assert!(refused(&[((4, 4), 9)]).contains("self-edge"));
+        // A far-away id is an id, not a size: the bytes simply run out at
+        // the second map.
+        assert!(matches!(
+            ledger_of(&[((1, u32::MAX), 5)]),
+            Err(DecodeError::Truncated { .. })
+        ));
+    }
+
+    mod oracle;
 }

@@ -24,15 +24,15 @@
 //! * [`BitTorrentNet::tick`] advances every swarm serially, in ascending
 //!   swarm order (the legacy immediate mode used by [`run_trace`]).
 //! * [`BitTorrentNet::advance_window`] replays a whole span of ticks per
-//!   swarm as an isolated job on a [`Pool`], then merges per-swarm ledger
-//!   deltas in ascending swarm order and completions in canonical
-//!   `(time, swarm)` order. Because every tick is a pure function of the
+//!   swarm as an isolated job on a [`Pool`], then folds each swarm's list
+//!   of credits into the ledger in ascending swarm order and merges
+//!   completions in canonical `(time, swarm)` order. Because every tick is a pure function of the
 //!   swarm's own state, the result is byte-identical to the serial driver
 //!   for any window partition and any thread count.
 //!
 //! [`run_trace`]: BitTorrentNet::run_trace
 
-use crate::ledger::TransferLedger;
+use crate::ledger::{CreditSink, TransferLedger};
 use crate::swarm::{Completion, LinkProfile, MemberRole, SwarmConfig, SwarmSim};
 use rvs_sim::pool::{merge_canonical, Pool};
 use rvs_sim::{DetRng, NodeId, SimDuration, SimTime, SwarmId};
@@ -78,6 +78,10 @@ rvs_checkpoint::persist_struct!(SwarmRunner {
     seed_budget
 });
 
+/// What one swarm booked during a window: `(from, to, kib)` in arrival
+/// order.
+type Credits = Vec<(NodeId, NodeId, u64)>;
+
 fn link_of(profiles: &[PeerProfile], peer: NodeId) -> LinkProfile {
     let p = &profiles[peer.index()];
     LinkProfile {
@@ -113,15 +117,15 @@ impl SwarmRunner {
     }
 
     /// One transfer tick plus the seeding policies, crediting into
-    /// `ledger` (the global ledger in immediate mode, a per-window delta
-    /// ledger in window mode).
+    /// `ledger` (the global ledger in immediate mode, the window's list of
+    /// credits in window mode).
     fn advance_tick(
         &mut self,
         now: SimTime,
         dt: SimDuration,
         online: &[bool],
         profiles: &[PeerProfile],
-        ledger: &mut TransferLedger,
+        ledger: &mut impl CreditSink,
     ) -> Vec<Completion> {
         let completions = self.sim.tick(now, dt, ledger, &mut self.rng);
         for c in &completions {
@@ -159,8 +163,8 @@ impl SwarmRunner {
 
     /// Replay every tick in `[start, end_exclusive)` against this swarm:
     /// events are applied by the same `time <= tick` rule the immediate
-    /// driver uses, transfers are credited into a fresh delta ledger.
-    /// Returns the delta ledger and this swarm's completions (time-ordered).
+    /// driver uses, transfers are booked into a list. Returns the credits
+    /// in arrival order and this swarm's completions (time-ordered).
     fn advance_window(
         &mut self,
         start: SimTime,
@@ -169,10 +173,10 @@ impl SwarmRunner {
         events: &[TraceEvent],
         online0: &[bool],
         profiles: &[PeerProfile],
-    ) -> (TransferLedger, Vec<Completion>) {
+    ) -> (Credits, Vec<Completion>) {
         let mut online = online0.to_vec();
         let mut cursor = 0usize;
-        let mut ledger = TransferLedger::new();
+        let mut credits = Credits::new();
         let mut completions = Vec::new();
         let mut now = start;
         while now < end_exclusive {
@@ -187,10 +191,10 @@ impl SwarmRunner {
                 let link = link_of(profiles, ev.peer);
                 self.apply_event(&ev, now, link, online[ev.peer.index()]);
             }
-            completions.extend(self.advance_tick(now, dt, &online, profiles, &mut ledger));
+            completions.extend(self.advance_tick(now, dt, &online, profiles, &mut credits));
             now += dt;
         }
-        (ledger, completions)
+        (credits, completions)
     }
 }
 
@@ -319,7 +323,7 @@ impl BitTorrentNet {
 
     /// Replay every tick in `[start, end_exclusive)` for all swarms, one
     /// pool job per contiguous swarm chunk, and merge the results in
-    /// canonical order: ledger deltas ascending by swarm id, completions
+    /// canonical order: credits ascending by swarm id, completions
     /// by `(time, swarm)`. `events` must be exactly the trace events that
     /// became due in the window (they are replayed per tick with the same
     /// `time <= tick` rule as immediate mode); `online0` is the online
@@ -350,7 +354,7 @@ impl BitTorrentNet {
         let runners = std::mem::take(&mut self.swarms);
         let chunk_count = pool.threads().min(n);
         let chunk_size = n.div_ceil(chunk_count);
-        type WindowResult = (Vec<SwarmRunner>, Vec<(TransferLedger, Vec<Completion>)>);
+        type WindowResult = (Vec<SwarmRunner>, Vec<(Credits, Vec<Completion>)>);
         let mut jobs: Vec<Box<dyn FnOnce() -> WindowResult + Send + 'static>> = Vec::new();
         let mut iter = runners.into_iter().peekable();
         while iter.peek().is_some() {
@@ -359,18 +363,18 @@ impl BitTorrentNet {
             jobs.push(Box::new(move || {
                 let mut chunk = chunk;
                 let (events, online0, profiles) = &*ctx;
-                let deltas: Vec<(TransferLedger, Vec<Completion>)> = chunk
+                let booked: Vec<(Credits, Vec<Completion>)> = chunk
                     .iter_mut()
                     .map(|r| r.advance_window(start, end_exclusive, dt, events, online0, profiles))
                     .collect();
-                (chunk, deltas)
+                (chunk, booked)
             }));
         }
         // Results come back in job-submission order == ascending swarm id.
         let mut keyed_completions: Vec<Vec<((SimTime, u32), Completion)>> = Vec::new();
-        for (chunk, deltas) in pool.scatter(jobs) {
-            for (runner, (delta, completions)) in chunk.into_iter().zip(deltas) {
-                self.ledger.merge_from(&delta);
+        for (chunk, booked) in pool.scatter(jobs) {
+            for (runner, (mut credits, completions)) in chunk.into_iter().zip(booked) {
+                self.ledger.credit_window(&mut credits);
                 keyed_completions.push(
                     completions
                         .into_iter()

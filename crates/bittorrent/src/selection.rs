@@ -131,21 +131,31 @@ impl Availability {
             let n: u32 = cand.iter().map(|w| w.count_ones()).sum();
             return select(cand.iter().copied(), rng.index(n as usize) as u32);
         }
-        let level = self
+        // The level, and its first word that holds a candidate: the words
+        // before it hold none, so the count and the selection start there.
+        let (level, first) = self
             .level_pop
             .iter()
             .enumerate()
             .filter(|&(_, &pop)| pop > 0)
-            .map(|(a, _)| self.level(a))
-            .find(|level| cand.iter().zip(*level).any(|(c, l)| c & l != 0))?;
-        let rarest = || cand.iter().zip(level).map(|(c, l)| c & l);
+            .find_map(|(a, _)| {
+                let level = self.level(a);
+                let first = cand.iter().zip(level).position(|(c, l)| c & l != 0)?;
+                Some((level, first))
+            })?;
+        let rarest = || {
+            cand[first..]
+                .iter()
+                .zip(&level[first..])
+                .map(|(c, l)| c & l)
+        };
         let ties: u32 = rarest().map(|w| w.count_ones()).sum();
         let winner = if ties > 1 {
             rng.below(ties as u64) as u32
         } else {
             0
         };
-        select(rarest(), winner)
+        select(rarest(), winner).map(|piece| first as u32 * 64 + piece)
     }
 }
 

@@ -12,12 +12,11 @@
 
 use crate::bitfield::Bitfield;
 use crate::choke::{rechoke, ChokePolicy};
-use crate::ledger::TransferLedger;
+use crate::ledger::CreditSink;
 use crate::selection::{pick_piece_avoiding, Availability};
 use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
 use rvs_sim::{DetRng, NodeId, SimDuration, SimTime, SwarmId};
 use rvs_trace::SwarmSpec;
-use std::collections::BTreeMap;
 
 /// Role of a swarm member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +80,30 @@ pub struct LinkProfile {
     pub downlink_kibps: u32,
 }
 
+/// What a member keeps about one peer it has downloaded from. Each value is
+/// there or not on its own, as the entry of a per-source map would be.
+#[derive(Debug, Clone, PartialEq)]
+struct Source {
+    id: NodeId,
+    /// Piece currently being fetched from it: (piece, KiB left).
+    in_flight: Option<(u32, f64)>,
+    /// KiB received from it during the current tit-for-tat window.
+    window_recv: Option<u64>,
+    /// Fractional KiB not yet credited to the ledger.
+    uncredited: Option<f64>,
+}
+
+impl Source {
+    fn new(id: NodeId) -> Self {
+        Source {
+            id,
+            in_flight: None,
+            window_recv: None,
+            uncredited: None,
+        }
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 struct Member {
     bitfield: Bitfield,
@@ -91,12 +114,8 @@ struct Member {
     unchoked: Vec<NodeId>,
     optimistic: Option<NodeId>,
     rechokes: u32,
-    /// Piece currently being fetched from each source: (piece, KiB left).
-    in_flight: BTreeMap<NodeId, (u32, f64)>,
-    /// KiB received per source during the current tit-for-tat window.
-    window_recv: BTreeMap<NodeId, u64>,
-    /// Fractional KiB not yet credited to the ledger, per source.
-    uncredited: BTreeMap<NodeId, f64>,
+    /// Ascending by id, one record per peer something is kept about.
+    sources: Vec<Source>,
 }
 
 impl Member {
@@ -114,10 +133,14 @@ impl Member {
             unchoked: Vec::new(),
             optimistic: None,
             rechokes: 0,
-            in_flight: BTreeMap::new(),
-            window_recv: BTreeMap::new(),
-            uncredited: BTreeMap::new(),
+            sources: Vec::new(),
         }
+    }
+
+    /// Where `peer`'s record sits in `sources`, or where it would be
+    /// inserted.
+    fn source_at(&self, peer: NodeId) -> Result<usize, usize> {
+        self.sources.binary_search_by_key(&peer, |s| s.id)
     }
 }
 
@@ -127,18 +150,101 @@ rvs_checkpoint::persist_struct!(LinkProfile {
     downlink_kibps
 });
 
-rvs_checkpoint::persist_struct!(Member {
-    bitfield,
-    role,
-    online,
-    link,
-    unchoked,
-    optimistic,
-    rechokes,
-    in_flight,
-    window_recv,
-    uncredited
-});
+/// One value of every source that has it, in the bytes of the per-source
+/// map it used to be: the count, then id and value ascending by id.
+fn persist_per_source<V: Persist>(
+    sources: &[Source],
+    value: impl Fn(&Source) -> Option<V>,
+    enc: &mut Encoder,
+) {
+    enc.usize(sources.iter().filter(|s| value(s).is_some()).count());
+    for s in sources {
+        if let Some(v) = value(s) {
+            s.id.persist(enc);
+            v.persist(enc);
+        }
+    }
+}
+
+/// Read back what [`persist_per_source`] wrote. Records are found by
+/// binary search, so ids that do not strictly ascend are refused (a map let
+/// the last of two equal keys win).
+fn restore_per_source<V: Persist>(dec: &mut Decoder<'_>) -> Result<Vec<(NodeId, V)>, DecodeError> {
+    let entries: Vec<(NodeId, V)> = Vec::restore(dec)?;
+    if entries.windows(2).any(|w| w[0].0 >= w[1].0) {
+        return Err(DecodeError::Corrupt(
+            "Member: per-source ids must ascend".to_string(),
+        ));
+    }
+    Ok(entries)
+}
+
+/// Stable binary encoding: the fields in declaration order, `sources` as
+/// the three per-source maps it replaced — pieces in flight, window
+/// receipts, uncredited fractions — so no field is skipped and no byte
+/// moved.
+impl Persist for Member {
+    fn persist(&self, enc: &mut Encoder) {
+        self.bitfield.persist(enc);
+        self.role.persist(enc);
+        self.online.persist(enc);
+        self.link.persist(enc);
+        self.unchoked.persist(enc);
+        self.optimistic.persist(enc);
+        self.rechokes.persist(enc);
+        persist_per_source(&self.sources, |s| s.in_flight, enc);
+        persist_per_source(&self.sources, |s| s.window_recv, enc);
+        persist_per_source(&self.sources, |s| s.uncredited, enc);
+    }
+
+    fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let bitfield = Bitfield::restore(dec)?;
+        let role = MemberRole::restore(dec)?;
+        let online = bool::restore(dec)?;
+        let link = LinkProfile::restore(dec)?;
+        let unchoked = Vec::restore(dec)?;
+        let optimistic = Option::restore(dec)?;
+        let rechokes = u32::restore(dec)?;
+        let in_flight = restore_per_source::<(u32, f64)>(dec)?;
+        let window_recv = restore_per_source::<u64>(dec)?;
+        let uncredited = restore_per_source::<f64>(dec)?;
+        // One record per id: the three ascending columns, stably sorted
+        // together, put a peer's values side by side.
+        let mut sources = Vec::new();
+        sources.extend(in_flight.into_iter().map(|(id, v)| Source {
+            in_flight: Some(v),
+            ..Source::new(id)
+        }));
+        sources.extend(window_recv.into_iter().map(|(id, v)| Source {
+            window_recv: Some(v),
+            ..Source::new(id)
+        }));
+        sources.extend(uncredited.into_iter().map(|(id, v)| Source {
+            uncredited: Some(v),
+            ..Source::new(id)
+        }));
+        sources.sort_by_key(|s| s.id);
+        sources.dedup_by(|later, kept| {
+            let same = later.id == kept.id;
+            if same {
+                kept.in_flight = kept.in_flight.or(later.in_flight);
+                kept.window_recv = kept.window_recv.or(later.window_recv);
+                kept.uncredited = kept.uncredited.or(later.uncredited);
+            }
+            same
+        });
+        Ok(Member {
+            bitfield,
+            role,
+            online,
+            link,
+            unchoked,
+            optimistic,
+            rechokes,
+            sources,
+        })
+    }
+}
 
 /// Simulation state of a single swarm.
 #[derive(Debug, Clone)]
@@ -203,9 +309,9 @@ impl SwarmSim {
             if m.optimistic == Some(peer) {
                 m.optimistic = None;
             }
-            m.in_flight.remove(&peer);
-            m.window_recv.remove(&peer);
-            m.uncredited.remove(&peer);
+            if let Ok(at) = m.source_at(peer) {
+                m.sources.remove(at);
+            }
         }
     }
 
@@ -264,7 +370,7 @@ impl SwarmSim {
         &mut self,
         now: SimTime,
         dt: SimDuration,
-        ledger: &mut TransferLedger,
+        ledger: &mut impl CreditSink,
         rng: &mut DetRng,
     ) -> Vec<Completion> {
         if now >= self.next_rechoke {
@@ -298,7 +404,10 @@ impl SwarmSim {
             let decision = rechoke(
                 m.role == MemberRole::Seeder,
                 &interested,
-                |p| m.window_recv.get(&p).copied().unwrap_or(0),
+                |p| {
+                    let received = m.source_at(p).ok().and_then(|at| m.sources[at].window_recv);
+                    received.unwrap_or(0)
+                },
                 self.cfg.choke,
                 m.rechokes.is_multiple_of(self.cfg.optimistic_every),
                 m.optimistic,
@@ -308,7 +417,7 @@ impl SwarmSim {
             m.unchoked = decision.unchoked;
             m.optimistic = decision.optimistic;
             m.rechokes += 1;
-            m.window_recv.clear();
+            m.sources.iter_mut().for_each(|s| s.window_recv = None);
         }
     }
 
@@ -316,7 +425,7 @@ impl SwarmSim {
         &mut self,
         now: SimTime,
         dt: SimDuration,
-        ledger: &mut TransferLedger,
+        ledger: &mut impl CreditSink,
         rng: &mut DetRng,
     ) -> Vec<Completion> {
         // Phase 1: enumerate active connections (slot u uploads to slot v).
@@ -371,29 +480,40 @@ impl SwarmSim {
             }
             let was_complete = member_v.bitfield.is_complete();
             let mut received = 0.0f64;
+            // v's record about u, looked up once; it is created with the
+            // first piece v requests from u.
+            let mut at = member_v.source_at(uid);
             loop {
                 // Ensure v has an in-flight piece from u.
-                if !member_v.in_flight.contains_key(&uid) {
-                    // Prefer unrequested pieces; fall back to any missing
-                    // piece (endgame mode) so transfers never stall.
-                    let pick = pick_piece_avoiding(
-                        &member_v.bitfield,
-                        &member_u.bitfield,
-                        member_v.in_flight.values().map(|&(p, _)| p),
-                        &self.availability,
-                        rng,
-                        &mut cand,
-                    );
-                    match pick {
-                        Some(p) => {
-                            member_v.in_flight.insert(uid, (p, piece_kib));
-                        }
-                        None => break, // nothing useful on this connection
+                let requested = match at {
+                    Ok(at) if member_v.sources[at].in_flight.is_some() => at,
+                    _ => {
+                        // Prefer unrequested pieces; fall back to any missing
+                        // piece (endgame mode) so transfers never stall.
+                        let pick = pick_piece_avoiding(
+                            &member_v.bitfield,
+                            &member_u.bitfield,
+                            member_v.sources.iter().filter_map(|s| Some(s.in_flight?.0)),
+                            &self.availability,
+                            rng,
+                            &mut cand,
+                        );
+                        let Some(p) = pick else {
+                            break; // nothing useful on this connection
+                        };
+                        let new = at.unwrap_or_else(|new| {
+                            member_v.sources.insert(new, Source::new(uid));
+                            new
+                        });
+                        at = Ok(new);
+                        member_v.sources[new].in_flight = Some((p, piece_kib));
+                        new
                     }
-                }
-                // Inserted just above when absent; treat a miss as "nothing
-                // useful on this connection".
-                let Some((piece, remaining)) = member_v.in_flight.get_mut(&uid) else {
+                };
+                let in_flight = &mut member_v.sources[requested].in_flight;
+                // Checked or set just above; treat a miss as "nothing useful
+                // on this connection".
+                let Some((piece, remaining)) = in_flight else {
                     break;
                 };
                 let step = budget.min(*remaining);
@@ -402,7 +522,7 @@ impl SwarmSim {
                 received += step;
                 if *remaining <= 1e-9 {
                     let done = *piece;
-                    member_v.in_flight.remove(&uid);
+                    *in_flight = None;
                     if member_v.bitfield.set(done) {
                         self.availability.add_piece(done);
                     }
@@ -413,9 +533,12 @@ impl SwarmSim {
                     break;
                 }
             }
-            if received > 0.0 {
-                *member_v.window_recv.entry(uid).or_insert(0) += received.round() as u64;
-                let frac = member_v.uncredited.entry(uid).or_insert(0.0);
+            // Bytes move only on a requested piece, so a connection that
+            // received some has its record.
+            if let (Ok(at), true) = (at, received > 0.0) {
+                let source = &mut member_v.sources[at];
+                *source.window_recv.get_or_insert(0) += received.round() as u64;
+                let frac = source.uncredited.get_or_insert(0.0);
                 *frac += received;
                 let whole = frac.floor() as u64;
                 if whole > 0 {
@@ -438,7 +561,7 @@ impl SwarmSim {
         for v in completed {
             let m = &mut self.members[v].1;
             m.role = MemberRole::Seeder;
-            m.in_flight.clear();
+            m.sources.iter_mut().for_each(|s| s.in_flight = None);
         }
         completions
     }
@@ -490,7 +613,8 @@ impl Persist for SwarmSim {
                     m.bitfield.len()
                 ));
             }
-            if m.in_flight.values().any(|&(p, _)| p >= pieces) {
+            let requests = |s: &Source| s.in_flight.is_some_and(|(p, _)| p >= pieces);
+            if m.sources.iter().any(requests) {
                 return corrupt(format!("member {peer} requests a piece past {pieces}"));
             }
             for p in m.bitfield.ones() {
@@ -538,6 +662,7 @@ fn pair_mut(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::TransferLedger;
 
     mod oracle;
 
@@ -719,19 +844,20 @@ mod tests {
             sim.join(seeder, MemberRole::Seeder, link(true, 100), true);
             sim.tick(SimTime::from_secs(10 * k as u64), dt, &mut ledger, &mut rng);
             let downloader = sim.member(NodeId(1)).expect("member");
-            let carried = downloader.uncredited[&seeder];
+            let kept = &downloader.sources[downloader.source_at(seeder).expect("record")];
+            let carried = kept.uncredited.expect("carried");
             assert!(carried > 0.0 && carried < 1.0, "a fraction: {carried}");
-            assert!(downloader.window_recv.contains_key(&seeder));
+            assert!(kept.window_recv.is_some());
             sim.leave(seeder);
+            // No record left: nothing in flight, received or uncredited.
             let downloader = sim.member(NodeId(1)).expect("member");
-            assert!(downloader.uncredited.is_empty() && downloader.window_recv.is_empty());
-            assert!(downloader.in_flight.is_empty() && downloader.unchoked.is_empty());
+            assert!(downloader.sources.is_empty() && downloader.unchoked.is_empty());
         }
         // Three departed peers later the downloader encodes as on day one.
         assert_eq!(rvs_checkpoint::to_bytes(&sim).len(), fresh);
         // A peer that joins again starts from nothing carried.
         sim.join(NodeId(0), MemberRole::Seeder, link(true, 100), true);
-        assert!(sim.member(NodeId(1)).expect("member").uncredited.is_empty());
+        assert!(sim.member(NodeId(1)).expect("member").sources.is_empty());
     }
 
     #[test]
@@ -836,8 +962,12 @@ mod tests {
         assert!(corrupt_message(&alien).contains("bitfield over"));
         // A request for a piece the file does not have.
         let mut beyond = sim.clone();
-        let requests = &mut member_mut(&mut beyond, NodeId(1)).in_flight;
-        requests.insert(NodeId(0), (pieces, 1.0));
+        let downloader = member_mut(&mut beyond, NodeId(1));
+        let at = downloader.source_at(NodeId(0)).unwrap_or_else(|at| {
+            downloader.sources.insert(at, Source::new(NodeId(0)));
+            at
+        });
+        downloader.sources[at].in_flight = Some((pieces, 1.0));
         assert!(corrupt_message(&beyond).contains("requests a piece past"));
         // A piece size of zero has no piece count at all.
         let mut sizeless = sim.clone();

@@ -16,8 +16,10 @@
 //! * so are blobs whose stored *derived* values disagree with what they
 //!   are derived from: a swarm's availability counts against its members'
 //!   bitfields, the ledger's transpose against its forward map;
-//! * and a swarm whose members are not in strictly ascending id order,
-//!   which is what a member's slot is found by.
+//! * and whatever is found by binary search but not in strictly ascending
+//!   order — a swarm's members, a member's per-source entries, a graph's
+//!   edges, the ledger's entries — or holds an entry the program never
+//!   writes (a self-edge, a zero credit).
 
 use proptest::prelude::*;
 use robust_vote_sampling::faults::FaultSchedule;
@@ -308,6 +310,57 @@ fn swarm_members_out_of_order_or_duplicated_are_corrupt() {
 }
 
 #[test]
+fn per_source_entries_out_of_order_or_duplicated_are_corrupt() {
+    use rvs_bittorrent::swarm::{LinkProfile, MemberRole, SwarmConfig};
+    use rvs_checkpoint::{Decoder, Persist};
+    use rvs_sim::NodeId;
+    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
+    let honest = base_bytes().to_vec();
+    // Walk every member of every swarm up to its three per-source maps —
+    // pieces in flight (12-byte values), window receipts and uncredited
+    // fractions (8-byte values) — for one that holds two entries.
+    let net = system.net();
+    let two_entries = (0..net.swarm_count()).find_map(|i| {
+        let swarm = net.swarm(rvs_sim::SwarmId::from_index(i));
+        let sim = rvs_checkpoint::to_bytes(swarm);
+        let members_at = rvs_checkpoint::to_bytes(swarm.spec()).len()
+            + rvs_checkpoint::to_bytes(&SwarmConfig::default()).len();
+        let mut dec = Decoder::new(&sim[members_at..]);
+        for _ in 0..dec.usize().expect("member count") {
+            NodeId::restore(&mut dec).expect("id");
+            rvs_bittorrent::Bitfield::restore(&mut dec).expect("bitfield");
+            MemberRole::restore(&mut dec).expect("role");
+            bool::restore(&mut dec).expect("online");
+            LinkProfile::restore(&mut dec).expect("link");
+            Vec::<NodeId>::restore(&mut dec).expect("unchoked");
+            Option::<NodeId>::restore(&mut dec).expect("optimistic");
+            u32::restore(&mut dec).expect("rechokes");
+            for value in [12, 8, 8] {
+                let map_at = sim.len() - dec.remaining();
+                let entries = dec.usize().expect("entry count");
+                dec.take(entries * (4 + value)).expect("entries");
+                if entries >= 2 {
+                    return Some((locate(&honest, &sim) + map_at + 8, 4 + value));
+                }
+            }
+        }
+        None
+    });
+    let (first_at, entry) = two_entries.expect("a member with two sources");
+    let id = |at: usize| u32::from_le_bytes(honest[at..at + 4].try_into().unwrap());
+    assert!(id(first_at) < id(first_at + entry), "honest ids ascend");
+    // The first entry's id again in the second, then the first two swapped.
+    let mut twice = honest.clone();
+    twice.copy_within(first_at..first_at + 4, first_at + entry);
+    assert_corrupt(&twice, "per-source ids must ascend");
+    let mut swapped = honest.clone();
+    swapped.copy_within(first_at + entry..first_at + 2 * entry, first_at);
+    swapped[first_at + entry..first_at + 2 * entry]
+        .copy_from_slice(&honest[first_at..first_at + entry]);
+    assert_corrupt(&swapped, "per-source ids must ascend");
+}
+
+#[test]
 fn graph_edges_out_of_order_or_duplicated_are_corrupt() {
     let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
     let bc = system.bartercast();
@@ -356,4 +409,32 @@ fn a_ledger_whose_transpose_disagrees_is_corrupt() {
     let mut total = honest;
     total[incoming_at + 8 + 16 * rows] ^= 1;
     assert_corrupt(&total, "sum");
+}
+
+#[test]
+fn ledger_entries_out_of_order_zero_or_looped_are_corrupt() {
+    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
+    let ledger = system.net().ledger();
+    assert!(ledger.edge_count() >= 2, "two entries to put out of order");
+    // The forward map leads: a length and 16-byte `((from, to), kib)`
+    // entries. The maps it used to be let the last of two equal keys win,
+    // sorted the rest and carried a zero for ever.
+    let encoded = rvs_checkpoint::to_bytes(ledger);
+    let honest = base_bytes().to_vec();
+    let first_at = locate(&honest, &encoded) + 8;
+    // The first entry's key again in the second, then the first two swapped.
+    let mut twice = honest.clone();
+    twice.copy_within(first_at..first_at + 8, first_at + 16);
+    assert_corrupt(&twice, "entries must ascend");
+    let mut swapped = honest.clone();
+    swapped.copy_within(first_at + 16..first_at + 32, first_at);
+    swapped[first_at + 16..first_at + 32].copy_from_slice(&honest[first_at..first_at + 16]);
+    assert_corrupt(&swapped, "entries must ascend");
+    // Entries no credit books: nothing moved, and a peer uploading to itself.
+    let mut zero = honest.clone();
+    zero[first_at + 8..first_at + 16].fill(0);
+    assert_corrupt(&zero, "zero entry");
+    let mut looped = honest;
+    looped.copy_within(first_at..first_at + 4, first_at + 4);
+    assert_corrupt(&looped, "self-edge");
 }
