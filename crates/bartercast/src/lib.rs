@@ -23,7 +23,8 @@
 //! * [`protocol`] — the record-exchange gossip ([`BarterCast`]), which
 //!   answers a 2-hop contribution query as one merge of `j`'s out-row with
 //!   the owner's in-column, cheap enough that every query recomputes it
-//!   (no cache — DESIGN.md §4);
+//!   (no cache — DESIGN.md §4), and whose receive half installs only the
+//!   records the receiver has not already been given by that reporter;
 //! * [`experience`] — the threshold experience function
 //!   `E_i(j) ⇔ f_{j→i} ≥ T` plus the adaptive-threshold variant sketched in
 //!   the paper's discussion (§VII).

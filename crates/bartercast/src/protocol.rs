@@ -62,11 +62,24 @@ fn send_key(from: NodeId, to: NodeId, kib: u64) -> SendKey {
 }
 
 /// What a node has to say about itself, kept beside its graph so that
-/// neither sending, syncing nor a contribution query scans the graph.
+/// neither sending, syncing nor a contribution query scans the graph — and
+/// what it has already been told, so that a repeat encounter installs only
+/// news.
 #[derive(Debug, Clone, Default)]
 struct OwnRecords {
     /// The node's nonzero incident edges in its graph, sorted.
     sent: Vec<SendKey>,
+    /// Changes to the send prefix (the first `max_records_per_exchange`
+    /// entries of `sent`) so far. Saturates.
+    clock: u32,
+    /// Per entry of the send prefix, `clock` when it took its present
+    /// weight; moved with the entry. An entry pushed out of the prefix
+    /// comes back only by growing, which restamps it.
+    stamps: Vec<u32>,
+    /// Per reporter this node has heard a whole send prefix from, that
+    /// reporter's `clock` at the time; ascending by reporter. Never having
+    /// heard is an absent entry.
+    heard: Vec<(NodeId, u32)>,
     /// The node's in-column — its graph's nonzero edges `x → node` as
     /// `(x, kib)`, ascending by `x`: the graph's rows are by source, so
     /// this is the one column a 2-hop flow towards the node joins against.
@@ -77,8 +90,9 @@ struct OwnRecords {
 }
 
 impl OwnRecords {
-    /// The index of `owner` over `graph`, by the scan it replaces.
-    fn of(graph: &SubjectiveGraph, owner: NodeId) -> Self {
+    /// The index of `owner` over `graph`, by the scan it replaces, having
+    /// said nothing yet and heard nothing yet.
+    fn of(graph: &SubjectiveGraph, owner: NodeId, budget: usize) -> Self {
         let mut sent: Vec<SendKey> = graph
             .edges()
             .filter(|&(from, to, _)| from == owner || to == owner)
@@ -91,27 +105,61 @@ impl OwnRecords {
             .map(|(from, _, kib)| (from, kib))
             .collect();
         OwnRecords {
+            // `budget` comes out of a checkpoint: never allocate by it.
+            stamps: vec![0; sent.len().min(budget)],
             sent,
             inbound,
-            synced: None,
+            ..OwnRecords::default()
         }
     }
 
     /// An edge incident to `owner` went from weight `old` to the larger
-    /// `new`.
-    fn reweigh(&mut self, owner: NodeId, from: NodeId, to: NodeId, old: u64, new: u64) {
-        if let Ok(at) = self.sent.binary_search(&send_key(from, to, old)) {
-            self.sent.remove(at);
-        }
+    /// `new`; the send prefix is `budget` entries.
+    fn reweigh(
+        &mut self,
+        owner: NodeId,
+        from: NodeId,
+        to: NodeId,
+        old: u64,
+        new: u64,
+        budget: usize,
+    ) {
         let key = send_key(from, to, new);
-        let at = self.sent.binary_search(&key).unwrap_or_else(|at| at);
-        self.sent.insert(at, key);
+        let was = self.sent.binary_search(&send_key(from, to, old)).ok();
+        // Weights grow: the new place is at or before the old one.
+        let ahead = &self.sent[..was.unwrap_or(self.sent.len())];
+        let at = ahead.binary_search(&key).unwrap_or_else(|at| at);
+        match was {
+            Some(was) => {
+                self.sent[at..=was].rotate_right(1);
+                self.sent[at] = key;
+            }
+            None => self.sent.insert(at, key),
+        }
+        if at < budget {
+            self.clock = self.clock.saturating_add(1);
+            match was {
+                Some(was) if was < budget => self.stamps[at..=was].rotate_right(1),
+                _ => {
+                    self.stamps.insert(at, 0);
+                    self.stamps.truncate(budget);
+                }
+            }
+            self.stamps[at] = self.clock;
+        }
         if to == owner {
             match self.inbound.binary_search_by_key(&from, |&(x, _)| x) {
                 Ok(at) => self.inbound[at].1 = new,
                 Err(at) => insert_snug(&mut self.inbound, at, (from, new)),
             }
         }
+    }
+
+    /// Whether `record` is entry `k` of the send prefix as it stands, and
+    /// if so the entry's stamp.
+    fn said_at(&self, k: usize, record: &Record) -> Option<u32> {
+        let stamp = *self.stamps.get(k)?;
+        (self.sent[k] == send_key(record.from, record.to, record.kib)).then_some(stamp)
     }
 }
 
@@ -217,7 +265,8 @@ impl BarterCast {
             return false;
         };
         if old != new && (from == receiver || to == receiver) {
-            self.own[receiver.index()].reweigh(receiver, from, to, old, new);
+            let budget = self.cfg.max_records_per_exchange;
+            self.own[receiver.index()].reweigh(receiver, from, to, old, new, budget);
         }
         true
     }
@@ -271,9 +320,50 @@ impl BarterCast {
     /// Install `reporter`'s records into `receiver`'s subjective graph
     /// (the receive half of an exchange). Reporter validity is enforced
     /// by the graph: only edges incident to `reporter` are accepted.
+    ///
+    /// A record that is the entry of `reporter`'s send prefix at its own
+    /// position, unchanged since `receiver` last heard a whole prefix from
+    /// `reporter`, is one `receiver` already holds and is passed over: the
+    /// entry has not moved towards the front since (weights only grow, so
+    /// whatever was ahead of it still is), hence it was inside the prefix
+    /// heard then, and a graph keeps the maximum, so reporting it again
+    /// would change nothing. Anything else — a first meeting, a new weight,
+    /// a message altered, cut short or made up on the way — is reported.
     pub fn deliver_records(&mut self, receiver: NodeId, reporter: NodeId, recs: &[Record]) {
-        for r in recs {
+        // `reporter` is the caller's word: one outside the population has
+        // no prefix to compare with, and a node tells itself nothing.
+        if receiver == reporter || reporter.index() >= self.own.len() {
+            for r in recs {
+                self.report(receiver, reporter, r.from, r.to, r.kib);
+            }
+            return;
+        }
+        // Nothing to pass over next time, so no watermark to look up or
+        // to keep: where most meetings are first ones (a thousand peers
+        // and up) most messages are empty, and the lookup is a cold one.
+        if recs.is_empty() {
+            return;
+        }
+        let heard = &self.own[receiver.index()].heard;
+        let mark = heard.binary_search_by_key(&reporter, |&(x, _)| x);
+        let heard = mark.ok().map(|at| heard[at].1);
+        let mut whole = recs.len() == self.own[reporter.index()].stamps.len();
+        for (k, r) in recs.iter().enumerate() {
+            let stamp = self.own[reporter.index()].said_at(k, r);
+            whole &= stamp.is_some();
+            // A saturated stamp no longer orders changes: always news.
+            if stamp.is_some_and(|stamp| stamp < u32::MAX && Some(stamp) <= heard) {
+                continue;
+            }
             self.report(receiver, reporter, r.from, r.to, r.kib);
+        }
+        if whole {
+            let clock = self.own[reporter.index()].clock;
+            let heard = &mut self.own[receiver.index()].heard;
+            match mark {
+                Ok(at) => heard[at].1 = clock,
+                Err(at) => insert_snug(heard, at, (reporter, clock)),
+            }
         }
     }
 
@@ -319,7 +409,7 @@ impl BarterCast {
 }
 
 /// Stable binary encoding: config, the graphs, the two counters.
-// rvs-lint: allow(persist-coverage) -- `own` is derived: `sent` and `inbound` are functions of the persisted `graphs`, which `restore` re-indexes node by node (`OwnRecords::of`), and `synced` restarts at `None`, which costs each node one idempotent resync
+// rvs-lint: allow(persist-coverage) -- `own` is derived: `sent` and `inbound` are functions of the persisted `graphs`, which `restore` re-indexes node by node (`OwnRecords::of`), `synced` restarts at `None`, which costs each node one idempotent resync, and `clock`, `stamps` and `heard` restart at zero, zeros and empty (nothing said, nothing heard), which costs each ordered pair one idempotent redelivery of records the receiver's persisted graph already holds
 impl Persist for BarterCast {
     fn persist(&self, enc: &mut Encoder) {
         self.cfg.persist(enc);
@@ -334,7 +424,7 @@ impl Persist for BarterCast {
         let own = graphs
             .iter()
             .enumerate()
-            .map(|(i, g)| OwnRecords::of(g, NodeId::from_index(i)))
+            .map(|(i, g)| OwnRecords::of(g, NodeId::from_index(i), cfg.max_records_per_exchange))
             .collect();
         Ok(BarterCast {
             cfg,
@@ -347,13 +437,27 @@ impl Persist for BarterCast {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::cell::Cell;
 
     thread_local! {
         /// Calls of [`BarterCast::report`] on this thread.
-        pub(super) static REPORTS: Cell<u64> = const { Cell::new(0) };
+        pub(crate) static REPORTS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// How many times `f` calls [`BarterCast::report`].
+    fn reports(f: impl FnOnce()) -> u64 {
+        let before = REPORTS.get();
+        f();
+        REPORTS.get() - before
+    }
+
+    /// What `receiver` has on record as heard from `reporter`.
+    fn heard(bc: &BarterCast, receiver: u32, reporter: u32) -> Option<u32> {
+        let heard = &bc.own[receiver as usize].heard;
+        let at = heard.binary_search_by_key(&NodeId(reporter), |&(x, _)| x);
+        at.ok().map(|at| heard[at].1)
     }
 
     fn ledger(edges: &[(u32, u32, u64)]) -> TransferLedger {
@@ -581,21 +685,198 @@ mod tests {
             bc.sync_own_records(NodeId(i), &l);
         }
         bc.exchange(NodeId(1), NodeId(3));
+        assert!(bc.own[1].clock > 0 && heard(&bc, 3, 1).is_some());
         let mut back: BarterCast =
             rvs_checkpoint::from_bytes(&rvs_checkpoint::to_bytes(&bc)).expect("roundtrip");
         for i in 0..5 {
             assert_eq!(back.own[i].sent, bc.own[i].sent, "node {i}");
             assert_eq!(back.own[i].inbound, bc.own[i].inbound, "node {i}");
             assert_eq!(back.own[i].synced, None);
+            // Nothing said, nothing heard.
+            assert_eq!(back.own[i].clock, 0);
+            assert_eq!(back.own[i].stamps, vec![0; bc.own[i].sent.len()]);
+            assert!(back.own[i].heard.is_empty());
         }
         // The forced resync changes nothing the uninterrupted run has.
         back.sync_own_records(NodeId(1), &l);
         assert_eq!(back.graph(NodeId(1)), bc.graph(NodeId(1)));
         assert_eq!(back.own[1].synced, bc.own[1].synced);
+        // Nor does the forced redelivery: the pair that had met reports its
+        // whole prefixes once more, into graphs that already hold them.
+        let said = (bc.own_records(NodeId(1)).len() + bc.own_records(NodeId(3)).len()) as u64;
+        assert_eq!(reports(|| back.exchange(NodeId(1), NodeId(3))), said);
+        assert_eq!(reports(|| bc.exchange(NodeId(1), NodeId(3))), 0);
         assert_eq!(
             rvs_checkpoint::to_bytes(&back),
             rvs_checkpoint::to_bytes(&bc)
         );
+        assert_eq!(reports(|| back.exchange(NodeId(1), NodeId(3))), 0);
+    }
+
+    /// Nodes 0..5, synced to `1 → 2` 100, `1 → 3` 90, `4 → 1` 80, where 2
+    /// has heard 1 out once.
+    fn acquainted() -> (BarterCast, TransferLedger) {
+        let l = ledger(&[(1, 2, 100), (1, 3, 90), (4, 1, 80)]);
+        let mut bc = BarterCast::new(5, BarterCastConfig::default());
+        for i in 0..5 {
+            bc.sync_own_records(NodeId(i), &l);
+        }
+        bc.exchange(NodeId(1), NodeId(2));
+        (bc, l)
+    }
+
+    #[test]
+    fn a_repeat_exchange_reports_only_what_changed_since() {
+        let (mut bc, mut l) = acquainted();
+        assert_eq!(reports(|| bc.exchange(NodeId(1), NodeId(2))), 0);
+        // One credit on an edge of 1's that 2 is no party to: one record of
+        // 1's half is news, none of 2's.
+        l.credit(NodeId(1), NodeId(3), 5);
+        bc.sync_own_records(NodeId(1), &l);
+        assert_eq!(reports(|| bc.exchange(NodeId(1), NodeId(2))), 1);
+        assert_eq!(bc.graph(NodeId(2)).edge_kib(NodeId(1), NodeId(3)), 95);
+        assert_eq!(reports(|| bc.exchange(NodeId(2), NodeId(1))), 0);
+        // A third node has heard none of it.
+        assert_eq!(reports(|| bc.exchange(NodeId(1), NodeId(0))), 3);
+        // … and has nothing to say: an empty message leaves no watermark.
+        assert!(bc.own_records(NodeId(0)).is_empty());
+        assert_eq!(heard(&bc, 0, 1), Some(bc.own[1].clock));
+        assert_eq!(heard(&bc, 1, 0), None);
+    }
+
+    #[test]
+    fn a_message_touched_in_transit_is_reported_and_moves_no_watermark() {
+        const HEARSAY: Record = Record {
+            from: NodeId(3),
+            to: NodeId(4),
+            kib: 7,
+        };
+        // The mutation, and how many of its records are reported on top of
+        // the one that is news.
+        type Touch = fn(&mut Vec<Record>);
+        let touches: [(Touch, u64); 4] = [
+            (|m| m[0].kib *= 10, 1),
+            (|m| m.push(m[0]), 1),
+            (|m| m.push(HEARSAY), 1),
+            (|m| m.truncate(m.len() - 1), 0),
+        ];
+        for (touch, extra) in touches {
+            let (mut bc, mut l) = acquainted();
+            let mark = heard(&bc, 2, 1);
+            l.credit(NodeId(1), NodeId(3), 5);
+            bc.sync_own_records(NodeId(1), &l);
+            let mut message = bc.own_records(NodeId(1));
+            assert_eq!(message[1].kib, 95, "the news is the second record");
+            touch(&mut message);
+            let reported = reports(|| bc.deliver_records(NodeId(2), NodeId(1), &message));
+            assert_eq!(reported, 1 + extra);
+            assert_eq!(heard(&bc, 2, 1), mark);
+            // The honest message still carries the news as news.
+            let message = bc.own_records(NodeId(1));
+            assert_eq!(
+                reports(|| bc.deliver_records(NodeId(2), NodeId(1), &message)),
+                1
+            );
+            assert_eq!(heard(&bc, 2, 1), Some(bc.own[1].clock));
+            assert_eq!(bc.graph(NodeId(2)).edge_kib(NodeId(1), NodeId(3)), 95);
+            assert_eq!(
+                reports(|| bc.deliver_records(NodeId(2), NodeId(1), &message)),
+                0
+            );
+        }
+    }
+
+    #[test]
+    fn a_first_message_cut_short_leaves_the_rest_to_be_delivered() {
+        let (mut bc, _) = acquainted();
+        let message = bc.own_records(NodeId(1));
+        let cut = &message[..2];
+        assert_eq!(reports(|| bc.deliver_records(NodeId(0), NodeId(1), cut)), 2);
+        assert_eq!(heard(&bc, 0, 1), None);
+        assert_eq!(
+            reports(|| bc.deliver_records(NodeId(0), NodeId(1), &message)),
+            3
+        );
+        assert_eq!(bc.graph(NodeId(0)).edge_kib(NodeId(4), NodeId(1)), 80);
+    }
+
+    #[test]
+    fn an_entry_pushed_out_of_the_prefix_and_grown_back_in_is_delivered_again() {
+        for budget in [1usize, 2] {
+            let cfg = BarterCastConfig {
+                max_records_per_exchange: budget,
+                ..BarterCastConfig::default()
+            };
+            // Under budget 2 one heavy edge holds the first place throughout.
+            let heavy: &[(u32, u32, u64)] = if budget == 2 { &[(5, 1, 9000)] } else { &[] };
+            let mut l = ledger(heavy);
+            l.credit(NodeId(1), NodeId(2), 100);
+            l.credit(NodeId(1), NodeId(4), 50);
+            let mut bc = BarterCast::new(6, cfg);
+            let tell = |bc: &mut BarterCast, l: &TransferLedger| {
+                bc.sync_own_records(NodeId(1), l);
+                let message = bc.own_records(NodeId(1));
+                assert_eq!(message.len(), budget);
+                reports(|| bc.deliver_records(NodeId(3), NodeId(1), &message))
+            };
+            assert_eq!(tell(&mut bc, &l), budget as u64);
+            assert_eq!(tell(&mut bc, &l), 0);
+            // `1 → 4` overtakes `1 → 2`, which leaves the prefix …
+            l.credit(NodeId(1), NodeId(4), 100);
+            assert_eq!(tell(&mut bc, &l), 1);
+            assert_eq!(bc.own[1].stamps.len(), budget);
+            // … and grows back in: it carries a weight 3 has not seen.
+            l.credit(NodeId(1), NodeId(2), 100);
+            assert_eq!(tell(&mut bc, &l), 1, "budget {budget}");
+            let g = bc.graph(NodeId(3));
+            assert_eq!(g.edge_kib(NodeId(1), NodeId(2)), 200);
+            assert_eq!(g.edge_kib(NodeId(1), NodeId(4)), 150);
+            // `1 → 4` was pushed out in turn and has not changed since 3
+            // heard it: were it sent again, it would not be news.
+            assert_eq!(tell(&mut bc, &l), 0);
+        }
+    }
+
+    #[test]
+    fn a_node_talking_to_itself_or_a_stranger_reporting_is_installed_plainly() {
+        let (mut bc, _) = acquainted();
+        let message = bc.own_records(NodeId(1));
+        for _ in 0..2 {
+            // Its own prefix, to itself: every record reported, every time.
+            assert_eq!(
+                reports(|| bc.deliver_records(NodeId(1), NodeId(1), &message)),
+                3
+            );
+            // A reporter no node of the population: reported (and refused by
+            // the endpoint rule), not looked up.
+            for stranger in [5, 99, u32::MAX] {
+                let delivered =
+                    reports(|| bc.deliver_records(NodeId(2), NodeId(stranger), &message));
+                assert_eq!(delivered, 3);
+            }
+        }
+        assert_eq!(bc.own[1].heard, [(NodeId(2), bc.own[1].heard[0].1)]);
+        assert_eq!(bc.own[2].heard.len(), 1, "only node 1");
+    }
+
+    #[test]
+    fn a_saturated_clock_delivers() {
+        let (mut bc, mut l) = acquainted();
+        bc.own[1].clock = u32::MAX - 1;
+        l.credit(NodeId(1), NodeId(3), 5);
+        bc.sync_own_records(NodeId(1), &l);
+        assert_eq!(bc.own[1].clock, u32::MAX);
+        assert_eq!(reports(|| bc.exchange(NodeId(1), NodeId(2))), 1);
+        assert_eq!(heard(&bc, 2, 1), Some(u32::MAX));
+        // The clock can no longer tell this change from a later one, so
+        // the entries stamped with it are news every time …
+        l.credit(NodeId(4), NodeId(1), 1);
+        bc.sync_own_records(NodeId(1), &l);
+        assert_eq!(bc.own[1].clock, u32::MAX);
+        assert_eq!(reports(|| bc.exchange(NodeId(1), NodeId(2))), 2);
+        assert_eq!(bc.graph(NodeId(2)).edge_kib(NodeId(4), NodeId(1)), 81);
+        // … and the one stamped before it is still old news.
+        assert_eq!(reports(|| bc.exchange(NodeId(1), NodeId(2))), 2);
     }
 
     #[test]

@@ -1,19 +1,24 @@
-//! The rows, the in-column and the two merges, held in lock-step to what
-//! they replaced: a map-based graph per node, a sync that reports every
-//! ledger row every time, an `own_records` that scans, and a contribution
-//! that is `max_flow_bounded` — after every step of any interleaving of the
-//! calls that change a graph.
+//! The rows, the in-column, the two merges and the delivery that passes
+//! over old news, held in lock-step to what they replaced: a map-based
+//! graph per node, a sync that reports every ledger row every time, an
+//! `own_records` that scans, a delivery that installs every record every
+//! time, and a contribution that is `max_flow_bounded` — after every step
+//! of any interleaving of the calls that change a graph.
 
 use super::map_graph::MapGraph;
 use crate::maxflow::{edmonds_karp_bounded, max_flow_bounded};
+use crate::protocol::tests::REPORTS;
 use crate::{BarterCast, BarterCastConfig, Record};
 use proptest::prelude::*;
 use rvs_bittorrent::TransferLedger;
 use rvs_checkpoint::{from_bytes, to_bytes};
 use rvs_sim::NodeId;
+use std::collections::BTreeSet;
 
 /// Population of every run.
 const N: u32 = 5;
+/// Ids a message can name: two of them are no node of the population.
+const IDS: u32 = N + 2;
 
 /// One step of a BarterCast's life.
 #[derive(Debug, Clone)]
@@ -22,8 +27,11 @@ enum Step {
     Credit(u32, u32, u64),
     Sync(u32),
     Exchange(u32, u32),
-    /// `(receiver, reporter)` and records that need not be the reporter's.
+    /// `(receiver, reporter)`, a reporter that need not be in the population
+    /// and records that need not be the reporter's.
     Deliver(u32, u32, Vec<(u32, u32, u64)>),
+    /// `(receiver, reporter)`: the reporter's own records, twice in a row.
+    Repeat(u32, u32),
     /// `(receiver, reporter, from, to, kib)`: third-party, self-loop, stale,
     /// zero and saturated reports all occur.
     Inject(u32, u32, u32, u32, u64),
@@ -47,10 +55,11 @@ fn arb_step() -> impl Strategy<Value = Step> {
         (0..N, 0..N).prop_map(|(i, j)| Step::Exchange(i, j)),
         (
             0..N,
-            0..N,
-            prop::collection::vec((0..N, 0..N, arb_kib()), 0..6)
+            0..IDS,
+            prop::collection::vec((0..IDS, 0..IDS, arb_kib()), 0..6)
         )
             .prop_map(|(to, by, recs)| Step::Deliver(to, by, recs)),
+        (0..N, 0..N).prop_map(|(to, by)| Step::Repeat(to, by)),
         (0..N, 0..N, 0..N, 0..N, arb_kib())
             .prop_map(|(to, by, f, t, k)| Step::Inject(to, by, f, t, k)),
         (0..N, 0..N, any::<bool>(), 20u64..200)
@@ -63,6 +72,40 @@ fn arb_step() -> impl Strategy<Value = Step> {
 struct Model {
     budget: usize,
     graphs: Vec<MapGraph>,
+}
+
+/// Both sides of the lock-step, and which ordered pairs `(receiver,
+/// reporter)` may have a watermark: those handed a whole prefix since the
+/// last restore.
+struct Pair {
+    bc: BarterCast,
+    model: Model,
+    met: BTreeSet<(NodeId, NodeId)>,
+}
+
+impl Pair {
+    /// Deliver to both sides; the number of records that went through
+    /// `report`. A pair that cannot have a watermark — never met, a node
+    /// and itself, a reporter outside the population — must report all.
+    fn deliver(
+        &mut self,
+        receiver: NodeId,
+        reporter: NodeId,
+        recs: &[Record],
+    ) -> Result<u64, TestCaseError> {
+        let whole = reporter.0 < N && recs == self.bc.own_records(reporter);
+        let before = REPORTS.get();
+        self.bc.deliver_records(receiver, reporter, recs);
+        let reported = REPORTS.get() - before;
+        self.model.deliver(receiver, reporter, recs);
+        if receiver == reporter || !self.met.contains(&(receiver, reporter)) {
+            prop_assert_eq!(reported, recs.len() as u64, "{} <- {}", receiver, reporter);
+        }
+        if whole {
+            self.met.insert((receiver, reporter));
+        }
+        Ok(reported)
+    }
 }
 
 impl Model {
@@ -110,72 +153,94 @@ proptest! {
     ) {
         for budget in [1usize, 2, 50] {
             let cfg = BarterCastConfig { max_records_per_exchange: budget, ..BarterCastConfig::default() };
-            let mut bc = BarterCast::new(N as usize, cfg);
-            let mut model = Model { budget, graphs: vec![MapGraph::default(); N as usize] };
+            let mut pair = Pair {
+                bc: BarterCast::new(N as usize, cfg),
+                model: Model { budget, graphs: vec![MapGraph::default(); N as usize] },
+                met: BTreeSet::new(),
+            };
             let mut ledger = TransferLedger::new();
             for step in &steps {
                 match step.clone() {
                     Step::Credit(f, t, k) => ledger.credit(NodeId(f), NodeId(t), k),
                     Step::Sync(i) => {
                         let i = NodeId(i);
-                        bc.sync_own_records(i, &ledger);
-                        model.sync(i, &ledger);
+                        pair.bc.sync_own_records(i, &ledger);
+                        pair.model.sync(i, &ledger);
                         // A skipped sync or a skipped row never leaves the
                         // graph short of the ledger.
                         for (to, kib) in ledger.uploads_from(i) {
-                            prop_assert!(bc.graph(i).edge_kib(i, to) >= kib);
+                            prop_assert!(pair.bc.graph(i).edge_kib(i, to) >= kib);
                         }
                         for (from, kib) in ledger.uploads_to(i) {
-                            prop_assert!(bc.graph(i).edge_kib(from, i) >= kib);
+                            prop_assert!(pair.bc.graph(i).edge_kib(from, i) >= kib);
                         }
                     }
                     Step::Exchange(i, j) => {
                         let (i, j) = (NodeId(i), NodeId(j));
-                        bc.exchange(i, j);
+                        let (from_i, from_j) = (pair.model.own_records(i), pair.model.own_records(j));
+                        let first = |to, by, recs: &[Record]| {
+                            if pair.met.contains(&(to, by)) { 0 } else { recs.len() as u64 }
+                        };
+                        let at_least = first(i, j, &from_j) + first(j, i, &from_i);
+                        let before = REPORTS.get();
+                        pair.bc.exchange(i, j);
+                        let reported = REPORTS.get() - before;
                         if i != j {
-                            let (from_i, from_j) = (model.own_records(i), model.own_records(j));
-                            model.deliver(i, j, &from_j);
-                            model.deliver(j, i, &from_i);
+                            prop_assert!(reported >= at_least, "{} < {}", reported, at_least);
+                            pair.model.deliver(i, j, &from_j);
+                            pair.model.deliver(j, i, &from_i);
+                            pair.met.extend([(i, j), (j, i)]);
                         }
                     }
                     Step::Deliver(to, by, recs) => {
                         let recs: Vec<Record> = recs.into_iter().map(record).collect();
-                        bc.deliver_records(NodeId(to), NodeId(by), &recs);
-                        model.deliver(NodeId(to), NodeId(by), &recs);
+                        pair.deliver(NodeId(to), NodeId(by), &recs)?;
+                    }
+                    Step::Repeat(to, by) => {
+                        // The repeat is where a wrong skip would show; a
+                        // right one reports nothing the second time.
+                        let (to, by) = (NodeId(to), NodeId(by));
+                        let recs = pair.bc.own_records(by);
+                        pair.deliver(to, by, &recs)?;
+                        prop_assert_eq!(&pair.bc.own_records(by), &recs);
+                        let again = pair.deliver(to, by, &recs)?;
+                        prop_assert_eq!(again, if to == by { recs.len() as u64 } else { 0 });
                     }
                     Step::Inject(to, by, f, t, kib) => {
                         let rec = record((f, t, kib));
-                        let accepted = bc.inject_report(NodeId(to), NodeId(by), rec);
-                        let expected = model.graphs[to as usize]
+                        let accepted = pair.bc.inject_report(NodeId(to), NodeId(by), rec);
+                        let expected = pair.model.graphs[to as usize]
                             .insert_report(NodeId(by), rec.from, rec.to, kib);
                         prop_assert_eq!(accepted, expected);
                     }
                     Step::Inflate(owner, peer, outgoing, kib) => {
                         let (from, to) = if outgoing { (owner, peer) } else { (peer, owner) };
                         let kib = ledger.uploaded_kib(NodeId(from), NodeId(to)).saturating_add(kib);
-                        let rec = [record((from, to, kib))];
-                        bc.deliver_records(NodeId(owner), NodeId(peer), &rec);
-                        model.deliver(NodeId(owner), NodeId(peer), &rec);
+                        pair.deliver(NodeId(owner), NodeId(peer), &[record((from, to, kib))])?;
                     }
                     Step::Restore => {
-                        bc = from_bytes(&to_bytes(&bc))
+                        pair.bc = from_bytes(&to_bytes(&pair.bc))
                             .map_err(|e| TestCaseError::fail(e.to_string()))?;
                         // The map reads what the rows wrote.
-                        for (i, graph) in model.graphs.iter_mut().enumerate() {
-                            *graph = from_bytes(&to_bytes(bc.graph(NodeId::from_index(i))))
+                        for (i, graph) in pair.model.graphs.iter_mut().enumerate() {
+                            *graph = from_bytes(&to_bytes(pair.bc.graph(NodeId::from_index(i))))
                                 .map_err(|e| TestCaseError::fail(e.to_string()))?;
                         }
+                        // Every watermark is forgotten: the next delivery of
+                        // each pair goes through `report` in full.
+                        pair.met.clear();
                     }
                 }
+                let (bc, model) = (&pair.bc, &pair.model);
                 for i in (0..N).map(NodeId) {
                     let (rows, map) = (bc.graph(i), &model.graphs[i.index()]);
                     let at = format!("node {i} under budget {budget} after {step:?}");
                     prop_assert_eq!(to_bytes(rows), to_bytes(map), "bytes of {}", at);
                     prop_assert!(rows.edges().eq(map.edges()), "edges of {}", at);
                     prop_assert_eq!(bc.own_records(i), model.own_records(i), "records of {}", at);
-                    for j in (0..N).map(NodeId) {
+                    for j in (0..IDS).map(NodeId) {
                         prop_assert_eq!(rows.out_edges(j), map.out_edges(j), "row {} of {}", j, at);
-                        for x in (0..N).map(NodeId) {
+                        for x in (0..IDS).map(NodeId) {
                             prop_assert_eq!(rows.edge_kib(j, x), map.edge_kib(j, x));
                         }
                         let flow = bc.contribution_kib(i, j);

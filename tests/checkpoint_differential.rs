@@ -220,6 +220,30 @@ fn double_resume_is_byte_identical() {
 }
 
 #[test]
+fn a_cut_at_every_hour_is_byte_identical() {
+    // Each cut forgets what restore rebuilds instead of persisting — among
+    // it every BarterCast stamp and watermark, so after each hour every
+    // pair delivers its whole record prefix once more, into graphs that
+    // already hold it. Were a record passed over as old news ever one the
+    // receiver lacked, the run cut most often would be the one to differ.
+    let (peers, hours, seed) = (12usize, 12u64, 17u64);
+    let reference = straight(peers, hours, seed, FaultSchedule::default());
+    let (mut system, m) = build(peers, hours, seed, FaultSchedule::default());
+    for hour in 1..hours {
+        advance(&mut system, SimTime::from_hours(hour));
+        assert_eq!(system.audit_violations(), &[] as &[String], "hour {hour}");
+        system = roundtrip(&system);
+        system.enable_audit();
+    }
+    advance(&mut system, SimTime::from_hours(hours));
+    let got = finish(system, &m, "hourly-cut", seed);
+    assert_eq!(
+        reference, got,
+        "a run cut every hour diverged from straight run"
+    );
+}
+
+#[test]
 fn restore_on_different_thread_count_is_byte_identical() {
     // A checkpoint written by a 1-thread run must continue identically on
     // 4 threads, and vice versa: the pool is rebuilt from the environment
