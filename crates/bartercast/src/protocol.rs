@@ -408,8 +408,8 @@ impl BarterCast {
     }
 }
 
-/// Stable binary encoding: config, the graphs, the two counters.
-// rvs-lint: allow(persist-coverage) -- `own` is derived: `sent` and `inbound` are functions of the persisted `graphs`, which `restore` re-indexes node by node (`OwnRecords::of`), `synced` restarts at `None`, which costs each node one idempotent resync, and `clock`, `stamps` and `heard` restart at zero, zeros and empty (nothing said, nothing heard), which costs each ordered pair one idempotent redelivery of records the receiver's persisted graph already holds
+/// Stable binary encoding: config, the graphs, the two counters. `own` is
+/// not written: `restore` rebuilds it from the graphs (DESIGN §12).
 impl Persist for BarterCast {
     fn persist(&self, enc: &mut Encoder) {
         self.cfg.persist(enc);

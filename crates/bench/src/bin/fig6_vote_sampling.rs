@@ -12,7 +12,9 @@
 //!     [--quick] [--json FILE] [--peers N] [--runs N] [--hours H] [--audit]
 //! ```
 //!
-//! `--peers`/`--runs`/`--hours` rescale the experiment; `--audit` runs the
+//! `--peers`/`--runs`/`--hours` rescale the experiment (`--peers N` casts
+//! `TraceGenConfig::scaled`, the trace of `rvs run --peers N` and of the
+//! benchmark's workloads, in `--quick` mode too); `--audit` runs the
 //! invariant auditor and fails loudly on any violation; any other argument
 //! is refused. The CI scale smoke is
 //! `--quick --peers 10000 --runs 1 --hours 2 --audit`.
@@ -41,17 +43,9 @@ fn main() {
         cfg.sample_every = SimDuration::from_hours((hours as u64 / 9).max(1));
     }
     if let Some(peers) = flag_usize("peers") {
-        // Rebuild the preset so founder count and download pacing rescale
-        // with the population instead of keeping the default-size values.
-        cfg.trace = if quick {
-            TraceGenConfig::quick(peers, cfg.trace.duration)
-        } else {
-            TraceGenConfig {
-                n_peers: peers,
-                duration: cfg.trace.duration,
-                ..TraceGenConfig::filelist_like()
-            }
-        };
+        // The paper's community at N peers, in either mode: founders
+        // rescale with the population, as in `rvs run` and the benchmark.
+        cfg.trace = TraceGenConfig::scaled(peers, cfg.trace.duration);
     }
     if let Some(runs) = flag_usize("runs") {
         cfg.runs = runs.max(1);

@@ -18,8 +18,9 @@
 //!   declared type; the committed golden checkpoints pin those widths.
 //!   Only a type whose halves genuinely differ implements the trait by
 //!   hand — a `restore` that validates what it read, an enum with
-//!   payloads, an encoder that first sorts into canonical order — and
-//!   rvs-lint's `persist-coverage` rule checks those impls field by field.
+//!   payloads, an encoder that first sorts into canonical order — and a
+//!   resume differential over a state that holds the type is what checks
+//!   it (DESIGN.md §12 names one per impl).
 //! * [`Encoder`] / [`Decoder`] — little-endian primitive codecs with
 //!   length-prefixed collections, `f64::to_bits` floats (bit-exact, no
 //!   text roundtrip), and section [tags](Encoder::tag) that turn a

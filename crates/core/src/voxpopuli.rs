@@ -127,7 +127,6 @@ impl VoxCache {
                         // lower is better.
                         -ranks
                             .iter()
-                            // rvs-lint: allow(float-total-order) -- ranks are finite small integers cast to f64, so no NaN can reach this clamp
                             .map(|&r| (self.k as f64 + 1.0 - r).max(0.0))
                             .sum::<f64>()
                     }

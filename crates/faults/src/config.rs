@@ -34,9 +34,7 @@ impl FaultConfig {
     /// True when every fault feature is off and no latency is modelled.
     pub fn is_inert(&self) -> bool {
         self.base_latency_ms == 0
-            // rvs-lint: allow(float-total-order) -- exact-zero inertness probe: a NaN rate reads as active, which is the conservative outcome
             && self.loss == 0.0
-            // rvs-lint: allow(float-total-order) -- exact-zero inertness probe, same contract as `loss` above
             && self.duplicate == 0.0
             && self.burst.is_none()
             && self.retry.is_none()
@@ -64,7 +62,6 @@ impl BurstLoss {
     /// length `burst_len` messages.
     pub fn with_overall_loss(overall: f64, burst_len: f64) -> BurstLoss {
         let overall = overall.clamp(0.0, 0.95);
-        // rvs-lint: allow(float-total-order) -- input sanitizer: IEEE max maps a NaN burst length to the floor of 1.0, exactly the clamp intended
         let burst_len = burst_len.max(1.0);
         let p_exit_bad = 1.0 / burst_len;
         // Stationary P(bad) = p_enter / (p_enter + p_exit) = overall.

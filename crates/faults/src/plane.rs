@@ -79,7 +79,6 @@ impl FaultLane {
             counters.partitioned += 1;
             return SendOutcome::DropPartitioned;
         }
-        // rvs-lint: allow(rng-branch) -- guard depends only on immutable config (the documented zero-draws-when-inert contract), so draw order is fixed per run
         if cfg.loss > 0.0 && self.rng.chance(cfg.loss) {
             return SendOutcome::DropIndependent;
         }
@@ -96,7 +95,6 @@ impl FaultLane {
             } else {
                 burst.loss_good
             };
-            // rvs-lint: allow(rng-branch) -- guard reads config-derived loss rates; burst-state draws above already ran, so the stream position is deterministic
             if p_loss > 0.0 && self.rng.chance(p_loss) {
                 counters.dropped_burst += 1;
                 return SendOutcome::DropBurst;
@@ -106,7 +104,6 @@ impl FaultLane {
         if !delay.is_zero() {
             counters.delayed += 1;
         }
-        // rvs-lint: allow(rng-branch) -- guard depends only on immutable config, same zero-draws-when-inert contract as the loss gate
         let duplicate_delay = if cfg.duplicate > 0.0 && self.rng.chance(cfg.duplicate) {
             counters.duplicated += 1;
             Some(self.draw_latency(cfg))
@@ -130,7 +127,6 @@ impl FaultLane {
             return SimDuration::from_millis(base);
         }
         let ms = self.rng.jitter(base as f64, cfg.jitter_spread);
-        // rvs-lint: allow(float-total-order) -- jitter is base·uniform over a finite range, so the clamp never sees NaN
         SimDuration::from_millis(ms.max(0.0).round() as u64)
     }
 }

@@ -103,7 +103,6 @@ impl FaultSchedule {
     /// mixing latency, jitter, loss, duplication, burst loss, up to two
     /// partitions, and up to three crash-restarts.
     pub fn random(seed: u64, n_nodes: usize, duration: SimDuration) -> FaultSchedule {
-        // rvs-lint: allow(rng-fork-site) -- schedule generator: runs before any simulation exists, so this root cannot perturb an in-run stream
         let mut rng = DetRng::new(seed ^ 0xFA01_75C4_EDB0_1E55);
         let span_ms = duration.as_millis().max(1);
         let config = FaultConfig {

@@ -11,23 +11,16 @@
 //!
 //! Since the offline build cannot pull `syn` or dylint, this crate follows
 //! rustc's `tidy` model: a zero-dependency, comment/string-aware lexer
-//! ([`lexer`]) feeding a declarative rule engine ([`rules`]), a
-//! recursive-descent item-model parser ([`parser`]) feeding structural
-//! rules ([`structural`]), and cross-file consistency checks ([`xcheck`]).
-//! The rule families run over every workspace source file (`compat/` and
-//! the negative-fixture corpus excluded):
+//! ([`lexer`]) feeding a declarative rule engine ([`rules`]), and
+//! cross-file consistency checks ([`xcheck`]). The rule families run over
+//! every workspace source file (`compat/` and the negative-fixture corpus
+//! excluded):
 //!
 //! * **determinism** — `hash-container`, `wall-clock`, `ambient-rng`,
 //!   `ambient-env`, `ambient-thread`: constructs whose behaviour depends on
 //!   hasher seeds, clocks, entropy, environment, or scheduling.
 //! * **panic-surface** — `panic-surface`: `unwrap()`/`expect(`/`panic!`
 //!   and friends in non-test protocol-crate code.
-//! * **structural** — `persist-coverage` (every `impl Persist` must
-//!   reference every declared field, in matching order, on both sides),
-//!   `rng-fork-site` (`DetRng::new`/`.fork` only at sanctioned
-//!   stream-topology sites), `rng-branch` (no conditionally evaluated RNG
-//!   draws), `float-total-order` (no partial-order float comparisons in
-//!   protocol crates).
 //! * **suppression hygiene** — `unused-suppression`: an `allow(...)` that
 //!   suppresses nothing is itself a finding.
 //! * **telemetry coverage** — `telemetry-coverage`: every counter declared
@@ -54,13 +47,10 @@
 
 pub mod engine;
 pub mod lexer;
-pub mod parser;
 pub mod report;
 pub mod rules;
-pub mod structural;
 pub mod xcheck;
 
 pub use engine::{lintable_files, run};
 pub use report::{Finding, Report};
 pub use rules::{check_source, Scope, TokenRule, PROTOCOL_CRATES, TOKEN_RULES};
-pub use structural::{RNG_FORK_SANCTIONED, STRUCTURAL_RULES};

@@ -30,11 +30,10 @@ fn main() -> ExitCode {
             "--deny-findings" => deny = true,
             "--help" | "-h" => {
                 println!(
-                    "rvs-lint: static analysis for determinism, panic-surface, structural \
-                     (Persist/RNG/float-order), telemetry and config-drift invariants\n\n\
+                    "rvs-lint: static analysis for determinism, panic-surface, telemetry and \
+                     config-drift invariants\n\n\
                      USAGE: rvs-lint [--workspace-root PATH] [--json] [--deny-findings]\n\n\
                      Token rules: {}\n\
-                     Structural rules: {}\n\
                      Cross-checks: {}\n\
                      Suppression hygiene: unused-suppression\n\
                      Exceptions: `// rvs-lint: allow(<rule>) -- <justification>` on or above the \
@@ -44,7 +43,6 @@ fn main() -> ExitCode {
                         .map(|r| r.id)
                         .collect::<Vec<_>>()
                         .join(", "),
-                    rvs_lint::STRUCTURAL_RULES.join(", "),
                     rvs_lint::rules::CROSS_CHECK_RULES.join(", "),
                 );
                 return ExitCode::SUCCESS;

@@ -135,20 +135,16 @@ pub const CROSS_CHECK_RULES: &[&str] = &[
     "stale-metadata",
 ];
 
-/// Is `rule` a known rule id (token, structural, or cross-check)?
+/// Is `rule` a known rule id (token or cross-check)?
 pub fn known_rule(rule: &str) -> bool {
-    TOKEN_RULES.iter().any(|r| r.id == rule)
-        || CROSS_CHECK_RULES.contains(&rule)
-        || crate::structural::STRUCTURAL_RULES.contains(&rule)
+    TOKEN_RULES.iter().any(|r| r.id == rule) || CROSS_CHECK_RULES.contains(&rule)
 }
 
 /// How a file is classified before rules run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileClass {
-    /// Crate directory name under `crates/`, or `"root"` for the facade
-    /// package (`src/`, `tests/`, `examples/`).
-    pub crate_name: String,
-    /// Whether the crate is one of [`PROTOCOL_CRATES`].
+    /// Whether the file is under `crates/<c>/` for a `c` in
+    /// [`PROTOCOL_CRATES`].
     pub protocol: bool,
     /// Whole file is test/bench scope (under `tests/`, `benches/`, or
     /// `examples/`).
@@ -158,17 +154,12 @@ pub struct FileClass {
 /// Classify a workspace-relative path like `crates/core/src/vote.rs`.
 pub fn classify(rel_path: &str) -> FileClass {
     let parts: Vec<&str> = rel_path.split('/').collect();
-    let crate_name = if parts.first() == Some(&"crates") && parts.len() > 1 {
-        parts[1].to_string()
-    } else {
-        "root".to_string()
-    };
-    let protocol = PROTOCOL_CRATES.contains(&crate_name.as_str());
+    let protocol = parts.first() == Some(&"crates")
+        && parts.get(1).is_some_and(|c| PROTOCOL_CRATES.contains(c));
     let test_file = parts
         .iter()
         .any(|p| *p == "tests" || *p == "benches" || *p == "examples");
     FileClass {
-        crate_name,
         protocol,
         test_file,
     }
@@ -187,9 +178,8 @@ struct Grant {
     used: bool,
 }
 
-/// Suppression state assembled from a file's annotations, shared by the
-/// token and structural rule engines so usage is tracked across both.
-pub(crate) struct Suppressions {
+/// Suppression state assembled from a file's annotations.
+struct Suppressions {
     grants: Vec<Grant>,
 }
 
@@ -287,8 +277,7 @@ impl Suppressions {
     }
 }
 
-/// Run every applicable per-file rule (token and structural) over one
-/// file's source text.
+/// Run every applicable token rule over one file's source text.
 ///
 /// `rel_path` is workspace-relative and determines crate scoping; the
 /// returned findings include justified ones (with their justification
@@ -343,17 +332,6 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Finding> {
         }
     }
 
-    let model = crate::parser::parse_items(&lexed.toks);
-    findings.extend(crate::structural::check_structural(
-        rel_path,
-        &class,
-        &lexed.toks,
-        &model,
-        &in_test,
-    ));
-
-    // One suppression pass over everything the rule engines produced, so a
-    // grant's used-flag reflects both token and structural findings.
     for f in &mut findings[suppressible_from..] {
         if let Some(just) = suppressions.suppress(&f.rule, f.line) {
             f.justification = Some(just);
@@ -398,28 +376,13 @@ mod tests {
     }
 
     #[test]
-    fn structural_findings_consume_grants_too() {
-        let src = "\
-            fn seed() -> DetRng {\n\
-                // rvs-lint: allow(rng-fork-site) -- documented new stream root\n\
-                DetRng::new(7)\n\
-            }\n";
-        let f = check_source("crates/core/src/x.rs", src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "rng-fork-site");
-        assert!(f[0].justification.is_some());
-    }
-
-    #[test]
     fn classify_paths() {
         let c = classify("crates/core/src/vote.rs");
-        assert_eq!(c.crate_name, "core");
         assert!(c.protocol && !c.test_file);
         let t = classify("crates/bartercast/tests/proptests.rs");
         assert!(t.protocol && t.test_file);
-        let r = classify("src/bin/rvs.rs");
-        assert_eq!(r.crate_name, "root");
-        assert!(!r.protocol);
+        assert!(!classify("crates/metrics/src/lib.rs").protocol);
+        assert!(!classify("src/bin/rvs.rs").protocol);
         let e = classify("examples/quickstart.rs");
         assert!(e.test_file);
     }

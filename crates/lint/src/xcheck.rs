@@ -516,43 +516,29 @@ pub fn threading_config(root: &Path) -> Vec<Finding> {
 }
 
 /// **stale-metadata**: the lint's own path/crate lists must track the tree.
-/// An `exempt_paths` entry, a [`crate::rules::PROTOCOL_CRATES`] member, or a
-/// sanctioned RNG-fork site naming something that no longer exists is a
-/// silently widened (or silently vanished) audit surface: the exemption
-/// outlives the code it excused, and the next file created at that path
-/// inherits it unreviewed.
+/// An `exempt_paths` entry or a [`crate::rules::PROTOCOL_CRATES`] member
+/// naming something that no longer exists is a silently widened (or
+/// silently vanished) audit surface: the exemption outlives the code it
+/// excused, and the next file created at that path inherits it unreviewed.
 pub fn stale_metadata(root: &Path) -> Vec<Finding> {
     const SELF: &str = "crates/lint/src/rules.rs";
-    const STRUCTURAL: &str = "crates/lint/src/structural.rs";
     let mut findings = Vec::new();
-
-    let mut check_path = |list: &str, decl_file: &str, entry: &str| {
-        // Entries ending in `/` are directory prefixes; others are files.
-        let exists = if let Some(dir) = entry.strip_suffix('/') {
-            root.join(dir).is_dir()
-        } else {
-            root.join(entry).is_file()
-        };
-        if !exists {
-            findings.push(Finding::new(
-                "stale-metadata",
-                decl_file,
-                0,
-                format!(
-                    "{list} entry `{entry}` does not exist on disk — a stale exemption would \
-                     be inherited unreviewed by whatever is created there next; update the list"
-                ),
-            ));
-        }
-    };
-
     for rule in crate::rules::TOKEN_RULES {
         for entry in rule.exempt_paths {
-            check_path(&format!("rule `{}` exempt_paths", rule.id), SELF, entry);
+            if !root.join(entry).is_file() {
+                findings.push(Finding::new(
+                    "stale-metadata",
+                    SELF,
+                    0,
+                    format!(
+                        "rule `{}` exempt_paths entry `{entry}` does not exist on disk — a stale \
+                         exemption would be inherited unreviewed by whatever is created there \
+                         next; update the list",
+                        rule.id
+                    ),
+                ));
+            }
         }
-    }
-    for entry in crate::structural::RNG_FORK_SANCTIONED {
-        check_path("RNG_FORK_SANCTIONED", STRUCTURAL, entry);
     }
     for krate in crate::rules::PROTOCOL_CRATES {
         if !root.join("crates").join(krate).is_dir() {
@@ -583,9 +569,7 @@ mod tests {
             .iter()
             .map(|r| r.exempt_paths.len())
             .sum();
-        let expected = exempt_count
-            + crate::structural::RNG_FORK_SANCTIONED.len()
-            + crate::rules::PROTOCOL_CRATES.len();
+        let expected = exempt_count + crate::rules::PROTOCOL_CRATES.len();
         assert_eq!(findings.len(), expected, "{findings:?}");
         assert!(findings.iter().all(|f| f.rule == "stale-metadata"));
     }

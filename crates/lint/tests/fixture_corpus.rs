@@ -88,8 +88,8 @@ fn every_fixture_fires_exactly_as_declared() {
 }
 
 /// The corpus collectively exercises every per-file rule id the engine can
-/// emit: all token rules, all structural rules, suppression hygiene, and
-/// annotation validity. Adding a rule without a fixture breaks this test.
+/// emit: all token rules, suppression hygiene, and annotation validity.
+/// Adding a rule without a fixture breaks this test.
 #[test]
 fn corpus_covers_every_per_file_rule() {
     let covered: std::collections::BTreeSet<String> = corpus()
@@ -97,7 +97,6 @@ fn corpus_covers_every_per_file_rule() {
         .flat_map(|(_, _, expect, _)| expect)
         .collect();
     let mut required: Vec<&str> = rvs_lint::TOKEN_RULES.iter().map(|r| r.id).collect();
-    required.extend(rvs_lint::STRUCTURAL_RULES);
     required.extend(["unused-suppression", "lint-annotation"]);
     let missing: Vec<&&str> = required.iter().filter(|r| !covered.contains(**r)).collect();
     assert!(

@@ -44,7 +44,6 @@ pub struct KeyRegistry {
 impl KeyRegistry {
     /// Keys for a population of `n` nodes.
     pub fn new(n: usize, master_seed: u64) -> Self {
-        // rvs-lint: allow(rng-fork-site) -- simulated-PKI key derivation from the master seed at setup time; never draws during a run
         let mut rng = DetRng::new(master_seed).fork(0x5167_u64);
         KeyRegistry {
             secrets: (0..n).map(|_| rng.next_u64_raw()).collect(),

@@ -221,7 +221,6 @@ pub fn run_aggregation_comparison(
     liar_fractions
         .iter()
         .map(|&lf| {
-            // rvs-lint: allow(rng-fork-site) -- standalone ablation experiment: its own seed root per liar fraction, no System run shares the stream
             let mut rng = DetRng::new(seed).fork((lf * 1000.0) as u64);
             let n_liars = ((n as f64) * lf).round() as usize;
             let n_honest = n - n_liars;

@@ -119,7 +119,6 @@ pub fn fig6_setup(
         .collect();
 
     // Random voter assignment over the non-moderator population.
-    // rvs-lint: allow(rng-fork-site) -- scenario construction: voter assignment is drawn before the System starts, from a root keyed only by the experiment seed
     let mut rng = DetRng::new(seed).fork(0xF166);
     let candidates: Vec<NodeId> = order.iter().copied().filter(|n| !m.contains(n)).collect();
     let n_pos = ((trace.peer_count() as f64) * positive_fraction).round() as usize;

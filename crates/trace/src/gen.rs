@@ -89,6 +89,20 @@ impl TraceGenConfig {
         }
     }
 
+    /// The paper's community at another size: `n_peers` over `duration`,
+    /// one founder per five peers (at least one), otherwise
+    /// [`filelist_like`](Self::filelist_like) — which is `scaled(100, 7
+    /// days)`. "Fig 6 at N peers" for `rvs run`, the figure binaries and
+    /// the benchmark's workloads.
+    pub fn scaled(n_peers: usize, duration: SimDuration) -> Self {
+        TraceGenConfig {
+            n_peers,
+            duration,
+            founder_count: (n_peers / 5).max(1),
+            ..Self::filelist_like()
+        }
+    }
+
     /// A small, fast preset for unit/integration tests: `n` peers over the
     /// given duration, otherwise filelist-like behaviour.
     pub fn quick(n_peers: usize, duration: SimDuration) -> Self {
@@ -345,6 +359,16 @@ mod tests {
     fn different_seeds_differ() {
         let cfg = TraceGenConfig::quick(20, SimDuration::from_days(1));
         assert_ne!(cfg.generate(1).events, cfg.generate(2).events);
+    }
+
+    #[test]
+    fn scaled_at_the_paper_size_is_the_paper_preset() {
+        let paper = TraceGenConfig::scaled(100, SimDuration::from_days(7));
+        assert_eq!(paper, TraceGenConfig::filelist_like());
+        assert_eq!(
+            TraceGenConfig::scaled(4, SimDuration::from_hours(1)).founder_count,
+            1
+        );
     }
 
     #[test]

@@ -289,16 +289,10 @@ fn trace_cfg(
 ) -> Result<TraceGenConfig, ExitCode> {
     let peers = get_at_least(flags, "peers", 100, min_peers)?;
     let hours: u64 = get(flags, "hours", 168)?;
-    Ok(if peers == 100 && hours == 168 {
-        TraceGenConfig::filelist_like()
-    } else {
-        TraceGenConfig {
-            n_peers: peers,
-            duration: SimDuration::from_hours(hours),
-            founder_count: (peers / 5).max(1),
-            ..TraceGenConfig::filelist_like()
-        }
-    })
+    Ok(TraceGenConfig::scaled(
+        peers,
+        SimDuration::from_hours(hours),
+    ))
 }
 
 fn cmd_trace(flags: &BTreeMap<String, String>) -> Result<(), ExitCode> {

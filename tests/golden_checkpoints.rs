@@ -139,6 +139,39 @@ fn coverage_golden_holds_the_state_the_fig6_goldens_lack() {
 }
 
 #[test]
+fn coverage_golden_resumes_as_the_uninterrupted_run() {
+    // The resume differential for the state only this golden holds — the
+    // crowd, the Newscast views, the adaptive thresholds, the pre-seeded
+    // core. A field dropped from both halves of a hand-written `Persist`
+    // there re-encodes and re-derives byte for byte once the goldens are
+    // regenerated; only running on from the restored state tells.
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(GOLDEN_COVERAGE);
+    let committed = Checkpoint::load(&path).expect("coverage golden loads");
+    let end = SimTime::from_hours(18);
+    let run_on = |mut system: System| {
+        system.run_until(end, SimDuration::from_hours(1), |_, _| {});
+        system
+    };
+    let resumed = run_on(System::restore(&committed).expect("coverage golden restores"));
+    let straight = run_on(golden_coverage_system());
+    if let Some(divergence) = first_divergence(&resumed.checkpoint(), &straight.checkpoint()) {
+        panic!("resumed coverage run (A) diverged from the uninterrupted run (B):\n{divergence}");
+    }
+    assert_eq!(
+        resumed
+            .telemetry_snapshot()
+            .counters_only()
+            .to_json_compact(),
+        straight
+            .telemetry_snapshot()
+            .counters_only()
+            .to_json_compact()
+    );
+}
+
+#[test]
 fn golden_checkpoints_resume_cleanly_under_audit() {
     for seed in GOLDEN_SEEDS {
         let ckpt = Checkpoint::load(&golden_path(seed)).expect("golden loads");

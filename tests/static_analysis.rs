@@ -1,8 +1,7 @@
 //! Tier-1 gate: the workspace must be `rvs-lint`-clean.
 //!
 //! Runs the same engine as `cargo run -p rvs-lint -- --workspace-root .
-//! --deny-findings`, so a determinism, panic-surface, structural
-//! (persist-coverage / rng-fork-site / rng-branch / float-total-order),
+//! --deny-findings`, so a determinism, panic-surface, suppression,
 //! telemetry-coverage or config-drift regression fails `cargo test`
 //! directly — no separate CI wiring required for local development.
 
@@ -39,62 +38,6 @@ fn gate_detects_seeded_violation() {
     );
 }
 
-/// Structural teeth: a `Persist` impl that forgets a declared field is
-/// caught by the same engine the clean-workspace test runs.
-#[test]
-fn gate_detects_persist_field_drift() {
-    let bad = "pub struct S { pub a: u64, pub b: u64 }\n\
-               impl rvs_checkpoint::Persist for S {\n\
-                   fn persist(&self, enc: &mut Encoder) { enc.u64(self.a); }\n\
-                   fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {\n\
-                       Ok(S { a: dec.u64()?, b: 0 })\n\
-                   }\n\
-               }\n";
-    let findings = rvs_lint::check_source("crates/checkpoint/src/seeded.rs", bad);
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == "persist-coverage" && f.message.contains("`b`")),
-        "forgotten field must fire persist-coverage, got: {findings:?}"
-    );
-}
-
-/// Structural teeth: an RNG stream rooted outside the sanctioned topology
-/// sites is detected, and the sanctioned sites themselves stay exempt.
-#[test]
-fn gate_detects_unsanctioned_rng_fork() {
-    let bad = "pub fn rogue(seed: u64) -> DetRng { DetRng::new(seed) }\n";
-    let findings = rvs_lint::check_source("crates/core/src/seeded.rs", bad);
-    assert!(
-        findings.iter().any(|f| f.rule == "rng-fork-site"),
-        "unsanctioned DetRng::new must fire rng-fork-site, got: {findings:?}"
-    );
-    let sanctioned = rvs_lint::check_source("crates/sim/src/seeded.rs", bad);
-    assert!(
-        sanctioned.is_empty(),
-        "crates/sim/ is the sanctioned home, got: {sanctioned:?}"
-    );
-}
-
-/// Structural teeth: a draw short-circuited behind `&&` and a float
-/// equality both fire in protocol paths.
-#[test]
-fn gate_detects_conditional_draw_and_float_equality() {
-    let bad = "pub fn f(on: bool, x: f64, rng: &mut DetRng) -> bool {\n\
-                   if on && rng.chance(0.5) { return true; }\n\
-                   x == 0.0\n\
-               }\n";
-    let findings = rvs_lint::check_source("crates/core/src/seeded.rs", bad);
-    assert!(
-        findings.iter().any(|f| f.rule == "rng-branch"),
-        "short-circuited draw must fire rng-branch, got: {findings:?}"
-    );
-    assert!(
-        findings.iter().any(|f| f.rule == "float-total-order"),
-        "float equality must fire float-total-order, got: {findings:?}"
-    );
-}
-
 /// Suppression hygiene has teeth too: a grant that suppresses nothing is
 /// itself an unjustified finding, so stale excuses cannot accumulate.
 #[test]
@@ -111,7 +54,7 @@ fn gate_detects_unused_suppressions() {
 }
 
 /// The lint's own metadata is checked against this workspace: every
-/// exempt path, sanctioned fork site, and protocol crate it names exists.
+/// exempt path and protocol crate it names exists.
 #[test]
 fn lint_metadata_is_not_stale() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
