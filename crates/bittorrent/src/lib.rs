@@ -30,6 +30,6 @@ pub mod swarm;
 
 pub use bitfield::Bitfield;
 pub use ledger::TransferLedger;
-pub use net::{BitTorrentNet, NetConfig};
+pub use net::{BitTorrentNet, NetConfig, Window};
 pub use stats::{network_health, SwarmHealth};
 pub use swarm::{Completion, SwarmSim};

@@ -23,18 +23,23 @@
 //!
 //! * [`BitTorrentNet::tick`] advances every swarm serially, in ascending
 //!   swarm order (the legacy immediate mode used by [`run_trace`]).
-//! * [`BitTorrentNet::advance_window`] replays a whole span of ticks per
-//!   swarm as an isolated job on a [`Pool`], then folds each swarm's list
-//!   of credits into the ledger in ascending swarm order and merges
-//!   completions in canonical `(time, swarm)` order. Because every tick is a pure function of the
-//!   swarm's own state, the result is byte-identical to the serial driver
-//!   for any window partition and any thread count.
+//! * [`BitTorrentNet::begin_window`] hands a whole span of ticks to a
+//!   [`Pool`], per swarm an isolated job, and returns at once with the
+//!   swarms out on the pool; [`BitTorrentNet::finish_window`] waits for
+//!   them, folds each swarm's list of credits into the ledger in ascending
+//!   swarm order and merges completions in canonical `(time, swarm)`
+//!   order. [`BitTorrentNet::advance_window`] is the two back to back.
+//!   Because every tick is a pure function of the swarm's own state, the
+//!   result is byte-identical to immediate mode for any window
+//!   partition and any thread count. Between the two halves the caller may
+//!   run anything that does not need the swarms: the ledger and the
+//!   completion log read as of the window's start until it is finished.
 //!
 //! [`run_trace`]: BitTorrentNet::run_trace
 
 use crate::ledger::{CreditSink, TransferLedger};
 use crate::swarm::{Completion, LinkProfile, MemberRole, SwarmConfig, SwarmSim};
-use rvs_sim::pool::{merge_canonical, Pool};
+use rvs_sim::pool::{merge_canonical, Pending, Pool};
 use rvs_sim::{DetRng, NodeId, SimDuration, SimTime, SwarmId};
 use rvs_trace::{PeerProfile, Trace, TraceEvent, TraceEventKind};
 use std::collections::BTreeMap;
@@ -81,6 +86,28 @@ rvs_checkpoint::persist_struct!(SwarmRunner {
 /// What one swarm booked during a window: `(from, to, kib)` in arrival
 /// order.
 type Credits = Vec<(NodeId, NodeId, u64)>;
+
+/// What one pool job hands back: its chunk of swarms and, per swarm, the
+/// credits and completions of the window.
+type ChunkResult = (Vec<SwarmRunner>, Vec<(Credits, Vec<Completion>)>);
+
+/// A window of ticks out on the pool, from [`BitTorrentNet::begin_window`]
+/// until [`BitTorrentNet::finish_window`] puts its swarms back. While it is
+/// out the net holds no swarms.
+#[derive(Debug)]
+#[must_use = "the window's swarms only return to the net through `finish_window`"]
+pub struct Window {
+    chunks: Pending<ChunkResult>,
+    end: SimTime,
+}
+
+impl Window {
+    /// The first tick the window does not simulate (the next window's
+    /// `start`).
+    pub fn end(&self) -> SimTime {
+        self.end
+    }
+}
 
 fn link_of(profiles: &[PeerProfile], peer: NodeId) -> LinkProfile {
     let p = &profiles[peer.index()];
@@ -321,58 +348,71 @@ impl BitTorrentNet {
         }
     }
 
-    /// Replay every tick in `[start, end_exclusive)` for all swarms, one
-    /// pool job per contiguous swarm chunk, and merge the results in
-    /// canonical order: credits ascending by swarm id, completions
-    /// by `(time, swarm)`. `events` must be exactly the trace events that
-    /// became due in the window (they are replayed per tick with the same
-    /// `time <= tick` rule as immediate mode); `online0` is the online
-    /// snapshot from the end of the previous window. Returns the first
-    /// tick not yet simulated (the next window's `start`).
-    pub fn advance_window(
+    /// Hand every tick in `[start, end_exclusive)` for all swarms to
+    /// `pool`, one job per contiguous swarm chunk, and return without
+    /// waiting: the swarms are out on the pool until
+    /// [`BitTorrentNet::finish_window`] takes the returned [`Window`].
+    /// `events` must be exactly the trace events that become due in the
+    /// window (they are replayed per tick with the same `time <= tick` rule
+    /// as immediate mode); `online0` is the online snapshot from the end of
+    /// the previous window. One window at a time: the ledger, the
+    /// completion log and the online flags stay readable meanwhile, and
+    /// the window writes to none of them until it is finished.
+    pub fn begin_window(
         &mut self,
         start: SimTime,
         end_exclusive: SimTime,
         events: &[TraceEvent],
         online0: &[bool],
         pool: &Pool,
-    ) -> SimTime {
+    ) -> Window {
         let dt = self.cfg.tick;
-        if start >= end_exclusive {
-            return start;
-        }
+        let ticks = if start < end_exclusive {
+            (end_exclusive.as_millis() - start.as_millis()).div_ceil(dt.as_millis())
+        } else {
+            0
+        };
+        let end = start + SimDuration::from_millis(ticks * dt.as_millis());
         let n = self.swarms.len();
-        if n == 0 {
-            let ticks = (end_exclusive.as_millis() - start.as_millis()).div_ceil(dt.as_millis());
-            return start + SimDuration::from_millis(ticks * dt.as_millis());
+        let mut jobs: Vec<Box<dyn FnOnce() -> ChunkResult + Send + 'static>> = Vec::new();
+        if ticks > 0 && n > 0 {
+            let ctx = Arc::new((
+                events.to_vec(),
+                online0.to_vec(),
+                Arc::clone(&self.profiles),
+            ));
+            let chunk_size = n.div_ceil(pool.threads().min(n));
+            let mut iter = std::mem::take(&mut self.swarms).into_iter().peekable();
+            while iter.peek().is_some() {
+                let chunk: Vec<SwarmRunner> = iter.by_ref().take(chunk_size).collect();
+                let ctx = Arc::clone(&ctx);
+                jobs.push(Box::new(move || {
+                    let mut chunk = chunk;
+                    let (events, online0, profiles) = &*ctx;
+                    let booked: Vec<(Credits, Vec<Completion>)> = chunk
+                        .iter_mut()
+                        .map(|r| {
+                            r.advance_window(start, end_exclusive, dt, events, online0, profiles)
+                        })
+                        .collect();
+                    (chunk, booked)
+                }));
+            }
         }
-        let ctx = Arc::new((
-            events.to_vec(),
-            online0.to_vec(),
-            Arc::clone(&self.profiles),
-        ));
-        let runners = std::mem::take(&mut self.swarms);
-        let chunk_count = pool.threads().min(n);
-        let chunk_size = n.div_ceil(chunk_count);
-        type WindowResult = (Vec<SwarmRunner>, Vec<(Credits, Vec<Completion>)>);
-        let mut jobs: Vec<Box<dyn FnOnce() -> WindowResult + Send + 'static>> = Vec::new();
-        let mut iter = runners.into_iter().peekable();
-        while iter.peek().is_some() {
-            let chunk: Vec<SwarmRunner> = iter.by_ref().take(chunk_size).collect();
-            let ctx = Arc::clone(&ctx);
-            jobs.push(Box::new(move || {
-                let mut chunk = chunk;
-                let (events, online0, profiles) = &*ctx;
-                let booked: Vec<(Credits, Vec<Completion>)> = chunk
-                    .iter_mut()
-                    .map(|r| r.advance_window(start, end_exclusive, dt, events, online0, profiles))
-                    .collect();
-                (chunk, booked)
-            }));
+        Window {
+            chunks: pool.submit(jobs),
+            end,
         }
+    }
+
+    /// Wait for `window`'s swarms, put them back and merge what they did in
+    /// canonical order: credits ascending by swarm id, completions by
+    /// `(time, swarm)`. Returns the first tick not yet simulated (the next
+    /// window's `start`).
+    pub fn finish_window(&mut self, window: Window) -> SimTime {
         // Results come back in job-submission order == ascending swarm id.
         let mut keyed_completions: Vec<Vec<((SimTime, u32), Completion)>> = Vec::new();
-        for (chunk, booked) in pool.scatter(jobs) {
+        for (chunk, booked) in window.chunks.wait() {
             for (runner, (mut credits, completions)) in chunk.into_iter().zip(booked) {
                 self.ledger.credit_window(&mut credits);
                 keyed_completions.push(
@@ -389,8 +429,23 @@ impl BitTorrentNet {
                 .into_iter()
                 .map(|(_, c)| c),
         );
-        let ticks = (end_exclusive.as_millis() - start.as_millis()).div_ceil(dt.as_millis());
-        start + SimDuration::from_millis(ticks * dt.as_millis())
+        window.end
+    }
+
+    /// Replay every tick in `[start, end_exclusive)` for all swarms on
+    /// `pool` and merge the results: [`BitTorrentNet::begin_window`] and
+    /// [`BitTorrentNet::finish_window`] back to back. Returns the first
+    /// tick not yet simulated.
+    pub fn advance_window(
+        &mut self,
+        start: SimTime,
+        end_exclusive: SimTime,
+        events: &[TraceEvent],
+        online0: &[bool],
+        pool: &Pool,
+    ) -> SimTime {
+        let window = self.begin_window(start, end_exclusive, events, online0, pool);
+        self.finish_window(window)
     }
 
     /// Convenience driver: replay the whole trace, ticking transfers and
@@ -649,5 +704,52 @@ mod tests {
                 "completions diverged at {threads} threads, window {window}"
             );
         }
+    }
+
+    /// While a window is out on the pool the net holds no swarms and its
+    /// ledger and completion log are as they were; finishing it lands in
+    /// the state `advance_window` reaches.
+    #[test]
+    fn a_window_out_on_the_pool_leaves_the_books_until_it_is_finished() {
+        let trace = quick_trace(21);
+        let cfg = NetConfig::default();
+        let rng_base = DetRng::new(8).fork(0xB177);
+        let fresh = BitTorrentNet::new(&trace, cfg, &rng_base);
+        let start = SimTime::ZERO;
+        let end = SimTime::from_hours(6);
+        let events = &trace.events[..trace.events.partition_point(|e| e.time < end)];
+        let online0 = fresh.online_flags().to_vec();
+        let mut serial = fresh.clone();
+        let serial_end = serial.advance_window(start, end, events, &online0, &Pool::new(1));
+        for threads in [1, 2, 4] {
+            let pool = Pool::new(threads);
+            let mut net = fresh.clone();
+            let window = net.begin_window(start, end, events, &online0, &pool);
+            assert_eq!(window.end(), serial_end);
+            assert_eq!(
+                net.swarm_count(),
+                0,
+                "swarms stayed home at {threads} threads"
+            );
+            assert_eq!(net.ledger(), fresh.ledger());
+            assert_eq!(net.completions(), fresh.completions());
+            assert_eq!(net.finish_window(window), serial_end);
+            assert_eq!(net.swarm_count(), trace.swarms.len());
+            assert_eq!(net.ledger(), serial.ledger());
+            assert_eq!(net.completions(), serial.completions());
+            assert!(net.ledger().total_kib() > 0, "the window moved no data");
+        }
+    }
+
+    /// An empty span hands nothing to the pool and leaves the swarms home.
+    #[test]
+    fn an_empty_window_keeps_the_swarms_home() {
+        let trace = quick_trace(23);
+        let mut net = BitTorrentNet::new(&trace, NetConfig::default(), &DetRng::new(9));
+        let online0 = net.online_flags().to_vec();
+        let at = SimTime::from_hours(1);
+        let window = net.begin_window(at, at, &[], &online0, &Pool::new(4));
+        assert_eq!(net.swarm_count(), trace.swarms.len());
+        assert_eq!(net.finish_window(window), at);
     }
 }

@@ -7,7 +7,7 @@ use crate::config::{ProtocolConfig, ScenarioSetup};
 use encounter::votes_from;
 use rvs_attacks::{FlashCrowd, Flooder, Malformer};
 use rvs_bartercast::{AdaptiveThreshold, BarterCast};
-use rvs_bittorrent::BitTorrentNet;
+use rvs_bittorrent::{BitTorrentNet, Window};
 use rvs_checkpoint::Persist as _;
 use rvs_core::{VoteEntry, VoteSampling};
 use rvs_faults::{Backoff, FaultPlane, FaultSchedule, SendOutcome};
@@ -15,7 +15,7 @@ use rvs_guard::{Governor, GuardConfig, RejectReason};
 use rvs_metrics::{collective_experience_value, correct_ordering_fraction, pollution_fraction};
 use rvs_modcast::{KeyRegistry, LocalVote, ModerationCast};
 use rvs_pss::{NewscastConfig, NewscastPss, OraclePss};
-use rvs_sim::{pool, DetRng, Engine, ModeratorId, NodeId, Pool, SimTime};
+use rvs_sim::{pool, DetRng, Engine, ModeratorId, NodeId, Pool, SimDuration, SimTime};
 use rvs_telemetry::{EncounterCounters, PhaseTimer, Snapshot};
 use rvs_trace::{Trace, TraceEventKind};
 use std::collections::BTreeSet;
@@ -219,8 +219,10 @@ pub struct System {
     send_rng: Vec<DetRng>,
 
     // Parallel round engine. The pool shards per-swarm BitTorrent
-    // windows; results merge in canonical order, so `threads` can never
-    // change results (proven by tests/parallel_differential.rs).
+    // windows, and inside `run_until` the window up to the next gossip
+    // round runs on it while this round's encounters run (`bt_ahead`);
+    // results merge in canonical order, so `threads` can never change
+    // results (proven by tests/parallel_differential.rs).
     threads: usize,
     pool: Pool,
     /// First BitTorrent tick not yet materialized.
@@ -229,6 +231,13 @@ pub struct System {
     bt_online0: Vec<bool>,
     /// Trace events consumed by materialized windows so far.
     bt_event_lo: usize,
+    /// The window from `bt_window_start` that is out on the pool, if any;
+    /// the next `materialize_bt` folds it in. Volatile: never persisted,
+    /// and nothing but `step` sees it in flight.
+    bt_ahead: Option<Window>,
+    /// While `run_until` runs a step: the earliest time its observer or its
+    /// end needs the net. A window runs ahead only when this is set.
+    bt_horizon: Option<SimTime>,
 
     enc: EncounterCounters,
     timer: PhaseTimer,
@@ -400,6 +409,8 @@ impl System {
             bt_window_start: SimTime::ZERO,
             bt_online0,
             bt_event_lo: 0,
+            bt_ahead: None,
+            bt_horizon: None,
             enc: EncounterCounters::default(),
             timer: PhaseTimer::new(),
             audit: None,
@@ -443,6 +454,10 @@ impl System {
     /// [`System::checkpoint`]'s encoder before it is reduced to bytes: it
     /// still knows where each tagged section starts.
     pub(crate) fn encode(&self) -> rvs_checkpoint::Encoder {
+        assert!(
+            self.bt_ahead.is_none(),
+            "checkpoint taken while a BitTorrent window is out on the pool"
+        );
         let mut enc = rvs_checkpoint::Encoder::new();
         rvs_checkpoint::write_header(&mut enc);
         Identity {
@@ -723,6 +738,8 @@ impl System {
             bt_window_start,
             bt_online0,
             bt_event_lo,
+            bt_ahead: None,
+            bt_horizon: None,
             enc: enc_counters,
             timer: PhaseTimer::new(),
             audit: None,
@@ -874,6 +891,10 @@ impl System {
 
     /// The BitTorrent substrate.
     pub fn net(&self) -> &BitTorrentNet {
+        assert!(
+            self.bt_ahead.is_none(),
+            "the net was read while its swarms are out on the pool"
+        );
         &self.net
     }
 
@@ -971,32 +992,43 @@ impl System {
 
     /// Advance the simulation to `end`, invoking `observer` every
     /// `sample_every` of simulated time (and once at the end).
+    ///
+    /// With two or more threads and every message applied inside its
+    /// round, the BitTorrent window up to the next gossip round runs on
+    /// the pool while this round's encounters run; it never runs past the
+    /// first tick the observer or `end` needs, so every observer call and
+    /// the return see the net whole.
     pub fn run_until(
         &mut self,
         end: SimTime,
-        sample_every: rvs_sim::SimDuration,
+        sample_every: SimDuration,
         mut observer: impl FnMut(&System, SimTime),
     ) {
         let mut next_sample = self.now;
         while self.now < end {
+            self.bt_horizon = Some(next_sample.min(end));
             self.step();
+            self.bt_horizon = None;
             if self.now >= next_sample {
                 // Materialize pending BitTorrent ticks so the observer sees
                 // transfers up to the current tick, exactly as the serial
                 // engine always did. Sample cadence is thread-independent,
                 // so this cannot perturb thread-count invariance.
                 self.materialize_bt(self.now);
+                assert!(self.bt_ahead.is_none(), "observer would see swarms out");
                 observer(self, self.now);
                 next_sample = self.now + sample_every;
             }
         }
         self.materialize_bt(self.now);
+        assert!(self.bt_ahead.is_none(), "observer would see swarms out");
         observer(self, end);
     }
 
     /// One simulation tick: pending fault-plane events, trace events,
     /// BitTorrent transfers, crowd churn, and (when due) a protocol gossip
-    /// round.
+    /// round. Called directly, a step never leaves a BitTorrent window
+    /// running ahead.
     pub fn step(&mut self) {
         // Fault-plane events that came due since the previous tick
         // (deliveries, resends, partition cuts/heals, crashes). Delivery
@@ -1030,34 +1062,98 @@ impl System {
             // so the gossip round reads a ledger exact as of `now` — the
             // same state the per-tick serial engine produced.
             self.materialize_bt(self.now + self.cfg.net.tick);
+            self.next_gossip = self.now + self.cfg.gossip_every;
+            self.launch_bt_ahead();
             self.timer.start("gossip");
             self.gossip_round();
             self.timer.stop();
-            self.next_gossip = self.now + self.cfg.gossip_every;
         }
         self.now += self.cfg.net.tick;
     }
 
     /// Materialize every pending BitTorrent tick in
-    /// `[bt_window_start, end_exclusive)` as one parallel window, then
+    /// `[bt_window_start, end_exclusive)` as one parallel window — or fold
+    /// in the window that ran ahead, which ends exactly there — then
     /// re-capture the online snapshot and event cursor for the next one.
     fn materialize_bt(&mut self, end_exclusive: SimTime) {
         if self.bt_window_start >= end_exclusive {
             return;
         }
         self.timer.start("bittorrent");
-        let events = &self.trace.events[self.bt_event_lo..self.next_event];
-        self.bt_window_start = self.net.advance_window(
-            self.bt_window_start,
-            end_exclusive,
-            events,
-            &self.bt_online0,
-            &self.pool,
-        );
+        self.bt_window_start = match self.bt_ahead.take() {
+            Some(window) => {
+                assert!(
+                    window.end() == end_exclusive
+                        && self.events_due_before(end_exclusive) == self.next_event,
+                    "a BitTorrent window ran ahead to {} but is joined at {end_exclusive} \
+                     with trace events up to {} consumed",
+                    window.end(),
+                    self.next_event
+                );
+                self.net.finish_window(window)
+            }
+            None => self.net.advance_window(
+                self.bt_window_start,
+                end_exclusive,
+                &self.trace.events[self.bt_event_lo..self.next_event],
+                &self.bt_online0,
+                &self.pool,
+            ),
+        };
         self.bt_event_lo = self.next_event;
         self.bt_online0.clear();
         self.bt_online0.extend_from_slice(self.net.online_flags());
         self.timer.stop();
+    }
+
+    /// Hand the BitTorrent window from `bt_window_start` to the pool so it
+    /// runs while this gossip round's encounters do. Only inside
+    /// `run_until` (`bt_horizon` set), with two or more threads, and only
+    /// when every message is applied inside its round: a delayed delivery
+    /// or a resend would read the ledger between rounds. A zero-latency
+    /// duplicate fires at the next tick, which reads no window tick yet.
+    /// The window ends at the earliest tick boundary that the next gossip
+    /// round, the observer or the end of `run_until` materializes, so it
+    /// is always joined exactly where it ends.
+    fn launch_bt_ahead(&mut self) {
+        let Some(horizon) = self.bt_horizon else {
+            return;
+        };
+        let faults = self.faults.config();
+        if self.threads < 2 || faults.base_latency_ms != 0 || faults.retry.is_some() {
+            return;
+        }
+        let start = self.bt_window_start;
+        let tick = self.cfg.net.tick;
+        // The first tick boundary at or past `t`, on `start`'s grid.
+        let boundary = |t: SimTime| {
+            let ahead = t.as_millis().saturating_sub(start.as_millis());
+            start + SimDuration::from_millis(ahead.div_ceil(tick.as_millis()) * tick.as_millis())
+        };
+        let end = boundary(horizon).min(boundary(self.next_gossip) + tick);
+        if end <= start {
+            return;
+        }
+        self.timer.start("bittorrent");
+        let hi = self.events_due_before(end);
+        self.bt_ahead = Some(self.net.begin_window(
+            start,
+            end,
+            &self.trace.events[self.bt_event_lo..hi],
+            &self.bt_online0,
+            &self.pool,
+        ));
+        self.timer.stop();
+        #[cfg(test)]
+        tests::LAUNCHES.with(|n| n.set(n.get() + 1));
+    }
+
+    /// The cursor past every trace event a window ending at `end` replays:
+    /// those due at or before its last tick, counted from `bt_event_lo`.
+    fn events_due_before(&self, end: SimTime) -> usize {
+        let last_tick = end.as_millis() - self.cfg.net.tick.as_millis();
+        let pending = &self.trace.events[self.bt_event_lo..];
+        self.bt_event_lo + pending.partition_point(|ev| ev.time.as_millis() <= last_tick)
     }
 
     /// A deterministically random online node other than `except`, drawn
@@ -1554,5 +1650,86 @@ impl System {
     /// Current adaptive thresholds (ablation A1), if enabled.
     pub fn adaptive_thresholds(&self) -> Option<&[AdaptiveThreshold]> {
         self.adaptive.as_deref()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::vote_sampling::fig6_setup;
+    use rvs_faults::{FaultConfig, RetryConfig};
+    use rvs_trace::TraceGenConfig;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// BitTorrent windows launched ahead of a gossip round on this
+        /// thread.
+        pub(super) static LAUNCHES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    const SPAN: SimDuration = SimDuration::from_hours(4);
+
+    /// Windows launched ahead while `drive` runs the fig6 cast on 10 peers
+    /// at `threads` threads under `config`.
+    fn launches(threads: usize, config: FaultConfig, drive: fn(&mut System)) -> u64 {
+        let seed = 3;
+        let trace = TraceGenConfig::quick(10, SPAN).generate(seed);
+        let (setup, _) = fig6_setup(&trace, 0.25, 0.25, seed);
+        let schedule = FaultSchedule {
+            config,
+            ..FaultSchedule::default()
+        };
+        let mut system =
+            System::with_faults(trace, ProtocolConfig::default(), setup, seed, schedule);
+        system.set_threads(threads);
+        let before = LAUNCHES.with(Cell::get);
+        drive(&mut system);
+        assert!(system.bt_ahead.is_none() && system.bt_horizon.is_none());
+        LAUNCHES.with(Cell::get) - before
+    }
+
+    fn run_until_end(system: &mut System) {
+        system.run_until(SimTime::ZERO + SPAN, SimDuration::from_hours(1), |_, _| {});
+    }
+
+    fn step_to_end(system: &mut System) {
+        while system.now() < SimTime::ZERO + SPAN {
+            system.step();
+        }
+    }
+
+    #[test]
+    fn a_window_runs_ahead_inside_run_until_when_delivery_is_inline() {
+        let lossy = FaultConfig {
+            loss: 0.3,
+            duplicate: 0.1,
+            ..FaultConfig::default()
+        };
+        for config in [FaultConfig::default(), lossy] {
+            for threads in [2, 4] {
+                let n = launches(threads, config, run_until_end);
+                assert!(
+                    n > 0,
+                    "no window ran ahead at {threads} threads, {config:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn no_window_runs_ahead_at_one_thread_off_the_inline_path_or_from_step() {
+        let latency = FaultConfig {
+            base_latency_ms: 5_000,
+            ..FaultConfig::default()
+        };
+        let retry = FaultConfig {
+            loss: 0.3,
+            retry: Some(RetryConfig::default()),
+            ..FaultConfig::default()
+        };
+        assert_eq!(launches(1, FaultConfig::default(), run_until_end), 0);
+        assert_eq!(launches(2, latency, run_until_end), 0);
+        assert_eq!(launches(2, retry, run_until_end), 0);
+        assert_eq!(launches(2, FaultConfig::default(), step_to_end), 0);
     }
 }

@@ -4,14 +4,18 @@
 //! this module — the lint gate's ambient-thread rule whitelists exactly this
 //! file. Two primitives are exposed:
 //!
-//! * [`Pool::scatter`] — run a batch of jobs and return their results **in
-//!   job order**, regardless of which worker finished first. With one
-//!   thread the jobs run inline on the caller's thread, in index order, so
-//!   the serial engine and the parallel engine share a single code path and
-//!   byte-identical results are a structural property, not an accident.
+//! * [`Pool::submit`] — hand a batch of jobs to the workers and get a
+//!   [`Pending`] back at once; [`Pending::wait`] returns the results **in
+//!   job order**, regardless of which worker finished first, so the caller
+//!   can work between the two. [`Pool::scatter`] is `submit(..).wait()`.
+//!   With one thread the jobs run inline on the caller's thread, in index
+//!   order, before `submit` returns, so the serial engine and the parallel
+//!   engine share a single code path and byte-identical results are a
+//!   structural property, not an accident.
 //! * [`merge_canonical`] — fold per-shard, key-ordered result streams into
-//!   one stream sorted by a canonical key (the round engine uses
-//!   `(round, sender, seq)`), independent of how items were sharded.
+//!   one stream sorted by a canonical key (BitTorrent windows key their
+//!   completions by `(time, swarm)`), independent of how items were
+//!   sharded.
 //!
 //! Determinism contract: a job may only touch state it owns (moved in) plus
 //! shared read-only context. All cross-shard effects must be returned as
@@ -19,10 +23,43 @@
 //! harness in `tests/parallel_differential.rs` proves the contract holds
 //! for the full protocol stack.
 
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// A batch handed to [`Pool::submit`] whose results are not collected yet.
+///
+/// Dropping it without [`Pending::wait`] discards the results; the jobs
+/// still run to completion and the pool stays usable.
+#[derive(Debug)]
+#[must_use = "the batch's results are only returned by `wait`"]
+pub struct Pending<R> {
+    slots: Vec<Option<R>>,
+    /// `None` when the jobs already ran inline (a one-thread pool).
+    results: Option<Receiver<(usize, R)>>,
+}
+
+impl<R> Pending<R> {
+    /// Block until every job of the batch has returned, and return the
+    /// results in job-submission order.
+    pub fn wait(mut self) -> Vec<R> {
+        if let Some(results) = self.results.take() {
+            // Every job holds a sender until it returns (or is dropped
+            // unrun), so the iteration ends when the batch is done.
+            for (index, result) in results {
+                self.slots[index] = Some(result);
+            }
+        }
+        let n = self.slots.len();
+        let missing = self.slots.iter().filter(|slot| slot.is_none()).count();
+        assert!(
+            missing == 0,
+            "{missing} of {n} pool jobs never returned (a worker died mid-job)"
+        );
+        self.slots.into_iter().flatten().collect()
+    }
+}
 
 /// A fixed-size pool of persistent worker threads.
 ///
@@ -81,46 +118,49 @@ impl Pool {
         self.threads
     }
 
-    /// Run every job and return the results in job-submission order.
+    /// Hand every job to the workers and return without waiting for them.
     ///
     /// Workers pick jobs up in submission order but may finish in any
-    /// order; results are re-sequenced by index before returning, so the
+    /// order; [`Pending::wait`] re-sequences the results by index, so the
     /// output is identical to running the jobs serially — provided each
-    /// job is a pure function of what it captured.
-    pub fn scatter<R: Send + 'static>(
+    /// job is a pure function of what it captured. A one-thread pool runs
+    /// the jobs inline, in index order, before this returns.
+    pub fn submit<R: Send + 'static>(
         &self,
         jobs: Vec<Box<dyn FnOnce() -> R + Send + 'static>>,
-    ) -> Vec<R> {
-        let n = jobs.len();
+    ) -> Pending<R> {
         let Some(tx) = &self.tx else {
-            return jobs.into_iter().map(|job| job()).collect();
+            return Pending {
+                slots: jobs.into_iter().map(|job| Some(job())).collect(),
+                results: None,
+            };
         };
-        let (result_tx, result_rx) = channel::<(usize, R)>();
+        let n = jobs.len();
+        let (result_tx, results) = channel::<(usize, R)>();
         for (index, job) in jobs.into_iter().enumerate() {
             let result_tx = result_tx.clone();
             let wrapped: Job = Box::new(move || {
-                // A send error means the collector already gave up; the
-                // result is dropped and the gap is reported below.
+                // A send error means the batch was dropped unwaited; the
+                // result is discarded with it.
                 let _ = result_tx.send((index, job()));
             });
             if tx.send(wrapped).is_err() {
                 break;
             }
         }
-        drop(result_tx);
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            match result_rx.recv() {
-                Ok((index, result)) => slots[index] = Some(result),
-                Err(_) => break,
-            }
+        Pending {
+            slots: (0..n).map(|_| None).collect(),
+            results: Some(results),
         }
-        let missing = slots.iter().filter(|slot| slot.is_none()).count();
-        assert!(
-            missing == 0,
-            "{missing} of {n} pool jobs never returned (a worker died mid-job)"
-        );
-        slots.into_iter().flatten().collect()
+    }
+
+    /// Run every job and return the results in job-submission order:
+    /// [`Pool::submit`] followed at once by [`Pending::wait`].
+    pub fn scatter<R: Send + 'static>(
+        &self,
+        jobs: Vec<Box<dyn FnOnce() -> R + Send + 'static>>,
+    ) -> Vec<R> {
+        self.submit(jobs).wait()
     }
 }
 
@@ -138,7 +178,7 @@ impl Drop for Pool {
 /// Run `f(0..n)` across at most `max_threads` scoped threads and return the
 /// results in index order. This is the fan-out primitive for independent
 /// *runs* (parameter sweeps, multi-seed averages); the round engine inside
-/// one run uses [`Pool::scatter`] instead.
+/// one run uses [`Pool::submit`] and [`Pool::scatter`] instead.
 pub fn run_indexed<T, F>(n: usize, max_threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -189,10 +229,12 @@ where
 
 /// Merge per-shard result streams into one stream in canonical key order.
 ///
-/// The sort is stable, so for items with *distinct* keys (the round engine
-/// keys deliveries by `(round, sender, seq)`, which is unique) the output
-/// is fully determined by the key order alone — independent of shard count,
-/// shard assignment, and the interleaving in which shards produced items.
+/// The sort is stable, so when equal keys never come from two different
+/// shards (BitTorrent windows key completions by `(time, swarm)`, and each
+/// swarm's completions are one shard's stream, in the swarm's own order)
+/// the output is fully determined by the keys and each stream's order —
+/// independent of shard count, shard assignment, and the interleaving in
+/// which shards produced items.
 /// That invariance is proven by the proptest in `crates/sim/tests`.
 pub fn merge_canonical<K: Ord, T>(shards: Vec<Vec<(K, T)>>) -> Vec<(K, T)> {
     let mut out: Vec<(K, T)> = shards.into_iter().flatten().collect();
@@ -235,6 +277,81 @@ mod tests {
             let pool = Pool::new(threads);
             let out = pool.scatter(boxed_jobs(37));
             assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn submit_then_wait_returns_results_in_job_order() {
+        for threads in [1, 2, 4, 8] {
+            let pool = Pool::new(threads);
+            let pending = pool.submit(boxed_jobs(37));
+            assert_eq!(pending.wait(), (0..37).map(|i| i * i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn single_thread_submit_runs_the_jobs_before_it_returns() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let ran = Arc::new(AtomicUsize::new(0));
+        let jobs = (0..5usize)
+            .map(|i| {
+                let ran = Arc::clone(&ran);
+                Box::new(move || {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    i
+                }) as Box<dyn FnOnce() -> usize + Send + 'static>
+            })
+            .collect();
+        let pending = Pool::new(1).submit(jobs);
+        assert_eq!(ran.load(Ordering::SeqCst), 5);
+        assert_eq!(pending.wait(), vec![0, 1, 2, 3, 4]);
+    }
+
+    /// The jobs cannot finish until the caller, after `submit` returned,
+    /// says so: `submit` does not wait for them.
+    #[test]
+    fn the_caller_works_between_submit_and_wait() {
+        use std::sync::Condvar;
+        use std::time::Duration;
+        for threads in [2, 4, 8] {
+            let pool = Pool::new(threads);
+            let go = Arc::new((Mutex::new(false), Condvar::new()));
+            let jobs = (0..threads * 2)
+                .map(|i| {
+                    let go = Arc::clone(&go);
+                    Box::new(move || {
+                        let (lock, cvar) = &*go;
+                        let guard = lock.lock().unwrap();
+                        let (guard, _) = cvar
+                            .wait_timeout_while(guard, Duration::from_secs(30), |go| !*go)
+                            .unwrap();
+                        (*guard, i)
+                    }) as Box<dyn FnOnce() -> (bool, usize) + Send + 'static>
+                })
+                .collect();
+            let pending = pool.submit(jobs);
+            let work: usize = (0..1000).sum();
+            *go.0.lock().unwrap() = true;
+            go.1.notify_all();
+            let out = pending.wait();
+            assert_eq!(work, 499_500);
+            assert_eq!(
+                out,
+                (0..threads * 2).map(|i| (true, i)).collect::<Vec<_>>(),
+                "a job finished before the caller released it at {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn a_dropped_pending_does_not_wedge_the_pool() {
+        for threads in [1, 2, 4] {
+            let pool = Pool::new(threads);
+            drop(pool.submit(boxed_jobs(9)));
+            assert_eq!(pool.scatter(boxed_jobs(4)), vec![0, 1, 4, 9]);
+            drop(pool.submit(boxed_jobs(9)));
+            // `Drop for Pool` joins every worker, the unwaited jobs included.
+            drop(pool);
         }
     }
 
