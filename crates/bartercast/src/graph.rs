@@ -10,8 +10,21 @@
 use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
 use rvs_sim::NodeId;
 
-/// One source's out-edges, ascending by target.
-type Row = Vec<(NodeId, u64)>;
+/// One stored entry: the edge's far end and its weight. Packed to 12 bytes,
+/// where a `(NodeId, u64)` pads to 16 — the graphs are most of the memory a
+/// run holds (EXPERIMENTS.md, "Subjective graph: 12-byte edges"). No field
+/// may be borrowed: read and write them by value (`e.kib`, `row[at].kib =
+/// w`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C, packed(4))]
+pub(crate) struct Edge {
+    /// The target in a row; the source in an owner's in-column.
+    pub(crate) to: NodeId,
+    /// Cumulative KiB.
+    pub(crate) kib: u64,
+}
+
+const _: () = assert!(size_of::<Edge>() == 12 && align_of::<Edge>() == 4);
 
 /// One node's subjective view of the transfer network.
 ///
@@ -19,16 +32,20 @@ type Row = Vec<(NodeId, u64)>;
 /// many redundant or stale reports each one absorbed along the way.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SubjectiveGraph {
-    /// Ascending by source, no row empty. A zero weight stays where a
-    /// report created it (it is persisted), and reads as no edge.
-    rows: Vec<(NodeId, Row)>,
+    /// The sources that have a row, ascending: a dense column to search.
+    sources: Vec<NodeId>,
+    /// `rows[k]` is the out-edges of `sources[k]`, ascending by target, and
+    /// never empty. A zero weight stays where a report created it (it is
+    /// persisted), and reads as no edge.
+    rows: Vec<Vec<Edge>>,
 }
 
 /// `Vec::insert` that grows a full vector by a quarter instead of doubling
 /// it. A graph is hundreds of rows, most of a handful of entries, that only
-/// ever grow: doubling held capacity for 2,773 entries to store 1,988 and
-/// cost 10 % of peak RSS at 1,000 peers (EXPERIMENTS.md, "Subjective graph:
-/// rows, and contribution as a merge").
+/// ever grow: at 1,000 peers a graph stores 1,989 entries in 288 rows, a
+/// quarter's growth holds room for 2,162 and doubling would hold 2,975 —
+/// 9 MiB more of 12-byte entries over the population (EXPERIMENTS.md,
+/// "Subjective graph: 12-byte edges").
 pub(crate) fn insert_snug<T>(v: &mut Vec<T>, at: usize, item: T) {
     if v.len() == v.capacity() {
         v.reserve_exact(1 + v.len() / 4);
@@ -66,22 +83,24 @@ impl SubjectiveGraph {
         if (reporter != from && reporter != to) || from == to {
             return None;
         }
-        let at = match self.rows.binary_search_by_key(&from, |&(source, _)| source) {
+        let at = match self.sources.binary_search(&from) {
             Ok(at) => at,
             Err(at) => {
-                insert_snug(&mut self.rows, at, (from, Row::new()));
+                insert_snug(&mut self.sources, at, from);
+                insert_snug(&mut self.rows, at, Vec::new());
                 at
             }
         };
-        let row = &mut self.rows[at].1;
-        match row.binary_search_by_key(&to, |&(target, _)| target) {
+        let row = &mut self.rows[at];
+        match row.binary_search_by_key(&to, |e| e.to) {
             Ok(at) => {
-                let old = row[at].1;
-                row[at].1 = old.max(kib);
-                Some((old, row[at].1))
+                let old = row[at].kib;
+                let new = old.max(kib);
+                row[at].kib = new;
+                Some((old, new))
             }
             Err(at) => {
-                insert_snug(row, at, (to, kib));
+                insert_snug(row, at, Edge { to, kib });
                 Some((0, kib))
             }
         }
@@ -89,9 +108,9 @@ impl SubjectiveGraph {
 
     /// The stored out-edges of `from`, zero weights included, ascending by
     /// target.
-    pub(crate) fn row(&self, from: NodeId) -> &[(NodeId, u64)] {
-        match self.rows.binary_search_by_key(&from, |&(source, _)| source) {
-            Ok(at) => &self.rows[at].1,
+    pub(crate) fn row(&self, from: NodeId) -> &[Edge] {
+        match self.sources.binary_search(&from) {
+            Ok(at) => &self.rows[at],
             Err(_) => &[],
         }
     }
@@ -99,8 +118,8 @@ impl SubjectiveGraph {
     /// Effective weight of edge `(from → to)` in KiB.
     pub fn edge_kib(&self, from: NodeId, to: NodeId) -> u64 {
         let row = self.row(from);
-        match row.binary_search_by_key(&to, |&(target, _)| target) {
-            Ok(at) => row[at].1,
+        match row.binary_search_by_key(&to, |e| e.to) {
+            Ok(at) => row[at].kib,
             Err(_) => 0,
         }
     }
@@ -112,9 +131,10 @@ impl SubjectiveGraph {
 
     /// Every stored entry, ascending by `(from, to)`: the persisted order.
     fn stored(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
-        self.rows
+        self.sources
             .iter()
-            .flat_map(|(from, row)| row.iter().map(move |&(to, w)| (*from, to, w)))
+            .zip(&self.rows)
+            .flat_map(|(&from, row)| row.iter().map(move |e| (from, e.to, e.kib)))
     }
 
     /// Outgoing neighbours of `node` with edge weights.
@@ -124,7 +144,10 @@ impl SubjectiveGraph {
 
     /// [`out_edges`](Self::out_edges) without the `Vec`.
     pub(crate) fn out_edges_iter(&self, node: NodeId) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.row(node).iter().copied().filter(|&(_, w)| w > 0)
+        self.row(node)
+            .iter()
+            .map(|e| (e.to, e.kib))
+            .filter(|&(_, w)| w > 0)
     }
 
     /// Number of distinct nonzero edges.
@@ -148,7 +171,7 @@ impl SubjectiveGraph {
 /// order or repeated (the rows are binary-searched) and self-loops.
 impl Persist for SubjectiveGraph {
     fn persist(&self, enc: &mut Encoder) {
-        enc.usize(self.rows.iter().map(|(_, row)| row.len()).sum());
+        enc.usize(self.rows.iter().map(Vec::len).sum());
         for entry in self.stored() {
             entry.persist(enc);
         }
@@ -157,7 +180,8 @@ impl Persist for SubjectiveGraph {
     fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let corrupt = |what: &str| Err(DecodeError::Corrupt(format!("SubjectiveGraph: {what}")));
         let len = dec.seq_len()?;
-        let mut rows: Vec<(NodeId, Row)> = Vec::new();
+        let mut sources = Vec::new();
+        let mut rows: Vec<Vec<Edge>> = Vec::new();
         let mut last = None;
         for _ in 0..len {
             let (from, to, kib) = <(NodeId, NodeId, u64)>::restore(dec)?;
@@ -168,16 +192,21 @@ impl Persist for SubjectiveGraph {
                 return corrupt("self-loop");
             }
             last = Some((from, to));
+            let edge = Edge { to, kib };
             match rows.last_mut() {
-                Some((source, row)) if *source == from => row.push((to, kib)),
-                _ => rows.push((from, vec![(to, kib)])),
+                Some(row) if sources.last() == Some(&from) => row.push(edge),
+                _ => {
+                    sources.push(from);
+                    rows.push(vec![edge]);
+                }
             }
         }
         // Pushing doubled the capacities; hand back what `insert_snug`
         // would not have taken.
-        rows.iter_mut().for_each(|(_, row)| row.shrink_to_fit());
+        rows.iter_mut().for_each(|row| row.shrink_to_fit());
         rows.shrink_to_fit();
-        Ok(SubjectiveGraph { rows })
+        sources.shrink_to_fit();
+        Ok(SubjectiveGraph { sources, rows })
     }
 }
 
@@ -254,5 +283,87 @@ mod tests {
         g.insert_report(NodeId(3), NodeId(4), NodeId(3), 10);
         assert_eq!(g.nodes(), vec![NodeId(1), NodeId(3), NodeId(4)]);
         assert_eq!(g.edge_count(), 2);
+    }
+
+    /// Weights whose two 32-bit halves matter on their own.
+    const STRADDLING: [u64; 5] = [u32::MAX as u64, 1 << 32, (1 << 32) + 1, 1 << 40, u64::MAX];
+
+    #[test]
+    fn weights_that_straddle_2_32_are_kept_whole() {
+        let mut g = SubjectiveGraph::new();
+        for (k, &kib) in STRADDLING.iter().enumerate() {
+            let to = NodeId(k as u32 + 2);
+            assert_eq!(g.upsert(NodeId(1), NodeId(1), to, kib), Some((0, kib)));
+            // A larger low half, a smaller whole: stale.
+            let stale = kib.saturating_sub(1 << 32) | u32::MAX as u64;
+            if stale < kib {
+                assert_eq!(g.upsert(NodeId(1), NodeId(1), to, stale), Some((kib, kib)));
+            }
+        }
+        // `u32::MAX` grows across the boundary by one.
+        assert_eq!(
+            g.upsert(NodeId(1), NodeId(1), NodeId(2), 1 << 32),
+            Some((u32::MAX as u64, 1 << 32))
+        );
+        let want: Vec<(NodeId, u64)> = [1 << 32, 1 << 32, (1 << 32) + 1, 1 << 40, u64::MAX]
+            .into_iter()
+            .enumerate()
+            .map(|(k, kib)| (NodeId(k as u32 + 2), kib))
+            .collect();
+        let back: SubjectiveGraph =
+            rvs_checkpoint::from_bytes(&rvs_checkpoint::to_bytes(&g)).expect("roundtrip");
+        for g in [&g, &back] {
+            assert_eq!(g.out_edges(NodeId(1)), want);
+            for &(to, kib) in &want {
+                assert_eq!(g.edge_kib(NodeId(1), to), kib);
+            }
+        }
+        assert_eq!(back, g);
+    }
+
+    #[test]
+    fn contribution_over_straddling_weights_sums_whole_and_saturates() {
+        use crate::{BarterCast, BarterCastConfig, Record};
+        // 3 → 1 directly and through 2, each path at a weight past 2³²;
+        // then a direct edge that takes the sum past `u64::MAX`.
+        for (direct, want) in [
+            (1u64 << 40, (1 << 40) + (1 << 32) + 1),
+            (u64::MAX - 1, u64::MAX),
+        ] {
+            let mut bc = BarterCast::new(4, BarterCastConfig::default());
+            let reports = [
+                (3, 3, 1, direct),
+                (3, 3, 2, (1 << 32) + 1),
+                (2, 2, 1, 1 << 33),
+            ];
+            for (reporter, from, to, kib) in reports {
+                let record = Record {
+                    from: NodeId(from),
+                    to: NodeId(to),
+                    kib,
+                };
+                assert!(bc.inject_report(NodeId(1), NodeId(reporter), record));
+            }
+            assert_eq!(bc.contribution_kib(NodeId(1), NodeId(3)), want);
+        }
+    }
+
+    #[test]
+    fn a_restored_graph_holds_no_spare_capacity() {
+        let mut g = SubjectiveGraph::new();
+        for from in 0..9 {
+            for to in 0..from {
+                g.insert_report(NodeId(from), NodeId(from), NodeId(to), 1);
+            }
+        }
+        let back: SubjectiveGraph =
+            rvs_checkpoint::from_bytes(&rvs_checkpoint::to_bytes(&g)).expect("roundtrip");
+        assert_eq!(back, g);
+        assert_eq!(back.sources.len(), 8);
+        assert_eq!(back.sources.capacity(), back.sources.len());
+        assert_eq!(back.rows.capacity(), back.rows.len());
+        for row in &back.rows {
+            assert_eq!(row.capacity(), row.len());
+        }
     }
 }

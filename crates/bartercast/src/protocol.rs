@@ -7,7 +7,7 @@
 //! hearsay — which the receiver installs into its graph. Contribution
 //! estimates are hop-bounded maxflows over the receiver's graph.
 
-use crate::graph::{insert_snug, SubjectiveGraph};
+use crate::graph::{insert_snug, Edge, SubjectiveGraph};
 use crate::maxflow::max_flow_bounded;
 use rvs_bittorrent::TransferLedger;
 use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
@@ -81,9 +81,10 @@ struct OwnRecords {
     /// heard is an absent entry.
     heard: Vec<(NodeId, u32)>,
     /// The node's in-column — its graph's nonzero edges `x → node` as
-    /// `(x, kib)`, ascending by `x`: the graph's rows are by source, so
-    /// this is the one column a 2-hop flow towards the node joins against.
-    inbound: Vec<(NodeId, u64)>,
+    /// `Edge { to: x, kib }`, ascending by `x`: the graph's rows are by
+    /// source, so this is the one column a 2-hop flow towards the node
+    /// joins against.
+    inbound: Vec<Edge>,
     /// The ledger's `peer_totals` for the node at its last sync, `None`
     /// until the first one.
     synced: Option<(u64, u64)>,
@@ -102,7 +103,7 @@ impl OwnRecords {
         let inbound = graph
             .edges()
             .filter(|&(_, to, _)| to == owner)
-            .map(|(from, _, kib)| (from, kib))
+            .map(|(from, _, kib)| Edge { to: from, kib })
             .collect();
         OwnRecords {
             // `budget` comes out of a checkpoint: never allocate by it.
@@ -148,9 +149,9 @@ impl OwnRecords {
             self.stamps[at] = self.clock;
         }
         if to == owner {
-            match self.inbound.binary_search_by_key(&from, |&(x, _)| x) {
-                Ok(at) => self.inbound[at].1 = new,
-                Err(at) => insert_snug(&mut self.inbound, at, (from, new)),
+            match self.inbound.binary_search_by_key(&from, |e| e.to) {
+                Ok(at) => self.inbound[at].kib = new,
+                Err(at) => insert_snug(&mut self.inbound, at, Edge { to: from, kib: new }),
             }
         }
     }
@@ -167,30 +168,31 @@ impl OwnRecords {
 /// raise an edge of `known` (ascending too, absent = 0): one merge.
 fn behind<'a>(
     ledger: impl Iterator<Item = (NodeId, u64)> + 'a,
-    known: &'a [(NodeId, u64)],
+    known: &'a [Edge],
 ) -> impl Iterator<Item = (NodeId, u64)> + 'a {
     let mut known = known.iter().peekable();
     ledger.filter(move |&(peer, kib)| {
-        while known.next_if(|&&(x, _)| x < peer).is_some() {}
-        !matches!(known.peek(), Some(&&(x, w)) if x == peer && w >= kib)
+        while known.next_if(|e| e.to < peer).is_some() {}
+        !matches!(known.peek(), Some(e) if e.to == peer && e.kib >= kib)
     })
 }
 
 /// `Σ_x min(w(j, x), w(x, i))` plus `w(j, i)`, saturating: the 2-hop
 /// closed form of [`max_flow_bounded`] as one merge of `j`'s out-row (which
 /// holds the direct edge at `x == i`) with `i`'s in-column.
-fn two_hop_flow(i: NodeId, out_of_j: &[(NodeId, u64)], into_i: &[(NodeId, u64)]) -> u64 {
+fn two_hop_flow(i: NodeId, out_of_j: &[Edge], into_i: &[Edge]) -> u64 {
     let mut into_i = into_i.iter().peekable();
     let mut flow = 0u64;
-    for &(x, cap_out) in out_of_j {
+    for out in out_of_j {
+        let x = out.to;
         if x == i {
-            flow = flow.saturating_add(cap_out);
+            flow = flow.saturating_add(out.kib);
             continue;
         }
-        while into_i.next_if(|&&(y, _)| y < x).is_some() {}
-        if let Some(&&(y, cap_in)) = into_i.peek() {
-            if y == x {
-                flow = flow.saturating_add(cap_out.min(cap_in));
+        while into_i.next_if(|e| e.to < x).is_some() {}
+        if let Some(into) = into_i.peek() {
+            if into.to == x {
+                flow = flow.saturating_add(out.kib.min(into.kib));
             }
         }
     }
@@ -671,10 +673,8 @@ pub(crate) mod tests {
         for (from, kib) in [(0, 7), (2, 8), (4, 9)] {
             assert_eq!(g.edge_kib(NodeId(from), NodeId(1)), kib, "{from} -> 1");
         }
-        assert_eq!(
-            bc.own[1].inbound,
-            [(NodeId(0), 7), (NodeId(2), 8), (NodeId(4), 9)]
-        );
+        let column = [(0, 7), (2, 8), (4, 9)].map(|(x, kib)| Edge { to: NodeId(x), kib });
+        assert_eq!(bc.own[1].inbound, column);
     }
 
     #[test]

@@ -16,10 +16,13 @@
 //! `TraceGenConfig::scaled`, the trace of `rvs run --peers N` and of the
 //! benchmark's workloads, in `--quick` mode too); `--audit` runs the
 //! invariant auditor and fails loudly on any violation; any other argument
-//! is refused. The CI scale smoke is
-//! `--quick --peers 10000 --runs 1 --hours 2 --audit`.
+//! is refused. The last line is the process's `peak RSS: N MiB` (Linux
+//! only), which the CI scale smoke — `--quick --peers 10000 --runs 1
+//! --hours 2 --audit` — holds under a bound.
 
-use rvs_bench::{flag_usize, header, maybe_write_json, quick_mode, reject_unknown_args, timed};
+use rvs_bench::{
+    flag_usize, header, maybe_write_json, peak_rss_mib, quick_mode, reject_unknown_args, timed,
+};
 use rvs_metrics::TimeSeries;
 use rvs_scenario::{run_vote_sampling, VoteSamplingConfig};
 use rvs_sim::SimDuration;
@@ -94,4 +97,7 @@ fn main() {
         cfg.runs,
         outcome.telemetry.to_json()
     );
+    if let Some(mib) = peak_rss_mib() {
+        println!("peak RSS: {mib:.1} MiB");
+    }
 }

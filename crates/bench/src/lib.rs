@@ -108,6 +108,15 @@ pub fn header(id: &str, title: &str, quick: bool) {
     println!("================================================================");
 }
 
+/// Peak resident set of this process so far, MiB: `VmHWM` from
+/// `/proc/self/status`, `None` where there is no such file (off Linux).
+pub fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
+}
+
 /// Run `f`, timing it, and report the wall-clock at the end.
 pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
     let start = Instant::now();
@@ -123,6 +132,15 @@ mod tests {
     #[test]
     fn timed_passes_value_through() {
         assert_eq!(timed("t", || 41 + 1), 42);
+    }
+
+    #[test]
+    fn peak_rss_is_read_where_the_kernel_reports_it() {
+        let has_status = std::path::Path::new("/proc/self/status").exists();
+        assert_eq!(peak_rss_mib().is_some(), has_status);
+        if let Some(mib) = peak_rss_mib() {
+            assert!(mib > 0.0 && mib.is_finite(), "{mib}");
+        }
     }
 
     #[test]
