@@ -124,17 +124,13 @@ impl SubjectiveGraph {
         }
     }
 
-    /// All edges with nonzero weight, deterministic order.
+    /// All edges with nonzero weight, ascending by `(from, to)`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
-        self.stored().filter(|&(_, _, w)| w > 0)
-    }
-
-    /// Every stored entry, ascending by `(from, to)`: the persisted order.
-    fn stored(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
         self.sources
             .iter()
             .zip(&self.rows)
             .flat_map(|(&from, row)| row.iter().map(move |e| (from, e.to, e.kib)))
+            .filter(|&(_, _, w)| w > 0)
     }
 
     /// Outgoing neighbours of `node` with edge weights.
@@ -164,50 +160,93 @@ impl SubjectiveGraph {
     }
 }
 
-/// Stable binary encoding, the one a `BTreeMap<(NodeId, NodeId), u64>` has:
-/// the entry count, then `(from, to, kib)` ascending. Written by hand
-/// because the rows are not that map; a checkpoint is outside input, so
-/// restore refuses what no sequence of reports can store — entries out of
-/// order or repeated (the rows are binary-searched) and self-loops.
+/// The graph as rows, every number a [varint](Encoder::varint): the row
+/// count, then per row the source's gap, the row length, and per entry the
+/// target's gap and the KiB weight. A gap is `id − previous − 1` (the first
+/// of a run counts from −1), so strictly ascending ids are all a gap can
+/// spell. About 4 bytes an entry where `(from, to, kib)` took 16
+/// (EXPERIMENTS.md, "Checkpoint: graphs as varint rows"). A checkpoint is
+/// outside input, so restore refuses what no sequence of reports can store
+/// — an empty row, an id past `u32`, a self-loop — and any count the bytes
+/// left cannot hold, before it allocates.
 impl Persist for SubjectiveGraph {
     fn persist(&self, enc: &mut Encoder) {
-        enc.usize(self.rows.iter().map(Vec::len).sum());
-        for entry in self.stored() {
-            entry.persist(enc);
+        enc.varint(self.rows.len() as u64);
+        let mut next_from = 0;
+        for (&from, row) in self.sources.iter().zip(&self.rows) {
+            put_gap(enc, &mut next_from, from);
+            enc.varint(row.len() as u64);
+            let mut next_to = 0;
+            for e in row {
+                put_gap(enc, &mut next_to, e.to);
+                enc.varint(e.kib);
+            }
         }
     }
 
     fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let corrupt = |what: &str| Err(DecodeError::Corrupt(format!("SubjectiveGraph: {what}")));
-        let len = dec.seq_len()?;
-        let mut sources = Vec::new();
-        let mut rows: Vec<Vec<Edge>> = Vec::new();
-        let mut last = None;
-        for _ in 0..len {
-            let (from, to, kib) = <(NodeId, NodeId, u64)>::restore(dec)?;
-            if last >= Some((from, to)) {
-                return corrupt("edges must ascend");
-            }
-            if from == to {
-                return corrupt("self-loop");
-            }
-            last = Some((from, to));
-            let edge = Edge { to, kib };
-            match rows.last_mut() {
-                Some(row) if sources.last() == Some(&from) => row.push(edge),
-                _ => {
-                    sources.push(from);
-                    rows.push(vec![edge]);
-                }
-            }
+        let count = dec.varint()?;
+        if count > dec.remaining() as u64 {
+            return Err(corrupt(format!(
+                "{count} rows claimed with {} bytes left",
+                dec.remaining()
+            )));
         }
-        // Pushing doubled the capacities; hand back what `insert_snug`
-        // would not have taken.
-        rows.iter_mut().for_each(|row| row.shrink_to_fit());
-        rows.shrink_to_fit();
-        sources.shrink_to_fit();
+        let mut sources = Vec::with_capacity(count as usize);
+        let mut rows = Vec::with_capacity(count as usize);
+        let mut next_from = 0;
+        for _ in 0..count {
+            let from = get_gap(dec, &mut next_from, "source")?;
+            // An entry is two varints, at least a byte each.
+            let len = dec.varint()?;
+            if len == 0 {
+                return Err(corrupt("empty row".into()));
+            }
+            if len > (dec.remaining() / 2) as u64 {
+                return Err(corrupt(format!(
+                    "row of {len} entries claimed with {} bytes left",
+                    dec.remaining()
+                )));
+            }
+            let mut row = Vec::with_capacity(len as usize);
+            let mut next_to = 0;
+            for _ in 0..len {
+                let to = get_gap(dec, &mut next_to, "target")?;
+                if to == from {
+                    return Err(corrupt("self-loop".into()));
+                }
+                row.push(Edge {
+                    to,
+                    kib: dec.varint()?,
+                });
+            }
+            sources.push(from);
+            rows.push(row);
+        }
         Ok(SubjectiveGraph { sources, rows })
     }
+}
+
+fn corrupt(what: String) -> DecodeError {
+    DecodeError::Corrupt(format!("SubjectiveGraph: {what}"))
+}
+
+/// Write `id` as its gap past `next`, the least id an ascending run still
+/// allows, and move `next` past it.
+fn put_gap(enc: &mut Encoder, next: &mut u64, id: NodeId) {
+    enc.varint(u64::from(id.0) - *next);
+    *next = u64::from(id.0) + 1;
+}
+
+/// Read what [`put_gap`] wrote; `what` names the id in the refusal of one
+/// past `u32`.
+fn get_gap(dec: &mut Decoder<'_>, next: &mut u64, what: &str) -> Result<NodeId, DecodeError> {
+    let id = next
+        .checked_add(dec.varint()?)
+        .and_then(|id| u32::try_from(id).ok())
+        .ok_or_else(|| corrupt(format!("{what} id overflows u32")))?;
+    *next = u64::from(id) + 1;
+    Ok(NodeId(id))
 }
 
 #[cfg(test)]

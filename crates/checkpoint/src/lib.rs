@@ -25,7 +25,11 @@
 //!   length-prefixed collections, `f64::to_bits` floats (bit-exact, no
 //!   text roundtrip), and section [tags](Encoder::tag) that turn a
 //!   misaligned decode into a diagnosable [`DecodeError::Corrupt`] instead
-//!   of garbage state.
+//!   of garbage state. One codec is not fixed-width: an unsigned LEB128
+//!   [varint](Encoder::varint), minimal encodings only, which a
+//!   hand-written impl may choose for small numbers — the subjective
+//!   graphs, most of a checkpoint's bytes, are rows of varint id gaps and
+//!   weights (DESIGN.md §12). No `Persist` impl in this crate uses it.
 //! * [`DecodeError`] — decoding adversarial or damaged bytes must *never*
 //!   panic (this crate is covered by rvs-lint's panic-surface rule); every
 //!   failure mode is a typed error.
@@ -43,7 +47,7 @@ use std::sync::Arc;
 
 /// Current checkpoint format version. Bump on ANY encoding change and
 /// document the new layout in DESIGN.md §12.
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Magic bytes opening every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"RVSCKPT\0";
@@ -232,6 +236,18 @@ impl Encoder {
         self.u64(v as u64);
     }
 
+    /// Append an unsigned LEB128 varint: seven bits per byte, low group
+    /// first, the high bit set on every byte but the last — 1 byte below
+    /// 2⁷, 10 for `u64::MAX`. For counts, gaps and weights that are mostly
+    /// small; a full-entropy word is shorter as [`u64`](Encoder::u64).
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Append an `f64` as its exact IEEE-754 bit pattern.
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
@@ -334,6 +350,30 @@ impl<'a> Decoder<'a> {
     pub fn usize(&mut self) -> Result<usize, DecodeError> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| DecodeError::Corrupt(format!("usize {v} overflows")))
+    }
+
+    /// Read a varint written by [`Encoder::varint`]. Only the minimal
+    /// encoding is accepted, so encode → decode → encode stays
+    /// byte-identical: a last byte of 0 after the first (padding) and a
+    /// 10th byte above 1 (past 64 bits) are `Corrupt`, and input that ends
+    /// inside the varint is `Truncated`.
+    pub fn varint(&mut self) -> Result<u64, DecodeError> {
+        let mut v = 0;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            if shift == 63 && byte > 1 {
+                return Err(DecodeError::Corrupt("varint overflows u64".into()));
+            }
+            v |= u64::from(byte & 0x7F) << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(DecodeError::Corrupt("varint is not minimal".into()));
+                }
+                return Ok(v);
+            }
+        }
+        // The 10th byte is at most 1, so it always ends the varint.
+        Err(DecodeError::Corrupt("varint overflows u64".into()))
     }
 
     /// Read an `f64` from its IEEE-754 bit pattern.
@@ -858,6 +898,80 @@ mod tests {
             from_bytes::<Vec<u64>>(&bytes),
             Err(DecodeError::Truncated { .. })
         ));
+    }
+
+    fn varint_bytes(v: u64) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.varint(v);
+        enc.into_bytes()
+    }
+
+    fn read_varint(bytes: &[u8]) -> Result<u64, DecodeError> {
+        let mut dec = Decoder::new(bytes);
+        let v = dec.varint()?;
+        dec.finish()?;
+        Ok(v)
+    }
+
+    #[test]
+    fn varint_round_trips_at_every_width_boundary() {
+        // A varint of w bytes holds 7·w bits: 2^(7w) − 1 is the last value
+        // of width w and 2^(7w) the first of width w + 1.
+        assert_eq!(varint_bytes(0), [0]);
+        for width in 1..10 {
+            let first_wider = 1u64 << (7 * width);
+            for (v, len) in [(first_wider - 1, width), (first_wider, width + 1)] {
+                let bytes = varint_bytes(v);
+                assert_eq!(bytes.len(), len as usize, "{v}");
+                assert_eq!(read_varint(&bytes), Ok(v));
+            }
+        }
+        assert_eq!(varint_bytes(127), [0x7F]);
+        assert_eq!(varint_bytes(128), [0x80, 0x01]);
+        assert_eq!(varint_bytes(1 << 63).len(), 10);
+        let max = varint_bytes(u64::MAX);
+        assert_eq!(max.len(), 10);
+        assert_eq!(max[9], 1);
+        assert_eq!(read_varint(&max), Ok(u64::MAX));
+    }
+
+    #[test]
+    fn non_minimal_and_oversized_varints_are_corrupt() {
+        // 0 padded with a continuation byte, and 128 padded the same way.
+        for padded in [&[0x80, 0x00][..], &[0x80, 0x81, 0x00]] {
+            assert_eq!(
+                read_varint(padded),
+                Err(DecodeError::Corrupt("varint is not minimal".into()))
+            );
+        }
+        // Ten bytes whose last carries bits past 64, with or without a
+        // continuation bit of its own.
+        for last in [0x02, 0x7F, 0x80, 0xFF] {
+            let mut wide = vec![0xFF; 9];
+            wide.push(last);
+            wide.push(0x00);
+            assert_eq!(
+                read_varint(&wide),
+                Err(DecodeError::Corrupt("varint overflows u64".into()))
+            );
+        }
+    }
+
+    #[test]
+    fn a_varint_cut_short_is_truncated() {
+        for v in [128, 1 << 40, u64::MAX] {
+            let bytes = varint_bytes(v);
+            for cut in 0..bytes.len() {
+                assert_eq!(
+                    read_varint(&bytes[..cut]),
+                    Err(DecodeError::Truncated {
+                        needed: 1,
+                        remaining: 0
+                    }),
+                    "{v} cut to {cut} bytes"
+                );
+            }
+        }
     }
 
     #[test]

@@ -167,3 +167,49 @@ proptest! {
         prop_assert_eq!(peek_version(&bytes), Ok(version));
     }
 }
+
+/// Values spread over every varint width, not just the wide ones a uniform
+/// `u64` almost always is.
+fn arb_varint_value() -> impl Strategy<Value = u64> {
+    (any::<u64>(), 0u32..64).prop_map(|(v, shift)| v >> shift)
+}
+
+// No explicit case count: `PROPTEST_CASES` sets the depth (CI runs 2000).
+proptest! {
+    /// Any `u64` round-trips through the varint codec, and the encoding is
+    /// as long as its value needs: ⌈bits / 7⌉ bytes, at least one.
+    #[test]
+    fn varint_roundtrip_is_canonical(v in arb_varint_value()) {
+        let mut enc = Encoder::new();
+        enc.varint(v);
+        let bytes = enc.into_bytes();
+        let bits = 64 - v.leading_zeros();
+        prop_assert_eq!(bytes.len() as u32, bits.div_ceil(7).max(1));
+        let mut dec = Decoder::new(&bytes);
+        prop_assert_eq!(dec.varint(), Ok(v));
+        prop_assert_eq!(dec.remaining(), 0);
+    }
+
+    /// Arbitrary bytes either fail to decode as a varint, or decode to a
+    /// value whose encoding is exactly the prefix consumed: no second
+    /// spelling of any value is accepted.
+    #[test]
+    fn a_decoded_varint_reencodes_to_the_bytes_it_read(
+        bytes in prop::collection::vec(0u8..=255, 0..12),
+        high in prop::collection::vec(0x80u8..=255, 0..10),
+    ) {
+        // Runs of continuation bytes first, so long varints occur.
+        let input: Vec<u8> = high.into_iter().chain(bytes).collect();
+        let mut dec = Decoder::new(&input);
+        match dec.varint() {
+            Ok(v) => {
+                let used = input.len() - dec.remaining();
+                let mut enc = Encoder::new();
+                enc.varint(v);
+                prop_assert_eq!(enc.into_bytes(), input[..used].to_vec());
+            }
+            Err(DecodeError::Truncated { .. } | DecodeError::Corrupt(_)) => {}
+            Err(e) => return Err(TestCaseError::fail(format!("unexpected error {e}"))),
+        }
+    }
+}

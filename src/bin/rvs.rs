@@ -78,8 +78,9 @@ USAGE:
         --guard arms the Byzantine message plane (DESIGN.md §13): `on`
         uses the built-in active preset, otherwise FILE is a GuardConfig
         JSON naming every knob.
-        --checkpoint-every N writes a checkpoint every N simulated hours
-        into --checkpoint-dir (default `.`); --resume FILE restores a
+        --checkpoint-every N writes a checkpoint every N simulated hours,
+        N fewer than the run has left, into --checkpoint-dir (default
+        `.`); --resume FILE restores a
         checkpoint and continues the run to --hours — byte-identical to
         never having stopped (DESIGN.md §12), on any --threads; the
         checkpoint fixes --seed --peers --t-mib --loss --faults, so
@@ -94,7 +95,8 @@ USAGE:
         Either attack arms the guard plane's active preset unless
         --guard overrides it; rejection counters land in --telemetry
     rvs ckpt inspect FILE
-        print a checkpoint's header summary (any format version)
+        print a checkpoint's header summary (any format version) and, for
+        a file this build restores, each section's bytes and share
     rvs ckpt diff A B
         compare two checkpoints this build can restore: prints the header
         fields that differ and the first section whose bytes differ;
@@ -351,7 +353,6 @@ fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
                 return Err(ExitCode::FAILURE);
             }
         };
-        eprintln!("resumed from {path} at {}", system.now());
         // The Fig 6 cast is a pure function of (trace, seed), both of
         // which the checkpoint carries — recompute the expected order.
         let (_, m) = fig6_setup(system.trace(), 0.15, 0.15, system.seed());
@@ -392,11 +393,23 @@ fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
             m,
         )
     };
+    let end = SimTime::from_hours(hours);
+    // The loop below writes only before `end`: a cadence that first falls
+    // at or past it would write nothing, silently.
+    let ckpt_every: u64 = get(&flags, "checkpoint-every", 0)?;
+    let left = end.since(system.now());
+    if ckpt_every > 0 && SimDuration::from_hours(1).saturating_mul(ckpt_every) >= left {
+        let left_hours = left.as_secs_f64() / 3600.0;
+        return Err(usage_error(&format!(
+            "--checkpoint-every must be less than the {left_hours} h left to run, got {ckpt_every}"
+        )));
+    }
+    if let Some(path) = flags.get("resume") {
+        eprintln!("resumed from {path} at {}", system.now());
+    }
     apply_threads(&mut system, &flags)?;
     apply_guard(&mut system, &flags)?;
-    let end = SimTime::from_hours(hours);
     let sample = SimDuration::from_hours((hours / 12).max(1));
-    let ckpt_every: u64 = get(&flags, "checkpoint-every", 0)?;
     let mut series = TimeSeries::new("accuracy");
     if ckpt_every == 0 {
         system.run_until(end, sample, |sys, now| {
@@ -461,19 +474,35 @@ fn cmd_ckpt(rest: &[String]) -> Result<(), ExitCode> {
             let [_, path] = rest else {
                 return Err(usage_error("usage: rvs ckpt inspect FILE"));
             };
-            match load_ckpt(path)?.peek_info() {
-                Ok(info) => {
-                    println!("{info}");
-                    if info.version != FORMAT_VERSION {
-                        println!(
-                            "note: this build restores version {FORMAT_VERSION} only; \
-                             the file cannot be resumed here"
-                        );
+            let ckpt = load_ckpt(path)?;
+            let info = match ckpt.peek_info() {
+                Ok(info) => info,
+                Err(e) => {
+                    eprintln!("cannot read checkpoint header of {path}: {e}");
+                    return Err(ExitCode::FAILURE);
+                }
+            };
+            println!("{info}");
+            if info.version != FORMAT_VERSION {
+                println!(
+                    "note: this build restores version {FORMAT_VERSION} only; \
+                     the file cannot be resumed here"
+                );
+                return Ok(());
+            }
+            // Where the bytes are; the header and identity prefix in front
+            // of the first section are in no line.
+            match ckpt.sections() {
+                Ok(sections) => {
+                    println!("sections (bytes, share of the file):");
+                    for (name, range) in sections {
+                        let share = 100.0 * range.len() as f64 / info.bytes as f64;
+                        println!("  {name:<12}{:>12} {share:>6.1} %", range.len());
                     }
                     Ok(())
                 }
                 Err(e) => {
-                    eprintln!("cannot read checkpoint header of {path}: {e}");
+                    eprintln!("cannot index the sections of {path}: {e}");
                     Err(ExitCode::FAILURE)
                 }
             }

@@ -17,9 +17,12 @@
 //!   are derived from: a swarm's availability counts against its members'
 //!   bitfields, the ledger's transpose against its forward map;
 //! * and whatever is found by binary search but not in strictly ascending
-//!   order — a swarm's members, a member's per-source entries, a graph's
-//!   edges, the ledger's entries — or holds an entry the program never
-//!   writes (a self-edge, a zero credit).
+//!   order — a swarm's members, a member's per-source entries, the
+//!   ledger's entries — or holds an entry the program never writes (a
+//!   self-edge, a zero credit);
+//! * a subjective graph's varint rows that no report can store: an empty
+//!   row, a count past the bytes left, an id past `u32`, a self-loop, a
+//!   varint spelled longer than it needs.
 
 use proptest::prelude::*;
 use robust_vote_sampling::faults::FaultSchedule;
@@ -361,35 +364,73 @@ fn per_source_entries_out_of_order_or_duplicated_are_corrupt() {
 }
 
 #[test]
-fn graph_edges_out_of_order_or_duplicated_are_corrupt() {
+fn graph_rows_no_report_can_store_are_corrupt() {
+    use rvs_checkpoint::{Decoder, Encoder};
     let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
     let bc = system.bartercast();
     let graph = (0..system.total_nodes())
         .map(|i| bc.graph(rvs_sim::NodeId::from_index(i)))
         .max_by_key(|graph| graph.edge_count())
         .expect("a population");
-    let edges: Vec<_> = graph.edges().collect();
-    assert!(edges.len() >= 2, "two edges to put out of order");
-    // A graph is a length and 16-byte `(from, to, kib)` entries; the map it
-    // used to be let the last of two equal keys win and sorted the rest.
+    assert!(graph.edge_count() > 0, "an edge to damage");
+    // A graph is varints: the row count, then per row the source's gap
+    // and the row length, then per entry the target's gap and the KiB.
+    // Read the head of the first row back out of the graph's encoding, as
+    // `(start, end, value)` in the checkpoint.
     let encoded = rvs_checkpoint::to_bytes(graph);
     let honest = base_bytes().to_vec();
-    let first_at = locate(&honest, &encoded) + 8;
-    let (from, to, _) = edges[0];
-    assert_eq!(honest[first_at..first_at + 4], from.0.to_le_bytes());
-    assert_eq!(honest[first_at + 4..first_at + 8], to.0.to_le_bytes());
-    // The first entry's key again in the second, then the first two swapped.
-    let mut twice = honest.clone();
-    twice.copy_within(first_at..first_at + 8, first_at + 16);
-    assert_corrupt(&twice, "edges must ascend");
-    let mut swapped = honest.clone();
-    swapped.copy_within(first_at + 16..first_at + 32, first_at);
-    swapped[first_at + 16..first_at + 32].copy_from_slice(&honest[first_at..first_at + 16]);
-    assert_corrupt(&swapped, "edges must ascend");
-    // An edge no report can install.
-    let mut looped = honest;
-    looped.copy_within(first_at..first_at + 4, first_at + 4);
-    assert_corrupt(&looped, "self-loop");
+    let at = locate(&honest, &encoded);
+    let mut dec = Decoder::new(&encoded);
+    let mut field = || {
+        let start = at + encoded.len() - dec.remaining();
+        let value = dec.varint().expect("honest varint");
+        (start, at + encoded.len() - dec.remaining(), value)
+    };
+    let [count, source, len, target, kib] = [(); 5].map(|()| field());
+    let varint = |v: u64| {
+        let mut enc = Encoder::new();
+        enc.varint(v);
+        enc.into_bytes()
+    };
+    let with = |(start, end, _): (usize, usize, u64), bytes: &[u8]| {
+        let mut crafted = honest[..start].to_vec();
+        crafted.extend_from_slice(bytes);
+        crafted.extend_from_slice(&honest[end..]);
+        crafted
+    };
+    // The same weight, spelled one byte longer than it needs.
+    let mut padded = varint(kib.2);
+    *padded.last_mut().expect("a varint has a byte") |= 0x80;
+    padded.push(0);
+    let past_u32 = varint(1 << 32);
+    for (crafted, what) in [
+        (
+            with(count, &varint(1 << 40)),
+            "SubjectiveGraph: 1099511627776 rows claimed",
+        ),
+        (with(len, &varint(0)), "SubjectiveGraph: empty row"),
+        (
+            with(len, &varint(1 << 40)),
+            "SubjectiveGraph: row of 1099511627776 entries claimed",
+        ),
+        (
+            with(source, &past_u32),
+            "SubjectiveGraph: source id overflows u32",
+        ),
+        (
+            with(target, &past_u32),
+            "SubjectiveGraph: target id overflows u32",
+        ),
+        // A row's first target counts from −1 as its first source does, so
+        // the source's gap is the target's too.
+        (
+            with(target, &varint(source.2)),
+            "SubjectiveGraph: self-loop",
+        ),
+        (with(kib, &padded), "varint is not minimal"),
+    ] {
+        assert_corrupt(&crafted, what);
+    }
 }
 
 #[test]

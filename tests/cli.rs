@@ -107,6 +107,80 @@ fn resume_rejects_the_fresh_run_flags_it_would_ignore() {
 }
 
 #[test]
+fn a_checkpoint_cadence_that_never_falls_inside_the_run_is_rejected() {
+    // The run writes a checkpoint only before `--hours`; these used to
+    // exit 0 having written nothing.
+    for every in ["2", "5"] {
+        assert_rejected(
+            &[
+                "run",
+                "--peers",
+                "12",
+                "--hours",
+                "2",
+                "--checkpoint-every",
+                every,
+            ],
+            &format!("--checkpoint-every must be less than the 2 h left to run, got {every}"),
+        );
+    }
+    // After --resume the hours left count from the checkpoint's time, 2 h.
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig6-seed1.ckpt");
+    assert_rejected(
+        &[
+            "run",
+            "--resume",
+            golden,
+            "--hours",
+            "4",
+            "--checkpoint-every",
+            "2",
+        ],
+        "--checkpoint-every must be less than the 2 h left to run, got 2",
+    );
+}
+
+#[test]
+fn ckpt_inspect_says_where_the_bytes_are() {
+    use robust_vote_sampling::scenario::Checkpoint;
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig6-seed1.ckpt");
+    let out = Command::new(env!("CARGO_BIN_EXE_rvs"))
+        .args(["ckpt", "inspect", golden])
+        .output()
+        .expect("rvs runs");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // One indented `name bytes share %` line per section.
+    let rows: Vec<(String, usize)> = stdout
+        .lines()
+        .filter_map(|line| line.strip_prefix("  "))
+        .map(|line| {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            (
+                fields[0].to_string(),
+                fields[1].parse().expect("a byte count"),
+            )
+        })
+        .collect();
+    let ckpt = Checkpoint::load(std::path::Path::new(golden)).expect("golden loads");
+    let names: Vec<String> = ckpt
+        .sections()
+        .expect("indexes")
+        .into_iter()
+        .map(|(n, _)| n)
+        .collect();
+    assert_eq!(
+        rows.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>(),
+        names,
+        "{stdout}"
+    );
+    // The 8-byte magic, the 4-byte version and the identity prefix (seed,
+    // time, trace peers, total nodes: 8 bytes each) precede the sections.
+    let sections: usize = rows.iter().map(|(_, bytes)| bytes).sum();
+    assert_eq!(sections, ckpt.as_bytes().len() - 8 - 4 - 4 * 8, "{stdout}");
+}
+
+#[test]
 fn a_trailing_flag_without_value_is_rejected() {
     assert_rejected(
         &["run", "--peers", "12", "--hours", "1", "--telemetry"],

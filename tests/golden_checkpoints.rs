@@ -201,15 +201,17 @@ fn legacy_v3_golden_is_refused_not_misread() {
     // (format 4), or by a build whose swarms drew one random number per
     // tied candidate rather than one per pick (format 5: the layout of 6,
     // but resuming it would continue swarm streams its writer never
-    // drew), must be refused with the typed version error — never
-    // decoded into a plausible-looking system — while its frozen identity
-    // prefix stays readable, through the library and through
-    // `rvs ckpt inspect`.
+    // drew), or whose subjective graphs were 16-byte `(from, to, kib)`
+    // entries rather than rows of varints (format 6), must be refused with
+    // the typed version error — never decoded into a plausible-looking
+    // system — while its frozen identity prefix stays readable, through
+    // the library and through `rvs ckpt inspect`.
     let legacy = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/legacy");
     let corpus = [
         ("fig6-seed1.v3.ckpt", 3),
         ("fig6-seed1.v4.ckpt", 4),
         ("fig6-seed1.v5.ckpt", 5),
+        ("fig6-seed1.v6.ckpt", 6),
     ];
     assert_eq!(
         std::fs::read_dir(&legacy)
