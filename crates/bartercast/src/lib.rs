@@ -16,8 +16,9 @@
 //! * [`graph`] — per-node subjective transfer graphs with reporter-checked
 //!   edge insertion (a peer may only report its *own* transfers), one
 //!   `max`-accumulated weight per edge, stored as per-source rows of
-//!   12-byte `(target, kib)` entries sorted by target, beside a column of
-//!   the source ids;
+//!   8-byte `(target, kib)` entries sorted by target (a row of one or two
+//!   held in its slot), beside a column of the source ids and a column of
+//!   the weights too wide for 32 bits;
 //! * [`maxflow`] — hop-bounded Edmonds–Karp, matching the deployed
 //!   BarterCast's 2-hop maxflow that limits the leverage of false reports;
 //!   at 2 hops a closed-form sum over `j`'s out-edges;

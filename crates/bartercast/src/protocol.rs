@@ -7,7 +7,7 @@
 //! hearsay — which the receiver installs into its graph. Contribution
 //! estimates are hop-bounded maxflows over the receiver's graph.
 
-use crate::graph::{insert_snug, Edge, SubjectiveGraph};
+use crate::graph::{insert_snug, narrow, Edge, SubjectiveGraph};
 use crate::maxflow::max_flow_bounded;
 use rvs_bittorrent::TransferLedger;
 use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
@@ -81,9 +81,9 @@ struct OwnRecords {
     /// heard is an absent entry.
     heard: Vec<(NodeId, u32)>,
     /// The node's in-column — its graph's nonzero edges `x → node` as
-    /// `Edge { to: x, kib }`, ascending by `x`: the graph's rows are by
-    /// source, so this is the one column a 2-hop flow towards the node
-    /// joins against.
+    /// `Edge { to: x, kib }`, ascending by `x`, weights read through
+    /// [`SubjectiveGraph::in_kib`]: the graph's rows are by source, so this
+    /// is the one column a 2-hop flow towards the node joins against.
     inbound: Vec<Edge>,
     /// The ledger's `peer_totals` for the node at its last sync, `None`
     /// until the first one.
@@ -103,7 +103,10 @@ impl OwnRecords {
         let inbound = graph
             .edges()
             .filter(|&(_, to, _)| to == owner)
-            .map(|(from, _, kib)| Edge { to: from, kib })
+            .map(|(from, _, kib)| Edge {
+                to: from,
+                kib: narrow(kib),
+            })
             .collect();
         OwnRecords {
             // `budget` comes out of a checkpoint: never allocate by it.
@@ -149,9 +152,13 @@ impl OwnRecords {
             self.stamps[at] = self.clock;
         }
         if to == owner {
+            let entry = Edge {
+                to: from,
+                kib: narrow(new),
+            };
             match self.inbound.binary_search_by_key(&from, |e| e.to) {
-                Ok(at) => self.inbound[at].kib = new,
-                Err(at) => insert_snug(&mut self.inbound, at, Edge { to: from, kib: new }),
+                Ok(at) => self.inbound[at] = entry,
+                Err(at) => insert_snug(&mut self.inbound, at, entry),
             }
         }
     }
@@ -165,34 +172,38 @@ impl OwnRecords {
 }
 
 /// The rows of a ledger row-set (ascending by counterparty) that would
-/// raise an edge of `known` (ascending too, absent = 0): one merge.
+/// raise an edge of `known` (ascending too, absent = 0, each entry's
+/// weight `weight(entry)`): one merge.
 fn behind<'a>(
     ledger: impl Iterator<Item = (NodeId, u64)> + 'a,
     known: &'a [Edge],
+    weight: impl Fn(Edge) -> u64 + 'a,
 ) -> impl Iterator<Item = (NodeId, u64)> + 'a {
     let mut known = known.iter().peekable();
     ledger.filter(move |&(peer, kib)| {
         while known.next_if(|e| e.to < peer).is_some() {}
-        !matches!(known.peek(), Some(e) if e.to == peer && e.kib >= kib)
+        !matches!(known.peek(), Some(&&e) if e.to == peer && weight(e) >= kib)
     })
 }
 
 /// `Σ_x min(w(j, x), w(x, i))` plus `w(j, i)`, saturating: the 2-hop
-/// closed form of [`max_flow_bounded`] as one merge of `j`'s out-row (which
-/// holds the direct edge at `x == i`) with `i`'s in-column.
-fn two_hop_flow(i: NodeId, out_of_j: &[Edge], into_i: &[Edge]) -> u64 {
+/// closed form of [`max_flow_bounded`] as one merge of `j`'s out-row in
+/// `i`'s graph (which holds the direct edge at `x == i`) with `i`'s
+/// in-column.
+fn two_hop_flow(graph: &SubjectiveGraph, i: NodeId, j: NodeId, into_i: &[Edge]) -> u64 {
     let mut into_i = into_i.iter().peekable();
     let mut flow = 0u64;
-    for out in out_of_j {
+    for &out in graph.row(j) {
         let x = out.to;
         if x == i {
-            flow = flow.saturating_add(out.kib);
+            flow = flow.saturating_add(graph.out_kib(j, out));
             continue;
         }
         while into_i.next_if(|e| e.to < x).is_some() {}
-        if let Some(into) = into_i.peek() {
+        if let Some(&&into) = into_i.peek() {
             if into.to == x {
-                flow = flow.saturating_add(out.kib.min(into.kib));
+                let w = graph.out_kib(j, out).min(graph.in_kib(i, into));
+                flow = flow.saturating_add(w);
             }
         }
     }
@@ -289,9 +300,10 @@ impl BarterCast {
         if own.synced == Some(totals) {
             return;
         }
-        let out_row = self.graphs[i.index()].row(i);
-        let uploads: Vec<_> = behind(ledger.uploads_from(i), out_row).collect();
-        let downloads: Vec<_> = behind(ledger.uploads_to(i), &own.inbound).collect();
+        let graph = &self.graphs[i.index()];
+        let (out_kib, in_kib) = (|e| graph.out_kib(i, e), |e| graph.in_kib(i, e));
+        let uploads: Vec<_> = behind(ledger.uploads_from(i), graph.row(i), out_kib).collect();
+        let downloads: Vec<_> = behind(ledger.uploads_to(i), &own.inbound, in_kib).collect();
         for (to, kib) in uploads {
             self.report(i, i, i, to, kib);
         }
@@ -398,7 +410,7 @@ impl BarterCast {
         self.maxflow_evaluations.incr();
         let graph = &self.graphs[i.index()];
         if self.cfg.max_hops == 2 && i != j {
-            two_hop_flow(i, graph.row(j), &self.own[i.index()].inbound)
+            two_hop_flow(graph, i, j, &self.own[i.index()].inbound)
         } else {
             max_flow_bounded(graph, j, i, self.cfg.max_hops)
         }

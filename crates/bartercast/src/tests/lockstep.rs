@@ -42,13 +42,15 @@ enum Step {
     Restore,
 }
 
-/// Small weights, and weights whose two 32-bit halves differ in ways a
-/// stored weight cut to one half would lose.
+/// Small weights, the largest weight an entry holds itself, and weights
+/// whose two 32-bit halves differ in ways a stored weight cut to one half
+/// would lose.
 fn arb_kib() -> impl Strategy<Value = u64> {
     prop_oneof![
         Just(0u64),
         1u64..40,
         1u64..40,
+        Just(u32::MAX as u64 - 1),
         Just(u32::MAX as u64),
         Just(1 << 32),
         Just((1 << 32) + 1),

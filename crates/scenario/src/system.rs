@@ -18,7 +18,7 @@ use rvs_pss::{NewscastConfig, NewscastPss, OraclePss};
 use rvs_sim::{pool, DetRng, Engine, ModeratorId, NodeId, Pool, SimDuration, SimTime};
 use rvs_telemetry::{EncounterCounters, PhaseTimer, Snapshot};
 use rvs_trace::{Trace, TraceEventKind};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 mod encounter;
 
@@ -255,8 +255,11 @@ pub struct System {
     pending_primary: u64,
     /// Highest message id whose exchange has been applied.
     max_fired_msg: u64,
-    /// Per-node windows of applied message ids (duplicate suppression).
-    seen_msgs: Vec<BTreeSet<u64>>,
+    /// Per-node windows of applied message ids (duplicate suppression),
+    /// each strictly ascending: ids are handed out in send order, so an
+    /// applied id almost always goes at the back, and the oldest leaves at
+    /// the front.
+    seen_msgs: Vec<VecDeque<u64>>,
     /// Per-node VoxPopuli bootstrap backoff state (only consulted when the
     /// schedule enables retry).
     vox_backoff: Vec<Backoff>,
@@ -419,7 +422,7 @@ impl System {
             next_msg_id: 1,
             pending_primary: 0,
             max_fired_msg: 0,
-            seen_msgs: vec![BTreeSet::new(); n_total],
+            seen_msgs: vec![VecDeque::new(); n_total],
             vox_backoff: vec![Backoff::new(); n_total],
             vox_decliners: vec![BTreeSet::new(); n_total],
             guard: Governor::new(n_total, GuardConfig::default()),
@@ -605,7 +608,7 @@ impl System {
         let next_msg_id = dec.u64()?;
         let pending_primary = dec.u64()?;
         let max_fired_msg = dec.u64()?;
-        let seen_msgs: Vec<BTreeSet<u64>> = Vec::restore(&mut dec)?;
+        let seen_msgs: Vec<VecDeque<u64>> = Vec::restore(&mut dec)?;
         let vox_backoff: Vec<Backoff> = Vec::restore(&mut dec)?;
         let vox_decliners: Vec<BTreeSet<NodeId>> = Vec::restore(&mut dec)?;
 
@@ -669,6 +672,15 @@ impl System {
                     "{name} tables are not sized for {n_total} nodes"
                 )));
             }
+        }
+        // A window is searched by bisection: out of order, it misreads.
+        if let Some(node) = seen_msgs
+            .iter()
+            .position(|w| w.iter().zip(w.iter().skip(1)).any(|(a, b)| a >= b))
+        {
+            return Err(corrupt(format!(
+                "dedup window of node {node}: ids must ascend"
+            )));
         }
         if published.len() != setup.moderators.len() || vote_cast.len() != setup.voters.len() {
             return Err(corrupt(format!(
@@ -837,7 +849,12 @@ impl System {
     /// [`GuardConfig::seen_window`] at all times — the flood regression
     /// tests assert this never exceeds the configured cap.
     pub fn max_seen_window(&self) -> usize {
-        self.seen_msgs.iter().map(BTreeSet::len).max().unwrap_or(0)
+        self.seen_msgs.iter().map(VecDeque::len).max().unwrap_or(0)
+    }
+
+    /// The message ids in `node`'s dedup window, ascending.
+    pub fn dedup_window(&self, node: NodeId) -> impl Iterator<Item = u64> + '_ {
+        self.seen_msgs[node.index()].iter().copied()
     }
 
     /// Arm the flooding adversary: each member initiates `per_round`
@@ -1482,7 +1499,7 @@ impl System {
     }
 
     fn has_seen(&self, node: NodeId, id: u64) -> bool {
-        self.seen_msgs[node.index()].contains(&id)
+        self.seen_msgs[node.index()].binary_search(&id).is_ok()
     }
 
     /// Record `id` in `node`'s dedup window, evicting the smallest id
@@ -1494,9 +1511,23 @@ impl System {
     fn mark_seen(&mut self, node: NodeId, id: u64) {
         let cap = (self.guard.config().seen_window as usize).max(1);
         let window = &mut self.seen_msgs[node.index()];
-        window.insert(id);
+        // Ids come in send order, but for the odd late one: in place, once.
+        let at = match window.back() {
+            Some(&last) if id <= last => window.binary_search(&id).err(),
+            _ => Some(window.len()),
+        };
+        if let Some(at) = at {
+            // Evict first, so a full window never grows its buffer. An id
+            // older than all of a full window's is evicted at once.
+            if window.len() < cap {
+                window.insert(at, id);
+            } else if at > 0 {
+                window.pop_front();
+                window.insert(at - 1, id);
+            }
+        }
         while window.len() > cap {
-            window.pop_first();
+            window.pop_front();
         }
     }
 
@@ -1731,5 +1762,38 @@ mod tests {
         assert_eq!(launches(2, latency, run_until_end), 0);
         assert_eq!(launches(2, retry, run_until_end), 0);
         assert_eq!(launches(2, FaultConfig::default(), step_to_end), 0);
+    }
+
+    #[test]
+    fn a_dedup_window_is_the_set_it_replaced() {
+        let trace = TraceGenConfig::quick(10, SPAN).generate(1);
+        let (setup, _) = fig6_setup(&trace, 0.25, 0.25, 1);
+        let mut system = System::new(trace, ProtocolConfig::default(), setup, 1);
+        let node = NodeId(2);
+        let mut model = BTreeSet::new();
+        let mut mark = |system: &mut System, id: u64, cap: u32| {
+            system.set_guard_config(GuardConfig {
+                seen_window: cap,
+                ..GuardConfig::default()
+            });
+            system.mark_seen(node, id);
+            model.insert(id);
+            while model.len() > cap as usize {
+                model.pop_first();
+            }
+            let window: Vec<u64> = system.dedup_window(node).collect();
+            assert!(window.iter().eq(&model), "{id} under cap {cap}: {window:?}");
+            for probe in 0..30 {
+                assert_eq!(system.has_seen(node, probe), model.contains(&probe));
+            }
+        };
+        // In order, late into the middle and the front, a repeat, one
+        // older than a full window, then the cap cut from 5 to 2.
+        for id in [3, 5, 9, 4, 1, 9, 12, 2, 13, 14, 0, 8, 20] {
+            mark(&mut system, id, 5);
+        }
+        for id in [7, 21, 22] {
+            mark(&mut system, id, 2);
+        }
     }
 }

@@ -18,7 +18,7 @@
 //!   bitfields, the ledger's transpose against its forward map;
 //! * and whatever is found by binary search but not in strictly ascending
 //!   order — a swarm's members, a member's per-source entries, the
-//!   ledger's entries — or holds an entry the program never writes (a
+//!   ledger's entries, a node's dedup window — or holds an entry the program never writes (a
 //!   self-edge, a zero credit);
 //! * a subjective graph's varint rows that no report can store: an empty
 //!   row, a count past the bytes left, an id past `u32`, a self-loop, a
@@ -431,6 +431,56 @@ fn graph_rows_no_report_can_store_are_corrupt() {
     ] {
         assert_corrupt(&crafted, what);
     }
+}
+
+#[test]
+fn dedup_window_ids_out_of_order_or_duplicated_are_corrupt() {
+    use robust_vote_sampling::faults::FaultConfig;
+    use rvs_sim::NodeId;
+    // Scheduled delivery is what fills the windows.
+    let trace = TraceGenConfig::quick(10, SimDuration::from_hours(6)).generate(7);
+    let (setup, _m) = fig6_setup(&trace, 0.25, 0.25, 7);
+    let schedule = FaultSchedule {
+        config: FaultConfig {
+            base_latency_ms: 5_000,
+            ..FaultConfig::default()
+        },
+        ..FaultSchedule::default()
+    };
+    let protocol = ProtocolConfig {
+        experience_t_mib: 1.0,
+        ..ProtocolConfig::default()
+    };
+    let mut system = System::with_faults(trace, protocol, setup, 7, schedule);
+    system.run_until(
+        SimTime::from_hours(3),
+        SimDuration::from_hours(1),
+        |_, _| {},
+    );
+    let honest = system.checkpoint().into_bytes();
+    // The windows are one vector of `(length, ids…)`, every number 8 bytes.
+    let windows: Vec<Vec<u64>> = (0..system.total_nodes())
+        .map(|i| system.dedup_window(NodeId::from_index(i)).collect())
+        .collect();
+    let k = windows.iter().position(|w| w.len() >= 2);
+    let k = k.expect("a window of two ids");
+    let first_at = locate(&honest, &rvs_checkpoint::to_bytes(&windows))
+        + 8
+        + windows[..k].iter().map(|w| 8 + 8 * w.len()).sum::<usize>()
+        + 8;
+    let id = |at: usize| u64::from_le_bytes(honest[at..at + 8].try_into().unwrap());
+    assert_eq!(
+        (id(first_at), id(first_at + 8)),
+        (windows[k][0], windows[k][1])
+    );
+    let what = format!("dedup window of node {k}: ids must ascend");
+    // The second id twice, then the first two swapped.
+    let mut twice = honest.clone();
+    twice.copy_within(first_at + 8..first_at + 16, first_at);
+    assert_corrupt(&twice, &what);
+    let mut swapped = twice;
+    swapped[first_at + 8..first_at + 16].copy_from_slice(&honest[first_at..first_at + 8]);
+    assert_corrupt(&swapped, &what);
 }
 
 #[test]
