@@ -10,13 +10,21 @@
 use rvs_bench::{header, quick_mode, reject_unknown_args, timed};
 use rvs_scenario::experiments::ablations::run_ballot_param_sweep;
 use rvs_scenario::VoteSamplingConfig;
+use rvs_sim::SimDuration;
 
 fn main() {
     reject_unknown_args(&["--quick"], &[]);
     let quick = quick_mode();
     header("A2", "ballot parameter sweep (B_min × B_max)", quick);
     let (cfg, b_mins, b_maxes): (_, &[usize], &[usize]) = if quick {
-        (VoteSamplingConfig::quick_demo(800), &[2, 5, 10], &[25, 100])
+        (
+            VoteSamplingConfig {
+                base_seed: 800,
+                ..VoteSamplingConfig::quick(24, SimDuration::from_hours(36))
+            },
+            &[2, 5, 10],
+            &[25, 100],
+        )
     } else {
         (VoteSamplingConfig::paper(), &[2, 5, 10, 20], &[25, 100])
     };

@@ -19,7 +19,7 @@ use rvs_bench::{header, quick_mode, reject_unknown_args, timed};
 use rvs_core::{select_votes, BallotBox, Vote, VoteEntry, VoteListPolicy};
 use rvs_scenario::experiments::ablations::run_policy_sweep;
 use rvs_scenario::VoteSamplingConfig;
-use rvs_sim::{DetRng, NodeId, SimTime};
+use rvs_sim::{DetRng, NodeId, SimDuration, SimTime};
 
 /// Part 2: one pollster polling 40 voters who each hold votes on all 30
 /// moderators (moderator `m` was voted on at hour `m`, so high ids are the
@@ -67,7 +67,10 @@ fn main() {
 
     println!("\n-- part 1: Figure 6 scenario (single-vote lists) --");
     let mut cfg = if quick {
-        VoteSamplingConfig::quick_demo(700)
+        VoteSamplingConfig {
+            base_seed: 700,
+            ..VoteSamplingConfig::quick(24, SimDuration::from_hours(36))
+        }
     } else {
         VoteSamplingConfig::paper()
     };

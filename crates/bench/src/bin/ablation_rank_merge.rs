@@ -4,7 +4,7 @@
 //! could be used") nor the ballot scoring ("simple summation or more
 //! complex proportional approaches"). This harness compares:
 //!
-//! * merge methods (mean rank / Borda / median rank) under a minority of
+//! * merge methods (mean rank / median rank) under a minority of
 //!   fabricated lists — the Figure 8 threat applied directly to the merge;
 //! * score methods (summation / proportional) on skewed vote profiles.
 //!
@@ -18,7 +18,7 @@ use rvs_core::{
 };
 use rvs_sim::{DetRng, NodeId, SimTime};
 
-fn fabricated_list_resilience(fake_fraction: f64, lists: usize, seed: u64) -> [bool; 3] {
+fn fabricated_list_resilience(fake_fraction: f64, lists: usize, seed: u64) -> [bool; 2] {
     // Honest lists rank M1 first but are heterogeneous (real responders'
     // ballots differ: sometimes short, sometimes with M2/M3 swapped, and
     // occasionally a confused node lists M2 first). Fabricated lists put
@@ -42,11 +42,7 @@ fn fabricated_list_resilience(fake_fraction: f64, lists: usize, seed: u64) -> [b
         }
     }
     let clean = |m: MergeMethod| cache.merged_with(m).top() != Some(NodeId(0));
-    [
-        clean(MergeMethod::MeanRank),
-        clean(MergeMethod::Borda),
-        clean(MergeMethod::MedianRank),
-    ]
+    [clean(MergeMethod::MeanRank), clean(MergeMethod::MedianRank)]
 }
 
 fn main() {
@@ -56,12 +52,9 @@ fn main() {
     let trials = if quick { 200 } else { 2_000 };
 
     println!("\n-- VoxPopuli merge under fabricated lists (cache V_max = 10) --");
-    println!(
-        "{:>12} {:>12} {:>12} {:>12}",
-        "fake frac", "mean-rank", "borda", "median"
-    );
+    println!("{:>12} {:>12} {:>12}", "fake frac", "mean-rank", "median");
     for &f in &[0.1, 0.3, 0.45, 0.55, 0.7] {
-        let mut survived = [0usize; 3];
+        let mut survived = [0usize; 2];
         for t in 0..trials {
             let ok = fabricated_list_resilience(f, 10, t as u64);
             for (k, &b) in ok.iter().enumerate() {
@@ -71,11 +64,10 @@ fn main() {
             }
         }
         println!(
-            "{:>12.2} {:>12.3} {:>12.3} {:>12.3}",
+            "{:>12.2} {:>12.3} {:>12.3}",
             f,
             survived[0] as f64 / trials as f64,
-            survived[1] as f64 / trials as f64,
-            survived[2] as f64 / trials as f64
+            survived[1] as f64 / trials as f64
         );
     }
 
@@ -120,8 +112,8 @@ fn main() {
     println!("proportional ranks: {:?}", proportional.ranked);
     println!(
         "\ntakeaways: (1) Borda with absent = 0 points is order-isomorphic to\n\
-         mean rank with absent = K+1 (score = n(K+1) − Σrank), so the two\n\
-         columns are always identical — the paper's 'any rank merging\n\
+         mean rank with absent = K+1 (score = n(K+1) − Σrank), so it has no\n\
+         column: it would always equal mean rank — the paper's 'any rank merging\n\
          method' freedom is narrower than it looks; (2) against decoy-padded\n\
          fabricated lists, mean rank degrades gracefully past a fake\n\
          majority while median rank collapses sharply near 0.5 — median's\n\

@@ -13,13 +13,17 @@ use rvs_bench::{header, quick_mode, reject_unknown_args, timed};
 use rvs_metrics::TimeSeries;
 use rvs_scenario::experiments::ablations::run_voxpopuli_ablation;
 use rvs_scenario::VoteSamplingConfig;
+use rvs_sim::SimDuration;
 
 fn main() {
     reject_unknown_args(&["--quick"], &[]);
     let quick = quick_mode();
     header("A6", "VoxPopuli on/off: bootstrap speed", quick);
     let cfg = if quick {
-        VoteSamplingConfig::quick_demo(600)
+        VoteSamplingConfig {
+            base_seed: 600,
+            ..VoteSamplingConfig::quick(24, SimDuration::from_hours(36))
+        }
     } else {
         VoteSamplingConfig::paper()
     };

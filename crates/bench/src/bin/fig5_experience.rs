@@ -31,7 +31,7 @@ fn main() {
     println!(
         "trace: {} peers, {:.0} h; thresholds {:?} MiB\n",
         cfg.trace.n_peers,
-        cfg.duration.as_secs() as f64 / 3600.0,
+        cfg.trace.duration.as_secs() as f64 / 3600.0,
         cfg.thresholds_mib
     );
     let series = timed("simulate", || run_experience_formation(&cfg));

@@ -36,13 +36,15 @@ fn main() {
     let quick = quick_mode();
     header("F6", "vote-sampling effectiveness over time", quick);
     let mut cfg = if quick {
-        VoteSamplingConfig::quick_demo(100)
+        VoteSamplingConfig {
+            base_seed: 100,
+            ..VoteSamplingConfig::quick(24, SimDuration::from_hours(36))
+        }
     } else {
         VoteSamplingConfig::paper()
     };
     if let Some(hours) = flag_usize("hours") {
         cfg.trace.duration = SimDuration::from_hours(hours as u64);
-        cfg.duration = SimDuration::from_hours(hours as u64);
         cfg.sample_every = SimDuration::from_hours((hours as u64 / 9).max(1));
     }
     if let Some(peers) = flag_usize("peers") {

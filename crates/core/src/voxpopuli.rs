@@ -17,9 +17,6 @@ use std::collections::VecDeque;
 pub enum MergeMethod {
     /// Mean rank over all lists, absent ⇒ rank `K+1` (the paper's method).
     MeanRank,
-    /// Borda count: a moderator at position `p` of a list earns `K − p`
-    /// points; absent earns 0; highest total wins.
-    Borda,
     /// Median rank over all lists, absent ⇒ rank `K+1`; robust to a
     /// minority of outlier (or fabricated) lists.
     MedianRank,
@@ -104,8 +101,7 @@ impl VoxCache {
             v
         };
         let absent_rank = (self.k + 1) as f64;
-        // Per-moderator score; lower is better for every method (Borda is
-        // negated to fit).
+        // Per-moderator score; lower is better for every method.
         let mut scored: Vec<(f64, ModeratorId)> = mentioned
             .into_iter()
             .map(|m| {
@@ -122,14 +118,6 @@ impl VoxCache {
                     .collect();
                 let score = match method {
                     MergeMethod::MeanRank => ranks.iter().sum::<f64>() / ranks.len() as f64,
-                    MergeMethod::Borda => {
-                        // K − rank points per list (absent ⇒ 0); negate so
-                        // lower is better.
-                        -ranks
-                            .iter()
-                            .map(|&r| (self.k as f64 + 1.0 - r).max(0.0))
-                            .sum::<f64>()
-                    }
                     MergeMethod::MedianRank => {
                         let mut sorted = ranks.clone();
                         // total_cmp: no panic path, and ranks are finite
@@ -293,8 +281,8 @@ mod tests {
         // M0 appears twice at rank 2; M1 once at rank 1.
         c.push(list(&[1, 0]));
         c.push(list(&[2, 0]));
-        // Borda: M0 = 2+2 = 4; M1 = 3; M2 = 3.
-        let merged = c.merged_with(MergeMethod::Borda);
+        // Mean rank (absent = K+1 = 4): M0 = 2.0; M1 = M2 = 2.5.
+        let merged = c.merged();
         assert_eq!(merged.top(), Some(NodeId(0)));
     }
 
@@ -319,11 +307,7 @@ mod tests {
         for _ in 0..4 {
             c.push(list(&[0, 1, 2]));
         }
-        for m in [
-            MergeMethod::MeanRank,
-            MergeMethod::Borda,
-            MergeMethod::MedianRank,
-        ] {
+        for m in [MergeMethod::MeanRank, MergeMethod::MedianRank] {
             assert_eq!(c.merged_with(m), list(&[0, 1, 2]), "{m:?}");
         }
     }

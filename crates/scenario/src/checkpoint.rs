@@ -233,38 +233,20 @@ pub fn golden_file_name(seed: u64) -> String {
 }
 
 /// The canonical small fixed-seed Figure-6 run the golden corpus snapshots:
-/// 12 peers, a 6-hour quick trace, experience threshold 1 MiB, advanced
+/// [`crate::VoteSamplingConfig::quick`] at 12 peers × 6 hours, advanced
 /// [`GOLDEN_HOURS`] simulated hours. `rvs ckpt regen` rebuilds the corpus
 /// from this single definition; the forward-compat test restores the
 /// committed blobs against the current build and re-encodes them
 /// byte-identically.
 pub fn golden_system(seed: u64) -> crate::System {
-    let mut system = golden_cast(12, 6, seed, rvs_faults::FaultSchedule::default());
+    let (mut system, _) = crate::VoteSamplingConfig::quick(12, rvs_sim::SimDuration::from_hours(6))
+        .system(seed, rvs_faults::FaultSchedule::default());
     system.run_until(
         SimTime::from_hours(GOLDEN_HOURS),
         rvs_sim::SimDuration::from_hours(1),
         |_, _| {},
     );
     system
-}
-
-/// The cast every golden run shares: a quick trace of `peers` × `hours`,
-/// the fig6 moderators and voters at 25 % / 25 %, experience threshold
-/// 1 MiB, deliveries routed through `schedule`.
-fn golden_cast(
-    peers: usize,
-    hours: u64,
-    seed: u64,
-    schedule: rvs_faults::FaultSchedule,
-) -> crate::System {
-    let trace = rvs_trace::TraceGenConfig::quick(peers, rvs_sim::SimDuration::from_hours(hours))
-        .generate(seed);
-    let (setup, _) = crate::experiments::vote_sampling::fig6_setup(&trace, 0.25, 0.25, seed);
-    let cfg = crate::ProtocolConfig {
-        experience_t_mib: 1.0,
-        ..crate::ProtocolConfig::default()
-    };
-    crate::System::with_faults(trace, cfg, setup, seed, schedule)
 }
 
 /// The golden checkpoint for `seed` — [`golden_system`] snapshotted.
@@ -288,20 +270,22 @@ pub const GOLDEN_COVERAGE_CUT: SimTime = SimTime::from_secs(7 * 3600 + 30 * 60 +
 /// follows its declared type; this blob is what pins those widths for
 /// crowd, view, threshold, partition, burst, backoff and quarantine state.
 pub fn golden_coverage_system() -> crate::System {
-    let trace =
-        rvs_trace::TraceGenConfig::quick(18, rvs_sim::SimDuration::from_hours(18)).generate(1);
-    let setup = crate::experiments::spam::fig8_setup(&trace, 6, 8);
-    let cfg = crate::ProtocolConfig {
-        experience_t_mib: 1.0,
-        adaptive_t: Some(rvs_bartercast::AdaptiveThreshold {
-            t_mib: 1.0,
-            t_min_mib: 0.25,
-            ..rvs_bartercast::AdaptiveThreshold::default()
-        }),
-        use_newscast_pss: true,
-        ..crate::ProtocolConfig::default()
+    let quick = crate::SpamAttackConfig::quick(1);
+    let cfg = crate::SpamAttackConfig {
+        trace: rvs_trace::TraceGenConfig::quick(18, rvs_sim::SimDuration::from_hours(18)),
+        protocol: crate::ProtocolConfig {
+            adaptive_t: Some(rvs_bartercast::AdaptiveThreshold {
+                t_mib: 1.0,
+                t_min_mib: 0.25,
+                ..rvs_bartercast::AdaptiveThreshold::default()
+            }),
+            use_newscast_pss: true,
+            ..quick.protocol
+        },
+        core_size: 6,
+        ..quick
     };
-    let mut system = crate::System::with_faults(trace, cfg, setup, 1, chaos_schedule());
+    let (mut system, _) = cfg.system(1, 8, chaos_schedule());
     arm_byzantine(&mut system);
     system.run_until(
         GOLDEN_COVERAGE_CUT,
@@ -403,7 +387,8 @@ pub fn golden_result(name: &str, threads: usize) -> String {
         "byzantine-chaos-seed1" => (18, 18, true, chaos_schedule()),
         other => panic!("unknown result golden `{other}`"),
     };
-    let mut system = golden_cast(peers, hours, 1, schedule);
+    let (mut system, _) =
+        crate::VoteSamplingConfig::quick(peers, SimDuration::from_hours(hours)).system(1, schedule);
     if attack {
         arm_byzantine(&mut system);
     }

@@ -8,12 +8,13 @@
 use crate::config::ProtocolConfig;
 use crate::experiments::parallel::{default_threads, parallel_runs};
 use crate::experiments::spam::{fig8_setup, SpamAttackConfig};
-use crate::experiments::vote_sampling::{fig6_setup, VoteSamplingConfig};
+use crate::experiments::vote_sampling::VoteSamplingConfig;
 use crate::system::System;
 use rvs_attacks::{EpidemicAggregation, MoleAttack};
 use rvs_bartercast::{AdaptiveThreshold, BarterCast, BarterCastConfig};
 use rvs_bittorrent::TransferLedger;
 use rvs_core::VoteListPolicy;
+use rvs_faults::FaultSchedule;
 use rvs_metrics::TimeSeries;
 use rvs_sim::{DetRng, NodeId, SimTime};
 
@@ -92,6 +93,20 @@ pub fn run_adaptive_threshold(cfg: &SpamAttackConfig) -> AdaptiveOutcome {
     }
 }
 
+/// The Figure 6 accuracy curve of `cfg`'s base seed under `protocol`.
+fn fig6_curve(
+    cfg: &VoteSamplingConfig,
+    protocol: ProtocolConfig,
+    label: impl Into<String>,
+) -> TimeSeries {
+    let cfg = VoteSamplingConfig {
+        protocol,
+        ..cfg.clone()
+    };
+    let (mut system, m) = cfg.system(cfg.base_seed, FaultSchedule::default());
+    cfg.accuracy_curve(&mut system, &m, label)
+}
+
 /// A2 — one row of the `B_min`/`B_max` sensitivity sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BallotParamRow {
@@ -118,9 +133,6 @@ pub fn run_ballot_param_sweep(
         .collect();
     parallel_runs(combos.len(), default_threads(combos.len()), |c| {
         let (b_min, b_max) = combos[c];
-        let seed = cfg.base_seed;
-        let trace = cfg.trace.generate(seed);
-        let (setup, m) = fig6_setup(&trace, cfg.positive_fraction, cfg.negative_fraction, seed);
         let protocol = ProtocolConfig {
             votes: rvs_core::VoteSamplingConfig {
                 b_min,
@@ -129,12 +141,7 @@ pub fn run_ballot_param_sweep(
             },
             ..cfg.protocol
         };
-        let mut system = System::new(trace, protocol, setup, seed);
-        let mut series = TimeSeries::new(format!("bmin={b_min} bmax={b_max}"));
-        let end = SimTime::ZERO + cfg.duration;
-        system.run_until(end, cfg.sample_every, |sys, now| {
-            series.push(now, sys.ordering_accuracy(&m));
-        });
+        let series = fig6_curve(cfg, protocol, format!("bmin={b_min} bmax={b_max}"));
         let final_accuracy = series.last().map(|s| s.value).unwrap_or(0.0);
         let hours_to_half = series
             .samples
@@ -171,9 +178,6 @@ pub fn run_policy_sweep(cfg: &VoteSamplingConfig) -> Vec<PolicyRow> {
     ];
     parallel_runs(policies.len(), default_threads(policies.len()), |k| {
         let policy = policies[k];
-        let seed = cfg.base_seed;
-        let trace = cfg.trace.generate(seed);
-        let (setup, m) = fig6_setup(&trace, cfg.positive_fraction, cfg.negative_fraction, seed);
         let protocol = ProtocolConfig {
             votes: rvs_core::VoteSamplingConfig {
                 policy,
@@ -181,12 +185,7 @@ pub fn run_policy_sweep(cfg: &VoteSamplingConfig) -> Vec<PolicyRow> {
             },
             ..cfg.protocol
         };
-        let mut system = System::new(trace, protocol, setup, seed);
-        let end = SimTime::ZERO + cfg.duration;
-        let mut series = rvs_metrics::TimeSeries::new(format!("{policy:?}"));
-        system.run_until(end, cfg.sample_every, |sys, now| {
-            series.push(now, sys.ordering_accuracy(&m));
-        });
+        let series = fig6_curve(cfg, protocol, format!("{policy:?}"));
         PolicyRow {
             policy,
             final_accuracy: series.last().map(|s| s.value).unwrap_or(0.0),
@@ -296,20 +295,11 @@ pub fn run_mole_leverage(real_kibs: &[u64], claimed_kib: u64, colluders: usize) 
 /// curves) with and without the bootstrap protocol.
 pub fn run_voxpopuli_ablation(cfg: &VoteSamplingConfig) -> (TimeSeries, TimeSeries) {
     let variant = |vox_enabled: bool, label: &str| -> TimeSeries {
-        let seed = cfg.base_seed;
-        let trace = cfg.trace.generate(seed);
-        let (setup, m) = fig6_setup(&trace, cfg.positive_fraction, cfg.negative_fraction, seed);
         let protocol = ProtocolConfig {
             vox_enabled,
             ..cfg.protocol
         };
-        let mut system = System::new(trace, protocol, setup, seed);
-        let mut series = TimeSeries::new(label);
-        let end = SimTime::ZERO + cfg.duration;
-        system.run_until(end, cfg.sample_every, |sys, now| {
-            series.push(now, sys.ordering_accuracy(&m));
-        });
-        series
+        fig6_curve(cfg, protocol, label)
     };
     (
         variant(true, "VoxPopuli on"),
@@ -320,6 +310,7 @@ pub fn run_voxpopuli_ablation(cfg: &VoteSamplingConfig) -> (TimeSeries, TimeSeri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::vote_sampling::tests::quick;
 
     #[test]
     fn aggregation_rows_show_lying_vulnerability() {
@@ -353,7 +344,7 @@ mod tests {
 
     #[test]
     fn policy_sweep_produces_all_rows() {
-        let cfg = VoteSamplingConfig::quick_demo(5);
+        let cfg = quick(5);
         let rows = run_policy_sweep(&cfg);
         assert_eq!(rows.len(), 3);
         for r in &rows {
@@ -363,7 +354,7 @@ mod tests {
 
     #[test]
     fn ballot_sweep_filters_invalid_combos() {
-        let cfg = VoteSamplingConfig::quick_demo(6);
+        let cfg = quick(6);
         let rows = run_ballot_param_sweep(&cfg, &[2, 50], &[10]);
         // (50, 10) is invalid (b_min > b_max) and filtered.
         assert_eq!(rows.len(), 1);

@@ -29,10 +29,9 @@ pub struct ExperienceConfig {
     pub protocol: ProtocolConfig,
     /// Thresholds to plot, MiB (paper sweeps several; selects 5 MB).
     pub thresholds_mib: Vec<f64>,
-    /// Sampling interval for the CEV curve.
+    /// Sampling interval for the CEV curve (the curve spans the trace,
+    /// `trace.duration`; paper: the full 7 days).
     pub sample_every: SimDuration,
-    /// Simulated span (paper: the full 7-day trace).
-    pub duration: SimDuration,
 }
 
 impl ExperienceConfig {
@@ -44,7 +43,6 @@ impl ExperienceConfig {
             protocol: ProtocolConfig::default(),
             thresholds_mib: vec![2.0, 5.0, 10.0, 20.0],
             sample_every: SimDuration::from_hours(2),
-            duration: SimDuration::from_days(7),
         }
     }
 
@@ -56,7 +54,6 @@ impl ExperienceConfig {
             protocol: ProtocolConfig::default(),
             thresholds_mib: vec![2.0, 5.0],
             sample_every: SimDuration::from_hours(4),
-            duration: SimDuration::from_hours(24),
         }
     }
 }
@@ -79,7 +76,7 @@ pub fn run_experience_formation(cfg: &ExperienceConfig) -> Vec<TimeSeries> {
         .collect();
     let thresholds = cfg.thresholds_mib.clone();
     let peers: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
-    let end = SimTime::ZERO + cfg.duration;
+    let end = SimTime::ZERO + cfg.trace.duration;
     system.run_until(end, cfg.sample_every, |sys, now| {
         // One pass over the contribution matrix covers every threshold.
         let mut counts = vec![0u64; thresholds.len()];

@@ -16,9 +16,10 @@
 use crate::config::{CrowdSpec, ModeratorSpec, PreseededCore, ProtocolConfig, ScenarioSetup};
 use crate::experiments::parallel::{default_threads, parallel_runs};
 use crate::system::System;
+use rvs_faults::FaultSchedule;
 use rvs_metrics::TimeSeries;
 use rvs_modcast::ContentQuality;
-use rvs_sim::{NodeId, SimDuration, SimTime, SwarmId};
+use rvs_sim::{ModeratorId, NodeId, SimDuration, SimTime, SwarmId};
 use rvs_trace::{Trace, TraceGenConfig};
 
 /// Configuration for the Figure 8 experiment.
@@ -73,6 +74,18 @@ impl SpamAttackConfig {
             duration: SimDuration::from_hours(36),
         }
     }
+
+    /// The Figure 8 system at `seed` with a crowd of `crowd` identities:
+    /// this config's trace generated from `seed`, the [`fig8_setup`] cast,
+    /// and deliveries routed through `faults`. Returns it with the crowd's
+    /// spam moderator M0.
+    pub fn system(&self, seed: u64, crowd: usize, faults: FaultSchedule) -> (System, ModeratorId) {
+        let trace = self.trace.generate(seed);
+        let setup = fig8_setup(&trace, self.core_size, crowd);
+        let system = System::with_faults(trace, self.protocol, setup, seed, faults);
+        let spam = system.crowd().expect("fig8 has a crowd").spam_moderator();
+        (system, spam)
+    }
 }
 
 /// Build the Figure 8 scenario cast: pre-seeded core (the first
@@ -112,10 +125,7 @@ pub fn run_spam_attack(cfg: &SpamAttackConfig) -> Vec<TimeSeries> {
     let curves = parallel_runs(jobs.len(), default_threads(jobs.len()), |j| {
         let (crowd_size, run) = jobs[j];
         let seed = cfg.base_seed + run as u64;
-        let trace = cfg.trace.generate(seed);
-        let setup = fig8_setup(&trace, cfg.core_size, crowd_size);
-        let spam = NodeId::from_index(trace.peer_count()); // M0: first crowd id
-        let mut system = System::new(trace, cfg.protocol, setup, seed);
+        let (mut system, spam) = cfg.system(seed, crowd_size, FaultSchedule::default());
         let mut series = TimeSeries::new(format!("crowd={crowd_size} run={run}"));
         let end = SimTime::ZERO + cfg.duration;
         system.run_until(end, cfg.sample_every, |sys, now| {

@@ -15,6 +15,7 @@
 use crate::config::{ModeratorSpec, ProtocolConfig, ScenarioSetup, VoterSpec};
 use crate::experiments::parallel::{default_threads, parallel_runs};
 use crate::system::System;
+use rvs_faults::FaultSchedule;
 use rvs_metrics::TimeSeries;
 use rvs_modcast::{ContentQuality, LocalVote};
 use rvs_sim::{DetRng, ModeratorId, NodeId, SimDuration, SimTime, SwarmId};
@@ -36,10 +37,9 @@ pub struct VoteSamplingConfig {
     pub runs: usize,
     /// Base seed; run `r` uses `base_seed + r`.
     pub base_seed: u64,
-    /// Sampling interval of the accuracy curve.
+    /// Sampling interval of the accuracy curve (the curve spans the
+    /// trace, `trace.duration`).
     pub sample_every: SimDuration,
-    /// Simulated span.
-    pub duration: SimDuration,
     /// Run each trace under the invariant auditor and panic on any
     /// violation (used by the CI scale smoke; off by default because the
     /// auditor costs wall-clock).
@@ -57,17 +57,18 @@ impl VoteSamplingConfig {
             runs: 10,
             base_seed: 100,
             sample_every: SimDuration::from_hours(2),
-            duration: SimDuration::from_days(7),
             audit: false,
         }
     }
 
-    /// A fast, scaled-down run for tests, the quickstart example, and the
-    /// facade doctest. Uses a denser voter assignment so the tiny
-    /// population still produces meaningful samples.
-    pub fn quick_demo(seed: u64) -> Self {
+    /// A scaled-down cast of `peers` over `span` for tests, examples and
+    /// the `--quick` figures: the quick trace preset, `T` = 1 MiB, and a
+    /// denser voter assignment (25 % / 25 %) so a tiny population still
+    /// produces meaningful samples. Two runs from base seed 0, sampled
+    /// every 4 hours.
+    pub fn quick(peers: usize, span: SimDuration) -> Self {
         VoteSamplingConfig {
-            trace: TraceGenConfig::quick(24, SimDuration::from_hours(36)),
+            trace: TraceGenConfig::quick(peers, span),
             protocol: ProtocolConfig {
                 experience_t_mib: 1.0,
                 ..ProtocolConfig::default()
@@ -75,11 +76,36 @@ impl VoteSamplingConfig {
             positive_fraction: 0.25,
             negative_fraction: 0.25,
             runs: 2,
-            base_seed: seed,
+            base_seed: 0,
             sample_every: SimDuration::from_hours(4),
-            duration: SimDuration::from_hours(36),
             audit: false,
         }
+    }
+
+    /// The Figure 6 system at `seed`: this config's trace generated from
+    /// `seed`, the [`fig6_setup`] cast at the configured fractions, and
+    /// deliveries routed through `faults`. Returns it with `[M1, M2, M3]`.
+    pub fn system(&self, seed: u64, faults: FaultSchedule) -> (System, [ModeratorId; 3]) {
+        let trace = self.trace.generate(seed);
+        let (setup, m) = fig6_setup(&trace, self.positive_fraction, self.negative_fraction, seed);
+        let system = System::with_faults(trace, self.protocol, setup, seed, faults);
+        (system, m)
+    }
+
+    /// Run `system` to the end of the trace span, sampling the fraction of
+    /// nodes that order `m` correctly every `sample_every`.
+    pub fn accuracy_curve(
+        &self,
+        system: &mut System,
+        m: &[ModeratorId; 3],
+        label: impl Into<String>,
+    ) -> TimeSeries {
+        let mut series = TimeSeries::new(label);
+        let end = SimTime::ZERO + self.trace.duration;
+        system.run_until(end, self.sample_every, |sys, now| {
+            series.push(now, sys.ordering_accuracy(m));
+        });
+        series
     }
 }
 
@@ -98,6 +124,14 @@ pub struct VoteSamplingOutcome {
     pub telemetry: Snapshot,
 }
 
+/// The Figure 6 moderators `[M1, M2, M3]` of `trace`: its first three
+/// arrivals.
+pub fn fig6_moderators(trace: &Trace) -> [ModeratorId; 3] {
+    let order = trace.arrival_order();
+    assert!(order.len() >= 6, "population too small for the Fig 6 cast");
+    [order[0], order[1], order[2]]
+}
+
 /// Build the Figure 6 scenario cast for a given trace.
 pub fn fig6_setup(
     trace: &Trace,
@@ -105,9 +139,8 @@ pub fn fig6_setup(
     negative_fraction: f64,
     seed: u64,
 ) -> (ScenarioSetup, [ModeratorId; 3]) {
+    let m = fig6_moderators(trace);
     let order = trace.arrival_order();
-    assert!(order.len() >= 6, "population too small for the Fig 6 cast");
-    let m = [order[0], order[1], order[2]];
     let n_swarms = trace.swarms.len() as u32;
     let moderators = (0..3)
         .map(|k| ModeratorSpec {
@@ -157,17 +190,11 @@ pub fn fig6_setup(
 /// given the seed, wall-clock phases are not).
 fn run_one(cfg: &VoteSamplingConfig, run: usize) -> (TimeSeries, [ModeratorId; 3], Snapshot) {
     let seed = cfg.base_seed + run as u64;
-    let trace = cfg.trace.generate(seed);
-    let (setup, m) = fig6_setup(&trace, cfg.positive_fraction, cfg.negative_fraction, seed);
-    let mut system = System::new(trace, cfg.protocol, setup, seed);
+    let (mut system, m) = cfg.system(seed, FaultSchedule::default());
     if cfg.audit {
         system.enable_audit();
     }
-    let mut series = TimeSeries::new(format!("run {run}"));
-    let end = SimTime::ZERO + cfg.duration;
-    system.run_until(end, cfg.sample_every, |sys, now| {
-        series.push(now, sys.ordering_accuracy(&m));
-    });
+    let series = cfg.accuracy_curve(&mut system, &m, format!("run {run}"));
     if cfg.audit {
         assert_eq!(
             system.audit_violations(),
@@ -198,8 +225,16 @@ pub fn run_vote_sampling(cfg: &VoteSamplingConfig) -> VoteSamplingOutcome {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The 24-peer × 36 h quick cast from base seed `seed`.
+    pub(crate) fn quick(seed: u64) -> VoteSamplingConfig {
+        VoteSamplingConfig {
+            base_seed: seed,
+            ..VoteSamplingConfig::quick(24, SimDuration::from_hours(36))
+        }
+    }
 
     #[test]
     fn fig6_cast_matches_paper_shape() {
@@ -237,8 +272,8 @@ mod tests {
     }
 
     #[test]
-    fn quick_demo_converges_to_majority_accuracy() {
-        let cfg = VoteSamplingConfig::quick_demo(42);
+    fn quick_run_converges_to_majority_accuracy() {
+        let cfg = quick(42);
         let outcome = run_vote_sampling(&cfg);
         assert_eq!(outcome.typical.len(), 2);
         let last = outcome.accuracy.last().expect("non-empty");
@@ -258,7 +293,7 @@ mod tests {
 
     #[test]
     fn experiment_is_deterministic() {
-        let cfg = VoteSamplingConfig::quick_demo(7);
+        let cfg = quick(7);
         let a = run_vote_sampling(&cfg);
         let b = run_vote_sampling(&cfg);
         assert_eq!(a, b);

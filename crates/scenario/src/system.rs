@@ -221,9 +221,8 @@ pub struct System {
     // Parallel round engine. The pool shards per-swarm BitTorrent
     // windows, and inside `run_until` the window up to the next gossip
     // round runs on it while this round's encounters run (`bt_ahead`);
-    // results merge in canonical order, so `threads` can never change
-    // results (proven by tests/parallel_differential.rs).
-    threads: usize,
+    // results merge in canonical order, so the thread count can never
+    // change results (proven by tests/parallel_differential.rs).
     pool: Pool,
     /// First BitTorrent tick not yet materialized.
     bt_window_start: SimTime,
@@ -379,7 +378,6 @@ impl System {
         }
 
         let send_base = root.fork(6);
-        let threads = pool::env_threads();
         let bt_online0 = net.online_flags().to_vec();
         System {
             seed,
@@ -407,8 +405,7 @@ impl System {
             rng_gossip: root.fork(2),
             rng_pss: root.fork(3),
             send_rng: (0..n_total as u64).map(|i| send_base.fork(i)).collect(),
-            threads,
-            pool: Pool::new(threads),
+            pool: Pool::new(pool::env_threads()),
             bt_window_start: SimTime::ZERO,
             bt_online0,
             bt_event_lo: 0,
@@ -717,8 +714,6 @@ impl System {
                 spec.join_at,
             )
         });
-        let threads = pool::env_threads();
-
         Ok(System {
             seed,
             cfg,
@@ -745,8 +740,7 @@ impl System {
             rng_gossip,
             rng_pss,
             send_rng,
-            threads,
-            pool: Pool::new(threads),
+            pool: Pool::new(pool::env_threads()),
             bt_window_start,
             bt_online0,
             bt_event_lo,
@@ -778,15 +772,14 @@ impl System {
     /// is purely a wall-clock knob.
     pub fn set_threads(&mut self, threads: usize) {
         let threads = threads.max(1);
-        if threads != self.threads {
-            self.threads = threads;
+        if threads != self.pool.threads() {
             self.pool = Pool::new(threads);
         }
     }
 
     /// The worker-thread count the round engine is using.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.threads()
     }
 
     /// Switch on runtime invariant auditing (idempotent). The [`Auditor`]
@@ -1137,7 +1130,7 @@ impl System {
             return;
         };
         let faults = self.faults.config();
-        if self.threads < 2 || faults.base_latency_ms != 0 || faults.retry.is_some() {
+        if self.pool.threads() < 2 || faults.base_latency_ms != 0 || faults.retry.is_some() {
             return;
         }
         let start = self.bt_window_start;
@@ -1687,9 +1680,8 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::vote_sampling::fig6_setup;
+    use crate::VoteSamplingConfig;
     use rvs_faults::{FaultConfig, RetryConfig};
-    use rvs_trace::TraceGenConfig;
     use std::cell::Cell;
 
     thread_local! {
@@ -1700,18 +1692,22 @@ mod tests {
 
     const SPAN: SimDuration = SimDuration::from_hours(4);
 
+    /// The fig6 cast on 10 peers over [`SPAN`], at the default `T`.
+    fn fig6_cast() -> VoteSamplingConfig {
+        VoteSamplingConfig {
+            protocol: ProtocolConfig::default(),
+            ..VoteSamplingConfig::quick(10, SPAN)
+        }
+    }
+
     /// Windows launched ahead while `drive` runs the fig6 cast on 10 peers
     /// at `threads` threads under `config`.
     fn launches(threads: usize, config: FaultConfig, drive: fn(&mut System)) -> u64 {
-        let seed = 3;
-        let trace = TraceGenConfig::quick(10, SPAN).generate(seed);
-        let (setup, _) = fig6_setup(&trace, 0.25, 0.25, seed);
         let schedule = FaultSchedule {
             config,
             ..FaultSchedule::default()
         };
-        let mut system =
-            System::with_faults(trace, ProtocolConfig::default(), setup, seed, schedule);
+        let (mut system, _) = fig6_cast().system(3, schedule);
         system.set_threads(threads);
         let before = LAUNCHES.with(Cell::get);
         drive(&mut system);
@@ -1766,9 +1762,7 @@ mod tests {
 
     #[test]
     fn a_dedup_window_is_the_set_it_replaced() {
-        let trace = TraceGenConfig::quick(10, SPAN).generate(1);
-        let (setup, _) = fig6_setup(&trace, 0.25, 0.25, 1);
-        let mut system = System::new(trace, ProtocolConfig::default(), setup, 1);
+        let (mut system, _) = fig6_cast().system(1, FaultSchedule::default());
         let node = NodeId(2);
         let mut model = BTreeSet::new();
         let mut mark = |system: &mut System, id: u64, cap: u32| {

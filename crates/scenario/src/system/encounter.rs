@@ -337,12 +337,19 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ProtocolConfig;
-    use crate::experiments::vote_sampling::fig6_setup;
+    use crate::VoteSamplingConfig;
     use rvs_core::Vote;
+    use rvs_faults::FaultSchedule;
     use rvs_guard::GuardConfig;
-    use rvs_sim::SimDuration;
-    use rvs_trace::TraceGenConfig;
+    use rvs_sim::{ModeratorId, SimDuration};
+
+    /// The fig6 cast on 8 peers over 2 h at `seed`, with `revalidate` set
+    /// as given, and its moderators.
+    fn small_cast(seed: u64, revalidate: bool) -> (System, [ModeratorId; 3]) {
+        let mut cfg = VoteSamplingConfig::quick(8, SimDuration::from_hours(2));
+        cfg.protocol.votes.revalidate = revalidate;
+        cfg.system(seed, FaultSchedule::default())
+    }
 
     /// Satellite regression: accept → quarantine → release. A vote list
     /// accepted before its sender was quarantined must be re-validated
@@ -351,15 +358,7 @@ mod tests {
     /// attributed to `release_forgets`.
     #[test]
     fn quarantine_release_revalidates_unbacked_votes() {
-        let seed = 9;
-        let trace = TraceGenConfig::quick(8, SimDuration::from_hours(2)).generate(seed);
-        let (setup, moderators) = fig6_setup(&trace, 0.25, 0.25, seed);
-        let mut protocol = ProtocolConfig {
-            experience_t_mib: 1.0,
-            ..ProtocolConfig::default()
-        };
-        protocol.votes.revalidate = true;
-        let mut system = System::new(trace, protocol, setup, seed);
+        let (mut system, moderators) = small_cast(9, true);
         system.set_guard_config(GuardConfig::active());
 
         let observer = NodeId::from_index(0);
@@ -410,14 +409,7 @@ mod tests {
     /// the shedding is an explicit opt-in policy, not a side effect.
     #[test]
     fn quarantine_release_keeps_votes_without_revalidate() {
-        let seed = 9;
-        let trace = TraceGenConfig::quick(8, SimDuration::from_hours(2)).generate(seed);
-        let (setup, moderators) = fig6_setup(&trace, 0.25, 0.25, seed);
-        let protocol = ProtocolConfig {
-            experience_t_mib: 1.0,
-            ..ProtocolConfig::default()
-        };
-        let mut system = System::new(trace, protocol, setup, seed);
+        let (mut system, moderators) = small_cast(9, false);
         system.set_guard_config(GuardConfig::active());
 
         let observer = NodeId::from_index(0);
@@ -450,13 +442,8 @@ mod tests {
     /// ledger to hold transfers — after `arm` configured it.
     fn warmed_system(seed: u64, arm: impl FnOnce(&mut System)) -> System {
         let span = SimDuration::from_hours(6);
-        let trace = TraceGenConfig::quick(12, span).generate(seed);
-        let (setup, _) = fig6_setup(&trace, 0.25, 0.25, seed);
-        let protocol = ProtocolConfig {
-            experience_t_mib: 1.0,
-            ..ProtocolConfig::default()
-        };
-        let mut system = System::new(trace, protocol, setup, seed);
+        let (mut system, _) =
+            VoteSamplingConfig::quick(12, span).system(seed, FaultSchedule::default());
         arm(&mut system);
         system.run_until(SimTime::ZERO + span, span, |_, _| {});
         system

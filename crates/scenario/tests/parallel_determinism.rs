@@ -4,23 +4,17 @@
 //! a single-threaded and a multi-threaded execution of the same workload.
 
 use proptest::prelude::*;
+use rvs_faults::FaultSchedule;
 use rvs_scenario::experiments::parallel::parallel_runs;
-use rvs_scenario::experiments::vote_sampling::fig6_setup;
-use rvs_scenario::{ProtocolConfig, System};
+use rvs_scenario::VoteSamplingConfig;
 use rvs_sim::{SimDuration, SimTime};
-use rvs_trace::TraceGenConfig;
 
 /// One small full-stack run; returns the compact-JSON counter snapshot
 /// (phase timings stripped — they are wall-clock, not deterministic).
 fn run_snapshot_json(base_seed: u64, run: usize) -> String {
     let seed = base_seed + run as u64;
-    let trace = TraceGenConfig::quick(12, SimDuration::from_hours(8)).generate(seed);
-    let (setup, _) = fig6_setup(&trace, 0.25, 0.25, seed);
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        ..ProtocolConfig::default()
-    };
-    let mut system = System::new(trace, protocol, setup, seed);
+    let (mut system, _) = VoteSamplingConfig::quick(12, SimDuration::from_hours(8))
+        .system(seed, FaultSchedule::default());
     system.run_until(
         SimTime::from_hours(8),
         SimDuration::from_hours(8),

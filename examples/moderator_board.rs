@@ -9,19 +9,13 @@
 
 use robust_vote_sampling::bittorrent::network_health;
 use robust_vote_sampling::core::ModeratorBoard;
-use robust_vote_sampling::scenario::experiments::vote_sampling::fig6_setup;
-use robust_vote_sampling::scenario::{ProtocolConfig, System};
+use robust_vote_sampling::faults::FaultSchedule;
+use robust_vote_sampling::scenario::VoteSamplingConfig;
 use robust_vote_sampling::sim::{NodeId, SimDuration, SimTime};
-use robust_vote_sampling::trace::TraceGenConfig;
 
 fn main() {
-    let trace = TraceGenConfig::quick(24, SimDuration::from_hours(30)).generate(8);
-    let (setup, m) = fig6_setup(&trace, 0.25, 0.25, 8);
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        ..ProtocolConfig::default()
-    };
-    let mut system = System::new(trace, protocol, setup, 8);
+    let (mut system, m) = VoteSamplingConfig::quick(24, SimDuration::from_hours(30))
+        .system(8, FaultSchedule::default());
     println!("running 30 simulated hours of the full stack…\n");
     system.run_until(
         SimTime::from_hours(30),

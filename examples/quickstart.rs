@@ -8,16 +8,20 @@
 //! ```
 
 use robust_vote_sampling::scenario::{run_vote_sampling, VoteSamplingConfig};
+use robust_vote_sampling::sim::SimDuration;
 
 fn main() {
     // A scaled-down Figure 6 scenario: 24 peers, 36 simulated hours,
     // moderators M1/M2/M3 with +votes for M1 and −votes for M3.
-    let cfg = VoteSamplingConfig::quick_demo(42);
+    let cfg = VoteSamplingConfig {
+        base_seed: 42,
+        ..VoteSamplingConfig::quick(24, SimDuration::from_hours(36))
+    };
     println!("robust-vote-sampling quickstart");
     println!(
         "  population: {} peers, {} simulated hours, {} runs",
         cfg.trace.n_peers,
-        cfg.duration.as_secs() / 3600,
+        cfg.trace.duration.as_secs() / 3600,
         cfg.runs
     );
     println!(

@@ -22,9 +22,10 @@ use robust_vote_sampling::scenario::checkpoint::{
     GOLDEN_COVERAGE, GOLDEN_RESULTS, GOLDEN_SEEDS,
 };
 use robust_vote_sampling::scenario::experiments::experience::dataset_statistics;
-use robust_vote_sampling::scenario::experiments::spam::fig8_setup;
-use robust_vote_sampling::scenario::experiments::vote_sampling::fig6_setup;
-use robust_vote_sampling::scenario::{Checkpoint, ProtocolConfig, System};
+use robust_vote_sampling::scenario::experiments::vote_sampling::fig6_moderators;
+use robust_vote_sampling::scenario::{
+    Checkpoint, ProtocolConfig, SpamAttackConfig, System, VoteSamplingConfig,
+};
 use robust_vote_sampling::sim::{NodeId, SimDuration, SimTime};
 use robust_vote_sampling::telemetry;
 use robust_vote_sampling::trace::{io, TraceGenConfig, TraceStats};
@@ -353,21 +354,24 @@ fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
                 return Err(ExitCode::FAILURE);
             }
         };
-        // The Fig 6 cast is a pure function of (trace, seed), both of
-        // which the checkpoint carries — recompute the expected order.
-        let (_, m) = fig6_setup(system.trace(), 0.15, 0.15, system.seed());
+        // The Fig 6 moderators are the trace's first three arrivals, and
+        // the checkpoint carries the trace — recompute the expected order.
+        let m = fig6_moderators(system.trace());
         (system, m)
     } else {
-        // The Fig 6 cast needs three moderators and three more peers.
-        let cfg = trace_cfg(&flags, 6)?;
-        let trace = cfg.generate(seed);
-        let (setup, m) = fig6_setup(&trace, 0.15, 0.15, seed);
-        let protocol = ProtocolConfig {
-            experience_t_mib: get_t_mib(&flags)?,
-            message_loss: get_in(&flags, "loss", 0.0, "a probability in [0, 1]", |l| {
-                (0.0..=1.0).contains(l)
-            })?,
-            ..ProtocolConfig::default()
+        let cfg = VoteSamplingConfig {
+            // The Fig 6 cast needs three moderators and three more peers.
+            trace: trace_cfg(&flags, 6)?,
+            protocol: ProtocolConfig {
+                experience_t_mib: get_t_mib(&flags)?,
+                message_loss: get_in(&flags, "loss", 0.0, "a probability in [0, 1]", |l| {
+                    (0.0..=1.0).contains(l)
+                })?,
+                ..ProtocolConfig::default()
+            },
+            positive_fraction: 0.15,
+            negative_fraction: 0.15,
+            ..VoteSamplingConfig::paper()
         };
         let schedule = match flags.get("faults") {
             Some(path) => {
@@ -388,10 +392,7 @@ fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
             }
             None => FaultSchedule::default(),
         };
-        (
-            System::with_faults(trace, protocol, setup, seed, schedule),
-            m,
-        )
+        cfg.system(seed, schedule)
     };
     let end = SimTime::from_hours(hours);
     // The loop below writes only before `end`: a cadence that first falls
@@ -574,22 +575,24 @@ fn cmd_attack(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
     let hours: u64 = get(&flags, "hours", 48)?;
     let core = get_at_least(&flags, "core", 10, 1)?;
     let crowd = get_at_least(&flags, "crowd", 20, 1)?;
-    let cfg = trace_cfg(&flags, 1)?;
-    let trace = cfg.generate(seed);
-    if trace.peer_count() <= core {
+    let trace = trace_cfg(&flags, 1)?;
+    if trace.n_peers <= core {
         eprintln!("--core must be smaller than --peers");
         return Err(ExitCode::FAILURE);
     }
-    let setup = fig8_setup(&trace, core, crowd);
-    let spam = NodeId::from_index(trace.peer_count());
-    let protocol = ProtocolConfig {
-        experience_t_mib: get_t_mib(&flags)?,
-        ..ProtocolConfig::default()
+    let cfg = SpamAttackConfig {
+        trace,
+        protocol: ProtocolConfig {
+            experience_t_mib: get_t_mib(&flags)?,
+            ..ProtocolConfig::default()
+        },
+        core_size: core,
+        ..SpamAttackConfig::paper()
     };
     if flags.contains_key("telemetry") {
         telemetry::set_enabled(true);
     }
-    let mut system = System::new(trace, protocol, setup, seed);
+    let (mut system, spam) = cfg.system(seed, crowd, FaultSchedule::default());
     apply_threads(&mut system, &flags)?;
     // Byzantine adversaries: flooders are the highest-index trace peers
     // (the founder core occupies the low indices), the malformer mutates

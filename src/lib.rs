@@ -32,10 +32,15 @@
 //!
 //! ```
 //! use robust_vote_sampling::scenario::{VoteSamplingConfig, run_vote_sampling};
+//! use robust_vote_sampling::sim::SimDuration;
 //!
-//! // A scaled-down Figure-6 style run: three moderators, honest voters,
-//! // measure how fast the population converges on M1 > M2 > M3.
-//! let cfg = VoteSamplingConfig::quick_demo(42);
+//! // A scaled-down Figure-6 style run (24 peers, 36 hours): three
+//! // moderators, honest voters, measure how fast the population converges
+//! // on M1 > M2 > M3.
+//! let cfg = VoteSamplingConfig {
+//!     base_seed: 42,
+//!     ..VoteSamplingConfig::quick(24, SimDuration::from_hours(36))
+//! };
 //! let outcome = run_vote_sampling(&cfg);
 //! let final_accuracy = outcome.accuracy.last().expect("series non-empty");
 //! assert!(final_accuracy.value > 0.5, "most nodes should converge");

@@ -1,10 +1,18 @@
 //! Integration tests of the security claims: who a flash crowd can and
 //! cannot poison, and how the system recovers.
 
-use robust_vote_sampling::scenario::experiments::spam::fig8_setup;
-use robust_vote_sampling::scenario::{ProtocolConfig, System};
+use robust_vote_sampling::faults::FaultSchedule;
+use robust_vote_sampling::scenario::{ProtocolConfig, SpamAttackConfig, System};
 use rvs_sim::{NodeId, SimDuration, SimTime};
 use rvs_trace::TraceGenConfig;
+
+/// The Fig 8 cast on 30 peers over 24 h: a core of 8 at `T` = 1 MiB.
+fn attack_cfg() -> SpamAttackConfig {
+    SpamAttackConfig {
+        trace: TraceGenConfig::quick(30, SimDuration::from_hours(24)),
+        ..SpamAttackConfig::quick(0)
+    }
+}
 
 /// Assert the run's invariant auditor saw checks and no violations.
 fn assert_clean_audit(system: &System) {
@@ -18,15 +26,10 @@ fn assert_clean_audit(system: &System) {
 }
 
 fn attack_system(crowd_size: usize, seed: u64) -> (System, NodeId, Vec<NodeId>) {
-    let trace = TraceGenConfig::quick(30, SimDuration::from_hours(24)).generate(seed);
-    let setup = fig8_setup(&trace, 8, crowd_size);
-    let core = setup.core.as_ref().unwrap().members.clone();
-    let spam = NodeId::from_index(trace.peer_count());
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        ..ProtocolConfig::default()
-    };
-    let mut system = System::new(trace, protocol, setup, seed);
+    let cfg = attack_cfg();
+    let (mut system, spam) = cfg.system(seed, crowd_size, FaultSchedule::default());
+    // The pre-seeded core is the first `core_size` arrivals.
+    let core = system.trace().arrival_order()[..cfg.core_size].to_vec();
     system.enable_audit();
     (system, spam, core)
 }
@@ -118,15 +121,15 @@ fn pollution_eventually_recovers() {
 
 #[test]
 fn disabling_voxpopuli_blocks_the_attack_entirely() {
-    let trace = TraceGenConfig::quick(30, SimDuration::from_hours(24)).generate(41);
-    let setup = fig8_setup(&trace, 8, 16);
-    let spam = NodeId::from_index(trace.peer_count());
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        vox_enabled: false,
-        ..ProtocolConfig::default()
+    let quick = attack_cfg();
+    let cfg = SpamAttackConfig {
+        protocol: ProtocolConfig {
+            vox_enabled: false,
+            ..quick.protocol
+        },
+        ..quick
     };
-    let mut system = System::new(trace, protocol, setup, 41);
+    let (mut system, spam) = cfg.system(41, 16, FaultSchedule::default());
     system.enable_audit();
     let mut max_pollution = 0.0_f64;
     system.run_until(

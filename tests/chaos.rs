@@ -12,10 +12,8 @@ use robust_vote_sampling::faults::{
     BurstLoss, CrashSpec, FaultConfig, FaultSchedule, PartitionSpec, RetryConfig,
 };
 use robust_vote_sampling::guard::GuardConfig;
-use robust_vote_sampling::scenario::experiments::vote_sampling::fig6_setup;
-use robust_vote_sampling::scenario::{ProtocolConfig, System};
+use robust_vote_sampling::scenario::{System, VoteSamplingConfig};
 use rvs_sim::{NodeId, SimDuration, SimTime};
-use rvs_trace::TraceGenConfig;
 
 /// Fixed seeds the CI chaos job sweeps.
 const SEEDS: [u64; 3] = [101, 202, 303];
@@ -70,13 +68,8 @@ fn chaos_schedule() -> FaultSchedule {
 
 /// Run the fig6 scenario under `schedule` for `hours`, fully audited.
 fn chaos_run(seed: u64, hours: u64, schedule: FaultSchedule) -> (System, f64) {
-    let trace = TraceGenConfig::quick(24, SimDuration::from_hours(hours)).generate(seed);
-    let (setup, m) = fig6_setup(&trace, 0.25, 0.25, seed);
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        ..ProtocolConfig::default()
-    };
-    let mut system = System::with_faults(trace, protocol, setup, seed, schedule);
+    let (mut system, m) =
+        VoteSamplingConfig::quick(24, SimDuration::from_hours(hours)).system(seed, schedule);
     system.enable_audit();
     system.run_until(
         SimTime::from_hours(hours),
@@ -138,13 +131,8 @@ fn chaos_run_threads(
     schedule: FaultSchedule,
     threads: usize,
 ) -> (System, f64) {
-    let trace = TraceGenConfig::quick(24, SimDuration::from_hours(hours)).generate(seed);
-    let (setup, m) = fig6_setup(&trace, 0.25, 0.25, seed);
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        ..ProtocolConfig::default()
-    };
-    let mut system = System::with_faults(trace, protocol, setup, seed, schedule);
+    let (mut system, m) =
+        VoteSamplingConfig::quick(24, SimDuration::from_hours(hours)).system(seed, schedule);
     system.set_threads(threads);
     system.enable_audit();
     system.run_until(
@@ -204,14 +192,9 @@ fn fault_free_schedule_matches_plain_system_byte_for_byte() {
     // The fault plane must be invisible when inert: same seed, with and
     // without the (empty) schedule, produces identical telemetry.
     let seed = 17;
-    let trace = TraceGenConfig::quick(16, SimDuration::from_hours(12)).generate(seed);
-    let (setup, _) = fig6_setup(&trace, 0.25, 0.25, seed);
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        ..ProtocolConfig::default()
-    };
-    let mut plain = System::new(trace.clone(), protocol, setup.clone(), seed);
-    let mut inert = System::with_faults(trace, protocol, setup, seed, FaultSchedule::inert());
+    let cfg = VoteSamplingConfig::quick(16, SimDuration::from_hours(12));
+    let (mut plain, _) = cfg.system(seed, FaultSchedule::default());
+    let (mut inert, _) = cfg.system(seed, FaultSchedule::inert());
     for system in [&mut plain, &mut inert] {
         system.enable_audit();
         system.run_until(
@@ -285,13 +268,8 @@ fn byzantine_run(
     attack: bool,
     guard: GuardConfig,
 ) -> (System, f64) {
-    let trace = TraceGenConfig::quick(24, SimDuration::from_hours(hours)).generate(seed);
-    let (setup, m) = fig6_setup(&trace, 0.25, 0.25, seed);
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        ..ProtocolConfig::default()
-    };
-    let mut system = System::with_faults(trace, protocol, setup, seed, chaos_schedule());
+    let (mut system, m) = VoteSamplingConfig::quick(24, SimDuration::from_hours(hours))
+        .system(seed, chaos_schedule());
     system.set_threads(threads);
     system.set_guard_config(guard);
     if attack {
@@ -427,13 +405,8 @@ fn byzantine_schedule_is_thread_count_invariant() {
 /// The fig6 cast, 24 peers × 12 h, audited, under `schedule` and `guard`
 /// with no adversary.
 fn honest_run(seed: u64, schedule: FaultSchedule, guard: GuardConfig) -> System {
-    let trace = TraceGenConfig::quick(24, SimDuration::from_hours(12)).generate(seed);
-    let (setup, _) = fig6_setup(&trace, 0.25, 0.25, seed);
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        ..ProtocolConfig::default()
-    };
-    let mut system = System::with_faults(trace, protocol, setup, seed, schedule);
+    let (mut system, _) =
+        VoteSamplingConfig::quick(24, SimDuration::from_hours(12)).system(seed, schedule);
     system.set_guard_config(guard);
     system.enable_audit();
     system.run_until(

@@ -23,10 +23,8 @@ use robust_vote_sampling::faults::{
 };
 use robust_vote_sampling::guard::GuardConfig;
 use robust_vote_sampling::scenario::checkpoint::first_divergence;
-use robust_vote_sampling::scenario::experiments::vote_sampling::fig6_setup;
-use robust_vote_sampling::scenario::{Checkpoint, ProtocolConfig, System};
+use robust_vote_sampling::scenario::{Checkpoint, System, VoteSamplingConfig};
 use rvs_sim::{NodeId, SimDuration, SimTime};
-use rvs_trace::TraceGenConfig;
 use std::fmt::Write as _;
 
 /// Everything observable about a finished run, as comparable text.
@@ -70,13 +68,8 @@ fn fingerprint(system: &System) -> String {
 }
 
 fn build(peers: usize, hours: u64, seed: u64, schedule: FaultSchedule) -> (System, [NodeId; 3]) {
-    let trace = TraceGenConfig::quick(peers, SimDuration::from_hours(hours)).generate(seed);
-    let (setup, m) = fig6_setup(&trace, 0.25, 0.25, seed);
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        ..ProtocolConfig::default()
-    };
-    let mut system = System::with_faults(trace, protocol, setup, seed, schedule);
+    let (mut system, m) =
+        VoteSamplingConfig::quick(peers, SimDuration::from_hours(hours)).system(seed, schedule);
     system.enable_audit();
     (system, m)
 }

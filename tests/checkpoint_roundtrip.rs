@@ -26,11 +26,9 @@
 
 use proptest::prelude::*;
 use robust_vote_sampling::faults::FaultSchedule;
-use robust_vote_sampling::scenario::experiments::vote_sampling::fig6_setup;
-use robust_vote_sampling::scenario::{Checkpoint, ProtocolConfig, System};
+use robust_vote_sampling::scenario::{Checkpoint, ProtocolConfig, System, VoteSamplingConfig};
 use rvs_checkpoint::DecodeError;
 use rvs_sim::{SimDuration, SimTime};
-use rvs_trace::TraceGenConfig;
 use std::sync::OnceLock;
 
 fn build(peers: usize, hours: u64, seed: u64) -> System {
@@ -38,13 +36,14 @@ fn build(peers: usize, hours: u64, seed: u64) -> System {
 }
 
 fn build_with(peers: usize, hours: u64, seed: u64, protocol: ProtocolConfig) -> System {
-    let trace = TraceGenConfig::quick(peers, SimDuration::from_hours(hours)).generate(seed);
-    let (setup, _m) = fig6_setup(&trace, 0.25, 0.25, seed);
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        ..protocol
+    let cfg = VoteSamplingConfig {
+        protocol: ProtocolConfig {
+            experience_t_mib: 1.0,
+            ..protocol
+        },
+        ..VoteSamplingConfig::quick(peers, SimDuration::from_hours(hours))
     };
-    System::with_faults(trace, protocol, setup, seed, FaultSchedule::default())
+    cfg.system(seed, FaultSchedule::default()).0
 }
 
 /// One mid-run checkpoint, shared by the mutation properties so the
@@ -438,8 +437,6 @@ fn dedup_window_ids_out_of_order_or_duplicated_are_corrupt() {
     use robust_vote_sampling::faults::FaultConfig;
     use rvs_sim::NodeId;
     // Scheduled delivery is what fills the windows.
-    let trace = TraceGenConfig::quick(10, SimDuration::from_hours(6)).generate(7);
-    let (setup, _m) = fig6_setup(&trace, 0.25, 0.25, 7);
     let schedule = FaultSchedule {
         config: FaultConfig {
             base_latency_ms: 5_000,
@@ -447,11 +444,8 @@ fn dedup_window_ids_out_of_order_or_duplicated_are_corrupt() {
         },
         ..FaultSchedule::default()
     };
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        ..ProtocolConfig::default()
-    };
-    let mut system = System::with_faults(trace, protocol, setup, 7, schedule);
+    let (mut system, _) =
+        VoteSamplingConfig::quick(10, SimDuration::from_hours(6)).system(7, schedule);
     system.run_until(
         SimTime::from_hours(3),
         SimDuration::from_hours(1),

@@ -252,3 +252,44 @@ fn ckpt_diff_names_the_first_differing_section() {
     );
     assert_rejected(&["ckpt", "diff", "a"], "usage: rvs ckpt diff A B");
 }
+
+#[test]
+fn a_resumed_run_reproduces_the_uninterrupted_accuracy_rows() {
+    // The resume path recovers M1–M3 from the checkpoint's trace alone;
+    // the rows and the board it prints must be the uninterrupted run's.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-resume");
+    std::fs::create_dir_all(&dir).unwrap();
+    let rvs = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_rvs"))
+            .args(args)
+            .output()
+            .expect("rvs runs");
+        assert!(out.status.success(), "`rvs {args:?}`: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    // `(hours, accuracy)` rows of the table, and the board after them.
+    let split = |stdout: &str| {
+        let (table, board) = stdout.split_once("moderator board").expect("a board");
+        let rows: Vec<(f64, String)> = table
+            .lines()
+            .filter_map(|line| {
+                let (hours, acc) = line.trim().split_once(char::is_whitespace)?;
+                Some((hours.parse().ok()?, acc.trim().to_string()))
+            })
+            .collect();
+        (rows, board.to_string())
+    };
+    let fresh = ["run", "--seed", "7", "--peers", "40", "--hours", "12"];
+    let (full, full_board) = split(&rvs(&fresh));
+    let dir_arg = dir.to_str().unwrap();
+    let cadence = ["--checkpoint-every", "6", "--checkpoint-dir", dir_arg];
+    rvs(&[&fresh[..], &cadence[..]].concat());
+    let ckpt = dir.join("ckpt-6h.ckpt");
+    let ckpt = ckpt.to_str().unwrap();
+    let (resumed, resumed_board) = split(&rvs(&["run", "--resume", ckpt, "--hours", "12"]));
+
+    let tail: Vec<_> = full.into_iter().filter(|(h, _)| *h >= 6.0).collect();
+    assert_eq!(tail.len(), 7, "rows 6 h–12 h");
+    assert_eq!(resumed, tail);
+    assert_eq!(resumed_board, full_board);
+}

@@ -2,10 +2,8 @@
 //! under lost encounters, gossip-PSS staleness, and network partitions.
 
 use robust_vote_sampling::faults::{FaultSchedule, PartitionSpec};
-use robust_vote_sampling::scenario::experiments::vote_sampling::fig6_setup;
-use robust_vote_sampling::scenario::{ProtocolConfig, System};
+use robust_vote_sampling::scenario::{ProtocolConfig, System, VoteSamplingConfig};
 use rvs_sim::{NodeId, SimDuration, SimTime};
-use rvs_trace::TraceGenConfig;
 
 /// Assert the run's invariant auditor saw checks and no violations.
 fn assert_clean_audit(system: &System) {
@@ -19,14 +17,15 @@ fn assert_clean_audit(system: &System) {
 }
 
 fn accuracy_with_loss(loss: f64, seed: u64) -> f64 {
-    let trace = TraceGenConfig::quick(24, SimDuration::from_hours(36)).generate(seed);
-    let (setup, m) = fig6_setup(&trace, 0.25, 0.25, seed);
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        message_loss: loss,
-        ..ProtocolConfig::default()
+    let quick = VoteSamplingConfig::quick(24, SimDuration::from_hours(36));
+    let cfg = VoteSamplingConfig {
+        protocol: ProtocolConfig {
+            message_loss: loss,
+            ..quick.protocol
+        },
+        ..quick
     };
-    let mut system = System::new(trace, protocol, setup, seed);
+    let (mut system, m) = cfg.system(seed, FaultSchedule::default());
     system.enable_audit();
     system.run_until(
         SimTime::from_hours(36),
@@ -62,14 +61,17 @@ fn heavy_loss_slows_but_does_not_corrupt() {
 
 #[test]
 fn total_loss_means_no_ballots_at_all() {
-    let trace = TraceGenConfig::quick(16, SimDuration::from_hours(12)).generate(57);
-    let (setup, _) = fig6_setup(&trace, 0.3, 0.3, 57);
-    let protocol = ProtocolConfig {
-        experience_t_mib: 0.0,
-        message_loss: 1.0,
-        ..ProtocolConfig::default()
+    let cfg = VoteSamplingConfig {
+        protocol: ProtocolConfig {
+            experience_t_mib: 0.0,
+            message_loss: 1.0,
+            ..ProtocolConfig::default()
+        },
+        positive_fraction: 0.3,
+        negative_fraction: 0.3,
+        ..VoteSamplingConfig::quick(16, SimDuration::from_hours(12))
     };
-    let mut system = System::new(trace, protocol, setup, 57);
+    let (mut system, _) = cfg.system(57, FaultSchedule::default());
     system.enable_audit();
     system.run_until(
         SimTime::from_hours(12),
@@ -111,13 +113,8 @@ fn split_brain_diverges_then_reconverges_after_heal() {
     };
 
     let run = |schedule: FaultSchedule| {
-        let trace = TraceGenConfig::quick(24, SimDuration::from_hours(hours)).generate(seed);
-        let (setup, m) = fig6_setup(&trace, 0.25, 0.25, seed);
-        let protocol = ProtocolConfig {
-            experience_t_mib: 1.0,
-            ..ProtocolConfig::default()
-        };
-        let mut system = System::with_faults(trace, protocol, setup, seed, schedule);
+        let (mut system, m) =
+            VoteSamplingConfig::quick(24, SimDuration::from_hours(hours)).system(seed, schedule);
         system.enable_audit();
         // Ordering accuracy at the last sample before the heal takes
         // effect. Both runs share a seed and trace, so samples land at
@@ -167,15 +164,16 @@ fn churn_with_stale_pss_conserves_every_encounter() {
     // offline, sends get dropped. The telemetry must account for every
     // initiated encounter exactly once, and message loss must actually
     // trigger (the loss knob is real, not dead configuration).
-    let trace = TraceGenConfig::quick(24, SimDuration::from_hours(30)).generate(61);
-    let (setup, _) = fig6_setup(&trace, 0.25, 0.25, 61);
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        message_loss: 0.3,
-        use_newscast_pss: true,
-        ..ProtocolConfig::default()
+    let quick = VoteSamplingConfig::quick(24, SimDuration::from_hours(30));
+    let cfg = VoteSamplingConfig {
+        protocol: ProtocolConfig {
+            message_loss: 0.3,
+            use_newscast_pss: true,
+            ..quick.protocol
+        },
+        ..quick
     };
-    let mut system = System::new(trace, protocol, setup, 61);
+    let (mut system, _) = cfg.system(61, FaultSchedule::default());
     system.enable_audit();
     system.run_until(
         SimTime::from_hours(30),

@@ -1,7 +1,7 @@
 //! End-to-end integration: the full protocol stack on synthetic traces.
 
-use robust_vote_sampling::scenario::experiments::vote_sampling::fig6_setup;
-use robust_vote_sampling::scenario::{ProtocolConfig, ScenarioSetup, System};
+use robust_vote_sampling::faults::FaultSchedule;
+use robust_vote_sampling::scenario::{ProtocolConfig, ScenarioSetup, System, VoteSamplingConfig};
 use rvs_sim::{NodeId, SimDuration, SimTime};
 use rvs_trace::TraceGenConfig;
 
@@ -27,9 +27,8 @@ fn assert_clean_audit(system: &System) {
 
 #[test]
 fn population_converges_on_correct_ordering() {
-    let trace = TraceGenConfig::quick(24, SimDuration::from_hours(36)).generate(11);
-    let (setup, m) = fig6_setup(&trace, 0.25, 0.25, 11);
-    let mut system = System::new(trace, quick_protocol(), setup, 11);
+    let (mut system, m) = VoteSamplingConfig::quick(24, SimDuration::from_hours(36))
+        .system(11, FaultSchedule::default());
     system.enable_audit();
     system.run_until(
         SimTime::from_hours(36),
@@ -44,9 +43,8 @@ fn population_converges_on_correct_ordering() {
 #[test]
 fn full_system_run_is_deterministic() {
     let run = || {
-        let trace = TraceGenConfig::quick(16, SimDuration::from_hours(12)).generate(3);
-        let (setup, m) = fig6_setup(&trace, 0.25, 0.25, 3);
-        let mut system = System::new(trace, quick_protocol(), setup, 3);
+        let (mut system, m) = VoteSamplingConfig::quick(16, SimDuration::from_hours(12))
+            .system(3, FaultSchedule::default());
         system.enable_audit();
         let mut curve = Vec::new();
         system.run_until(
@@ -125,9 +123,8 @@ fn cev_matches_manual_computation() {
 
 #[test]
 fn moderations_disseminate_through_full_stack() {
-    let trace = TraceGenConfig::quick(20, SimDuration::from_hours(24)).generate(13);
-    let (setup, m) = fig6_setup(&trace, 0.25, 0.25, 13);
-    let mut system = System::new(trace, quick_protocol(), setup, 13);
+    let (mut system, m) = VoteSamplingConfig::quick(20, SimDuration::from_hours(24))
+        .system(13, FaultSchedule::default());
     system.enable_audit();
     system.run_until(
         SimTime::from_hours(24),
@@ -149,14 +146,17 @@ fn moderations_disseminate_through_full_stack() {
 
 #[test]
 fn vote_lists_flow_into_ballots_only_via_experience() {
-    let trace = TraceGenConfig::quick(20, SimDuration::from_hours(18)).generate(17);
-    let (setup, _) = fig6_setup(&trace, 0.3, 0.0, 17);
-    // Impossibly high threshold: no node can ever be experienced.
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1e12,
-        ..ProtocolConfig::default()
+    let cfg = VoteSamplingConfig {
+        // Impossibly high threshold: no node can ever be experienced.
+        protocol: ProtocolConfig {
+            experience_t_mib: 1e12,
+            ..ProtocolConfig::default()
+        },
+        positive_fraction: 0.3,
+        negative_fraction: 0.0,
+        ..VoteSamplingConfig::quick(20, SimDuration::from_hours(18))
     };
-    let mut system = System::new(trace, protocol, setup, 17);
+    let (mut system, _) = cfg.system(17, FaultSchedule::default());
     system.enable_audit();
     system.run_until(
         SimTime::from_hours(18),
@@ -174,14 +174,16 @@ fn vote_lists_flow_into_ballots_only_via_experience() {
 
 #[test]
 fn newscast_pss_variant_also_converges() {
-    let trace = TraceGenConfig::quick(20, SimDuration::from_hours(36)).generate(19);
-    let (setup, m) = fig6_setup(&trace, 0.3, 0.3, 19);
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        use_newscast_pss: true,
-        ..ProtocolConfig::default()
+    let cfg = VoteSamplingConfig {
+        protocol: ProtocolConfig {
+            use_newscast_pss: true,
+            ..quick_protocol()
+        },
+        positive_fraction: 0.3,
+        negative_fraction: 0.3,
+        ..VoteSamplingConfig::quick(20, SimDuration::from_hours(36))
     };
-    let mut system = System::new(trace, protocol, setup, 19);
+    let (mut system, m) = cfg.system(19, FaultSchedule::default());
     system.enable_audit();
     system.run_until(
         SimTime::from_hours(36),

@@ -32,10 +32,8 @@ use robust_vote_sampling::faults::{
     BurstLoss, CrashSpec, FaultConfig, FaultSchedule, PartitionSpec, RetryConfig,
 };
 use robust_vote_sampling::scenario::checkpoint::first_divergence;
-use robust_vote_sampling::scenario::experiments::vote_sampling::fig6_setup;
-use robust_vote_sampling::scenario::{Checkpoint, ProtocolConfig, System};
+use robust_vote_sampling::scenario::{Checkpoint, System, VoteSamplingConfig};
 use rvs_sim::{NodeId, SimDuration, SimTime};
-use rvs_trace::TraceGenConfig;
 use std::fmt::Write as _;
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
@@ -104,13 +102,8 @@ fn build(
     schedule: FaultSchedule,
     threads: usize,
 ) -> (System, [NodeId; 3]) {
-    let trace = TraceGenConfig::quick(peers, SimDuration::from_hours(hours)).generate(seed);
-    let (setup, m) = fig6_setup(&trace, 0.25, 0.25, seed);
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        ..ProtocolConfig::default()
-    };
-    let mut system = System::with_faults(trace, protocol, setup, seed, schedule);
+    let (mut system, m) =
+        VoteSamplingConfig::quick(peers, SimDuration::from_hours(hours)).system(seed, schedule);
     system.set_threads(threads);
     system.enable_audit();
     (system, m)
@@ -333,13 +326,8 @@ fn rvs_threads_env_default_matches_explicit_set() {
     let (mut a, _) = build(12, 8, 7, FaultSchedule::default(), 1);
     a.run_until(SimTime::from_hours(8), thirds(8), |_, _| {});
     assert_eq!(a.audit_violations(), &[] as &[String]);
-    let trace = TraceGenConfig::quick(12, SimDuration::from_hours(8)).generate(7);
-    let (setup, _) = fig6_setup(&trace, 0.25, 0.25, 7);
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        ..ProtocolConfig::default()
-    };
-    let mut system = System::new(trace, protocol, setup, 7);
+    let (mut system, _) = VoteSamplingConfig::quick(12, SimDuration::from_hours(8))
+        .system(7, FaultSchedule::default());
     system.enable_audit();
     // Flip the pool size mid-run: 4 workers for the first half, then back
     // to the inline path for the second. Still byte-identical.

@@ -5,11 +5,10 @@ use robust_vote_sampling::core::{
     rank_ballot, rank_ballot_positive, select_votes, BallotBox, TopKList, Vote, VoteEntry,
     VoteListPolicy, VoxCache,
 };
-use robust_vote_sampling::scenario::experiments::vote_sampling::fig6_setup;
-use robust_vote_sampling::scenario::{ProtocolConfig, System};
+use robust_vote_sampling::faults::FaultSchedule;
+use robust_vote_sampling::scenario::{ProtocolConfig, VoteSamplingConfig};
 use rvs_bittorrent::Bitfield;
 use rvs_sim::{DetRng, NodeId, SimDuration, SimTime};
-use rvs_trace::TraceGenConfig;
 
 fn arb_vote() -> impl Strategy<Value = Vote> {
     prop_oneof![Just(Vote::Positive), Just(Vote::Negative)]
@@ -208,15 +207,16 @@ proptest! {
         loss in 0.0f64..0.5,
         newscast in prop::bool::ANY,
     ) {
-        let trace = TraceGenConfig::quick(16, SimDuration::from_hours(12)).generate(seed);
-        let (setup, _) = fig6_setup(&trace, 0.25, 0.25, seed);
-        let protocol = ProtocolConfig {
-            experience_t_mib: 1.0,
-            message_loss: loss,
-            use_newscast_pss: newscast,
-            ..ProtocolConfig::default()
+        let quick = VoteSamplingConfig::quick(16, SimDuration::from_hours(12));
+        let cfg = VoteSamplingConfig {
+            protocol: ProtocolConfig {
+                message_loss: loss,
+                use_newscast_pss: newscast,
+                ..quick.protocol
+            },
+            ..quick
         };
-        let mut system = System::new(trace, protocol, setup, seed);
+        let (mut system, _) = cfg.system(seed, FaultSchedule::default());
         system.enable_audit();
         system.run_until(SimTime::from_hours(12), SimDuration::from_hours(12), |_, _| {});
         let auditor = system.auditor().expect("audit enabled");

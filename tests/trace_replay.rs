@@ -1,8 +1,8 @@
 //! Integration: trace generation → piece-level BitTorrent replay →
 //! BarterCast accounting, checked for physical consistency.
 
-use robust_vote_sampling::scenario::experiments::vote_sampling::fig6_setup;
-use robust_vote_sampling::scenario::{ProtocolConfig, System};
+use robust_vote_sampling::faults::FaultSchedule;
+use robust_vote_sampling::scenario::VoteSamplingConfig;
 use rvs_bartercast::{BarterCast, BarterCastConfig};
 use rvs_bittorrent::{BitTorrentNet, NetConfig};
 use rvs_sim::{DetRng, NodeId, SimDuration, SimTime};
@@ -164,13 +164,8 @@ fn full_system_replay_passes_runtime_audit() {
     // with the invariant auditor on: physical conservation must survive the
     // protocols running on top, and the telemetry must account for every
     // gossip encounter the replay generated.
-    let trace = TraceGenConfig::quick(14, SimDuration::from_hours(18)).generate(15);
-    let (setup, _) = fig6_setup(&trace, 0.25, 0.25, 15);
-    let protocol = ProtocolConfig {
-        experience_t_mib: 1.0,
-        ..ProtocolConfig::default()
-    };
-    let mut system = System::new(trace, protocol, setup, 15);
+    let (mut system, _) = VoteSamplingConfig::quick(14, SimDuration::from_hours(18))
+        .system(15, FaultSchedule::default());
     system.enable_audit();
     system.run_until(
         SimTime::from_hours(18),
