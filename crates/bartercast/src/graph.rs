@@ -286,11 +286,11 @@ impl Persist for SubjectiveGraph {
         enc.varint(self.rows.len() as u64);
         let mut next_from = 0;
         for (&from, row) in self.sources.iter().zip(&self.rows) {
-            put_gap(enc, &mut next_from, from);
+            enc.gap(&mut next_from, u64::from(from.0));
             enc.varint(row.entries().len() as u64);
             let mut next_to = 0;
             for &e in row.entries() {
-                put_gap(enc, &mut next_to, e.to);
+                enc.gap(&mut next_to, u64::from(e.to.0));
                 enc.varint(self.out_kib(from, e));
             }
         }
@@ -310,7 +310,7 @@ impl Persist for SubjectiveGraph {
         let mut entries = Vec::new();
         let mut next_from = 0;
         for _ in 0..count {
-            let from = get_gap(dec, &mut next_from, "source")?;
+            let from = NodeId(dec.gap_u32(&mut next_from, "SubjectiveGraph: source")?);
             // An entry is two varints, at least a byte each.
             let len = dec.varint()?;
             if len == 0 {
@@ -325,7 +325,7 @@ impl Persist for SubjectiveGraph {
             entries.clear();
             let mut next_to = 0;
             for _ in 0..len {
-                let to = get_gap(dec, &mut next_to, "target")?;
+                let to = NodeId(dec.gap_u32(&mut next_to, "SubjectiveGraph: target")?);
                 if to == from {
                     return Err(corrupt("self-loop".into()));
                 }
@@ -352,24 +352,6 @@ impl Persist for SubjectiveGraph {
 
 fn corrupt(what: String) -> DecodeError {
     DecodeError::Corrupt(format!("SubjectiveGraph: {what}"))
-}
-
-/// Write `id` as its gap past `next`, the least id an ascending run still
-/// allows, and move `next` past it.
-fn put_gap(enc: &mut Encoder, next: &mut u64, id: NodeId) {
-    enc.varint(u64::from(id.0) - *next);
-    *next = u64::from(id.0) + 1;
-}
-
-/// Read what [`put_gap`] wrote; `what` names the id in the refusal of one
-/// past `u32`.
-fn get_gap(dec: &mut Decoder<'_>, next: &mut u64, what: &str) -> Result<NodeId, DecodeError> {
-    let id = next
-        .checked_add(dec.varint()?)
-        .and_then(|id| u32::try_from(id).ok())
-        .ok_or_else(|| corrupt(format!("{what} id overflows u32")))?;
-    *next = u64::from(id) + 1;
-    Ok(NodeId(id))
 }
 
 #[cfg(test)]

@@ -156,43 +156,86 @@ impl Bitfield {
     }
 }
 
-/// Stable binary encoding: words, piece count, set-bit count. Restore
-/// cross-validates word length, phantom bits, and the popcount so a corrupt
-/// bitfield is rejected instead of breaking availability accounting.
+/// The most pieces a restored bitfield may span: 2²¹, the ceiling
+/// libtorrent puts on a torrent. A checkpoint is outside input and an
+/// empty or full bitfield is a few bytes whatever its length, so this
+/// bounds what one of them may ask for (256 KiB); the decoder's
+/// [allowance](rvs_checkpoint::Decoder::allot) bounds what all of them
+/// ask for together.
+pub(crate) const MAX_PIECES: u32 = 1 << 21;
+
+/// The shape byte of an encoded bitfield: no piece, every piece, or some.
+const EMPTY: u8 = 0;
+const FULL: u8 = 1;
+const PARTIAL: u8 = 2;
+
+fn corrupt<T>(what: String) -> Result<T, rvs_checkpoint::DecodeError> {
+    Err(rvs_checkpoint::DecodeError::Corrupt(format!(
+        "Bitfield: {what}"
+    )))
+}
+
+/// Stable binary encoding: a shape byte — empty, full or partial — and
+/// the length as a [varint](rvs_checkpoint::Encoder::varint); only a
+/// partial bitfield then writes its words, with no length prefix, since
+/// the length fixes their number. The count is the popcount and is not
+/// written. A bitfield of length 0 is empty. Restore takes only what
+/// persist writes: a known shape, a length of at most [`MAX_PIECES`]
+/// (and above 0 when full), words the bytes left can hold, no bit past
+/// the length, and a partial popcount strictly between 0 and the length.
+/// The words of an empty or full bitfield are
+/// [allotted](rvs_checkpoint::Decoder::allot) before they are built.
 impl rvs_checkpoint::Persist for Bitfield {
     fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        self.words.persist(enc);
-        enc.u32(self.len);
-        enc.u32(self.count);
+        let shape = match self.count {
+            0 => EMPTY,
+            c if c == self.len => FULL,
+            _ => PARTIAL,
+        };
+        enc.u8(shape);
+        enc.varint(u64::from(self.len));
+        if shape == PARTIAL {
+            self.words.iter().for_each(|&w| enc.u64(w));
+        }
     }
 
     fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        let words: Vec<u64> = Vec::restore(dec)?;
-        let len = dec.u32()?;
-        let count = dec.u32()?;
-        if words.len() != (len as usize).div_ceil(64) {
-            return Err(rvs_checkpoint::DecodeError::Corrupt(format!(
-                "Bitfield word count {} inconsistent with length {len}",
-                words.len()
-            )));
-        }
-        let tail = len % 64;
-        if tail != 0 {
-            if let Some(&last) = words.last() {
-                if last & !((1u64 << tail) - 1) != 0 {
-                    return Err(rvs_checkpoint::DecodeError::Corrupt(
-                        "Bitfield has bits set beyond its length".to_string(),
+        let shape = dec.u8()?;
+        let len = dec.varint()?;
+        let len = match u32::try_from(len) {
+            Ok(len) if len <= MAX_PIECES => len,
+            _ => return corrupt(format!("length {len} is past {MAX_PIECES} pieces")),
+        };
+        let n = (len as usize).div_ceil(64);
+        match shape {
+            EMPTY => {
+                dec.allot(n * 8, "Bitfield")?;
+                Ok(Bitfield::empty(len))
+            }
+            FULL if len > 0 => {
+                dec.allot(n * 8, "Bitfield")?;
+                Ok(Bitfield::full(len))
+            }
+            PARTIAL => {
+                if n * 8 > dec.remaining() {
+                    return corrupt(format!(
+                        "{n} words claimed with {} bytes left",
+                        dec.remaining()
                     ));
                 }
+                let words = (0..n).map(|_| dec.u64()).collect::<Result<Vec<_>, _>>()?;
+                let tail = len % 64;
+                if tail != 0 && words.last().is_some_and(|&w| w >> tail != 0) {
+                    return corrupt("bits set beyond its length".to_string());
+                }
+                let count: u32 = words.iter().map(|w| w.count_ones()).sum();
+                if count == 0 || count == len {
+                    return corrupt(format!("partial with {count} of {len} pieces"));
+                }
+                Ok(Bitfield { words, len, count })
             }
+            _ => corrupt(format!("shape byte {shape} for length {len}")),
         }
-        let popcount: u32 = words.iter().map(|w| w.count_ones()).sum();
-        if popcount != count {
-            return Err(rvs_checkpoint::DecodeError::Corrupt(format!(
-                "Bitfield count {count} does not match popcount {popcount}"
-            )));
-        }
-        Ok(Bitfield { words, len, count })
     }
 }
 
@@ -205,6 +248,8 @@ impl fmt::Debug for Bitfield {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rvs_checkpoint::{DecodeError, Encoder};
 
     #[test]
     fn empty_has_nothing() {
@@ -290,6 +335,113 @@ mod tests {
         assert!(bf.is_empty());
         assert!(bf.is_complete());
         assert_eq!(bf.progress(), 1.0);
+    }
+
+    /// Restore of `shape`, `len` and `words` written as persist would.
+    fn restored(shape: u8, len: u64, words: &[u64]) -> Result<Bitfield, DecodeError> {
+        let mut enc = Encoder::new();
+        enc.u8(shape);
+        enc.varint(len);
+        words.iter().for_each(|&w| enc.u64(w));
+        rvs_checkpoint::from_bytes(&enc.into_bytes())
+    }
+
+    #[test]
+    fn shapes_write_only_the_words_of_a_partial_bitfield() {
+        assert_eq!(rvs_checkpoint::to_bytes(&Bitfield::empty(130)), [0, 130, 1]);
+        assert_eq!(rvs_checkpoint::to_bytes(&Bitfield::full(130)), [1, 130, 1]);
+        assert_eq!(rvs_checkpoint::to_bytes(&Bitfield::full(0)), [0, 0]);
+        let mut some = Bitfield::empty(70);
+        some.set(3);
+        some.set(69);
+        let bytes = rvs_checkpoint::to_bytes(&some);
+        assert_eq!(bytes[..2], [2, 70]);
+        assert_eq!(bytes.len(), 2 + 2 * 8);
+        let back: Bitfield = rvs_checkpoint::from_bytes(&bytes).expect("roundtrip");
+        assert_eq!((back.count(), back), (2, some));
+    }
+
+    #[test]
+    fn restore_refuses_what_persist_never_writes() {
+        let refused = |shape, len, words: &[u64]| match restored(shape, len, words) {
+            Err(DecodeError::Corrupt(msg)) => msg,
+            other => panic!("expected Corrupt, got {other:?}"),
+        };
+        assert_eq!(refused(3, 8, &[]), "Bitfield: shape byte 3 for length 8");
+        assert_eq!(refused(1, 0, &[]), "Bitfield: shape byte 1 for length 0");
+        assert_eq!(refused(2, 8, &[0]), "Bitfield: partial with 0 of 8 pieces");
+        assert_eq!(
+            refused(2, 8, &[0xFF]),
+            "Bitfield: partial with 8 of 8 pieces"
+        );
+        assert_eq!(
+            refused(2, 8, &[0x100 | 1]),
+            "Bitfield: bits set beyond its length"
+        );
+        assert_eq!(
+            refused(2, 130, &[1, 0]),
+            "Bitfield: 3 words claimed with 16 bytes left"
+        );
+        let past = u64::from(MAX_PIECES) + 1;
+        assert_eq!(
+            refused(0, past, &[]),
+            format!("Bitfield: length {past} is past {MAX_PIECES} pieces")
+        );
+        assert!(refused(1, 1 << 32, &[]).contains("length 4294967296 is past"));
+        // The longest length is a length: full over all of it.
+        let full = restored(1, u64::from(MAX_PIECES), &[]).expect("full");
+        assert!(full.is_complete() && full.len() == MAX_PIECES);
+    }
+
+    #[test]
+    fn empty_bitfields_together_build_no_more_than_the_input_allows() {
+        // Five bytes each, 256 KiB each once restored: 4,096 would be a GiB.
+        let mut enc = Encoder::new();
+        enc.usize(4096);
+        for _ in 0..4096 {
+            enc.u8(EMPTY);
+            enc.varint(u64::from(MAX_PIECES));
+        }
+        let bytes = enc.into_bytes();
+        assert_eq!(bytes.len(), 8 + 4096 * 5);
+        match rvs_checkpoint::from_bytes::<Vec<Bitfield>>(&bytes) {
+            Err(DecodeError::Corrupt(msg)) => {
+                assert!(msg.starts_with("Bitfield: 262144 bytes to build"), "{msg}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// Lengths of every kind: none, a partial last word, whole words.
+    fn arb_len() -> impl Strategy<Value = u32> {
+        prop_oneof![0u32..200, (1u32..5).prop_map(|words| 64 * words)]
+    }
+
+    proptest! {
+        /// Every shape — empty, full, partial, over lengths that are and
+        /// are not multiples of 64 — round-trips byte-identically.
+        #[test]
+        fn every_shape_round_trips_byte_identically(
+            len in arb_len(),
+            shape in 0u8..3,
+            picks in prop::collection::vec(any::<u32>(), 0..40),
+        ) {
+            let mut bf = match shape {
+                1 => Bitfield::full(len),
+                _ => Bitfield::empty(len),
+            };
+            if shape == 2 && len > 0 {
+                for p in picks {
+                    bf.set(p % len);
+                }
+            }
+            let bytes = rvs_checkpoint::to_bytes(&bf);
+            let back: Bitfield = rvs_checkpoint::from_bytes(&bytes)
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(back.count(), bf.ones().count() as u32);
+            prop_assert_eq!(rvs_checkpoint::to_bytes(&back), bytes);
+            prop_assert_eq!(back, bf);
+        }
     }
 
     #[test]

@@ -180,13 +180,6 @@ impl TransferLedger {
             .flat_map(|a| a.out.iter().map(move |&(to, kib)| (a.peer, to, kib)))
     }
 
-    /// The transpose of [`iter`](Self::iter): `(to, from, kib)`, ascending.
-    fn iter_incoming(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
-        self.accounts
-            .iter()
-            .flat_map(|a| a.inc.iter().map(move |&(from, kib)| (a.peer, from, kib)))
-    }
-
     /// Directed edges into `to`: `(from, kib)` pairs ascending by `from`.
     pub fn uploads_to(&self, to: NodeId) -> impl Iterator<Item = (NodeId, u64)> + '_ {
         let row = self.account(to).map_or(&[][..], |a| &a.inc);
@@ -214,77 +207,86 @@ fn corrupt<T>(what: &str) -> Result<T, DecodeError> {
     Err(DecodeError::Corrupt(format!("TransferLedger: {what}")))
 }
 
-/// One persisted pair map read back as rows: a length, then
-/// `((peer, other), kib)` entries that must strictly ascend (a map let the
-/// last of two equal keys win), with no zero and no self entry (`credit`
-/// books neither). Returns the entry count beside the rows.
-fn restore_rows(dec: &mut Decoder<'_>) -> Result<(usize, Vec<(NodeId, Row)>), DecodeError> {
-    let len = dec.seq_len()?;
-    let mut rows: Vec<(NodeId, Row)> = Vec::new();
-    let mut last = None;
-    for _ in 0..len {
-        let ((peer, other), kib) = <((NodeId, NodeId), u64)>::restore(dec)?;
-        if last >= Some((peer, other)) {
-            return corrupt("entries must ascend");
-        }
-        if peer == other {
-            return corrupt("self-edge");
-        }
-        if kib == 0 {
-            return corrupt("zero entry");
-        }
-        last = Some((peer, other));
-        match rows.last_mut() {
-            Some((p, row)) if *p == peer => row.push((other, kib)),
-            _ => rows.push((peer, vec![(other, kib)])),
-        }
-    }
-    Ok((len, rows))
-}
-
-/// Stable binary encoding, the bytes of the two pair maps the ledger used
-/// to be: the forward entries `((from, to), kib)` behind their count, the
-/// transposed entries `((to, from), kib)` behind theirs, the grand total.
-/// The last two are functions of the first and a checkpoint is outside
-/// input, so restore checks both against the forward entries before it
-/// sums the per-peer totals from them.
+/// The forward rows only, every number a [varint](Encoder::varint): the
+/// count of peers that uploaded, then per uploader its id's
+/// [gap](Encoder::gap) and its row length, then per downloader the id's
+/// gap and the KiB. Gaps make both kinds of id strictly ascend, so the
+/// rows are canonical by construction. The transposed rows, each account's
+/// totals and the grand total are functions of these and are rebuilt. A
+/// checkpoint is outside input, so restore refuses what no sequence of
+/// credits books — an empty row, a zero entry, a self-edge, a sum past
+/// `u64` — and any count the bytes left cannot hold, before it allocates.
 impl Persist for TransferLedger {
     fn persist(&self, enc: &mut Encoder) {
-        enc.usize(self.edge_count());
-        for (from, to, kib) in self.iter() {
-            ((from, to), kib).persist(enc);
+        let uploaders = || self.accounts.iter().filter(|a| !a.out.is_empty());
+        enc.varint(uploaders().count() as u64);
+        let mut next_from = 0;
+        for a in uploaders() {
+            enc.gap(&mut next_from, u64::from(a.peer.0));
+            enc.varint(a.out.len() as u64);
+            let mut next_to = 0;
+            for &(to, kib) in &a.out {
+                enc.gap(&mut next_to, u64::from(to.0));
+                enc.varint(kib);
+            }
         }
-        enc.usize(self.accounts.iter().map(|a| a.inc.len()).sum());
-        for (to, from, kib) in self.iter_incoming() {
-            ((to, from), kib).persist(enc);
-        }
-        self.total_kib.persist(enc);
     }
 
     fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let (edges, out) = restore_rows(dec)?;
-        let (transposed, inc) = restore_rows(dec)?;
-        let total = u64::restore(dec)?;
-        // Equally many entries, no key twice, and every transposed entry
-        // found forward with its value: a bijection.
-        let forward = |from: NodeId, to: NodeId| {
-            let at = out.binary_search_by_key(&from, |&(p, _)| p).ok()?;
-            entry(&out[at].1, to)
-        };
-        let is_transpose = transposed == edges
-            && inc.iter().all(|(to, row)| {
-                row.iter()
-                    .all(|&(from, kib)| forward(from, *to) == Some(kib))
-            });
-        if !is_transpose {
-            return corrupt("`incoming` is not the transpose of `kib`");
+        let count = dec.varint()?;
+        if count > dec.remaining() as u64 {
+            return corrupt(&format!(
+                "{count} rows claimed with {} bytes left",
+                dec.remaining()
+            ));
         }
-        let sum = out
+        let mut out: Vec<(NodeId, Row)> = Vec::with_capacity(count as usize);
+        let mut total_kib = 0u64;
+        let mut next_from = 0;
+        for _ in 0..count {
+            let from = NodeId(dec.gap_u32(&mut next_from, "TransferLedger: uploader")?);
+            // An entry is two varints, at least a byte each.
+            let len = dec.varint()?;
+            if len == 0 {
+                return corrupt("empty row");
+            }
+            if len > (dec.remaining() / 2) as u64 {
+                return corrupt(&format!(
+                    "row of {len} entries claimed with {} bytes left",
+                    dec.remaining()
+                ));
+            }
+            let mut row = Row::with_capacity(len as usize);
+            let mut next_to = 0;
+            for _ in 0..len {
+                let to = NodeId(dec.gap_u32(&mut next_to, "TransferLedger: downloader")?);
+                if to == from {
+                    return corrupt("self-edge");
+                }
+                let kib = dec.varint()?;
+                if kib == 0 {
+                    return corrupt("zero entry");
+                }
+                match total_kib.checked_add(kib) {
+                    Some(sum) => total_kib = sum,
+                    None => return corrupt("the KiB sum overflows u64"),
+                }
+                row.push((to, kib));
+            }
+            out.push((from, row));
+        }
+        // The transpose: every entry keyed by downloader, then uploader.
+        let mut transposed: Vec<(NodeId, NodeId, u64)> = out
             .iter()
-            .flat_map(|(_, row)| row)
-            .try_fold(0u64, |acc, &(_, kib)| acc.checked_add(kib));
-        if sum != Some(total) {
-            return corrupt("`total_kib` is not the sum of `kib`");
+            .flat_map(|(from, row)| row.iter().map(|&(to, kib)| (to, *from, kib)))
+            .collect();
+        transposed.sort_unstable_by_key(|&(to, from, _)| (to, from));
+        let mut inc: Vec<(NodeId, Row)> = Vec::new();
+        for (to, from, kib) in transposed {
+            match inc.last_mut() {
+                Some((p, row)) if *p == to => row.push((from, kib)),
+                _ => inc.push((to, vec![(from, kib)])),
+            }
         }
         // One account per peer of either side, in one ascending merge. No
         // per-peer sum can overflow: each is at most the total.
@@ -304,7 +306,7 @@ impl Persist for TransferLedger {
         }
         Ok(TransferLedger {
             accounts,
-            total_kib: total,
+            total_kib,
         })
     }
 }
@@ -416,57 +418,63 @@ mod tests {
     }
 
     #[test]
-    fn restore_checks_the_derived_maps_against_the_forward_one() {
+    fn only_the_forward_rows_are_written_and_the_rest_is_rebuilt() {
         let mut l = TransferLedger::new();
         l.credit(NodeId(1), NodeId(2), 10);
         l.credit(NodeId(3), NodeId(1), 4);
-        let corrupt = |l: &TransferLedger| match rvs_checkpoint::from_bytes::<TransferLedger>(
-            &rvs_checkpoint::to_bytes(l),
-        ) {
-            Err(DecodeError::Corrupt(msg)) => msg,
-            other => panic!("expected Corrupt, got {other:?}"),
-        };
-        let mut altered = l.clone();
-        altered.account_mut(NodeId(2)).inc[0].1 += 1;
-        assert!(corrupt(&altered).contains("transpose"));
-        let mut extra = l.clone();
-        extra.account_mut(NodeId(7)).inc.push((NodeId(8), 1));
-        assert!(corrupt(&extra).contains("transpose"));
-        let mut total = l.clone();
-        total.total_kib -= 1;
-        assert!(corrupt(&total).contains("sum"));
-        // Rows whose sum does not fit are not a total either.
-        let mut huge = TransferLedger::new();
-        huge.credit(NodeId(1), NodeId(2), u64::MAX);
-        huge.account_mut(NodeId(2)).out.push((NodeId(1), 2));
-        huge.account_mut(NodeId(1)).inc.push((NodeId(2), 2));
-        huge.total_kib = 1;
-        assert!(corrupt(&huge).contains("sum"));
+        l.credit(NodeId(3), NodeId(2), 7);
+        let bytes = rvs_checkpoint::to_bytes(&l);
+        // Two uploaders: 1 → {2: 10}, then 3 (gap 1) → {1: 4, 2 (gap 0): 7}.
+        assert_eq!(bytes, [2, 1, 1, 2, 10, 1, 2, 1, 4, 0, 7]);
+        let back: TransferLedger = rvs_checkpoint::from_bytes(&bytes).expect("roundtrip");
+        assert_eq!(back, l);
+        assert_eq!(back.total_kib(), 21);
+        assert_eq!(back.peer_totals(NodeId(2)), (0, 17));
+        assert_eq!(
+            back.uploads_to(NodeId(2)).collect::<Vec<_>>(),
+            [(NodeId(1), 10), (NodeId(3), 7)]
+        );
+    }
+
+    /// Restore of `varints`, written one after another as the rows would be.
+    fn ledger_of(varints: &[u64]) -> Result<TransferLedger, DecodeError> {
+        let mut enc = Encoder::new();
+        varints.iter().for_each(|&v| enc.varint(v));
+        rvs_checkpoint::from_bytes(&enc.into_bytes())
     }
 
     #[test]
     fn restore_refuses_what_credit_never_books() {
-        // The forward map alone, as bytes: a length and `((from, to), kib)`.
-        let ledger_of = |forward: &[((u32, u32), u64)]| {
-            let mut enc = Encoder::new();
-            forward.to_vec().persist(&mut enc);
-            rvs_checkpoint::from_bytes::<TransferLedger>(&enc.into_bytes())
-        };
-        let refused = |forward: &[((u32, u32), u64)]| match ledger_of(forward) {
+        let refused = |varints: &[u64]| match ledger_of(varints) {
             Err(DecodeError::Corrupt(msg)) => msg,
             other => panic!("expected Corrupt, got {other:?}"),
         };
-        assert!(refused(&[((1, 2), 5), ((1, 2), 6)]).contains("ascend"));
-        assert!(refused(&[((1, 3), 5), ((1, 2), 6)]).contains("ascend"));
-        assert!(refused(&[((2, 1), 5), ((1, 2), 6)]).contains("ascend"));
-        assert!(refused(&[((1, 2), 0)]).contains("zero entry"));
-        assert!(refused(&[((4, 4), 9)]).contains("self-edge"));
-        // A far-away id is an id, not a size: the bytes simply run out at
-        // the second map.
-        assert!(matches!(
-            ledger_of(&[((1, u32::MAX), 5)]),
-            Err(DecodeError::Truncated { .. })
-        ));
+        // One row: uploader gap, row length, then (downloader gap, KiB).
+        assert_eq!(refused(&[1, 1, 1, 2, 0]), "TransferLedger: zero entry");
+        assert_eq!(refused(&[1, 4, 1, 4, 9]), "TransferLedger: self-edge");
+        assert_eq!(refused(&[1, 1, 0]), "TransferLedger: empty row");
+        assert_eq!(
+            refused(&[1, 1, 2, 2, u64::MAX, 0, 1]),
+            "TransferLedger: the KiB sum overflows u64"
+        );
+        assert_eq!(
+            refused(&[1, 1 << 32, 1, 0, 5]),
+            "TransferLedger: uploader id overflows u32"
+        );
+        assert_eq!(
+            refused(&[1, 1, 1, 1 << 32, 5]),
+            "TransferLedger: downloader id overflows u32"
+        );
+        assert_eq!(
+            refused(&[1, 1, 2, 2, 5, u64::MAX, 5]),
+            "TransferLedger: downloader id overflows u32"
+        );
+        // Counts the bytes left cannot hold, refused before any allocation.
+        assert!(refused(&[1 << 40]).starts_with("TransferLedger: 1099511627776 rows claimed"));
+        assert!(refused(&[1, 1, 1 << 40]).starts_with("TransferLedger: row of 1099511627776"));
+        // A far-away id is an id, not a size.
+        let far = ledger_of(&[1, 1, 1, u64::from(u32::MAX), 5]).expect("an honest row");
+        assert_eq!(far.uploaded_kib(NodeId(1), NodeId(u32::MAX)), 5);
     }
 
     mod oracle;

@@ -1,7 +1,7 @@
 //! The ledger as it was written before it became per-peer rows: three
 //! `BTreeMap`s, every credit four `entry` calls, every per-peer query a range
 //! scan. It is the reference the rows are held to, step for step, down to
-//! the checkpoint bytes.
+//! the checkpoint bytes, which it writes from its forward map.
 
 use super::*;
 use proptest::prelude::*;
@@ -55,12 +55,26 @@ impl MapLedger {
             .collect()
     }
 
-    /// The checkpoint bytes as the maps wrote them.
+    /// The checkpoint bytes written from the forward map: the uploader
+    /// count, then per uploader its id gap and row length, then per entry
+    /// the downloader's id gap and the KiB, all varints.
     fn to_bytes(&self) -> Vec<u8> {
+        let mut rows: BTreeMap<NodeId, Vec<(NodeId, u64)>> = BTreeMap::new();
+        for (&(from, to), &kib) in &self.kib {
+            rows.entry(from).or_default().push((to, kib));
+        }
         let mut enc = Encoder::new();
-        self.kib.persist(&mut enc);
-        self.incoming.persist(&mut enc);
-        self.total_kib.persist(&mut enc);
+        enc.varint(rows.len() as u64);
+        let mut next_from = 0;
+        for (from, row) in rows {
+            enc.gap(&mut next_from, u64::from(from.0));
+            enc.varint(row.len() as u64);
+            let mut next_to = 0;
+            for (to, kib) in row {
+                enc.gap(&mut next_to, u64::from(to.0));
+                enc.varint(kib);
+            }
+        }
         enc.into_bytes()
     }
 }

@@ -39,9 +39,8 @@ impl Availability {
     }
 
     /// Rebuild the level index from per-piece counts. The table has
-    /// `max(counts) + 1` levels, so a caller holding counts from outside
-    /// the program bounds them first (`SwarmSim::restore` checks them
-    /// against the member bitfields).
+    /// `max(counts) + 1` levels, so counts must not come from outside the
+    /// program: `SwarmSim::restore` counts them from the member bitfields.
     pub(crate) fn from_counts(counts: Vec<u32>) -> Self {
         let words = counts.len().div_ceil(64);
         let level_count = counts.iter().max().map_or(0, |&top| top as usize) + 1;
@@ -56,11 +55,6 @@ impl Availability {
             levels,
             level_pop,
         }
-    }
-
-    /// The per-piece counts — the persisted half of the state.
-    pub(crate) fn counts(&self) -> &Vec<u32> {
-        &self.counts
     }
 
     fn words(&self) -> usize {
@@ -515,11 +509,11 @@ mod tests {
         avail.add_bitfield(&seeder);
         avail.add_bitfield(&part);
         avail.add_piece(1);
-        assert_eq!(avail, Availability::from_counts(avail.counts().clone()));
+        assert_eq!(avail, Availability::from_counts(avail.counts.clone()));
         assert_eq!(avail.level_pop, vec![0, 65, 5]);
         // Leaving empties the top level, and the table shrinks with it.
         avail.remove_bitfield(&part);
-        assert_eq!(avail, Availability::from_counts(avail.counts().clone()));
+        assert_eq!(avail, Availability::from_counts(avail.counts.clone()));
         assert_eq!(avail.level_pop, vec![0, 69, 1]);
         avail.remove_bitfield(&seeder);
         assert_eq!(avail.level_pop, vec![69, 1]);
@@ -609,7 +603,7 @@ mod tests {
                     }
                     prop_assert_eq!(
                         &avail,
-                        &Availability::from_counts(avail.counts().clone())
+                        &Availability::from_counts(avail.counts.clone())
                     );
                 }
             }

@@ -10,7 +10,7 @@
 //! index in it is its *slot*, and a tick works on slots — and all coin flips
 //! come from the caller's [`DetRng`], so runs are reproducible.
 
-use crate::bitfield::Bitfield;
+use crate::bitfield::{Bitfield, MAX_PIECES};
 use crate::choke::{rechoke, ChokePolicy};
 use crate::ledger::CreditSink;
 use crate::selection::{pick_piece_avoiding, Availability};
@@ -150,39 +150,25 @@ rvs_checkpoint::persist_struct!(LinkProfile {
     downlink_kibps
 });
 
-/// One value of every source that has it, in the bytes of the per-source
-/// map it used to be: the count, then id and value ascending by id.
-fn persist_per_source<V: Persist>(
-    sources: &[Source],
-    value: impl Fn(&Source) -> Option<V>,
-    enc: &mut Encoder,
-) {
-    enc.usize(sources.iter().filter(|s| value(s).is_some()).count());
-    for s in sources {
-        if let Some(v) = value(s) {
-            s.id.persist(enc);
-            v.persist(enc);
-        }
-    }
+/// Which of a source record's values are there: bit 0 the piece in
+/// flight, bit 1 the window receipts, bit 2 the uncredited fraction.
+fn presence(s: &Source) -> u8 {
+    u8::from(s.in_flight.is_some())
+        | u8::from(s.window_recv.is_some()) << 1
+        | u8::from(s.uncredited.is_some()) << 2
 }
 
-/// Read back what [`persist_per_source`] wrote. Records are found by
-/// binary search, so ids that do not strictly ascend are refused (a map let
-/// the last of two equal keys win).
-fn restore_per_source<V: Persist>(dec: &mut Decoder<'_>) -> Result<Vec<(NodeId, V)>, DecodeError> {
-    let entries: Vec<(NodeId, V)> = Vec::restore(dec)?;
-    if entries.windows(2).any(|w| w[0].0 >= w[1].0) {
-        return Err(DecodeError::Corrupt(
-            "Member: per-source ids must ascend".to_string(),
-        ));
-    }
-    Ok(entries)
+fn corrupt<T>(what: String) -> Result<T, DecodeError> {
+    Err(DecodeError::Corrupt(format!("Member: {what}")))
 }
 
 /// Stable binary encoding: the fields in declaration order, `sources` as
-/// the three per-source maps it replaced — pieces in flight, window
-/// receipts, uncredited fractions — so no field is skipped and no byte
-/// moved.
+/// one run of records — a [varint](Encoder::varint) count, then per record
+/// the source's id [gap](Encoder::gap), a presence byte, and the values
+/// present: the piece in flight as a varint and its KiB left as a raw
+/// `f64`, the window receipts as a varint, the uncredited fraction as a
+/// raw `f64`. A record with no value is not written. Gaps make the ids
+/// strictly ascend, which the binary search over records needs.
 impl Persist for Member {
     fn persist(&self, enc: &mut Encoder) {
         self.bitfield.persist(enc);
@@ -192,9 +178,23 @@ impl Persist for Member {
         self.unchoked.persist(enc);
         self.optimistic.persist(enc);
         self.rechokes.persist(enc);
-        persist_per_source(&self.sources, |s| s.in_flight, enc);
-        persist_per_source(&self.sources, |s| s.window_recv, enc);
-        persist_per_source(&self.sources, |s| s.uncredited, enc);
+        let kept = || self.sources.iter().filter(|s| presence(s) != 0);
+        enc.varint(kept().count() as u64);
+        let mut next = 0;
+        for s in kept() {
+            enc.gap(&mut next, u64::from(s.id.0));
+            enc.u8(presence(s));
+            if let Some((piece, left)) = s.in_flight {
+                enc.varint(u64::from(piece));
+                enc.f64(left);
+            }
+            if let Some(received) = s.window_recv {
+                enc.varint(received);
+            }
+            if let Some(fraction) = s.uncredited {
+                enc.f64(fraction);
+            }
+        }
     }
 
     fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -205,34 +205,40 @@ impl Persist for Member {
         let unchoked = Vec::restore(dec)?;
         let optimistic = Option::restore(dec)?;
         let rechokes = u32::restore(dec)?;
-        let in_flight = restore_per_source::<(u32, f64)>(dec)?;
-        let window_recv = restore_per_source::<u64>(dec)?;
-        let uncredited = restore_per_source::<f64>(dec)?;
-        // One record per id: the three ascending columns, stably sorted
-        // together, put a peer's values side by side.
-        let mut sources = Vec::new();
-        sources.extend(in_flight.into_iter().map(|(id, v)| Source {
-            in_flight: Some(v),
-            ..Source::new(id)
-        }));
-        sources.extend(window_recv.into_iter().map(|(id, v)| Source {
-            window_recv: Some(v),
-            ..Source::new(id)
-        }));
-        sources.extend(uncredited.into_iter().map(|(id, v)| Source {
-            uncredited: Some(v),
-            ..Source::new(id)
-        }));
-        sources.sort_by_key(|s| s.id);
-        sources.dedup_by(|later, kept| {
-            let same = later.id == kept.id;
-            if same {
-                kept.in_flight = kept.in_flight.or(later.in_flight);
-                kept.window_recv = kept.window_recv.or(later.window_recv);
-                kept.uncredited = kept.uncredited.or(later.uncredited);
+        // A record is at least its gap and its presence byte.
+        let count = dec.varint()?;
+        if count > (dec.remaining() / 2) as u64 {
+            return corrupt(format!(
+                "{count} source records claimed with {} bytes left",
+                dec.remaining()
+            ));
+        }
+        let mut sources = Vec::with_capacity(count as usize);
+        let mut next = 0;
+        for _ in 0..count {
+            let id = NodeId(dec.gap_u32(&mut next, "Member: source")?);
+            let present = dec.u8()?;
+            if !(1..=7).contains(&present) {
+                return corrupt(format!("source {id} has presence byte {present}"));
             }
-            same
-        });
+            let in_flight = if present & 1 != 0 {
+                let piece = dec.varint()?;
+                let Ok(piece) = u32::try_from(piece) else {
+                    return corrupt(format!("source {id} sends piece {piece}, past u32"));
+                };
+                Some((piece, dec.f64()?))
+            } else {
+                None
+            };
+            let window_recv = (present & 2 != 0).then(|| dec.varint()).transpose()?;
+            let uncredited = (present & 4 != 0).then(|| dec.f64()).transpose()?;
+            sources.push(Source {
+                id,
+                in_flight,
+                window_recv,
+                uncredited,
+            });
+        }
         Ok(Member {
             bitfield,
             role,
@@ -568,44 +574,40 @@ impl SwarmSim {
 }
 
 /// Stable binary encoding: spec, config, members (a length, then id and
-/// member in ascending id order), the availability counts, next rechoke.
-/// Slots are found by binary search, so restore refuses ids that are not
-/// strictly ascending. The counts are a function of the member bitfields, so
-/// restore checks them piece by piece — a count one too low would wrap on
-/// the next `leave` — and only then builds the level index, which is sized
-/// by the highest count.
+/// member in ascending id order), next rechoke. Slots are found by binary
+/// search, so restore refuses ids that are not strictly ascending. The
+/// availability counts are a function of the member bitfields and are not
+/// written: restore checks that every bitfield is over the file's pieces,
+/// counts the holders of each piece — a complete bitfield once, not piece
+/// by piece — and builds the level index from that count, which is sized
+/// by the highest count and so by the members. Both are
+/// [allotted](Decoder::allot) before they are built.
 impl Persist for SwarmSim {
     fn persist(&self, enc: &mut Encoder) {
         self.spec.persist(enc);
         self.cfg.persist(enc);
         self.members.persist(enc);
-        self.availability.counts().persist(enc);
         self.next_rechoke.persist(enc);
     }
 
     fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let corrupt = |what: String| Err(DecodeError::Corrupt(format!("SwarmSim: {what}")));
         let spec = SwarmSpec::restore(dec)?;
+        if spec.piece_size_kib == 0 {
+            return corrupt("piece size is zero".to_string());
+        }
+        let pieces = spec.piece_count();
+        if pieces > MAX_PIECES {
+            return corrupt(format!("{pieces} pieces, past {MAX_PIECES}"));
+        }
         let cfg = SwarmConfig::restore(dec)?;
         let members: Vec<(NodeId, Member)> = Vec::restore(dec)?;
-        let counts: Vec<u32> = Vec::restore(dec)?;
         if let Some(w) = members.windows(2).find(|w| w[0].0 >= w[1].0) {
             return corrupt(format!(
                 "member {} follows member {}, ids must ascend",
                 w[1].0, w[0].0
             ));
         }
-        if spec.piece_size_kib == 0 {
-            return corrupt("piece size is zero".to_string());
-        }
-        let pieces = spec.piece_count();
-        if counts.len() != pieces as usize {
-            return corrupt(format!(
-                "{} availability counts for {pieces} pieces",
-                counts.len()
-            ));
-        }
-        let mut holders = vec![0u32; counts.len()];
         for (peer, m) in &members {
             if m.bitfield.len() != pieces {
                 return corrupt(format!(
@@ -617,15 +619,21 @@ impl Persist for SwarmSim {
             if m.sources.iter().any(requests) {
                 return corrupt(format!("member {peer} requests a piece past {pieces}"));
             }
-            for p in m.bitfield.ones() {
-                holders[p as usize] += 1;
-            }
         }
-        if let Some(p) = (0..counts.len()).find(|&p| counts[p] != holders[p]) {
-            return corrupt(format!(
-                "piece {p} is counted {} times, {} members hold it",
-                counts[p], holders[p]
-            ));
+        // The counts and their level index — a level per holder count, at
+        // most one per member and one for none — are built, not read.
+        let (pieces, levels) = (pieces as usize, members.len() + 1);
+        dec.allot(
+            pieces * 4 + levels * (pieces.div_ceil(64) * 8 + 4),
+            "SwarmSim",
+        )?;
+        let (complete, partial): (Vec<_>, Vec<_>) =
+            members.iter().partition(|(_, m)| m.bitfield.is_complete());
+        let mut counts = vec![complete.len() as u32; pieces];
+        for (_, m) in partial {
+            for p in m.bitfield.ones() {
+                counts[p as usize] += 1;
+            }
         }
         Ok(SwarmSim {
             spec,
@@ -935,26 +943,70 @@ mod tests {
     }
 
     #[test]
-    fn restore_checks_the_counts_against_the_members() {
+    fn source_records_refuse_what_persist_never_writes() {
+        // A member without records ends in a record count of 0; put the
+        // crafted records in its place.
+        let member = Member::joining(160, MemberRole::Leecher, link(true, 64), true);
+        let with_records = |records: &dyn Fn(&mut Encoder)| {
+            let mut enc = Encoder::new();
+            let mut bytes = rvs_checkpoint::to_bytes(&member);
+            assert_eq!(bytes.pop(), Some(0), "the record count");
+            enc.raw(&bytes);
+            records(&mut enc);
+            rvs_checkpoint::from_bytes::<Member>(&enc.into_bytes())
+        };
+        let refused = |records: &dyn Fn(&mut Encoder)| match with_records(records) {
+            Err(DecodeError::Corrupt(msg)) => msg,
+            other => panic!("expected Corrupt, got {other:?}"),
+        };
+        // One record of source 5: its gap, presence byte, then values.
+        let record = |presence: u8| {
+            move |enc: &mut Encoder| {
+                enc.varint(1);
+                enc.varint(5);
+                enc.u8(presence);
+                enc.varint(7);
+            }
+        };
+        let honest = with_records(&record(2)).expect("window receipts of 7 KiB");
+        assert_eq!(honest.sources[0].window_recv, Some(7));
+        for presence in [0, 8] {
+            assert_eq!(
+                refused(&record(presence)),
+                format!("Member: source n5 has presence byte {presence}")
+            );
+        }
+        assert_eq!(
+            refused(&|enc| {
+                enc.varint(9);
+                enc.varint(5);
+            }),
+            "Member: 9 source records claimed with 1 bytes left"
+        );
+        assert_eq!(
+            refused(&|enc| {
+                enc.varint(1);
+                enc.varint(1 << 32);
+                enc.u8(2);
+                enc.varint(7);
+            }),
+            "Member: source id overflows u32"
+        );
+        assert_eq!(
+            refused(&|enc| {
+                enc.varint(1);
+                enc.varint(5);
+                enc.u8(1);
+                enc.varint(1 << 32);
+                enc.f64(1.0);
+            }),
+            "Member: source n5 sends piece 4294967296, past u32"
+        );
+    }
+
+    #[test]
+    fn restore_checks_the_members_against_the_file() {
         let sim = busy_swarm();
-        let held = sim
-            .member(NodeId(0))
-            .expect("member")
-            .bitfield
-            .ones()
-            .next()
-            .expect("seeder");
-        // One count too low: the next `leave` would take it below zero.
-        let mut low = sim.clone();
-        let mut counts = sim.availability.counts().clone();
-        counts[held as usize] -= 1;
-        low.availability = Availability::from_counts(counts.clone());
-        assert!(corrupt_message(&low).contains("is counted"));
-        // A short vector would index out of range on the next pick.
-        let mut short = sim.clone();
-        counts.pop();
-        short.availability = Availability::from_counts(counts);
-        assert!(corrupt_message(&short).contains("availability counts for"));
         // A member whose bitfield is over another file's pieces.
         let mut alien = sim.clone();
         let pieces = sim.spec.piece_count();
@@ -973,5 +1025,10 @@ mod tests {
         let mut sizeless = sim.clone();
         sizeless.spec.piece_size_kib = 0;
         assert!(corrupt_message(&sizeless).contains("piece size is zero"));
+        // A file whose bitfields would be a few bytes on disk each and
+        // more than 256 KiB in memory.
+        let mut huge = sim.clone();
+        huge.spec.file_size_mib = MAX_PIECES / 4 + 1;
+        assert!(corrupt_message(&huge).contains("pieces, past 2097152"));
     }
 }

@@ -6,7 +6,7 @@
 
 use super::*;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A member with a map per kind of per-source state.
 #[derive(Debug, Clone)]
@@ -26,20 +26,46 @@ struct MapMember {
     uncredited: BTreeMap<NodeId, f64>,
 }
 
-rvs_checkpoint::persist_struct!(MapMember {
-    bitfield,
-    role,
-    online,
-    link,
-    unchoked,
-    optimistic,
-    rechokes,
-    in_flight,
-    window_recv,
-    uncredited
-});
-
 impl MapMember {
+    /// The member's checkpoint bytes: its fields in declaration order, then
+    /// one record per source that any of the three maps holds — the id's
+    /// gap, a presence byte, the values present.
+    fn persist(&self, enc: &mut Encoder) {
+        self.bitfield.persist(enc);
+        self.role.persist(enc);
+        self.online.persist(enc);
+        self.link.persist(enc);
+        self.unchoked.persist(enc);
+        self.optimistic.persist(enc);
+        self.rechokes.persist(enc);
+        let ids: BTreeSet<NodeId> = (self.in_flight.keys())
+            .chain(self.window_recv.keys())
+            .chain(self.uncredited.keys())
+            .copied()
+            .collect();
+        enc.varint(ids.len() as u64);
+        let mut next = 0;
+        for id in ids {
+            enc.gap(&mut next, u64::from(id.0));
+            let in_flight = self.in_flight.get(&id);
+            let window_recv = self.window_recv.get(&id);
+            let uncredited = self.uncredited.get(&id);
+            enc.u8(u8::from(in_flight.is_some())
+                | u8::from(window_recv.is_some()) << 1
+                | u8::from(uncredited.is_some()) << 2);
+            if let Some(&(piece, left)) = in_flight {
+                enc.varint(u64::from(piece));
+                enc.f64(left);
+            }
+            if let Some(&received) = window_recv {
+                enc.varint(received);
+            }
+            if let Some(&fraction) = uncredited {
+                enc.f64(fraction);
+            }
+        }
+    }
+
     fn joining(pieces: u32, role: MemberRole, link: LinkProfile, online: bool) -> Self {
         MapMember {
             bitfield: match role {
@@ -275,13 +301,16 @@ impl MapSwarm {
         completions
     }
 
-    /// The checkpoint bytes as the map wrote them.
+    /// The checkpoint bytes, written from the maps.
     fn to_bytes(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         self.spec.persist(&mut enc);
         self.cfg.persist(&mut enc);
-        self.members.persist(&mut enc);
-        self.availability.counts().persist(&mut enc);
+        enc.usize(self.members.len());
+        for (id, m) in &self.members {
+            id.persist(&mut enc);
+            m.persist(&mut enc);
+        }
         self.next_rechoke.persist(&mut enc);
         enc.into_bytes()
     }
@@ -325,8 +354,8 @@ proptest! {
 
     /// Under any join / leave / online-flip history, firewalled pairs
     /// included, the slot-table swarm is the map-based one after every
-    /// step: its checkpoint is the bytes the maps wrote — every member's
-    /// whole state, the counts, the next rechoke — and restores to a swarm
+    /// step: its checkpoint is the bytes written from the maps — every
+    /// member's whole state, the next rechoke — and restores to a swarm
     /// that carries on alike; the availability index, the ledger, the
     /// completions and the generator are the same.
     #[test]

@@ -25,14 +25,19 @@
 //!   length-prefixed collections, `f64::to_bits` floats (bit-exact, no
 //!   text roundtrip), and section [tags](Encoder::tag) that turn a
 //!   misaligned decode into a diagnosable [`DecodeError::Corrupt`] instead
-//!   of garbage state. One codec is not fixed-width: an unsigned LEB128
+//!   of garbage state. Two codecs are not fixed-width: an unsigned LEB128
 //!   [varint](Encoder::varint), minimal encodings only, which a
-//!   hand-written impl may choose for small numbers — the subjective
-//!   graphs, most of a checkpoint's bytes, are rows of varint id gaps and
-//!   weights (DESIGN.md §12). No `Persist` impl in this crate uses it.
+//!   hand-written impl may choose for small numbers, and the id
+//!   [gap](Encoder::gap) built on it, which spells a strictly ascending
+//!   run of ids as varint differences — the subjective graphs, the
+//!   transfer ledger, a swarm member's per-source records and the dedup
+//!   windows are written with them (DESIGN.md §12). No `Persist` impl in
+//!   this crate uses either.
 //! * [`DecodeError`] — decoding adversarial or damaged bytes must *never*
 //!   panic (this crate is covered by rvs-lint's panic-surface rule); every
-//!   failure mode is a typed error.
+//!   failure mode is a typed error. Memory a restore builds beyond what
+//!   it reads is [allotted](Decoder::allot) from an allowance tied to the
+//!   input's length, so forged lengths cannot make it exhaust memory.
 //!
 //! The file-level container is [`write_header`] / [`read_header`]: a magic
 //! number plus [`FORMAT_VERSION`]. Any change to any `Persist`
@@ -47,7 +52,7 @@ use std::sync::Arc;
 
 /// Current checkpoint format version. Bump on ANY encoding change and
 /// document the new layout in DESIGN.md §12.
-pub const FORMAT_VERSION: u32 = 7;
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Magic bytes opening every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"RVSCKPT\0";
@@ -248,6 +253,21 @@ impl Encoder {
         self.buf.push(v as u8);
     }
 
+    /// Append `id` as a [varint](Encoder::varint) gap past `next`, the
+    /// least id a strictly ascending run still allows (0 before its first
+    /// id), and move `next` past `id`: the gap is `id − previous − 1`. A
+    /// run written this way cannot spell an id out of order or twice;
+    /// [`Decoder::gap`] reads it back. Ids stay below `u64::MAX`, so the
+    /// cursor past the last one fits.
+    pub fn gap(&mut self, next: &mut u64, id: u64) {
+        debug_assert!(
+            *next <= id && id < u64::MAX,
+            "gap ids ascend below u64::MAX"
+        );
+        self.varint(id.wrapping_sub(*next));
+        *next = id.wrapping_add(1);
+    }
+
     /// Append an `f64` as its exact IEEE-754 bit pattern.
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
@@ -299,12 +319,49 @@ impl Encoder {
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Bytes [`allot`](Decoder::allot) may still hand out.
+    allowance: usize,
 }
 
+/// Bytes of memory every decode may [allot](Decoder::allot), whatever
+/// its input's length.
+pub const ALLOT_FLOOR: usize = 4 << 20;
+
+/// Bytes of memory a decode may [allot](Decoder::allot) per byte of its
+/// input, on top of [`ALLOT_FLOOR`].
+pub const ALLOT_PER_BYTE: usize = 16;
+
 impl<'a> Decoder<'a> {
-    /// A decoder over `buf`, positioned at the start.
+    /// A decoder over `buf`, positioned at the start, with an allowance of
+    /// [`ALLOT_FLOOR`] plus [`ALLOT_PER_BYTE`] bytes per byte of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Decoder { buf, pos: 0 }
+        Decoder {
+            buf,
+            pos: 0,
+            allowance: buf
+                .len()
+                .saturating_mul(ALLOT_PER_BYTE)
+                .saturating_add(ALLOT_FLOOR),
+        }
+    }
+
+    /// Draw `bytes` from the decode's allowance before building memory the
+    /// input does not spell out byte for byte — a bitfield rebuilt from
+    /// its shape, availability counted from the members. What one restore
+    /// builds this way is then bounded by its input's length, however the
+    /// lengths inside were forged; a draw past the allowance is `Corrupt`,
+    /// with `what` in front.
+    pub fn allot(&mut self, bytes: usize, what: &str) -> Result<(), DecodeError> {
+        match self.allowance.checked_sub(bytes) {
+            Some(left) => {
+                self.allowance = left;
+                Ok(())
+            }
+            None => Err(DecodeError::Corrupt(format!(
+                "{what}: {bytes} bytes to build, {} left to allot",
+                self.allowance
+            ))),
+        }
     }
 
     /// Bytes not yet consumed.
@@ -374,6 +431,32 @@ impl<'a> Decoder<'a> {
         }
         // The 10th byte is at most 1, so it always ends the varint.
         Err(DecodeError::Corrupt("varint overflows u64".into()))
+    }
+
+    /// Read an id written by [`Encoder::gap`] and move `next` past it. A
+    /// gap that carries the id to `u64::MAX` or beyond is `Corrupt`: the
+    /// cursor past it would not fit. Ids that are `u32` are read by
+    /// [`gap_u32`](Decoder::gap_u32).
+    pub fn gap(&mut self, next: &mut u64) -> Result<u64, DecodeError> {
+        let id = next
+            .checked_add(self.varint()?)
+            .filter(|&id| id < u64::MAX)
+            .ok_or_else(|| DecodeError::Corrupt("id gap overflows u64".into()))?;
+        *next = id + 1;
+        Ok(id)
+    }
+
+    /// Read a `u32` id written by [`Encoder::gap`] and move `next` past
+    /// it. An id past `u32` — a gap past `u64` too — is `Corrupt` as
+    /// "`{what}` id overflows u32", so `what`, the caller's type and the
+    /// id's role, names the refusal.
+    pub fn gap_u32(&mut self, next: &mut u64, what: &str) -> Result<u32, DecodeError> {
+        let id = next
+            .checked_add(self.varint()?)
+            .and_then(|id| u32::try_from(id).ok())
+            .ok_or_else(|| DecodeError::Corrupt(format!("{what} id overflows u32")))?;
+        *next = u64::from(id) + 1;
+        Ok(id)
     }
 
     /// Read an `f64` from its IEEE-754 bit pattern.
@@ -972,6 +1055,73 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn gaps_spell_an_ascending_run_and_nothing_past_u64() {
+        let run = [0, 1, 5, 1 << 40, u64::MAX - 1];
+        let mut enc = Encoder::new();
+        let mut next = 0;
+        for id in run {
+            enc.gap(&mut next, id);
+        }
+        let bytes = enc.into_bytes();
+        // 0 and 1 follow their predecessors directly: gaps of zero.
+        assert_eq!(bytes[..2], [0, 0]);
+        let mut dec = Decoder::new(&bytes);
+        let mut next = 0;
+        for id in run {
+            assert_eq!(dec.gap(&mut next), Ok(id));
+        }
+        assert_eq!(dec.remaining(), 0);
+        // After `u64::MAX − 1` every gap reaches `u64::MAX` or beyond.
+        let mut next = u64::MAX - 1;
+        for gap in [1, 2, u64::MAX] {
+            let bytes = varint_bytes(gap);
+            assert_eq!(
+                Decoder::new(&bytes).gap(&mut next),
+                Err(DecodeError::Corrupt("id gap overflows u64".into()))
+            );
+        }
+    }
+
+    #[test]
+    fn narrow_gaps_name_the_caller_past_u32() {
+        let mut enc = Encoder::new();
+        let mut next = 0;
+        for id in [3, u64::from(u32::MAX)] {
+            enc.gap(&mut next, id);
+        }
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        let mut next = 0;
+        assert_eq!(dec.gap_u32(&mut next, "T: x"), Ok(3));
+        assert_eq!(dec.gap_u32(&mut next, "T: x"), Ok(u32::MAX));
+        assert_eq!(next, 1 << 32);
+        let refused = Err(DecodeError::Corrupt("T: x id overflows u32".into()));
+        for (from, gap) in [(0, 1 << 32), (1 << 32, 0), (u64::MAX - 1, u64::MAX)] {
+            let bytes = varint_bytes(gap);
+            assert_eq!(Decoder::new(&bytes).gap_u32(&mut { from }, "T: x"), refused);
+        }
+    }
+
+    #[test]
+    fn allotments_draw_on_an_allowance_the_input_pays_for() {
+        let bytes = [0u8; 3];
+        let mut dec = Decoder::new(&bytes);
+        assert_eq!(dec.allot(ALLOT_FLOOR, "T"), Ok(()));
+        assert_eq!(dec.allot(3 * ALLOT_PER_BYTE - 1, "T"), Ok(()));
+        assert_eq!(dec.allot(1, "T"), Ok(()));
+        assert_eq!(dec.allot(0, "T"), Ok(()));
+        assert_eq!(
+            dec.allot(1, "T"),
+            Err(DecodeError::Corrupt(
+                "T: 1 bytes to build, 0 left to allot".into()
+            ))
+        );
+        let mut empty = Decoder::new(&[]);
+        assert!(empty.allot(ALLOT_FLOOR + 1, "T").is_err());
+        assert_eq!(empty.allot(ALLOT_FLOOR, "T"), Ok(()));
     }
 
     #[test]

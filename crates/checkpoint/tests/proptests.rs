@@ -4,7 +4,10 @@
 //! * decoding arbitrary, truncated, or bit-flipped bytes never panics —
 //!   every failure is a typed [`DecodeError`];
 //! * any blob that decodes cleanly re-encodes to a canonical fixed point
-//!   (one normalization step, then byte-stable forever).
+//!   (one normalization step, then byte-stable forever);
+//! * the varint and id-gap codecs have one spelling per value: any value
+//!   (any strictly ascending run of ids) round-trips, and whatever
+//!   arbitrary bytes decode to re-encodes to exactly the bytes consumed.
 
 use proptest::prelude::*;
 use rvs_checkpoint::{
@@ -211,5 +214,75 @@ proptest! {
             Err(DecodeError::Truncated { .. } | DecodeError::Corrupt(_)) => {}
             Err(e) => return Err(TestCaseError::fail(format!("unexpected error {e}"))),
         }
+    }
+}
+
+/// Strictly ascending runs of ids below `u64::MAX`, their gaps spread over
+/// every varint width; a gap that would reach `u64::MAX` ends the run.
+fn arb_ascending_run() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(arb_varint_value(), 0..24).prop_map(|gaps| {
+        let mut next = 0u64;
+        let mut run = Vec::new();
+        for gap in gaps {
+            match next.checked_add(gap).filter(|&id| id < u64::MAX) {
+                Some(id) => {
+                    run.push(id);
+                    next = id + 1;
+                }
+                None => break,
+            }
+        }
+        run
+    })
+}
+
+proptest! {
+    /// Any strictly ascending run of ids below `u64::MAX` round-trips
+    /// through the gap codec, each id in the varint of its gap.
+    #[test]
+    fn an_ascending_run_round_trips_through_gaps(run in arb_ascending_run()) {
+        let mut enc = Encoder::new();
+        let mut next = 0;
+        for &id in &run {
+            enc.gap(&mut next, id);
+        }
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        let mut next = 0;
+        for &id in &run {
+            prop_assert_eq!(dec.gap(&mut next), Ok(id));
+        }
+        prop_assert_eq!(dec.remaining(), 0);
+    }
+
+    /// Arbitrary bytes read as a run of gaps either fail, or decode to ids
+    /// that strictly ascend and re-encode to exactly the prefix consumed:
+    /// no run is spelled two ways, and none out of order.
+    #[test]
+    fn decoded_gaps_reencode_to_the_bytes_they_read(
+        bytes in prop::collection::vec(0u8..=255, 0..40),
+        high in prop::collection::vec(0x80u8..=255, 0..10),
+    ) {
+        let input: Vec<u8> = high.into_iter().chain(bytes).collect();
+        let mut dec = Decoder::new(&input);
+        let mut next = 0;
+        let (mut run, mut used) = (Vec::new(), 0);
+        while dec.remaining() > 0 {
+            match dec.gap(&mut next) {
+                Ok(id) => {
+                    run.push(id);
+                    used = input.len() - dec.remaining();
+                }
+                Err(DecodeError::Truncated { .. } | DecodeError::Corrupt(_)) => break,
+                Err(e) => return Err(TestCaseError::fail(format!("unexpected error {e}"))),
+            }
+        }
+        prop_assert!(run.windows(2).all(|w| w[0] < w[1]));
+        let mut enc = Encoder::new();
+        let mut next = 0;
+        for &id in &run {
+            enc.gap(&mut next, id);
+        }
+        prop_assert_eq!(enc.into_bytes(), input[..used].to_vec());
     }
 }

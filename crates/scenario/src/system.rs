@@ -181,6 +181,50 @@ impl rvs_checkpoint::Persist for Pss {
     }
 }
 
+/// Write the per-node dedup windows: a node count, then per node a
+/// [varint](rvs_checkpoint::Encoder::varint) length and the ids as
+/// [gaps](rvs_checkpoint::Encoder::gap), so every window restores strictly
+/// ascending — what its bisection needs — by construction.
+fn persist_dedup_windows(windows: &[VecDeque<u64>], enc: &mut rvs_checkpoint::Encoder) {
+    enc.usize(windows.len());
+    for window in windows {
+        enc.varint(window.len() as u64);
+        let mut next = 0;
+        window.iter().for_each(|&id| enc.gap(&mut next, id));
+    }
+}
+
+/// Read what [`persist_dedup_windows`] wrote. A length the bytes left
+/// cannot hold is refused before it allocates.
+fn restore_dedup_windows(
+    dec: &mut rvs_checkpoint::Decoder<'_>,
+) -> Result<Vec<VecDeque<u64>>, rvs_checkpoint::DecodeError> {
+    use rvs_checkpoint::DecodeError::Corrupt;
+    let nodes = dec.seq_len()?;
+    let mut windows = Vec::with_capacity(nodes);
+    for node in 0..nodes {
+        let in_window = |what: String| Corrupt(format!("dedup window of node {node}: {what}"));
+        // An id is at least one byte.
+        let len = dec.varint()?;
+        if len > dec.remaining() as u64 {
+            return Err(in_window(format!(
+                "{len} ids claimed with {} bytes left",
+                dec.remaining()
+            )));
+        }
+        let mut window = VecDeque::with_capacity(len as usize);
+        let mut next = 0;
+        for _ in 0..len {
+            window.push_back(dec.gap(&mut next).map_err(|e| match e {
+                Corrupt(what) => in_window(what),
+                other => other,
+            })?);
+        }
+        windows.push(window);
+    }
+    Ok(windows)
+}
+
 /// The fully wired simulation.
 pub struct System {
     /// The run's master seed; every RNG stream is a labelled fork of it.
@@ -517,7 +561,7 @@ impl System {
         enc.u64(self.next_msg_id);
         enc.u64(self.pending_primary);
         enc.u64(self.max_fired_msg);
-        self.seen_msgs.persist(&mut enc);
+        persist_dedup_windows(&self.seen_msgs, &mut enc);
         self.vox_backoff.persist(&mut enc);
         self.vox_decliners.persist(&mut enc);
 
@@ -605,7 +649,7 @@ impl System {
         let next_msg_id = dec.u64()?;
         let pending_primary = dec.u64()?;
         let max_fired_msg = dec.u64()?;
-        let seen_msgs: Vec<VecDeque<u64>> = Vec::restore(&mut dec)?;
+        let seen_msgs = restore_dedup_windows(&mut dec)?;
         let vox_backoff: Vec<Backoff> = Vec::restore(&mut dec)?;
         let vox_decliners: Vec<BTreeSet<NodeId>> = Vec::restore(&mut dec)?;
 
@@ -669,15 +713,6 @@ impl System {
                     "{name} tables are not sized for {n_total} nodes"
                 )));
             }
-        }
-        // A window is searched by bisection: out of order, it misreads.
-        if let Some(node) = seen_msgs
-            .iter()
-            .position(|w| w.iter().zip(w.iter().skip(1)).any(|(a, b)| a >= b))
-        {
-            return Err(corrupt(format!(
-                "dedup window of node {node}: ids must ascend"
-            )));
         }
         if published.len() != setup.moderators.len() || vote_cast.len() != setup.voters.len() {
             return Err(corrupt(format!(

@@ -27,6 +27,9 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
     /// The far future; no event may be scheduled at `MAX`.
     pub const MAX: SimTime = SimTime(u64::MAX);
+    /// The most whole hours [`from_hours`](SimTime::from_hours) takes: one
+    /// more and the milliseconds overflow `u64`.
+    pub const MAX_HOURS: u64 = u64::MAX / 3_600_000;
 
     /// An instant `ms` milliseconds after the start of the run.
     #[inline]
@@ -229,6 +232,19 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_largest_hour_count_converts_exactly() {
+        let t = SimTime::from_hours(SimTime::MAX_HOURS);
+        assert_eq!(t.as_millis() / 3_600_000, SimTime::MAX_HOURS);
+        assert_eq!(t.as_millis() % 3_600_000, 0);
+        assert!(u64::MAX - t.as_millis() < 3_600_000, "no larger hour fits");
+        assert_eq!(
+            SimDuration::from_hours(SimTime::MAX_HOURS).as_millis(),
+            t.as_millis()
+        );
+        assert_eq!((SimTime::MAX_HOURS + 1).checked_mul(3_600_000), None);
+    }
 
     #[test]
     fn constructors_agree() {

@@ -217,6 +217,13 @@ fn get_at_least(
     })
 }
 
+/// `--hours N`: a span no larger than the simulated clock can count in
+/// milliseconds.
+fn get_hours(flags: &BTreeMap<String, String>, default: u64) -> Result<u64, ExitCode> {
+    let want = format!("at most {}", SimTime::MAX_HOURS);
+    get_in(flags, "hours", default, &want, |&h| h <= SimTime::MAX_HOURS)
+}
+
 /// `--t-mib X`: the experience threshold `T` in MiB.
 fn get_t_mib(flags: &BTreeMap<String, String>) -> Result<f64, ExitCode> {
     get_in(flags, "t-mib", 5.0, "a finite number >= 0", |t| {
@@ -291,7 +298,7 @@ fn trace_cfg(
     min_peers: usize,
 ) -> Result<TraceGenConfig, ExitCode> {
     let peers = get_at_least(flags, "peers", 100, min_peers)?;
-    let hours: u64 = get(flags, "hours", 168)?;
+    let hours = get_hours(flags, 168)?;
     Ok(TraceGenConfig::scaled(
         peers,
         SimDuration::from_hours(hours),
@@ -339,7 +346,7 @@ fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
     let seed: u64 = get(&flags, "seed", 7)?;
     flags.entry("peers".into()).or_insert_with(|| "40".into());
     flags.entry("hours".into()).or_insert_with(|| "48".into());
-    let hours: u64 = get(&flags, "hours", 48)?;
+    let hours = get_hours(&flags, 48)?;
     if flags.contains_key("telemetry") {
         telemetry::set_enabled(true);
     }
@@ -572,7 +579,7 @@ fn cmd_attack(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
     let seed: u64 = get(&flags, "seed", 7)?;
     flags.entry("peers".into()).or_insert_with(|| "40".into());
     flags.entry("hours".into()).or_insert_with(|| "48".into());
-    let hours: u64 = get(&flags, "hours", 48)?;
+    let hours = get_hours(&flags, 48)?;
     let core = get_at_least(&flags, "core", 10, 1)?;
     let crowd = get_at_least(&flags, "crowd", 20, 1)?;
     let trace = trace_cfg(&flags, 1)?;

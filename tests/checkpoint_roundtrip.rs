@@ -13,13 +13,21 @@
 //! * crafted blobs whose sections each decode but describe different
 //!   populations — a shortened per-node vector, a layer spliced in from a
 //!   smaller run — are `Corrupt`, not a system that panics a round later;
-//! * so are blobs whose stored *derived* values disagree with what they
-//!   are derived from: a swarm's availability counts against its members'
-//!   bitfields, the ledger's transpose against its forward map;
-//! * and whatever is found by binary search but not in strictly ascending
-//!   order — a swarm's members, a member's per-source entries, the
-//!   ledger's entries, a node's dedup window — or holds an entry the program never writes (a
-//!   self-edge, a zero credit);
+//! * and whatever no program state encodes to — one defect per case, each
+//!   a `Corrupt` naming its type:
+//!   * a bitfield with a shape byte past 2, a partial one holding no piece
+//!     or every piece, or a bit set past its length;
+//!   * a swarm's members out of order or twice;
+//!   * swarms whose availability, rebuilt on restore, is more memory than
+//!     the blob's length allows — a thousand empty swarms over big files;
+//!   * a member's source record with a presence byte of 0 or past 7, a
+//!     record count past the bytes left, or an id written out of order or
+//!     twice (ids are varint gaps, so that is a gap past `u32`);
+//!   * a ledger entry of 0 KiB, a self-edge, an empty row, weights whose
+//!     sum overflows `u64`, an id past `u32` — out of order or twice is one
+//!     — or a row count or row length past the bytes left;
+//!   * a dedup window id written out of order or twice (a gap past `u64`),
+//!     or a window length past the bytes left;
 //! * a subjective graph's varint rows that no report can store: an empty
 //!   row, a count past the bytes left, an id past `u32`, a self-loop, a
 //!   varint spelled longer than it needs.
@@ -27,8 +35,11 @@
 use proptest::prelude::*;
 use robust_vote_sampling::faults::FaultSchedule;
 use robust_vote_sampling::scenario::{Checkpoint, ProtocolConfig, System, VoteSamplingConfig};
+use robust_vote_sampling::trace::SwarmSpec;
 use rvs_checkpoint::DecodeError;
 use rvs_sim::{SimDuration, SimTime};
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 fn build(peers: usize, hours: u64, seed: u64) -> System {
@@ -250,41 +261,173 @@ fn busiest_swarm(system: &System) -> &rvs_bittorrent::SwarmSim {
         .expect("the trace has swarms")
 }
 
-#[test]
-fn availability_counts_that_disagree_with_the_members_are_corrupt() {
-    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
-    let swarm = busiest_swarm(&system);
-    assert!(swarm.member_count() > 0, "someone holds a piece");
-    // A `SwarmSim` ends with its counts — a length and one `u32` per piece
-    // — and the 8 bytes of its next rechoke.
-    let pieces = swarm.spec().piece_count() as usize;
+/// An unsigned LEB128 varint, as the checkpoint spells one.
+fn varint(v: u64) -> Vec<u8> {
+    let mut enc = rvs_checkpoint::Encoder::new();
+    enc.varint(v);
+    enc.into_bytes()
+}
+
+/// `bytes` with the range `at` replaced by `with`.
+fn spliced(bytes: &[u8], at: Range<usize>, with: &[u8]) -> Vec<u8> {
+    let mut crafted = bytes[..at.start].to_vec();
+    crafted.extend_from_slice(with);
+    crafted.extend_from_slice(&bytes[at.end..]);
+    crafted
+}
+
+/// The varint that makes an id gap spell `id` right after `prev`, taken
+/// modulo 2³², the width of a node id: for `id <= prev` it is the only way
+/// a `u32` id can be written out of order or twice.
+fn gap_to(prev: u32, id: u32) -> Vec<u8> {
+    varint((u64::from(id) + (1 << 32)) - (u64::from(prev) + 1))
+}
+
+/// A varint field of a component's encoding: where it sits in the
+/// checkpoint and what it holds.
+type Field = (Range<usize>, u64);
+
+/// Reads a component's encoding field by field, giving each field's place
+/// in the checkpoint the component sits in.
+struct Fields<'a> {
+    dec: rvs_checkpoint::Decoder<'a>,
+    end: usize,
+}
+
+impl<'a> Fields<'a> {
+    /// The fields of `encoded`, which starts at byte `at` of the checkpoint.
+    fn new(encoded: &'a [u8], at: usize) -> Self {
+        Fields {
+            dec: rvs_checkpoint::Decoder::new(encoded),
+            end: at + encoded.len(),
+        }
+    }
+
+    fn at(&self) -> usize {
+        self.end - self.dec.remaining()
+    }
+
+    fn varint(&mut self) -> Field {
+        let start = self.at();
+        let v = self.dec.varint().expect("honest varint");
+        (start..self.at(), v)
+    }
+}
+
+/// One member of a swarm as the checkpoint holds it: where its bitfield
+/// starts, the bitfield, its record count, and per source record the gap
+/// field, the source id and where its presence byte sits.
+struct MemberBytes {
+    bitfield_at: usize,
+    bitfield: rvs_bittorrent::Bitfield,
+    count: Field,
+    records: Vec<(Field, u32, usize)>,
+}
+
+/// Every member of `swarm` in the checkpoint `honest`.
+fn members_in(honest: &[u8], swarm: &rvs_bittorrent::SwarmSim) -> Vec<MemberBytes> {
+    use rvs_bittorrent::swarm::{LinkProfile, MemberRole, SwarmConfig};
+    use rvs_checkpoint::Persist;
+    use rvs_sim::NodeId;
     let sim = rvs_checkpoint::to_bytes(swarm);
+    let members_at = rvs_checkpoint::to_bytes(swarm.spec()).len()
+        + rvs_checkpoint::to_bytes(&SwarmConfig::default()).len();
+    let mut f = Fields::new(&sim[members_at..], locate(honest, &sim) + members_at);
+    let count = f.dec.usize().expect("member count");
+    (0..count)
+        .map(|_| {
+            NodeId::restore(&mut f.dec).expect("id");
+            let bitfield_at = f.at();
+            let bitfield = rvs_bittorrent::Bitfield::restore(&mut f.dec).expect("bitfield");
+            MemberRole::restore(&mut f.dec).expect("role");
+            bool::restore(&mut f.dec).expect("online");
+            LinkProfile::restore(&mut f.dec).expect("link");
+            Vec::<NodeId>::restore(&mut f.dec).expect("unchoked");
+            Option::<NodeId>::restore(&mut f.dec).expect("optimistic");
+            u32::restore(&mut f.dec).expect("rechokes");
+            let count = f.varint();
+            let mut next = 0;
+            let records = (0..count.1)
+                .map(|_| {
+                    let gap = f.varint();
+                    next += gap.1;
+                    let id = u32::try_from(next).expect("a node id");
+                    next += 1;
+                    let presence_at = f.at();
+                    let presence = f.dec.u8().expect("presence");
+                    if presence & 1 != 0 {
+                        f.varint();
+                        f.dec.f64().expect("KiB left");
+                    }
+                    if presence & 2 != 0 {
+                        f.varint();
+                    }
+                    if presence & 4 != 0 {
+                        f.dec.f64().expect("fraction");
+                    }
+                    (gap, id, presence_at)
+                })
+                .collect();
+            MemberBytes {
+                bitfield_at,
+                bitfield,
+                count,
+                records,
+            }
+        })
+        .collect()
+}
+
+/// Every member of every swarm of the honest checkpoint.
+fn all_members(system: &System) -> Vec<MemberBytes> {
+    let net = system.net();
+    (0..net.swarm_count())
+        .flat_map(|i| members_in(base_bytes(), net.swarm(rvs_sim::SwarmId::from_index(i))))
+        .collect()
+}
+
+#[test]
+fn bitfields_no_member_can_hold_are_corrupt() {
+    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
     let honest = base_bytes().to_vec();
-    let counts_at = locate(&honest, &sim) + sim.len() - 8 - 4 * pieces;
-    let len_at = counts_at - 8;
-    assert_eq!(honest[len_at..counts_at], (pieces as u64).to_le_bytes());
-    let count = |p: usize| {
-        let at = counts_at + 4 * p;
-        (
-            at,
-            u32::from_le_bytes(honest[at..at + 4].try_into().unwrap()),
-        )
+    // A member mid-download over a length that is not whole words: its
+    // bitfield is the shape byte 2, the length, and the words.
+    let members = all_members(&system);
+    let partial = members.iter().find(|m| {
+        let bf = &m.bitfield;
+        bf.count() > 0 && !bf.is_complete() && bf.len() % 64 != 0
+    });
+    let m = partial.expect("a member part of the way through a file");
+    let len = m.bitfield.len();
+    let at = m.bitfield_at;
+    assert_eq!(honest[at], 2, "the partial shape");
+    let words_at = at + 1 + varint(u64::from(len)).len();
+    let words = (len as usize).div_ceil(64);
+    let with_words = |words_of: &dyn Fn(usize) -> u64| {
+        let words: Vec<u8> = (0..words).flat_map(|w| words_of(w).to_le_bytes()).collect();
+        spliced(&honest, words_at..words_at + words.len(), &words)
     };
-
-    // One count decremented: restores today, wraps below zero on `leave`.
-    let (at, held) = (0..pieces)
-        .map(count)
-        .find(|&(_, c)| c > 0)
-        .expect("held piece");
-    let mut low = honest.clone();
-    low[at..at + 4].copy_from_slice(&(held - 1).to_le_bytes());
-    assert_corrupt(&low, "is counted");
-
-    // The vector shortened by its last entry.
-    let mut short = honest.clone();
-    short[len_at..counts_at].copy_from_slice(&(pieces as u64 - 1).to_le_bytes());
-    short.drain(counts_at + 4 * (pieces - 1)..counts_at + 4 * pieces);
-    assert_corrupt(&short, "availability counts for");
+    let mut shape = honest.clone();
+    shape[at] = 3;
+    assert_corrupt(&shape, "Bitfield: shape byte 3");
+    // A partial bitfield that holds no piece, or every piece.
+    assert_corrupt(
+        &with_words(&|_| 0),
+        &format!("Bitfield: partial with 0 of {len} pieces"),
+    );
+    let all = |w: usize| match (w + 1 == words, len % 64) {
+        (true, tail) => (1u64 << tail) - 1,
+        _ => u64::MAX,
+    };
+    assert_corrupt(
+        &with_words(&all),
+        &format!("Bitfield: partial with {len} of {len} pieces"),
+    );
+    // A piece past the end of the file in the last word.
+    let last_at = words_at + 8 * (words - 1);
+    let mut beyond = honest;
+    beyond[last_at + 7] |= 0x80;
+    assert_corrupt(&beyond, "Bitfield: bits set beyond its length");
 }
 
 #[test]
@@ -312,59 +455,101 @@ fn swarm_members_out_of_order_or_duplicated_are_corrupt() {
 }
 
 #[test]
+fn swarms_that_would_build_more_than_the_blob_pays_for_are_corrupt() {
+    use rvs_checkpoint::Persist;
+    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
+    let net = system.net();
+    let honest = base_bytes();
+    // The net's swarms are a count, then per swarm its `SwarmSim`, its
+    // coin and its seeding budgets.
+    let first = net.swarm(rvs_sim::SwarmId::from_index(0));
+    let runners_at = locate(honest, &rvs_checkpoint::to_bytes(first));
+    let count_at = runners_at - 8;
+    assert_eq!(
+        honest[count_at..runners_at],
+        (net.swarm_count() as u64).to_le_bytes()
+    );
+    let mut dec = rvs_checkpoint::Decoder::new(&honest[runners_at..]);
+    for _ in 0..net.swarm_count() {
+        rvs_bittorrent::SwarmSim::restore(&mut dec).expect("swarm");
+        rvs_sim::DetRng::restore(&mut dec).expect("coin");
+        BTreeMap::<rvs_sim::NodeId, SimDuration>::restore(&mut dec).expect("budgets");
+    }
+    let end = honest.len() - dec.remaining();
+    // A swarm with no member over a file of 2¹⁸ pieces is some 100 bytes
+    // here and more than 1 MiB of availability once restored; a thousand
+    // of them would be a GiB.
+    let spec = SwarmSpec {
+        file_size_mib: 1 << 16,
+        piece_size_kib: 256,
+        ..*first.spec()
+    };
+    let empty = rvs_bittorrent::SwarmSim::new(spec, Default::default());
+    let mut runner = rvs_checkpoint::to_bytes(&empty);
+    runner.extend(rvs_checkpoint::to_bytes(&rvs_sim::DetRng::new(1)));
+    runner.extend(rvs_checkpoint::to_bytes(&BTreeMap::<
+        rvs_sim::NodeId,
+        SimDuration,
+    >::new()));
+    let runners = 1000;
+    let mut swarms = (runners as u64).to_le_bytes().to_vec();
+    (0..runners).for_each(|_| swarms.extend_from_slice(&runner));
+    assert!(
+        swarms.len() < 128 * runners,
+        "{} bytes a swarm",
+        runner.len()
+    );
+    let crafted = spliced(honest, count_at..end, &swarms);
+    assert_corrupt(&crafted, "SwarmSim: ");
+    assert_corrupt(&crafted, "left to allot");
+}
+
+#[test]
 fn per_source_entries_out_of_order_or_duplicated_are_corrupt() {
-    use rvs_bittorrent::swarm::{LinkProfile, MemberRole, SwarmConfig};
-    use rvs_checkpoint::{Decoder, Persist};
-    use rvs_sim::NodeId;
     let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
     let honest = base_bytes().to_vec();
-    // Walk every member of every swarm up to its three per-source maps —
-    // pieces in flight (12-byte values), window receipts and uncredited
-    // fractions (8-byte values) — for one that holds two entries.
-    let net = system.net();
-    let two_entries = (0..net.swarm_count()).find_map(|i| {
-        let swarm = net.swarm(rvs_sim::SwarmId::from_index(i));
-        let sim = rvs_checkpoint::to_bytes(swarm);
-        let members_at = rvs_checkpoint::to_bytes(swarm.spec()).len()
-            + rvs_checkpoint::to_bytes(&SwarmConfig::default()).len();
-        let mut dec = Decoder::new(&sim[members_at..]);
-        for _ in 0..dec.usize().expect("member count") {
-            NodeId::restore(&mut dec).expect("id");
-            rvs_bittorrent::Bitfield::restore(&mut dec).expect("bitfield");
-            MemberRole::restore(&mut dec).expect("role");
-            bool::restore(&mut dec).expect("online");
-            LinkProfile::restore(&mut dec).expect("link");
-            Vec::<NodeId>::restore(&mut dec).expect("unchoked");
-            Option::<NodeId>::restore(&mut dec).expect("optimistic");
-            u32::restore(&mut dec).expect("rechokes");
-            for value in [12, 8, 8] {
-                let map_at = sim.len() - dec.remaining();
-                let entries = dec.usize().expect("entry count");
-                dec.take(entries * (4 + value)).expect("entries");
-                if entries >= 2 {
-                    return Some((locate(&honest, &sim) + map_at + 8, 4 + value));
-                }
-            }
-        }
-        None
+    // Two source records in a row, the first past id 0 so that an id below
+    // it exists. Ids are gaps, so the second can only be written out of
+    // order — or as the first again — as a gap that carries it past `u32`.
+    let members = all_members(&system);
+    let pair = members.iter().find_map(|m| {
+        let pair = m.records.windows(2).find(|w| w[0].1 > 0)?;
+        Some((pair[0].1, pair[1].0.clone()))
     });
-    let (first_at, entry) = two_entries.expect("a member with two sources");
-    let id = |at: usize| u32::from_le_bytes(honest[at..at + 4].try_into().unwrap());
-    assert!(id(first_at) < id(first_at + entry), "honest ids ascend");
-    // The first entry's id again in the second, then the first two swapped.
-    let mut twice = honest.clone();
-    twice.copy_within(first_at..first_at + 4, first_at + entry);
-    assert_corrupt(&twice, "per-source ids must ascend");
-    let mut swapped = honest.clone();
-    swapped.copy_within(first_at + entry..first_at + 2 * entry, first_at);
-    swapped[first_at + entry..first_at + 2 * entry]
-        .copy_from_slice(&honest[first_at..first_at + entry]);
-    assert_corrupt(&swapped, "per-source ids must ascend");
+    let (first, (second_gap, _)) = pair.expect("a member with two sources");
+    for id in [first, first - 1] {
+        assert_corrupt(
+            &spliced(&honest, second_gap.clone(), &gap_to(first, id)),
+            "Member: source id overflows u32",
+        );
+    }
+}
+
+#[test]
+fn source_records_no_member_keeps_are_corrupt() {
+    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
+    let honest = base_bytes().to_vec();
+    let members = all_members(&system);
+    let m = members.iter().find(|m| !m.records.is_empty());
+    let m = m.expect("a member with a source");
+    let (_, id, presence_at) = m.records[0];
+    // A record that keeps nothing, and one that claims a fourth value.
+    for presence in [0, 8] {
+        let mut crafted = honest.clone();
+        crafted[presence_at] = presence;
+        assert_corrupt(
+            &crafted,
+            &format!("Member: source n{id} has presence byte {presence}"),
+        );
+    }
+    assert_corrupt(
+        &spliced(&honest, m.count.0.clone(), &varint(1 << 40)),
+        "Member: 1099511627776 source records claimed",
+    );
 }
 
 #[test]
 fn graph_rows_no_report_can_store_are_corrupt() {
-    use rvs_checkpoint::{Decoder, Encoder};
     let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
     let bc = system.bartercast();
     let graph = (0..system.total_nodes())
@@ -374,59 +559,42 @@ fn graph_rows_no_report_can_store_are_corrupt() {
     assert!(graph.edge_count() > 0, "an edge to damage");
     // A graph is varints: the row count, then per row the source's gap
     // and the row length, then per entry the target's gap and the KiB.
-    // Read the head of the first row back out of the graph's encoding, as
-    // `(start, end, value)` in the checkpoint.
+    // Read the head of the first row back out of the graph's encoding.
     let encoded = rvs_checkpoint::to_bytes(graph);
     let honest = base_bytes().to_vec();
-    let at = locate(&honest, &encoded);
-    let mut dec = Decoder::new(&encoded);
-    let mut field = || {
-        let start = at + encoded.len() - dec.remaining();
-        let value = dec.varint().expect("honest varint");
-        (start, at + encoded.len() - dec.remaining(), value)
-    };
-    let [count, source, len, target, kib] = [(); 5].map(|()| field());
-    let varint = |v: u64| {
-        let mut enc = Encoder::new();
-        enc.varint(v);
-        enc.into_bytes()
-    };
-    let with = |(start, end, _): (usize, usize, u64), bytes: &[u8]| {
-        let mut crafted = honest[..start].to_vec();
-        crafted.extend_from_slice(bytes);
-        crafted.extend_from_slice(&honest[end..]);
-        crafted
-    };
+    let mut f = Fields::new(&encoded, locate(&honest, &encoded));
+    let [count, source, len, target, kib] = [(); 5].map(|()| f.varint());
+    let with = |field: &Field, bytes: &[u8]| spliced(&honest, field.0.clone(), bytes);
     // The same weight, spelled one byte longer than it needs.
-    let mut padded = varint(kib.2);
+    let mut padded = varint(kib.1);
     *padded.last_mut().expect("a varint has a byte") |= 0x80;
     padded.push(0);
     let past_u32 = varint(1 << 32);
     for (crafted, what) in [
         (
-            with(count, &varint(1 << 40)),
+            with(&count, &varint(1 << 40)),
             "SubjectiveGraph: 1099511627776 rows claimed",
         ),
-        (with(len, &varint(0)), "SubjectiveGraph: empty row"),
+        (with(&len, &varint(0)), "SubjectiveGraph: empty row"),
         (
-            with(len, &varint(1 << 40)),
+            with(&len, &varint(1 << 40)),
             "SubjectiveGraph: row of 1099511627776 entries claimed",
         ),
         (
-            with(source, &past_u32),
+            with(&source, &past_u32),
             "SubjectiveGraph: source id overflows u32",
         ),
         (
-            with(target, &past_u32),
+            with(&target, &past_u32),
             "SubjectiveGraph: target id overflows u32",
         ),
         // A row's first target counts from −1 as its first source does, so
         // the source's gap is the target's too.
         (
-            with(target, &varint(source.2)),
+            with(&target, &varint(source.1)),
             "SubjectiveGraph: self-loop",
         ),
-        (with(kib, &padded), "varint is not minimal"),
+        (with(&kib, &padded), "varint is not minimal"),
     ] {
         assert_corrupt(&crafted, what);
     }
@@ -452,74 +620,162 @@ fn dedup_window_ids_out_of_order_or_duplicated_are_corrupt() {
         |_, _| {},
     );
     let honest = system.checkpoint().into_bytes();
-    // The windows are one vector of `(length, ids…)`, every number 8 bytes.
+    // The windows are a node count, then per node a varint length and the
+    // ids as varint gaps.
     let windows: Vec<Vec<u64>> = (0..system.total_nodes())
         .map(|i| system.dedup_window(NodeId::from_index(i)).collect())
         .collect();
+    let mut enc = rvs_checkpoint::Encoder::new();
+    enc.usize(windows.len());
+    for window in &windows {
+        enc.varint(window.len() as u64);
+        let mut next = 0;
+        window.iter().for_each(|&id| enc.gap(&mut next, id));
+    }
+    let encoded = enc.into_bytes();
+    let mut f = Fields::new(&encoded, locate(&honest, &encoded));
+    f.dec.usize().expect("node count");
     let k = windows.iter().position(|w| w.len() >= 2);
     let k = k.expect("a window of two ids");
-    let first_at = locate(&honest, &rvs_checkpoint::to_bytes(&windows))
-        + 8
-        + windows[..k].iter().map(|w| 8 + 8 * w.len()).sum::<usize>()
-        + 8;
-    let id = |at: usize| u64::from_le_bytes(honest[at..at + 8].try_into().unwrap());
-    assert_eq!(
-        (id(first_at), id(first_at + 8)),
-        (windows[k][0], windows[k][1])
+    let fields = windows[..=k].iter().map(|window| {
+        let len = f.varint();
+        let gaps: Vec<Field> = (0..window.len()).map(|_| f.varint()).collect();
+        (len, gaps)
+    });
+    let (len, gaps) = fields.last().expect("window k");
+    let (first, second) = (windows[k][0], windows[k][1]);
+    assert_eq!((gaps[0].1, first + 1 + gaps[1].1), (first, second));
+    // The first id again in the second place, then the one below it: ids
+    // are gaps, so each is a gap that carries it past `u64`.
+    let what = format!("dedup window of node {k}: id gap overflows u64");
+    for id in [first, first.wrapping_sub(1)] {
+        let wrapped = id.wrapping_sub(first + 1);
+        assert_corrupt(
+            &spliced(&honest, gaps[1].0.clone(), &varint(wrapped)),
+            &what,
+        );
+    }
+    // A length the bytes left cannot hold.
+    assert_corrupt(
+        &spliced(&honest, len.0, &varint(1 << 40)),
+        &format!("dedup window of node {k}: 1099511627776 ids claimed"),
     );
-    let what = format!("dedup window of node {k}: ids must ascend");
-    // The second id twice, then the first two swapped.
-    let mut twice = honest.clone();
-    twice.copy_within(first_at + 8..first_at + 16, first_at);
-    assert_corrupt(&twice, &what);
-    let mut swapped = twice;
-    swapped[first_at + 8..first_at + 16].copy_from_slice(&honest[first_at..first_at + 8]);
-    assert_corrupt(&swapped, &what);
+}
+
+/// One row of the ledger as the checkpoint holds it: the uploader's gap
+/// and id, the row length, and per entry the downloader's gap and id and
+/// the KiB.
+struct LedgerRow {
+    from: (Field, u32),
+    len: Field,
+    entries: Vec<(Field, u32, Field)>,
+}
+
+/// The ledger of the honest checkpoint: its row count and its rows.
+fn ledger_rows(system: &System) -> (Field, Vec<LedgerRow>) {
+    let encoded = rvs_checkpoint::to_bytes(system.net().ledger());
+    let mut f = Fields::new(&encoded, locate(base_bytes(), &encoded));
+    let id = |gap: &Field, next: &mut u64| {
+        let id = *next + gap.1;
+        *next = id + 1;
+        u32::try_from(id).expect("a node id")
+    };
+    let count = f.varint();
+    let mut next_from = 0;
+    let rows = (0..count.1)
+        .map(|_| {
+            let gap = f.varint();
+            let from = id(&gap, &mut next_from);
+            let len = f.varint();
+            let mut next_to = 0;
+            let entries = (0..len.1)
+                .map(|_| {
+                    let gap = f.varint();
+                    let to = id(&gap, &mut next_to);
+                    (gap, to, f.varint())
+                })
+                .collect();
+            LedgerRow {
+                from: (gap, from),
+                len,
+                entries,
+            }
+        })
+        .collect();
+    (count, rows)
 }
 
 #[test]
-fn a_ledger_whose_transpose_disagrees_is_corrupt() {
+fn ledger_rows_no_credit_books_are_corrupt() {
     let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
-    let ledger = system.net().ledger();
-    let rows = ledger.edge_count();
-    assert!(rows > 0, "something was transferred");
-    // Two maps of `rows` 16-byte entries behind a length each, then the total.
-    let encoded = rvs_checkpoint::to_bytes(ledger);
-    assert_eq!(encoded.len(), 2 * (8 + 16 * rows) + 8);
     let honest = base_bytes().to_vec();
-    let incoming_at = locate(&honest, &encoded) + 8 + 16 * rows;
-    let mut altered = honest.clone();
-    altered[incoming_at + 8 + 8] ^= 1; // low byte of the first row's KiB
-    assert_corrupt(&altered, "transpose");
-    let mut total = honest;
-    total[incoming_at + 8 + 16 * rows] ^= 1;
-    assert_corrupt(&total, "sum");
+    // The ledger is varints: the uploader count, then per uploader its id
+    // gap and row length, then per entry the downloader's gap and the KiB.
+    // The transpose and every total are rebuilt, not read.
+    let (count, rows) = ledger_rows(&system);
+    let row = rows.iter().find(|r| r.entries.len() >= 2);
+    let row = row.expect("an uploader with two downloaders");
+    let (first_kib, second_kib) = (&row.entries[0].2, &row.entries[1].2);
+    // An empty row: its length 0 and its entries cut.
+    let end = row.entries.last().expect("entries").2 .0.end;
+    let empty = spliced(&honest, row.len.0.start..end, &varint(0));
+    assert_corrupt(&empty, "TransferLedger: empty row");
+    // Weights whose sum does not fit a `u64`.
+    let mut huge = spliced(&honest, second_kib.0.clone(), &varint(u64::MAX));
+    huge = spliced(&huge, first_kib.0.clone(), &varint(u64::MAX));
+    assert_corrupt(&huge, "TransferLedger: the KiB sum overflows u64");
+    // An uploader past `u32`, and counts the bytes left cannot hold.
+    for (field, with, what) in [
+        (
+            &row.from.0,
+            varint(1 << 32),
+            "TransferLedger: uploader id overflows u32",
+        ),
+        (
+            &count,
+            varint(1 << 40),
+            "TransferLedger: 1099511627776 rows claimed",
+        ),
+        (
+            &row.len,
+            varint(1 << 40),
+            "TransferLedger: row of 1099511627776 entries claimed",
+        ),
+    ] {
+        assert_corrupt(&spliced(&honest, field.0.clone(), &with), what);
+    }
 }
 
 #[test]
 fn ledger_entries_out_of_order_zero_or_looped_are_corrupt() {
     let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
-    let ledger = system.net().ledger();
-    assert!(ledger.edge_count() >= 2, "two entries to put out of order");
-    // The forward map leads: a length and 16-byte `((from, to), kib)`
-    // entries. The maps it used to be let the last of two equal keys win,
-    // sorted the rest and carried a zero for ever.
-    let encoded = rvs_checkpoint::to_bytes(ledger);
     let honest = base_bytes().to_vec();
-    let first_at = locate(&honest, &encoded) + 8;
-    // The first entry's key again in the second, then the first two swapped.
-    let mut twice = honest.clone();
-    twice.copy_within(first_at..first_at + 8, first_at + 16);
-    assert_corrupt(&twice, "entries must ascend");
-    let mut swapped = honest.clone();
-    swapped.copy_within(first_at + 16..first_at + 32, first_at);
-    swapped[first_at + 16..first_at + 32].copy_from_slice(&honest[first_at..first_at + 16]);
-    assert_corrupt(&swapped, "entries must ascend");
-    // Entries no credit books: nothing moved, and a peer uploading to itself.
-    let mut zero = honest.clone();
-    zero[first_at + 8..first_at + 16].fill(0);
-    assert_corrupt(&zero, "zero entry");
-    let mut looped = honest;
-    looped.copy_within(first_at..first_at + 4, first_at + 4);
-    assert_corrupt(&looped, "self-edge");
+    let (_, rows) = ledger_rows(&system);
+    // Two downloaders in a row, the first past id 0 so that an id below it
+    // exists. Ids are gaps, so the second can only be written out of order
+    // — or as the first again — as a gap that carries it past `u32`.
+    let pair = rows.iter().find_map(|r| {
+        let pair = r.entries.windows(2).find(|w| w[0].1 > 0)?;
+        Some((pair[0].1, pair[1].0 .0.clone()))
+    });
+    let (first, second_gap) = pair.expect("an uploader with two downloaders");
+    for id in [first, first - 1] {
+        assert_corrupt(
+            &spliced(&honest, second_gap.clone(), &gap_to(first, id)),
+            "TransferLedger: downloader id overflows u32",
+        );
+    }
+    // Entries no credit books: nothing moved, and a peer uploading to
+    // itself — a row's first downloader counts from 0 as its uploader does,
+    // so the uploader's gap spells the uploader.
+    let row = &rows[0];
+    let (gap, _, kib) = &row.entries[0];
+    assert_corrupt(
+        &spliced(&honest, kib.0.clone(), &varint(0)),
+        "TransferLedger: zero entry",
+    );
+    assert_corrupt(
+        &spliced(&honest, gap.0.clone(), &varint(u64::from(row.from.1))),
+        "TransferLedger: self-edge",
+    );
 }

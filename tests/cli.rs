@@ -50,6 +50,27 @@ fn unparsable_values_are_rejected() {
 }
 
 #[test]
+fn an_hour_count_past_the_clock_is_rejected() {
+    // 5,124,095,576,030,432 h is 2⁶⁴ ms and a little more: its milliseconds
+    // used to wrap to under an hour, and a run exited 0 after simulating
+    // that. One hour past the largest count the clock holds is refused the
+    // same way.
+    let max = rvs_sim::SimTime::MAX_HOURS;
+    let past = (max + 1).to_string();
+    for (cmd, hours) in [
+        ("trace", "5124095576030432"),
+        ("stats", past.as_str()),
+        ("run", "5124095576030432"),
+        ("attack", "18446744073709551615"),
+    ] {
+        assert_rejected(
+            &[cmd, "--hours", hours],
+            &format!("--hours must be at most {max}, got {hours}"),
+        );
+    }
+}
+
+#[test]
 fn parsable_but_impossible_values_are_rejected() {
     // Each of these parses, and used to end in a library assertion (or,
     // for the rates, in a silently meaningless run).

@@ -202,7 +202,9 @@ fn legacy_v3_golden_is_refused_not_misread() {
     // tied candidate rather than one per pick (format 5: the layout of 6,
     // but resuming it would continue swarm streams its writer never
     // drew), or whose subjective graphs were 16-byte `(from, to, kib)`
-    // entries rather than rows of varints (format 6), must be refused with
+    // entries rather than rows of varints (format 6), or that still wrote
+    // availability counts, the ledger's transpose and 8-byte dedup ids
+    // (format 7), must be refused with
     // the typed version error — never decoded into a plausible-looking
     // system — while its frozen identity prefix stays readable, through
     // the library and through `rvs ckpt inspect`.
@@ -212,6 +214,7 @@ fn legacy_v3_golden_is_refused_not_misread() {
         ("fig6-seed1.v4.ckpt", 4),
         ("fig6-seed1.v5.ckpt", 5),
         ("fig6-seed1.v6.ckpt", 6),
+        ("fig6-seed1.v7.ckpt", 7),
     ];
     assert_eq!(
         std::fs::read_dir(&legacy)
