@@ -7,8 +7,11 @@
 //! `b`; the edge weight is the maximum over the accepted reports (counters
 //! are cumulative, so for honest reporters max == newest).
 
-use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
 use rvs_sim::NodeId;
+
+mod table;
+
+pub(crate) use table::{persist_graphs, restore_graphs};
 
 /// One stored entry: the edge's far end and its weight, 8 bytes. A weight
 /// of `u32::MAX` KiB (4 TiB) or more is stored as [`WIDE`] and kept whole in
@@ -232,8 +235,8 @@ impl SubjectiveGraph {
         }
     }
 
-    /// All edges with nonzero weight, ascending by `(from, to)`.
-    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
+    /// Every stored entry, zero weights included, ascending by `(from, to)`.
+    fn stored(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
         self.sources
             .iter()
             .zip(&self.rows)
@@ -242,7 +245,35 @@ impl SubjectiveGraph {
                     .iter()
                     .map(move |&e| (from, e.to, self.out_kib(from, e)))
             })
-            .filter(|&(_, _, w)| w > 0)
+    }
+
+    /// All edges with nonzero weight, ascending by `(from, to)`.
+    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
+        self.stored().filter(|&(_, _, w)| w > 0)
+    }
+
+    /// The first stored edge, in `(from, to)` order, on which `self` and
+    /// `other` disagree, with its weight on either side (`None` where that
+    /// side stores no entry for it); `None` when the graphs are equal.
+    pub(crate) fn first_difference(
+        &self,
+        other: &SubjectiveGraph,
+    ) -> Option<(NodeId, NodeId, Option<u64>, Option<u64>)> {
+        let (mut a, mut b) = (self.stored().peekable(), other.stored().peekable());
+        loop {
+            let edge = |e: Option<&(NodeId, NodeId, u64)>| e.map(|&(from, to, _)| (from, to));
+            let (ea, eb) = (edge(a.peek()), edge(b.peek()));
+            let (from, to) = match (ea, eb) {
+                (None, None) => return None,
+                (Some(ea), Some(eb)) => ea.min(eb),
+                (Some(e), None) | (None, Some(e)) => e,
+            };
+            let wa = a.next_if(|&(f, t, _)| (f, t) == (from, to)).map(|e| e.2);
+            let wb = b.next_if(|&(f, t, _)| (f, t) == (from, to)).map(|e| e.2);
+            if wa != wb {
+                return Some((from, to, wa, wb));
+            }
+        }
     }
 
     /// Outgoing neighbours of `node` with edge weights.
@@ -270,88 +301,6 @@ impl SubjectiveGraph {
         v.dedup();
         v
     }
-}
-
-/// The graph as rows, every number a [varint](Encoder::varint): the row
-/// count, then per row the source's gap, the row length, and per entry the
-/// target's gap and the KiB weight. A gap is `id − previous − 1` (the first
-/// of a run counts from −1), so strictly ascending ids are all a gap can
-/// spell. About 4 bytes an entry where `(from, to, kib)` took 16
-/// (EXPERIMENTS.md, "Checkpoint: graphs as varint rows"). A checkpoint is
-/// outside input, so restore refuses what no sequence of reports can store
-/// — an empty row, an id past `u32`, a self-loop — and any count the bytes
-/// left cannot hold, before it allocates.
-impl Persist for SubjectiveGraph {
-    fn persist(&self, enc: &mut Encoder) {
-        enc.varint(self.rows.len() as u64);
-        let mut next_from = 0;
-        for (&from, row) in self.sources.iter().zip(&self.rows) {
-            enc.gap(&mut next_from, u64::from(from.0));
-            enc.varint(row.entries().len() as u64);
-            let mut next_to = 0;
-            for &e in row.entries() {
-                enc.gap(&mut next_to, u64::from(e.to.0));
-                enc.varint(self.out_kib(from, e));
-            }
-        }
-    }
-
-    fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let count = dec.varint()?;
-        if count > dec.remaining() as u64 {
-            return Err(corrupt(format!(
-                "{count} rows claimed with {} bytes left",
-                dec.remaining()
-            )));
-        }
-        let mut sources = Vec::with_capacity(count as usize);
-        let mut rows = Vec::with_capacity(count as usize);
-        let mut wide = Vec::new();
-        let mut entries = Vec::new();
-        let mut next_from = 0;
-        for _ in 0..count {
-            let from = NodeId(dec.gap_u32(&mut next_from, "SubjectiveGraph: source")?);
-            // An entry is two varints, at least a byte each.
-            let len = dec.varint()?;
-            if len == 0 {
-                return Err(corrupt("empty row".into()));
-            }
-            if len > (dec.remaining() / 2) as u64 {
-                return Err(corrupt(format!(
-                    "row of {len} entries claimed with {} bytes left",
-                    dec.remaining()
-                )));
-            }
-            entries.clear();
-            let mut next_to = 0;
-            for _ in 0..len {
-                let to = NodeId(dec.gap_u32(&mut next_to, "SubjectiveGraph: target")?);
-                if to == from {
-                    return Err(corrupt("self-loop".into()));
-                }
-                let kib = dec.varint()?;
-                // Rows come ascending by `(from, to)`: so does the column.
-                if narrow(kib) == WIDE {
-                    wide.push((from, to, kib));
-                }
-                entries.push(Edge {
-                    to,
-                    kib: narrow(kib),
-                });
-            }
-            sources.push(from);
-            rows.push(Row::of(&entries));
-        }
-        Ok(SubjectiveGraph {
-            sources,
-            rows,
-            wide,
-        })
-    }
-}
-
-fn corrupt(what: String) -> DecodeError {
-    DecodeError::Corrupt(format!("SubjectiveGraph: {what}"))
 }
 
 #[cfg(test)]
@@ -454,8 +403,7 @@ mod tests {
             .enumerate()
             .map(|(k, kib)| (NodeId(k as u32 + 2), kib))
             .collect();
-        let back: SubjectiveGraph =
-            rvs_checkpoint::from_bytes(&rvs_checkpoint::to_bytes(&g)).expect("roundtrip");
+        let back = roundtrip(&g);
         for g in [&g, &back] {
             assert_eq!(g.out_edges(NodeId(1)), want);
             for &(to, kib) in &want {
@@ -500,8 +448,7 @@ mod tests {
                 g.insert_report(NodeId(from), NodeId(from), NodeId(to), 1);
             }
         }
-        let back: SubjectiveGraph =
-            rvs_checkpoint::from_bytes(&rvs_checkpoint::to_bytes(&g)).expect("roundtrip");
+        let back = roundtrip(&g);
         assert_eq!(back, g);
         assert_eq!(back.sources.len(), 8);
         assert_eq!(back.sources.capacity(), back.sources.len());
@@ -525,10 +472,19 @@ mod tests {
         (variant, row.entries().iter().map(|e| e.to.0).collect())
     }
 
+    /// `g` written as the one graph of a population and read back.
     fn roundtrip(g: &SubjectiveGraph) -> SubjectiveGraph {
-        let bytes = rvs_checkpoint::to_bytes(g);
-        let back: SubjectiveGraph = rvs_checkpoint::from_bytes(&bytes).expect("roundtrip");
-        assert_eq!(rvs_checkpoint::to_bytes(&back), bytes, "equal bytes");
+        let encode = |g: &SubjectiveGraph| {
+            let mut enc = rvs_checkpoint::Encoder::new();
+            persist_graphs(std::slice::from_ref(g), &mut enc);
+            enc.into_bytes()
+        };
+        let bytes = encode(g);
+        let mut dec = rvs_checkpoint::Decoder::new(&bytes);
+        let mut back = restore_graphs(&mut dec).expect("roundtrip");
+        assert_eq!(dec.remaining(), 0);
+        let back = back.pop().expect("one graph");
+        assert_eq!(encode(&back), bytes, "equal bytes");
         assert_eq!(&back, g);
         back
     }

@@ -18,7 +18,8 @@
 //!   `max`-accumulated weight per edge, stored as per-source rows of
 //!   8-byte `(target, kib)` entries sorted by target (a row of one or two
 //!   held in its slot), beside a column of the source ids and a column of
-//!   the weights too wide for 32 bits;
+//!   the weights too wide for 32 bits — and checkpointed together, each
+//!   distinct record once in one table and every graph as indices into it;
 //! * [`maxflow`] — hop-bounded Edmonds–Karp, matching the deployed
 //!   BarterCast's 2-hop maxflow that limits the leverage of false reports;
 //!   at 2 hops a closed-form sum over `j`'s out-edges;

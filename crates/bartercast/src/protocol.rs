@@ -7,7 +7,7 @@
 //! hearsay — which the receiver installs into its graph. Contribution
 //! estimates are hop-bounded maxflows over the receiver's graph.
 
-use crate::graph::{insert_snug, narrow, Edge, SubjectiveGraph};
+use crate::graph::{insert_snug, narrow, persist_graphs, restore_graphs, Edge, SubjectiveGraph};
 use crate::maxflow::max_flow_bounded;
 use rvs_bittorrent::TransferLedger;
 use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
@@ -420,21 +420,60 @@ impl BarterCast {
     pub fn contribution_mib(&self, i: NodeId, j: NodeId) -> f64 {
         self.contribution_kib(i, j) as f64 / 1024.0
     }
+
+    /// What differs first between `self` and `other`, in the order a
+    /// checkpoint writes it: the configuration, the population, the first
+    /// node whose graph differs — with that graph's first differing edge
+    /// and both weights, `absent` for a side that stores no entry for it —
+    /// or a counter. `None` when all of that is equal. `rvs ckpt diff`
+    /// prints it, since an offset inside the record table says nothing of
+    /// whose graph moved.
+    pub fn first_difference(&self, other: &BarterCast) -> Option<String> {
+        if self.cfg != other.cfg {
+            return Some(format!("config: {:?}  vs  {:?}", self.cfg, other.cfg));
+        }
+        if self.graphs.len() != other.graphs.len() {
+            let (a, b) = (self.graphs.len(), other.graphs.len());
+            return Some(format!("population: {a} graphs  vs  {b}"));
+        }
+        let graphs = self.graphs.iter().zip(&other.graphs).enumerate();
+        for (i, (a, b)) in graphs {
+            if let Some((from, to, wa, wb)) = a.first_difference(b) {
+                let kib = |w: Option<u64>| w.map_or("absent".to_string(), |w| format!("{w} KiB"));
+                let (wa, wb) = (kib(wa), kib(wb));
+                return Some(format!(
+                    "graph of node {i}: edge {from} -> {to}: {wa}  vs  {wb}"
+                ));
+            }
+        }
+        let (a, b) = (self.counters(), other.counters());
+        if a.exchanges != b.exchanges {
+            let (a, b) = (a.exchanges, b.exchanges);
+            return Some(format!("counter exchanges: {a}  vs  {b}"));
+        }
+        if a.maxflow_evaluations != b.maxflow_evaluations {
+            let (a, b) = (a.maxflow_evaluations, b.maxflow_evaluations);
+            return Some(format!("counter maxflow_evaluations: {a}  vs  {b}"));
+        }
+        None
+    }
 }
 
-/// Stable binary encoding: config, the graphs, the two counters. `own` is
-/// not written: `restore` rebuilds it from the graphs (DESIGN §12).
+/// Stable binary encoding: config, the graphs — each distinct record once
+/// in a table, every graph as indices into it ([`persist_graphs`]) — and
+/// the two counters. `own` is not written: `restore` rebuilds it from the
+/// graphs (DESIGN §12).
 impl Persist for BarterCast {
     fn persist(&self, enc: &mut Encoder) {
         self.cfg.persist(enc);
-        self.graphs.persist(enc);
+        persist_graphs(&self.graphs, enc);
         self.exchanges.persist(enc);
         self.maxflow_evaluations.persist(enc);
     }
 
     fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let cfg = BarterCastConfig::restore(dec)?;
-        let graphs: Vec<SubjectiveGraph> = Vec::restore(dec)?;
+        let graphs = restore_graphs(dec)?;
         let own = graphs
             .iter()
             .enumerate()
@@ -889,6 +928,58 @@ pub(crate) mod tests {
         assert_eq!(bc.graph(NodeId(2)).edge_kib(NodeId(4), NodeId(1)), 81);
         // … and the one stamped before it is still old news.
         assert_eq!(reports(|| bc.exchange(NodeId(1), NodeId(2))), 2);
+    }
+
+    #[test]
+    fn first_difference_names_what_differs_first() {
+        let (bc, _) = acquainted();
+        assert_eq!(bc.first_difference(&bc.clone()), None);
+        let record = |from, to, kib| Record {
+            from: NodeId(from),
+            to: NodeId(to),
+            kib,
+        };
+        // One report more: an edge one side lacks, then a weight raised.
+        let mut more = bc.clone();
+        assert!(more.inject_report(NodeId(3), NodeId(4), record(4, 0, 6)));
+        let want = "graph of node 3: edge n4 -> n0: absent  vs  6 KiB";
+        assert_eq!(bc.first_difference(&more).as_deref(), Some(want));
+        let want = "graph of node 3: edge n4 -> n0: 6 KiB  vs  absent";
+        assert_eq!(more.first_difference(&bc).as_deref(), Some(want));
+        let mut raised = bc.clone();
+        assert!(raised.inject_report(NodeId(2), NodeId(1), record(1, 2, 150)));
+        let want = "graph of node 2: edge n1 -> n2: 100 KiB  vs  150 KiB";
+        assert_eq!(bc.first_difference(&raised).as_deref(), Some(want));
+        // Graphs before counters, as a checkpoint writes them.
+        more.mark_exchange();
+        let first = bc.first_difference(&more).expect("differs");
+        assert!(first.starts_with("graph of node 3"), "{first}");
+        let mut counted = bc.clone();
+        counted.mark_exchange();
+        let (n, m) = (bc.counters().exchanges, counted.counters().exchanges);
+        let want = format!("counter exchanges: {n}  vs  {m}");
+        assert_eq!(bc.first_difference(&counted), Some(want));
+        counted = bc.clone();
+        counted.contribution_kib(NodeId(1), NodeId(2));
+        let first = bc.first_difference(&counted).expect("differs");
+        assert!(
+            first.starts_with("counter maxflow_evaluations: "),
+            "{first}"
+        );
+        // The configuration and the population come before any graph.
+        let cfg = BarterCastConfig {
+            max_hops: 3,
+            ..BarterCastConfig::default()
+        };
+        let other = BarterCast::new(5, cfg);
+        let first = bc.first_difference(&other).expect("differs");
+        assert!(
+            first.starts_with("config: ") && first.contains("max_hops: 3"),
+            "{first}"
+        );
+        let other = BarterCast::new(6, BarterCastConfig::default());
+        let want = "population: 5 graphs  vs  6";
+        assert_eq!(bc.first_difference(&other).as_deref(), Some(want));
     }
 
     #[test]

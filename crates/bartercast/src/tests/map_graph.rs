@@ -1,10 +1,12 @@
 //! The subjective graph as it was before the rows: one
 //! `BTreeMap<(NodeId, NodeId), u64>`, every read a point lookup or a range
-//! scan. Kept as the oracle the rows are held to, bytes included.
+//! scan. Kept as the oracle the rows are held to, the checkpoint's bytes
+//! included.
 
+use crate::BarterCastConfig;
 use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
 use rvs_sim::NodeId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct MapGraph {
@@ -47,49 +49,87 @@ impl MapGraph {
     }
 }
 
-/// The rows' layout (DESIGN.md §12) transcribed naively, sharing no code
-/// with `SubjectiveGraph`'s: group the map's entries by source, then write
-/// the row count and, per row, the source's gap, the length, and per entry
-/// the target's gap and KiB — a gap being `id − previous − 1`, from a
-/// previous of −1.
-impl Persist for MapGraph {
-    fn persist(&self, enc: &mut Encoder) {
-        let mut rows: Vec<(i64, Vec<(i64, u64)>)> = Vec::new();
-        for (&(from, to), &kib) in &self.edges {
-            let (from, to) = (i64::from(from.0), i64::from(to.0));
-            match rows.last_mut() {
-                Some((source, row)) if *source == from => row.push((to, kib)),
-                _ => rows.push((from, vec![(to, kib)])),
+/// A `BarterCast` checkpoint (DESIGN.md §12, format 9) transcribed
+/// naively from the maps, sharing no code with the encoder: the config;
+/// every distinct record of every map, gathered in one set, written as
+/// runs by source and by target — a gap is `id − previous − 1`, from a
+/// previous of −1, and a later value `kib − previous − 1`; the map count
+/// and, per map, its record count and each record's position in the set
+/// as a gap; then the two counters.
+pub(crate) fn cast_bytes(cfg: &BarterCastConfig, maps: &[MapGraph], counters: [u64; 2]) -> Vec<u8> {
+    let records: BTreeSet<(NodeId, NodeId, u64)> = maps
+        .iter()
+        .flat_map(|map| map.edges.iter().map(|(&(f, t), &w)| (f, t, w)))
+        .collect();
+    let mut by_source: BTreeMap<i64, BTreeMap<i64, Vec<u64>>> = BTreeMap::new();
+    for &(from, to, kib) in &records {
+        let row = by_source.entry(i64::from(from.0)).or_default();
+        row.entry(i64::from(to.0)).or_default().push(kib);
+    }
+    let mut enc = Encoder::new();
+    cfg.persist(&mut enc);
+    enc.varint(by_source.len() as u64);
+    let mut previous = -1;
+    for (from, row) in by_source {
+        enc.varint((from - previous - 1) as u64);
+        enc.varint(row.len() as u64);
+        let mut previous_to = -1;
+        for (to, values) in row {
+            enc.varint((to - previous_to - 1) as u64);
+            enc.varint(values.len() as u64);
+            for (k, &kib) in values.iter().enumerate() {
+                enc.varint(if k == 0 { kib } else { kib - values[k - 1] - 1 });
             }
+            previous_to = to;
         }
-        enc.varint(rows.len() as u64);
+        previous = from;
+    }
+    enc.varint(maps.len() as u64);
+    for map in maps {
+        enc.varint(map.edges.len() as u64);
         let mut previous = -1;
-        for (from, row) in rows {
-            enc.varint((from - previous - 1) as u64);
-            enc.varint(row.len() as u64);
-            let mut previous_to = -1;
-            for (to, kib) in row {
-                enc.varint((to - previous_to - 1) as u64);
-                enc.varint(kib);
-                previous_to = to;
-            }
-            previous = from;
+        for (&(f, t), &w) in &map.edges {
+            let at = records.range(..(f, t, w)).count() as i64;
+            enc.varint((at - previous - 1) as u64);
+            previous = at;
         }
     }
+    for counter in counters {
+        enc.u64(counter);
+    }
+    enc.into_bytes()
+}
 
-    /// Reads only what the rows wrote: no check of any kind.
-    fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let mut edges = BTreeMap::new();
-        let mut from = -1;
+/// The maps of a `BarterCast` checkpoint: reads only what
+/// [`cast_bytes`]'s layout wrote, with no check of any kind.
+pub(crate) fn maps_of(bytes: &[u8]) -> Result<Vec<MapGraph>, DecodeError> {
+    let mut dec = Decoder::new(bytes);
+    BarterCastConfig::restore(&mut dec)?;
+    let mut records = Vec::new();
+    let mut from = -1;
+    for _ in 0..dec.varint()? {
+        from += dec.varint()? as i64 + 1;
+        let mut to = -1;
         for _ in 0..dec.varint()? {
-            from += dec.varint()? as i64 + 1;
-            let mut to = -1;
-            for _ in 0..dec.varint()? {
-                to += dec.varint()? as i64 + 1;
-                let key = (NodeId(from as u32), NodeId(to as u32));
-                edges.insert(key, dec.varint()?);
+            to += dec.varint()? as i64 + 1;
+            let mut kib = 0;
+            for k in 0..dec.varint()? {
+                let v = dec.varint()?;
+                kib = if k == 0 { v } else { kib + v + 1 };
+                records.push((NodeId(from as u32), NodeId(to as u32), kib));
             }
         }
-        Ok(MapGraph { edges })
     }
+    let mut maps = Vec::new();
+    for _ in 0..dec.varint()? {
+        let mut edges = BTreeMap::new();
+        let mut at = -1;
+        for _ in 0..dec.varint()? {
+            at += dec.varint()? as i64 + 1;
+            let (from, to, kib) = records[at as usize];
+            edges.insert((from, to), kib);
+        }
+        maps.push(MapGraph { edges });
+    }
+    Ok(maps)
 }

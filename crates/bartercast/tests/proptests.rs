@@ -2,12 +2,24 @@
 
 use proptest::prelude::*;
 use rvs_bartercast::maxflow::max_flow_bounded;
-use rvs_bartercast::{BarterCast, BarterCastConfig, SubjectiveGraph};
+use rvs_bartercast::{BarterCast, BarterCastConfig, Record, SubjectiveGraph};
 use rvs_bittorrent::TransferLedger;
 use rvs_sim::NodeId;
 
 fn arb_edges() -> impl Strategy<Value = Vec<(u32, u32, u64)>> {
     prop::collection::vec((0u32..8, 0u32..8, 1u64..10_000), 0..40)
+}
+
+/// Weights for records many graphs share: small ones, zero, and the top
+/// of `u32` and of `u64`.
+fn arb_shared_kib() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        1u64..4,
+        Just(u64::from(u32::MAX)),
+        Just(u64::MAX - 1),
+        Just(u64::MAX),
+    ]
 }
 
 fn graph_of(edges: &[(u32, u32, u64)]) -> SubjectiveGraph {
@@ -153,5 +165,39 @@ proptest! {
             bc.exchange(NodeId(a), NodeId(b));
         }
         prop_assert!(bc.contribution_kib(NodeId(0), NodeId(1)) >= before);
+    }
+
+    /// A checkpoint writes each distinct record once and every graph as
+    /// indices into that table. Records drawn from a short list and handed
+    /// to 2–8 nodes by either endpoint — ids past the population included —
+    /// land in many graphs at once; whatever they build, persist → restore
+    /// → persist is byte-identical and every graph comes back equal, its
+    /// zero weights and weights of `u64::MAX` included.
+    #[test]
+    fn graphs_sharing_records_round_trip(
+        n in 2usize..=8,
+        records in prop::collection::vec((0u32..9, 0u32..9, arb_shared_kib()), 1..12),
+        deliveries in prop::collection::vec((0usize..8, 0usize..12, any::<bool>()), 0..60),
+    ) {
+        let mut bc = BarterCast::new(n, BarterCastConfig::default());
+        for &(receiver, k, by_source) in &deliveries {
+            let (from, to, kib) = records[k % records.len()];
+            let reporter = if by_source { from } else { to };
+            let record = Record { from: NodeId(from), to: NodeId(to), kib };
+            bc.inject_report(NodeId::from_index(receiver % n), NodeId(reporter), record);
+        }
+        let bytes = rvs_checkpoint::to_bytes(&bc);
+        let back: BarterCast = rvs_checkpoint::from_bytes(&bytes)
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(rvs_checkpoint::to_bytes(&back), bytes);
+        prop_assert_eq!(back.first_difference(&bc), None);
+        for i in (0..n).map(NodeId::from_index) {
+            let (was, is) = (bc.graph(i), back.graph(i));
+            prop_assert_eq!(is, was, "graph of {}", i);
+            prop_assert!(is.edges().eq(was.edges()), "edges of {}", i);
+            for (from, to, _) in records.iter().map(|&(f, t, k)| (NodeId(f), NodeId(t), k)) {
+                prop_assert_eq!(is.edge_kib(from, to), was.edge_kib(from, to));
+            }
+        }
     }
 }

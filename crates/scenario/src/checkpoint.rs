@@ -166,12 +166,15 @@ impl Checkpoint {
 
 /// Where two checkpoints part ways, for humans: the identity-prefix
 /// fields that differ, then the first tagged section whose bytes differ,
-/// with its offset and length on either side. `None` when the blobs are
-/// equal. `rvs ckpt diff` prints this, and the byte-identity tests put it
-/// in their failure messages, so a refactor that moves a byte says *which
-/// section* moved. A blob this build cannot restore has no section index;
-/// the report then falls back to the first differing byte, placed in the
-/// other blob's sections when that one restores.
+/// with its offset and length on either side — and, when that is
+/// `bartercast`, what differs first in it: the config, the population,
+/// the first node whose graph differs (with the edge and both weights) or
+/// a counter. `None` when the blobs are equal. `rvs ckpt diff` prints
+/// this, and the byte-identity tests put it in their failure messages, so
+/// a refactor that moves a byte says *which section* moved. A blob this
+/// build cannot restore has no section index; the report then falls back
+/// to the first differing byte, placed in the other blob's sections when
+/// that one restores.
 pub fn first_divergence(a: &Checkpoint, b: &Checkpoint) -> Option<String> {
     if a.bytes == b.bytes {
         return None;
@@ -192,13 +195,18 @@ pub fn first_divergence(a: &Checkpoint, b: &Checkpoint) -> Option<String> {
                 .zip(&ib)
                 .find(|((_, ra), (_, rb))| a.bytes[ra.clone()] != b.bytes[rb.clone()]);
             match differing {
-                Some(((name, ra), (_, rb))) => out.push_str(&format!(
-                    "first differing section: `{name}` (A: offset {}, {} bytes; B: offset {}, {} bytes)",
-                    ra.start,
-                    ra.len(),
-                    rb.start,
-                    rb.len()
-                )),
+                Some(((name, ra), (_, rb))) => {
+                    out.push_str(&format!(
+                        "first differing section: `{name}` (A: offset {}, {} bytes; B: offset {}, {} bytes)",
+                        ra.start,
+                        ra.len(),
+                        rb.start,
+                        rb.len()
+                    ));
+                    if name == "bartercast" {
+                        out.push_str(&bartercast_difference(a, b));
+                    }
+                }
                 None => out.push_str("every tagged section is equal"),
             }
         }
@@ -219,6 +227,21 @@ pub fn first_divergence(a: &Checkpoint, b: &Checkpoint) -> Option<String> {
         }
     }
     Some(out)
+}
+
+/// The line `first_divergence` adds when `bartercast` is the first section
+/// that differs: an offset inside its record table says nothing of whose
+/// graph moved, so the two states say what differs first
+/// ([`rvs_bartercast::BarterCast::first_difference`]). Both blobs index
+/// their sections, so both restore.
+fn bartercast_difference(a: &Checkpoint, b: &Checkpoint) -> String {
+    match (crate::System::restore(a), crate::System::restore(b)) {
+        (Ok(a), Ok(b)) => a
+            .bartercast()
+            .first_difference(b.bartercast())
+            .map_or(String::new(), |what| format!("\nbartercast: {what}")),
+        _ => String::new(),
+    }
 }
 
 /// Seeds of the committed golden checkpoint corpus under `tests/golden/`.

@@ -28,9 +28,16 @@
 //!     — or a row count or row length past the bytes left;
 //!   * a dedup window id written out of order or twice (a gap past `u64`),
 //!     or a window length past the bytes left;
-//! * a subjective graph's varint rows that no report can store: an empty
-//!   row, a count past the bytes left, an id past `u32`, a self-loop, a
-//!   varint spelled longer than it needs.
+//!   * a `bartercast` section that no population of graphs writes: a
+//!     source with no targets or a target with no values, a self-loop
+//!     record, a record no graph holds, a graph holding two records of one
+//!     edge, an index past the table, a gap past `u32` (a source or a
+//!     target) or past `u64` (an index or a value, which is how a value run
+//!     that does not ascend is spelled), a count past the bytes left, a
+//!     varint spelled longer than it needs (rows the blob cannot pay for
+//!     are the crate's own test, `graph::table`);
+//! * `rvs ckpt diff`'s report names the node and the edge when
+//!   `bartercast` is the first section two blobs differ in.
 
 use proptest::prelude::*;
 use robust_vote_sampling::faults::FaultSchedule;
@@ -286,6 +293,13 @@ fn gap_to(prev: u32, id: u32) -> Vec<u8> {
 /// A varint field of a component's encoding: where it sits in the
 /// checkpoint and what it holds.
 type Field = (Range<usize>, u64);
+
+/// The node id a gap field spells after `next`, moving `next` past it.
+fn gap_id(gap: &Field, next: &mut u64) -> u32 {
+    let id = *next + gap.1;
+    *next = id + 1;
+    u32::try_from(id).expect("a node id")
+}
 
 /// Reads a component's encoding field by field, giving each field's place
 /// in the checkpoint the component sits in.
@@ -548,56 +562,272 @@ fn source_records_no_member_keeps_are_corrupt() {
     );
 }
 
+/// One target of the record table as the checkpoint holds it: its
+/// source's id, its gap and id, its value count, and its values' fields.
+struct TargetBytes {
+    from: u32,
+    gap: Field,
+    to: u32,
+    count: Field,
+    values: Vec<Field>,
+}
+
+/// The `bartercast` section of the honest checkpoint, field by field. It is
+/// varints: the record table — the source count, per source its gap and
+/// target count, per target its gap, value count and values — then the
+/// graph count and, per graph, its entry count and the entries' table
+/// indices as gaps.
+struct CastBytes {
+    sources: Field,
+    /// Per source: its gap, its id and its target count.
+    source_fields: Vec<(Field, u32, Field)>,
+    targets: Vec<TargetBytes>,
+    /// Where the graphs start: one past the table.
+    table_end: usize,
+    graphs: Field,
+    /// Per graph: its entry count and, per entry, its index's gap and the
+    /// index.
+    picks: Vec<(Field, Vec<(Field, u64)>)>,
+}
+
+impl CastBytes {
+    fn of(honest: &[u8]) -> CastBytes {
+        let ckpt = Checkpoint::from_bytes(honest.to_vec()).expect("honest checkpoint");
+        let sections = ckpt.sections().expect("self-produced checkpoint indexes");
+        let (_, range) = sections
+            .into_iter()
+            .find(|(n, _)| n == "bartercast")
+            .unwrap();
+        // The tag, then `BarterCastConfig`'s two `usize`s.
+        let at = range.start + 1 + "bartercast".len() + 16;
+        let mut f = Fields::new(&honest[at..range.end], at);
+        let sources = f.varint();
+        let (mut source_fields, mut targets) = (Vec::new(), Vec::new());
+        let mut next_from = 0;
+        for _ in 0..sources.1 {
+            let gap = f.varint();
+            let from = gap_id(&gap, &mut next_from);
+            let count = f.varint();
+            let mut next_to = 0;
+            for _ in 0..count.1 {
+                let gap = f.varint();
+                let to = gap_id(&gap, &mut next_to);
+                let count = f.varint();
+                let values = (0..count.1).map(|_| f.varint()).collect();
+                targets.push(TargetBytes {
+                    from,
+                    gap,
+                    to,
+                    count,
+                    values,
+                });
+            }
+            source_fields.push((gap, from, count));
+        }
+        let table_end = f.at();
+        let graphs = f.varint();
+        let picks = (0..graphs.1)
+            .map(|_| {
+                let count = f.varint();
+                let mut next = 0;
+                let gaps = (0..count.1)
+                    .map(|_| {
+                        let gap = f.varint();
+                        let at = next + gap.1;
+                        next = at + 1;
+                        (gap, at)
+                    })
+                    .collect();
+                (count, gaps)
+            })
+            .collect();
+        assert_eq!(f.at(), range.end - 16, "two counters close the section");
+        CastBytes {
+            sources,
+            source_fields,
+            targets,
+            table_end,
+            graphs,
+            picks,
+        }
+    }
+
+    /// The table's records as `(from, to)`, in table order.
+    fn edges(&self) -> Vec<(u32, u32)> {
+        let each = |t: &TargetBytes| vec![(t.from, t.to); t.values.len()];
+        self.targets.iter().flat_map(each).collect()
+    }
+}
+
+#[test]
+fn a_diff_inside_bartercast_names_the_node_and_the_edge() {
+    use robust_vote_sampling::scenario::checkpoint::first_divergence;
+    // The same run at 3 h, with its graphs and counters as they were at 4 h:
+    // `bartercast` is the only section that differs.
+    let early = mid_run(10, ProtocolConfig::default());
+    let mut system = build(10, 6, 7);
+    system.run_until(
+        SimTime::from_hours(4),
+        SimDuration::from_hours(1),
+        |_, _| {},
+    );
+    let late = Checkpoint::from_bytes(splice(&early, &system.checkpoint(), "bartercast"))
+        .expect("the spliced blob has a header");
+    let report = first_divergence(&early, &late).expect("the graphs moved");
+    assert!(
+        report.contains("first differing section: `bartercast`"),
+        "{report}"
+    );
+    let (a, b) = (try_restore(early.as_bytes()), try_restore(late.as_bytes()));
+    let (a, b) = (a.expect("early"), b.expect("late"));
+    let what = a
+        .bartercast()
+        .first_difference(b.bartercast())
+        .expect("differs");
+    assert!(what.starts_with("graph of node "), "{what}");
+    assert!(
+        report.ends_with(&format!("\nbartercast: {what}")),
+        "{report}"
+    );
+}
+
 #[test]
 fn graph_rows_no_report_can_store_are_corrupt() {
-    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
-    let bc = system.bartercast();
-    let graph = (0..system.total_nodes())
-        .map(|i| bc.graph(rvs_sim::NodeId::from_index(i)))
-        .max_by_key(|graph| graph.edge_count())
-        .expect("a population");
-    assert!(graph.edge_count() > 0, "an edge to damage");
-    // A graph is varints: the row count, then per row the source's gap
-    // and the row length, then per entry the target's gap and the KiB.
-    // Read the head of the first row back out of the graph's encoding.
-    let encoded = rvs_checkpoint::to_bytes(graph);
     let honest = base_bytes().to_vec();
-    let mut f = Fields::new(&encoded, locate(&honest, &encoded));
-    let [count, source, len, target, kib] = [(); 5].map(|()| f.varint());
+    let cast = CastBytes::of(&honest);
     let with = |field: &Field, bytes: &[u8]| spliced(&honest, field.0.clone(), bytes);
-    // The same weight, spelled one byte longer than it needs.
-    let mut padded = varint(kib.1);
-    *padded.last_mut().expect("a varint has a byte") |= 0x80;
-    padded.push(0);
+    let (first_gap, first, target_count) = &cast.source_fields[0];
+    let target = &cast.targets[0];
     let past_u32 = varint(1 << 32);
     for (crafted, what) in [
         (
-            with(&count, &varint(1 << 40)),
-            "SubjectiveGraph: 1099511627776 rows claimed",
+            with(&cast.sources, &varint(1 << 40)),
+            "BarterCast: 1099511627776 sources claimed",
         ),
-        (with(&len, &varint(0)), "SubjectiveGraph: empty row"),
+        (with(target_count, &varint(0)), "has no targets"),
+        (with(&target.count, &varint(0)), "has no values"),
         (
-            with(&len, &varint(1 << 40)),
-            "SubjectiveGraph: row of 1099511627776 entries claimed",
-        ),
-        (
-            with(&source, &past_u32),
-            "SubjectiveGraph: source id overflows u32",
+            with(&target.count, &varint(1 << 40)),
+            "BarterCast: 1099511627776 values of",
         ),
         (
-            with(&target, &past_u32),
-            "SubjectiveGraph: target id overflows u32",
+            with(first_gap, &past_u32),
+            "BarterCast: source id overflows u32",
         ),
-        // A row's first target counts from −1 as its first source does, so
-        // the source's gap is the target's too.
         (
-            with(&target, &varint(source.1)),
-            "SubjectiveGraph: self-loop",
+            with(&target.gap, &past_u32),
+            "BarterCast: target id overflows u32",
         ),
-        (with(&kib, &padded), "varint is not minimal"),
+        // A source's first target counts from −1 as the first source does,
+        // so the source's gap spells the source as a target.
+        (
+            with(&target.gap, &varint(u64::from(*first))),
+            "BarterCast: self-loop",
+        ),
+        (
+            with(&cast.graphs, &varint(1 << 40)),
+            "BarterCast: 1099511627776 graphs claimed",
+        ),
+        (
+            with(&cast.picks[0].0, &varint(1 << 40)),
+            "BarterCast: 1099511627776 entries of the graph of node 0 claimed",
+        ),
     ] {
         assert_corrupt(&crafted, what);
     }
+    // Values are gaps: the only way a run can fail to ascend is a gap that
+    // carries it past `u64`.
+    let run = cast.targets.iter().find(|t| t.values.len() >= 2);
+    let run = run.expect("an edge with two weights in the table");
+    assert_corrupt(
+        &with(&run.values[1], &varint(u64::MAX)),
+        &format!(
+            "BarterCast: the values of n{} -> n{} pass u64",
+            run.from, run.to
+        ),
+    );
+    // The same weight spelled one byte longer than it needs.
+    let mut padded = varint(target.values[0].1);
+    *padded.last_mut().expect("a varint has a byte") |= 0x80;
+    padded.push(0);
+    assert_corrupt(&with(&target.values[0], &padded), "varint is not minimal");
+}
+
+#[test]
+fn graphs_holding_records_no_population_holds_are_corrupt() {
+    let honest = base_bytes().to_vec();
+    let cast = CastBytes::of(&honest);
+    let records = cast.edges();
+    let (node, (_, picks)) = cast
+        .picks
+        .iter()
+        .enumerate()
+        .find(|(_, (_, picks))| picks.len() >= 2)
+        .expect("a graph of two entries");
+    let with = |field: &Field, bytes: &[u8]| spliced(&honest, field.0.clone(), bytes);
+    // An index past the table, and a gap past `u64`.
+    let (last_gap, last) = picks.last().expect("entries");
+    let past = records.len() as u64 - last + last_gap.1;
+    assert_corrupt(
+        &with(last_gap, &varint(past)),
+        &format!(
+            "BarterCast: the graph of node {node} holds record {}",
+            records.len()
+        ),
+    );
+    assert_corrupt(
+        &with(&picks[1].0, &varint(u64::MAX)),
+        &format!("BarterCast: the graph of node {node}: index gap overflows u64"),
+    );
+    // A record no graph holds: one more source past the last, with one
+    // target and one value, appended to the table.
+    let (_, last_source, _) = cast.source_fields.last().expect("a source");
+    let spare = [varint(0), varint(1), varint(0), varint(1), varint(7)].concat();
+    let mut crafted = honest.clone();
+    crafted.splice(cast.table_end..cast.table_end, spare);
+    let crafted = spliced(
+        &crafted,
+        cast.sources.0.clone(),
+        &varint(cast.sources.1 + 1),
+    );
+    assert_corrupt(
+        &crafted,
+        &format!(
+            "BarterCast: record {} (n{} -> n0, 7 KiB) is in no graph",
+            records.len(),
+            last_source + 1
+        ),
+    );
+    // Two records of one edge in one graph: a graph that holds the first
+    // weight of an edge with two is made to hold the second as well.
+    let twice = cast
+        .picks
+        .iter()
+        .enumerate()
+        .find_map(|(node, (count, picks))| {
+            let k = picks.iter().position(|&(_, at)| {
+                let at = at as usize;
+                records.get(at + 1) == Some(&records[at])
+                    && picks.iter().all(|&(_, other)| other != at as u64 + 1)
+            })?;
+            Some((node, count, picks, k))
+        });
+    let (node, count, picks, k) = twice.expect("a graph holding one of two weights of an edge");
+    let at = picks[k].1;
+    let (from, to) = records[at as usize];
+    // `at + 1` right after `at` is a gap of 0; the entry after it, if any,
+    // is one closer.
+    let mut crafted = honest.clone();
+    if let Some((gap, _)) = picks.get(k + 1) {
+        crafted = spliced(&crafted, gap.0.clone(), &varint(gap.1 - 1));
+    }
+    let after = picks[k].0 .0.end;
+    crafted.insert(after, 0);
+    let crafted = spliced(&crafted, count.0.clone(), &varint(count.1 + 1));
+    assert_corrupt(
+        &crafted,
+        &format!("BarterCast: the graph of node {node} holds two records of n{from} -> n{to}"),
+    );
 }
 
 #[test]
@@ -675,23 +905,18 @@ struct LedgerRow {
 fn ledger_rows(system: &System) -> (Field, Vec<LedgerRow>) {
     let encoded = rvs_checkpoint::to_bytes(system.net().ledger());
     let mut f = Fields::new(&encoded, locate(base_bytes(), &encoded));
-    let id = |gap: &Field, next: &mut u64| {
-        let id = *next + gap.1;
-        *next = id + 1;
-        u32::try_from(id).expect("a node id")
-    };
     let count = f.varint();
     let mut next_from = 0;
     let rows = (0..count.1)
         .map(|_| {
             let gap = f.varint();
-            let from = id(&gap, &mut next_from);
+            let from = gap_id(&gap, &mut next_from);
             let len = f.varint();
             let mut next_to = 0;
             let entries = (0..len.1)
                 .map(|_| {
                     let gap = f.varint();
-                    let to = id(&gap, &mut next_to);
+                    let to = gap_id(&gap, &mut next_to);
                     (gap, to, f.varint())
                 })
                 .collect();

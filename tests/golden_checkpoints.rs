@@ -204,7 +204,9 @@ fn legacy_v3_golden_is_refused_not_misread() {
     // drew), or whose subjective graphs were 16-byte `(from, to, kib)`
     // entries rather than rows of varints (format 6), or that still wrote
     // availability counts, the ledger's transpose and 8-byte dedup ids
-    // (format 7), must be refused with
+    // (format 7), or that wrote every copy of a BarterCast record in each
+    // graph that held it rather than each record once (format 8), must be
+    // refused with
     // the typed version error — never decoded into a plausible-looking
     // system — while its frozen identity prefix stays readable, through
     // the library and through `rvs ckpt inspect`.
@@ -215,6 +217,7 @@ fn legacy_v3_golden_is_refused_not_misread() {
         ("fig6-seed1.v5.ckpt", 5),
         ("fig6-seed1.v6.ckpt", 6),
         ("fig6-seed1.v7.ckpt", 7),
+        ("fig6-seed1.v8.ckpt", 8),
     ];
     assert_eq!(
         std::fs::read_dir(&legacy)
