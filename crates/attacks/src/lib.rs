@@ -8,9 +8,6 @@
 //! * [`flash_crowd`] — a collusive crowd of fresh identities promoting a
 //!   spam moderator `M0` via votes and fabricated VoxPopuli top-K lists
 //!   (Figures 7 and 8);
-//! * [`sybil`] — the Sybil view of the same attack: one operator minting
-//!   identities, plus the upload/time cost accounting that the experience
-//!   function imposes on entering the core (§VII's cost argument);
 //! * [`mole`] — the "front peer" attack on BarterCast: colluders fabricate
 //!   transfer claims behind a mole that has genuine edges to honest nodes;
 //! * [`aggregation`] — the baseline the paper rejects in §II/§V-A:
@@ -35,7 +32,6 @@ pub mod flash_crowd;
 pub mod flooder;
 pub mod malformer;
 pub mod mole;
-pub mod sybil;
 
 pub use aggregation::EpidemicAggregation;
 pub use credence::{simulate_credence, CredenceOutcome, VoteHistories};
@@ -43,4 +39,3 @@ pub use flash_crowd::FlashCrowd;
 pub use flooder::Flooder;
 pub use malformer::Malformer;
 pub use mole::MoleAttack;
-pub use sybil::SybilCost;

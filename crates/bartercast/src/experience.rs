@@ -1,5 +1,5 @@
-//! The experience function `E` (paper §V-B) and the adaptive-threshold
-//! refinement sketched in §VII.
+//! The adaptive-threshold refinement of the experience function `E`
+//! (paper §V-B) sketched in §VII.
 //!
 //! > "we apply a simple threshold value T over the contribution function
 //! > f_{j→i}. Hence node i considers node j to be experienced where
@@ -9,32 +9,11 @@
 //! proposes, as future work, adapting `T` endogenously: raise it when the
 //! dispersion of incoming votes exceeds `D_max` (likely attack), lower it
 //! when votes agree. [`AdaptiveThreshold`] implements that sketch and is
-//! evaluated by the `ablation_adaptive_t` experiment.
-
-use crate::protocol::BarterCast;
-use rvs_sim::NodeId;
-
-/// The paper's fixed-threshold experience function.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThresholdExperience {
-    /// Threshold in MiB (paper: 5 MB).
-    pub t_mib: f64,
-}
-
-impl ThresholdExperience {
-    /// The paper's selected operating point, `T = 5` MB.
-    pub const PAPER_DEFAULT: ThresholdExperience = ThresholdExperience { t_mib: 5.0 };
-
-    /// A threshold of `t_mib` MiB.
-    pub fn new(t_mib: f64) -> Self {
-        ThresholdExperience { t_mib }
-    }
-
-    /// `E_i(j)`: does `i` consider `j` experienced?
-    pub fn is_experienced(&self, bc: &BarterCast, i: NodeId, j: NodeId) -> bool {
-        bc.contribution_mib(i, j) >= self.t_mib
-    }
-}
+//! evaluated by the `ablation_adaptive_t` experiment. `E_i(j)` itself is
+//! one comparison of [`BarterCast::contribution_mib`] against `i`'s
+//! current `T`, made by the scenario engine (`System::experienced`).
+//!
+//! [`BarterCast::contribution_mib`]: crate::BarterCast::contribution_mib
 
 /// Adaptive threshold (paper §VII): per-node `T` steered by the dispersion
 /// of incoming votes.
@@ -99,11 +78,6 @@ impl AdaptiveThreshold {
         }
     }
 
-    /// `E_i(j)` under the current adaptive threshold.
-    pub fn is_experienced(&self, bc: &BarterCast, i: NodeId, j: NodeId) -> bool {
-        bc.contribution_mib(i, j) >= self.t_mib
-    }
-
     /// Feed one dispersion observation `d ∈ [0, 1]` (e.g. the fraction of
     /// moderators whose incoming votes conflict). Raises `T` by
     /// `raise_mib` when `d > D_max`, lowers it by `decay_mib` otherwise,
@@ -121,47 +95,6 @@ impl AdaptiveThreshold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::BarterCastConfig;
-    use rvs_bittorrent::TransferLedger;
-
-    fn bc_with_upload(kib: u64) -> BarterCast {
-        let mut l = TransferLedger::new();
-        l.credit(NodeId(2), NodeId(1), kib);
-        let mut bc = BarterCast::new(3, BarterCastConfig::default());
-        bc.sync_own_records(NodeId(1), &l);
-        bc
-    }
-
-    #[test]
-    fn threshold_boundary_is_inclusive() {
-        let bc = bc_with_upload(5 * 1024);
-        let e = ThresholdExperience::PAPER_DEFAULT;
-        assert!(e.is_experienced(&bc, NodeId(1), NodeId(2)));
-        let bc_less = bc_with_upload(5 * 1024 - 1);
-        assert!(!e.is_experienced(&bc_less, NodeId(1), NodeId(2)));
-    }
-
-    #[test]
-    fn experience_is_asymmetric() {
-        // 2 uploaded to 1; 1 never uploaded to 2.
-        let mut l = TransferLedger::new();
-        l.credit(NodeId(2), NodeId(1), 10 * 1024);
-        let mut bc = BarterCast::new(3, BarterCastConfig::default());
-        bc.sync_own_records(NodeId(1), &l);
-        bc.sync_own_records(NodeId(2), &l);
-        let e = ThresholdExperience::PAPER_DEFAULT;
-        assert!(e.is_experienced(&bc, NodeId(1), NodeId(2)));
-        assert!(!e.is_experienced(&bc, NodeId(2), NodeId(1)));
-    }
-
-    #[test]
-    fn zero_threshold_accepts_anyone_known() {
-        let bc = bc_with_upload(1);
-        let e = ThresholdExperience::new(0.0);
-        assert!(e.is_experienced(&bc, NodeId(1), NodeId(2)));
-        // Even a node with no contribution passes at T=0.
-        assert!(e.is_experienced(&bc, NodeId(1), NodeId(0)));
-    }
 
     #[test]
     fn adaptive_raises_on_high_dispersion() {
@@ -198,16 +131,5 @@ mod tests {
         a.observe_dispersion(0.0);
         a.observe_dispersion(0.0);
         assert_eq!(a.t_mib, 0.0);
-    }
-
-    #[test]
-    fn adaptive_gates_by_current_threshold() {
-        let bc = bc_with_upload(3 * 1024); // 3 MiB contribution
-        let mut a = AdaptiveThreshold::default(); // T = 0
-        assert!(a.is_experienced(&bc, NodeId(1), NodeId(2)));
-        for _ in 0..4 {
-            a.observe_dispersion(1.0); // T climbs to 4
-        }
-        assert!(!a.is_experienced(&bc, NodeId(1), NodeId(2)));
     }
 }

@@ -20,17 +20,18 @@
 //!   held in its slot), beside a column of the source ids and a column of
 //!   the weights too wide for 32 bits — and checkpointed together, each
 //!   distinct record once in one table and every graph as indices into it;
-//! * [`maxflow`] — hop-bounded Edmonds–Karp, matching the deployed
-//!   BarterCast's 2-hop maxflow that limits the leverage of false reports;
-//!   at 2 hops a closed-form sum over `j`'s out-edges;
+//! * [`maxflow`] — hop-bounded Edmonds–Karp (at 2 hops a closed-form sum
+//!   over `j`'s out-edges), the reference the protocol's 2-hop answer is
+//!   tested against; the deployed BarterCast's 2-hop bound limits the
+//!   leverage of false reports;
 //! * [`protocol`] — the record-exchange gossip ([`BarterCast`]), which
 //!   answers a 2-hop contribution query as one merge of `j`'s out-row with
 //!   the owner's in-column, cheap enough that every query recomputes it
 //!   (no cache — DESIGN.md §4), and whose receive half installs only the
 //!   records the receiver has not already been given by that reporter;
-//! * [`experience`] — the threshold experience function
-//!   `E_i(j) ⇔ f_{j→i} ≥ T` plus the adaptive-threshold variant sketched in
-//!   the paper's discussion (§VII).
+//! * [`experience`] — the adaptive variant, sketched in the paper's
+//!   discussion (§VII), of the threshold experience function
+//!   `E_i(j) ⇔ f_{j→i} ≥ T`.
 
 pub mod experience;
 pub mod graph;
@@ -41,7 +42,7 @@ pub mod validate;
 #[cfg(test)]
 mod tests;
 
-pub use experience::{AdaptiveThreshold, ThresholdExperience};
+pub use experience::AdaptiveThreshold;
 pub use graph::SubjectiveGraph;
 pub use protocol::{BarterCast, BarterCastConfig, Record};
 pub use validate::validate_records;

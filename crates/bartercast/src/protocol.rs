@@ -5,10 +5,10 @@
 //! from the global [`TransferLedger`] ground truth) and, when two peers
 //! meet through the PSS, they exchange their own direct records — never
 //! hearsay — which the receiver installs into its graph. Contribution
-//! estimates are hop-bounded maxflows over the receiver's graph.
+//! estimates are 2-hop maxflows over the receiver's graph, the bound
+//! deployed Tribler uses.
 
 use crate::graph::{insert_snug, narrow, persist_graphs, restore_graphs, Edge, SubjectiveGraph};
-use crate::maxflow::max_flow_bounded;
 use rvs_bittorrent::TransferLedger;
 use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
 use rvs_sim::NodeId;
@@ -20,22 +20,18 @@ use std::cmp::Reverse;
 pub struct BarterCastConfig {
     /// Maximum records sent per exchange (largest-first, as deployed).
     pub max_records_per_exchange: usize,
-    /// Hop bound for contribution maxflow (deployed Tribler uses 2).
-    pub max_hops: usize,
 }
 
 impl Default for BarterCastConfig {
     fn default() -> Self {
         BarterCastConfig {
             max_records_per_exchange: 50,
-            max_hops: 2,
         }
     }
 }
 
 rvs_checkpoint::persist_struct!(BarterCastConfig {
-    max_records_per_exchange,
-    max_hops
+    max_records_per_exchange
 });
 
 /// One direct-transfer record: "`from` uploaded `kib` KiB to `to`", as
@@ -190,6 +186,8 @@ fn behind<'a>(
 /// closed form of [`max_flow_bounded`] as one merge of `j`'s out-row in
 /// `i`'s graph (which holds the direct edge at `x == i`) with `i`'s
 /// in-column.
+///
+/// [`max_flow_bounded`]: crate::maxflow::max_flow_bounded
 fn two_hop_flow(graph: &SubjectiveGraph, i: NodeId, j: NodeId, into_i: &[Edge]) -> u64 {
     let mut into_i = into_i.iter().peekable();
     let mut flow = 0u64;
@@ -402,18 +400,18 @@ impl BarterCast {
         self.report(receiver, reporter, record.from, record.to, record.kib)
     }
 
-    /// Contribution of `j` towards `i` in KiB: hop-bounded maxflow `j → i`
-    /// over `i`'s subjective graph (the paper's `f_{j→i}`), computed on
-    /// every query. At the deployed two hops that is one merge of two
-    /// sorted rows; [`max_flow_bounded`] is its oracle.
+    /// Contribution of `j` towards `i` in KiB: 2-hop maxflow `j → i` over
+    /// `i`'s subjective graph (the paper's `f_{j→i}`), computed on every
+    /// query as one merge of two sorted rows; [`max_flow_bounded`] is its
+    /// oracle. A node contributes nothing towards itself.
+    ///
+    /// [`max_flow_bounded`]: crate::maxflow::max_flow_bounded
     pub fn contribution_kib(&self, i: NodeId, j: NodeId) -> u64 {
         self.maxflow_evaluations.incr();
-        let graph = &self.graphs[i.index()];
-        if self.cfg.max_hops == 2 && i != j {
-            two_hop_flow(graph, i, j, &self.own[i.index()].inbound)
-        } else {
-            max_flow_bounded(graph, j, i, self.cfg.max_hops)
+        if i == j {
+            return 0;
         }
+        two_hop_flow(&self.graphs[i.index()], i, j, &self.own[i.index()].inbound)
     }
 
     /// Contribution in MiB (the unit the paper's threshold `T` uses).
@@ -567,7 +565,6 @@ pub(crate) mod tests {
     fn exchange_budget_truncates_largest_first() {
         let cfg = BarterCastConfig {
             max_records_per_exchange: 2,
-            ..BarterCastConfig::default()
         };
         let mut edges = Vec::new();
         for t in 2..10 {
@@ -856,7 +853,6 @@ pub(crate) mod tests {
         for budget in [1usize, 2] {
             let cfg = BarterCastConfig {
                 max_records_per_exchange: budget,
-                ..BarterCastConfig::default()
             };
             // Under budget 2 one heavy edge holds the first place throughout.
             let heavy: &[(u32, u32, u64)] = if budget == 2 { &[(5, 1, 9000)] } else { &[] };
@@ -968,13 +964,12 @@ pub(crate) mod tests {
         );
         // The configuration and the population come before any graph.
         let cfg = BarterCastConfig {
-            max_hops: 3,
-            ..BarterCastConfig::default()
+            max_records_per_exchange: 7,
         };
         let other = BarterCast::new(5, cfg);
         let first = bc.first_difference(&other).expect("differs");
         assert!(
-            first.starts_with("config: ") && first.contains("max_hops: 3"),
+            first.starts_with("config: ") && first.contains("max_records_per_exchange: 7"),
             "{first}"
         );
         let other = BarterCast::new(6, BarterCastConfig::default());
@@ -986,21 +981,17 @@ pub(crate) mod tests {
     fn flow_saturates_instead_of_overflowing() {
         // 3 → 1 directly at `u64::MAX`, plus 10 KiB via 2: the answer is
         // "at least `u64::MAX`", on the closed form and on Edmonds–Karp.
-        for max_hops in [2, 3] {
-            let cfg = BarterCastConfig {
-                max_hops,
-                ..BarterCastConfig::default()
+        let mut bc = BarterCast::new(4, BarterCastConfig::default());
+        for (reporter, from, to, kib) in [(3, 3, 1, u64::MAX), (3, 3, 2, 10), (2, 2, 1, 10)] {
+            let record = Record {
+                from: NodeId(from),
+                to: NodeId(to),
+                kib,
             };
-            let mut bc = BarterCast::new(4, cfg);
-            for (reporter, from, to, kib) in [(3, 3, 1, u64::MAX), (3, 3, 2, 10), (2, 2, 1, 10)] {
-                let record = Record {
-                    from: NodeId(from),
-                    to: NodeId(to),
-                    kib,
-                };
-                assert!(bc.inject_report(NodeId(1), NodeId(reporter), record));
-            }
-            assert_eq!(bc.contribution_kib(NodeId(1), NodeId(3)), u64::MAX);
+            assert!(bc.inject_report(NodeId(1), NodeId(reporter), record));
         }
+        assert_eq!(bc.contribution_kib(NodeId(1), NodeId(3)), u64::MAX);
+        let three_hops = crate::maxflow::max_flow_bounded(&bc.graphs[1], NodeId(3), NodeId(1), 3);
+        assert_eq!(three_hops, u64::MAX);
     }
 }

@@ -165,7 +165,7 @@ proptest! {
         steps in prop::collection::vec(arb_step(), 1..60),
     ) {
         for budget in [1usize, 2, 50] {
-            let cfg = BarterCastConfig { max_records_per_exchange: budget, ..BarterCastConfig::default() };
+            let cfg = BarterCastConfig { max_records_per_exchange: budget };
             let mut pair = Pair {
                 bc: BarterCast::new(N as usize, cfg),
                 model: Model { budget, graphs: vec![MapGraph::default(); N as usize] },

@@ -9,35 +9,11 @@
 use rvs_sim::{DetRng, NodeId};
 use std::cmp::Reverse;
 
-/// Slot configuration for the choker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChokePolicy {
-    /// Reciprocation slots (deployed default: 4).
-    pub regular_slots: usize,
-    /// Optimistic slots (deployed default: 1).
-    pub optimistic_slots: usize,
-}
+/// Reciprocation slots of a deployed client.
+pub const REGULAR_SLOTS: usize = 4;
 
-impl Default for ChokePolicy {
-    fn default() -> Self {
-        ChokePolicy {
-            regular_slots: 4,
-            optimistic_slots: 1,
-        }
-    }
-}
-
-impl ChokePolicy {
-    /// Total simultaneous upload connections.
-    pub fn total_slots(&self) -> usize {
-        self.regular_slots + self.optimistic_slots
-    }
-}
-
-rvs_checkpoint::persist_struct!(ChokePolicy {
-    regular_slots,
-    optimistic_slots
-});
+/// Optimistic slots of a deployed client.
+pub const OPTIMISTIC_SLOTS: usize = 1;
 
 /// Outcome of a rechoke round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,7 +37,6 @@ pub fn rechoke(
     is_seeder: bool,
     interested: &[NodeId],
     recent_kib_from: impl Fn(NodeId) -> u64,
-    policy: ChokePolicy,
     rotate_optimistic: bool,
     current_optimistic: Option<NodeId>,
     rng: &mut DetRng,
@@ -76,7 +51,7 @@ pub fn rechoke(
     let mut unchoked: Vec<NodeId>;
     if is_seeder {
         // Seeders rotate slots uniformly across interested peers.
-        let k = policy.total_slots().min(interested.len());
+        let k = (REGULAR_SLOTS + OPTIMISTIC_SLOTS).min(interested.len());
         let idx = rng.sample_indices(interested.len(), k);
         unchoked = idx.into_iter().map(|i| interested[i]).collect();
         unchoked.sort_unstable();
@@ -95,16 +70,12 @@ pub fn rechoke(
         .map(|&p| (Reverse(recent_kib_from(p)), p))
         .collect();
     ranked.sort_unstable();
-    unchoked = ranked
-        .iter()
-        .map(|&(_, p)| p)
-        .take(policy.regular_slots)
-        .collect();
+    unchoked = ranked.iter().map(|&(_, p)| p).take(REGULAR_SLOTS).collect();
 
     // Optimistic slot: keep the current holder unless rotating or invalid.
     let mut optimistic = current_optimistic
         .filter(|p| interested.contains(p) && !unchoked.contains(p) && !rotate_optimistic);
-    if optimistic.is_none() && policy.optimistic_slots > 0 {
+    if optimistic.is_none() {
         let pool: Vec<NodeId> = interested
             .iter()
             .copied()
@@ -135,15 +106,7 @@ mod tests {
     #[test]
     fn empty_interest_unchokes_nobody() {
         let mut rng = DetRng::new(1);
-        let d = rechoke(
-            false,
-            &[],
-            |_| 0,
-            ChokePolicy::default(),
-            true,
-            None,
-            &mut rng,
-        );
+        let d = rechoke(false, &[], |_| 0, true, None, &mut rng);
         assert!(d.unchoked.is_empty());
         assert_eq!(d.optimistic, None);
     }
@@ -157,31 +120,24 @@ mod tests {
             false,
             &interested,
             |p| p.0 as u64 * 100,
-            ChokePolicy {
-                regular_slots: 4,
-                optimistic_slots: 0,
-            },
             false,
             None,
             &mut rng,
         );
-        assert_eq!(d.unchoked, ids(&[4, 5, 6, 7]));
-        assert_eq!(d.optimistic, None);
+        let opt = d.optimistic.expect("optimistic chosen");
+        assert!(
+            [1, 2, 3].contains(&opt.0),
+            "optimistic {opt} took a regular slot"
+        );
+        let regular: Vec<NodeId> = d.unchoked.into_iter().filter(|&p| p != opt).collect();
+        assert_eq!(regular, ids(&[4, 5, 6, 7]));
     }
 
     #[test]
     fn optimistic_slot_from_remaining_pool() {
         let mut rng = DetRng::new(3);
         let interested = ids(&[1, 2, 3, 4, 5, 6]);
-        let d = rechoke(
-            false,
-            &interested,
-            |p| p.0 as u64,
-            ChokePolicy::default(),
-            true,
-            None,
-            &mut rng,
-        );
+        let d = rechoke(false, &interested, |p| p.0 as u64, true, None, &mut rng);
         assert_eq!(d.unchoked.len(), 5);
         let opt = d.optimistic.expect("optimistic chosen");
         // Regular slots took 3,4,5,6, so the optimistic one is 1 or 2.
@@ -197,7 +153,6 @@ mod tests {
             false,
             &interested,
             |p| p.0 as u64,
-            ChokePolicy::default(),
             false,
             Some(NodeId(1)),
             &mut rng,
@@ -216,7 +171,6 @@ mod tests {
                 false,
                 &interested,
                 |p| p.0 as u64,
-                ChokePolicy::default(),
                 true,
                 Some(NodeId(1)),
                 &mut rng,
@@ -231,20 +185,16 @@ mod tests {
     #[test]
     fn tie_break_is_by_node_id() {
         let mut rng = DetRng::new(5);
-        let interested = ids(&[9, 3, 7, 1]);
-        let d = rechoke(
-            false,
-            &interested,
-            |_| 0,
-            ChokePolicy {
-                regular_slots: 2,
-                optimistic_slots: 0,
-            },
-            false,
-            None,
-            &mut rng,
+        // Nobody uploaded: the four lowest ids take the regular slots.
+        let interested = ids(&[9, 3, 7, 12, 1, 5, 8]);
+        let d = rechoke(false, &interested, |_| 0, false, None, &mut rng);
+        let opt = d.optimistic.expect("optimistic chosen");
+        assert!(
+            [8, 9, 12].contains(&opt.0),
+            "optimistic {opt} took a regular slot"
         );
-        assert_eq!(d.unchoked, ids(&[1, 3]));
+        let regular: Vec<NodeId> = d.unchoked.into_iter().filter(|&p| p != opt).collect();
+        assert_eq!(regular, ids(&[1, 3, 5, 7]));
     }
 
     #[test]
@@ -253,15 +203,7 @@ mod tests {
         let mut seen = std::collections::BTreeSet::new();
         for seed in 0..40 {
             let mut rng = DetRng::new(seed);
-            let d = rechoke(
-                true,
-                &interested,
-                |_| 0,
-                ChokePolicy::default(),
-                true,
-                None,
-                &mut rng,
-            );
+            let d = rechoke(true, &interested, |_| 0, true, None, &mut rng);
             assert_eq!(d.unchoked.len(), 5);
             seen.extend(d.unchoked.iter().copied());
         }
@@ -272,15 +214,7 @@ mod tests {
     fn fewer_interested_than_slots() {
         let mut rng = DetRng::new(6);
         let interested = ids(&[2, 5]);
-        let d = rechoke(
-            false,
-            &interested,
-            |_| 10,
-            ChokePolicy::default(),
-            true,
-            None,
-            &mut rng,
-        );
+        let d = rechoke(false, &interested, |_| 10, true, None, &mut rng);
         assert_eq!(d.unchoked, ids(&[2, 5]));
     }
 }

@@ -38,7 +38,7 @@
 //! [`run_trace`]: BitTorrentNet::run_trace
 
 use crate::ledger::{CreditSink, TransferLedger};
-use crate::swarm::{Completion, LinkProfile, MemberRole, SwarmConfig, SwarmSim};
+use crate::swarm::{Completion, LinkProfile, MemberRole, SwarmSim};
 use rvs_sim::pool::{merge_canonical, Pending, Pool};
 use rvs_sim::{DetRng, NodeId, SimDuration, SimTime, SwarmId};
 use rvs_trace::{PeerProfile, Trace, TraceEvent, TraceEventKind};
@@ -48,9 +48,8 @@ use std::sync::Arc;
 /// Configuration for the whole-network simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetConfig {
-    /// Per-swarm tuning.
-    pub swarm: SwarmConfig,
-    /// Transfer tick length. 10 s matches the rechoke interval and keeps a
+    /// Transfer tick length, never zero. 10 s matches
+    /// [`RECHOKE_INTERVAL`](crate::swarm::RECHOKE_INTERVAL) and keeps a
     /// 7-day trace around 60k ticks.
     pub tick: SimDuration,
 }
@@ -58,13 +57,12 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            swarm: SwarmConfig::default(),
             tick: SimDuration::from_secs(10),
         }
     }
 }
 
-rvs_checkpoint::persist_struct!(NetConfig { swarm, tick });
+rvs_checkpoint::persist_struct!(NetConfig { tick });
 
 /// One swarm plus everything its ticks touch: its RNG stream (keyed by
 /// swarm id) and the seed budgets of its altruists. Self-contained so a
@@ -249,7 +247,7 @@ impl BitTorrentNet {
                 .iter()
                 .enumerate()
                 .map(|(i, s)| SwarmRunner {
-                    sim: SwarmSim::new(*s, cfg.swarm),
+                    sim: SwarmSim::new(*s),
                     rng: rng_base.fork(i as u64),
                     seed_budget: BTreeMap::new(),
                 })
@@ -258,6 +256,11 @@ impl BitTorrentNet {
             ledger: TransferLedger::new(),
             completions: Vec::new(),
         }
+    }
+
+    /// The configuration the substrate was built with.
+    pub fn config(&self) -> NetConfig {
+        self.cfg
     }
 
     /// Is `peer` currently online?

@@ -86,7 +86,7 @@ pub fn network_health(net: &BitTorrentNet) -> Vec<SwarmHealth> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::swarm::{LinkProfile, MemberRole, SwarmConfig};
+    use crate::swarm::{LinkProfile, MemberRole};
     use rvs_sim::{NodeId, SimTime};
     use rvs_trace::SwarmSpec;
 
@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn snapshot_counts_roles() {
-        let mut sim = SwarmSim::new(spec(), SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec());
         sim.join(NodeId(0), MemberRole::Seeder, link(), true);
         sim.join(NodeId(1), MemberRole::Leecher, link(), true);
         sim.join(NodeId(2), MemberRole::Leecher, link(), false);
@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn seederless_detection() {
-        let mut sim = SwarmSim::new(spec(), SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec());
         sim.join(NodeId(1), MemberRole::Leecher, link(), true);
         let h = SwarmHealth::of(&sim);
         assert!(h.is_seederless());
@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn no_leechers_means_ratio_none_and_progress_one() {
-        let mut sim = SwarmSim::new(spec(), SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec());
         sim.join(NodeId(0), MemberRole::Seeder, link(), true);
         let h = SwarmHealth::of(&sim);
         assert_eq!(h.seed_ratio(), None);
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn display_is_readable() {
-        let mut sim = SwarmSim::new(spec(), SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec());
         sim.join(NodeId(0), MemberRole::Seeder, link(), true);
         let text = SwarmHealth::of(&sim).to_string();
         assert!(text.contains("1 seeders"));

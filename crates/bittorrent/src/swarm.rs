@@ -11,7 +11,7 @@
 //! come from the caller's [`DetRng`], so runs are reproducible.
 
 use crate::bitfield::{Bitfield, MAX_PIECES};
-use crate::choke::{rechoke, ChokePolicy};
+use crate::choke::rechoke;
 use crate::ledger::CreditSink;
 use crate::selection::{pick_piece_avoiding, Availability};
 use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
@@ -29,32 +29,12 @@ pub enum MemberRole {
 
 rvs_checkpoint::persist_enum!(MemberRole { Leecher = 0, Seeder = 1 });
 
-/// Tuning knobs for the swarm simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SwarmConfig {
-    /// Choker slot configuration.
-    pub choke: ChokePolicy,
-    /// How often the choker re-runs (deployed clients: 10 s).
-    pub rechoke_interval: SimDuration,
-    /// The optimistic slot re-rolls every this many rechokes (deployed: 3).
-    pub optimistic_every: u32,
-}
+/// How often the choker re-runs in a deployed client.
+pub const RECHOKE_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
-impl Default for SwarmConfig {
-    fn default() -> Self {
-        SwarmConfig {
-            choke: ChokePolicy::default(),
-            rechoke_interval: SimDuration::from_secs(10),
-            optimistic_every: 3,
-        }
-    }
-}
-
-rvs_checkpoint::persist_struct!(SwarmConfig {
-    choke,
-    rechoke_interval,
-    optimistic_every
-});
+/// The optimistic slot re-rolls every this many rechokes in a deployed
+/// client (every 30 s).
+pub const OPTIMISTIC_EVERY: u32 = 3;
 
 /// A download that finished during a tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,7 +236,6 @@ impl Persist for Member {
 #[derive(Debug, Clone)]
 pub struct SwarmSim {
     spec: SwarmSpec,
-    cfg: SwarmConfig,
     /// Ascending by id, one entry per member.
     members: Vec<(NodeId, Member)>,
     availability: Availability,
@@ -265,11 +244,10 @@ pub struct SwarmSim {
 
 impl SwarmSim {
     /// A fresh swarm for `spec`; nobody has joined yet.
-    pub fn new(spec: SwarmSpec, cfg: SwarmConfig) -> Self {
+    pub fn new(spec: SwarmSpec) -> Self {
         let pieces = spec.piece_count();
         SwarmSim {
             spec,
-            cfg,
             members: Vec::new(),
             availability: Availability::new(pieces),
             next_rechoke: spec.created,
@@ -381,7 +359,7 @@ impl SwarmSim {
     ) -> Vec<Completion> {
         if now >= self.next_rechoke {
             self.run_rechoke(rng);
-            self.next_rechoke = now + self.cfg.rechoke_interval;
+            self.next_rechoke = now + RECHOKE_INTERVAL;
         }
         self.run_transfers(now, dt, ledger, rng)
     }
@@ -414,8 +392,7 @@ impl SwarmSim {
                     let received = m.source_at(p).ok().and_then(|at| m.sources[at].window_recv);
                     received.unwrap_or(0)
                 },
-                self.cfg.choke,
-                m.rechokes.is_multiple_of(self.cfg.optimistic_every),
+                m.rechokes.is_multiple_of(OPTIMISTIC_EVERY),
                 m.optimistic,
                 rng,
             );
@@ -573,7 +550,7 @@ impl SwarmSim {
     }
 }
 
-/// Stable binary encoding: spec, config, members (a length, then id and
+/// Stable binary encoding: spec, members (a length, then id and
 /// member in ascending id order), next rechoke. Slots are found by binary
 /// search, so restore refuses ids that are not strictly ascending. The
 /// availability counts are a function of the member bitfields and are not
@@ -585,7 +562,6 @@ impl SwarmSim {
 impl Persist for SwarmSim {
     fn persist(&self, enc: &mut Encoder) {
         self.spec.persist(enc);
-        self.cfg.persist(enc);
         self.members.persist(enc);
         self.next_rechoke.persist(enc);
     }
@@ -600,7 +576,6 @@ impl Persist for SwarmSim {
         if pieces > MAX_PIECES {
             return corrupt(format!("{pieces} pieces, past {MAX_PIECES}"));
         }
-        let cfg = SwarmConfig::restore(dec)?;
         let members: Vec<(NodeId, Member)> = Vec::restore(dec)?;
         if let Some(w) = members.windows(2).find(|w| w[0].0 >= w[1].0) {
             return corrupt(format!(
@@ -637,7 +612,6 @@ impl Persist for SwarmSim {
         }
         Ok(SwarmSim {
             spec,
-            cfg,
             members,
             availability: Availability::from_counts(counts),
             next_rechoke: SimTime::restore(dec)?,
@@ -716,7 +690,7 @@ mod tests {
 
     #[test]
     fn single_leecher_downloads_from_seeder() {
-        let mut sim = SwarmSim::new(spec(10), SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec(10));
         sim.join(NodeId(0), MemberRole::Seeder, link(true, 512), true);
         sim.join(NodeId(1), MemberRole::Leecher, link(true, 512), true);
         let mut ledger = TransferLedger::new();
@@ -732,7 +706,7 @@ mod tests {
     #[test]
     fn transfer_respects_uplink_capacity() {
         // 64 KiB/s uplink, 1 hour => at most 225 MiB; file is 300 MiB.
-        let mut sim = SwarmSim::new(spec(300), SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec(300));
         sim.join(NodeId(0), MemberRole::Seeder, link(true, 64), true);
         sim.join(NodeId(1), MemberRole::Leecher, link(true, 512), true);
         let mut ledger = TransferLedger::new();
@@ -746,7 +720,7 @@ mod tests {
 
     #[test]
     fn firewalled_pair_cannot_transfer() {
-        let mut sim = SwarmSim::new(spec(5), SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec(5));
         sim.join(NodeId(0), MemberRole::Seeder, link(false, 512), true);
         sim.join(NodeId(1), MemberRole::Leecher, link(false, 512), true);
         let mut ledger = TransferLedger::new();
@@ -757,7 +731,7 @@ mod tests {
 
     #[test]
     fn one_connectable_endpoint_suffices() {
-        let mut sim = SwarmSim::new(spec(5), SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec(5));
         sim.join(NodeId(0), MemberRole::Seeder, link(false, 512), true);
         sim.join(NodeId(1), MemberRole::Leecher, link(true, 512), true);
         let mut ledger = TransferLedger::new();
@@ -767,7 +741,7 @@ mod tests {
 
     #[test]
     fn offline_members_make_no_progress() {
-        let mut sim = SwarmSim::new(spec(5), SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec(5));
         sim.join(NodeId(0), MemberRole::Seeder, link(true, 512), true);
         sim.join(NodeId(1), MemberRole::Leecher, link(true, 512), false);
         let mut ledger = TransferLedger::new();
@@ -782,7 +756,7 @@ mod tests {
     fn leechers_reciprocate_among_themselves() {
         // Seeder with slow uplink plus two fast leechers: leecher-to-leecher
         // trading should carry real volume.
-        let mut sim = SwarmSim::new(spec(50), SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec(50));
         sim.join(NodeId(0), MemberRole::Seeder, link(true, 128), true);
         sim.join(NodeId(1), MemberRole::Leecher, link(true, 512), true);
         sim.join(NodeId(2), MemberRole::Leecher, link(true, 512), true);
@@ -798,7 +772,7 @@ mod tests {
 
     #[test]
     fn swarm_of_many_leechers_all_complete() {
-        let mut sim = SwarmSim::new(spec(20), SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec(20));
         sim.join(NodeId(0), MemberRole::Seeder, link(true, 512), true);
         for i in 1..8 {
             sim.join(NodeId(i), MemberRole::Leecher, link(i % 2 == 0, 256), true);
@@ -813,7 +787,7 @@ mod tests {
 
     #[test]
     fn leave_removes_member_and_references() {
-        let mut sim = SwarmSim::new(spec(10), SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec(10));
         sim.join(NodeId(0), MemberRole::Seeder, link(true, 512), true);
         sim.join(NodeId(1), MemberRole::Leecher, link(true, 512), true);
         let mut ledger = TransferLedger::new();
@@ -842,7 +816,7 @@ mod tests {
     fn leave_drops_what_the_others_kept_per_source() {
         // 100 KiB/s for a third of a second is 33.3 KiB: the tick ends
         // mid-piece and leaves a fraction of a KiB uncredited.
-        let mut sim = SwarmSim::new(spec(10), SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec(10));
         sim.join(NodeId(1), MemberRole::Leecher, link(true, 512), true);
         let fresh = rvs_checkpoint::to_bytes(&sim).len();
         let mut ledger = TransferLedger::new();
@@ -870,7 +844,7 @@ mod tests {
 
     #[test]
     fn join_is_idempotent() {
-        let mut sim = SwarmSim::new(spec(10), SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec(10));
         sim.join(NodeId(1), MemberRole::Leecher, link(true, 512), true);
         sim.join(NodeId(1), MemberRole::Seeder, link(true, 512), true);
         assert_eq!(sim.role(NodeId(1)), Some(MemberRole::Leecher));
@@ -879,7 +853,7 @@ mod tests {
 
     #[test]
     fn counts_reflect_roles_and_presence() {
-        let mut sim = SwarmSim::new(spec(10), SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec(10));
         sim.join(NodeId(0), MemberRole::Seeder, link(true, 512), true);
         sim.join(NodeId(1), MemberRole::Leecher, link(true, 512), true);
         sim.join(NodeId(2), MemberRole::Leecher, link(true, 512), false);
@@ -890,7 +864,7 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let run = || {
-            let mut sim = SwarmSim::new(spec(30), SwarmConfig::default());
+            let mut sim = SwarmSim::new(spec(30));
             sim.join(NodeId(0), MemberRole::Seeder, link(true, 256), true);
             for i in 1..6 {
                 sim.join(NodeId(i), MemberRole::Leecher, link(true, 256), true);
@@ -905,7 +879,7 @@ mod tests {
     /// A swarm mid-download: a seeder, leechers at different stages, one
     /// member gone again.
     fn busy_swarm() -> SwarmSim {
-        let mut sim = SwarmSim::new(spec(300), SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec(300));
         sim.join(NodeId(0), MemberRole::Seeder, link(true, 512), true);
         for i in 1..6 {
             sim.join(NodeId(i), MemberRole::Leecher, link(i % 2 == 0, 256), true);

@@ -88,7 +88,6 @@ impl MapMember {
 #[derive(Debug, Clone)]
 struct MapSwarm {
     spec: SwarmSpec,
-    cfg: SwarmConfig,
     members: BTreeMap<NodeId, MapMember>,
     availability: Availability,
     next_rechoke: SimTime,
@@ -100,10 +99,9 @@ fn interested(mine: &Bitfield, theirs: &Bitfield) -> bool {
 }
 
 impl MapSwarm {
-    fn new(spec: SwarmSpec, cfg: SwarmConfig) -> Self {
+    fn new(spec: SwarmSpec) -> Self {
         MapSwarm {
             spec,
-            cfg,
             members: BTreeMap::new(),
             availability: Availability::new(spec.piece_count()),
             next_rechoke: spec.created,
@@ -149,7 +147,7 @@ impl MapSwarm {
     ) -> Vec<Completion> {
         if now >= self.next_rechoke {
             self.run_rechoke(rng);
-            self.next_rechoke = now + self.cfg.rechoke_interval;
+            self.next_rechoke = now + RECHOKE_INTERVAL;
         }
         self.run_transfers(now, dt, ledger, rng)
     }
@@ -172,13 +170,12 @@ impl MapSwarm {
                         && interested(&mv.bitfield, &m.bitfield)
                 })
                 .collect();
-            let rotate = m.rechokes.is_multiple_of(self.cfg.optimistic_every);
+            let rotate = m.rechokes.is_multiple_of(OPTIMISTIC_EVERY);
             let window = m.window_recv.clone();
             let decision = rechoke(
                 m.role == MemberRole::Seeder,
                 &interested,
                 |p| window.get(&p).copied().unwrap_or(0),
-                self.cfg.choke,
                 rotate,
                 m.optimistic,
                 rng,
@@ -305,7 +302,6 @@ impl MapSwarm {
     fn to_bytes(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         self.spec.persist(&mut enc);
-        self.cfg.persist(&mut enc);
         enc.usize(self.members.len());
         for (id, m) in &self.members {
             id.persist(&mut enc);
@@ -371,8 +367,8 @@ proptest! {
             piece_size_kib: 32,
             initial_seeder: NodeId(0),
         };
-        let mut sim = SwarmSim::new(spec, SwarmConfig::default());
-        let mut oracle = MapSwarm::new(spec, SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec);
+        let mut oracle = MapSwarm::new(spec);
         let (mut ledger, mut oracle_ledger) = (TransferLedger::new(), TransferLedger::new());
         let (mut rng, mut oracle_rng) = (DetRng::new(seed), DetRng::new(seed));
         let dt = SimDuration::from_secs(10);

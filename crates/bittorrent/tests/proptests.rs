@@ -2,7 +2,7 @@
 //! role/capacity invariants under randomized membership and churn.
 
 use proptest::prelude::*;
-use rvs_bittorrent::swarm::{LinkProfile, MemberRole, SwarmConfig};
+use rvs_bittorrent::swarm::{LinkProfile, MemberRole};
 use rvs_bittorrent::{Bitfield, SwarmSim, TransferLedger};
 use rvs_sim::{DetRng, NodeId, SimDuration, SimTime, SwarmId};
 use rvs_trace::SwarmSpec;
@@ -42,7 +42,7 @@ proptest! {
             piece_size_kib: 256,
             initial_seeder: NodeId(0),
         };
-        let mut sim = SwarmSim::new(spec, SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec);
         let mut ledger = TransferLedger::new();
         let mut rng = DetRng::new(7);
         let mut now = SimTime::ZERO;
@@ -104,7 +104,7 @@ proptest! {
             piece_size_kib: 256,
             initial_seeder: NodeId(0),
         };
-        let mut sim = SwarmSim::new(spec, SwarmConfig::default());
+        let mut sim = SwarmSim::new(spec);
         let link = LinkProfile { connectable: true, uplink_kibps: up, downlink_kibps: up * 4 };
         sim.join(NodeId(0), MemberRole::Seeder, link, true);
         sim.join(NodeId(1), MemberRole::Leecher, link, true);

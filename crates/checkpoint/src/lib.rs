@@ -52,7 +52,7 @@ use std::sync::Arc;
 
 /// Current checkpoint format version. Bump on ANY encoding change and
 /// document the new layout in DESIGN.md §12.
-pub const FORMAT_VERSION: u32 = 9;
+pub const FORMAT_VERSION: u32 = 10;
 
 /// Magic bytes opening every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"RVSCKPT\0";

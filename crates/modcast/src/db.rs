@@ -25,19 +25,6 @@ pub enum LocalVote {
 
 rvs_checkpoint::persist_enum!(LocalVote { Approve = 0, Disapprove = 1 });
 
-/// Selection policy for `Extract()`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExtractPolicy {
-    /// Newest-received first.
-    Recency,
-    /// Uniformly random.
-    Random,
-    /// Half newest, half random from the rest (the deployed hybrid).
-    RecencyAndRandom,
-}
-
-rvs_checkpoint::persist_enum!(ExtractPolicy { Recency = 0, Random = 1, RecencyAndRandom = 2 });
-
 /// Why (or whether) [`LocalDb::insert`] stored an item. Telemetry needs to
 /// tell the approval gate apart from ordinary duplicate suppression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,9 +203,10 @@ impl LocalDb {
 
     /// Build the moderation list offered to a gossip partner
     /// (`Extract()`): only the node's own moderations and those from
-    /// approved moderators are eligible; at most `max` items chosen by
-    /// `policy`.
-    pub fn extract(&self, max: usize, policy: ExtractPolicy, rng: &mut DetRng) -> Vec<Moderation> {
+    /// approved moderators are eligible; at most `max` items, the
+    /// newest-received half of them and the rest drawn uniformly from the
+    /// older ones (the deployed recency + random hybrid).
+    pub fn extract(&self, max: usize, rng: &mut DetRng) -> Vec<Moderation> {
         let mut eligible: Vec<(&Moderation, SimTime)> = self
             .items
             .values()
@@ -227,26 +215,12 @@ impl LocalDb {
             })
             .map(|(m, t)| (m, *t))
             .collect();
-        if eligible.len() <= max {
-            return eligible.into_iter().map(|(m, _)| *m).collect();
-        }
-        match policy {
-            ExtractPolicy::Recency => {
-                eligible.sort_by_key(|(m, t)| (std::cmp::Reverse(*t), m.id()));
-                eligible.truncate(max);
-            }
-            ExtractPolicy::Random => {
-                let idx = rng.sample_indices(eligible.len(), max);
-                eligible = idx.into_iter().map(|i| eligible[i]).collect();
-            }
-            ExtractPolicy::RecencyAndRandom => {
-                eligible.sort_by_key(|(m, t)| (std::cmp::Reverse(*t), m.id()));
-                let recent = max / 2;
-                let rest_take = max - recent;
-                let rest = eligible.split_off(recent);
-                let idx = rng.sample_indices(rest.len(), rest_take);
-                eligible.extend(idx.into_iter().map(|i| rest[i]));
-            }
+        if eligible.len() > max {
+            eligible.sort_by_key(|(m, t)| (std::cmp::Reverse(*t), m.id()));
+            let recent = max / 2;
+            let rest = eligible.split_off(recent);
+            let idx = rng.sample_indices(rest.len(), max - recent);
+            eligible.extend(idx.into_iter().map(|i| rest[i]));
         }
         eligible.into_iter().map(|(m, _)| *m).collect()
     }
@@ -344,7 +318,7 @@ mod tests {
         db.insert(item(&reg, 0, 0, 1), SimTime::from_hours(1)); // own
         db.set_opinion(NodeId(1), LocalVote::Approve, SimTime::from_hours(1));
         let mut rng = DetRng::new(1);
-        let out = db.extract(10, ExtractPolicy::RecencyAndRandom, &mut rng);
+        let out = db.extract(10, &mut rng);
         let mods: Vec<NodeId> = out.iter().map(|m| m.moderator).collect();
         assert!(mods.contains(&NodeId(0)), "own items always spread");
         assert!(mods.contains(&NodeId(1)), "approved moderator spreads");
@@ -352,23 +326,6 @@ mod tests {
             !mods.contains(&NodeId(2)),
             "unapproved moderator must not be forwarded"
         );
-    }
-
-    #[test]
-    fn extract_respects_max_and_recency() {
-        let reg = reg();
-        let mut db = LocalDb::new(NodeId(0), 64);
-        db.set_opinion(NodeId(1), LocalVote::Approve, SimTime::ZERO);
-        for s in 0..20 {
-            db.insert(item(&reg, 1, s, 1), SimTime::from_hours(s as u64));
-        }
-        let mut rng = DetRng::new(2);
-        let out = db.extract(6, ExtractPolicy::Recency, &mut rng);
-        assert_eq!(out.len(), 6);
-        // Pure recency: the newest-received six are seq 14..=19.
-        let mut seqs: Vec<u32> = out.iter().map(|m| m.seq).collect();
-        seqs.sort_unstable();
-        assert_eq!(seqs, vec![14, 15, 16, 17, 18, 19]);
     }
 
     #[test]
@@ -380,34 +337,12 @@ mod tests {
             db.insert(item(&reg, 1, s, 1), SimTime::from_hours(s as u64));
         }
         let mut rng = DetRng::new(3);
-        let out = db.extract(10, ExtractPolicy::RecencyAndRandom, &mut rng);
+        let out = db.extract(10, &mut rng);
         assert_eq!(out.len(), 10);
         let recent = out.iter().filter(|m| m.seq >= 45).count();
         assert!(recent >= 5, "half the slots go to the newest items");
         let older = out.iter().filter(|m| m.seq < 45).count();
         assert!(older >= 1, "random half reaches older items");
-    }
-
-    #[test]
-    fn random_extract_covers_catalogue_over_calls() {
-        let reg = reg();
-        let mut db = LocalDb::new(NodeId(0), 128);
-        db.set_opinion(NodeId(1), LocalVote::Approve, SimTime::ZERO);
-        for s in 0..30 {
-            db.insert(item(&reg, 1, s, 1), SimTime::from_hours(1));
-        }
-        let mut rng = DetRng::new(4);
-        let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..60 {
-            for m in db.extract(5, ExtractPolicy::Random, &mut rng) {
-                seen.insert(m.seq);
-            }
-        }
-        assert!(
-            seen.len() >= 25,
-            "random policy sweeps items: {}",
-            seen.len()
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   moderation to its moderator (substitution documented in DESIGN.md);
 //! * [`moderation`] — the metadata record and ground-truth quality label;
 //! * [`db`] — the per-node `local_db` with the recency+random `Extract()`
-//!   policy and vote-aware `Merge()`;
+//!   and vote-aware `Merge()`;
 //! * [`protocol`] — the network-wide gossip state machine.
 
 pub mod db;

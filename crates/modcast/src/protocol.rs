@@ -6,38 +6,29 @@
 //! extracted) lives in [`crate::db::LocalDb`]; this module wires the
 //! population together.
 
-use crate::db::{ExtractPolicy, LocalDb, LocalVote};
+use crate::db::{LocalDb, LocalVote};
 use crate::moderation::{ContentQuality, Moderation};
 use crate::sign::KeyRegistry;
 use rvs_sim::{DetRng, ModeratorId, NodeId, SimTime, SwarmId};
 use rvs_telemetry::ModerationCounters;
 
+/// `local_db` capacity per node.
+pub const DB_CAPACITY: usize = 1_000;
+
 /// Tuning for ModerationCast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModerationCastConfig {
-    /// `local_db` capacity per node.
-    pub db_capacity: usize,
     /// Maximum moderations per gossip message.
     pub max_list: usize,
-    /// Extract selection policy.
-    pub policy: ExtractPolicy,
 }
 
 impl Default for ModerationCastConfig {
     fn default() -> Self {
-        ModerationCastConfig {
-            db_capacity: 1_000,
-            max_list: 50,
-            policy: ExtractPolicy::RecencyAndRandom,
-        }
+        ModerationCastConfig { max_list: 50 }
     }
 }
 
-rvs_checkpoint::persist_struct!(ModerationCastConfig {
-    db_capacity,
-    max_list,
-    policy
-});
+rvs_checkpoint::persist_struct!(ModerationCastConfig { max_list });
 
 /// Network-wide ModerationCast state: one `local_db` per node.
 #[derive(Debug, Clone)]
@@ -54,11 +45,16 @@ impl ModerationCast {
         ModerationCast {
             cfg,
             dbs: (0..n)
-                .map(|i| LocalDb::new(NodeId::from_index(i), cfg.db_capacity))
+                .map(|i| LocalDb::new(NodeId::from_index(i), DB_CAPACITY))
                 .collect(),
             next_seq: vec![0; n],
             counters: ModerationCounters::default(),
         }
+    }
+
+    /// The configuration the population was built with.
+    pub fn config(&self) -> ModerationCastConfig {
+        self.cfg
     }
 
     /// Population-wide dissemination counters.
@@ -111,11 +107,11 @@ impl ModerationCast {
     }
 
     /// The push half of an exchange: node `i`'s outgoing moderation
-    /// list, extracted with the configured recency+random policy. The
+    /// list, extracted by the recency + random hybrid. The
     /// list *is* the wire message — the scenario engine hands it to the
     /// guard plane (and any adversarial mutator) before delivery.
     pub fn extract_from(&mut self, i: NodeId, rng: &mut DetRng) -> Vec<Moderation> {
-        self.dbs[i.index()].extract(self.cfg.max_list, self.cfg.policy, rng)
+        self.dbs[i.index()].extract(self.cfg.max_list, rng)
     }
 
     /// The pull half of an exchange: deliver `list` to `receiver` —

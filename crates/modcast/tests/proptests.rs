@@ -57,7 +57,7 @@ proptest! {
     }
 
     /// Extract never returns items from unapproved foreign moderators and
-    /// respects the budget, for every policy.
+    /// respects the budget.
     #[test]
     fn extract_respects_gating(
         approvals in prop::collection::vec(0u32..6, 0..6),
@@ -75,26 +75,20 @@ proptest! {
         }
         let approved: std::collections::BTreeSet<u32> = approvals.iter().copied().collect();
         let mut rng = DetRng::new(seed);
-        for policy in [
-            rvs_modcast::db::ExtractPolicy::Recency,
-            rvs_modcast::db::ExtractPolicy::Random,
-            rvs_modcast::db::ExtractPolicy::RecencyAndRandom,
-        ] {
-            let out = db.extract(max, policy, &mut rng);
-            prop_assert!(out.len() <= max);
-            for m in &out {
-                prop_assert!(
-                    m.moderator == NodeId(15) || approved.contains(&m.moderator.0),
-                    "{policy:?} leaked unapproved item from {}", m.moderator
-                );
-            }
-            // No duplicates.
-            let mut ids: Vec<_> = out.iter().map(|m| m.id()).collect();
-            let before = ids.len();
-            ids.sort_unstable();
-            ids.dedup();
-            prop_assert_eq!(ids.len(), before);
+        let out = db.extract(max, &mut rng);
+        prop_assert!(out.len() <= max);
+        for m in &out {
+            prop_assert!(
+                m.moderator == NodeId(15) || approved.contains(&m.moderator.0),
+                "leaked unapproved item from {}", m.moderator
+            );
         }
+        // No duplicates.
+        let mut ids: Vec<_> = out.iter().map(|m| m.id()).collect();
+        let before = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        prop_assert_eq!(ids.len(), before);
     }
 
     /// Gossip exchanges preserve signature validity: every stored item in

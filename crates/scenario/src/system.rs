@@ -586,7 +586,8 @@ impl System {
     /// Never panics on damaged input: corrupt, truncated, or
     /// version-skewed blobs surface as typed [`DecodeError`]s, and
     /// cross-field consistency (population sizes, cursor bounds,
-    /// per-node vector lengths) is validated before any state is used.
+    /// per-node vector lengths, a non-zero tick, each protocol section's
+    /// config equal to `cfg`'s) is validated before any state is used.
     ///
     /// [`DecodeError`]: rvs_checkpoint::DecodeError
     pub fn restore(ckpt: &Checkpoint) -> Result<System, rvs_checkpoint::DecodeError> {
@@ -685,6 +686,21 @@ impl System {
             return Err(corrupt(
                 "adaptive-threshold state does not match the configured `adaptive_t`".into(),
             ));
+        }
+        if cfg.net.tick.as_millis() == 0 {
+            return Err(corrupt("`cfg` has a zero BitTorrent tick".into()));
+        }
+        for (name, same) in [
+            ("net", net.config() == cfg.net),
+            ("bartercast", bc.config() == cfg.bartercast),
+            ("modcast", mc.config() == cfg.modcast),
+            ("votes", vs.config() == cfg.votes),
+        ] {
+            if !same {
+                return Err(corrupt(format!(
+                    "`{name}` runs under a config other than `cfg`'s copy"
+                )));
+            }
         }
         for (name, len) in [
             ("PSS population", pss.len()),
@@ -1793,6 +1809,57 @@ mod tests {
         assert_eq!(launches(2, latency, run_until_end), 0);
         assert_eq!(launches(2, retry, run_until_end), 0);
         assert_eq!(launches(2, FaultConfig::default(), step_to_end), 0);
+    }
+
+    /// The fig6 cast under `protocol`, where node 1 has synced from the
+    /// ledger that 2 uploaded `kib` KiB to it, and node 2 its own side.
+    fn uploaded(kib: u64, protocol: ProtocolConfig) -> System {
+        let cast = VoteSamplingConfig {
+            protocol,
+            ..fig6_cast()
+        };
+        let (mut system, _) = cast.system(1, FaultSchedule::default());
+        let mut ledger = rvs_bittorrent::TransferLedger::new();
+        ledger.credit(NodeId(2), NodeId(1), kib);
+        for node in [NodeId(1), NodeId(2)] {
+            system.bc.sync_own_records(node, &ledger);
+        }
+        system
+    }
+
+    #[test]
+    fn experience_holds_from_t_inclusive_and_one_way() {
+        let fixed = ProtocolConfig::default();
+        assert!(uploaded(5 * 1024, fixed).experienced(NodeId(1), NodeId(2)));
+        assert!(!uploaded(5 * 1024 - 1, fixed).experienced(NodeId(1), NodeId(2)));
+        // 2 uploaded to 1; 1 never uploaded to 2.
+        let system = uploaded(10 * 1024, fixed);
+        assert!(system.experienced(NodeId(1), NodeId(2)));
+        assert!(!system.experienced(NodeId(2), NodeId(1)));
+        // At `T` = 0 even a node that contributed nothing passes.
+        let zero = ProtocolConfig {
+            experience_t_mib: 0.0,
+            ..fixed
+        };
+        assert!(uploaded(1, zero).experienced(NodeId(1), NodeId(0)));
+    }
+
+    #[test]
+    fn adaptive_experience_follows_the_nodes_current_t() {
+        let protocol = ProtocolConfig {
+            adaptive_t: Some(AdaptiveThreshold::default()),
+            ..ProtocolConfig::default()
+        };
+        // 3 MiB passes node 1's adaptive `T` of 0, not the fixed 5 MiB.
+        let mut system = uploaded(3 * 1024, protocol);
+        assert!(system.experienced(NodeId(1), NodeId(2)));
+        let thresholds = system.adaptive.as_mut().expect("adaptive thresholds");
+        for _ in 0..4 {
+            thresholds[1].observe_dispersion(1.0); // node 1's `T` climbs to 4
+        }
+        assert!(!system.experienced(NodeId(1), NodeId(2)));
+        // Node 2 still judges at its own `T` of 0.
+        assert!(system.experienced(NodeId(2), NodeId(1)));
     }
 
     #[test]

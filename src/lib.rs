@@ -22,7 +22,7 @@
 //! * [`core`] — BallotBox / VoxPopuli vote sampling and ranking.
 //! * [`guard`] — Byzantine message plane: typed validation gates,
 //!   per-peer rate budgets, deterministic quarantine.
-//! * [`attacks`] — flash crowds, Sybils, moles, floods, wire mutation,
+//! * [`attacks`] — flash crowds, moles, floods, wire mutation,
 //!   lying aggregation.
 //! * [`metrics`] — CEV, ordering accuracy, pollution, series statistics.
 //! * [`telemetry`] — per-protocol counters, mergeable snapshots, timers.

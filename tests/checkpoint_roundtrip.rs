@@ -13,6 +13,8 @@
 //! * crafted blobs whose sections each decode but describe different
 //!   populations — a shortened per-node vector, a layer spliced in from a
 //!   smaller run — are `Corrupt`, not a system that panics a round later;
+//! * so are a zero BitTorrent tick and a `net`, `bartercast`, `modcast` or
+//!   `votes` section run under another config than `cfg`'s copy;
 //! * and whatever no program state encodes to — one defect per case, each
 //!   a `Corrupt` naming its type:
 //!   * a bitfield with a shape byte past 2, a partial one holding no piece
@@ -232,6 +234,36 @@ fn adaptive_state_must_match_the_configuration() {
 }
 
 #[test]
+fn a_zero_tick_is_corrupt_not_a_resumed_run_that_never_advances() {
+    let stalled = ProtocolConfig {
+        net: robust_vote_sampling::bittorrent::NetConfig {
+            tick: SimDuration::ZERO,
+        },
+        ..ProtocolConfig::default()
+    };
+    let ckpt = build_with(10, 6, 7, stalled).checkpoint();
+    assert_corrupt(ckpt.as_bytes(), "zero BitTorrent tick");
+}
+
+#[test]
+fn a_layer_run_under_another_config_than_cfg_is_corrupt() {
+    let host = mid_run(10, ProtocolConfig::default());
+    let base = ProtocolConfig::default();
+    let mut other = base;
+    other.net.tick = SimDuration::from_secs(20);
+    other.bartercast.max_records_per_exchange = 7;
+    other.modcast.max_list = 1;
+    other.votes.max_votes_per_msg = 7;
+    let donor = mid_run(10, other);
+    for section in ["net", "bartercast", "modcast", "votes"] {
+        let what = format!("`{section}` runs under a config other than `cfg`'s copy");
+        assert_corrupt(&splice(&host, &donor, section), &what);
+    }
+    // And the other way round: `cfg` from the donor, every layer the host's.
+    assert_corrupt(&splice(&host, &donor, "cfg"), "`net` runs under a config");
+}
+
+#[test]
 fn a_layer_from_a_smaller_run_is_corrupt_not_a_later_panic() {
     for newscast in [false, true] {
         let protocol = ProtocolConfig {
@@ -340,12 +372,11 @@ struct MemberBytes {
 
 /// Every member of `swarm` in the checkpoint `honest`.
 fn members_in(honest: &[u8], swarm: &rvs_bittorrent::SwarmSim) -> Vec<MemberBytes> {
-    use rvs_bittorrent::swarm::{LinkProfile, MemberRole, SwarmConfig};
+    use rvs_bittorrent::swarm::{LinkProfile, MemberRole};
     use rvs_checkpoint::Persist;
     use rvs_sim::NodeId;
     let sim = rvs_checkpoint::to_bytes(swarm);
-    let members_at = rvs_checkpoint::to_bytes(swarm.spec()).len()
-        + rvs_checkpoint::to_bytes(&SwarmConfig::default()).len();
+    let members_at = rvs_checkpoint::to_bytes(swarm.spec()).len();
     let mut f = Fields::new(&sim[members_at..], locate(honest, &sim) + members_at);
     let count = f.dec.usize().expect("member count");
     (0..count)
@@ -450,13 +481,11 @@ fn swarm_members_out_of_order_or_duplicated_are_corrupt() {
     let swarm = busiest_swarm(&system);
     let ids: Vec<rvs_sim::NodeId> = swarm.members().collect();
     assert!(ids.len() >= 2, "two members to put out of order");
-    // A `SwarmSim` opens with its spec and its configuration; the members
-    // follow as a length and, first of all, the first member's id.
+    // A `SwarmSim` opens with its spec; the members follow as a length
+    // and, first of all, the first member's id.
     let sim = rvs_checkpoint::to_bytes(swarm);
     let honest = base_bytes().to_vec();
-    let len_at = locate(&honest, &sim)
-        + rvs_checkpoint::to_bytes(swarm.spec()).len()
-        + rvs_checkpoint::to_bytes(&rvs_bittorrent::swarm::SwarmConfig::default()).len();
+    let len_at = locate(&honest, &sim) + rvs_checkpoint::to_bytes(swarm.spec()).len();
     let first_at = len_at + 8;
     assert_eq!(honest[len_at..first_at], (ids.len() as u64).to_le_bytes());
     assert_eq!(honest[first_at..first_at + 4], ids[0].0.to_le_bytes());
@@ -498,7 +527,7 @@ fn swarms_that_would_build_more_than_the_blob_pays_for_are_corrupt() {
         piece_size_kib: 256,
         ..*first.spec()
     };
-    let empty = rvs_bittorrent::SwarmSim::new(spec, Default::default());
+    let empty = rvs_bittorrent::SwarmSim::new(spec);
     let mut runner = rvs_checkpoint::to_bytes(&empty);
     runner.extend(rvs_checkpoint::to_bytes(&rvs_sim::DetRng::new(1)));
     runner.extend(rvs_checkpoint::to_bytes(&BTreeMap::<
@@ -598,8 +627,9 @@ impl CastBytes {
             .into_iter()
             .find(|(n, _)| n == "bartercast")
             .unwrap();
-        // The tag, then `BarterCastConfig`'s two `usize`s.
-        let at = range.start + 1 + "bartercast".len() + 16;
+        // The tag, then the `BarterCastConfig`.
+        let cfg = rvs_checkpoint::to_bytes(&rvs_bartercast::BarterCastConfig::default());
+        let at = range.start + 1 + "bartercast".len() + cfg.len();
         let mut f = Fields::new(&honest[at..range.end], at);
         let sources = f.varint();
         let (mut source_fields, mut targets) = (Vec::new(), Vec::new());

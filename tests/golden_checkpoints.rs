@@ -205,9 +205,10 @@ fn legacy_v3_golden_is_refused_not_misread() {
     // entries rather than rows of varints (format 6), or that still wrote
     // availability counts, the ledger's transpose and 8-byte dedup ids
     // (format 7), or that wrote every copy of a BarterCast record in each
-    // graph that held it rather than each record once (format 8), must be
-    // refused with
-    // the typed version error — never decoded into a plausible-looking
+    // graph that held it rather than each record once (format 8), or that
+    // still wrote the choke, rechoke, hop-bound, database-capacity and
+    // extract-policy settings (format 9), must be refused with the typed
+    // version error — never decoded into a plausible-looking
     // system — while its frozen identity prefix stays readable, through
     // the library and through `rvs ckpt inspect`.
     let legacy = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/legacy");
@@ -218,6 +219,7 @@ fn legacy_v3_golden_is_refused_not_misread() {
         ("fig6-seed1.v6.ckpt", 6),
         ("fig6-seed1.v7.ckpt", 7),
         ("fig6-seed1.v8.ckpt", 8),
+        ("fig6-seed1.v9.ckpt", 9),
     ];
     assert_eq!(
         std::fs::read_dir(&legacy)
