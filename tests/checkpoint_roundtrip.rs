@@ -11,8 +11,9 @@
 //!   re-encoding is a canonical fixed point;
 //! * version skew is a typed `WrongVersion` before any payload is trusted;
 //! * crafted blobs whose sections each decode but describe different
-//!   populations — a shortened per-node vector, a layer spliced in from a
-//!   smaller run — are `Corrupt`, not a system that panics a round later;
+//!   populations — a section spliced in from a smaller run, be it a layer,
+//!   a per-node vector or the BitTorrent substrate — are `Corrupt`, not a
+//!   system that panics a round later;
 //! * so are a zero BitTorrent tick and a `net`, `bartercast`, `modcast` or
 //!   `votes` section run under another config than `cfg`'s copy;
 //! * and whatever no program state encodes to — one defect per case, each
@@ -40,16 +41,28 @@
 //!     are the crate's own test, `graph::table`);
 //! * `rvs ckpt diff`'s report names the node and the edge when
 //!   `bartercast` is the first section two blobs differ in.
+//!
+//! A crafted case names a section and a defect, not a byte position: a
+//! walker per section reads its payload ([`Fields`]), stepping over what
+//! precedes the damaged field by restoring its type, so a format bump that
+//! moves a field is an edit to that section's walker.
 
+mod common;
+
+use common::with_version;
 use proptest::prelude::*;
-use robust_vote_sampling::faults::FaultSchedule;
+use robust_vote_sampling::faults::{Backoff, FaultPlane, FaultSchedule};
 use robust_vote_sampling::scenario::{Checkpoint, ProtocolConfig, System, VoteSamplingConfig};
-use robust_vote_sampling::trace::SwarmSpec;
-use rvs_checkpoint::DecodeError;
-use rvs_sim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use robust_vote_sampling::trace::{PeerProfile, SwarmSpec};
+use rvs_bittorrent::swarm::{LinkProfile, MemberRole};
+use rvs_bittorrent::{Bitfield, Completion, NetConfig, SwarmSim};
+use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
+use rvs_sim::{DetRng, Engine, NodeId, SimDuration, SimTime};
+use rvs_telemetry::SharedCounter;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn build(peers: usize, hours: u64, seed: u64) -> System {
     build_with(peers, hours, seed, ProtocolConfig::default())
@@ -66,19 +79,12 @@ fn build_with(peers: usize, hours: u64, seed: u64, protocol: ProtocolConfig) -> 
     cfg.system(seed, FaultSchedule::default()).0
 }
 
-/// One mid-run checkpoint, shared by the mutation properties so the
-/// (comparatively expensive) simulation runs once.
-fn base_bytes() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
-        let mut system = build(10, 6, 7);
-        system.run_until(
-            SimTime::from_hours(3),
-            SimDuration::from_hours(1),
-            |_, _| {},
-        );
-        system.checkpoint().into_bytes()
-    })
+/// One mid-run checkpoint, shared by the mutation properties and the
+/// crafted-blob cases so the (comparatively expensive) simulation runs
+/// once.
+fn base() -> &'static Sections {
+    static BASE: OnceLock<Sections> = OnceLock::new();
+    BASE.get_or_init(|| mid_run(10, ProtocolConfig::default()))
 }
 
 /// Decode + restore, all the way to a `System`, with typed errors.
@@ -116,7 +122,7 @@ proptest! {
     /// Any truncation of a real checkpoint is rejected with a typed error.
     #[test]
     fn truncation_never_panics_and_errors(frac in 0.0f64..1.0) {
-        let bytes = base_bytes();
+        let bytes = &base().bytes;
         let cut = ((bytes.len() as f64) * frac) as usize;
         prop_assume!(cut < bytes.len());
         prop_assert!(
@@ -133,7 +139,7 @@ proptest! {
     /// point: restore → checkpoint → restore → checkpoint is byte-stable.
     #[test]
     fn bit_flip_never_panics(pos_frac in 0.0f64..1.0, bit in 0u8..8) {
-        let mut bytes = base_bytes().to_vec();
+        let mut bytes = base().bytes.clone();
         let pos = ((bytes.len() as f64) * pos_frac) as usize % bytes.len();
         bytes[pos] ^= 1 << bit;
         if let Ok(restored) = try_restore(&bytes) {
@@ -149,9 +155,7 @@ proptest! {
     #[test]
     fn wrong_version_is_typed(version in 0u32..u32::MAX) {
         prop_assume!(version != rvs_checkpoint::FORMAT_VERSION);
-        let mut bytes = base_bytes().to_vec();
-        bytes[8..12].copy_from_slice(&version.to_le_bytes());
-        match try_restore(&bytes) {
+        match try_restore(&with_version(&base().bytes, version)) {
             Ok(_) => return Err(TestCaseError::fail("skewed version restored")),
             Err(err) => prop_assert_eq!(
                 err,
@@ -165,28 +169,175 @@ proptest! {
 }
 
 /// A 6-hour run of `peers` peers under `protocol`, checkpointed at 3 h.
-fn mid_run(peers: usize, protocol: ProtocolConfig) -> Checkpoint {
-    let mut system = build_with(peers, 6, 7, protocol);
-    system.run_until(
-        SimTime::from_hours(3),
-        SimDuration::from_hours(1),
-        |_, _| {},
-    );
-    system.checkpoint()
+fn mid_run(peers: usize, protocol: ProtocolConfig) -> Sections {
+    cut(build_with(peers, 6, 7, protocol), 3)
 }
 
-/// `host` with its section `name` replaced by `donor`'s.
-fn splice(host: &Checkpoint, donor: &Checkpoint, name: &str) -> Vec<u8> {
-    let range = |ckpt: &Checkpoint| {
-        let sections = ckpt.sections().expect("self-produced checkpoint indexes");
-        let (_, range) = sections.into_iter().find(|(n, _)| n == name).expect(name);
-        range
-    };
-    let (at, from) = (range(host), range(donor));
-    let mut bytes = host.as_bytes()[..at.start].to_vec();
-    bytes.extend_from_slice(&donor.as_bytes()[from]);
-    bytes.extend_from_slice(&host.as_bytes()[at.end..]);
-    bytes
+/// `system` run to `hours` and checkpointed there.
+fn cut(mut system: System, hours: u64) -> Sections {
+    let end = SimTime::from_hours(hours);
+    system.run_until(end, SimDuration::from_hours(1), |_, _| {});
+    Sections::of(system.checkpoint())
+}
+
+/// A range of a section's payload and the bytes to put in its place.
+type Edit = (Range<usize>, Vec<u8>);
+
+/// A checkpoint cut into its tagged sections, each addressed by its
+/// payload: the bytes after its tag. A crafted blob is this one with a
+/// section's payload taken from a donor, or edited, and spliced back in.
+struct Sections {
+    bytes: Vec<u8>,
+    /// Per section: its name and where its payload sits in the blob.
+    payloads: Vec<(String, Range<usize>)>,
+}
+
+impl Sections {
+    fn of(ckpt: Checkpoint) -> Sections {
+        let index = ckpt.sections().expect("self-produced checkpoint indexes");
+        let payloads = index.into_iter().map(|(name, range)| {
+            let mut dec = Decoder::new(&ckpt.as_bytes()[range.clone()]);
+            dec.tag(&name).expect("a section opens with its tag");
+            (name, range.end - dec.remaining()..range.end)
+        });
+        let payloads = payloads.collect();
+        let bytes = ckpt.into_bytes();
+        Sections { bytes, payloads }
+    }
+
+    fn range(&self, name: &str) -> Range<usize> {
+        let found = self.payloads.iter().find(|(n, _)| n == name);
+        found.expect(name).1.clone()
+    }
+
+    /// The blob with section `name`'s payload replaced by `payload`.
+    fn with(&self, name: &str, payload: &[u8]) -> Vec<u8> {
+        let at = self.range(name);
+        [&self.bytes[..at.start], payload, &self.bytes[at.end..]].concat()
+    }
+
+    /// The blob with section `name` as `donor` wrote it.
+    fn from(&self, donor: &Sections, name: &str) -> Vec<u8> {
+        self.with(name, &donor.bytes[donor.range(name)])
+    }
+
+    /// The blob with `edits` made to section `name`'s payload must be
+    /// refused as `Corrupt` with a message naming `what`. The edits' ranges
+    /// are places in the payload as [`Fields`] reports them and do not
+    /// overlap; an empty one inserts.
+    fn refuses(&self, name: &str, edits: impl IntoIterator<Item = Edit>, what: &str) {
+        let mut edits: Vec<Edit> = edits.into_iter().collect();
+        // Back to front, so each range still means what it meant.
+        edits.sort_by_key(|(at, _)| Reverse((at.start, at.end)));
+        let mut payload = self.bytes[self.range(name)].to_vec();
+        for (at, with) in edits {
+            payload.splice(at, with);
+        }
+        assert_corrupt(&self.with(name, &payload), what);
+    }
+
+    /// A reader over section `name`'s payload from byte `at` of it.
+    fn fields(&self, name: &str, at: usize) -> Fields<'_> {
+        let payload = &self.bytes[self.range(name)];
+        let dec = Decoder::new(&payload[at..]);
+        Fields { payload, dec }
+    }
+}
+
+/// A number in a section's payload: where it sits, what it holds, and
+/// whether it is a varint or fixed-width.
+#[derive(Clone)]
+struct Field {
+    at: Range<usize>,
+    value: u64,
+    varint: bool,
+}
+
+impl Field {
+    /// The edit that puts `value` in this field's place, spelled as it is.
+    fn to(&self, value: u64) -> Edit {
+        let bytes = if self.varint {
+            varint(value)
+        } else {
+            value.to_le_bytes()[..self.at.len()].to_vec()
+        };
+        (self.at.clone(), bytes)
+    }
+}
+
+/// Reads a section's payload field by field, each at its place in the
+/// payload. What a case damages is read as a [`Field`]; what comes before
+/// it is stepped over by restoring its type.
+struct Fields<'a> {
+    payload: &'a [u8],
+    dec: Decoder<'a>,
+}
+
+impl Fields<'_> {
+    fn at(&self) -> usize {
+        self.payload.len() - self.dec.remaining()
+    }
+
+    fn get<T: Persist>(&mut self) -> T {
+        T::restore(&mut self.dec).expect("an honest field")
+    }
+
+    fn skip<T: Persist>(&mut self) {
+        self.get::<T>();
+    }
+
+    fn varint(&mut self) -> Field {
+        let start = self.at();
+        let value = self.dec.varint().expect("an honest varint");
+        let at = start..self.at();
+        Field {
+            at,
+            value,
+            varint: true,
+        }
+    }
+
+    /// The next `T`, a number the codec writes fixed-width little-endian.
+    fn fixed<T: Persist>(&mut self) -> Field {
+        let start = self.at();
+        self.skip::<T>();
+        let at = start..self.at();
+        let mut le = [0; 8];
+        le[..at.len()].copy_from_slice(&self.payload[at.clone()]);
+        let value = u64::from_le_bytes(le);
+        Field {
+            at,
+            value,
+            varint: false,
+        }
+    }
+
+    /// The whole payload has been read.
+    fn done(self) {
+        let left = self.dec.remaining();
+        assert_eq!(left, 0, "the walker leaves {left} bytes of the section");
+    }
+}
+
+/// The node id a gap field spells after `next`, moving `next` past it.
+fn gap_id(gap: &Field, next: &mut u64) -> u32 {
+    let id = *next + gap.value;
+    *next = id + 1;
+    u32::try_from(id).expect("a node id")
+}
+
+/// The gap that spells `id` right after `prev`, taken modulo 2³², the
+/// width of a node id: for `id <= prev` it is the only way a `u32` id can
+/// be written out of order or twice.
+fn gap_to(prev: u32, id: u32) -> u64 {
+    (u64::from(id) + (1 << 32)) - (u64::from(prev) + 1)
+}
+
+/// An unsigned LEB128 varint, as the checkpoint spells one.
+fn varint(v: u64) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.varint(v);
+    enc.into_bytes()
 }
 
 /// The blob must be refused as `Corrupt` with a message naming `what`.
@@ -207,20 +358,24 @@ fn adaptive() -> ProtocolConfig {
 
 #[test]
 fn short_adaptive_vector_is_corrupt_not_a_later_panic() {
-    // `scenario` section of a fig6 cast (no crowd, no core): tag, one
-    // bool, two empty length-prefixed collections, then the
-    // `Option<Vec<AdaptiveThreshold>>` — presence byte, length, and one
-    // 48-byte entry per node. Claim one entry and drop the other nine.
+    // `scenario` of a run with no crowd and no core: the crowd flag, two
+    // empty collections, then the `Option<Vec<AdaptiveThreshold>>` —
+    // presence byte, length, one entry per node. Claim one entry and drop
+    // the other nine.
     let ckpt = mid_run(10, adaptive());
-    let sections = ckpt.sections().expect("indexes");
-    let (_, scenario) = sections.iter().find(|(n, _)| n == "scenario").unwrap();
-    let len_at = scenario.start + (1 + "scenario".len()) + 1 + 8 + 8 + 1;
-    let mut bytes = ckpt.as_bytes().to_vec();
-    assert_eq!(bytes[len_at - 1], 1, "presence byte");
-    assert_eq!(bytes[len_at..len_at + 8], 10u64.to_le_bytes());
-    bytes[len_at..len_at + 8].copy_from_slice(&1u64.to_le_bytes());
-    bytes.drain(len_at + 8 + 48..len_at + 8 + 10 * 48);
-    assert_corrupt(&bytes, "adaptive thresholds 1 != total nodes 10");
+    let mut f = ckpt.fields("scenario", 0);
+    f.skip::<(bool, Vec<bool>, BTreeSet<NodeId>)>();
+    assert_eq!(f.fixed::<u8>().value, 1, "presence byte");
+    let len = f.fixed::<usize>();
+    assert_eq!(len.value, 10);
+    f.skip::<rvs_bartercast::AdaptiveThreshold>();
+    let rest = f.at();
+    for _ in 1..10 {
+        f.skip::<rvs_bartercast::AdaptiveThreshold>();
+    }
+    let dropped = (rest..f.at(), Vec::new());
+    let what = "adaptive thresholds 1 != total nodes 10";
+    ckpt.refuses("scenario", [len.to(1), dropped], what);
 }
 
 #[test]
@@ -229,14 +384,14 @@ fn adaptive_state_must_match_the_configuration() {
         mid_run(10, adaptive()),
         mid_run(10, ProtocolConfig::default()),
     );
-    assert_corrupt(&splice(&with, &without, "cfg"), "adaptive_t");
-    assert_corrupt(&splice(&without, &with, "cfg"), "adaptive_t");
+    assert_corrupt(&with.from(&without, "cfg"), "adaptive_t");
+    assert_corrupt(&without.from(&with, "cfg"), "adaptive_t");
 }
 
 #[test]
 fn a_zero_tick_is_corrupt_not_a_resumed_run_that_never_advances() {
     let stalled = ProtocolConfig {
-        net: robust_vote_sampling::bittorrent::NetConfig {
+        net: NetConfig {
             tick: SimDuration::ZERO,
         },
         ..ProtocolConfig::default()
@@ -247,9 +402,7 @@ fn a_zero_tick_is_corrupt_not_a_resumed_run_that_never_advances() {
 
 #[test]
 fn a_layer_run_under_another_config_than_cfg_is_corrupt() {
-    let host = mid_run(10, ProtocolConfig::default());
-    let base = ProtocolConfig::default();
-    let mut other = base;
+    let mut other = ProtocolConfig::default();
     other.net.tick = SimDuration::from_secs(20);
     other.bartercast.max_records_per_exchange = 7;
     other.modcast.max_list = 1;
@@ -257,10 +410,10 @@ fn a_layer_run_under_another_config_than_cfg_is_corrupt() {
     let donor = mid_run(10, other);
     for section in ["net", "bartercast", "modcast", "votes"] {
         let what = format!("`{section}` runs under a config other than `cfg`'s copy");
-        assert_corrupt(&splice(&host, &donor, section), &what);
+        assert_corrupt(&base().from(&donor, section), &what);
     }
     // And the other way round: `cfg` from the donor, every layer the host's.
-    assert_corrupt(&splice(&host, &donor, "cfg"), "`net` runs under a config");
+    assert_corrupt(&base().from(&donor, "cfg"), "`net` runs under a config");
 }
 
 #[test]
@@ -268,7 +421,7 @@ fn a_layer_from_a_smaller_run_is_corrupt_not_a_later_panic() {
     for newscast in [false, true] {
         let protocol = ProtocolConfig {
             use_newscast_pss: newscast,
-            ..ProtocolConfig::default()
+            ..adaptive()
         };
         let (host, donor) = (mid_run(10, protocol), mid_run(8, protocol));
         for (section, what) in [
@@ -277,318 +430,257 @@ fn a_layer_from_a_smaller_run_is_corrupt_not_a_later_panic() {
             ("bartercast", "bartercast tables"),
             ("modcast", "modcast tables"),
             ("votes", "votes tables"),
+            ("scenario", "adaptive thresholds 8 != total nodes 10"),
+            ("rng", "send RNG lanes 8 != total nodes 10"),
+            (
+                "bt",
+                "BitTorrent substrate or its online snapshot (8) is not sized for the trace \
+                 (10 peers, 3 swarms)",
+            ),
+            ("faults", "dedup windows 8 != total nodes 10"),
             ("guard", "guard records 8 != total nodes 10"),
         ] {
-            assert_corrupt(&splice(&host, &donor, section), what);
+            assert_corrupt(&host.from(&donor, section), what);
         }
     }
 }
 
-/// Where `needle` — the encoding of one component of the system — sits in
-/// the checkpoint.
-fn locate(bytes: &[u8], needle: &[u8]) -> usize {
-    let at = bytes.windows(needle.len()).position(|w| w == needle);
-    at.expect("the component's encoding is part of the checkpoint")
-}
-
-/// The swarm of the honest checkpoint with the most members.
-fn busiest_swarm(system: &System) -> &rvs_bittorrent::SwarmSim {
-    let net = system.net();
-    (0..net.swarm_count())
-        .map(|i| net.swarm(rvs_sim::SwarmId::from_index(i)))
-        .max_by_key(|swarm| swarm.member_count())
-        .expect("the trace has swarms")
-}
-
-/// An unsigned LEB128 varint, as the checkpoint spells one.
-fn varint(v: u64) -> Vec<u8> {
-    let mut enc = rvs_checkpoint::Encoder::new();
-    enc.varint(v);
-    enc.into_bytes()
-}
-
-/// `bytes` with the range `at` replaced by `with`.
-fn spliced(bytes: &[u8], at: Range<usize>, with: &[u8]) -> Vec<u8> {
-    let mut crafted = bytes[..at.start].to_vec();
-    crafted.extend_from_slice(with);
-    crafted.extend_from_slice(&bytes[at.end..]);
-    crafted
-}
-
-/// The varint that makes an id gap spell `id` right after `prev`, taken
-/// modulo 2³², the width of a node id: for `id <= prev` it is the only way
-/// a `u32` id can be written out of order or twice.
-fn gap_to(prev: u32, id: u32) -> Vec<u8> {
-    varint((u64::from(id) + (1 << 32)) - (u64::from(prev) + 1))
-}
-
-/// A varint field of a component's encoding: where it sits in the
-/// checkpoint and what it holds.
-type Field = (Range<usize>, u64);
-
-/// The node id a gap field spells after `next`, moving `next` past it.
-fn gap_id(gap: &Field, next: &mut u64) -> u32 {
-    let id = *next + gap.1;
-    *next = id + 1;
-    u32::try_from(id).expect("a node id")
-}
-
-/// Reads a component's encoding field by field, giving each field's place
-/// in the checkpoint the component sits in.
-struct Fields<'a> {
-    dec: rvs_checkpoint::Decoder<'a>,
-    end: usize,
-}
-
-impl<'a> Fields<'a> {
-    /// The fields of `encoded`, which starts at byte `at` of the checkpoint.
-    fn new(encoded: &'a [u8], at: usize) -> Self {
-        Fields {
-            dec: rvs_checkpoint::Decoder::new(encoded),
-            end: at + encoded.len(),
-        }
-    }
-
-    fn at(&self) -> usize {
-        self.end - self.dec.remaining()
-    }
-
-    fn varint(&mut self) -> Field {
-        let start = self.at();
-        let v = self.dec.varint().expect("honest varint");
-        (start..self.at(), v)
-    }
-}
-
-/// One member of a swarm as the checkpoint holds it: where its bitfield
-/// starts, the bitfield, its record count, and per source record the gap
-/// field, the source id and where its presence byte sits.
+/// One member of a swarm as `net` holds it: its id, where its bitfield
+/// starts and the bitfield, its record count, and per source record the
+/// gap, the source id and the presence byte.
 struct MemberBytes {
+    id: Field,
     bitfield_at: usize,
-    bitfield: rvs_bittorrent::Bitfield,
+    bitfield: Bitfield,
     count: Field,
-    records: Vec<(Field, u32, usize)>,
+    records: Vec<(Field, u32, Field)>,
 }
 
-/// Every member of `swarm` in the checkpoint `honest`.
-fn members_in(honest: &[u8], swarm: &rvs_bittorrent::SwarmSim) -> Vec<MemberBytes> {
-    use rvs_bittorrent::swarm::{LinkProfile, MemberRole};
-    use rvs_checkpoint::Persist;
-    use rvs_sim::NodeId;
-    let sim = rvs_checkpoint::to_bytes(swarm);
-    let members_at = rvs_checkpoint::to_bytes(swarm.spec()).len();
-    let mut f = Fields::new(&sim[members_at..], locate(honest, &sim) + members_at);
-    let count = f.dec.usize().expect("member count");
-    (0..count)
+/// The member at `f`: its id, then the `Member` — bitfield, role, online
+/// flag, link, unchoked peers, optimistic slot, rechoke count — then its
+/// source records, a varint count and per record its id's gap, a presence
+/// byte and the values the byte flags.
+fn member(f: &mut Fields) -> MemberBytes {
+    let id = f.fixed::<NodeId>();
+    let bitfield_at = f.at();
+    let bitfield = f.get();
+    f.skip::<(MemberRole, bool, LinkProfile)>();
+    f.skip::<(Vec<NodeId>, Option<NodeId>, u32)>();
+    let count = f.varint();
+    let mut next = 0;
+    let records = (0..count.value)
         .map(|_| {
-            NodeId::restore(&mut f.dec).expect("id");
-            let bitfield_at = f.at();
-            let bitfield = rvs_bittorrent::Bitfield::restore(&mut f.dec).expect("bitfield");
-            MemberRole::restore(&mut f.dec).expect("role");
-            bool::restore(&mut f.dec).expect("online");
-            LinkProfile::restore(&mut f.dec).expect("link");
-            Vec::<NodeId>::restore(&mut f.dec).expect("unchoked");
-            Option::<NodeId>::restore(&mut f.dec).expect("optimistic");
-            u32::restore(&mut f.dec).expect("rechokes");
-            let count = f.varint();
-            let mut next = 0;
-            let records = (0..count.1)
-                .map(|_| {
-                    let gap = f.varint();
-                    next += gap.1;
-                    let id = u32::try_from(next).expect("a node id");
-                    next += 1;
-                    let presence_at = f.at();
-                    let presence = f.dec.u8().expect("presence");
-                    if presence & 1 != 0 {
-                        f.varint();
-                        f.dec.f64().expect("KiB left");
-                    }
-                    if presence & 2 != 0 {
-                        f.varint();
-                    }
-                    if presence & 4 != 0 {
-                        f.dec.f64().expect("fraction");
-                    }
-                    (gap, id, presence_at)
-                })
-                .collect();
-            MemberBytes {
-                bitfield_at,
-                bitfield,
-                count,
-                records,
+            let gap = f.varint();
+            let id = gap_id(&gap, &mut next);
+            let presence = f.fixed::<u8>();
+            if presence.value & 1 != 0 {
+                f.varint();
+                f.skip::<f64>();
             }
+            if presence.value & 2 != 0 {
+                f.varint();
+            }
+            if presence.value & 4 != 0 {
+                f.skip::<f64>();
+            }
+            (gap, id, presence)
         })
-        .collect()
+        .collect();
+    MemberBytes {
+        id,
+        bitfield_at,
+        bitfield,
+        count,
+        records,
+    }
 }
 
-/// Every member of every swarm of the honest checkpoint.
-fn all_members(system: &System) -> Vec<MemberBytes> {
-    let net = system.net();
-    (0..net.swarm_count())
-        .flat_map(|i| members_in(base_bytes(), net.swarm(rvs_sim::SwarmId::from_index(i))))
-        .collect()
+/// One row of the ledger: the uploader's gap and id, the row length, and
+/// per entry the downloader's gap and id and the KiB.
+struct LedgerRow {
+    from: (Field, u32),
+    len: Field,
+    entries: Vec<(Field, u32, Field)>,
+}
+
+/// The `net` section, field by field: the `NetConfig` and the peer
+/// profiles; the swarm count, then per swarm its runner — the `SwarmSim`
+/// (spec, member count, the members, next rechoke), its coin and its
+/// seeding budgets; the online flags; the ledger, all varints — the
+/// uploader count, per uploader its gap and row length, per entry the
+/// downloader's gap and the KiB — and the completions.
+struct NetBytes {
+    swarm_count: Field,
+    /// From the first runner's first byte to one past the last's.
+    runners: Range<usize>,
+    /// Per swarm: its spec and its members.
+    swarms: Vec<(SwarmSpec, Vec<MemberBytes>)>,
+    ledger_count: Field,
+    ledger: Vec<LedgerRow>,
+}
+
+impl NetBytes {
+    fn of(ckpt: &Sections) -> NetBytes {
+        let mut f = ckpt.fields("net", 0);
+        f.skip::<(NetConfig, Arc<Vec<PeerProfile>>)>();
+        let swarm_count = f.fixed::<usize>();
+        let first = f.at();
+        let swarms = (0..swarm_count.value)
+            .map(|_| {
+                let spec = f.get();
+                let members = f.fixed::<usize>();
+                let members = (0..members.value).map(|_| member(&mut f)).collect();
+                f.skip::<(SimTime, DetRng, BTreeMap<NodeId, SimDuration>)>();
+                (spec, members)
+            })
+            .collect();
+        let runners = first..f.at();
+        f.skip::<Vec<bool>>();
+        let ledger_count = f.varint();
+        let mut next_from = 0;
+        let ledger = (0..ledger_count.value)
+            .map(|_| {
+                let gap = f.varint();
+                let from = gap_id(&gap, &mut next_from);
+                let len = f.varint();
+                let mut next_to = 0;
+                let entries = (0..len.value)
+                    .map(|_| {
+                        let gap = f.varint();
+                        let to = gap_id(&gap, &mut next_to);
+                        (gap, to, f.varint())
+                    })
+                    .collect();
+                LedgerRow {
+                    from: (gap, from),
+                    len,
+                    entries,
+                }
+            })
+            .collect();
+        f.skip::<Vec<Completion>>();
+        f.done();
+        NetBytes {
+            swarm_count,
+            runners,
+            swarms,
+            ledger_count,
+            ledger,
+        }
+    }
+
+    /// A runner as `net` holds one: `sim`, a coin and no seeding budget.
+    fn runner(sim: SwarmSim) -> Vec<u8> {
+        let budgets = BTreeMap::<NodeId, SimDuration>::new();
+        rvs_checkpoint::to_bytes(&(sim, DetRng::new(1), budgets))
+    }
+
+    fn members(&self) -> impl Iterator<Item = &MemberBytes> {
+        self.swarms.iter().flat_map(|(_, members)| members)
+    }
 }
 
 #[test]
 fn bitfields_no_member_can_hold_are_corrupt() {
-    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
-    let honest = base_bytes().to_vec();
     // A member mid-download over a length that is not whole words: its
     // bitfield is the shape byte 2, the length, and the words.
-    let members = all_members(&system);
-    let partial = members.iter().find(|m| {
+    let net = NetBytes::of(base());
+    let partial = net.members().find(|m| {
         let bf = &m.bitfield;
         bf.count() > 0 && !bf.is_complete() && bf.len() % 64 != 0
     });
     let m = partial.expect("a member part of the way through a file");
-    let len = m.bitfield.len();
-    let at = m.bitfield_at;
-    assert_eq!(honest[at], 2, "the partial shape");
-    let words_at = at + 1 + varint(u64::from(len)).len();
-    let words = (len as usize).div_ceil(64);
-    let with_words = |words_of: &dyn Fn(usize) -> u64| {
-        let words: Vec<u8> = (0..words).flat_map(|w| words_of(w).to_le_bytes()).collect();
-        spliced(&honest, words_at..words_at + words.len(), &words)
+    let mut f = base().fields("net", m.bitfield_at);
+    let (shape, len) = (f.fixed::<u8>(), m.bitfield.len());
+    assert_eq!((shape.value, f.varint().value), (2, u64::from(len)));
+    let words: Vec<Field> = (0..len.div_ceil(64)).map(|_| f.fixed::<u64>()).collect();
+    let with_words = |word: &dyn Fn(usize) -> u64, what: &str| {
+        let edits = words.iter().enumerate().map(|(w, field)| field.to(word(w)));
+        base().refuses("net", edits, what);
     };
-    let mut shape = honest.clone();
-    shape[at] = 3;
-    assert_corrupt(&shape, "Bitfield: shape byte 3");
+    base().refuses("net", [shape.to(3)], "Bitfield: shape byte 3");
     // A partial bitfield that holds no piece, or every piece.
-    assert_corrupt(
-        &with_words(&|_| 0),
-        &format!("Bitfield: partial with 0 of {len} pieces"),
-    );
-    let all = |w: usize| match (w + 1 == words, len % 64) {
+    with_words(&|_| 0, &format!("Bitfield: partial with 0 of {len} pieces"));
+    let all = |w: usize| match (w + 1 == words.len(), len % 64) {
         (true, tail) => (1u64 << tail) - 1,
         _ => u64::MAX,
     };
-    assert_corrupt(
-        &with_words(&all),
+    with_words(
+        &all,
         &format!("Bitfield: partial with {len} of {len} pieces"),
     );
     // A piece past the end of the file in the last word.
-    let last_at = words_at + 8 * (words - 1);
-    let mut beyond = honest;
-    beyond[last_at + 7] |= 0x80;
-    assert_corrupt(&beyond, "Bitfield: bits set beyond its length");
+    let last = words.last().expect("words");
+    let beyond = last.to(last.value | 1 << 63);
+    base().refuses("net", [beyond], "Bitfield: bits set beyond its length");
 }
 
 #[test]
 fn swarm_members_out_of_order_or_duplicated_are_corrupt() {
-    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
-    let swarm = busiest_swarm(&system);
-    let ids: Vec<rvs_sim::NodeId> = swarm.members().collect();
-    assert!(ids.len() >= 2, "two members to put out of order");
-    // A `SwarmSim` opens with its spec; the members follow as a length
-    // and, first of all, the first member's id.
-    let sim = rvs_checkpoint::to_bytes(swarm);
-    let honest = base_bytes().to_vec();
-    let len_at = locate(&honest, &sim) + rvs_checkpoint::to_bytes(swarm.spec()).len();
-    let first_at = len_at + 8;
-    assert_eq!(honest[len_at..first_at], (ids.len() as u64).to_le_bytes());
-    assert_eq!(honest[first_at..first_at + 4], ids[0].0.to_le_bytes());
+    let net = NetBytes::of(base());
+    let swarm = net.swarms.iter().max_by_key(|(_, members)| members.len());
+    let (_, members) = swarm.expect("the trace has swarms");
+    assert!(members.len() >= 2, "two members to put out of order");
     // The second member's id twice, then the first member behind the second.
-    for first in [ids[1].0, ids[1].0 + 1] {
-        let mut crafted = honest.clone();
-        crafted[first_at..first_at + 4].copy_from_slice(&first.to_le_bytes());
-        assert_corrupt(&crafted, "ids must ascend");
+    let (first, second) = (&members[0].id, members[1].id.value);
+    for id in [second, second + 1] {
+        base().refuses("net", [first.to(id)], "ids must ascend");
     }
 }
 
 #[test]
 fn swarms_that_would_build_more_than_the_blob_pays_for_are_corrupt() {
-    use rvs_checkpoint::Persist;
-    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
-    let net = system.net();
-    let honest = base_bytes();
-    // The net's swarms are a count, then per swarm its `SwarmSim`, its
-    // coin and its seeding budgets.
-    let first = net.swarm(rvs_sim::SwarmId::from_index(0));
-    let runners_at = locate(honest, &rvs_checkpoint::to_bytes(first));
-    let count_at = runners_at - 8;
-    assert_eq!(
-        honest[count_at..runners_at],
-        (net.swarm_count() as u64).to_le_bytes()
-    );
-    let mut dec = rvs_checkpoint::Decoder::new(&honest[runners_at..]);
-    for _ in 0..net.swarm_count() {
-        rvs_bittorrent::SwarmSim::restore(&mut dec).expect("swarm");
-        rvs_sim::DetRng::restore(&mut dec).expect("coin");
-        BTreeMap::<rvs_sim::NodeId, SimDuration>::restore(&mut dec).expect("budgets");
-    }
-    let end = honest.len() - dec.remaining();
+    let net = NetBytes::of(base());
     // A swarm with no member over a file of 2¹⁸ pieces is some 100 bytes
     // here and more than 1 MiB of availability once restored; a thousand
     // of them would be a GiB.
     let spec = SwarmSpec {
         file_size_mib: 1 << 16,
         piece_size_kib: 256,
-        ..*first.spec()
+        ..net.swarms[0].0
     };
-    let empty = rvs_bittorrent::SwarmSim::new(spec);
-    let mut runner = rvs_checkpoint::to_bytes(&empty);
-    runner.extend(rvs_checkpoint::to_bytes(&rvs_sim::DetRng::new(1)));
-    runner.extend(rvs_checkpoint::to_bytes(&BTreeMap::<
-        rvs_sim::NodeId,
-        SimDuration,
-    >::new()));
+    let runner = NetBytes::runner(SwarmSim::new(spec));
     let runners = 1000;
-    let mut swarms = (runners as u64).to_le_bytes().to_vec();
-    (0..runners).for_each(|_| swarms.extend_from_slice(&runner));
-    assert!(
-        swarms.len() < 128 * runners,
-        "{} bytes a swarm",
-        runner.len()
-    );
-    let crafted = spliced(honest, count_at..end, &swarms);
-    assert_corrupt(&crafted, "SwarmSim: ");
-    assert_corrupt(&crafted, "left to allot");
+    assert!(runner.len() < 128, "{} bytes a swarm", runner.len());
+    let swarms = [
+        net.swarm_count.to(runners as u64),
+        (net.runners, runner.repeat(runners)),
+    ];
+    for what in ["SwarmSim: ", "left to allot"] {
+        base().refuses("net", swarms.clone(), what);
+    }
 }
 
 #[test]
 fn per_source_entries_out_of_order_or_duplicated_are_corrupt() {
-    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
-    let honest = base_bytes().to_vec();
     // Two source records in a row, the first past id 0 so that an id below
     // it exists. Ids are gaps, so the second can only be written out of
     // order — or as the first again — as a gap that carries it past `u32`.
-    let members = all_members(&system);
-    let pair = members.iter().find_map(|m| {
+    let net = NetBytes::of(base());
+    let pair = net.members().find_map(|m| {
         let pair = m.records.windows(2).find(|w| w[0].1 > 0)?;
-        Some((pair[0].1, pair[1].0.clone()))
+        Some((pair[0].1, &pair[1].0))
     });
-    let (first, (second_gap, _)) = pair.expect("a member with two sources");
+    let (first, second) = pair.expect("a member with two sources");
     for id in [first, first - 1] {
-        assert_corrupt(
-            &spliced(&honest, second_gap.clone(), &gap_to(first, id)),
-            "Member: source id overflows u32",
-        );
+        let edit = second.to(gap_to(first, id));
+        base().refuses("net", [edit], "Member: source id overflows u32");
     }
 }
 
 #[test]
 fn source_records_no_member_keeps_are_corrupt() {
-    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
-    let honest = base_bytes().to_vec();
-    let members = all_members(&system);
-    let m = members.iter().find(|m| !m.records.is_empty());
+    let net = NetBytes::of(base());
+    let m = net.members().find(|m| !m.records.is_empty());
     let m = m.expect("a member with a source");
-    let (_, id, presence_at) = m.records[0];
+    let (_, id, presence) = &m.records[0];
     // A record that keeps nothing, and one that claims a fourth value.
-    for presence in [0, 8] {
-        let mut crafted = honest.clone();
-        crafted[presence_at] = presence;
-        assert_corrupt(
-            &crafted,
-            &format!("Member: source n{id} has presence byte {presence}"),
-        );
+    for byte in [0, 8] {
+        let what = format!("Member: source n{id} has presence byte {byte}");
+        base().refuses("net", [presence.to(byte)], &what);
     }
-    assert_corrupt(
-        &spliced(&honest, m.count.0.clone(), &varint(1 << 40)),
-        "Member: 1099511627776 source records claimed",
-    );
+    let what = "Member: 1099511627776 source records claimed";
+    base().refuses("net", [m.count.to(1 << 40)], what);
 }
 
 /// One target of the record table as the checkpoint holds it: its
@@ -601,11 +693,11 @@ struct TargetBytes {
     values: Vec<Field>,
 }
 
-/// The `bartercast` section of the honest checkpoint, field by field. It is
-/// varints: the record table — the source count, per source its gap and
-/// target count, per target its gap, value count and values — then the
+/// The `bartercast` section, field by field: the `BarterCastConfig`, then
+/// varints — the record table (the source count, per source its gap and
+/// target count, per target its gap, value count and values), then the
 /// graph count and, per graph, its entry count and the entries' table
-/// indices as gaps.
+/// indices as gaps — and the two counters.
 struct CastBytes {
     sources: Field,
     /// Per source: its gap, its id and its target count.
@@ -620,30 +712,22 @@ struct CastBytes {
 }
 
 impl CastBytes {
-    fn of(honest: &[u8]) -> CastBytes {
-        let ckpt = Checkpoint::from_bytes(honest.to_vec()).expect("honest checkpoint");
-        let sections = ckpt.sections().expect("self-produced checkpoint indexes");
-        let (_, range) = sections
-            .into_iter()
-            .find(|(n, _)| n == "bartercast")
-            .unwrap();
-        // The tag, then the `BarterCastConfig`.
-        let cfg = rvs_checkpoint::to_bytes(&rvs_bartercast::BarterCastConfig::default());
-        let at = range.start + 1 + "bartercast".len() + cfg.len();
-        let mut f = Fields::new(&honest[at..range.end], at);
+    fn of(ckpt: &Sections) -> CastBytes {
+        let mut f = ckpt.fields("bartercast", 0);
+        f.skip::<rvs_bartercast::BarterCastConfig>();
         let sources = f.varint();
         let (mut source_fields, mut targets) = (Vec::new(), Vec::new());
         let mut next_from = 0;
-        for _ in 0..sources.1 {
+        for _ in 0..sources.value {
             let gap = f.varint();
             let from = gap_id(&gap, &mut next_from);
             let count = f.varint();
             let mut next_to = 0;
-            for _ in 0..count.1 {
+            for _ in 0..count.value {
                 let gap = f.varint();
                 let to = gap_id(&gap, &mut next_to);
                 let count = f.varint();
-                let values = (0..count.1).map(|_| f.varint()).collect();
+                let values = (0..count.value).map(|_| f.varint()).collect();
                 targets.push(TargetBytes {
                     from,
                     gap,
@@ -656,14 +740,14 @@ impl CastBytes {
         }
         let table_end = f.at();
         let graphs = f.varint();
-        let picks = (0..graphs.1)
+        let picks = (0..graphs.value)
             .map(|_| {
                 let count = f.varint();
                 let mut next = 0;
-                let gaps = (0..count.1)
+                let gaps = (0..count.value)
                     .map(|_| {
                         let gap = f.varint();
-                        let at = next + gap.1;
+                        let at = next + gap.value;
                         next = at + 1;
                         (gap, at)
                     })
@@ -671,7 +755,8 @@ impl CastBytes {
                 (count, gaps)
             })
             .collect();
-        assert_eq!(f.at(), range.end - 16, "two counters close the section");
+        f.skip::<(SharedCounter, SharedCounter)>();
+        f.done();
         CastBytes {
             sources,
             source_fields,
@@ -694,15 +779,9 @@ fn a_diff_inside_bartercast_names_the_node_and_the_edge() {
     use robust_vote_sampling::scenario::checkpoint::first_divergence;
     // The same run at 3 h, with its graphs and counters as they were at 4 h:
     // `bartercast` is the only section that differs.
-    let early = mid_run(10, ProtocolConfig::default());
-    let mut system = build(10, 6, 7);
-    system.run_until(
-        SimTime::from_hours(4),
-        SimDuration::from_hours(1),
-        |_, _| {},
-    );
-    let late = Checkpoint::from_bytes(splice(&early, &system.checkpoint(), "bartercast"))
-        .expect("the spliced blob has a header");
+    let spliced = base().from(&cut(build(10, 6, 7), 4), "bartercast");
+    let late = Checkpoint::from_bytes(spliced).expect("the spliced blob has a header");
+    let early = Checkpoint::from_bytes(base().bytes.clone()).expect("the honest blob has one");
     let report = first_divergence(&early, &late).expect("the graphs moved");
     assert!(
         report.contains("first differing section: `bartercast`"),
@@ -723,70 +802,60 @@ fn a_diff_inside_bartercast_names_the_node_and_the_edge() {
 
 #[test]
 fn graph_rows_no_report_can_store_are_corrupt() {
-    let honest = base_bytes().to_vec();
-    let cast = CastBytes::of(&honest);
-    let with = |field: &Field, bytes: &[u8]| spliced(&honest, field.0.clone(), bytes);
+    let cast = CastBytes::of(base());
     let (first_gap, first, target_count) = &cast.source_fields[0];
     let target = &cast.targets[0];
-    let past_u32 = varint(1 << 32);
-    for (crafted, what) in [
+    for (edit, what) in [
         (
-            with(&cast.sources, &varint(1 << 40)),
+            cast.sources.to(1 << 40),
             "BarterCast: 1099511627776 sources claimed",
         ),
-        (with(target_count, &varint(0)), "has no targets"),
-        (with(&target.count, &varint(0)), "has no values"),
+        (target_count.to(0), "has no targets"),
+        (target.count.to(0), "has no values"),
         (
-            with(&target.count, &varint(1 << 40)),
+            target.count.to(1 << 40),
             "BarterCast: 1099511627776 values of",
         ),
+        (first_gap.to(1 << 32), "BarterCast: source id overflows u32"),
         (
-            with(first_gap, &past_u32),
-            "BarterCast: source id overflows u32",
-        ),
-        (
-            with(&target.gap, &past_u32),
+            target.gap.to(1 << 32),
             "BarterCast: target id overflows u32",
         ),
         // A source's first target counts from −1 as the first source does,
         // so the source's gap spells the source as a target.
+        (target.gap.to(u64::from(*first)), "BarterCast: self-loop"),
         (
-            with(&target.gap, &varint(u64::from(*first))),
-            "BarterCast: self-loop",
-        ),
-        (
-            with(&cast.graphs, &varint(1 << 40)),
+            cast.graphs.to(1 << 40),
             "BarterCast: 1099511627776 graphs claimed",
         ),
         (
-            with(&cast.picks[0].0, &varint(1 << 40)),
+            cast.picks[0].0.to(1 << 40),
             "BarterCast: 1099511627776 entries of the graph of node 0 claimed",
         ),
     ] {
-        assert_corrupt(&crafted, what);
+        base().refuses("bartercast", [edit], what);
     }
     // Values are gaps: the only way a run can fail to ascend is a gap that
     // carries it past `u64`.
     let run = cast.targets.iter().find(|t| t.values.len() >= 2);
     let run = run.expect("an edge with two weights in the table");
-    assert_corrupt(
-        &with(&run.values[1], &varint(u64::MAX)),
-        &format!(
-            "BarterCast: the values of n{} -> n{} pass u64",
-            run.from, run.to
-        ),
+    let what = format!(
+        "BarterCast: the values of n{} -> n{} pass u64",
+        run.from, run.to
     );
+    base().refuses("bartercast", [run.values[1].to(u64::MAX)], &what);
     // The same weight spelled one byte longer than it needs.
-    let mut padded = varint(target.values[0].1);
+    let value = &target.values[0];
+    let mut padded = varint(value.value);
     *padded.last_mut().expect("a varint has a byte") |= 0x80;
     padded.push(0);
-    assert_corrupt(&with(&target.values[0], &padded), "varint is not minimal");
+    let padded = (value.at.clone(), padded);
+    base().refuses("bartercast", [padded], "varint is not minimal");
 }
 
 #[test]
 fn graphs_holding_records_no_population_holds_are_corrupt() {
-    let honest = base_bytes().to_vec();
-    let cast = CastBytes::of(&honest);
+    let cast = CastBytes::of(base());
     let records = cast.edges();
     let (node, (_, picks)) = cast
         .picks
@@ -794,34 +863,30 @@ fn graphs_holding_records_no_population_holds_are_corrupt() {
         .enumerate()
         .find(|(_, (_, picks))| picks.len() >= 2)
         .expect("a graph of two entries");
-    let with = |field: &Field, bytes: &[u8]| spliced(&honest, field.0.clone(), bytes);
+    let refuses = |edits: Vec<Edit>, what: &str| base().refuses("bartercast", edits, what);
     // An index past the table, and a gap past `u64`.
     let (last_gap, last) = picks.last().expect("entries");
-    let past = records.len() as u64 - last + last_gap.1;
-    assert_corrupt(
-        &with(last_gap, &varint(past)),
+    let past = records.len() as u64 - last + last_gap.value;
+    refuses(
+        vec![last_gap.to(past)],
         &format!(
             "BarterCast: the graph of node {node} holds record {}",
             records.len()
         ),
     );
-    assert_corrupt(
-        &with(&picks[1].0, &varint(u64::MAX)),
+    refuses(
+        vec![picks[1].0.to(u64::MAX)],
         &format!("BarterCast: the graph of node {node}: index gap overflows u64"),
     );
     // A record no graph holds: one more source past the last, with one
     // target and one value, appended to the table.
     let (_, last_source, _) = cast.source_fields.last().expect("a source");
-    let spare = [varint(0), varint(1), varint(0), varint(1), varint(7)].concat();
-    let mut crafted = honest.clone();
-    crafted.splice(cast.table_end..cast.table_end, spare);
-    let crafted = spliced(
-        &crafted,
-        cast.sources.0.clone(),
-        &varint(cast.sources.1 + 1),
-    );
-    assert_corrupt(
-        &crafted,
+    let spare = [0, 1, 0, 1, 7].map(varint).concat();
+    refuses(
+        vec![
+            cast.sources.to(cast.sources.value + 1),
+            (cast.table_end..cast.table_end, spare),
+        ],
         &format!(
             "BarterCast: record {} (n{} -> n0, 7 KiB) is in no graph",
             records.len(),
@@ -843,27 +908,65 @@ fn graphs_holding_records_no_population_holds_are_corrupt() {
             Some((node, count, picks, k))
         });
     let (node, count, picks, k) = twice.expect("a graph holding one of two weights of an edge");
-    let at = picks[k].1;
-    let (from, to) = records[at as usize];
+    let (gap, at) = &picks[k];
+    let (from, to) = records[*at as usize];
     // `at + 1` right after `at` is a gap of 0; the entry after it, if any,
     // is one closer.
-    let mut crafted = honest.clone();
-    if let Some((gap, _)) = picks.get(k + 1) {
-        crafted = spliced(&crafted, gap.0.clone(), &varint(gap.1 - 1));
-    }
-    let after = picks[k].0 .0.end;
-    crafted.insert(after, 0);
-    let crafted = spliced(&crafted, count.0.clone(), &varint(count.1 + 1));
-    assert_corrupt(
-        &crafted,
+    let after = gap.at.end;
+    let mut edits = vec![count.to(count.value + 1), (after..after, varint(0))];
+    edits.extend(picks.get(k + 1).map(|(gap, _)| gap.to(gap.value - 1)));
+    refuses(
+        edits,
         &format!("BarterCast: the graph of node {node} holds two records of n{from} -> n{to}"),
     );
+}
+
+/// A fault-plane event as `faults` holds it. The event type is private to
+/// the scenario, so this steps over its encoding — a discriminant, then the
+/// variant's fields — by their types.
+struct FaultEventBytes;
+
+impl Persist for FaultEventBytes {
+    fn persist(&self, _: &mut Encoder) {
+        unreachable!("only read");
+    }
+
+    fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        match dec.u8()? {
+            0 => <(u64, (NodeId, NodeId), (u32, bool))>::restore(dec).map(|_| ()),
+            1 => <(NodeId, NodeId, u32)>::restore(dec).map(|_| ()),
+            2 | 3 => usize::restore(dec).map(|_| ()),
+            _ => NodeId::restore(dec).map(|_| ()),
+        }?;
+        Ok(FaultEventBytes)
+    }
+}
+
+/// The dedup windows of a `faults` section, per node its length and its
+/// ids' gaps. The section is the `FaultPlane`, the event engine, the
+/// message-id counters, the windows — a node count, then per node a
+/// varint length and the ids as varint gaps — and the VoxPopuli backoff
+/// states and decliner windows.
+fn dedup_windows(ckpt: &Sections) -> Vec<(Field, Vec<Field>)> {
+    let mut f = ckpt.fields("faults", 0);
+    f.skip::<(FaultPlane, Engine<FaultEventBytes>)>();
+    f.skip::<(u64, u64, u64)>();
+    let nodes = f.fixed::<usize>();
+    let windows = (0..nodes.value)
+        .map(|_| {
+            let len = f.varint();
+            let gaps = (0..len.value).map(|_| f.varint()).collect();
+            (len, gaps)
+        })
+        .collect();
+    f.skip::<(Vec<Backoff>, Vec<BTreeSet<NodeId>>)>();
+    f.done();
+    windows
 }
 
 #[test]
 fn dedup_window_ids_out_of_order_or_duplicated_are_corrupt() {
     use robust_vote_sampling::faults::FaultConfig;
-    use rvs_sim::NodeId;
     // Scheduled delivery is what fills the windows.
     let schedule = FaultSchedule {
         config: FaultConfig {
@@ -872,165 +975,80 @@ fn dedup_window_ids_out_of_order_or_duplicated_are_corrupt() {
         },
         ..FaultSchedule::default()
     };
-    let (mut system, _) =
-        VoteSamplingConfig::quick(10, SimDuration::from_hours(6)).system(7, schedule);
-    system.run_until(
-        SimTime::from_hours(3),
-        SimDuration::from_hours(1),
-        |_, _| {},
-    );
-    let honest = system.checkpoint().into_bytes();
-    // The windows are a node count, then per node a varint length and the
-    // ids as varint gaps.
-    let windows: Vec<Vec<u64>> = (0..system.total_nodes())
-        .map(|i| system.dedup_window(NodeId::from_index(i)).collect())
-        .collect();
-    let mut enc = rvs_checkpoint::Encoder::new();
-    enc.usize(windows.len());
-    for window in &windows {
-        enc.varint(window.len() as u64);
-        let mut next = 0;
-        window.iter().for_each(|&id| enc.gap(&mut next, id));
-    }
-    let encoded = enc.into_bytes();
-    let mut f = Fields::new(&encoded, locate(&honest, &encoded));
-    f.dec.usize().expect("node count");
-    let k = windows.iter().position(|w| w.len() >= 2);
+    let quick = VoteSamplingConfig::quick(10, SimDuration::from_hours(6));
+    let honest = cut(quick.system(7, schedule).0, 3);
+    let windows = dedup_windows(&honest);
+    let k = windows.iter().position(|(_, gaps)| gaps.len() >= 2);
     let k = k.expect("a window of two ids");
-    let fields = windows[..=k].iter().map(|window| {
-        let len = f.varint();
-        let gaps: Vec<Field> = (0..window.len()).map(|_| f.varint()).collect();
-        (len, gaps)
-    });
-    let (len, gaps) = fields.last().expect("window k");
-    let (first, second) = (windows[k][0], windows[k][1]);
-    assert_eq!((gaps[0].1, first + 1 + gaps[1].1), (first, second));
+    let (len, gaps) = &windows[k];
+    let first = gaps[0].value;
     // The first id again in the second place, then the one below it: ids
     // are gaps, so each is a gap that carries it past `u64`.
     let what = format!("dedup window of node {k}: id gap overflows u64");
     for id in [first, first.wrapping_sub(1)] {
         let wrapped = id.wrapping_sub(first + 1);
-        assert_corrupt(
-            &spliced(&honest, gaps[1].0.clone(), &varint(wrapped)),
-            &what,
-        );
+        honest.refuses("faults", [gaps[1].to(wrapped)], &what);
     }
     // A length the bytes left cannot hold.
-    assert_corrupt(
-        &spliced(&honest, len.0, &varint(1 << 40)),
-        &format!("dedup window of node {k}: 1099511627776 ids claimed"),
-    );
-}
-
-/// One row of the ledger as the checkpoint holds it: the uploader's gap
-/// and id, the row length, and per entry the downloader's gap and id and
-/// the KiB.
-struct LedgerRow {
-    from: (Field, u32),
-    len: Field,
-    entries: Vec<(Field, u32, Field)>,
-}
-
-/// The ledger of the honest checkpoint: its row count and its rows.
-fn ledger_rows(system: &System) -> (Field, Vec<LedgerRow>) {
-    let encoded = rvs_checkpoint::to_bytes(system.net().ledger());
-    let mut f = Fields::new(&encoded, locate(base_bytes(), &encoded));
-    let count = f.varint();
-    let mut next_from = 0;
-    let rows = (0..count.1)
-        .map(|_| {
-            let gap = f.varint();
-            let from = gap_id(&gap, &mut next_from);
-            let len = f.varint();
-            let mut next_to = 0;
-            let entries = (0..len.1)
-                .map(|_| {
-                    let gap = f.varint();
-                    let to = gap_id(&gap, &mut next_to);
-                    (gap, to, f.varint())
-                })
-                .collect();
-            LedgerRow {
-                from: (gap, from),
-                len,
-                entries,
-            }
-        })
-        .collect();
-    (count, rows)
+    let what = format!("dedup window of node {k}: 1099511627776 ids claimed");
+    honest.refuses("faults", [len.to(1 << 40)], &what);
 }
 
 #[test]
 fn ledger_rows_no_credit_books_are_corrupt() {
-    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
-    let honest = base_bytes().to_vec();
-    // The ledger is varints: the uploader count, then per uploader its id
-    // gap and row length, then per entry the downloader's gap and the KiB.
     // The transpose and every total are rebuilt, not read.
-    let (count, rows) = ledger_rows(&system);
-    let row = rows.iter().find(|r| r.entries.len() >= 2);
+    let net = NetBytes::of(base());
+    let row = net.ledger.iter().find(|r| r.entries.len() >= 2);
     let row = row.expect("an uploader with two downloaders");
     let (first_kib, second_kib) = (&row.entries[0].2, &row.entries[1].2);
     // An empty row: its length 0 and its entries cut.
-    let end = row.entries.last().expect("entries").2 .0.end;
-    let empty = spliced(&honest, row.len.0.start..end, &varint(0));
-    assert_corrupt(&empty, "TransferLedger: empty row");
+    let end = row.entries.last().expect("entries").2.at.end;
+    let (at, zero) = row.len.to(0);
+    let empty = (at.start..end, zero);
     // Weights whose sum does not fit a `u64`.
-    let mut huge = spliced(&honest, second_kib.0.clone(), &varint(u64::MAX));
-    huge = spliced(&huge, first_kib.0.clone(), &varint(u64::MAX));
-    assert_corrupt(&huge, "TransferLedger: the KiB sum overflows u64");
-    // An uploader past `u32`, and counts the bytes left cannot hold.
-    for (field, with, what) in [
+    let huge = vec![first_kib.to(u64::MAX), second_kib.to(u64::MAX)];
+    for (edits, what) in [
+        (vec![empty], "TransferLedger: empty row"),
+        (huge, "TransferLedger: the KiB sum overflows u64"),
+        // An uploader past `u32`, and counts the bytes left cannot hold.
         (
-            &row.from.0,
-            varint(1 << 32),
+            vec![row.from.0.to(1 << 32)],
             "TransferLedger: uploader id overflows u32",
         ),
         (
-            &count,
-            varint(1 << 40),
+            vec![net.ledger_count.to(1 << 40)],
             "TransferLedger: 1099511627776 rows claimed",
         ),
         (
-            &row.len,
-            varint(1 << 40),
+            vec![row.len.to(1 << 40)],
             "TransferLedger: row of 1099511627776 entries claimed",
         ),
     ] {
-        assert_corrupt(&spliced(&honest, field.0.clone(), &with), what);
+        base().refuses("net", edits, what);
     }
 }
 
 #[test]
 fn ledger_entries_out_of_order_zero_or_looped_are_corrupt() {
-    let system = try_restore(base_bytes()).expect("the honest checkpoint restores");
-    let honest = base_bytes().to_vec();
-    let (_, rows) = ledger_rows(&system);
+    let net = NetBytes::of(base());
     // Two downloaders in a row, the first past id 0 so that an id below it
     // exists. Ids are gaps, so the second can only be written out of order
     // — or as the first again — as a gap that carries it past `u32`.
-    let pair = rows.iter().find_map(|r| {
+    let pair = net.ledger.iter().find_map(|r| {
         let pair = r.entries.windows(2).find(|w| w[0].1 > 0)?;
-        Some((pair[0].1, pair[1].0 .0.clone()))
+        Some((pair[0].1, &pair[1].0))
     });
-    let (first, second_gap) = pair.expect("an uploader with two downloaders");
+    let (first, second) = pair.expect("an uploader with two downloaders");
     for id in [first, first - 1] {
-        assert_corrupt(
-            &spliced(&honest, second_gap.clone(), &gap_to(first, id)),
-            "TransferLedger: downloader id overflows u32",
-        );
+        let edit = second.to(gap_to(first, id));
+        base().refuses("net", [edit], "TransferLedger: downloader id overflows u32");
     }
     // Entries no credit books: nothing moved, and a peer uploading to
     // itself — a row's first downloader counts from 0 as its uploader does,
     // so the uploader's gap spells the uploader.
-    let row = &rows[0];
+    let row = &net.ledger[0];
     let (gap, _, kib) = &row.entries[0];
-    assert_corrupt(
-        &spliced(&honest, kib.0.clone(), &varint(0)),
-        "TransferLedger: zero entry",
-    );
-    assert_corrupt(
-        &spliced(&honest, gap.0.clone(), &varint(u64::from(row.from.1))),
-        "TransferLedger: self-edge",
-    );
+    base().refuses("net", [kib.to(0)], "TransferLedger: zero entry");
+    let looped = gap.to(u64::from(row.from.1));
+    base().refuses("net", [looped], "TransferLedger: self-edge");
 }

@@ -7,6 +7,9 @@
 //! `cargo run --bin rvs -- ckpt regen` — the tests below spell out which
 //! of those steps was skipped.
 
+mod common;
+
+use common::with_version;
 use robust_vote_sampling::scenario::checkpoint::{
     first_divergence, golden_checkpoint, golden_coverage_system, golden_file_name, GOLDEN_COVERAGE,
     GOLDEN_COVERAGE_CUT, GOLDEN_HOURS, GOLDEN_SEEDS,
@@ -14,12 +17,15 @@ use robust_vote_sampling::scenario::checkpoint::{
 use robust_vote_sampling::scenario::{Checkpoint, System};
 use rvs_checkpoint::{DecodeError, FORMAT_VERSION};
 use rvs_sim::{NodeId, SimDuration, SimTime};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+/// `name` under `tests/golden/`.
+fn golden(name: &str) -> PathBuf {
+    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden")).join(name)
+}
 
 fn golden_path(seed: u64) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(golden_file_name(seed))
+    golden(&golden_file_name(seed))
 }
 
 #[test]
@@ -88,9 +94,7 @@ fn coverage_golden_holds_the_state_the_fig6_goldens_lack() {
     // hand-written impls: with the macro a field's wire width follows its
     // declared type, and this blob pins the widths of every type the fig6
     // goldens never contain. First show it really contains them.
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(GOLDEN_COVERAGE);
+    let path = golden(GOLDEN_COVERAGE);
     let committed = Checkpoint::load(&path).unwrap_or_else(|e| {
         panic!("{GOLDEN_COVERAGE} unreadable ({e}); run `cargo run --bin rvs -- ckpt regen`")
     });
@@ -145,9 +149,7 @@ fn coverage_golden_resumes_as_the_uninterrupted_run() {
     // core. A field dropped from both halves of a hand-written `Persist`
     // there re-encodes and re-derives byte for byte once the goldens are
     // regenerated; only running on from the restored state tells.
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(GOLDEN_COVERAGE);
+    let path = golden(GOLDEN_COVERAGE);
     let committed = Checkpoint::load(&path).expect("coverage golden loads");
     let end = SimTime::from_hours(18);
     let run_on = |mut system: System| {
@@ -196,41 +198,25 @@ fn golden_checkpoints_resume_cleanly_under_audit() {
 
 #[test]
 fn legacy_v3_golden_is_refused_not_misread() {
-    // A file written before the `shard` section was cut (format 3), or
-    // before the contribution cache and the per-reporter edge pair were
-    // (format 4), or by a build whose swarms drew one random number per
-    // tied candidate rather than one per pick (format 5: the layout of 6,
-    // but resuming it would continue swarm streams its writer never
-    // drew), or whose subjective graphs were 16-byte `(from, to, kib)`
-    // entries rather than rows of varints (format 6), or that still wrote
-    // availability counts, the ledger's transpose and 8-byte dedup ids
-    // (format 7), or that wrote every copy of a BarterCast record in each
-    // graph that held it rather than each record once (format 8), or that
-    // still wrote the choke, rechoke, hop-bound, database-capacity and
-    // extract-policy settings (format 9), must be refused with the typed
-    // version error — never decoded into a plausible-looking
+    // A file of a retired format, or of a newer one, must be refused with
+    // the typed version error — never decoded into a plausible-looking
     // system — while its frozen identity prefix stays readable, through
-    // the library and through `rvs ckpt inspect`.
-    let legacy = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/legacy");
-    let corpus = [
-        ("fig6-seed1.v3.ckpt", 3),
-        ("fig6-seed1.v4.ckpt", 4),
-        ("fig6-seed1.v5.ckpt", 5),
-        ("fig6-seed1.v6.ckpt", 6),
-        ("fig6-seed1.v7.ckpt", 7),
-        ("fig6-seed1.v8.ckpt", 8),
-        ("fig6-seed1.v9.ckpt", 9),
-    ];
-    assert_eq!(
-        std::fs::read_dir(&legacy)
-            .expect("legacy corpus exists")
-            .count(),
-        corpus.len(),
-        "every file under legacy/ is covered below"
-    );
-    for (file, found) in corpus {
-        let path = legacy.join(file);
-        let ckpt = Checkpoint::load(&path).expect("legacy golden loads (header + identity prefix)");
+    // the library and through `rvs ckpt inspect`. One real format-3 file
+    // pins that prefix as an old writer spelt it; every other version is
+    // the current golden with its version word patched (DESIGN.md §12 says
+    // what each retired format changed).
+    let legacy = golden("legacy");
+    let files = std::fs::read_dir(&legacy).expect("legacy corpus exists");
+    assert_eq!(files.count(), 1, "legacy/ holds the one real legacy file");
+    let v3 = std::fs::read(legacy.join("fig6-seed1.v3.ckpt")).expect("the v3 file reads");
+    let current = std::fs::read(golden_path(1)).expect("golden seed 1 reads");
+    let versions = (4..FORMAT_VERSION).chain([FORMAT_VERSION + 1]);
+    let patched = versions.map(|found| (with_version(&current, found), found));
+    let name = format!("legacy-{}.ckpt", std::process::id());
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    for (bytes, found) in [(v3, 3)].into_iter().chain(patched) {
+        std::fs::write(&path, bytes).expect("the blob writes");
+        let ckpt = Checkpoint::load(&path).expect("the blob loads (header + identity prefix)");
         match System::restore(&ckpt) {
             Err(e) => assert_eq!(
                 e,
@@ -263,6 +249,7 @@ fn legacy_v3_golden_is_refused_not_misread() {
             "inspect output:\n{stdout}"
         );
     }
+    std::fs::remove_file(&path).expect("the scratch blob removes");
 }
 
 #[test]
