@@ -66,6 +66,11 @@ impl<E> Engine<E> {
         self.queue.len()
     }
 
+    /// The events still pending, in no particular order.
+    pub fn pending_events(&self) -> impl Iterator<Item = &E> {
+        self.queue.events()
+    }
+
     /// Schedule `event` at absolute time `t`.
     ///
     /// # Panics
@@ -172,6 +177,7 @@ mod tests {
         assert_eq!(t, SimTime::from_secs(2));
         assert_eq!(e, Ev::Ping(0));
         assert_eq!(eng.now(), SimTime::from_secs(2));
+        assert!(eng.pending_events().eq([&Ev::Ping(1)]));
         let (t, _) = eng.next_before(SimTime::MAX).unwrap();
         assert_eq!(t, SimTime::from_secs(5));
         assert_eq!(eng.processed(), 2);

@@ -91,6 +91,11 @@ impl<E> EventQueue<E> {
         self.heap.len()
     }
 
+    /// The pending events, in no particular order.
+    pub(crate) fn events(&self) -> impl Iterator<Item = &E> {
+        self.heap.iter().map(|s| &s.event)
+    }
+
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
