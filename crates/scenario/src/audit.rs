@@ -6,7 +6,10 @@
 //!
 //! * **Conservation** — every gossip initiation is accounted for exactly
 //!   once: `attempted == delivered + dropped_no_sample +
-//!   dropped_offline_target + dropped_self_target + dropped_message_loss`.
+//!   dropped_offline_target + dropped_self_target + dropped_message_loss +
+//!   dropped_burst + partitioned + dropped_expired + inbox_dropped +
+//!   in-flight`, the last five terms the fault plane's and the guard's
+//!   (all zero with an inert plane and an unarmed guard).
 //! * **Ballot bound** — no ballot box ever samples more than `B_max`
 //!   unique voters.
 //! * **Experience gating** — a sender that fails the receiver's experience

@@ -16,6 +16,11 @@
 //!   system that panics a round later;
 //! * so are a zero BitTorrent tick and a `net`, `bartercast`, `modcast` or
 //!   `votes` section run under another config than `cfg`'s copy;
+//! * so are a cast voter outside the population, and a `faults` queue
+//!   that disagrees with the rest of the system: a queued delivery to or
+//!   from a node outside the population, an inbox gauge other than the
+//!   queued copies addressed to its node, an in-flight count other than
+//!   the queued primaries;
 //! * and whatever no program state encodes to — one defect per case, each
 //!   a `Corrupt` naming its type:
 //!   * a bitfield with a shape byte past 2, a partial one holding no piece
@@ -52,7 +57,9 @@ mod common;
 use common::with_version;
 use proptest::prelude::*;
 use robust_vote_sampling::faults::{Backoff, FaultPlane, FaultSchedule};
-use robust_vote_sampling::scenario::{Checkpoint, ProtocolConfig, System, VoteSamplingConfig};
+use robust_vote_sampling::scenario::{
+    Checkpoint, ModeratorSpec, ProtocolConfig, System, VoteSamplingConfig,
+};
 use robust_vote_sampling::trace::{PeerProfile, SwarmSpec};
 use rvs_bittorrent::swarm::{LinkProfile, MemberRole};
 use rvs_bittorrent::{Bitfield, Completion, NetConfig, SwarmSim};
@@ -992,6 +999,100 @@ fn dedup_window_ids_out_of_order_or_duplicated_are_corrupt() {
     // A length the bytes left cannot hold.
     let what = format!("dedup window of node {k}: 1099511627776 ids claimed");
     honest.refuses("faults", [len.to(1 << 40)], &what);
+}
+
+/// A run cut just past its gossip round at 3 h, whose copies are still
+/// queued: delivery takes 5 s.
+fn queued() -> Sections {
+    use robust_vote_sampling::faults::FaultConfig;
+    let schedule = FaultSchedule {
+        config: FaultConfig {
+            base_latency_ms: 5_000,
+            ..FaultConfig::default()
+        },
+        ..FaultSchedule::default()
+    };
+    let quick = VoteSamplingConfig::quick(10, SimDuration::from_hours(6));
+    let mut system = quick.system(7, schedule).0;
+    let end = SimTime::from_hours(3) + SimDuration::from_millis(1);
+    system.run_until(end, SimDuration::from_hours(1), |_, _| {});
+    Sections::of(system.checkpoint())
+}
+
+/// The queued deliveries of a `faults` section, per copy its sender,
+/// receiver and primary flag, and the in-flight count written after the
+/// queue. The event engine is a clock, a processed count and the queue: a
+/// sequence counter, an entry count, per entry a time, a sequence number
+/// and the event; then come the next message id and the in-flight count.
+fn fault_queue(ckpt: &Sections) -> (Vec<[Field; 3]>, Field) {
+    let mut f = ckpt.fields("faults", 0);
+    f.skip::<(FaultPlane, (SimTime, u64, u64))>();
+    let entries = f.fixed::<usize>().value;
+    let mut deliveries = Vec::new();
+    for _ in 0..entries {
+        f.skip::<(SimTime, u64)>();
+        match f.fixed::<u8>().value {
+            0 => {
+                f.skip::<u64>();
+                let (from, to) = (f.fixed::<NodeId>(), f.fixed::<NodeId>());
+                f.skip::<u32>();
+                deliveries.push([from, to, f.fixed::<bool>()]);
+            }
+            1 => f.skip::<(NodeId, NodeId, u32)>(),
+            2 | 3 => f.skip::<usize>(),
+            _ => f.skip::<NodeId>(),
+        }
+    }
+    f.skip::<u64>();
+    let in_flight = f.fixed::<u64>();
+    assert!(!deliveries.is_empty(), "no delivery queued at the cut");
+    (deliveries, in_flight)
+}
+
+#[test]
+fn a_queued_delivery_naming_a_node_outside_the_population_is_corrupt() {
+    let ckpt = queued();
+    let (deliveries, _) = fault_queue(&ckpt);
+    let [from, to, _] = &deliveries[0];
+    for end in [from, to] {
+        let what = "names a node outside the 10 nodes";
+        ckpt.refuses("faults", [end.to(50_000)], what);
+    }
+}
+
+#[test]
+fn inbox_gauges_other_than_the_queued_copies_are_corrupt() {
+    // A copy readdressed to a third node: the gauges still count it at its
+    // first receiver.
+    let ckpt = queued();
+    let (deliveries, _) = fault_queue(&ckpt);
+    let [from, to, _] = &deliveries[0];
+    let third = (0..).find(|n| ![from.value, to.value].contains(n));
+    let what = "inbox gauge of node";
+    ckpt.refuses("faults", [to.to(third.expect("a third node"))], what);
+}
+
+#[test]
+fn an_in_flight_count_other_than_the_queued_primaries_is_corrupt() {
+    let ckpt = queued();
+    let (deliveries, in_flight) = fault_queue(&ckpt);
+    let primaries = deliveries.iter().filter(|[.., p]| p.value == 1).count();
+    assert_eq!(in_flight.value, primaries as u64);
+    // A count that took in none of the queued primaries.
+    let what = format!("0 deliveries in flight with {primaries} primaries queued");
+    ckpt.refuses("faults", [in_flight.to(0)], &what);
+}
+
+#[test]
+fn a_voter_outside_the_population_is_corrupt() {
+    // `setup`: the moderators, then the voters — a count, and per voter its
+    // id, the moderator voted on and the vote.
+    let mut f = base().fields("setup", 0);
+    f.skip::<Vec<ModeratorSpec>>();
+    assert!(f.fixed::<usize>().value > 0, "a cast with voters");
+    let voter = f.fixed::<NodeId>();
+    let what = "voter n50000 is outside the 10 nodes";
+    base().refuses("setup", [voter.to(50_000)], what);
 }
 
 #[test]
