@@ -15,15 +15,18 @@
 //! `--peers`/`--runs`/`--hours` rescale the experiment (`--peers N` casts
 //! `TraceGenConfig::scaled`, the trace of `rvs run --peers N` and of the
 //! benchmark's workloads, in `--quick` mode too); `--audit` runs the
-//! invariant auditor and fails loudly on any violation; any other argument
-//! is refused. The last line is the process's `peak RSS: N MiB` (Linux
-//! only), which the CI scale smoke — `--quick --peers 10000 --runs 1
-//! --hours 2 --audit` — holds under a bound.
+//! invariant auditor and fails loudly on any violation. Fewer than
+//! `FIG6_MIN_PEERS` peers, `--runs 0`, a `--json` without a path and any
+//! other argument are refused with exit 2. The last line is the process's
+//! `peak RSS: N MiB` (Linux only), which the CI scale smoke — `--quick
+//! --peers 10000 --runs 1 --hours 2 --audit` — holds under a bound.
 
 use rvs_bench::{
-    flag_usize, header, maybe_write_json, peak_rss_mib, quick_mode, reject_unknown_args, timed,
+    flag_at_least, flag_usize, header, maybe_write_json, peak_rss_mib, quick_mode,
+    reject_unknown_args, timed,
 };
 use rvs_metrics::TimeSeries;
+use rvs_scenario::experiments::vote_sampling::FIG6_MIN_PEERS;
 use rvs_scenario::{run_vote_sampling, VoteSamplingConfig};
 use rvs_sim::SimDuration;
 use rvs_trace::TraceGenConfig;
@@ -47,13 +50,13 @@ fn main() {
         cfg.trace.duration = SimDuration::from_hours(hours as u64);
         cfg.sample_every = SimDuration::from_hours((hours as u64 / 9).max(1));
     }
-    if let Some(peers) = flag_usize("peers") {
+    if let Some(peers) = flag_at_least("peers", FIG6_MIN_PEERS) {
         // The paper's community at N peers, in either mode: founders
         // rescale with the population, as in `rvs run` and the benchmark.
         cfg.trace = TraceGenConfig::scaled(peers, cfg.trace.duration);
     }
-    if let Some(runs) = flag_usize("runs") {
-        cfg.runs = runs.max(1);
+    if let Some(runs) = flag_at_least("runs", 1) {
+        cfg.runs = runs;
     }
     // rvs-lint: allow(ambient-env) -- CLI flag parsing at the binary entry point
     if std::env::args().any(|a| a == "--audit") {

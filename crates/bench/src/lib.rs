@@ -41,6 +41,13 @@ pub fn maybe_write_json<T: serde::Serialize>(value: &T) {
     }
 }
 
+/// Print `msg` to stderr and exit 2: the command line asks for a run the
+/// binary cannot make.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
 /// The `usize` value following `--<name>`, if present (e.g. `--peers
 /// 10000`). Exits with a usage error on a malformed value rather than
 /// silently running the wrong experiment.
@@ -52,18 +59,26 @@ pub fn flag_usize(name: &str) -> Option<usize> {
             let raw = args.next().unwrap_or_default();
             match raw.parse() {
                 Ok(v) => return Some(v),
-                Err(_) => {
-                    eprintln!("{flag} expects an unsigned integer, got {raw:?}");
-                    std::process::exit(2);
-                }
+                Err(_) => usage_error(&format!("{flag} expects an unsigned integer, got {raw:?}")),
             }
         }
     }
     None
 }
 
+/// [`flag_usize`] for a count that must be at least `min`: a smaller value
+/// is a usage error, not a run of something else.
+pub fn flag_at_least(name: &str, min: usize) -> Option<usize> {
+    let v = flag_usize(name)?;
+    if v < min {
+        usage_error(&format!("--{name} must be at least {min}, got {v}"));
+    }
+    Some(v)
+}
+
 /// The first command-line argument that is neither one of `switches`, one
-/// of `valued`, nor the value following a `valued` flag.
+/// of `valued`, nor the value following a `valued` flag — or a `valued`
+/// flag with nothing after it.
 fn first_unknown_arg(
     args: impl IntoIterator<Item = String>,
     switches: &[&str],
@@ -72,7 +87,9 @@ fn first_unknown_arg(
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         if valued.contains(&a.as_str()) {
-            args.next();
+            if args.next().is_none() {
+                return Some(a);
+            }
         } else if !switches.contains(&a.as_str()) {
             return Some(a);
         }
@@ -81,19 +98,25 @@ fn first_unknown_arg(
 }
 
 /// Exit with a usage error on an argument the binary does not take (a
-/// misspelt or removed flag, a stray value) rather than silently running
-/// the default experiment. `switches` stand alone; each of `valued` is
-/// followed by one value.
+/// misspelt or removed flag, a stray value) or on a valued flag missing
+/// its value, rather than silently running the default experiment.
+/// `switches` stand alone; each of `valued` is followed by one value.
 pub fn reject_unknown_args(switches: &[&str], valued: &[&str]) {
-    if let Some(a) = first_unknown_arg(std::env::args().skip(1), switches, valued) {
-        let takes: Vec<String> = switches
-            .iter()
-            .map(|s| s.to_string())
-            .chain(valued.iter().map(|v| format!("{v} VALUE")))
-            .collect();
-        eprintln!("unknown argument {a:?}; takes: {}", takes.join(" "));
-        std::process::exit(2);
+    let Some(a) = first_unknown_arg(std::env::args().skip(1), switches, valued) else {
+        return;
+    };
+    if valued.contains(&a.as_str()) {
+        usage_error(&format!("{a} expects a value"));
     }
+    let takes: Vec<String> = switches
+        .iter()
+        .map(|s| s.to_string())
+        .chain(valued.iter().map(|v| format!("{v} VALUE")))
+        .collect();
+    usage_error(&format!(
+        "unknown argument {a:?}; takes: {}",
+        takes.join(" ")
+    ));
 }
 
 /// Print a standard experiment header.
@@ -156,6 +179,9 @@ mod tests {
         assert_eq!(unknown("--peer 10000"), Some("--peer".into()));
         assert_eq!(unknown("--quick --no-such"), Some("--no-such".into()));
         assert_eq!(unknown("--peers 100 200"), Some("200".into()));
+        // A valued flag with nothing after it is named too.
+        assert_eq!(unknown("--quick --json"), Some("--json".into()));
+        assert_eq!(unknown("--json out.json --peers"), Some("--peers".into()));
         // What the binaries other than `fig6_vote_sampling` take: `--quick`,
         // and `--json` only where a series is written. A misspelt `--quick`
         // must not fall through to the paper-scale run.

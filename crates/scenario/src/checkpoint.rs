@@ -309,7 +309,7 @@ pub fn golden_coverage_system() -> crate::System {
         ..quick
     };
     let (mut system, _) = cfg.system(1, 8, chaos_schedule());
-    arm_byzantine(&mut system);
+    arm_byzantine(&mut system, 4, 10);
     system.run_until(
         GOLDEN_COVERAGE_CUT,
         rvs_sim::SimDuration::from_hours(1),
@@ -318,10 +318,11 @@ pub fn golden_coverage_system() -> crate::System {
     system
 }
 
-/// The chaos schedule the byzantine goldens run under: latency + jitter,
-/// burst loss, duplication, one partition (4 h–8 h), two crash-restarts
-/// (6 h, 12 h), retry.
-fn chaos_schedule() -> rvs_faults::FaultSchedule {
+/// The chaos schedule the byzantine goldens and the differential suites'
+/// chaos cases run under: latency + jitter, burst loss, duplication, one
+/// partition of nodes 0–5 (4 h–8 h), two crash-restarts (6 h, 12 h),
+/// retry.
+pub fn chaos_schedule() -> rvs_faults::FaultSchedule {
     use rvs_faults::{BurstLoss, CrashSpec, FaultConfig, PartitionSpec, RetryConfig};
     use rvs_sim::NodeId;
     rvs_faults::FaultSchedule {
@@ -352,18 +353,35 @@ fn chaos_schedule() -> rvs_faults::FaultSchedule {
     }
 }
 
-/// Arm the byzantine goldens' adversaries: the active guard preset with a
-/// small inbox, the four highest-index trace peers flooding, and a
-/// malformer mutating 10 % of guarded messages.
-fn arm_byzantine(system: &mut crate::System) {
+/// Loss with retry: 15 % of messages lost and resent with backoff, so
+/// backoff resends interleave with the round sends. The `churn-retry`
+/// result golden and the differential suites' churn cases run under it.
+pub fn churn_schedule() -> rvs_faults::FaultSchedule {
+    use rvs_faults::{FaultConfig, RetryConfig};
+    rvs_faults::FaultSchedule {
+        config: FaultConfig {
+            loss: 0.15,
+            retry: Some(RetryConfig::default()),
+            ..FaultConfig::default()
+        },
+        ..rvs_faults::FaultSchedule::default()
+    }
+}
+
+/// Arm the byzantine adversaries: the active guard preset with a small
+/// inbox (so flood pressure reaches the bounded-inbox drop policy, not
+/// just the token buckets), the `flooders` highest-index trace peers each
+/// sending `sends` extra messages a round, and a malformer mutating 10 %
+/// of guarded messages. Every byzantine fixture arms through here.
+pub fn arm_byzantine(system: &mut crate::System, flooders: usize, sends: u32) {
     let peers = system.trace_peer_count();
     system.set_guard_config(rvs_guard::GuardConfig {
         inbox_cap: 8,
         ..rvs_guard::GuardConfig::active()
     });
     system.set_flooder(rvs_attacks::Flooder::new(
-        (peers - 4..peers).map(rvs_sim::NodeId::from_index),
-        10,
+        (peers - flooders..peers).map(rvs_sim::NodeId::from_index),
+        sends,
     ));
     system.set_malformer(rvs_attacks::Malformer::new(100));
 }
@@ -386,34 +404,19 @@ pub const GOLDEN_RESULTS: [&str; 3] = ["fig6-seed1", "churn-retry-seed1", "byzan
 /// # Panics
 /// On a name outside [`GOLDEN_RESULTS`].
 pub fn golden_result(name: &str, threads: usize) -> String {
-    use rvs_faults::{FaultConfig, FaultSchedule, RetryConfig};
     use rvs_sim::{NodeId, SimDuration};
     use serde::{Serialize as _, Value};
 
     let (peers, hours, attack, schedule) = match name {
-        "fig6-seed1" => (16, 12, false, FaultSchedule::default()),
-        // Loss + retry: backoff resends interleave with the round sends.
-        "churn-retry-seed1" => (
-            14,
-            15,
-            false,
-            FaultSchedule {
-                config: FaultConfig {
-                    loss: 0.15,
-                    retry: Some(RetryConfig::default()),
-                    ..FaultConfig::default()
-                },
-                partitions: vec![],
-                crashes: vec![],
-            },
-        ),
+        "fig6-seed1" => (16, 12, false, rvs_faults::FaultSchedule::default()),
+        "churn-retry-seed1" => (14, 15, false, churn_schedule()),
         "byzantine-chaos-seed1" => (18, 18, true, chaos_schedule()),
         other => panic!("unknown result golden `{other}`"),
     };
     let (mut system, _) =
         crate::VoteSamplingConfig::quick(peers, SimDuration::from_hours(hours)).system(1, schedule);
     if attack {
-        arm_byzantine(&mut system);
+        arm_byzantine(&mut system, 4, 10);
     }
     system.set_threads(threads);
     system.run_until(

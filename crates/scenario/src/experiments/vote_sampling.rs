@@ -124,11 +124,21 @@ pub struct VoteSamplingOutcome {
     pub telemetry: Snapshot,
 }
 
+/// The smallest population the Figure 6 cast fits: three moderators and
+/// three more peers.
+pub const FIG6_MIN_PEERS: usize = 6;
+
 /// The Figure 6 moderators `[M1, M2, M3]` of `trace`: its first three
 /// arrivals.
+///
+/// # Panics
+/// When `trace` has fewer than [`FIG6_MIN_PEERS`] peers.
 pub fn fig6_moderators(trace: &Trace) -> [ModeratorId; 3] {
     let order = trace.arrival_order();
-    assert!(order.len() >= 6, "population too small for the Fig 6 cast");
+    assert!(
+        order.len() >= FIG6_MIN_PEERS,
+        "population too small for the Fig 6 cast"
+    );
     [order[0], order[1], order[2]]
 }
 

@@ -1,9 +1,10 @@
-//! The simulation engine: clock + event queue + driver loops.
+//! The simulation engine: clock + event queue.
 //!
 //! The engine is deliberately passive — it owns the clock and the queue but
-//! not the simulated world. Handlers receive `&mut Engine` so they can
-//! schedule follow-up events while the caller retains ownership of world
-//! state, avoiding any `RefCell`/aliasing gymnastics:
+//! not the simulated world. The caller pops events with
+//! [`Engine::next_before`] and keeps ownership of world state while it
+//! handles them, scheduling follow-up events as it goes, without any
+//! `RefCell`/aliasing gymnastics:
 //!
 //! ```
 //! use rvs_sim::{Engine, SimDuration, SimTime};
@@ -14,11 +15,12 @@
 //! let mut engine = Engine::new();
 //! engine.schedule_at(SimTime::ZERO, Ev::Tick);
 //! let mut ticks = 0u32;
-//! engine.run_until(SimTime::from_secs(10), |eng, _t, Ev::Tick| {
+//! while let Some((_t, Ev::Tick)) = engine.next_before(SimTime::from_secs(10)) {
 //!     ticks += 1;
-//!     eng.schedule_in(SimDuration::from_secs(1), Ev::Tick);
-//! });
+//!     engine.schedule_in(SimDuration::from_secs(1), Ev::Tick);
+//! }
 //! assert_eq!(ticks, 10); // fires at 0s..9s; the 10s event is past the horizon
+//! assert_eq!(engine.now(), SimTime::from_secs(10));
 //! ```
 
 use crate::event::EventQueue;
@@ -108,32 +110,6 @@ impl<E> Engine<E> {
         }
         None
     }
-
-    /// Run the event loop until `horizon` (exclusive), calling `handler` for
-    /// every fired event. The handler may schedule further events.
-    pub fn run_until<F>(&mut self, horizon: SimTime, mut handler: F)
-    where
-        F: FnMut(&mut Engine<E>, SimTime, E),
-    {
-        while let Some((t, e)) = self.next_before(horizon) {
-            handler(self, t, e);
-        }
-    }
-
-    /// Run until the queue drains completely.
-    pub fn run_to_completion<F>(&mut self, mut handler: F)
-    where
-        F: FnMut(&mut Engine<E>, SimTime, E),
-    {
-        while let Some((t, e)) = self.next_before(SimTime::MAX) {
-            handler(self, t, e);
-        }
-    }
-
-    /// Discard all pending events (e.g. when tearing a run down early).
-    pub fn clear(&mut self) {
-        self.queue.clear();
-    }
 }
 
 /// Stable binary encoding: clock, processed count, then the queue. Restore
@@ -194,64 +170,11 @@ mod tests {
     }
 
     #[test]
-    fn handler_can_reschedule() {
-        let mut eng: Engine<Ev> = Engine::new();
-        eng.schedule_at(SimTime::ZERO, Ev::Ping(0));
-        let mut count = 0;
-        eng.run_until(SimTime::from_secs(100), |eng, _t, e| {
-            if let Ev::Ping(n) = e {
-                count += 1;
-                if n < 4 {
-                    eng.schedule_in(SimDuration::from_secs(10), Ev::Ping(n + 1));
-                }
-            }
-        });
-        assert_eq!(count, 5);
-        assert_eq!(eng.pending(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "before current time")]
     fn scheduling_in_the_past_panics() {
         let mut eng: Engine<Ev> = Engine::new();
         eng.schedule_at(SimTime::from_secs(5), Ev::Stop);
         eng.next_before(SimTime::MAX);
         eng.schedule_at(SimTime::from_secs(1), Ev::Stop);
-    }
-
-    #[test]
-    fn run_to_completion_drains() {
-        let mut eng: Engine<Ev> = Engine::new();
-        for i in 0..10 {
-            eng.schedule_at(SimTime::from_secs(i), Ev::Ping(i as u32));
-        }
-        let mut seen = Vec::new();
-        eng.run_to_completion(|_, _, e| {
-            if let Ev::Ping(n) = e {
-                seen.push(n)
-            }
-        });
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        assert!(eng.pending() == 0);
-    }
-
-    #[test]
-    fn clear_discards_pending() {
-        let mut eng: Engine<Ev> = Engine::new();
-        eng.schedule_at(SimTime::from_secs(1), Ev::Stop);
-        eng.clear();
-        assert!(eng.next_before(SimTime::MAX).is_none());
-    }
-
-    #[test]
-    fn doc_example_tick_count() {
-        let mut engine: Engine<()> = Engine::new();
-        engine.schedule_at(SimTime::ZERO, ());
-        let mut ticks = 0u32;
-        engine.run_until(SimTime::from_secs(10), |eng, _t, ()| {
-            ticks += 1;
-            eng.schedule_in(SimDuration::from_secs(1), ());
-        });
-        assert_eq!(ticks, 10);
     }
 }

@@ -100,11 +100,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Remove all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 /// Stable binary encoding. A `BinaryHeap`'s internal arrangement depends on
@@ -187,15 +182,5 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(4)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, 1);
-        q.push(SimTime::ZERO, 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
     }
 }

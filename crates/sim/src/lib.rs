@@ -11,7 +11,7 @@
 //! * **Determinism** — identical seeds produce identical runs. The event
 //!   queue breaks timestamp ties with a monotone sequence number, and all
 //!   randomness flows through [`rng::DetRng`], a self-contained
-//!   xoshiro256\*\* generator that also implements [`rand::RngCore`].
+//!   xoshiro256\*\* generator.
 //! * **Zero hidden global state** — the engine is a plain value; simulations
 //!   can be forked, nested, and run in parallel threads.
 //! * **Speed** — a 7-day, 100-peer trace with piece-level swarms runs in

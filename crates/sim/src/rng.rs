@@ -2,16 +2,13 @@
 //!
 //! [`DetRng`] is a self-contained xoshiro256\*\* generator seeded through
 //! SplitMix64. We implement the generator ourselves (rather than relying on
-//! `rand::StdRng`) so that simulation results are reproducible across `rand`
-//! versions; [`rand::RngCore`] is implemented on top so the `rand`
-//! distribution ecosystem still interoperates.
+//! an external crate's generator) so that simulation results never depend
+//! on a dependency's version.
 //!
 //! Streams can be [`fork`](DetRng::fork)ed: each (experiment, trace, run,
 //! subsystem) tuple derives its own independent stream, so adding randomness
 //! to one subsystem never perturbs another — a property the regression tests
 //! rely on.
-
-use rand::RngCore;
 
 /// SplitMix64 step, used for seeding and stream derivation.
 #[inline]
@@ -188,35 +185,6 @@ impl DetRng {
 // exactly the next draw.
 rvs_checkpoint::persist_struct!(DetRng { s });
 
-impl RngCore for DetRng {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64_raw() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.next_u64_raw()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64_raw().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64_raw().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,18 +334,6 @@ mod tests {
         for _ in 0..10_000 {
             assert!(r.pareto(2.0, 1.5) >= 2.0);
         }
-    }
-
-    #[test]
-    fn fill_bytes_deterministic() {
-        let mut a = DetRng::new(4);
-        let mut b = DetRng::new(4);
-        let mut ba = [0u8; 37];
-        let mut bb = [0u8; 37];
-        a.fill_bytes(&mut ba);
-        b.fill_bytes(&mut bb);
-        assert_eq!(ba, bb);
-        assert!(ba.iter().any(|&x| x != 0));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Property-based tests for the DES foundation.
 
 use proptest::prelude::*;
-use rand::RngCore;
 use rvs_sim::{DetRng, Engine, EventQueue, SimDuration, SimTime};
 
 proptest! {
@@ -38,13 +37,13 @@ proptest! {
         let horizon = SimTime::from_millis(5_000);
         let mut clock = SimTime::ZERO;
         let mut fired = 0usize;
-        eng.run_until(horizon, |eng, t, v| {
-            assert!(t >= clock);
-            assert_eq!(t, SimTime::from_millis(v));
-            assert_eq!(eng.now(), t);
+        while let Some((t, v)) = eng.next_before(horizon) {
+            prop_assert!(t >= clock);
+            prop_assert_eq!(t, SimTime::from_millis(v));
+            prop_assert_eq!(eng.now(), t);
             clock = t;
             fired += 1;
-        });
+        }
         let expected = times.iter().filter(|&&t| t < 5_000).count();
         prop_assert_eq!(fired, expected);
         prop_assert_eq!(eng.now(), horizon);
@@ -75,19 +74,6 @@ proptest! {
         for _ in 0..10 {
             prop_assert_eq!(f1.next_u64_raw(), f2.next_u64_raw());
         }
-    }
-
-    /// fill_bytes and next_u64 describe the same stream (little-endian).
-    #[test]
-    fn rng_fill_bytes_consistent(seed: u64) {
-        let mut a = DetRng::new(seed);
-        let mut b = DetRng::new(seed);
-        let mut buf = [0u8; 16];
-        a.fill_bytes(&mut buf);
-        let w1 = b.next_u64();
-        let w2 = b.next_u64();
-        prop_assert_eq!(&buf[..8], &w1.to_le_bytes());
-        prop_assert_eq!(&buf[8..], &w2.to_le_bytes());
     }
 
     /// sample_indices is always a set of in-range, distinct indices of the

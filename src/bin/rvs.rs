@@ -22,7 +22,7 @@ use robust_vote_sampling::scenario::checkpoint::{
     GOLDEN_COVERAGE, GOLDEN_RESULTS, GOLDEN_SEEDS,
 };
 use robust_vote_sampling::scenario::experiments::experience::dataset_statistics;
-use robust_vote_sampling::scenario::experiments::vote_sampling::fig6_moderators;
+use robust_vote_sampling::scenario::experiments::vote_sampling::{fig6_moderators, FIG6_MIN_PEERS};
 use robust_vote_sampling::scenario::{
     Checkpoint, ProtocolConfig, SpamAttackConfig, System, VoteSamplingConfig,
 };
@@ -92,7 +92,8 @@ USAGE:
         Figure 8 flash-crowd scenario; prints the pollution curve.
         --flood N turns the N highest-index trace peers into flooders
         (--flood-rate extra sends per member per round, default 12);
-        --malform PM mutates PM per mille of guarded wire messages.
+        --malform PM mutates PM per mille (at most 1000) of guarded
+        wire messages.
         Either attack arms the guard plane's active preset unless
         --guard overrides it; rejection counters land in --telemetry
     rvs ckpt inspect FILE
@@ -367,8 +368,7 @@ fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
         (system, m)
     } else {
         let cfg = VoteSamplingConfig {
-            // The Fig 6 cast needs three moderators and three more peers.
-            trace: trace_cfg(&flags, 6)?,
+            trace: trace_cfg(&flags, FIG6_MIN_PEERS)?,
             protocol: ProtocolConfig {
                 experience_t_mib: get_t_mib(&flags)?,
                 message_loss: get_in(&flags, "loss", 0.0, "a probability in [0, 1]", |l| {
@@ -608,14 +608,14 @@ fn cmd_attack(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
     // preset unless --guard picked a config explicitly.
     let flood: usize = get(&flags, "flood", 0)?;
     let flood_rate: u32 = get(&flags, "flood-rate", 12)?;
-    let malform: u32 = get(&flags, "malform", 0)?;
+    let malform: u32 = get_in(&flags, "malform", 0, "at most 1000", |&pm| pm <= 1000)?;
     let n_trace = system.trace_peer_count();
     if flood > 0 {
         let members = (n_trace.saturating_sub(flood)..n_trace).map(NodeId::from_index);
         system.set_flooder(Flooder::new(members, flood_rate));
     }
     if malform > 0 {
-        system.set_malformer(Malformer::new(malform.min(1000)));
+        system.set_malformer(Malformer::new(malform));
     }
     if (flood > 0 || malform > 0) && !flags.contains_key("guard") {
         system.set_guard_config(GuardConfig::active());

@@ -1,6 +1,10 @@
 //! Integration tests of the security claims: who a flash crowd can and
 //! cannot poison, and how the system recovers.
 
+#[allow(dead_code)] // each suite uses only some of the shared fixtures
+mod common;
+
+use common::assert_clean_audit;
 use robust_vote_sampling::faults::FaultSchedule;
 use robust_vote_sampling::scenario::{ProtocolConfig, SpamAttackConfig, System};
 use rvs_sim::{NodeId, SimDuration, SimTime};
@@ -12,17 +16,6 @@ fn attack_cfg() -> SpamAttackConfig {
         trace: TraceGenConfig::quick(30, SimDuration::from_hours(24)),
         ..SpamAttackConfig::quick(0)
     }
-}
-
-/// Assert the run's invariant auditor saw checks and no violations.
-fn assert_clean_audit(system: &System) {
-    let auditor = system.auditor().expect("audit enabled");
-    assert!(auditor.checks() > 0, "auditor performed no checks");
-    assert_eq!(
-        system.audit_violations(),
-        &[] as &[String],
-        "invariant violations detected"
-    );
 }
 
 fn attack_system(crowd_size: usize, seed: u64) -> (System, NodeId, Vec<NodeId>) {

@@ -6,28 +6,21 @@
 //! delivery across an active partition, exact conservation) and still
 //! converge; the same seed must replay to byte-identical telemetry.
 
+#[allow(dead_code)] // each suite uses only some of the shared fixtures
+mod common;
+
+use common::{assert_clean_audit, assert_conserved, fingerprint};
 use proptest::prelude::*;
-use robust_vote_sampling::attacks::{Flooder, Malformer};
 use robust_vote_sampling::faults::{
     BurstLoss, CrashSpec, FaultConfig, FaultSchedule, PartitionSpec, RetryConfig,
 };
 use robust_vote_sampling::guard::GuardConfig;
-use robust_vote_sampling::scenario::{System, VoteSamplingConfig};
+use robust_vote_sampling::scenario::checkpoint::{arm_byzantine, churn_schedule};
+use robust_vote_sampling::scenario::System;
 use rvs_sim::{NodeId, SimDuration, SimTime};
 
-/// Fixed seeds the CI chaos job sweeps.
+/// Fixed seeds the chaos cases sweep.
 const SEEDS: [u64; 3] = [101, 202, 303];
-
-/// Assert the run's invariant auditor saw checks and no violations.
-fn assert_clean_audit(system: &System) {
-    let auditor = system.auditor().expect("audit enabled");
-    assert!(auditor.checks() > 0, "auditor performed no checks");
-    assert_eq!(
-        system.audit_violations(),
-        &[] as &[String],
-        "invariant violations detected"
-    );
-}
 
 /// The acceptance-criteria schedule: 30% burst loss (mean burst 8
 /// messages), latency jittering up to 2× the 5 s mean, 5% duplication,
@@ -66,11 +59,17 @@ fn chaos_schedule() -> FaultSchedule {
     }
 }
 
-/// Run the fig6 scenario under `schedule` for `hours`, fully audited.
-fn chaos_run(seed: u64, hours: u64, schedule: FaultSchedule) -> (System, f64) {
-    let (mut system, m) =
-        VoteSamplingConfig::quick(24, SimDuration::from_hours(hours)).system(seed, schedule);
-    system.enable_audit();
+/// Run the fig6 scenario (24 peers) under `schedule` for `hours`, fully
+/// audited, once `setup` has configured the system (worker count, guard,
+/// adversaries).
+fn chaos_run(
+    seed: u64,
+    hours: u64,
+    schedule: FaultSchedule,
+    setup: impl FnOnce(&mut System),
+) -> (System, f64) {
+    let (mut system, m) = common::build(24, hours, seed, schedule);
+    setup(&mut system);
     system.run_until(
         SimTime::from_hours(hours),
         SimDuration::from_hours(hours),
@@ -83,7 +82,7 @@ fn chaos_run(seed: u64, hours: u64, schedule: FaultSchedule) -> (System, f64) {
 #[test]
 fn acceptance_schedule_survives_all_seeds() {
     for seed in SEEDS {
-        let (system, acc) = chaos_run(seed, 36, chaos_schedule());
+        let (system, acc) = chaos_run(seed, 36, chaos_schedule(), |_| {});
         assert_clean_audit(&system);
         assert!(
             acc > 0.5,
@@ -107,51 +106,20 @@ fn acceptance_schedule_survives_all_seeds() {
         assert!(f.retries > 0, "seed {seed}: retry path never engaged");
         assert!(f.reordered > 0, "seed {seed}: jitter never reordered sends");
 
-        // Fault-aware conservation, re-checked from the outside: every
-        // attempt delivered, dropped for an attributed reason, or still
-        // in flight at the end of the run.
-        let e = &snap.encounters;
-        assert_eq!(
-            e.attempted,
-            e.delivered
-                + snap.total_dropped()
-                + f.dropped_burst
-                + f.partitioned
-                + f.dropped_expired
-                + system.in_flight(),
-            "seed {seed}: conservation identity broken: {e:?} / {f:?}"
-        );
+        // No guard is armed, so the identity's inbox term must be zero.
+        assert_eq!(snap.guard.inbox_dropped, 0, "seed {seed}: inbox drops");
+        assert_conserved(&system);
     }
-}
-
-/// `chaos_run`, pinned to an explicit worker count.
-fn chaos_run_threads(
-    seed: u64,
-    hours: u64,
-    schedule: FaultSchedule,
-    threads: usize,
-) -> (System, f64) {
-    let (mut system, m) =
-        VoteSamplingConfig::quick(24, SimDuration::from_hours(hours)).system(seed, schedule);
-    system.set_threads(threads);
-    system.enable_audit();
-    system.run_until(
-        SimTime::from_hours(hours),
-        SimDuration::from_hours(hours),
-        |_, _| {},
-    );
-    let acc = system.ordering_accuracy(&m);
-    (system, acc)
 }
 
 #[test]
 fn acceptance_schedule_is_thread_count_invariant() {
     // The full acceptance fault soup — burst loss, jitter reordering,
     // duplication, a partition, crash-restarts, retries — at 1 worker vs
-    // 4 workers: byte-identical telemetry, bit-identical accuracy.
+    // 4 workers: the same fingerprint, bit-identical accuracy.
     let seed = SEEDS[0];
-    let (serial, acc_1) = chaos_run_threads(seed, 36, chaos_schedule(), 1);
-    let (sharded, acc_4) = chaos_run_threads(seed, 36, chaos_schedule(), 4);
+    let (serial, acc_1) = chaos_run(seed, 36, chaos_schedule(), |s| s.set_threads(1));
+    let (sharded, acc_4) = chaos_run(seed, 36, chaos_schedule(), |s| s.set_threads(4));
     assert_clean_audit(&serial);
     assert_clean_audit(&sharded);
     assert_eq!(
@@ -160,24 +128,17 @@ fn acceptance_schedule_is_thread_count_invariant() {
         "accuracy diverged across thread counts"
     );
     assert_eq!(
-        serial
-            .telemetry_snapshot()
-            .counters_only()
-            .to_json_compact(),
-        sharded
-            .telemetry_snapshot()
-            .counters_only()
-            .to_json_compact(),
-        "telemetry diverged across thread counts under the acceptance schedule"
+        fingerprint(&serial),
+        fingerprint(&sharded),
+        "fingerprint diverged across thread counts under the acceptance schedule"
     );
-    assert_eq!(serial.in_flight(), sharded.in_flight());
 }
 
 #[test]
 fn chaos_replays_byte_identical() {
     for seed in SEEDS {
-        let (a, acc_a) = chaos_run(seed, 36, chaos_schedule());
-        let (b, acc_b) = chaos_run(seed, 36, chaos_schedule());
+        let (a, acc_a) = chaos_run(seed, 36, chaos_schedule(), |_| {});
+        let (b, acc_b) = chaos_run(seed, 36, chaos_schedule(), |_| {});
         assert_eq!(acc_a, acc_b, "seed {seed}: accuracy diverged on replay");
         assert_eq!(
             a.telemetry_snapshot().counters_only().to_json_compact(),
@@ -191,19 +152,16 @@ fn chaos_replays_byte_identical() {
 fn fault_free_schedule_matches_plain_system_byte_for_byte() {
     // The fault plane must be invisible when inert: same seed, with and
     // without the (empty) schedule, produces identical telemetry.
-    let seed = 17;
-    let cfg = VoteSamplingConfig::quick(16, SimDuration::from_hours(12));
-    let (mut plain, _) = cfg.system(seed, FaultSchedule::default());
-    let (mut inert, _) = cfg.system(seed, FaultSchedule::inert());
-    for system in [&mut plain, &mut inert] {
-        system.enable_audit();
+    let [plain, inert] = [FaultSchedule::default(), FaultSchedule::inert()].map(|schedule| {
+        let (mut system, _) = common::build(16, 12, 17, schedule);
         system.run_until(
             SimTime::from_hours(12),
             SimDuration::from_hours(12),
             |_, _| {},
         );
-        assert_clean_audit(system);
-    }
+        assert_clean_audit(&system);
+        system
+    });
     assert_eq!(
         plain.telemetry_snapshot().counters_only().to_json_compact(),
         inert.telemetry_snapshot().counters_only().to_json_compact(),
@@ -218,8 +176,8 @@ fn schedule_json_drives_the_same_run() {
     // an identical run (what `rvs run --faults FILE` relies on).
     let parsed = FaultSchedule::from_json(&chaos_schedule().to_json()).expect("roundtrip");
     assert_eq!(parsed, chaos_schedule());
-    let (a, acc_a) = chaos_run(7, 12, chaos_schedule());
-    let (b, acc_b) = chaos_run(7, 12, parsed);
+    let (a, acc_a) = chaos_run(7, 12, chaos_schedule(), |_| {});
+    let (b, acc_b) = chaos_run(7, 12, parsed, |_| {});
     assert_eq!(acc_a, acc_b);
     assert_eq!(
         a.telemetry_snapshot().counters_only().to_json_compact(),
@@ -236,10 +194,10 @@ proptest! {
     fn any_seeded_schedule_is_safe_and_replayable(seed in any::<u64>()) {
         let schedule = FaultSchedule::random(seed, 12, SimDuration::from_hours(6));
         schedule.validate().expect("random schedules validate");
-        let (a, acc_a) = chaos_run(seed, 6, schedule.clone());
+        let (a, acc_a) = chaos_run(seed, 6, schedule.clone(), |_| {});
         assert_clean_audit(&a);
         prop_assert!((0.0..=1.0).contains(&acc_a));
-        let (b, acc_b) = chaos_run(seed, 6, schedule);
+        let (b, acc_b) = chaos_run(seed, 6, schedule, |_| {});
         prop_assert_eq!(acc_a, acc_b);
         prop_assert_eq!(
             a.telemetry_snapshot().counters_only().to_json_compact(),
@@ -248,48 +206,27 @@ proptest! {
     }
 }
 
-/// Guard preset for the byzantine scenario: active defaults with a
-/// deliberately small inbox so flood pressure exercises the bounded-inbox
-/// drop policy, not just the token buckets.
-fn byzantine_guard() -> GuardConfig {
-    GuardConfig {
-        inbox_cap: 8,
-        ..GuardConfig::active()
-    }
-}
-
-/// The acceptance attack run: >20% of the population floods (5 of 24
-/// peers at 12 extra sends per round), the wire mutates 10% of guarded
-/// sub-messages, all stacked on top of the full chaos fault soup.
+/// The acceptance attack run on `threads` workers: >20% of the population
+/// floods (5 of 24 peers at 12 extra sends per round) into an inbox capped
+/// at 8, the wire mutates 10% of guarded sub-messages, all stacked on top
+/// of the full chaos fault soup; `tune` adjusts the armed system last.
 fn byzantine_run(
     seed: u64,
     hours: u64,
     threads: usize,
-    attack: bool,
-    guard: GuardConfig,
+    tune: impl FnOnce(&mut System),
 ) -> (System, f64) {
-    let (mut system, m) = VoteSamplingConfig::quick(24, SimDuration::from_hours(hours))
-        .system(seed, chaos_schedule());
-    system.set_threads(threads);
-    system.set_guard_config(guard);
-    if attack {
-        system.set_flooder(Flooder::new((19..24).map(NodeId::from_index), 12));
-        system.set_malformer(Malformer::new(100));
-    }
-    system.enable_audit();
-    system.run_until(
-        SimTime::from_hours(hours),
-        SimDuration::from_hours(hours),
-        |_, _| {},
-    );
-    let acc = system.ordering_accuracy(&m);
-    (system, acc)
+    chaos_run(seed, hours, chaos_schedule(), |system| {
+        system.set_threads(threads);
+        arm_byzantine(system, 5, 12);
+        tune(system);
+    })
 }
 
 #[test]
 fn byzantine_schedule_survives_with_typed_attribution() {
     for seed in SEEDS {
-        let (system, acc) = byzantine_run(seed, 36, 1, true, byzantine_guard());
+        let (system, acc) = byzantine_run(seed, 36, 1, |_| {});
         assert_clean_audit(&system);
 
         let snap = system.telemetry_snapshot();
@@ -340,28 +277,17 @@ fn byzantine_schedule_survives_with_typed_attribution() {
             system.max_seen_window() <= GuardConfig::default().seen_window as usize,
             "seed {seed}: dedup window exceeded its cap"
         );
-
-        // Conservation, extended with the guard's inbox drops: every
-        // attempt (honest or flood) delivered, dropped for an attributed
-        // reason, or still in flight.
-        let e = &snap.encounters;
-        let f = &snap.faults;
-        assert_eq!(
-            e.attempted,
-            e.delivered
-                + snap.total_dropped()
-                + f.dropped_burst
-                + f.partitioned
-                + f.dropped_expired
-                + g.inbox_dropped
-                + system.in_flight(),
-            "seed {seed}: conservation identity broken under attack: {e:?} / {g:?}"
-        );
+        // Conservation, extended with the guard's inbox drops.
+        assert_conserved(&system);
 
         // The honest ranking survives the attack: absolute convergence
         // holds and the attacked run stays within one rank-pair swap of
-        // the attack-free guarded baseline.
-        let (_, baseline) = byzantine_run(seed, 36, 1, false, byzantine_guard());
+        // the attack-free baseline under the same guard.
+        let guard = *system.guard().config();
+        let (_, baseline) = chaos_run(seed, 36, chaos_schedule(), |s| {
+            s.set_threads(1);
+            s.set_guard_config(guard);
+        });
         assert!(
             acc > 0.5,
             "seed {seed}: ordering accuracy {acc} <= 0.5 under attack"
@@ -376,11 +302,11 @@ fn byzantine_schedule_survives_with_typed_attribution() {
 #[test]
 fn byzantine_schedule_is_thread_count_invariant() {
     // Flood + wire mutation + the full fault soup at 1 worker vs 4
-    // workers: byte-identical telemetry (including every typed guard
+    // workers: the same fingerprint (including every typed guard
     // counter), bit-identical accuracy.
     let seed = SEEDS[0];
-    let (serial, acc_1) = byzantine_run(seed, 36, 1, true, byzantine_guard());
-    let (sharded, acc_4) = byzantine_run(seed, 36, 4, true, byzantine_guard());
+    let (serial, acc_1) = byzantine_run(seed, 36, 1, |_| {});
+    let (sharded, acc_4) = byzantine_run(seed, 36, 4, |_| {});
     assert_clean_audit(&serial);
     assert_clean_audit(&sharded);
     assert_eq!(
@@ -389,32 +315,10 @@ fn byzantine_schedule_is_thread_count_invariant() {
         "accuracy diverged across thread counts under attack"
     );
     assert_eq!(
-        serial
-            .telemetry_snapshot()
-            .counters_only()
-            .to_json_compact(),
-        sharded
-            .telemetry_snapshot()
-            .counters_only()
-            .to_json_compact(),
-        "telemetry diverged across thread counts under the byzantine schedule"
+        fingerprint(&serial),
+        fingerprint(&sharded),
+        "fingerprint diverged across thread counts under the byzantine schedule"
     );
-    assert_eq!(serial.in_flight(), sharded.in_flight());
-}
-
-/// The fig6 cast, 24 peers × 12 h, audited, under `schedule` and `guard`
-/// with no adversary.
-fn honest_run(seed: u64, schedule: FaultSchedule, guard: GuardConfig) -> System {
-    let (mut system, _) =
-        VoteSamplingConfig::quick(24, SimDuration::from_hours(12)).system(seed, schedule);
-    system.set_guard_config(guard);
-    system.enable_audit();
-    system.run_until(
-        SimTime::from_hours(12),
-        SimDuration::from_hours(12),
-        |_, _| {},
-    );
-    system
 }
 
 #[test]
@@ -430,16 +334,10 @@ fn byzantine_armed_guard_is_transparent_to_honest_traffic() {
         inbox_cap: u32::MAX,
         ..GuardConfig::active()
     };
-    let lossy = FaultSchedule {
-        config: FaultConfig {
-            loss: 0.15,
-            retry: Some(RetryConfig::default()),
-            ..FaultConfig::default()
-        },
-        ..FaultSchedule::inert()
-    };
+    let honest_run =
+        |seed, schedule, guard| chaos_run(seed, 12, schedule, |s| s.set_guard_config(guard)).0;
     for seed in 1..=3 {
-        for schedule in [FaultSchedule::inert(), lossy.clone()] {
+        for schedule in [FaultSchedule::inert(), churn_schedule()] {
             let armed = honest_run(seed, schedule.clone(), roomy);
             let disarmed = honest_run(seed, schedule, GuardConfig::default());
             assert_clean_audit(&armed);
@@ -482,11 +380,14 @@ fn flooded_dedup_windows_stay_bounded() {
     // and 5% duplication stays at its cap, keeps suppressing duplicates,
     // and replays byte-identically.
     let seed = SEEDS[1];
-    let tiny = GuardConfig {
-        seen_window: 32,
-        ..byzantine_guard()
+    let tiny = |s: &mut System| {
+        let guard = GuardConfig {
+            seen_window: 32,
+            ..*s.guard().config()
+        };
+        s.set_guard_config(guard);
     };
-    let (a, acc_a) = byzantine_run(seed, 12, 1, true, tiny);
+    let (a, acc_a) = byzantine_run(seed, 12, 1, tiny);
     assert_clean_audit(&a);
     assert!(
         a.max_seen_window() <= 32,
@@ -498,7 +399,7 @@ fn flooded_dedup_windows_stay_bounded() {
         f.dedup_suppressed > 0,
         "eviction broke duplicate suppression entirely"
     );
-    let (b, acc_b) = byzantine_run(seed, 12, 1, true, tiny);
+    let (b, acc_b) = byzantine_run(seed, 12, 1, tiny);
     assert_eq!(acc_a, acc_b, "bounded-window run diverged on replay");
     assert_eq!(
         a.telemetry_snapshot().counters_only().to_json_compact(),

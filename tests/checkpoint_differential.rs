@@ -17,62 +17,16 @@
 //! dedicated cases restore on a *different* thread count than the run that
 //! wrote the checkpoint.
 
-use robust_vote_sampling::attacks::{Flooder, Malformer};
-use robust_vote_sampling::faults::{
-    BurstLoss, CrashSpec, FaultConfig, FaultSchedule, PartitionSpec, RetryConfig,
+#[allow(dead_code)] // each suite uses only some of the shared fixtures
+mod common;
+
+use common::{build, fingerprint};
+use robust_vote_sampling::faults::FaultSchedule;
+use robust_vote_sampling::scenario::checkpoint::{
+    arm_byzantine, chaos_schedule, churn_schedule, first_divergence,
 };
-use robust_vote_sampling::guard::GuardConfig;
-use robust_vote_sampling::scenario::checkpoint::first_divergence;
-use robust_vote_sampling::scenario::{Checkpoint, System, VoteSamplingConfig};
+use robust_vote_sampling::scenario::{Checkpoint, System};
 use rvs_sim::{NodeId, SimDuration, SimTime};
-use std::fmt::Write as _;
-
-/// Everything observable about a finished run, as comparable text.
-fn fingerprint(system: &System) -> String {
-    let mut out = String::new();
-    out.push_str(
-        &system
-            .telemetry_snapshot()
-            .counters_only()
-            .to_json_compact(),
-    );
-    out.push('\n');
-    let n = system.trace_peer_count();
-    for i in 0..n {
-        let node = NodeId::from_index(i);
-        let _ = writeln!(
-            out,
-            "{node} ranking={:?} voters={}",
-            system.display_ranking(node),
-            system.votes().ballot(node).unique_voters()
-        );
-    }
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            let c = system.contribution_mib(NodeId::from_index(i), NodeId::from_index(j));
-            if c != 0.0 {
-                let _ = writeln!(out, "contrib {i}->{j} bits={:016x}", c.to_bits());
-            }
-        }
-    }
-    let _ = writeln!(
-        out,
-        "ledger_kib={} in_flight={}",
-        system.net().ledger().total_kib(),
-        system.in_flight()
-    );
-    out
-}
-
-fn build(peers: usize, hours: u64, seed: u64, schedule: FaultSchedule) -> (System, [NodeId; 3]) {
-    let (mut system, m) =
-        VoteSamplingConfig::quick(peers, SimDuration::from_hours(hours)).system(seed, schedule);
-    system.enable_audit();
-    (system, m)
-}
 
 fn advance(system: &mut System, to: SimTime) {
     system.run_until(to, SimDuration::from_hours(1), |_, _| {});
@@ -129,52 +83,6 @@ fn assert_resume_equivalence(
                 "{label}: seed {seed} resumed at {resume_at}h diverged from straight run"
             );
         }
-    }
-}
-
-/// A mid-strength schedule exercising loss + retry/backoff (backoff
-/// timers and the resend queue must survive the checkpoint).
-fn churn_schedule() -> FaultSchedule {
-    FaultSchedule {
-        config: FaultConfig {
-            loss: 0.15,
-            retry: Some(RetryConfig::default()),
-            ..FaultConfig::default()
-        },
-        partitions: vec![],
-        crashes: vec![],
-    }
-}
-
-/// The chaos-suite shape: latency + jitter (in-flight deliveries cross the
-/// checkpoint), burst loss, duplication, one partition, two
-/// crash-restarts, retry/backoff.
-fn chaos_schedule() -> FaultSchedule {
-    FaultSchedule {
-        config: FaultConfig {
-            base_latency_ms: 5_000,
-            jitter_spread: 1.0,
-            loss: 0.0,
-            duplicate: 0.05,
-            burst: Some(BurstLoss::with_overall_loss(0.3, 8.0)),
-            retry: Some(RetryConfig::default()),
-        },
-        partitions: vec![PartitionSpec {
-            name: "split".into(),
-            members: (0..6).map(NodeId::from_index).collect(),
-            start: SimTime::from_hours(4),
-            heal: SimTime::from_hours(8),
-        }],
-        crashes: vec![
-            CrashSpec {
-                node: NodeId::from_index(3),
-                at: SimTime::from_hours(6),
-            },
-            CrashSpec {
-                node: NodeId::from_index(9),
-                at: SimTime::from_hours(12),
-            },
-        ],
     }
 }
 
@@ -325,36 +233,28 @@ fn chaos_checkpoint_mid_partition_audits_clean_after_resume() {
     assert_eq!(reference, got, "mid-partition resume diverged");
 }
 
-/// The byzantine shape: guard armed (small inbox), 4 flooders, 10% wire
-/// mutation, on top of the chaos schedule. Quarantine clocks, strike
-/// counters, token buckets, the malformer RNG lane, and inbox gauges all
-/// have to survive the checkpoint.
-fn build_byzantine(peers: usize, hours: u64, seed: u64) -> (System, [NodeId; 3]) {
-    let (mut system, m) = build(peers, hours, seed, chaos_schedule());
-    system.set_guard_config(GuardConfig {
-        inbox_cap: 8,
-        ..GuardConfig::active()
-    });
-    system.set_flooder(Flooder::new((peers - 4..peers).map(NodeId::from_index), 12));
-    system.set_malformer(Malformer::new(100));
-    (system, m)
-}
-
 #[test]
 fn byzantine_resume_mid_quarantine_is_byte_identical() {
     // Stop the world while peers sit in active quarantine and strikes /
     // buckets are partially spent, restore through bytes, and demand the
-    // straight attacked run's exact fingerprint. Any guard state the
-    // checkpoint forgets (a quarantine release clock, a strike count, a
-    // token level, the wire-mutation RNG lane) diverges downstream.
+    // straight attacked run's exact fingerprint. The byzantine shape — the
+    // guard armed with a small inbox, 4 flooders, 10% wire mutation, on
+    // top of the chaos schedule — puts quarantine clocks, strike counters,
+    // token buckets, the malformer RNG lane and inbox gauges in the blob;
+    // any of it the checkpoint forgets diverges downstream.
     let (peers, hours, seed) = (18usize, 18u64, 202u64);
+    let byzantine = || {
+        let (mut system, m) = build(peers, hours, seed, chaos_schedule());
+        arm_byzantine(&mut system, 4, 12);
+        (system, m)
+    };
     let reference = {
-        let (mut system, m) = build_byzantine(peers, hours, seed);
+        let (mut system, m) = byzantine();
         advance(&mut system, SimTime::from_hours(hours));
         finish(system, &m, "byzantine-straight", seed)
     };
 
-    let (mut system, m) = build_byzantine(peers, hours, seed);
+    let (mut system, m) = byzantine();
     let mut at = hours / 6;
     advance(&mut system, SimTime::from_hours(at));
     while system.guard().quarantined_count(system.now()) == 0 && at < hours - 2 {

@@ -52,6 +52,7 @@
 //! precedes the damaged field by restoring its type, so a format bump that
 //! moves a field is an edit to that section's walker.
 
+#[allow(dead_code)] // each suite uses only some of the shared fixtures
 mod common;
 
 use common::with_version;

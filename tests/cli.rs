@@ -97,6 +97,11 @@ fn parsable_but_impossible_values_are_rejected() {
         &["attack", "--crowd", "0"],
         "--crowd must be at least 1, got 0",
     );
+    // A per-mille rate past 1000 used to be clamped to 1000 in silence.
+    assert_rejected(
+        &["attack", "--malform", "1001"],
+        "--malform must be at most 1000, got 1001",
+    );
     for loss in ["1.5", "-1", "NaN"] {
         assert_rejected(
             &["run", "--loss", loss],

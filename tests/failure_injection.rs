@@ -1,20 +1,13 @@
 //! Failure injection: the protocols must degrade gracefully, not break,
 //! under lost encounters, gossip-PSS staleness, and network partitions.
 
-use robust_vote_sampling::faults::{FaultSchedule, PartitionSpec};
-use robust_vote_sampling::scenario::{ProtocolConfig, System, VoteSamplingConfig};
-use rvs_sim::{NodeId, SimDuration, SimTime};
+#[allow(dead_code)] // each suite uses only some of the shared fixtures
+mod common;
 
-/// Assert the run's invariant auditor saw checks and no violations.
-fn assert_clean_audit(system: &System) {
-    let auditor = system.auditor().expect("audit enabled");
-    assert!(auditor.checks() > 0, "auditor performed no checks");
-    assert_eq!(
-        system.audit_violations(),
-        &[] as &[String],
-        "invariant violations detected"
-    );
-}
+use common::assert_clean_audit;
+use robust_vote_sampling::faults::{FaultSchedule, PartitionSpec};
+use robust_vote_sampling::scenario::{ProtocolConfig, VoteSamplingConfig};
+use rvs_sim::{NodeId, SimDuration, SimTime};
 
 fn accuracy_with_loss(loss: f64, seed: u64) -> f64 {
     let quick = VoteSamplingConfig::quick(24, SimDuration::from_hours(36));
@@ -113,9 +106,7 @@ fn split_brain_diverges_then_reconverges_after_heal() {
     };
 
     let run = |schedule: FaultSchedule| {
-        let (mut system, m) =
-            VoteSamplingConfig::quick(24, SimDuration::from_hours(hours)).system(seed, schedule);
-        system.enable_audit();
+        let (mut system, m) = common::build(24, hours, seed, schedule);
         // Ordering accuracy at the last sample before the heal takes
         // effect. Both runs share a seed and trace, so samples land at
         // identical simulated instants — the mid-cut values compare the

@@ -1,5 +1,9 @@
 //! End-to-end integration: the full protocol stack on synthetic traces.
 
+#[allow(dead_code)] // each suite uses only some of the shared fixtures
+mod common;
+
+use common::assert_clean_audit;
 use robust_vote_sampling::faults::FaultSchedule;
 use robust_vote_sampling::scenario::{ProtocolConfig, ScenarioSetup, System, VoteSamplingConfig};
 use rvs_sim::{NodeId, SimDuration, SimTime};
@@ -12,24 +16,9 @@ fn quick_protocol() -> ProtocolConfig {
     }
 }
 
-/// Every integration run doubles as an invariant audit: conservation of
-/// encounters, the `B_max` ballot bound, experience gating, and VoxPopuli
-/// bootstrap honesty are re-checked after every round and encounter.
-fn assert_clean_audit(system: &System) {
-    let auditor = system.auditor().expect("audit enabled");
-    assert!(auditor.checks() > 0, "auditor performed no checks");
-    assert_eq!(
-        system.audit_violations(),
-        &[] as &[String],
-        "invariant violations detected"
-    );
-}
-
 #[test]
 fn population_converges_on_correct_ordering() {
-    let (mut system, m) = VoteSamplingConfig::quick(24, SimDuration::from_hours(36))
-        .system(11, FaultSchedule::default());
-    system.enable_audit();
+    let (mut system, m) = common::build(24, 36, 11, FaultSchedule::default());
     system.run_until(
         SimTime::from_hours(36),
         SimDuration::from_hours(36),
@@ -43,9 +32,7 @@ fn population_converges_on_correct_ordering() {
 #[test]
 fn full_system_run_is_deterministic() {
     let run = || {
-        let (mut system, m) = VoteSamplingConfig::quick(16, SimDuration::from_hours(12))
-            .system(3, FaultSchedule::default());
-        system.enable_audit();
+        let (mut system, m) = common::build(16, 12, 3, FaultSchedule::default());
         let mut curve = Vec::new();
         system.run_until(
             SimTime::from_hours(12),
@@ -123,9 +110,7 @@ fn cev_matches_manual_computation() {
 
 #[test]
 fn moderations_disseminate_through_full_stack() {
-    let (mut system, m) = VoteSamplingConfig::quick(20, SimDuration::from_hours(24))
-        .system(13, FaultSchedule::default());
-    system.enable_audit();
+    let (mut system, m) = common::build(20, 24, 13, FaultSchedule::default());
     system.run_until(
         SimTime::from_hours(24),
         SimDuration::from_hours(24),

@@ -7,6 +7,7 @@
 //! `cargo run --bin rvs -- ckpt regen` — the tests below spell out which
 //! of those steps was skipped.
 
+#[allow(dead_code)] // each suite uses only some of the shared fixtures
 mod common;
 
 use common::with_version;

@@ -27,56 +27,20 @@
 //! incremented off the canonical path, a window that runs past a sample —
 //! shows up here as a byte diff.
 
+#[allow(dead_code)] // each suite uses only some of the shared fixtures
+mod common;
+
+use common::fingerprint;
 use robust_vote_sampling::bittorrent::network_health;
-use robust_vote_sampling::faults::{
-    BurstLoss, CrashSpec, FaultConfig, FaultSchedule, PartitionSpec, RetryConfig,
+use robust_vote_sampling::faults::{CrashSpec, FaultConfig, FaultSchedule};
+use robust_vote_sampling::scenario::checkpoint::{
+    chaos_schedule, churn_schedule, first_divergence,
 };
-use robust_vote_sampling::scenario::checkpoint::first_divergence;
-use robust_vote_sampling::scenario::{Checkpoint, System, VoteSamplingConfig};
+use robust_vote_sampling::scenario::{Checkpoint, System};
 use rvs_sim::{NodeId, SimDuration, SimTime};
 use std::fmt::Write as _;
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
-
-/// Everything observable about a finished run, as comparable text.
-fn fingerprint(system: &System) -> String {
-    let mut out = String::new();
-    out.push_str(
-        &system
-            .telemetry_snapshot()
-            .counters_only()
-            .to_json_compact(),
-    );
-    out.push('\n');
-    let n = system.trace_peer_count();
-    for i in 0..n {
-        let node = NodeId::from_index(i);
-        let _ = writeln!(
-            out,
-            "{node} ranking={:?} voters={}",
-            system.display_ranking(node),
-            system.votes().ballot(node).unique_voters()
-        );
-    }
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            let c = system.contribution_mib(NodeId::from_index(i), NodeId::from_index(j));
-            if c != 0.0 {
-                let _ = writeln!(out, "contrib {i}->{j} bits={:016x}", c.to_bits());
-            }
-        }
-    }
-    let _ = writeln!(
-        out,
-        "ledger_kib={} in_flight={}",
-        system.net().ledger().total_kib(),
-        system.in_flight()
-    );
-    out
-}
 
 /// What an observer sees of BitTorrent at `t`, appended to `out`: the
 /// ledger total, then members / online seeders / online leechers per swarm.
@@ -93,22 +57,6 @@ fn sample_bittorrent(out: &mut String, system: &System, t: SimTime) {
     out.push('\n');
 }
 
-/// The fig6 cast under `schedule` with `threads` workers, fully audited,
-/// and its three moderators.
-fn build(
-    peers: usize,
-    hours: u64,
-    seed: u64,
-    schedule: FaultSchedule,
-    threads: usize,
-) -> (System, [NodeId; 3]) {
-    let (mut system, m) =
-        VoteSamplingConfig::quick(peers, SimDuration::from_hours(hours)).system(seed, schedule);
-    system.set_threads(threads);
-    system.enable_audit();
-    (system, m)
-}
-
 /// Run the fig6 scenario to `hours`, sampling BitTorrent state every
 /// `sample_every` so window materialization at observer boundaries is
 /// exercised too, and return the samples followed by the accuracy and
@@ -121,7 +69,8 @@ fn run(
     threads: usize,
     sample_every: SimDuration,
 ) -> String {
-    let (mut system, m) = build(peers, hours, seed, schedule, threads);
+    let (mut system, m) = common::build(peers, hours, seed, schedule);
+    system.set_threads(threads);
     let mut samples = String::new();
     system.run_until(SimTime::from_hours(hours), sample_every, |s, t| {
         sample_bittorrent(&mut samples, s, t)
@@ -165,20 +114,6 @@ fn thirds(hours: u64) -> SimDuration {
     SimDuration::from_hours((hours / 3).max(1))
 }
 
-/// A mid-strength schedule exercising loss + retry/backoff (backoff
-/// resends interleaved with the round sends).
-fn churn_schedule() -> FaultSchedule {
-    FaultSchedule {
-        config: FaultConfig {
-            loss: 0.15,
-            retry: Some(RetryConfig::default()),
-            ..FaultConfig::default()
-        },
-        partitions: vec![],
-        crashes: vec![],
-    }
-}
-
 /// Heavy loss and some duplication with neither latency nor retry: every
 /// message is still applied inside its round, so the BitTorrent window
 /// runs ahead here — unlike under the churn and chaos schedules.
@@ -194,38 +129,6 @@ fn lossy_schedule() -> FaultSchedule {
             node: NodeId::from_index(2),
             at: SimTime::from_hours(5),
         }],
-    }
-}
-
-/// The chaos-suite acceptance shape, shrunk to differential-test size:
-/// latency + jitter (reordering), burst loss, duplication, one partition,
-/// two crash-restarts, retry/backoff.
-fn chaos_schedule() -> FaultSchedule {
-    FaultSchedule {
-        config: FaultConfig {
-            base_latency_ms: 5_000,
-            jitter_spread: 1.0,
-            loss: 0.0,
-            duplicate: 0.05,
-            burst: Some(BurstLoss::with_overall_loss(0.3, 8.0)),
-            retry: Some(RetryConfig::default()),
-        },
-        partitions: vec![PartitionSpec {
-            name: "split".into(),
-            members: (0..6).map(NodeId::from_index).collect(),
-            start: SimTime::from_hours(4),
-            heal: SimTime::from_hours(8),
-        }],
-        crashes: vec![
-            CrashSpec {
-                node: NodeId::from_index(3),
-                at: SimTime::from_hours(6),
-            },
-            CrashSpec {
-                node: NodeId::from_index(9),
-                at: SimTime::from_hours(12),
-            },
-        ],
     }
 }
 
@@ -270,7 +173,8 @@ fn off_grid_observer_cadences_are_thread_count_invariant() {
 /// sampling every 31 min 7 s: per segment, the observer's samples and the
 /// checkpoint written after it.
 fn segmented(threads: usize, schedule: FaultSchedule) -> Vec<(String, Checkpoint)> {
-    let (mut system, _) = build(14, 10, 31, schedule, threads);
+    let (mut system, _) = common::build(14, 10, 31, schedule);
+    system.set_threads(threads);
     let ends = [
         SimTime::from_secs(25 * 60 + 5),
         SimTime::from_mins(100),
@@ -323,12 +227,11 @@ fn rvs_threads_env_default_matches_explicit_set() {
     // RVS_THREADS-derived constructor default would have produced: the
     // pool is interchangeable mid-run, so re-setting to the same count is
     // a no-op and to a different count changes nothing but wall-clock.
-    let (mut a, _) = build(12, 8, 7, FaultSchedule::default(), 1);
+    let (mut a, _) = common::build(12, 8, 7, FaultSchedule::default());
+    a.set_threads(1);
     a.run_until(SimTime::from_hours(8), thirds(8), |_, _| {});
     assert_eq!(a.audit_violations(), &[] as &[String]);
-    let (mut system, _) = VoteSamplingConfig::quick(12, SimDuration::from_hours(8))
-        .system(7, FaultSchedule::default());
-    system.enable_audit();
+    let (mut system, _) = common::build(12, 8, 7, FaultSchedule::default());
     // Flip the pool size mid-run: 4 workers for the first half, then back
     // to the inline path for the second. Still byte-identical.
     system.set_threads(4);

@@ -8,12 +8,14 @@
 //! Ignored by default for its length; run it with
 //! `cargo test --release --test soak -- --ignored`.
 
-use robust_vote_sampling::attacks::{Flooder, Malformer};
+#[allow(dead_code)] // each suite uses only some of the shared fixtures
+mod common;
+
+use common::{assert_clean_audit, assert_conserved};
 use robust_vote_sampling::faults::{
     BurstLoss, CrashSpec, FaultConfig, FaultSchedule, PartitionSpec, RetryConfig,
 };
-use robust_vote_sampling::guard::GuardConfig;
-use robust_vote_sampling::scenario::checkpoint::first_divergence;
+use robust_vote_sampling::scenario::checkpoint::{arm_byzantine, first_divergence};
 use robust_vote_sampling::scenario::{Checkpoint, System, VoteSamplingConfig};
 use robust_vote_sampling::trace::TraceGenConfig;
 use rvs_sim::{NodeId, SimDuration, SimTime};
@@ -66,12 +68,7 @@ fn build() -> System {
     };
     let (mut system, _) = cfg.system(SEED, chaos_schedule(PEERS, DAYS * 24 * 60));
     let n = system.trace().peer_count();
-    system.set_guard_config(GuardConfig {
-        inbox_cap: 8,
-        ..GuardConfig::active()
-    });
-    system.set_flooder(Flooder::new((n - n / 5..n).map(NodeId::from_index), 12));
-    system.set_malformer(Malformer::new(100));
+    arm_byzantine(&mut system, n / 5, 12);
     system.enable_audit();
     system
 }
@@ -80,44 +77,19 @@ fn run_to(system: &mut System, to: SimTime) {
     system.run_until(to, SimDuration::from_hours(24), |_, _| {});
 }
 
-/// The auditor checked something and found nothing wrong.
-fn assert_clean_audit(system: &System, when: &str) {
-    let auditor = system.auditor().expect("audit enabled");
-    assert!(auditor.checks() > 0, "{when}: the auditor checked nothing");
-    assert_eq!(system.audit_violations(), &[] as &[String], "{when}");
-}
-
-/// Every attempted encounter was delivered, dropped for a reason that is
-/// counted, refused at a full inbox, or is still in flight.
-fn assert_conserved(system: &System) {
-    let snap = system.telemetry_snapshot();
-    let (e, f, g) = (&snap.encounters, &snap.faults, &snap.guard);
-    assert_eq!(
-        e.attempted,
-        e.delivered
-            + snap.total_dropped()
-            + f.dropped_burst
-            + f.partitioned
-            + f.dropped_expired
-            + g.inbox_dropped
-            + system.in_flight(),
-        "conservation identity broken: {e:?} / {f:?} / {g:?}"
-    );
-}
-
 #[test]
 #[ignore = "seven simulated days, twice: run with --ignored"]
 fn a_week_cut_every_day_ends_as_the_uninterrupted_week() {
     let end = SimTime::from_hours(DAYS * 24);
     let mut whole = build();
     run_to(&mut whole, end);
-    assert_clean_audit(&whole, "uninterrupted");
+    assert_clean_audit(&whole);
     assert_conserved(&whole);
 
     let mut cut = build();
     for day in 1..=DAYS {
         run_to(&mut cut, SimTime::from_hours(day * 24));
-        assert_clean_audit(&cut, &format!("day {day}"));
+        assert_clean_audit(&cut);
         let bytes = cut.checkpoint().into_bytes();
         let ckpt = Checkpoint::from_bytes(bytes).expect("own checkpoint decodes");
         cut = System::restore(&ckpt).expect("own checkpoint restores");
