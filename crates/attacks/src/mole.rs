@@ -50,11 +50,6 @@ impl MoleAttack {
         self.colluders.iter().copied()
     }
 
-    /// Is `node` part of the collusion (mole included)?
-    pub fn is_colluder(&self, node: NodeId) -> bool {
-        node == self.mole || self.colluders.contains(&node)
-    }
-
     /// Execute the fabrication step against `victim`: every colluder (and
     /// the mole, corroborating) reports the fake `colluder → mole` edges.
     /// Edge endpoints are the reporters, so the receiver's validity rule
@@ -121,9 +116,6 @@ mod tests {
     fn colluder_set_excludes_mole() {
         let a = MoleAttack::new(NodeId(1), [NodeId(1), NodeId(2)], 100);
         assert_eq!(a.colluders().collect::<Vec<_>>(), vec![NodeId(2)]);
-        assert!(a.is_colluder(NodeId(1)));
-        assert!(a.is_colluder(NodeId(2)));
-        assert!(!a.is_colluder(NodeId(0)));
     }
 
     #[test]

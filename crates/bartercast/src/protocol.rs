@@ -458,7 +458,7 @@ impl BarterCast {
 }
 
 /// Stable binary encoding: config, the graphs — each distinct record once
-/// in a table, every graph as indices into it ([`persist_graphs`]) — and
+/// in a table, every graph as indices into it (`persist_graphs`) — and
 /// the two counters. `own` is not written: `restore` rebuilds it from the
 /// graphs (DESIGN §12).
 impl Persist for BarterCast {

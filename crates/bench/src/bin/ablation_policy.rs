@@ -1,5 +1,5 @@
 //! A3 — vote-list selection policy: recency vs random vs the deployed
-//! hybrid (paper §V-A cites [6]: "combining these policies produced
+//! hybrid (paper §V-A cites \[6\]: "combining these policies produced
 //! acceptable performance").
 //!
 //! Two parts:
@@ -9,7 +9,7 @@
 //!    honest negative result worth keeping);
 //! 2. a many-moderator poll: 40 voters hold votes on 30 moderators cast
 //!    over time, a pollster samples them with a budget of 5 votes per
-//!    message — here the policies separate exactly as [6] predicts.
+//!    message — here the policies separate exactly as \[6\] predicts.
 //!
 //! ```text
 //! cargo run --release -p rvs-bench --bin ablation_policy [--quick]

@@ -16,19 +16,20 @@
 //! `TraceGenConfig::scaled`, the trace of `rvs run --peers N` and of the
 //! benchmark's workloads, in `--quick` mode too); `--audit` runs the
 //! invariant auditor and fails loudly on any violation. Fewer than
-//! `FIG6_MIN_PEERS` peers, `--runs 0`, a `--json` without a path and any
-//! other argument are refused with exit 2. The last line is the process's
+//! `FIG6_MIN_PEERS` peers, `--runs 0`, more `--hours` than the simulated
+//! clock counts, a `--json` without a path and any other argument are
+//! refused with exit 2. The last line is the process's
 //! `peak RSS: N MiB` (Linux only), which the CI scale smoke — `--quick
 //! --peers 10000 --runs 1 --hours 2 --audit` — holds under a bound.
 
 use rvs_bench::{
     flag_at_least, flag_usize, header, maybe_write_json, peak_rss_mib, quick_mode,
-    reject_unknown_args, timed,
+    reject_unknown_args, timed, usage_error,
 };
 use rvs_metrics::TimeSeries;
 use rvs_scenario::experiments::vote_sampling::FIG6_MIN_PEERS;
 use rvs_scenario::{run_vote_sampling, VoteSamplingConfig};
-use rvs_sim::SimDuration;
+use rvs_sim::{SimDuration, SimTime};
 use rvs_trace::TraceGenConfig;
 
 fn main() {
@@ -47,8 +48,13 @@ fn main() {
         VoteSamplingConfig::paper()
     };
     if let Some(hours) = flag_usize("hours") {
-        cfg.trace.duration = SimDuration::from_hours(hours as u64);
-        cfg.sample_every = SimDuration::from_hours((hours as u64 / 9).max(1));
+        let hours = hours as u64;
+        if hours > SimTime::MAX_HOURS {
+            let max = SimTime::MAX_HOURS;
+            usage_error(&format!("--hours must be at most {max}, got {hours}"));
+        }
+        cfg.trace.duration = SimDuration::from_hours(hours);
+        cfg.sample_every = SimDuration::from_hours((hours / 9).max(1));
     }
     if let Some(peers) = flag_at_least("peers", FIG6_MIN_PEERS) {
         // The paper's community at N peers, in either mode: founders

@@ -1,9 +1,11 @@
 //! `fig6_vote_sampling` refuses a command line it cannot run — too few
-//! peers for the Fig 6 cast, no runs, a `--json` without a path — with a
+//! peers for the Fig 6 cast, no runs, a span past the simulated clock, a
+//! `--json` without a path — with a
 //! one-line complaint and exit 2 before any simulation starts, as `rvs run`
 //! does; the smallest population it can cast still runs.
 
 use rvs_scenario::experiments::vote_sampling::FIG6_MIN_PEERS;
+use rvs_sim::SimTime;
 use std::process::{Command, Output};
 
 fn fig6(args: &[&str]) -> Output {
@@ -37,6 +39,16 @@ fn zero_runs_are_refused() {
         &["--quick", "--runs", "0"],
         "--runs must be at least 1, got 0",
     );
+}
+
+#[test]
+fn hours_past_the_clock_are_refused() {
+    // One hour more than the clock counts in milliseconds used to wrap
+    // into a sub-hour run.
+    let max = SimTime::MAX_HOURS;
+    let hours = (max + 1).to_string();
+    let complaint = format!("--hours must be at most {max}, got {hours}");
+    assert_refused(&["--quick", "--runs", "1", "--hours", &hours], &complaint);
 }
 
 #[test]

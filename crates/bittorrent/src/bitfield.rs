@@ -180,7 +180,7 @@ fn corrupt<T>(what: String) -> Result<T, rvs_checkpoint::DecodeError> {
 /// partial bitfield then writes its words, with no length prefix, since
 /// the length fixes their number. The count is the popcount and is not
 /// written. A bitfield of length 0 is empty. Restore takes only what
-/// persist writes: a known shape, a length of at most [`MAX_PIECES`]
+/// persist writes: a known shape, a length of at most `MAX_PIECES` (2^21)
 /// (and above 0 when full), words the bytes left can hold, no bit past
 /// the length, and a partial popcount strictly between 0 and the length.
 /// The words of an empty or full bitfield are

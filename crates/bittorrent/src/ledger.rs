@@ -138,11 +138,6 @@ impl TransferLedger {
         uploader.and_then(|a| entry(&a.out, to)).unwrap_or(0)
     }
 
-    /// MiB uploaded from `from` to `to`.
-    pub fn uploaded_mib(&self, from: NodeId, to: NodeId) -> f64 {
-        self.uploaded_kib(from, to) as f64 / 1024.0
-    }
-
     /// `(uploaded, downloaded)` KiB totals of `peer` over all partners.
     /// Credits are strictly positive, so while a ledger only grows, equal
     /// totals at two points in time mean no row of `peer` changed between
@@ -160,17 +155,6 @@ impl TransferLedger {
     /// Total KiB `peer` has downloaded from anyone.
     pub fn total_downloaded_kib(&self, peer: NodeId) -> u64 {
         self.peer_totals(peer).1
-    }
-
-    /// Sharing ratio (uploaded / downloaded); `None` when nothing was
-    /// downloaded yet.
-    pub fn sharing_ratio(&self, peer: NodeId) -> Option<f64> {
-        let down = self.total_downloaded_kib(peer);
-        if down == 0 {
-            None
-        } else {
-            Some(self.total_uploaded_kib(peer) as f64 / down as f64)
-        }
     }
 
     /// Iterate over all `(from, to, kib)` entries in deterministic order.
@@ -335,19 +319,13 @@ mod tests {
     }
 
     #[test]
-    fn totals_and_ratio() {
+    fn totals() {
         let mut l = TransferLedger::new();
         l.credit(NodeId(1), NodeId(2), 1024);
         l.credit(NodeId(1), NodeId(3), 1024);
         l.credit(NodeId(2), NodeId(1), 512);
         assert_eq!(l.total_uploaded_kib(NodeId(1)), 2048);
         assert_eq!(l.total_downloaded_kib(NodeId(1)), 512);
-        assert_eq!(l.sharing_ratio(NodeId(1)), Some(4.0));
-        // Node 3 downloaded but never uploaded: ratio zero.
-        assert_eq!(l.sharing_ratio(NodeId(3)), Some(0.0));
-        // Node 9 has no transfers at all: ratio undefined.
-        assert_eq!(l.sharing_ratio(NodeId(9)), None);
-        assert!((l.uploaded_mib(NodeId(1), NodeId(2)) - 1.0).abs() < 1e-12);
     }
 
     #[test]

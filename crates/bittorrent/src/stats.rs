@@ -44,22 +44,6 @@ impl SwarmHealth {
             },
         }
     }
-
-    /// Seeder-to-leecher ratio among online members (∞-safe: `None` when
-    /// no leechers are online).
-    pub fn seed_ratio(&self) -> Option<f64> {
-        if self.online_leechers == 0 {
-            None
-        } else {
-            Some(self.online_seeders as f64 / self.online_leechers as f64)
-        }
-    }
-
-    /// A swarm is *dead* when nobody online holds the full file and no
-    /// leecher can finish.
-    pub fn is_seederless(&self) -> bool {
-        self.online_seeders == 0
-    }
 }
 
 impl fmt::Display for SwarmHealth {
@@ -119,25 +103,13 @@ mod tests {
         assert_eq!(h.online_leechers, 1);
         assert_eq!(h.members, 3);
         assert_eq!(h.mean_leecher_progress, 0.0);
-        assert_eq!(h.seed_ratio(), Some(1.0));
-        assert!(!h.is_seederless());
     }
 
     #[test]
-    fn seederless_detection() {
-        let mut sim = SwarmSim::new(spec());
-        sim.join(NodeId(1), MemberRole::Leecher, link(), true);
-        let h = SwarmHealth::of(&sim);
-        assert!(h.is_seederless());
-        assert_eq!(h.seed_ratio(), Some(0.0));
-    }
-
-    #[test]
-    fn no_leechers_means_ratio_none_and_progress_one() {
+    fn no_leechers_means_progress_one() {
         let mut sim = SwarmSim::new(spec());
         sim.join(NodeId(0), MemberRole::Seeder, link(), true);
         let h = SwarmHealth::of(&sim);
-        assert_eq!(h.seed_ratio(), None);
         assert_eq!(h.mean_leecher_progress, 1.0);
     }
 

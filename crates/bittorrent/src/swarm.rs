@@ -698,9 +698,9 @@ mod tests {
         assert_eq!(completions.len(), 1);
         assert_eq!(completions[0].peer, NodeId(1));
         assert_eq!(sim.role(NodeId(1)), Some(MemberRole::Seeder));
-        // 10 MiB moved from seeder to leecher (within rounding).
-        let moved = ledger.uploaded_mib(NodeId(0), NodeId(1));
-        assert!((moved - 10.0).abs() < 0.1, "moved {moved} MiB");
+        // 10 MiB moved from seeder to leecher (within 0.1 MiB of rounding).
+        let moved = ledger.uploaded_kib(NodeId(0), NodeId(1));
+        assert!(moved.abs_diff(10 * 1024) <= 102, "moved {moved} KiB");
     }
 
     #[test]

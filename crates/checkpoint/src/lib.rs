@@ -45,7 +45,6 @@
 //! and document the bump in DESIGN.md §12 (a CI cross-check enforces the
 //! documentation half).
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -732,17 +731,6 @@ impl<T: Persist> Persist for Arc<T> {
     }
 }
 
-/// Interior-mutable state is written as the value inside. Checkpoints are
-/// taken between rounds, when nothing holds a mutable borrow.
-impl<T: Persist> Persist for RefCell<T> {
-    fn persist(&self, enc: &mut Encoder) {
-        self.borrow().persist(enc);
-    }
-    fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(RefCell::new(T::restore(dec)?))
-    }
-}
-
 /// Encode `value` as a standalone byte vector (no file header).
 pub fn to_bytes<T: Persist>(value: &T) -> Vec<u8> {
     let mut enc = Encoder::new();
@@ -897,12 +885,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_and_interior_mutable_values_persist_as_their_contents() {
+    fn shared_values_persist_as_their_contents() {
         let inner = vec![3u32, 1, 4];
         roundtrip(&Arc::new(inner.clone()));
-        roundtrip(&RefCell::new(inner.clone()));
         assert_eq!(to_bytes(&Arc::new(inner.clone())), to_bytes(&inner));
-        assert_eq!(to_bytes(&RefCell::new(inner.clone())), to_bytes(&inner));
     }
 
     #[test]

@@ -31,14 +31,6 @@ pub struct TopKList {
 }
 
 impl TopKList {
-    /// The rank (1-based) of `moderator`, or `None` when absent.
-    pub fn rank_of(&self, moderator: ModeratorId) -> Option<usize> {
-        self.ranked
-            .iter()
-            .position(|&m| m == moderator)
-            .map(|p| p + 1)
-    }
-
     /// The top-ranked moderator, if any.
     pub fn top(&self) -> Option<ModeratorId> {
         self.ranked.first().copied()
@@ -219,8 +211,6 @@ mod tests {
         let bb = ballot(&[(1, 7, Vote::Negative)]);
         let top = rank_ballot(&bb, 10);
         assert_eq!(top.ranked, vec![NodeId(7)]);
-        assert_eq!(top.rank_of(NodeId(7)), Some(1));
-        assert_eq!(top.rank_of(NodeId(3)), None);
     }
 
     #[test]

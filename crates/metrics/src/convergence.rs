@@ -1,9 +1,13 @@
-//! Convergence descriptors for experiment time series.
+//! Convergence descriptors for experiment time series: when a series
+//! first crosses a threshold, how long it sits above one, how long an
+//! excursion lasts, and its time-average.
 //!
-//! The bench binaries summarise curves with a few standard scalars: when a
-//! series first crosses a threshold, how long an excursion lasts, and the
-//! time-average — used for the Figure 6 knee, the Figure 8 vulnerability
-//! window, and the ablation comparisons respectively.
+//! [`time_mean`] is the mean accuracy of the A3 vote-list policy ablation
+//! (`rvs_scenario::experiments::ablations`). The other three have no
+//! caller yet: the bench binaries compute what they print themselves
+//! (Figure 6's first sample above 0.5, Figure 8's peak and half-recovery),
+//! and ROADMAP items 6(b) and 6(c) queue these helpers for the interval
+//! and calibration checks.
 
 use crate::series::TimeSeries;
 use rvs_sim::SimTime;

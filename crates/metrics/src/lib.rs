@@ -4,7 +4,7 @@
 //!   density of the directed experience graph over all ordered node pairs;
 //! * [`ordering`] — Figure 6's effectiveness measure: the fraction of
 //!   nodes whose current ranking places the moderators in the ground-truth
-//!   order, plus a Kendall-tau helper;
+//!   order;
 //! * [`pollution`] — Figure 8's attack measure: the fraction of nodes
 //!   ranking the spam moderator top;
 //! * [`series`] — time series collection, multi-run averaging on a shared
@@ -24,7 +24,7 @@ pub mod summary;
 
 pub use cev::collective_experience_value;
 pub use convergence::{excursion_window_hours, first_crossing, time_above_hours, time_mean};
-pub use ordering::{correct_ordering_fraction, kendall_tau_distance, orders_correctly};
+pub use ordering::{correct_ordering_fraction, orders_correctly};
 pub use pollution::pollution_fraction;
 pub use series::{Sample, TimeSeries};
 pub use summary::Summary;

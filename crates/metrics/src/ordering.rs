@@ -67,32 +67,6 @@ pub fn correct_ordering_fraction<'a>(
     }
 }
 
-/// Normalised Kendall-tau distance between a ranking and a reference
-/// ordering over the reference's moderators: the fraction of reference
-/// pairs ranked in the wrong relative order (absent ⇒ rank `K+1` ties,
-/// which count as half-discordant). 0 = identical order, 1 = reversed.
-pub fn kendall_tau_distance(list: &[ModeratorId], expected: &[ModeratorId]) -> f64 {
-    let k = expected.len();
-    if k < 2 {
-        return 0.0;
-    }
-    let mut discordant = 0.0;
-    let mut pairs = 0.0;
-    for a in 0..k {
-        for b in (a + 1)..k {
-            pairs += 1.0;
-            let ra = effective_rank(list, expected[a]);
-            let rb = effective_rank(list, expected[b]);
-            if ra > rb {
-                discordant += 1.0;
-            } else if ra == rb {
-                discordant += 0.5;
-            }
-        }
-    }
-    discordant / pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,35 +133,5 @@ mod tests {
     fn fraction_of_empty_population_is_zero() {
         let f = correct_ordering_fraction(std::iter::empty(), &ids(&[1, 2]));
         assert_eq!(f, 0.0);
-    }
-
-    #[test]
-    fn kendall_identity_is_zero() {
-        assert_eq!(
-            kendall_tau_distance(&ids(&[1, 2, 3]), &ids(&[1, 2, 3])),
-            0.0
-        );
-    }
-
-    #[test]
-    fn kendall_reversal_is_one() {
-        assert_eq!(
-            kendall_tau_distance(&ids(&[3, 2, 1]), &ids(&[1, 2, 3])),
-            1.0
-        );
-    }
-
-    #[test]
-    fn kendall_single_swap() {
-        let d = kendall_tau_distance(&ids(&[2, 1, 3]), &ids(&[1, 2, 3]));
-        assert!((d - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kendall_absent_pair_counts_half() {
-        // Both M2, M3 absent: their pair ties (0.5); pairs (1,2) and (1,3)
-        // are concordant. d = 0.5/3.
-        let d = kendall_tau_distance(&ids(&[1]), &ids(&[1, 2, 3]));
-        assert!((d - 0.5 / 3.0).abs() < 1e-12);
     }
 }

@@ -7,7 +7,7 @@
 //! * disapproval removes all of the moderator's items and refuses new ones;
 //! * `Extract()` — the list offered to a gossip partner — contains only
 //!   moderations from approved moderators (or the node's own), selected by
-//!   the recency + random policy that [6] found effective;
+//!   the recency + random policy that \[6\] found effective;
 //! * `Merge()` inserts new moderations, respecting local votes.
 
 use crate::moderation::{Moderation, ModerationId};

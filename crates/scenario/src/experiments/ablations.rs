@@ -6,7 +6,6 @@
 //! cost, and VoxPopuli's bootstrap/vulnerability trade-off.
 
 use crate::config::ProtocolConfig;
-use crate::experiments::parallel::{default_threads, parallel_runs};
 use crate::experiments::spam::{fig8_setup, SpamAttackConfig};
 use crate::experiments::vote_sampling::VoteSamplingConfig;
 use crate::system::System;
@@ -16,6 +15,7 @@ use rvs_bittorrent::TransferLedger;
 use rvs_core::VoteListPolicy;
 use rvs_faults::FaultSchedule;
 use rvs_metrics::TimeSeries;
+use rvs_sim::pool::{available_threads, run_indexed};
 use rvs_sim::{DetRng, NodeId, SimTime};
 
 /// A1 — adaptive threshold under attack: pollution with the fixed paper
@@ -131,7 +131,7 @@ pub fn run_ballot_param_sweep(
         .flat_map(|&lo| b_maxes.iter().map(move |&hi| (lo, hi)))
         .filter(|&(lo, hi)| lo <= hi)
         .collect();
-    parallel_runs(combos.len(), default_threads(combos.len()), |c| {
+    run_indexed(combos.len(), available_threads(), |c| {
         let (b_min, b_max) = combos[c];
         let protocol = ProtocolConfig {
             votes: rvs_core::VoteSamplingConfig {
@@ -176,7 +176,7 @@ pub fn run_policy_sweep(cfg: &VoteSamplingConfig) -> Vec<PolicyRow> {
         VoteListPolicy::Random,
         VoteListPolicy::RecencyAndRandom,
     ];
-    parallel_runs(policies.len(), default_threads(policies.len()), |k| {
+    run_indexed(policies.len(), available_threads(), |k| {
         let policy = policies[k];
         let protocol = ProtocolConfig {
             votes: rvs_core::VoteSamplingConfig {

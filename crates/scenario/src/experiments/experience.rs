@@ -12,9 +12,9 @@
 //! on a fixed grid and threshold it per `T`.
 
 use crate::config::{ProtocolConfig, ScenarioSetup};
-use crate::experiments::parallel::{default_threads, parallel_runs};
 use crate::system::System;
 use rvs_metrics::TimeSeries;
+use rvs_sim::pool::{available_threads, run_indexed};
 use rvs_sim::{NodeId, SimDuration, SimTime};
 use rvs_trace::{TraceGenConfig, TraceStats};
 
@@ -109,7 +109,7 @@ pub fn dataset_statistics(
     n_traces: usize,
     base_seed: u64,
 ) -> (Vec<TraceStats>, TraceStats) {
-    let per_trace = parallel_runs(n_traces, default_threads(n_traces), |i| {
+    let per_trace = run_indexed(n_traces, available_threads(), |i| {
         TraceStats::compute(&cfg.generate(base_seed + i as u64))
     });
     let mean = TraceStats::mean_over(&per_trace);

@@ -3,6 +3,5 @@
 
 pub mod ablations;
 pub mod experience;
-pub mod parallel;
 pub mod spam;
 pub mod vote_sampling;

@@ -14,11 +14,11 @@
 //! minority; below 1× pollution stays at zero.
 
 use crate::config::{CrowdSpec, ModeratorSpec, PreseededCore, ProtocolConfig, ScenarioSetup};
-use crate::experiments::parallel::{default_threads, parallel_runs};
 use crate::system::System;
 use rvs_faults::FaultSchedule;
 use rvs_metrics::TimeSeries;
 use rvs_modcast::ContentQuality;
+use rvs_sim::pool::{available_threads, run_indexed};
 use rvs_sim::{ModeratorId, NodeId, SimDuration, SimTime, SwarmId};
 use rvs_trace::{Trace, TraceGenConfig};
 
@@ -122,7 +122,7 @@ pub fn run_spam_attack(cfg: &SpamAttackConfig) -> Vec<TimeSeries> {
         .iter()
         .flat_map(|&size| (0..cfg.runs).map(move |r| (size, r)))
         .collect();
-    let curves = parallel_runs(jobs.len(), default_threads(jobs.len()), |j| {
+    let curves = run_indexed(jobs.len(), available_threads(), |j| {
         let (crowd_size, run) = jobs[j];
         let seed = cfg.base_seed + run as u64;
         let (mut system, spam) = cfg.system(seed, crowd_size, FaultSchedule::default());

@@ -13,11 +13,11 @@
 //! plus the average over 10 independent traces.
 
 use crate::config::{ModeratorSpec, ProtocolConfig, ScenarioSetup, VoterSpec};
-use crate::experiments::parallel::{default_threads, parallel_runs};
 use crate::system::System;
 use rvs_faults::FaultSchedule;
 use rvs_metrics::TimeSeries;
 use rvs_modcast::{ContentQuality, LocalVote};
+use rvs_sim::pool::{available_threads, run_indexed};
 use rvs_sim::{DetRng, ModeratorId, NodeId, SimDuration, SimTime, SwarmId};
 use rvs_telemetry::Snapshot;
 use rvs_trace::{Trace, TraceGenConfig};
@@ -219,7 +219,7 @@ fn run_one(cfg: &VoteSamplingConfig, run: usize) -> (TimeSeries, [ModeratorId; 3
 /// Run the full Figure 6 experiment (parallel over traces).
 pub fn run_vote_sampling(cfg: &VoteSamplingConfig) -> VoteSamplingOutcome {
     assert!(cfg.runs >= 1);
-    let results = parallel_runs(cfg.runs, default_threads(cfg.runs), |r| run_one(cfg, r));
+    let results = run_indexed(cfg.runs, available_threads(), |r| run_one(cfg, r));
     let moderators = results[0].1;
     let telemetry = results
         .iter()

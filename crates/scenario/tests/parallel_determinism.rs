@@ -1,12 +1,13 @@
-//! Thread-count independence: `parallel_runs` must produce byte-identical
+//! Thread-count independence: `run_indexed`, the fan-out the experiment
+//! runners use for independent runs, must produce byte-identical
 //! telemetry no matter how many workers execute the runs. Each run's counter
 //! snapshot is serialized to compact JSON and compared byte-for-byte between
 //! a single-threaded and a multi-threaded execution of the same workload.
 
 use proptest::prelude::*;
 use rvs_faults::FaultSchedule;
-use rvs_scenario::experiments::parallel::parallel_runs;
 use rvs_scenario::VoteSamplingConfig;
+use rvs_sim::pool::run_indexed;
 use rvs_sim::{SimDuration, SimTime};
 
 /// One small full-stack run; returns the compact-JSON counter snapshot
@@ -31,8 +32,8 @@ proptest! {
     #[test]
     fn snapshots_identical_across_thread_counts(base_seed in 0u64..10_000) {
         let runs = 3;
-        let serial = parallel_runs(runs, 1, |r| run_snapshot_json(base_seed, r));
-        let threaded = parallel_runs(runs, 4, |r| run_snapshot_json(base_seed, r));
+        let serial = run_indexed(runs, 1, |r| run_snapshot_json(base_seed, r));
+        let threaded = run_indexed(runs, 4, |r| run_snapshot_json(base_seed, r));
         prop_assert_eq!(&serial, &threaded, "snapshots differ across thread counts");
         // Sanity: the runs actually counted something.
         for json in &serial {

@@ -381,10 +381,13 @@ mod tests {
 
     #[test]
     fn run_indexed_orders_results() {
-        let out = run_indexed(25, 4, |i| i + 100);
-        assert_eq!(out, (100..125).collect::<Vec<_>>());
-        let serial = run_indexed(25, 1, |i| i + 100);
-        assert_eq!(out, serial);
+        // (runs, threads): more runs than threads, more threads than runs,
+        // and no runs at all.
+        for (n, threads) in [(25, 4), (2, 16), (0, 4)] {
+            let out = run_indexed(n, threads, |i| i + 100);
+            assert_eq!(out, (100..100 + n).collect::<Vec<_>>());
+            assert_eq!(out, run_indexed(n, 1, |i| i + 100));
+        }
     }
 
     #[test]

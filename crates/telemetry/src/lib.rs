@@ -72,7 +72,7 @@ macro_rules! counter_block {
 
 counter_block! {
     /// Encounter bookkeeping, owned by `scenario::System`. Conservation
-    /// invariant (checked by the [`Auditor`] consumer in `rvs-scenario`):
+    /// invariant (checked by the `Auditor` consumer in `rvs-scenario`):
     /// `attempted == delivered + dropped_no_sample + dropped_offline_target
     ///  + dropped_self_target + dropped_message_loss`.
     pub struct EncounterCounters {
@@ -435,15 +435,6 @@ impl PhaseTimer {
     pub fn phases(&self) -> &BTreeMap<String, u64> {
         &self.accum
     }
-
-    /// Move the banked durations into a snapshot's `phase_nanos`.
-    pub fn drain_into(&mut self, snapshot: &mut Snapshot) {
-        self.stop();
-        for (phase, nanos) in std::mem::take(&mut self.accum) {
-            let slot = snapshot.phase_nanos.entry(phase).or_insert(0);
-            *slot = slot.saturating_add(nanos);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -540,15 +531,5 @@ mod tests {
         let y = t.time("y", || 21 * 2);
         assert_eq!(y, 42);
         assert!(t.phases().contains_key("y"));
-    }
-
-    #[test]
-    fn drain_moves_phases() {
-        let mut t = PhaseTimer::new();
-        t.time("a", || std::hint::black_box(1 + 1));
-        let mut s = Snapshot::default();
-        t.drain_into(&mut s);
-        assert!(s.phase_nanos.contains_key("a"));
-        assert!(t.phases().is_empty());
     }
 }

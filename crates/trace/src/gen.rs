@@ -17,7 +17,38 @@
 use crate::model::{PeerProfile, SwarmSpec, Trace, TraceEvent, TraceEventKind};
 use rvs_sim::{DetRng, NodeId, SimDuration, SimTime, SwarmId};
 
-/// Configuration for the synthetic trace generator.
+/// Mean online session length (heavy-tailed around this mean).
+const MEAN_SESSION: SimDuration = SimDuration::from_mins(45);
+/// Mean offline gap between sessions for regular peers.
+const MEAN_GAP: SimDuration = SimDuration::from_mins(26);
+/// Pareto shape for sessions and gaps (must be > 1 so the mean exists).
+const CHURN_ALPHA: f64 = 1.8;
+const _: () = assert!(CHURN_ALPHA > 1.0, "Pareto mean requires alpha > 1");
+/// Fraction of peers that are rarely online (their gaps are multiplied
+/// by [`RARE_GAP_FACTOR`]).
+const RARELY_ONLINE_FRACTION: f64 = 0.12;
+/// Gap multiplier for rarely-online peers.
+const RARE_GAP_FACTOR: f64 = 18.0;
+/// Fraction of free-riding peers (paper: ≈25% upload little).
+const FREE_RIDER_FRACTION: f64 = 0.25;
+/// Fraction of freely connectable (non-firewalled) peers.
+const CONNECTABLE_FRACTION: f64 = 0.6;
+/// Inclusive range of file sizes in MiB.
+const FILE_SIZE_MIB: (u32, u32) = (150, 1400);
+/// BitTorrent piece size in KiB.
+const PIECE_SIZE_KIB: u32 = 256;
+/// Mean seeding time for altruistic peers after completing a download.
+const MEAN_SEED_TIME: SimDuration = SimDuration::from_hours(12);
+/// Uplink capacity range for altruistic peers, KiB/s.
+const UPLINK_KIBPS: (u32, u32) = (96, 768);
+/// Uplink capacity range for free-riders, KiB/s.
+const FREE_RIDER_UPLINK_KIBPS: (u32, u32) = (16, 64);
+/// Downlink = uplink × this factor (asymmetric consumer lines).
+const DOWNLINK_FACTOR: u32 = 4;
+
+/// Configuration for the synthetic trace generator: the population, its
+/// span and its download habits. The churn, free-riding, connectability,
+/// file-size and link-speed statistics are the dataset's and fixed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceGenConfig {
     /// Number of unique peers (paper: 100).
@@ -27,40 +58,13 @@ pub struct TraceGenConfig {
     /// Peers present from (nearly) the start of the trace — the community
     /// founders from whom the experienced core grows.
     pub founder_count: usize,
-    /// Mean online session length (heavy-tailed around this mean).
-    pub mean_session: SimDuration,
-    /// Mean offline gap between sessions for regular peers.
-    pub mean_gap: SimDuration,
-    /// Pareto shape for sessions and gaps (must be > 1 so the mean exists).
-    pub churn_alpha: f64,
-    /// Fraction of peers that are rarely online (their gaps are multiplied
-    /// by [`TraceGenConfig::rare_gap_factor`]).
-    pub rarely_online_fraction: f64,
-    /// Gap multiplier for rarely-online peers.
-    pub rare_gap_factor: f64,
-    /// Fraction of free-riding peers (paper: ≈25% upload little).
-    pub free_rider_fraction: f64,
-    /// Fraction of freely connectable (non-firewalled) peers.
-    pub connectable_fraction: f64,
     /// Number of swarms active during the trace.
     pub n_swarms: usize,
-    /// Inclusive range of file sizes in MiB.
-    pub file_size_mib: (u32, u32),
-    /// BitTorrent piece size in KiB.
-    pub piece_size_kib: u32,
     /// Mean number of swarms each peer downloads (min 1).
     pub mean_downloads_per_peer: f64,
     /// Mean delay between a peer becoming eligible (arrived & swarm exists)
     /// and starting a download.
     pub mean_download_delay: SimDuration,
-    /// Mean seeding time for altruistic peers after completing a download.
-    pub mean_seed_time: SimDuration,
-    /// Uplink capacity range for altruistic peers, KiB/s.
-    pub uplink_kibps: (u32, u32),
-    /// Uplink capacity range for free-riders, KiB/s.
-    pub free_rider_uplink_kibps: (u32, u32),
-    /// Downlink = uplink × this factor (asymmetric consumer lines).
-    pub downlink_factor: u32,
 }
 
 impl TraceGenConfig {
@@ -70,22 +74,9 @@ impl TraceGenConfig {
             n_peers: 100,
             duration: SimDuration::from_days(7),
             founder_count: 20,
-            mean_session: SimDuration::from_mins(45),
-            mean_gap: SimDuration::from_mins(26),
-            churn_alpha: 1.8,
-            rarely_online_fraction: 0.12,
-            rare_gap_factor: 18.0,
-            free_rider_fraction: 0.25,
-            connectable_fraction: 0.6,
             n_swarms: 12,
-            file_size_mib: (150, 1400),
-            piece_size_kib: 256,
             mean_downloads_per_peer: 3.0,
             mean_download_delay: SimDuration::from_hours(8),
-            mean_seed_time: SimDuration::from_hours(12),
-            uplink_kibps: (96, 768),
-            free_rider_uplink_kibps: (16, 64),
-            downlink_factor: 4,
         }
     }
 
@@ -104,7 +95,8 @@ impl TraceGenConfig {
     }
 
     /// A small, fast preset for unit/integration tests: `n` peers over the
-    /// given duration, otherwise filelist-like behaviour.
+    /// given duration, fewer swarms and downloads, the dataset's churn and
+    /// peer mix.
     pub fn quick(n_peers: usize, duration: SimDuration) -> Self {
         TraceGenConfig {
             n_peers,
@@ -114,7 +106,6 @@ impl TraceGenConfig {
             mean_downloads_per_peer: 1.5,
             // Tests run hours, not days: start downloads promptly.
             mean_download_delay: SimDuration::from_hours(2),
-            ..Self::filelist_like()
         }
     }
 
@@ -123,7 +114,6 @@ impl TraceGenConfig {
     pub fn generate(&self, seed: u64) -> Trace {
         assert!(self.n_peers > 0, "trace needs at least one peer");
         assert!(self.n_swarms > 0, "trace needs at least one swarm");
-        assert!(self.churn_alpha > 1.0, "Pareto mean requires alpha > 1");
         let root = DetRng::new(seed);
         let mut rng_profiles = root.fork(1);
         let mut rng_churn = root.fork(2);
@@ -133,7 +123,7 @@ impl TraceGenConfig {
         let peers = self.gen_profiles(&mut rng_profiles);
         let swarms = self.gen_swarms(&peers, &mut rng_swarms);
         let mut events = Vec::with_capacity(self.n_peers * 64);
-        let rare_cutoff = (self.n_peers as f64 * self.rarely_online_fraction).round() as usize;
+        let rare_cutoff = (self.n_peers as f64 * RARELY_ONLINE_FRACTION).round() as usize;
         for (idx, p) in peers.iter().enumerate() {
             // Peers are assigned "rarely online" by index after profile
             // shuffling, so the set is random but reproducible.
@@ -161,7 +151,7 @@ impl TraceGenConfig {
         let n = self.n_peers;
         let founder_count = self.founder_count.min(n);
         // Decide roles by sampling index sets, then assign arrivals.
-        let n_free = (n as f64 * self.free_rider_fraction).round() as usize;
+        let n_free = (n as f64 * FREE_RIDER_FRACTION).round() as usize;
         let free_set = rng.sample_indices(n, n_free);
         let mut is_free = vec![false; n];
         for i in free_set {
@@ -183,20 +173,20 @@ impl TraceGenConfig {
                 };
                 let free_rider = is_free[i];
                 let (ulo, uhi) = if free_rider {
-                    self.free_rider_uplink_kibps
+                    FREE_RIDER_UPLINK_KIBPS
                 } else {
-                    self.uplink_kibps
+                    UPLINK_KIBPS
                 };
                 let uplink = rng.range_u64(ulo as u64, uhi as u64 + 1) as u32;
-                let seed_ms = rng.exp(self.mean_seed_time.as_millis() as f64) as u64;
+                let seed_ms = rng.exp(MEAN_SEED_TIME.as_millis() as f64) as u64;
                 PeerProfile {
                     id: NodeId::from_index(i),
                     arrival,
-                    connectable: rng.chance(self.connectable_fraction),
+                    connectable: rng.chance(CONNECTABLE_FRACTION),
                     free_rider,
                     seed_duration: SimDuration::from_millis(seed_ms),
                     uplink_kibps: uplink,
-                    downlink_kibps: uplink * self.downlink_factor,
+                    downlink_kibps: uplink * DOWNLINK_FACTOR,
                 }
             })
             .collect()
@@ -211,7 +201,7 @@ impl TraceGenConfig {
             ids.truncate(self.founder_count.min(peers.len()).max(1));
             ids
         };
-        let (lo, hi) = self.file_size_mib;
+        let (lo, hi) = FILE_SIZE_MIB;
         (0..self.n_swarms)
             .map(|i| {
                 // Swarms exist early: the tracker listed them before the
@@ -222,7 +212,7 @@ impl TraceGenConfig {
                     id: SwarmId::from_index(i),
                     created,
                     file_size_mib: rng.range_u64(lo as u64, hi as u64 + 1) as u32,
-                    piece_size_kib: self.piece_size_kib,
+                    piece_size_kib: PIECE_SIZE_KIB,
                     initial_seeder: *rng.pick(&founders),
                 }
             })
@@ -237,17 +227,13 @@ impl TraceGenConfig {
         events: &mut Vec<TraceEvent>,
     ) {
         let end = SimTime::ZERO + self.duration;
-        let alpha = self.churn_alpha;
+        let alpha = CHURN_ALPHA;
         // Pareto scale such that the distribution mean equals the configured
         // mean: mean = x_min * alpha / (alpha - 1).
         let scale = |mean_ms: f64| mean_ms * (alpha - 1.0) / alpha;
-        let sess_scale = scale(self.mean_session.as_millis() as f64);
-        let gap_factor = if rarely_online {
-            self.rare_gap_factor
-        } else {
-            1.0
-        };
-        let gap_scale = scale(self.mean_gap.as_millis() as f64 * gap_factor);
+        let sess_scale = scale(MEAN_SESSION.as_millis() as f64);
+        let gap_factor = if rarely_online { RARE_GAP_FACTOR } else { 1.0 };
+        let gap_scale = scale(MEAN_GAP.as_millis() as f64 * gap_factor);
 
         let mut t = p.arrival;
         // Rarely-online peers may also start with a long initial delay.
@@ -436,10 +422,9 @@ mod tests {
 
     #[test]
     fn free_riders_have_small_uplinks() {
-        let cfg = TraceGenConfig::filelist_like();
-        let t = cfg.generate(5);
-        let max_fr = cfg.free_rider_uplink_kibps.1;
-        let min_alt = cfg.uplink_kibps.0;
+        let t = TraceGenConfig::filelist_like().generate(5);
+        let max_fr = FREE_RIDER_UPLINK_KIBPS.1;
+        let min_alt = UPLINK_KIBPS.0;
         for p in &t.peers {
             if p.free_rider {
                 assert!(p.uplink_kibps <= max_fr);

@@ -10,23 +10,18 @@ fn arb_config() -> impl Strategy<Value = TraceGenConfig> {
         2usize..40,  // n_peers
         1u64..72,    // duration hours
         0usize..10,  // founder_count (may exceed peers; clamped)
-        5u64..120,   // mean session minutes
-        5u64..120,   // mean gap minutes
         1usize..6,   // swarms
-        0.0f64..0.9, // free rider fraction
-        0.0f64..1.0, // connectable fraction
+        0.0f64..4.0, // mean downloads per peer (below 1 means 1)
+        1u64..24,    // mean download delay hours
     )
         .prop_map(
-            |(n, hours, founders, sess, gap, swarms, fr, conn)| TraceGenConfig {
+            |(n, hours, founders, swarms, downloads, delay)| TraceGenConfig {
                 n_peers: n,
                 duration: SimDuration::from_hours(hours),
                 founder_count: founders,
-                mean_session: SimDuration::from_mins(sess),
-                mean_gap: SimDuration::from_mins(gap),
                 n_swarms: swarms,
-                free_rider_fraction: fr,
-                connectable_fraction: conn,
-                ..TraceGenConfig::filelist_like()
+                mean_downloads_per_peer: downloads,
+                mean_download_delay: SimDuration::from_hours(delay),
             },
         )
 }

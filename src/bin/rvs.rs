@@ -27,7 +27,6 @@ use robust_vote_sampling::scenario::{
     Checkpoint, ProtocolConfig, SpamAttackConfig, System, VoteSamplingConfig,
 };
 use robust_vote_sampling::sim::{NodeId, SimDuration, SimTime};
-use robust_vote_sampling::telemetry;
 use robust_vote_sampling::trace::{io, TraceGenConfig, TraceStats};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -90,8 +89,9 @@ USAGE:
                [--t-mib X] [--flood N] [--flood-rate N] [--malform PM]
                [--guard on|FILE] [--threads N] [--telemetry FILE|-]
         Figure 8 flash-crowd scenario; prints the pollution curve.
-        --flood N turns the N highest-index trace peers into flooders
-        (--flood-rate extra sends per member per round, default 12);
+        --flood N (at most --peers) turns the N highest-index trace peers
+        into flooders (--flood-rate extra sends per member per round,
+        default 12);
         --malform PM mutates PM per mille (at most 1000) of guarded
         wire messages.
         Either attack arms the guard plane's active preset unless
@@ -108,7 +108,7 @@ USAGE:
         tests/golden), result goldens in D/results
 
     --threads N shards the simulation round engine across N worker
-    threads (0 = honour RVS_THREADS, the default). Results are
+    threads (at most 64; 0 = honour RVS_THREADS, the default). Results are
     byte-identical for every N; see DESIGN.md §11.
     --telemetry dumps a JSON snapshot of the per-protocol counters (and
     wall-clock phase timings) to FILE, or to stdout when FILE is `-`.";
@@ -233,8 +233,8 @@ fn get_t_mib(flags: &BTreeMap<String, String>) -> Result<f64, ExitCode> {
 }
 
 /// Honour `--telemetry FILE|-`: dump the system's counter snapshot as JSON
-/// to FILE (stdout when `-`). Call `telemetry::set_enabled(true)` *before*
-/// the run so the wall-clock phase timers populate too.
+/// to FILE (stdout when `-`). The wall-clock phase timers are on unless
+/// something cleared `telemetry::enabled`, so the snapshot carries them too.
 fn dump_telemetry(system: &System, flags: &BTreeMap<String, String>) -> Result<(), ExitCode> {
     let Some(dest) = flags.get("telemetry") else {
         return Ok(());
@@ -256,9 +256,9 @@ fn dump_telemetry(system: &System, flags: &BTreeMap<String, String>) -> Result<(
 /// Thread count never changes results — only wall-clock time — which is
 /// proven byte-for-byte by tests/parallel_differential.rs.
 fn apply_threads(system: &mut System, flags: &BTreeMap<String, String>) -> Result<(), ExitCode> {
-    let threads: usize = get(flags, "threads", 0)?;
+    let threads = get_in(flags, "threads", 0, "at most 64", |&t| t <= 64)?;
     if threads > 0 {
-        system.set_threads(threads.min(64));
+        system.set_threads(threads);
     }
     Ok(())
 }
@@ -348,9 +348,6 @@ fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
     flags.entry("peers".into()).or_insert_with(|| "40".into());
     flags.entry("hours".into()).or_insert_with(|| "48".into());
     let hours = get_hours(&flags, 48)?;
-    if flags.contains_key("telemetry") {
-        telemetry::set_enabled(true);
-    }
     // --resume restores everything (seed, trace, cast, fault plane) from
     // the checkpoint; the fresh-run flags configure a new system.
     let (mut system, m) = if let Some(path) = flags.get("resume") {
@@ -401,6 +398,7 @@ fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
         };
         cfg.system(seed, schedule)
     };
+    apply_threads(&mut system, &flags)?;
     let end = SimTime::from_hours(hours);
     // The loop below writes only before `end`: a cadence that first falls
     // at or past it would write nothing, silently.
@@ -415,7 +413,6 @@ fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
     if let Some(path) = flags.get("resume") {
         eprintln!("resumed from {path} at {}", system.now());
     }
-    apply_threads(&mut system, &flags)?;
     apply_guard(&mut system, &flags)?;
     let sample = SimDuration::from_hours((hours / 12).max(1));
     let mut series = TimeSeries::new("accuracy");
@@ -596,22 +593,20 @@ fn cmd_attack(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
         core_size: core,
         ..SpamAttackConfig::paper()
     };
-    if flags.contains_key("telemetry") {
-        telemetry::set_enabled(true);
-    }
-    let (mut system, spam) = cfg.system(seed, crowd, FaultSchedule::default());
-    apply_threads(&mut system, &flags)?;
     // Byzantine adversaries: flooders are the highest-index trace peers
     // (the founder core occupies the low indices), the malformer mutates
     // guarded wire messages at the given per-mille rate. Either attack
     // needs the guard plane up to be observable, so arm the active
     // preset unless --guard picked a config explicitly.
-    let flood: usize = get(&flags, "flood", 0)?;
+    let n_trace = cfg.trace.n_peers;
+    let want = format!("at most --peers ({n_trace})");
+    let flood = get_in(&flags, "flood", 0, &want, |&f| f <= n_trace)?;
     let flood_rate: u32 = get(&flags, "flood-rate", 12)?;
     let malform: u32 = get_in(&flags, "malform", 0, "at most 1000", |&pm| pm <= 1000)?;
-    let n_trace = system.trace_peer_count();
+    let (mut system, spam) = cfg.system(seed, crowd, FaultSchedule::default());
+    apply_threads(&mut system, &flags)?;
     if flood > 0 {
-        let members = (n_trace.saturating_sub(flood)..n_trace).map(NodeId::from_index);
+        let members = (n_trace - flood..n_trace).map(NodeId::from_index);
         system.set_flooder(Flooder::new(members, flood_rate));
     }
     if malform > 0 {

@@ -113,7 +113,18 @@ fn parsable_but_impossible_values_are_rejected() {
             &[cmd, "--t-mib", "NaN"],
             "--t-mib must be a finite number >= 0, got NaN",
         );
+        // A worker count past 64 used to be clamped to 64 in silence.
+        assert_rejected(
+            &[cmd, "--threads", "65"],
+            "--threads must be at most 64, got 65",
+        );
     }
+    // More flooders than trace peers used to make every peer, the core
+    // included, a flooder.
+    assert_rejected(
+        &["attack", "--peers", "12", "--hours", "2", "--flood", "50"],
+        "--flood must be at most --peers (12), got 50",
+    );
 }
 
 #[test]
