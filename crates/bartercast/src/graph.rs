@@ -278,15 +278,11 @@ impl SubjectiveGraph {
 
     /// Outgoing neighbours of `node` with edge weights.
     pub fn out_edges(&self, node: NodeId) -> Vec<(NodeId, u64)> {
-        self.out_edges_iter(node).collect()
-    }
-
-    /// [`out_edges`](Self::out_edges) without the `Vec`.
-    pub(crate) fn out_edges_iter(&self, node: NodeId) -> impl Iterator<Item = (NodeId, u64)> + '_ {
         self.row(node)
             .iter()
-            .map(move |&e| (e.to, self.out_kib(node, e)))
+            .map(|&e| (e.to, self.out_kib(node, e)))
             .filter(|&(_, w)| w > 0)
+            .collect()
     }
 
     /// Number of distinct nonzero edges.
@@ -581,7 +577,7 @@ mod tests {
 
     #[test]
     fn two_hop_flow_and_behind_read_wide_in_column_entries() {
-        use crate::maxflow::edmonds_karp_bounded;
+        use crate::maxflow::max_flow_bounded;
         use crate::protocol::tests::REPORTS;
         use crate::{BarterCast, BarterCastConfig};
         use rvs_bittorrent::TransferLedger;
@@ -604,7 +600,7 @@ mod tests {
         let g = bc.graph(NodeId(1));
         assert_eq!(g.wide.len(), 6);
         let want = (1 << 32) + (1 << 40) + (1 << 32);
-        assert_eq!(edmonds_karp_bounded(g, NodeId(3), NodeId(1), 2), want);
+        assert_eq!(max_flow_bounded(g, NodeId(3), NodeId(1), 2), want);
         assert_eq!(bc.contribution_kib(NodeId(1), NodeId(3)), want);
         // Restored, the node syncs again: every ledger row is held whole.
         let mut back: BarterCast =

@@ -20,10 +20,9 @@
 //!   held in its slot), beside a column of the source ids and a column of
 //!   the weights too wide for 32 bits — and checkpointed together, each
 //!   distinct record once in one table and every graph as indices into it;
-//! * [`maxflow`] — hop-bounded Edmonds–Karp (at 2 hops a closed-form sum
-//!   over `j`'s out-edges), the reference the protocol's 2-hop answer is
-//!   tested against; the deployed BarterCast's 2-hop bound limits the
-//!   leverage of false reports;
+//! * [`maxflow`] — hop-bounded Edmonds–Karp, the reference the protocol's
+//!   2-hop answer is tested against; the deployed BarterCast's 2-hop bound
+//!   limits the leverage of false reports;
 //! * [`protocol`] — the record-exchange gossip ([`BarterCast`]), which
 //!   answers a 2-hop contribution query as one merge of `j`'s out-row with
 //!   the owner's in-column, cheap enough that every query recomputes it

@@ -14,42 +14,13 @@ use rvs_sim::NodeId;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Maximum flow from `src` to `dst` using augmenting paths of at most
-/// `max_hops` edges. Returns KiB of flow.
+/// `max_hops` edges. Returns KiB of flow, saturating at `u64::MAX`.
 ///
-/// `max_hops = usize::MAX` degenerates to ordinary Edmonds–Karp.
+/// `max_hops = usize::MAX` degenerates to ordinary Edmonds–Karp. This is
+/// the reference the protocol's 2-hop answer
+/// ([`BarterCast::contribution_kib`](crate::BarterCast::contribution_kib))
+/// is tested against.
 pub fn max_flow_bounded(graph: &SubjectiveGraph, src: NodeId, dst: NodeId, max_hops: usize) -> u64 {
-    if src == dst || max_hops == 0 {
-        return 0;
-    }
-    if max_hops == 1 {
-        return graph.edge_kib(src, dst);
-    }
-    if max_hops == 2 {
-        // Closed form: every ≤2-hop path is edge-disjoint from every other
-        // (the direct edge, and src→x→dst for distinct x), so the maxflow
-        // is simply their sum — no augmenting-path search needed. This is
-        // the hot path for the deployed 2-hop BarterCast configuration.
-        let mut flow = graph.edge_kib(src, dst);
-        for (x, cap_out) in graph.out_edges_iter(src) {
-            if x == dst {
-                continue;
-            }
-            let cap_in = graph.edge_kib(x, dst);
-            flow = flow.saturating_add(cap_out.min(cap_in));
-        }
-        return flow;
-    }
-    edmonds_karp_bounded(graph, src, dst, max_hops)
-}
-
-/// General hop-bounded Edmonds–Karp (reference path; also exercised against
-/// the 2-hop closed form in tests).
-pub(crate) fn edmonds_karp_bounded(
-    graph: &SubjectiveGraph,
-    src: NodeId,
-    dst: NodeId,
-    max_hops: usize,
-) -> u64 {
     if src == dst || max_hops == 0 {
         return 0;
     }
@@ -247,11 +218,12 @@ mod tests {
 
     #[test]
     fn closed_form_matches_edmonds_karp_on_random_graphs() {
+        use crate::{BarterCast, BarterCastConfig, Record};
         use rvs_sim::DetRng;
         let mut rng = DetRng::new(42);
         for case in 0..200 {
             let n = 2 + rng.index(8) as u32;
-            let mut graph = SubjectiveGraph::new();
+            let mut reports = Vec::new();
             let edges = rng.index(20);
             for _ in 0..edges {
                 let f = rng.below(n as u64) as u32;
@@ -264,14 +236,23 @@ mod tests {
                     1 + rng.below(100)
                 };
                 if f != t {
-                    graph.insert_report(NodeId(f), NodeId(f), NodeId(t), w);
+                    reports.push(Record {
+                        from: NodeId(f),
+                        to: NodeId(t),
+                        kib: w,
+                    });
                 }
             }
             let s = NodeId(rng.below(n as u64) as u32);
             let d = NodeId(rng.below(n as u64) as u32);
+            // `d`'s graph holds every report, each made by its uploader.
+            let mut bc = BarterCast::new(n as usize, BarterCastConfig::default());
+            for r in reports {
+                assert!(bc.inject_report(d, r.from, r));
+            }
             assert_eq!(
-                max_flow_bounded(&graph, s, d, 2),
-                edmonds_karp_bounded(&graph, s, d, 2),
+                bc.contribution_kib(d, s),
+                max_flow_bounded(bc.graph(d), s, d, 2),
                 "case {case}: closed form diverges from Edmonds–Karp"
             );
         }

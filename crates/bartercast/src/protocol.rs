@@ -183,9 +183,12 @@ fn behind<'a>(
 }
 
 /// `Σ_x min(w(j, x), w(x, i))` plus `w(j, i)`, saturating: the 2-hop
-/// closed form of [`max_flow_bounded`] as one merge of `j`'s out-row in
-/// `i`'s graph (which holds the direct edge at `x == i`) with `i`'s
-/// in-column.
+/// maxflow `j → i` in closed form, since every path of at most two hops is
+/// edge-disjoint from every other (the direct edge, and `j → x → i` for
+/// distinct `x`). One merge of `j`'s out-row in `i`'s graph (which holds
+/// the direct edge at `x == i`) with `i`'s in-column; the hop-bounded
+/// Edmonds–Karp of [`max_flow_bounded`] is the reference it is tested
+/// against.
 ///
 /// [`max_flow_bounded`]: crate::maxflow::max_flow_bounded
 fn two_hop_flow(graph: &SubjectiveGraph, i: NodeId, j: NodeId, into_i: &[Edge]) -> u64 {
@@ -403,7 +406,7 @@ impl BarterCast {
     /// Contribution of `j` towards `i` in KiB: 2-hop maxflow `j → i` over
     /// `i`'s subjective graph (the paper's `f_{j→i}`), computed on every
     /// query as one merge of two sorted rows; [`max_flow_bounded`] is its
-    /// oracle. A node contributes nothing towards itself.
+    /// reference. A node contributes nothing towards itself.
     ///
     /// [`max_flow_bounded`]: crate::maxflow::max_flow_bounded
     pub fn contribution_kib(&self, i: NodeId, j: NodeId) -> u64 {
@@ -980,7 +983,7 @@ pub(crate) mod tests {
     #[test]
     fn flow_saturates_instead_of_overflowing() {
         // 3 → 1 directly at `u64::MAX`, plus 10 KiB via 2: the answer is
-        // "at least `u64::MAX`", on the closed form and on Edmonds–Karp.
+        // "at least `u64::MAX`", on the closed form and on the reference.
         let mut bc = BarterCast::new(4, BarterCastConfig::default());
         for (reporter, from, to, kib) in [(3, 3, 1, u64::MAX), (3, 3, 2, 10), (2, 2, 1, 10)] {
             let record = Record {

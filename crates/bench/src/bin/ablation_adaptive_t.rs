@@ -9,14 +9,13 @@
 //! cargo run --release -p rvs-bench --bin ablation_adaptive_t [--quick]
 //! ```
 
-use rvs_bench::{header, quick_mode, reject_unknown_args, timed};
+use rvs_bench::{args, header, timed};
 use rvs_metrics::TimeSeries;
 use rvs_scenario::experiments::ablations::run_adaptive_threshold;
 use rvs_scenario::SpamAttackConfig;
 
 fn main() {
-    reject_unknown_args(&["--quick"], &[]);
-    let quick = quick_mode();
+    let quick = args(env!("CARGO_BIN_NAME"), &["--quick"]).has("quick");
     header("A1", "adaptive threshold T vs fixed T under attack", quick);
     let cfg = if quick {
         SpamAttackConfig::quick(900)

@@ -9,12 +9,11 @@
 //! cargo run --release -p rvs-bench --bin ablation_aggregation [--quick]
 //! ```
 
-use rvs_bench::{header, quick_mode, reject_unknown_args, timed};
+use rvs_bench::{args, header, timed};
 use rvs_scenario::experiments::ablations::run_aggregation_comparison;
 
 fn main() {
-    reject_unknown_args(&["--quick"], &[]);
-    let quick = quick_mode();
+    let quick = args(env!("CARGO_BIN_NAME"), &["--quick"]).has("quick");
     header(
         "A4",
         "epidemic aggregation vs BallotBox sampling under lying",

@@ -7,14 +7,13 @@
 //! cargo run --release -p rvs-bench --bin ablation_ballot_params [--quick]
 //! ```
 
-use rvs_bench::{header, quick_mode, reject_unknown_args, timed};
+use rvs_bench::{args, header, timed};
 use rvs_scenario::experiments::ablations::run_ballot_param_sweep;
 use rvs_scenario::VoteSamplingConfig;
 use rvs_sim::SimDuration;
 
 fn main() {
-    reject_unknown_args(&["--quick"], &[]);
-    let quick = quick_mode();
+    let quick = args(env!("CARGO_BIN_NAME"), &["--quick"]).has("quick");
     header("A2", "ballot parameter sweep (B_min × B_max)", quick);
     let (cfg, b_mins, b_maxes): (_, &[usize], &[usize]) = if quick {
         (

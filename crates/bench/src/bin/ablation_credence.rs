@@ -14,12 +14,11 @@
 //! ```
 
 use rvs_attacks::simulate_credence;
-use rvs_bench::{header, quick_mode, reject_unknown_args, timed};
+use rvs_bench::{args, header, timed};
 use rvs_sim::DetRng;
 
 fn main() {
-    reject_unknown_args(&["--quick"], &[]);
-    let quick = quick_mode();
+    let quick = args(env!("CARGO_BIN_NAME"), &["--quick"]).has("quick");
     header(
         "A8",
         "Credence correlation baseline: isolation vs participation",

@@ -8,12 +8,11 @@
 //! cargo run --release -p rvs-bench --bin ablation_mole [--quick]
 //! ```
 
-use rvs_bench::{header, quick_mode, reject_unknown_args, timed};
+use rvs_bench::{args, header, timed};
 use rvs_scenario::experiments::ablations::run_mole_leverage;
 
 fn main() {
-    reject_unknown_args(&["--quick"], &[]);
-    let quick = quick_mode();
+    let quick = args(env!("CARGO_BIN_NAME"), &["--quick"]).has("quick");
     header("A5", "mole attack leverage vs genuine payment", quick);
     let colluders = if quick { 3 } else { 10 };
     let real: &[u64] = &[0, 1024, 5 * 1024, 20 * 1024, 100 * 1024];

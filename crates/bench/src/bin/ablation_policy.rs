@@ -15,7 +15,7 @@
 //! cargo run --release -p rvs-bench --bin ablation_policy [--quick]
 //! ```
 
-use rvs_bench::{header, quick_mode, reject_unknown_args, timed};
+use rvs_bench::{args, header, timed};
 use rvs_core::{select_votes, BallotBox, Vote, VoteEntry, VoteListPolicy};
 use rvs_scenario::experiments::ablations::run_policy_sweep;
 use rvs_scenario::VoteSamplingConfig;
@@ -61,8 +61,7 @@ fn poll_coverage(policy: VoteListPolicy, seed: u64) -> (usize, f64) {
 }
 
 fn main() {
-    reject_unknown_args(&["--quick"], &[]);
-    let quick = quick_mode();
+    let quick = args(env!("CARGO_BIN_NAME"), &["--quick"]).has("quick");
     header("A3", "vote-list selection policy comparison", quick);
 
     println!("\n-- part 1: Figure 6 scenario (single-vote lists) --");

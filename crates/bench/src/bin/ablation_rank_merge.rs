@@ -12,7 +12,7 @@
 //! cargo run --release -p rvs-bench --bin ablation_rank_merge [--quick]
 //! ```
 
-use rvs_bench::{header, quick_mode, reject_unknown_args};
+use rvs_bench::{args, header};
 use rvs_core::{
     rank_ballot_scored, BallotBox, MergeMethod, ScoreMethod, TopKList, VoteEntry, VoxCache,
 };
@@ -46,8 +46,7 @@ fn fabricated_list_resilience(fake_fraction: f64, lists: usize, seed: u64) -> [b
 }
 
 fn main() {
-    reject_unknown_args(&["--quick"], &[]);
-    let quick = quick_mode();
+    let quick = args(env!("CARGO_BIN_NAME"), &["--quick"]).has("quick");
     header("A7", "rank-merge and score-method variants", quick);
     let trials = if quick { 200 } else { 2_000 };
 

@@ -9,15 +9,14 @@
 //! cargo run --release -p rvs-bench --bin ablation_voxpopuli [--quick]
 //! ```
 
-use rvs_bench::{header, quick_mode, reject_unknown_args, timed};
+use rvs_bench::{args, header, timed};
 use rvs_metrics::TimeSeries;
 use rvs_scenario::experiments::ablations::run_voxpopuli_ablation;
 use rvs_scenario::VoteSamplingConfig;
 use rvs_sim::SimDuration;
 
 fn main() {
-    reject_unknown_args(&["--quick"], &[]);
-    let quick = quick_mode();
+    let quick = args(env!("CARGO_BIN_NAME"), &["--quick"]).has("quick");
     header("A6", "VoxPopuli on/off: bootstrap speed", quick);
     let cfg = if quick {
         VoteSamplingConfig {

@@ -7,17 +7,17 @@
 //! core).
 //!
 //! ```text
-//! cargo run --release -p rvs-bench --bin fig5_experience [--quick]
+//! cargo run --release -p rvs-bench --bin fig5_experience [--quick] [--json FILE]
 //! ```
 
-use rvs_bench::{header, maybe_write_json, quick_mode, reject_unknown_args, timed};
+use rvs_bench::{args, header, maybe_write_json, timed};
 use rvs_metrics::TimeSeries;
 use rvs_scenario::{run_experience_formation, ExperienceConfig};
 use rvs_sim::SimTime;
 
 fn main() {
-    reject_unknown_args(&["--quick"], &["--json"]);
-    let quick = quick_mode();
+    let args = args(env!("CARGO_BIN_NAME"), &["--quick", "--json FILE"]);
+    let quick = args.has("quick");
     header(
         "F5",
         "experience formation: CEV vs time per threshold T",
@@ -35,7 +35,7 @@ fn main() {
         cfg.thresholds_mib
     );
     let series = timed("simulate", || run_experience_formation(&cfg));
-    maybe_write_json(&series);
+    maybe_write_json(args.value("json"), &series);
     let refs: Vec<&TimeSeries> = series.iter().collect();
     print!("{}", TimeSeries::render_table(&refs));
 

@@ -16,28 +16,35 @@
 //! `TraceGenConfig::scaled`, the trace of `rvs run --peers N` and of the
 //! benchmark's workloads, in `--quick` mode too); `--audit` runs the
 //! invariant auditor and fails loudly on any violation. Fewer than
-//! `FIG6_MIN_PEERS` peers, `--runs 0`, more `--hours` than the simulated
-//! clock counts, a `--json` without a path and any other argument are
-//! refused with exit 2. The last line is the process's
+//! `FIG6_MIN_PEERS` peers, `--runs 0`, `--hours 0` or more than the
+//! simulated clock counts, a `--json` without a path and any other
+//! argument are refused with exit 2. The last line is the process's
 //! `peak RSS: N MiB` (Linux only), which the CI scale smoke — `--quick
 //! --peers 10000 --runs 1 --hours 2 --audit` — holds under a bound.
 
-use rvs_bench::{
-    flag_at_least, flag_usize, header, maybe_write_json, peak_rss_mib, quick_mode,
-    reject_unknown_args, timed, usage_error,
-};
+use rvs_bench::{args, header, maybe_write_json, peak_rss_mib, timed};
 use rvs_metrics::TimeSeries;
 use rvs_scenario::experiments::vote_sampling::FIG6_MIN_PEERS;
 use rvs_scenario::{run_vote_sampling, VoteSamplingConfig};
-use rvs_sim::{SimDuration, SimTime};
+use rvs_sim::SimDuration;
 use rvs_trace::TraceGenConfig;
 
 fn main() {
-    reject_unknown_args(
-        &["--quick", "--audit"],
-        &["--json", "--peers", "--runs", "--hours"],
+    let args = args(
+        env!("CARGO_BIN_NAME"),
+        &[
+            "--quick",
+            "--json FILE",
+            "--peers N",
+            "--runs N",
+            "--hours H",
+            "--audit",
+        ],
     );
-    let quick = quick_mode();
+    let quick = args.has("quick");
+    let hours = args.hours();
+    let peers = args.at_least("peers", FIG6_MIN_PEERS);
+    let runs = args.at_least("runs", 1);
     header("F6", "vote-sampling effectiveness over time", quick);
     let mut cfg = if quick {
         VoteSamplingConfig {
@@ -47,25 +54,19 @@ fn main() {
     } else {
         VoteSamplingConfig::paper()
     };
-    if let Some(hours) = flag_usize("hours") {
-        let hours = hours as u64;
-        if hours > SimTime::MAX_HOURS {
-            let max = SimTime::MAX_HOURS;
-            usage_error(&format!("--hours must be at most {max}, got {hours}"));
-        }
+    if let Some(hours) = hours {
         cfg.trace.duration = SimDuration::from_hours(hours);
         cfg.sample_every = SimDuration::from_hours((hours / 9).max(1));
     }
-    if let Some(peers) = flag_at_least("peers", FIG6_MIN_PEERS) {
+    if let Some(peers) = peers {
         // The paper's community at N peers, in either mode: founders
         // rescale with the population, as in `rvs run` and the benchmark.
         cfg.trace = TraceGenConfig::scaled(peers, cfg.trace.duration);
     }
-    if let Some(runs) = flag_at_least("runs", 1) {
+    if let Some(runs) = runs {
         cfg.runs = runs;
     }
-    // rvs-lint: allow(ambient-env) -- CLI flag parsing at the binary entry point
-    if std::env::args().any(|a| a == "--audit") {
+    if args.has("audit") {
         cfg.audit = true;
         println!("invariant auditor ENABLED (--audit)");
     }
@@ -80,7 +81,10 @@ fn main() {
         cfg.protocol.experience_t_mib
     );
     let outcome = timed("simulate", || run_vote_sampling(&cfg));
-    maybe_write_json(&(&outcome.typical, &outcome.accuracy, &outcome.telemetry));
+    maybe_write_json(
+        args.value("json"),
+        &(&outcome.typical, &outcome.accuracy, &outcome.telemetry),
+    );
 
     // Three typical runs + the average, like the paper's plot.
     let mut cols: Vec<&TimeSeries> = outcome.typical.iter().take(3).collect();

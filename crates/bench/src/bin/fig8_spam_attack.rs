@@ -10,16 +10,16 @@
 //! hour.
 //!
 //! ```text
-//! cargo run --release -p rvs-bench --bin fig8_spam_attack [--quick]
+//! cargo run --release -p rvs-bench --bin fig8_spam_attack [--quick] [--json FILE]
 //! ```
 
-use rvs_bench::{header, maybe_write_json, quick_mode, reject_unknown_args, timed};
+use rvs_bench::{args, header, maybe_write_json, timed};
 use rvs_metrics::TimeSeries;
 use rvs_scenario::{run_spam_attack, SpamAttackConfig};
 
 fn main() {
-    reject_unknown_args(&["--quick"], &["--json"]);
-    let quick = quick_mode();
+    let args = args(env!("CARGO_BIN_NAME"), &["--quick", "--json FILE"]);
+    let quick = args.has("quick");
     header("F8", "flash-crowd spam attack: new-node pollution", quick);
     let mut cfg = if quick {
         SpamAttackConfig::quick(500)
@@ -35,7 +35,7 @@ fn main() {
         cfg.core_size, cfg.crowd_sizes, cfg.runs
     );
     let curves = timed("simulate", || run_spam_attack(&cfg));
-    maybe_write_json(&curves);
+    maybe_write_json(args.value("json"), &curves);
     let refs: Vec<&TimeSeries> = curves.iter().collect();
     print!("{}", TimeSeries::render_table(&refs));
 

@@ -7,14 +7,13 @@
 //! cargo run --release -p rvs-bench --bin table1_trace_stats [--quick]
 //! ```
 
-use rvs_bench::{header, quick_mode, reject_unknown_args, timed};
+use rvs_bench::{args, header, timed};
 use rvs_scenario::experiments::experience::dataset_statistics;
 use rvs_sim::SimDuration;
 use rvs_trace::TraceGenConfig;
 
 fn main() {
-    reject_unknown_args(&["--quick"], &[]);
-    let quick = quick_mode();
+    let quick = args(env!("CARGO_BIN_NAME"), &["--quick"]).has("quick");
     header("T1", "filelist.org dataset statistics (§VI)", quick);
     let (cfg, n_traces) = if quick {
         (TraceGenConfig::quick(30, SimDuration::from_days(1)), 3)

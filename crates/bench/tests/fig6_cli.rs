@@ -1,8 +1,8 @@
 //! `fig6_vote_sampling` refuses a command line it cannot run — too few
-//! peers for the Fig 6 cast, no runs, a span past the simulated clock, a
-//! `--json` without a path — with a
-//! one-line complaint and exit 2 before any simulation starts, as `rvs run`
-//! does; the smallest population it can cast still runs.
+//! peers for the Fig 6 cast, no runs, no hours or a span past the simulated
+//! clock, a `--json` without a path — with a one-line complaint, the usage
+//! text and exit 2 before any simulation starts, as `rvs run` does; the
+//! smallest population it can cast still runs.
 
 use rvs_scenario::experiments::vote_sampling::FIG6_MIN_PEERS;
 use rvs_sim::SimTime;
@@ -15,14 +15,15 @@ fn fig6(args: &[&str]) -> Output {
         .expect("fig6_vote_sampling runs")
 }
 
-/// `args` exit 2 with `complaint` as the last stderr line, and write no
-/// result.
+/// `args` exit 2 with `complaint` as the first stderr line and the usage
+/// text under it, and write nothing on stdout.
 fn assert_refused(args: &[&str], complaint: &str) {
     let out = fig6(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
-    assert_eq!(stderr.lines().last(), Some(complaint), "{args:?}: {stderr}");
-    assert!(!stderr.contains("[simulate:"), "{args:?} ran: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} ran: {out:?}");
+    assert_eq!(stderr.lines().next(), Some(complaint), "{args:?}: {stderr}");
+    assert!(stderr.contains("USAGE:"), "{args:?}: {stderr}");
 }
 
 #[test]
@@ -49,11 +50,14 @@ fn hours_past_the_clock_are_refused() {
     let hours = (max + 1).to_string();
     let complaint = format!("--hours must be at most {max}, got {hours}");
     assert_refused(&["--quick", "--runs", "1", "--hours", &hours], &complaint);
+    // A run of no hours simulates nothing; it used to exit 0 all the same.
+    let complaint = "--hours must be at least 1, got 0";
+    assert_refused(&["--quick", "--runs", "1", "--hours", "0"], complaint);
 }
 
 #[test]
 fn a_trailing_json_without_a_path_is_refused() {
-    assert_refused(&["--quick", "--json"], "--json expects a value");
+    assert_refused(&["--quick", "--json"], "flag `--json` needs a value");
 }
 
 #[test]
@@ -65,5 +69,17 @@ fn the_smallest_cast_runs() {
     assert!(
         stdout.contains(&format!("trace: {peers} peers")),
         "{stdout}"
+    );
+}
+
+#[test]
+fn a_json_file_that_cannot_be_written_fails_the_run() {
+    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/no-such-dir/fig6.json");
+    let out = fig6(&["--quick", "--runs", "1", "--hours", "1", "--json", path]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        stderr.contains(&format!("failed to write {path}")),
+        "{stderr}"
     );
 }

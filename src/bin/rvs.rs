@@ -13,6 +13,7 @@
 
 use robust_vote_sampling::attacks::{Flooder, Malformer};
 use robust_vote_sampling::checkpoint::FORMAT_VERSION;
+use robust_vote_sampling::cli::{self, Args};
 use robust_vote_sampling::core::ModeratorBoard;
 use robust_vote_sampling::faults::FaultSchedule;
 use robust_vote_sampling::guard::GuardConfig;
@@ -28,29 +29,25 @@ use robust_vote_sampling::scenario::{
 };
 use robust_vote_sampling::sim::{NodeId, SimDuration, SimTime};
 use robust_vote_sampling::trace::{io, TraceGenConfig, TraceStats};
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    // rvs-lint: allow(ambient-env) -- CLI argument parsing at the binary entry point
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
+    let argv = cli::argv();
+    let Some((cmd, rest)) = argv.split_first() else {
+        cli::refuse(USAGE, "missing command");
     };
-    let rest = &args[1..];
     let outcome = match cmd.as_str() {
-        "trace" => parse_flags(rest, TRACE_FLAGS).and_then(|f| cmd_trace(&f)),
-        "stats" => parse_flags(rest, STATS_FLAGS).and_then(|f| cmd_stats(&f)),
-        "run" => parse_flags(rest, RUN_FLAGS).and_then(cmd_run),
-        "attack" => parse_flags(rest, ATTACK_FLAGS).and_then(cmd_attack),
+        "trace" => cmd_trace(&cli::accept(rest, TRACE, USAGE)),
+        "stats" => cmd_stats(&cli::accept(rest, STATS, USAGE)),
+        "run" => cmd_run(&cli::accept(rest, RUN, USAGE)),
+        "attack" => cmd_attack(&cli::accept(rest, ATTACK, USAGE)),
         "ckpt" => cmd_ckpt(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(usage_error(&format!("unknown command `{other}`"))),
+        other => cli::refuse(USAGE, &format!("unknown command `{other}`")),
     };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
@@ -81,7 +78,8 @@ USAGE:
         --checkpoint-every N writes a checkpoint every N simulated hours,
         N fewer than the run has left, into --checkpoint-dir (default
         `.`); --resume FILE restores a
-        checkpoint and continues the run to --hours — byte-identical to
+        checkpoint and continues the run to --hours, which must lie past
+        the checkpoint's time — byte-identical to
         never having stopped (DESIGN.md §12), on any --threads; the
         checkpoint fixes --seed --peers --t-mib --loss --faults, so
         those are refused next to --resume
@@ -111,154 +109,81 @@ USAGE:
     threads (at most 64; 0 = honour RVS_THREADS, the default). Results are
     byte-identical for every N; see DESIGN.md §11.
     --telemetry dumps a JSON snapshot of the per-protocol counters (and
-    wall-clock phase timings) to FILE, or to stdout when FILE is `-`.";
+    wall-clock phase timings) to FILE, or to stdout when FILE is `-`.
+    --hours N runs N simulated hours, at least 1.
 
-const TRACE_FLAGS: &[&str] = &["seed", "peers", "hours", "out"];
-const STATS_FLAGS: &[&str] = &["seed", "traces", "peers", "hours"];
-const RUN_FLAGS: &[&str] = &[
-    "seed",
-    "peers",
-    "hours",
-    "t-mib",
-    "loss",
-    "faults",
-    "guard",
-    "threads",
-    "telemetry",
-    "checkpoint-every",
-    "checkpoint-dir",
-    "resume",
+EXIT STATUS:
+    0   success
+    1   a failure at run time, or `ckpt diff` finding a difference
+    2   a command line rvs cannot run: the complaint is the first line on
+        stderr, this text follows, and nothing is simulated";
+
+const TRACE: &[&str] = &["--seed N", "--peers N", "--hours N", "--out FILE"];
+const STATS: &[&str] = &["--seed N", "--traces N", "--peers N", "--hours N"];
+const RUN: &[&str] = &[
+    "--seed N",
+    "--peers N",
+    "--hours N",
+    "--t-mib X",
+    "--loss X",
+    "--faults FILE",
+    "--guard SPEC",
+    "--threads N",
+    "--telemetry FILE",
+    "--checkpoint-every N",
+    "--checkpoint-dir D",
+    "--resume FILE",
 ];
-const ATTACK_FLAGS: &[&str] = &[
-    "seed",
-    "peers",
-    "core",
-    "crowd",
-    "hours",
-    "t-mib",
-    "flood",
-    "flood-rate",
-    "malform",
-    "guard",
-    "threads",
-    "telemetry",
+const ATTACK: &[&str] = &[
+    "--seed N",
+    "--peers N",
+    "--core N",
+    "--crowd N",
+    "--hours N",
+    "--t-mib X",
+    "--flood N",
+    "--flood-rate N",
+    "--malform PM",
+    "--guard SPEC",
+    "--threads N",
+    "--telemetry FILE",
 ];
 
-/// Report a command-line mistake: one line naming it, then the usage
-/// text, both on stderr.
-fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("{msg}\n{USAGE}");
+/// Report a failure at run time on stderr; the exit code is 1.
+fn fail(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{msg}");
     ExitCode::FAILURE
 }
 
-/// Parse `--name value` pairs, accepting only the names in `allowed`.
-/// Anything else — an unknown flag, a positional argument, a flag with no
-/// value — is an error rather than a silently different run.
-fn parse_flags(rest: &[String], allowed: &[&str]) -> Result<BTreeMap<String, String>, ExitCode> {
-    let mut flags = BTreeMap::new();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let Some(name) = arg.strip_prefix("--") else {
-            return Err(usage_error(&format!("unexpected argument `{arg}`")));
-        };
-        if !allowed.contains(&name) {
-            return Err(usage_error(&format!("unknown flag `{arg}`")));
-        }
-        let Some(value) = it.next() else {
-            return Err(usage_error(&format!("flag `{arg}` needs a value")));
-        };
-        flags.insert(name.to_string(), value.clone());
-    }
-    Ok(flags)
-}
-
-/// The value of `--key`, or `default` when the flag is absent; a value
-/// that does not parse as `T` is an error.
-fn get<T: std::str::FromStr>(
-    flags: &BTreeMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, ExitCode> {
-    match flags.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| usage_error(&format!("invalid value `{v}` for --{key}"))),
-    }
-}
-
-/// Like [`get`], for a value that must also lie in a range: `ok` decides,
-/// `want` names the range in the complaint. A parsable but impossible
-/// value (`--peers 0`, `--loss 1.5`, `--t-mib nan`) is the user's mistake
-/// and is reported here, not by an assertion deep inside the library.
-fn get_in<T: std::str::FromStr + std::fmt::Display>(
-    flags: &BTreeMap<String, String>,
-    key: &str,
-    default: T,
-    want: &str,
-    ok: impl Fn(&T) -> bool,
-) -> Result<T, ExitCode> {
-    let v = get(flags, key, default)?;
-    if ok(&v) {
-        Ok(v)
-    } else {
-        Err(usage_error(&format!("--{key} must be {want}, got {v}")))
-    }
-}
-
-/// A count that must be at least `min`.
-fn get_at_least(
-    flags: &BTreeMap<String, String>,
-    key: &str,
-    default: usize,
-    min: usize,
-) -> Result<usize, ExitCode> {
-    get_in(flags, key, default, &format!("at least {min}"), |&n| {
-        n >= min
-    })
-}
-
-/// `--hours N`: a span no larger than the simulated clock can count in
-/// milliseconds.
-fn get_hours(flags: &BTreeMap<String, String>, default: u64) -> Result<u64, ExitCode> {
-    let want = format!("at most {}", SimTime::MAX_HOURS);
-    get_in(flags, "hours", default, &want, |&h| h <= SimTime::MAX_HOURS)
-}
-
 /// `--t-mib X`: the experience threshold `T` in MiB.
-fn get_t_mib(flags: &BTreeMap<String, String>) -> Result<f64, ExitCode> {
-    get_in(flags, "t-mib", 5.0, "a finite number >= 0", |t| {
-        t.is_finite() && *t >= 0.0
-    })
+fn t_mib(args: &Args) -> f64 {
+    let ok = |t: &f64| t.is_finite() && *t >= 0.0;
+    args.get_in("t-mib", "a finite number >= 0", ok)
+        .unwrap_or(5.0)
+}
+
+/// `--threads N`: shard the round engine across N workers, at most 64. 0
+/// (the default) keeps the RVS_THREADS-derived count the System booted
+/// with. Thread count never changes results — only wall-clock time —
+/// which is proven byte-for-byte by tests/parallel_differential.rs.
+fn threads(args: &Args) -> usize {
+    args.within("threads", 0, 64).unwrap_or(0)
 }
 
 /// Honour `--telemetry FILE|-`: dump the system's counter snapshot as JSON
 /// to FILE (stdout when `-`). The wall-clock phase timers are on unless
 /// something cleared `telemetry::enabled`, so the snapshot carries them too.
-fn dump_telemetry(system: &System, flags: &BTreeMap<String, String>) -> Result<(), ExitCode> {
-    let Some(dest) = flags.get("telemetry") else {
+fn dump_telemetry(system: &System, args: &Args) -> Result<(), ExitCode> {
+    let Some(dest) = args.value("telemetry") else {
         return Ok(());
     };
     let json = system.telemetry_snapshot().to_json();
     if dest == "-" {
         println!("{json}");
-    } else if let Err(e) = std::fs::write(dest, json + "\n") {
-        eprintln!("failed to write telemetry to {dest}: {e}");
-        return Err(ExitCode::FAILURE);
     } else {
+        std::fs::write(dest, json + "\n")
+            .map_err(|e| fail(format!("failed to write telemetry to {dest}: {e}")))?;
         println!("\ntelemetry snapshot written to {dest}");
-    }
-    Ok(())
-}
-
-/// Honour `--threads N`: shard the round engine across N workers. 0 (the
-/// default) keeps the RVS_THREADS-derived count the System booted with.
-/// Thread count never changes results — only wall-clock time — which is
-/// proven byte-for-byte by tests/parallel_differential.rs.
-fn apply_threads(system: &mut System, flags: &BTreeMap<String, String>) -> Result<(), ExitCode> {
-    let threads = get_in(flags, "threads", 0, "at most 64", |&t| t <= 64)?;
-    if threads > 0 {
-        system.set_threads(threads);
     }
     Ok(())
 }
@@ -266,154 +191,128 @@ fn apply_threads(system: &mut System, flags: &BTreeMap<String, String>) -> Resul
 /// Honour `--guard on|FILE`: arm the Byzantine guard plane with the
 /// built-in active preset, or with a `GuardConfig` JSON file (a config
 /// file names every knob — start from the JSON of the active preset).
-fn apply_guard(system: &mut System, flags: &BTreeMap<String, String>) -> Result<(), ExitCode> {
-    let Some(spec) = flags.get("guard") else {
+fn apply_guard(system: &mut System, args: &Args) -> Result<(), ExitCode> {
+    let Some(spec) = args.value("guard") else {
         return Ok(());
     };
     let cfg = if spec == "on" {
         GuardConfig::active()
     } else {
-        let text = match std::fs::read_to_string(spec) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("failed to read guard config {spec}: {e}");
-                return Err(ExitCode::FAILURE);
-            }
-        };
-        match serde_json::from_str(&text) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("invalid guard config {spec}: {e}");
-                return Err(ExitCode::FAILURE);
-            }
-        }
+        let text = std::fs::read_to_string(spec)
+            .map_err(|e| fail(format!("failed to read guard config {spec}: {e}")))?;
+        serde_json::from_str(&text)
+            .map_err(|e| fail(format!("invalid guard config {spec}: {e}")))?
     };
     system.set_guard_config(cfg);
     Ok(())
 }
 
-/// The trace generator's configuration from `--peers` / `--hours`;
-/// `min_peers` is the smallest population the calling command can cast.
-fn trace_cfg(
-    flags: &BTreeMap<String, String>,
-    min_peers: usize,
-) -> Result<TraceGenConfig, ExitCode> {
-    let peers = get_at_least(flags, "peers", 100, min_peers)?;
-    let hours = get_hours(flags, 168)?;
-    Ok(TraceGenConfig::scaled(
-        peers,
-        SimDuration::from_hours(hours),
-    ))
+/// The trace generator's configuration from `--peers` (at least
+/// `min_peers`, the smallest population the calling command can cast) and
+/// `--hours`, or from the command's `defaults` for the two.
+fn trace_cfg(args: &Args, min_peers: usize, defaults: (usize, u64)) -> TraceGenConfig {
+    let peers = args.at_least("peers", min_peers).unwrap_or(defaults.0);
+    let hours = args.hours().unwrap_or(defaults.1);
+    TraceGenConfig::scaled(peers, SimDuration::from_hours(hours))
 }
 
-fn cmd_trace(flags: &BTreeMap<String, String>) -> Result<(), ExitCode> {
-    let seed: u64 = get(flags, "seed", 42)?;
-    let cfg = trace_cfg(flags, 1)?;
-    let trace = cfg.generate(seed);
+fn cmd_trace(args: &Args) -> Result<(), ExitCode> {
+    let seed = args.get("seed").unwrap_or(42);
+    let trace = trace_cfg(args, 1, (100, 168)).generate(seed);
     println!("{}", TraceStats::compute(&trace));
-    if let Some(path) = flags.get("out") {
-        match io::save(&trace, std::path::Path::new(path)) {
-            Ok(()) => println!("\nwritten to {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                return Err(ExitCode::FAILURE);
-            }
-        }
+    if let Some(path) = args.value("out") {
+        io::save(&trace, Path::new(path))
+            .map_err(|e| fail(format!("failed to write {path}: {e}")))?;
+        println!("\nwritten to {path}");
     }
     Ok(())
 }
 
-fn cmd_stats(flags: &BTreeMap<String, String>) -> Result<(), ExitCode> {
-    let seed: u64 = get(flags, "seed", 1)?;
-    let traces = get_at_least(flags, "traces", 10, 1)?;
-    let cfg = trace_cfg(flags, 1)?;
-    let (_, mean) = dataset_statistics(&cfg, traces, seed);
+fn cmd_stats(args: &Args) -> Result<(), ExitCode> {
+    let seed = args.get("seed").unwrap_or(1);
+    let traces = args.at_least("traces", 1).unwrap_or(10);
+    let (_, mean) = dataset_statistics(&trace_cfg(args, 1, (100, 168)), traces, seed);
     println!("mean over {traces} traces:\n{mean}");
     Ok(())
 }
 
-fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
+fn cmd_run(args: &Args) -> Result<(), ExitCode> {
     // --resume takes everything that shapes a fresh run from the
     // checkpoint; naming one of those flags too asks for a run that
     // cannot be had, not for one that quietly ignores it.
-    if flags.contains_key("resume") {
+    let resume = args.value("resume");
+    if resume.is_some() {
         let fresh = ["seed", "peers", "t-mib", "loss", "faults"];
-        if let Some(flag) = fresh.iter().find(|f| flags.contains_key(**f)) {
-            return Err(usage_error(&format!(
+        if let Some(flag) = fresh.iter().find(|f| args.has(f)) {
+            args.refuse(&format!(
                 "--{flag} cannot be combined with --resume: the checkpoint fixes it"
-            )));
+            ));
         }
     }
-    let seed: u64 = get(&flags, "seed", 7)?;
-    flags.entry("peers".into()).or_insert_with(|| "40".into());
-    flags.entry("hours".into()).or_insert_with(|| "48".into());
-    let hours = get_hours(&flags, 48)?;
+    let hours = args.hours().unwrap_or(48);
+    let threads = threads(args);
+    let ckpt_every: u64 = args.get("checkpoint-every").unwrap_or(0);
     // --resume restores everything (seed, trace, cast, fault plane) from
     // the checkpoint; the fresh-run flags configure a new system.
-    let (mut system, m) = if let Some(path) = flags.get("resume") {
-        let ckpt = load_ckpt(path)?;
-        let system = match System::restore(&ckpt) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot restore {path}: {e}");
-                return Err(ExitCode::FAILURE);
-            }
-        };
+    let (mut system, m) = if let Some(path) = resume {
+        let system = System::restore(&load_ckpt(path)?)
+            .map_err(|e| fail(format!("cannot restore {path}: {e}")))?;
         // The Fig 6 moderators are the trace's first three arrivals, and
         // the checkpoint carries the trace — recompute the expected order.
         let m = fig6_moderators(system.trace());
         (system, m)
     } else {
         let cfg = VoteSamplingConfig {
-            trace: trace_cfg(&flags, FIG6_MIN_PEERS)?,
+            trace: trace_cfg(args, FIG6_MIN_PEERS, (40, hours)),
             protocol: ProtocolConfig {
-                experience_t_mib: get_t_mib(&flags)?,
-                message_loss: get_in(&flags, "loss", 0.0, "a probability in [0, 1]", |l| {
-                    (0.0..=1.0).contains(l)
-                })?,
+                experience_t_mib: t_mib(args),
+                message_loss: args
+                    .get_in("loss", "a probability in [0, 1]", |l| {
+                        (0.0..=1.0).contains(l)
+                    })
+                    .unwrap_or(0.0),
                 ..ProtocolConfig::default()
             },
             positive_fraction: 0.15,
             negative_fraction: 0.15,
             ..VoteSamplingConfig::paper()
         };
-        let schedule = match flags.get("faults") {
+        let schedule = match args.value("faults") {
             Some(path) => {
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("failed to read fault schedule {path}: {e}");
-                        return Err(ExitCode::FAILURE);
-                    }
-                };
-                match FaultSchedule::from_json(&text) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("invalid fault schedule {path}: {e}");
-                        return Err(ExitCode::FAILURE);
-                    }
-                }
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| fail(format!("failed to read fault schedule {path}: {e}")))?;
+                FaultSchedule::from_json(&text)
+                    .map_err(|e| fail(format!("invalid fault schedule {path}: {e}")))?
             }
             None => FaultSchedule::default(),
         };
-        cfg.system(seed, schedule)
+        cfg.system(args.get("seed").unwrap_or(7), schedule)
     };
-    apply_threads(&mut system, &flags)?;
     let end = SimTime::from_hours(hours);
+    // A resumed run that ends at or before the checkpoint's time would
+    // simulate nothing and print a row for a time it never reached.
+    if end <= system.now() {
+        let at = system.now().as_hours_f64();
+        args.refuse(&format!(
+            "--hours must be past the checkpoint's {at} h, got {hours}"
+        ));
+    }
     // The loop below writes only before `end`: a cadence that first falls
     // at or past it would write nothing, silently.
-    let ckpt_every: u64 = get(&flags, "checkpoint-every", 0)?;
     let left = end.since(system.now());
     if ckpt_every > 0 && SimDuration::from_hours(1).saturating_mul(ckpt_every) >= left {
         let left_hours = left.as_secs_f64() / 3600.0;
-        return Err(usage_error(&format!(
+        args.refuse(&format!(
             "--checkpoint-every must be less than the {left_hours} h left to run, got {ckpt_every}"
-        )));
+        ));
     }
-    if let Some(path) = flags.get("resume") {
+    if threads > 0 {
+        system.set_threads(threads);
+    }
+    if let Some(path) = resume {
         eprintln!("resumed from {path} at {}", system.now());
     }
-    apply_guard(&mut system, &flags)?;
+    apply_guard(&mut system, args)?;
     let sample = SimDuration::from_hours((hours / 12).max(1));
     let mut series = TimeSeries::new("accuracy");
     if ckpt_every == 0 {
@@ -424,10 +323,7 @@ fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
         // Observe hourly so both the sampling cadence and the checkpoint
         // cadence land on exact hour marks; failures inside the closure
         // are carried out and reported after the run.
-        let dir = flags
-            .get("checkpoint-dir")
-            .cloned()
-            .unwrap_or_else(|| ".".to_string());
+        let dir = args.value("checkpoint-dir").unwrap_or(".");
         let mut next_series = system.now();
         let mut next_ckpt = system.now() + SimDuration::from_hours(ckpt_every);
         let mut save_error: Option<String> = None;
@@ -439,7 +335,7 @@ fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
             if now >= next_ckpt && now < end && save_error.is_none() {
                 next_ckpt = now + SimDuration::from_hours(ckpt_every);
                 let hours_mark = now.as_millis() / 3_600_000;
-                let path = Path::new(&dir).join(format!("ckpt-{hours_mark}h.ckpt"));
+                let path = Path::new(dir).join(format!("ckpt-{hours_mark}h.ckpt"));
                 match sys.checkpoint().save(&path) {
                     Ok(()) => eprintln!("checkpoint written to {}", path.display()),
                     Err(e) => save_error = Some(format!("{}: {e}", path.display())),
@@ -447,8 +343,7 @@ fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
             }
         });
         if let Some(msg) = save_error {
-            eprintln!("failed to write checkpoint {msg}");
-            return Err(ExitCode::FAILURE);
+            return Err(fail(format!("failed to write checkpoint {msg}")));
         }
     }
     println!("fraction of nodes ranking M1 > M2 > M3:");
@@ -462,63 +357,24 @@ fn cmd_run(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
         "{}",
         ModeratorBoard::from_ballot(system.votes().ballot(observer), 5)
     );
-    dump_telemetry(&system, &flags)
+    dump_telemetry(&system, args)
 }
 
 fn load_ckpt(path: &str) -> Result<Checkpoint, ExitCode> {
-    Checkpoint::load(Path::new(path)).map_err(|e| {
-        eprintln!("failed to load checkpoint {path}: {e}");
-        ExitCode::FAILURE
-    })
+    Checkpoint::load(Path::new(path))
+        .map_err(|e| fail(format!("failed to load checkpoint {path}: {e}")))
 }
 
 /// `rvs ckpt inspect FILE` / `rvs ckpt diff A B` / `rvs ckpt regen [--dir D]`.
 fn cmd_ckpt(rest: &[String]) -> Result<(), ExitCode> {
-    match rest.first().map(String::as_str) {
-        Some("inspect") => {
-            let [_, path] = rest else {
-                return Err(usage_error("usage: rvs ckpt inspect FILE"));
-            };
-            let ckpt = load_ckpt(path)?;
-            let info = match ckpt.peek_info() {
-                Ok(info) => info,
-                Err(e) => {
-                    eprintln!("cannot read checkpoint header of {path}: {e}");
-                    return Err(ExitCode::FAILURE);
-                }
-            };
-            println!("{info}");
-            if info.version != FORMAT_VERSION {
-                println!(
-                    "note: this build restores version {FORMAT_VERSION} only; \
-                     the file cannot be resumed here"
-                );
-                return Ok(());
-            }
-            // Where the bytes are; the header and identity prefix in front
-            // of the first section are in no line.
-            match ckpt.sections() {
-                Ok(sections) => {
-                    println!("sections (bytes, share of the file):");
-                    for (name, range) in sections {
-                        let share = 100.0 * range.len() as f64 / info.bytes as f64;
-                        println!("  {name:<12}{:>12} {share:>6.1} %", range.len());
-                    }
-                    Ok(())
-                }
-                Err(e) => {
-                    eprintln!("cannot index the sections of {path}: {e}");
-                    Err(ExitCode::FAILURE)
-                }
-            }
-        }
-        Some("diff") => {
-            if let Some(flag) = rest.iter().find(|arg| arg.starts_with("--")) {
-                return Err(usage_error(&format!("unknown flag `{flag}`")));
-            }
-            let [_, a, b] = rest else {
-                return Err(usage_error("usage: rvs ckpt diff A B"));
-            };
+    let (sub, rest) = rest
+        .split_first()
+        .unwrap_or_else(|| cli::refuse(USAGE, "missing ckpt command: inspect, diff or regen"));
+    match sub.as_str() {
+        "inspect" => ckpt_inspect(cli::accept(rest, &["FILE"], USAGE).operand(0)),
+        "diff" => {
+            let args = cli::accept(rest, &["A", "B"], USAGE);
+            let (a, b) = (args.operand(0), args.operand(1));
             match first_divergence(&load_ckpt(a)?, &load_ckpt(b)?) {
                 None => {
                     println!("identical");
@@ -530,81 +386,99 @@ fn cmd_ckpt(rest: &[String]) -> Result<(), ExitCode> {
                 }
             }
         }
-        Some("regen") => {
-            let dir = parse_flags(&rest[1..], &["dir"])?
-                .remove("dir")
-                .unwrap_or_else(|| "tests/golden".to_string());
-            if let Err(e) = std::fs::create_dir_all(&dir) {
-                eprintln!("cannot create {dir}: {e}");
-                return Err(ExitCode::FAILURE);
-            }
-            let fig6 = GOLDEN_SEEDS.map(|seed| (golden_file_name(seed), golden_checkpoint(seed)));
-            let coverage = (
-                GOLDEN_COVERAGE.to_string(),
-                golden_coverage_system().checkpoint(),
-            );
-            for (name, ckpt) in fig6.into_iter().chain([coverage]) {
-                let path = Path::new(&dir).join(name);
-                if let Err(e) = ckpt.save(&path) {
-                    eprintln!("failed to write {}: {e}", path.display());
-                    return Err(ExitCode::FAILURE);
-                }
-                println!("wrote {}", path.display());
-            }
-            let results = Path::new(&dir).join("results");
-            if let Err(e) = std::fs::create_dir_all(&results) {
-                eprintln!("cannot create {}: {e}", results.display());
-                return Err(ExitCode::FAILURE);
-            }
-            for name in GOLDEN_RESULTS {
-                let path = results.join(format!("{name}.json"));
-                if let Err(e) = std::fs::write(&path, golden_result(name, 1)) {
-                    eprintln!("failed to write {}: {e}", path.display());
-                    return Err(ExitCode::FAILURE);
-                }
-                println!("wrote {}", path.display());
-            }
-            Ok(())
+        "regen" => {
+            let args = cli::accept(rest, &["--dir D"], USAGE);
+            ckpt_regen(Path::new(args.value("dir").unwrap_or("tests/golden")))
         }
-        _ => Err(usage_error(
-            "usage: rvs ckpt inspect FILE | rvs ckpt diff A B | rvs ckpt regen [--dir D]",
-        )),
+        other => cli::refuse(USAGE, &format!("unknown ckpt command `{other}`")),
     }
 }
 
-fn cmd_attack(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
-    let seed: u64 = get(&flags, "seed", 7)?;
-    flags.entry("peers".into()).or_insert_with(|| "40".into());
-    flags.entry("hours".into()).or_insert_with(|| "48".into());
-    let hours = get_hours(&flags, 48)?;
-    let core = get_at_least(&flags, "core", 10, 1)?;
-    let crowd = get_at_least(&flags, "crowd", 20, 1)?;
-    let trace = trace_cfg(&flags, 1)?;
-    if trace.n_peers <= core {
-        eprintln!("--core must be smaller than --peers");
-        return Err(ExitCode::FAILURE);
+fn ckpt_inspect(path: &str) -> Result<(), ExitCode> {
+    let ckpt = load_ckpt(path)?;
+    let info = ckpt
+        .peek_info()
+        .map_err(|e| fail(format!("cannot read checkpoint header of {path}: {e}")))?;
+    println!("{info}");
+    if info.version != FORMAT_VERSION {
+        println!(
+            "note: this build restores version {FORMAT_VERSION} only; \
+             the file cannot be resumed here"
+        );
+        return Ok(());
     }
-    let cfg = SpamAttackConfig {
-        trace,
-        protocol: ProtocolConfig {
-            experience_t_mib: get_t_mib(&flags)?,
-            ..ProtocolConfig::default()
-        },
-        core_size: core,
-        ..SpamAttackConfig::paper()
-    };
+    // Where the bytes are; the header and identity prefix in front of the
+    // first section are in no line.
+    let sections = ckpt
+        .sections()
+        .map_err(|e| fail(format!("cannot index the sections of {path}: {e}")))?;
+    println!("sections (bytes, share of the file):");
+    for (name, range) in sections {
+        let share = 100.0 * range.len() as f64 / info.bytes as f64;
+        println!("  {name:<12}{:>12} {share:>6.1} %", range.len());
+    }
+    Ok(())
+}
+
+fn ckpt_regen(dir: &Path) -> Result<(), ExitCode> {
+    let results = dir.join("results");
+    std::fs::create_dir_all(&results)
+        .map_err(|e| fail(format!("cannot create {}: {e}", results.display())))?;
+    let fig6 = GOLDEN_SEEDS.map(|seed| (golden_file_name(seed), golden_checkpoint(seed)));
+    let coverage = (
+        GOLDEN_COVERAGE.to_string(),
+        golden_coverage_system().checkpoint(),
+    );
+    for (name, ckpt) in fig6.into_iter().chain([coverage]) {
+        let path = dir.join(name);
+        ckpt.save(&path)
+            .map_err(|e| fail(format!("failed to write {}: {e}", path.display())))?;
+        println!("wrote {}", path.display());
+    }
+    for name in GOLDEN_RESULTS {
+        let path = results.join(format!("{name}.json"));
+        std::fs::write(&path, golden_result(name, 1))
+            .map_err(|e| fail(format!("failed to write {}: {e}", path.display())))?;
+        println!("wrote {}", path.display());
+    }
+    Ok(())
+}
+
+fn cmd_attack(args: &Args) -> Result<(), ExitCode> {
+    let seed = args.get("seed").unwrap_or(7);
+    let hours = args.hours().unwrap_or(48);
+    let core = args.at_least("core", 1).unwrap_or(10);
+    let crowd = args.at_least("crowd", 1).unwrap_or(20);
+    let trace = trace_cfg(args, 1, (40, hours));
+    let n_trace = trace.n_peers;
+    if n_trace <= core {
+        args.refuse(&format!(
+            "--core must be less than --peers ({n_trace}), got {core}"
+        ));
+    }
     // Byzantine adversaries: flooders are the highest-index trace peers
     // (the founder core occupies the low indices), the malformer mutates
     // guarded wire messages at the given per-mille rate. Either attack
     // needs the guard plane up to be observable, so arm the active
     // preset unless --guard picked a config explicitly.
-    let n_trace = cfg.trace.n_peers;
     let want = format!("at most --peers ({n_trace})");
-    let flood = get_in(&flags, "flood", 0, &want, |&f| f <= n_trace)?;
-    let flood_rate: u32 = get(&flags, "flood-rate", 12)?;
-    let malform: u32 = get_in(&flags, "malform", 0, "at most 1000", |&pm| pm <= 1000)?;
+    let flood = args.get_in("flood", &want, |&f| f <= n_trace).unwrap_or(0);
+    let flood_rate = args.get("flood-rate").unwrap_or(12);
+    let malform = args.within("malform", 0, 1000).unwrap_or(0);
+    let threads = threads(args);
+    let cfg = SpamAttackConfig {
+        trace,
+        protocol: ProtocolConfig {
+            experience_t_mib: t_mib(args),
+            ..ProtocolConfig::default()
+        },
+        core_size: core,
+        ..SpamAttackConfig::paper()
+    };
     let (mut system, spam) = cfg.system(seed, crowd, FaultSchedule::default());
-    apply_threads(&mut system, &flags)?;
+    if threads > 0 {
+        system.set_threads(threads);
+    }
     if flood > 0 {
         let members = (n_trace - flood..n_trace).map(NodeId::from_index);
         system.set_flooder(Flooder::new(members, flood_rate));
@@ -612,10 +486,10 @@ fn cmd_attack(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
     if malform > 0 {
         system.set_malformer(Malformer::new(malform));
     }
-    if (flood > 0 || malform > 0) && !flags.contains_key("guard") {
+    if (flood > 0 || malform > 0) && !args.has("guard") {
         system.set_guard_config(GuardConfig::active());
     }
-    apply_guard(&mut system, &flags)?;
+    apply_guard(&mut system, args)?;
     let mut series = TimeSeries::new(format!("crowd={crowd}/core={core}"));
     system.run_until(
         SimTime::from_hours(hours),
@@ -638,5 +512,5 @@ fn cmd_attack(mut flags: BTreeMap<String, String>) -> Result<(), ExitCode> {
             g.malformer_mutations,
         );
     }
-    dump_telemetry(&system, &flags)
+    dump_telemetry(&system, args)
 }

@@ -27,6 +27,7 @@
 //! * [`metrics`] — CEV, ordering accuracy, pollution, series statistics.
 //! * [`telemetry`] — per-protocol counters, mergeable snapshots, timers.
 //! * [`scenario`] — full-system wiring reproducing the paper's figures.
+//! * [`cli`] — the one command-line grammar of `rvs` and `rvs-bench`.
 //!
 //! ## Quickstart
 //!
@@ -45,6 +46,8 @@
 //! let final_accuracy = outcome.accuracy.last().expect("series non-empty");
 //! assert!(final_accuracy.value > 0.5, "most nodes should converge");
 //! ```
+
+pub mod cli;
 
 pub use rvs_attacks as attacks;
 pub use rvs_bartercast as bartercast;

@@ -1,11 +1,11 @@
 //! `rvs` rejects command-line mistakes instead of running something else:
 //! an unknown flag, an unparsable value and a flag missing its value each
-//! end in a one-line message plus the usage text on stderr and a non-zero
-//! exit, before any simulation starts.
+//! end in a one-line message plus the usage text on stderr and exit code 2,
+//! before any simulation starts.
 
 use std::process::Command;
 
-/// Run `rvs` with `args`; it must fail, print nothing on stdout, and say
+/// Run `rvs` with `args`; it must exit 2, print nothing on stdout, and say
 /// `complaint` on the first stderr line, followed by the usage text.
 fn assert_rejected(args: &[&str], complaint: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_rvs"))
@@ -13,7 +13,7 @@ fn assert_rejected(args: &[&str], complaint: &str) {
         .output()
         .expect("rvs runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "`rvs {args:?}` must exit non-zero");
+    assert_eq!(out.status.code(), Some(2), "`rvs {args:?}`: {out:?}");
     assert!(out.stdout.is_empty(), "`rvs {args:?}` ran: {out:?}");
     assert_eq!(stderr.lines().next(), Some(complaint), "stderr:\n{stderr}");
     assert!(stderr.contains("USAGE:"), "stderr:\n{stderr}");
@@ -31,6 +31,9 @@ fn removed_and_unknown_flags_are_rejected() {
     assert_rejected(&["trace", "--crowd", "5"], "unknown flag `--crowd`");
     assert_rejected(&["run", "peers", "12"], "unexpected argument `peers`");
     assert_rejected(&["ckpt", "regen", "--out", "x"], "unknown flag `--out`");
+    assert_rejected(&[], "missing command");
+    assert_rejected(&["simulate"], "unknown command `simulate`");
+    assert_rejected(&["ckpt", "show"], "unknown ckpt command `show`");
 }
 
 #[test]
@@ -66,6 +69,18 @@ fn an_hour_count_past_the_clock_is_rejected() {
         assert_rejected(
             &[cmd, "--hours", hours],
             &format!("--hours must be at most {max}, got {hours}"),
+        );
+        // A run of no hours simulates nothing; it used to exit 0 all the
+        // same.
+        assert_rejected(&[cmd, "--hours", "0"], "--hours must be at least 1, got 0");
+    }
+    // A resumed run must end past the checkpoint's time, 2 h: `--hours 1`
+    // used to print an accuracy row labelled 1.0 for the state at 2 h.
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig6-seed1.ckpt");
+    for hours in ["1", "2"] {
+        assert_rejected(
+            &["run", "--resume", golden, "--hours", hours],
+            &format!("--hours must be past the checkpoint's 2 h, got {hours}"),
         );
     }
 }
@@ -119,6 +134,12 @@ fn parsable_but_impossible_values_are_rejected() {
             "--threads must be at most 64, got 65",
         );
     }
+    // A core as large as the population leaves no one to join it; this
+    // used to exit 1 without the usage text.
+    assert_rejected(
+        &["attack", "--peers", "12", "--core", "12"],
+        "--core must be less than --peers (12), got 12",
+    );
     // More flooders than trace peers used to make every peer, the core
     // included, a flooder.
     assert_rejected(
@@ -259,23 +280,23 @@ fn ckpt_diff_names_the_first_differing_section() {
             .output()
             .expect("rvs runs");
         (
-            out.status.success(),
+            out.status.code(),
             String::from_utf8_lossy(&out.stdout).into_owned(),
         )
     };
-    assert_eq!(diff(&golden), (true, "identical\n".to_string()));
+    assert_eq!(diff(&golden), (Some(0), "identical\n".to_string()));
     // Configuration, cast and trace are the same run's; the BitTorrent
     // substrate is the first section an extra hour changes.
-    let (same, report) = diff(&later);
-    assert!(!same, "differing files must exit non-zero");
+    let (code, report) = diff(&later);
+    assert_eq!(code, Some(1), "differing files must exit 1");
     assert!(report.contains("simulated time : 002:00:00  vs  003:00:00"));
     assert!(report.contains("first differing section: `net`"));
 
     // A file this build cannot restore has no section index; the report
     // falls back to the header fields and the first differing byte.
     let legacy = golden.with_file_name("legacy/fig6-seed1.v3.ckpt");
-    let (same, report) = diff(&legacy);
-    assert!(!same);
+    let (code, report) = diff(&legacy);
+    assert_eq!(code, Some(1));
     let versions = format!("format version : {}  vs  3", rvs_checkpoint::FORMAT_VERSION);
     assert!(report.contains(&versions), "{report}");
     assert!(
@@ -287,7 +308,7 @@ fn ckpt_diff_names_the_first_differing_section() {
         &["ckpt", "diff", "--json", "a", "b"],
         "unknown flag `--json`",
     );
-    assert_rejected(&["ckpt", "diff", "a"], "usage: rvs ckpt diff A B");
+    assert_rejected(&["ckpt", "diff", "a"], "missing argument `B`");
 }
 
 #[test]
