@@ -11,14 +11,14 @@
 //! * [`Persist`] — the trait each stateful type implements *in the owning
 //!   crate*, next to the private fields it serializes. A type whose
 //!   encoding is its fields in a fixed order states that order once, with
-//!   [`persist_struct!`] (or [`persist_enum!`] for a field-less enum): the
+//!   [`persist_struct!`] (or [`persist_enum!`] for an enum): the
 //!   one list expands to both `persist` and `restore`, so the halves
 //!   cannot disagree, and the compiler rejects a list that forgets,
 //!   misspells or repeats a field. Each field's wire width follows its
 //!   declared type; the committed golden checkpoints pin those widths.
 //!   Only a type whose halves genuinely differ implements the trait by
-//!   hand — a `restore` that validates what it read, an enum with
-//!   payloads, an encoder that first sorts into canonical order — and a
+//!   hand — a `restore` that validates what it read, an encoder that
+//!   first sorts into canonical order — and a
 //!   resume differential over a state that holds the type is what checks
 //!   it (DESIGN.md §12 names one per impl).
 //! * [`Encoder`] / [`Decoder`] — little-endian primitive codecs with
@@ -157,9 +157,12 @@ macro_rules! persist_struct {
     };
 }
 
-/// Implement [`Persist`] for a field-less enum as one `u8` discriminant,
-/// from one `Variant = byte` table. An unlisted variant does not compile;
-/// an unlisted byte restores as [`DecodeError::Corrupt`].
+/// Implement [`Persist`] for an enum from one `Variant = byte` table: a
+/// `u8` discriminant, then the variant's fields in declaration order. A
+/// variant with fields lists them as its pattern does — `Named { a, b }`
+/// by field name, `Tuple(x, y)` with one binding per field. An unlisted
+/// variant or field does not compile; an unlisted byte restores as
+/// [`DecodeError::Corrupt`].
 ///
 /// ```
 /// #[derive(Debug, PartialEq)]
@@ -169,18 +172,43 @@ macro_rules! persist_struct {
 /// assert_eq!(rvs_checkpoint::to_bytes(&Role::Seeder), [1]);
 /// assert_eq!(rvs_checkpoint::from_bytes::<Role>(&[0]), Ok(Role::Leecher));
 /// assert!(rvs_checkpoint::from_bytes::<Role>(&[2]).is_err());
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Event { Tick, Move { to: u32, hops: u8 }, Crash(u32) }
+/// rvs_checkpoint::persist_enum!(Event { Tick = 0, Move { to, hops } = 1, Crash(node) = 2 });
+///
+/// let moved = Event::Move { to: 7, hops: 2 };
+/// assert_eq!(rvs_checkpoint::to_bytes(&moved), [1, 7, 0, 0, 0, 2]);
+/// assert_eq!(rvs_checkpoint::from_bytes::<Event>(&[2, 9, 0, 0, 0]), Ok(Event::Crash(9)));
+/// ```
+///
+/// ```compile_fail
+/// enum Event { Move { to: u32, hops: u8 } }
+/// rvs_checkpoint::persist_enum!(Event { Move { to } = 0 });
 /// ```
 #[macro_export]
 macro_rules! persist_enum {
-    ($ty:ident { $($variant:ident = $byte:literal),+ $(,)? }) => {
+    ($ty:ident { $(
+        $variant:ident $( ( $($tf:ident),+ $(,)? ) )? $( { $($nf:ident),+ $(,)? } )? = $byte:literal
+    ),+ $(,)? }) => {
         impl $crate::Persist for $ty {
             fn persist(&self, enc: &mut $crate::Encoder) {
-                enc.u8(match self { $( $ty::$variant => $byte, )+ });
+                match self {
+                    $( $ty::$variant $( ( $($tf),+ ) )? $( { $($nf),+ } )? => {
+                        enc.u8($byte);
+                        $( $( $crate::Persist::persist($tf, enc); )+ )?
+                        $( $( $crate::Persist::persist($nf, enc); )+ )?
+                    } )+
+                }
             }
 
             fn restore(dec: &mut $crate::Decoder<'_>) -> Result<Self, $crate::DecodeError> {
                 match dec.u8()? {
-                    $( $byte => Ok($ty::$variant), )+
+                    $( $byte => {
+                        $( $( let $tf = $crate::Persist::restore(dec)?; )+ )?
+                        $( $( let $nf = $crate::Persist::restore(dec)?; )+ )?
+                        Ok($ty::$variant $( ( $($tf),+ ) )? $( { $($nf),+ } )?)
+                    } )+
                     d => Err($crate::DecodeError::Corrupt(format!(
                         concat!("invalid ", stringify!($ty), " discriminant {}"),
                         d

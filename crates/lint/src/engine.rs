@@ -1,7 +1,7 @@
 //! Workspace walker: applies every rule to every lintable source file.
 
 use crate::report::{Finding, Report};
-use crate::{rules, xcheck};
+use crate::rules;
 use std::path::{Path, PathBuf};
 
 /// Directories (workspace-relative) whose `.rs` files are linted. The
@@ -54,8 +54,8 @@ pub fn lintable_files(root: &Path) -> Vec<String> {
     files
 }
 
-/// Run the full rule set (token rules plus cross-checks) over the workspace
-/// rooted at `root`.
+/// Run the full rule set (token rules plus the metadata cross-check) over
+/// the workspace rooted at `root`.
 pub fn run(root: &Path) -> Report {
     let mut findings: Vec<Finding> = Vec::new();
     for rel in lintable_files(root) {
@@ -69,10 +69,7 @@ pub fn run(root: &Path) -> Report {
             )),
         }
     }
-    findings.extend(xcheck::telemetry_coverage(root));
-    findings.extend(xcheck::config_drift(root));
-    findings.extend(xcheck::threading_config(root));
-    findings.extend(xcheck::stale_metadata(root));
+    findings.extend(rules::stale_metadata(root));
     findings.sort_by(|a, b| {
         (&a.file, a.line, &a.rule, &a.message).cmp(&(&b.file, b.line, &b.rule, &b.message))
     });

@@ -30,8 +30,8 @@ fn main() -> ExitCode {
             "--deny-findings" => deny = true,
             "--help" | "-h" => {
                 println!(
-                    "rvs-lint: static analysis for determinism, panic-surface, telemetry and \
-                     config-drift invariants\n\n\
+                    "rvs-lint: static analysis for determinism, panic-surface and suppression \
+                     invariants\n\n\
                      USAGE: rvs-lint [--workspace-root PATH] [--json] [--deny-findings]\n\n\
                      Token rules: {}\n\
                      Cross-checks: {}\n\

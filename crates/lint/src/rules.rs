@@ -8,6 +8,7 @@
 
 use crate::lexer::{self, Annotation};
 use crate::report::Finding;
+use std::path::Path;
 
 /// Crates holding protocol logic whose runs must be bit-reproducible. The
 /// determinism and panic-surface rules are strictest here.
@@ -128,12 +129,48 @@ pub const TOKEN_RULES: &[TokenRule] = &[
 ];
 
 /// Rule ids that exist only as cross-file checks (valid in annotations).
-pub const CROSS_CHECK_RULES: &[&str] = &[
-    "telemetry-coverage",
-    "config-drift",
-    "threading-config",
-    "stale-metadata",
-];
+pub const CROSS_CHECK_RULES: &[&str] = &["stale-metadata"];
+
+/// **stale-metadata**: the lint's own path/crate lists must track the tree.
+/// An `exempt_paths` entry or a [`PROTOCOL_CRATES`] member naming something
+/// that no longer exists is a silently widened (or silently vanished) audit
+/// surface: the exemption outlives the code it excused, and the next file
+/// created at that path inherits it unreviewed.
+pub fn stale_metadata(root: &Path) -> Vec<Finding> {
+    const SELF: &str = "crates/lint/src/rules.rs";
+    let mut findings = Vec::new();
+    for rule in TOKEN_RULES {
+        for entry in rule.exempt_paths {
+            if !root.join(entry).is_file() {
+                findings.push(Finding::new(
+                    "stale-metadata",
+                    SELF,
+                    0,
+                    format!(
+                        "rule `{}` exempt_paths entry `{entry}` does not exist on disk — a stale \
+                         exemption would be inherited unreviewed by whatever is created there \
+                         next; update the list",
+                        rule.id
+                    ),
+                ));
+            }
+        }
+    }
+    for krate in PROTOCOL_CRATES {
+        if !root.join("crates").join(krate).is_dir() {
+            findings.push(Finding::new(
+                "stale-metadata",
+                SELF,
+                0,
+                format!(
+                    "PROTOCOL_CRATES member `{krate}` has no `crates/{krate}/` directory — the \
+                     strictest rule scope silently covers nothing for it; update the list"
+                ),
+            ));
+        }
+    }
+    findings
+}
 
 /// Is `rule` a known rule id (token or cross-check)?
 pub fn known_rule(rule: &str) -> bool {
@@ -373,6 +410,20 @@ mod tests {
         let f = check_source("crates/core/src/x.rs", src);
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f.iter().all(|x| x.justification.is_some()));
+    }
+
+    #[test]
+    fn stale_metadata_flags_missing_paths() {
+        // A root that holds none of the declared paths: every metadata
+        // entry must be reported stale.
+        let findings = stale_metadata(Path::new("/nonexistent/rvs-lint-stale-metadata"));
+        let exempt_count: usize = TOKEN_RULES.iter().map(|r| r.exempt_paths.len()).sum();
+        assert_eq!(
+            findings.len(),
+            exempt_count + PROTOCOL_CRATES.len(),
+            "{findings:?}"
+        );
+        assert!(findings.iter().all(|f| f.rule == "stale-metadata"));
     }
 
     #[test]

@@ -64,32 +64,7 @@ impl Pss {
     }
 }
 
-/// Stable binary encoding: a `u8` discriminant (0 = Oracle, 1 = Newscast)
-/// followed by the wrapped sampler's state.
-impl rvs_checkpoint::Persist for Pss {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        match self {
-            Pss::Oracle(o) => {
-                enc.u8(0);
-                o.persist(enc);
-            }
-            Pss::Newscast(n) => {
-                enc.u8(1);
-                n.persist(enc);
-            }
-        }
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        match dec.u8()? {
-            0 => Ok(Pss::Oracle(OraclePss::restore(dec)?)),
-            1 => Ok(Pss::Newscast(NewscastPss::restore(dec)?)),
-            d => Err(rvs_checkpoint::DecodeError::Corrupt(format!(
-                "invalid Pss discriminant {d}"
-            ))),
-        }
-    }
-}
+rvs_checkpoint::persist_enum!(Pss { Oracle(o) = 0, Newscast(n) = 1 });
 
 /// The flash crowd `spec` casts: it occupies the ids after the `n_trace`
 /// trace peers, and its first member doubles as the spam moderator M0.

@@ -35,70 +35,13 @@ pub(super) enum FaultEvent {
     Crash(NodeId),
 }
 
-/// Stable binary encoding: a `u8` discriminant (0 = Deliver, 1 = Resend,
-/// 2 = PartitionStart, 3 = PartitionHeal, 4 = Crash) followed by the
-/// variant's fields in declaration order.
-impl rvs_checkpoint::Persist for FaultEvent {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        match *self {
-            FaultEvent::Deliver {
-                id,
-                from,
-                to,
-                attempt,
-                primary,
-            } => {
-                enc.u8(0);
-                enc.u64(id);
-                from.persist(enc);
-                to.persist(enc);
-                enc.u32(attempt);
-                enc.bool(primary);
-            }
-            FaultEvent::Resend { from, to, attempt } => {
-                enc.u8(1);
-                from.persist(enc);
-                to.persist(enc);
-                enc.u32(attempt);
-            }
-            FaultEvent::PartitionStart(idx) => {
-                enc.u8(2);
-                enc.usize(idx);
-            }
-            FaultEvent::PartitionHeal(idx) => {
-                enc.u8(3);
-                enc.usize(idx);
-            }
-            FaultEvent::Crash(node) => {
-                enc.u8(4);
-                node.persist(enc);
-            }
-        }
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        match dec.u8()? {
-            0 => Ok(FaultEvent::Deliver {
-                id: dec.u64()?,
-                from: NodeId::restore(dec)?,
-                to: NodeId::restore(dec)?,
-                attempt: dec.u32()?,
-                primary: dec.bool()?,
-            }),
-            1 => Ok(FaultEvent::Resend {
-                from: NodeId::restore(dec)?,
-                to: NodeId::restore(dec)?,
-                attempt: dec.u32()?,
-            }),
-            2 => Ok(FaultEvent::PartitionStart(dec.usize()?)),
-            3 => Ok(FaultEvent::PartitionHeal(dec.usize()?)),
-            4 => Ok(FaultEvent::Crash(NodeId::restore(dec)?)),
-            d => Err(rvs_checkpoint::DecodeError::Corrupt(format!(
-                "invalid FaultEvent discriminant {d}"
-            ))),
-        }
-    }
-}
+rvs_checkpoint::persist_enum!(FaultEvent {
+    Deliver { id, from, to, attempt, primary } = 0,
+    Resend { from, to, attempt } = 1,
+    PartitionStart(idx) = 2,
+    PartitionHeal(idx) = 3,
+    Crash(node) = 4,
+});
 
 /// The primary deliveries `events` holds: the in-flight term of the
 /// encounter conservation identity. (Duplicate copies are outside it.)

@@ -38,43 +38,85 @@ pub fn enabled() -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Counter blocks, one per protocol layer
+// Counter blocks, one per protocol layer, and the snapshot that holds them
 // ---------------------------------------------------------------------------
 
-macro_rules! counter_block {
-    (
+/// Declares every counter block and, from the same list, [`Snapshot`]: one
+/// slot per block in list order, then `phase_nanos`. A block cannot exist
+/// without its slot or its fold in `Snapshot::merge`, and `merge`
+/// destructures its operand with no `..`, so a field added to `Snapshot`
+/// does not compile until `merge` takes it (an unused binding is a warning,
+/// which CI's clippy denies).
+macro_rules! counters {
+    ($(
+        $(#[$slot_doc:meta])*
+        $slot:ident:
         $(#[$doc:meta])*
         pub struct $name:ident { $( $(#[$fdoc:meta])* pub $field:ident, )+ }
-    ) => {
-        $(#[$doc])*
+    )+) => {
+        $(
+            $(#[$doc])*
+            #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+            pub struct $name {
+                $( $(#[$fdoc])* pub $field: u64, )+
+            }
+
+            impl $name {
+                /// Field-wise saturating add of `other` into `self`.
+                pub fn merge_from(&mut self, other: &Self) {
+                    $( self.$field = self.$field.saturating_add(other.$field); )+
+                }
+
+                /// Sum of all fields (useful for "anything happened?" checks).
+                pub fn total(&self) -> u64 {
+                    0u64 $( .saturating_add(self.$field) )+
+                }
+            }
+
+            // Every counter, in declaration order: adding, removing or
+            // reordering fields is a checkpoint format change.
+            rvs_checkpoint::persist_struct!($name { $($field),+ });
+        )+
+
+        /// A point-in-time aggregate of every layer's counters plus phase timings.
+        ///
+        /// `merge` is field-wise saturating addition (and key-wise addition for
+        /// `phases`), so it is associative and commutative, with
+        /// `Snapshot::default()` as the identity — snapshots from parallel runs can
+        /// be folded in any order with identical results. Phase durations are stored
+        /// as integer nanoseconds for exactly that reason: floating-point addition
+        /// is not associative.
         #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-        pub struct $name {
-            $( $(#[$fdoc])* pub $field: u64, )+
+        pub struct Snapshot {
+            $( $(#[$slot_doc])* pub $slot: $name, )+
+            /// Wall-clock time per named phase, in nanoseconds.
+            pub phase_nanos: BTreeMap<String, u64>,
         }
 
-        impl $name {
-            /// Field-wise saturating add of `other` into `self`.
-            pub fn merge_from(&mut self, other: &Self) {
-                $( self.$field = self.$field.saturating_add(other.$field); )+
-            }
-
-            /// Sum of all fields (useful for "anything happened?" checks).
-            pub fn total(&self) -> u64 {
-                0u64 $( .saturating_add(self.$field) )+
+        impl Snapshot {
+            /// Fold `other` into `self` (field-wise saturating addition).
+            pub fn merge(&mut self, other: &Snapshot) {
+                let Snapshot { $($slot,)+ phase_nanos } = other;
+                $( self.$slot.merge_from($slot); )+
+                for (phase, nanos) in phase_nanos {
+                    let total = self.phase_nanos.entry(phase.clone()).or_insert(0);
+                    *total = total.saturating_add(*nanos);
+                }
             }
         }
-
-        // Every counter, in declaration order: adding, removing or
-        // reordering fields is a checkpoint format change.
-        rvs_checkpoint::persist_struct!($name { $($field),+ });
     };
 }
 
-counter_block! {
-    /// Encounter bookkeeping, owned by `scenario::System`. Conservation
-    /// invariant (checked by the `Auditor` consumer in `rvs-scenario`):
-    /// `attempted == delivered + dropped_no_sample + dropped_offline_target
-    ///  + dropped_self_target + dropped_message_loss`.
+counters! {
+    /// Encounter-layer counters.
+    encounters:
+    /// Encounter bookkeeping, owned by `scenario::System`. `attempted` is
+    /// conserved across this block, [`FaultCounters`] and [`GuardCounters`]:
+    /// every attempt is delivered, dropped for one of the four reasons here
+    /// or as `dropped_burst`, `partitioned`, `dropped_expired` or
+    /// `inbox_dropped`, or is still in flight. DESIGN.md states the
+    /// identity (§4, "Runtime invariant auditing"); the audit at the end of
+    /// `gossip_round` (`rvs-scenario`, `system/round.rs`) checks it.
     pub struct EncounterCounters {
         /// Gossip initiations by online nodes (one per node per round).
         pub attempted,
@@ -89,9 +131,9 @@ counter_block! {
         /// Encounter lost to the configured message-loss rate.
         pub dropped_message_loss,
     }
-}
 
-counter_block! {
+    /// ModerationCast counters.
+    moderation:
     /// ModerationCast traffic, owned by `modcast::ModerationCast`.
     pub struct ModerationCounters {
         /// Moderations sent out during exchanges (push direction).
@@ -105,9 +147,9 @@ counter_block! {
         /// Signature checks that failed (forged/corrupt moderations).
         pub signature_failures,
     }
-}
 
-counter_block! {
+    /// Vote-sampling counters.
+    votes:
     /// Vote-list handling and ballot-box maintenance, owned by
     /// `core::VoteSampling`.
     pub struct VoteCounters {
@@ -120,9 +162,9 @@ counter_block! {
         /// Ballot-box entries evicted to respect `B_max`.
         pub ballot_evictions,
     }
-}
 
-counter_block! {
+    /// VoxPopuli counters.
+    voxpopuli:
     /// VoxPopuli bootstrap traffic, owned by `core::VoteSampling`.
     pub struct VoxPopuliCounters {
         /// Top-k requests issued by bootstrapping nodes.
@@ -132,9 +174,9 @@ counter_block! {
         /// Requests declined because the responder was itself bootstrapping.
         pub declines_bootstrapping,
     }
-}
 
-counter_block! {
+    /// BarterCast counters.
+    barter:
     /// BarterCast / experience-function work, owned by
     /// `bartercast::BarterCast`.
     pub struct BarterCounters {
@@ -144,9 +186,9 @@ counter_block! {
         /// path): one per contribution query.
         pub maxflow_evaluations,
     }
-}
 
-counter_block! {
+    /// Peer-sampling-service counters.
+    pss:
     /// Peer-sampling-service activity, owned by `pss::NewscastPss`.
     pub struct PssCounters {
         /// View exchanges completed between two online nodes.
@@ -154,9 +196,9 @@ counter_block! {
         /// Gossip attempts that hit an offline partner (stale view entry).
         pub failed_contacts,
     }
-}
 
-counter_block! {
+    /// Fault-injection-plane counters.
+    faults:
     /// Fault-injection plane activity, owned by `faults::FaultPlane` (and,
     /// for the retry/crash counters, incremented by `scenario::System`).
     pub struct FaultCounters {
@@ -182,9 +224,9 @@ counter_block! {
         /// Crash-restart faults applied (volatile protocol state wiped).
         pub crash_restarts,
     }
-}
 
-counter_block! {
+    /// Byzantine guard-plane counters.
+    guard:
     /// Byzantine guard-plane activity, owned by `guard::Governor` (with
     /// the inbox and attack counters incremented by `scenario::System`).
     /// One `rejected_*` counter per `RejectReason` variant: every refused
@@ -290,53 +332,7 @@ impl rvs_checkpoint::Persist for SharedCounter {
 // Snapshot
 // ---------------------------------------------------------------------------
 
-/// A point-in-time aggregate of every layer's counters plus phase timings.
-///
-/// `merge` is field-wise saturating addition (and key-wise addition for
-/// `phases`), so it is associative and commutative, with
-/// `Snapshot::default()` as the identity — snapshots from parallel runs can
-/// be folded in any order with identical results. Phase durations are stored
-/// as integer nanoseconds for exactly that reason: floating-point addition
-/// is not associative.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Snapshot {
-    /// Encounter-layer counters.
-    pub encounters: EncounterCounters,
-    /// ModerationCast counters.
-    pub moderation: ModerationCounters,
-    /// Vote-sampling counters.
-    pub votes: VoteCounters,
-    /// VoxPopuli counters.
-    pub voxpopuli: VoxPopuliCounters,
-    /// BarterCast counters.
-    pub barter: BarterCounters,
-    /// Peer-sampling-service counters.
-    pub pss: PssCounters,
-    /// Fault-injection-plane counters.
-    pub faults: FaultCounters,
-    /// Byzantine guard-plane counters.
-    pub guard: GuardCounters,
-    /// Wall-clock time per named phase, in nanoseconds.
-    pub phase_nanos: BTreeMap<String, u64>,
-}
-
 impl Snapshot {
-    /// Fold `other` into `self` (field-wise saturating addition).
-    pub fn merge(&mut self, other: &Snapshot) {
-        self.encounters.merge_from(&other.encounters);
-        self.moderation.merge_from(&other.moderation);
-        self.votes.merge_from(&other.votes);
-        self.voxpopuli.merge_from(&other.voxpopuli);
-        self.barter.merge_from(&other.barter);
-        self.pss.merge_from(&other.pss);
-        self.faults.merge_from(&other.faults);
-        self.guard.merge_from(&other.guard);
-        for (phase, nanos) in &other.phase_nanos {
-            let slot = self.phase_nanos.entry(phase.clone()).or_insert(0);
-            *slot = slot.saturating_add(*nanos);
-        }
-    }
-
     /// `a.merged(b)` without mutating either operand.
     pub fn merged(&self, other: &Snapshot) -> Snapshot {
         let mut out = self.clone();
@@ -353,7 +349,12 @@ impl Snapshot {
         out
     }
 
-    /// Total encounter drops across all drop reasons.
+    /// The four drops the encounter block attributes. The conservation
+    /// identity also counts the fault plane's `dropped_burst`,
+    /// `partitioned` and `dropped_expired`, the guard's `inbox_dropped` and
+    /// the deliveries in flight: DESIGN.md §4, "Runtime invariant
+    /// auditing", and the audit at the end of `gossip_round`
+    /// (`rvs-scenario`, `system/round.rs`).
     pub fn total_dropped(&self) -> u64 {
         let e = &self.encounters;
         e.dropped_no_sample

@@ -7,76 +7,43 @@
 
 use proptest::prelude::*;
 use rvs_telemetry::Snapshot;
+use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 
-/// Deserialize a snapshot from 32 raw counter values (6 encounter + 5
-/// moderation + 4 vote + 3 voxpopuli + 2 barter + 2 pss + 10 fault) plus a
-/// phase map.
+/// `Snapshot::default()` as the serde value tree: one object per counter
+/// block, keyed by slot, holding one entry per counter.
+fn default_tree() -> Vec<(String, Value)> {
+    match Snapshot::default().to_value() {
+        Value::Object(slots) => slots,
+        other => panic!("a snapshot serializes as an object, not {other:?}"),
+    }
+}
+
+/// How many counters the snapshot's JSON carries, over every block.
+fn counter_count() -> usize {
+    default_tree()
+        .iter()
+        .filter_map(|(_, block)| block.as_object())
+        .map(<[_]>::len)
+        .sum()
+}
+
+/// A snapshot whose every counter is set, in JSON order, from `vals`
+/// (exactly [`counter_count`] of them), plus a phase map. The counters are
+/// addressed through the snapshot's own JSON, so a new block or counter is
+/// generated without editing this function.
 fn snapshot_from(vals: &[u64], phases: BTreeMap<u8, u64>) -> Snapshot {
-    assert_eq!(vals.len(), 32);
-    let mut s = Snapshot::default();
-    let e = &mut s.encounters;
-    [
-        &mut e.attempted,
-        &mut e.delivered,
-        &mut e.dropped_no_sample,
-        &mut e.dropped_offline_target,
-        &mut e.dropped_self_target,
-        &mut e.dropped_message_loss,
-    ]
-    .into_iter()
-    .zip(&vals[0..6])
-    .for_each(|(slot, &v)| *slot = v);
-    let m = &mut s.moderation;
-    [
-        &mut m.pushed,
-        &mut m.pulled,
-        &mut m.rejected_by_gate,
-        &mut m.signature_verifies,
-        &mut m.signature_failures,
-    ]
-    .into_iter()
-    .zip(&vals[6..11])
-    .for_each(|(slot, &v)| *slot = v);
-    let v4 = &mut s.votes;
-    [
-        &mut v4.lists_accepted,
-        &mut v4.lists_rejected_inexperienced,
-        &mut v4.votes_merged,
-        &mut v4.ballot_evictions,
-    ]
-    .into_iter()
-    .zip(&vals[11..15])
-    .for_each(|(slot, &v)| *slot = v);
-    let x = &mut s.voxpopuli;
-    [
-        &mut x.requests,
-        &mut x.responses,
-        &mut x.declines_bootstrapping,
-    ]
-    .into_iter()
-    .zip(&vals[15..18])
-    .for_each(|(slot, &v)| *slot = v);
-    s.barter.exchanges = vals[18];
-    s.barter.maxflow_evaluations = vals[19];
-    s.pss.exchanges = vals[20];
-    s.pss.failed_contacts = vals[21];
-    let f = &mut s.faults;
-    [
-        &mut f.delayed,
-        &mut f.reordered,
-        &mut f.duplicated,
-        &mut f.dedup_suppressed,
-        &mut f.dropped_burst,
-        &mut f.partitioned,
-        &mut f.dropped_expired,
-        &mut f.retries,
-        &mut f.backoff_gaveups,
-        &mut f.crash_restarts,
-    ]
-    .into_iter()
-    .zip(&vals[22..32])
-    .for_each(|(slot, &v)| *slot = v);
+    let mut vals = vals.iter();
+    let mut tree = default_tree();
+    for (_, block) in &mut tree {
+        if let Value::Object(counters) = block {
+            for (_, v) in counters {
+                *v = Value::UInt(*vals.next().expect("one value per counter"));
+            }
+        }
+    }
+    assert!(vals.next().is_none(), "more values than counters");
+    let mut s = Snapshot::from_value(&Value::Object(tree)).expect("a snapshot's own shape");
     for (k, nanos) in phases {
         s.phase_nanos.insert(format!("phase{k}"), nanos);
     }
@@ -84,11 +51,31 @@ fn snapshot_from(vals: &[u64], phases: BTreeMap<u8, u64>) -> Snapshot {
 }
 
 fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
+    let n = counter_count();
     (
-        prop::collection::vec(any::<u64>(), 32..33),
+        prop::collection::vec(any::<u64>(), n..n + 1),
         prop::collection::btree_map(0u8..5, any::<u64>(), 0..4),
     )
         .prop_map(|(vals, phases)| snapshot_from(&vals, phases))
+}
+
+/// The generator reaches every counter: values `1..=n` come back out of
+/// the snapshot's JSON in order, none left at zero.
+#[test]
+fn every_counter_is_generated() {
+    let n = counter_count();
+    let want: Vec<u64> = (1..=n as u64).collect();
+    let got: Vec<u64> = match snapshot_from(&want, BTreeMap::new()).to_value() {
+        Value::Object(slots) => slots
+            .iter()
+            .filter_map(|(_, block)| block.as_object())
+            .flatten()
+            .map(|(_, v)| v.as_u64().expect("a counter is a u64"))
+            .collect(),
+        other => panic!("a snapshot serializes as an object, not {other:?}"),
+    };
+    assert!(n > 0, "the snapshot's JSON holds no counters");
+    assert_eq!(got, want);
 }
 
 proptest! {
@@ -129,5 +116,6 @@ proptest! {
         prop_assert_eq!(c.barter, a.barter);
         prop_assert_eq!(c.pss, a.pss);
         prop_assert_eq!(c.faults, a.faults);
+        prop_assert_eq!(c.guard, a.guard);
     }
 }

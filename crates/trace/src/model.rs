@@ -79,33 +79,11 @@ impl SwarmSpec {
     }
 }
 
-/// Stable binary encoding: a `u8` discriminant (0 = Online, 1 = Offline,
-/// 2 = StartDownload followed by the swarm id).
-impl rvs_checkpoint::Persist for TraceEventKind {
-    fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
-        match self {
-            TraceEventKind::Online => enc.u8(0),
-            TraceEventKind::Offline => enc.u8(1),
-            TraceEventKind::StartDownload { swarm } => {
-                enc.u8(2);
-                swarm.persist(enc);
-            }
-        }
-    }
-
-    fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
-        match dec.u8()? {
-            0 => Ok(TraceEventKind::Online),
-            1 => Ok(TraceEventKind::Offline),
-            2 => Ok(TraceEventKind::StartDownload {
-                swarm: SwarmId::restore(dec)?,
-            }),
-            d => Err(rvs_checkpoint::DecodeError::Corrupt(format!(
-                "invalid TraceEventKind discriminant {d}"
-            ))),
-        }
-    }
-}
+rvs_checkpoint::persist_enum!(TraceEventKind {
+    Online = 0,
+    Offline = 1,
+    StartDownload { swarm } = 2,
+});
 
 rvs_checkpoint::persist_struct!(TraceEvent { time, peer, kind });
 

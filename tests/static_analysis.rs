@@ -1,9 +1,10 @@
 //! Tier-1 gate: the workspace must be `rvs-lint`-clean.
 //!
 //! Runs the same engine as `cargo run -p rvs-lint -- --workspace-root .
-//! --deny-findings`, so a determinism, panic-surface, suppression,
-//! telemetry-coverage or config-drift regression fails `cargo test`
-//! directly — no separate CI wiring required for local development.
+//! --deny-findings`, so a determinism, panic-surface, suppression or
+//! lint-metadata regression fails `cargo test` directly — no separate CI
+//! wiring required for local development. That DESIGN.md names every
+//! counter, config field and threading knob is `tests/design_reference.rs`.
 
 use std::path::Path;
 
@@ -58,7 +59,7 @@ fn gate_detects_unused_suppressions() {
 #[test]
 fn lint_metadata_is_not_stale() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let findings = rvs_lint::xcheck::stale_metadata(root);
+    let findings = rvs_lint::rules::stale_metadata(root);
     assert!(findings.is_empty(), "stale lint metadata: {findings:?}");
 }
 
