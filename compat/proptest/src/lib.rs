@@ -10,6 +10,12 @@
 //! generated inputs so it can be reproduced (generation is fully deterministic
 //! — seeds derive from the test's module path, name, and case index, so runs
 //! are stable across processes and thread counts).
+// The workspace's clippy.toml bans environment reads (DESIGN.md §9); this
+// shim mirrors proptest, which reads `PROPTEST_CASES`.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "PROPTEST_CASES sets how many cases run, never what a case does"
+)]
 
 pub mod strategy;
 

@@ -103,7 +103,10 @@ pub struct CredenceOutcome {
 /// `votes_per_voter` random objects each), `malicious_fraction` voters
 /// vote inversely to promote spam, and honest voters err (flip their
 /// vote) with probability `honest_error`.
-#[allow(clippy::too_many_arguments)] // an experiment entry point: each knob is a sweep axis
+#[expect(
+    clippy::too_many_arguments,
+    reason = "an experiment entry point: each knob is a sweep axis"
+)]
 pub fn simulate_credence(
     n: usize,
     objects: u32,

@@ -32,6 +32,17 @@
 //!   discussion (§VII), of the threshold experience function
 //!   `E_i(j) ⇔ f_{j→i} ≥ T`.
 
+// DESIGN.md §9, `panic-surface`: this crate handles adversarial input, so
+// outside tests a malformed message or an edge case degrades, never aborts.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod experience;
 pub mod graph;
 pub mod maxflow;

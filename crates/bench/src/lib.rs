@@ -1,5 +1,4 @@
 //! Shared plumbing for the figure/table regeneration binaries.
-// rvs-lint: allow-file(wall-clock) -- bench harness: human-facing wall-clock reporting; never part of simulated protocol state
 //!
 //! Every binary accepts `--quick` to run a scaled-down configuration
 //! (minutes → seconds) and prints the same rows/series the paper reports,
@@ -9,6 +8,11 @@
 //! with exit 2, the complaint on the first stderr line, the usage text
 //! under it and nothing simulated. Paper-vs-measured comparisons are
 //! recorded in `EXPERIMENTS.md`.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "bench harness: human-facing wall-clock reporting; never part of simulated \
+              protocol state"
+)]
 
 use robust_vote_sampling::cli::{self, Args};
 use std::time::Instant;

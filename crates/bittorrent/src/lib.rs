@@ -20,6 +20,17 @@
 //! and all randomness (optimistic unchoke, tie-breaks) comes from the
 //! caller-supplied [`rvs_sim::DetRng`].
 
+// DESIGN.md §9, `panic-surface`: this crate handles adversarial input, so
+// outside tests a malformed message or an edge case degrades, never aborts.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod bitfield;
 pub mod choke;
 pub mod ledger;

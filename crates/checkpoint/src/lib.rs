@@ -34,7 +34,7 @@
 //!   windows are written with them (DESIGN.md §12). No `Persist` impl in
 //!   this crate uses either.
 //! * [`DecodeError`] — decoding adversarial or damaged bytes must *never*
-//!   panic (this crate is covered by rvs-lint's panic-surface rule); every
+//!   panic (this crate's root denies the panic lints, DESIGN.md §9); every
 //!   failure mode is a typed error. Memory a restore builds beyond what
 //!   it reads is [allotted](Decoder::allot) from an allowance tied to the
 //!   input's length, so forged lengths cannot make it exhaust memory.
@@ -44,6 +44,17 @@
 //! implementation's field order or meaning MUST bump [`FORMAT_VERSION`]
 //! and document the bump in DESIGN.md §12 (a CI cross-check enforces the
 //! documentation half).
+
+// DESIGN.md §9, `panic-surface`: this crate handles adversarial input, so
+// outside tests a malformed message or an edge case degrades, never aborts.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;

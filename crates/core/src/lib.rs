@@ -21,6 +21,17 @@
 //! the population-wide protocol of Fig 3, parameterised by the experience
 //! function so honest and adversarial encounters run the same code.
 
+// DESIGN.md §9, `panic-surface`: this crate handles adversarial input, so
+// outside tests a malformed message or an edge case degrades, never aborts.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod ballot;
 pub mod board;
 pub mod protocol;

@@ -21,6 +21,17 @@
 //! * [`Backoff`] — capped exponential backoff state for protocol retries
 //!   (VoxPopuli bootstrap requests, encounter resends).
 
+// DESIGN.md §9, `panic-surface`: this crate handles adversarial input, so
+// outside tests a malformed message or an edge case degrades, never aborts.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 mod config;
 mod plane;
 mod retry;

@@ -28,6 +28,17 @@
 //! clock beyond the [`rvs_sim::SimTime`] it is handed — so the scenario
 //! engine stays byte-identical across thread counts and resume points.
 
+// DESIGN.md §9, `panic-surface`: this crate handles adversarial input, so
+// outside tests a malformed message or an edge case degrades, never aborts.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod config;
 pub mod governor;
 pub mod reason;

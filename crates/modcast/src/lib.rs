@@ -19,6 +19,17 @@
 //!   and vote-aware `Merge()`;
 //! * [`protocol`] — the network-wide gossip state machine.
 
+// DESIGN.md §9, `panic-surface`: this crate handles adversarial input, so
+// outside tests a malformed message or an edge case degrades, never aborts.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod db;
 pub mod moderation;
 pub mod protocol;

@@ -16,6 +16,17 @@
 //!   may occasionally return peers that have just gone offline, exactly as
 //!   in a deployed system.
 
+// DESIGN.md §9, `panic-surface`: this crate handles adversarial input, so
+// outside tests a malformed message or an edge case degrades, never aborts.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod newscast;
 pub mod oracle;
 pub mod validate;

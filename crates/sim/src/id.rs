@@ -70,7 +70,11 @@ pub type ModeratorId = NodeId;
 #[cfg(test)]
 mod tests {
     use super::*;
-    // rvs-lint: allow(hash-container) -- this test exists to prove NodeId implements Hash; only set cardinality is asserted, never iteration order
+    #[expect(
+        clippy::disallowed_types,
+        reason = "this test exists to prove NodeId implements Hash; only set cardinality is \
+                  asserted, never iteration order"
+    )]
     use std::collections::HashSet;
 
     #[test]
@@ -89,7 +93,10 @@ mod tests {
 
     #[test]
     fn ids_are_hashable_and_ordered() {
-        // rvs-lint: allow(hash-container) -- asserts the Hash impl itself; cardinality-only use
+        #[expect(
+            clippy::disallowed_types,
+            reason = "asserts the Hash impl itself; cardinality-only use"
+        )]
         let mut set = HashSet::new();
         set.insert(NodeId(1));
         set.insert(NodeId(1));

@@ -17,6 +17,17 @@
 //! * **Speed** — a 7-day, 100-peer trace with piece-level swarms runs in
 //!   milliseconds, so 10-run averages and parameter sweeps stay interactive.
 
+// DESIGN.md §9, `panic-surface`: this crate handles adversarial input, so
+// outside tests a malformed message or an edge case degrades, never aborts.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod engine;
 pub mod event;
 pub mod id;

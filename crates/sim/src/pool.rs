@@ -1,8 +1,8 @@
 //! The sanctioned worker pool for deterministic parallel execution.
 //!
 //! Everything in this workspace that fans out across threads goes through
-//! this module — the lint gate's ambient-thread rule whitelists exactly this
-//! file. Two primitives are exposed:
+//! this module — its thread calls carry the workspace's only grants against
+//! clippy's `ambient-thread` bans (DESIGN.md §9). Two primitives are exposed:
 //!
 //! * [`Pool::submit`] — hand a batch of jobs to the workers and get a
 //!   [`Pending`] back at once; [`Pending::wait`] returns the results **in
@@ -86,6 +86,11 @@ impl Pool {
         }
         let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the pool's persistent workers: every fan-out goes through this pool, and \
+                      tests/parallel_differential.rs proves results are thread-count invariant"
+        )]
         let workers = (0..threads)
             .map(|_| {
                 let rx = Arc::clone(&rx);
@@ -187,6 +192,11 @@ where
     let threads = max_threads.max(1).min(n.max(1));
     let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = Mutex::new(0usize);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the pool's scoped fan-out of independent runs: each run is single-threaded, and \
+                  results come back in index order whatever the thread count"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
@@ -245,8 +255,12 @@ pub fn merge_canonical<K: Ord, T>(shards: Vec<Vec<(K, T)>>) -> Vec<(K, T)> {
 /// The thread count selected by the `RVS_THREADS` environment variable
 /// (the knob the CI matrix sweeps), defaulting to 1 — the serial engine —
 /// when unset or unparsable. Clamped to [1, 64].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "RVS_THREADS selects the worker count only; thread-count invariance is proven by \
+              tests/parallel_differential.rs, so this env read cannot change results"
+)]
 pub fn env_threads() -> usize {
-    // rvs-lint: allow(ambient-env) -- RVS_THREADS selects the worker count only; thread-count invariance is proven by tests/parallel_differential.rs, so this env read cannot change results
     std::env::var("RVS_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -255,6 +269,11 @@ pub fn env_threads() -> usize {
 }
 
 /// The host's available parallelism, for sizing multi-run fan-outs.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sizes a fan-out of independent runs only; the pool's results do not depend on the \
+              thread count"
+)]
 pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())

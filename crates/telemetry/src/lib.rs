@@ -400,12 +400,16 @@ impl PhaseTimer {
     }
 
     /// Begin timing `phase`, ending any phase currently in flight.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "phase timers are perf instrumentation, gated behind set_enabled and excluded \
+                  from deterministic comparisons via counters_only"
+    )]
     pub fn start(&mut self, phase: &str) {
         if !enabled() {
             return;
         }
         self.stop();
-        // rvs-lint: allow(wall-clock) -- phase timers are perf instrumentation, gated behind set_enabled and excluded from deterministic comparisons via counters_only
         self.current = Some((phase.to_string(), Instant::now()));
     }
 
@@ -423,7 +427,10 @@ impl PhaseTimer {
         if !enabled() {
             return f();
         }
-        // rvs-lint: allow(wall-clock) -- perf instrumentation only; never feeds protocol state or deterministic output
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "perf instrumentation only; never feeds protocol state or deterministic output"
+        )]
         let began = Instant::now();
         let out = f();
         let nanos = u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX);

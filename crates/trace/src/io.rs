@@ -110,7 +110,10 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        // rvs-lint: allow(ambient-env) -- test needs a scratch directory; only file contents are asserted
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test needs a scratch directory; only file contents are asserted"
+        )]
         let dir = std::env::temp_dir().join("rvs_trace_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.json");

@@ -7,7 +7,12 @@
 //! cargo run --release --example trace_tools [seed]
 //! ```
 
-// rvs-lint: allow-file(ambient-env) -- example binary: seed comes from argv and output goes to the OS temp dir; nothing feeds back into protocol state
+#![expect(
+    clippy::disallowed_methods,
+    reason = "example binary: seed comes from argv and output goes to the OS temp dir; nothing \
+              feeds back into protocol state"
+)]
+
 use robust_vote_sampling::trace::{io, TraceGenConfig, TraceStats};
 
 fn main() {

@@ -20,8 +20,11 @@ use std::str::FromStr;
 
 /// The process's arguments after the program name: the one read of the
 /// command line in `rvs` and in the `rvs-bench` binaries.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the command line, read once at a binary's entry point"
+)]
 pub fn argv() -> Vec<String> {
-    // rvs-lint: allow(ambient-env) -- the command line, read once at a binary's entry point
     std::env::args().skip(1).collect()
 }
 

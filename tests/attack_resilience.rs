@@ -1,7 +1,7 @@
 //! Integration tests of the security claims: who a flash crowd can and
 //! cannot poison, and how the system recovers.
 
-#[allow(dead_code)] // each suite uses only some of the shared fixtures
+#[expect(dead_code, reason = "each suite uses only some of the shared fixtures")]
 mod common;
 
 use common::assert_clean_audit;

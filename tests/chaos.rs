@@ -6,7 +6,7 @@
 //! delivery across an active partition, exact conservation) and still
 //! converge; the same seed must replay to byte-identical telemetry.
 
-#[allow(dead_code)] // each suite uses only some of the shared fixtures
+#[expect(dead_code, reason = "each suite uses only some of the shared fixtures")]
 mod common;
 
 use common::{assert_clean_audit, assert_conserved, fingerprint};

@@ -17,7 +17,7 @@
 //! dedicated cases restore on a *different* thread count than the run that
 //! wrote the checkpoint.
 
-#[allow(dead_code)] // each suite uses only some of the shared fixtures
+#[expect(dead_code, reason = "each suite uses only some of the shared fixtures")]
 mod common;
 
 use common::{build, fingerprint};
@@ -193,7 +193,11 @@ fn file_save_load_roundtrip_resumes_identically() {
     let reference = straight(peers, hours, seed, FaultSchedule::default());
     let (mut system, m) = build(peers, hours, seed, FaultSchedule::default());
     advance(&mut system, SimTime::from_hours(4));
-    // rvs-lint: allow(ambient-env) -- temp_dir placement cannot affect simulation behaviour; the checkpoint bytes are what is compared
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "temp_dir placement cannot affect simulation behaviour; the checkpoint bytes \
+                  are what is compared"
+    )]
     let dir = std::env::temp_dir();
     let path = dir.join(format!("rvs-ckpt-diff-{}-{seed}.ckpt", std::process::id()));
     system.checkpoint().save(&path).expect("save checkpoint");

@@ -1,7 +1,7 @@
 //! Failure injection: the protocols must degrade gracefully, not break,
 //! under lost encounters, gossip-PSS staleness, and network partitions.
 
-#[allow(dead_code)] // each suite uses only some of the shared fixtures
+#[expect(dead_code, reason = "each suite uses only some of the shared fixtures")]
 mod common;
 
 use common::assert_clean_audit;

@@ -1,6 +1,6 @@
 //! End-to-end integration: the full protocol stack on synthetic traces.
 
-#[allow(dead_code)] // each suite uses only some of the shared fixtures
+#[expect(dead_code, reason = "each suite uses only some of the shared fixtures")]
 mod common;
 
 use common::assert_clean_audit;

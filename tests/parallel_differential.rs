@@ -27,7 +27,7 @@
 //! incremented off the canonical path, a window that runs past a sample —
 //! shows up here as a byte diff.
 
-#[allow(dead_code)] // each suite uses only some of the shared fixtures
+#[expect(dead_code, reason = "each suite uses only some of the shared fixtures")]
 mod common;
 
 use common::fingerprint;

@@ -8,7 +8,7 @@
 //! Ignored by default for its length; run it with
 //! `cargo test --release --test soak -- --ignored`.
 
-#[allow(dead_code)] // each suite uses only some of the shared fixtures
+#[expect(dead_code, reason = "each suite uses only some of the shared fixtures")]
 mod common;
 
 use common::{assert_clean_audit, assert_conserved};

@@ -125,7 +125,6 @@ fn garbage_votes(rng: &mut DetRng) -> Vec<VoteEntry> {
 /// Run every gate over the given payloads; assert each verdict is
 /// reproducible (the gates are pure). Returning at all is the totality
 /// property — a panic fails the test.
-#[allow(clippy::type_complexity)]
 fn classify(
     registry: &KeyRegistry,
     reporter: NodeId,
