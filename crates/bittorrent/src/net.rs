@@ -18,28 +18,28 @@
 //! Swarms are mutually independent within a tick: each owns its RNG stream
 //! (forked from the net's base **keyed by swarm id**), its members, and its
 //! seed budgets. The only cross-swarm state is the global ledger — a
-//! commutative sum of per-swarm credits — and the time-ordered completion
-//! log. Two drivers exploit this:
+//! commutative sum of per-swarm credits. Two drivers exploit this:
 //!
 //! * [`BitTorrentNet::tick`] advances every swarm serially, in ascending
-//!   swarm order (the legacy immediate mode used by [`run_trace`]).
+//!   swarm order (the legacy immediate mode used by [`run_trace`]), and
+//!   returns the tick's completions.
 //! * [`BitTorrentNet::begin_window`] hands a whole span of ticks to a
 //!   [`Pool`], per swarm an isolated job, and returns at once with the
 //!   swarms out on the pool; [`BitTorrentNet::finish_window`] waits for
-//!   them, folds each swarm's list of credits into the ledger in ascending
-//!   swarm order and merges completions in canonical `(time, swarm)`
-//!   order. [`BitTorrentNet::advance_window`] is the two back to back.
+//!   them and folds each swarm's list of credits into the ledger in
+//!   ascending swarm order. [`BitTorrentNet::advance_window`] is the two
+//!   back to back.
 //!   Because every tick is a pure function of the swarm's own state, the
 //!   result is byte-identical to immediate mode for any window
 //!   partition and any thread count. Between the two halves the caller may
-//!   run anything that does not need the swarms: the ledger and the
-//!   completion log read as of the window's start until it is finished.
+//!   run anything that does not need the swarms: the ledger reads as of
+//!   the window's start until it is finished.
 //!
 //! [`run_trace`]: BitTorrentNet::run_trace
 
 use crate::ledger::{CreditSink, TransferLedger};
 use crate::swarm::{Completion, LinkProfile, MemberRole, SwarmSim};
-use rvs_sim::pool::{merge_canonical, Pending, Pool};
+use rvs_sim::pool::{Pending, Pool};
 use rvs_sim::{DetRng, NodeId, SimDuration, SimTime, SwarmId};
 use rvs_trace::{PeerProfile, Trace, TraceEvent, TraceEventKind};
 use std::collections::BTreeMap;
@@ -86,8 +86,8 @@ rvs_checkpoint::persist_struct!(SwarmRunner {
 type Credits = Vec<(NodeId, NodeId, u64)>;
 
 /// What one pool job hands back: its chunk of swarms and, per swarm, the
-/// credits and completions of the window.
-type ChunkResult = (Vec<SwarmRunner>, Vec<(Credits, Vec<Completion>)>);
+/// credits of the window.
+type ChunkResult = (Vec<SwarmRunner>, Vec<Credits>);
 
 /// A window of ticks out on the pool, from [`BitTorrentNet::begin_window`]
 /// until [`BitTorrentNet::finish_window`] puts its swarms back. While it is
@@ -189,7 +189,7 @@ impl SwarmRunner {
     /// Replay every tick in `[start, end_exclusive)` against this swarm:
     /// events are applied by the same `time <= tick` rule the immediate
     /// driver uses, transfers are booked into a list. Returns the credits
-    /// in arrival order and this swarm's completions (time-ordered).
+    /// in arrival order.
     fn advance_window(
         &mut self,
         start: SimTime,
@@ -198,11 +198,10 @@ impl SwarmRunner {
         events: &[TraceEvent],
         online0: &[bool],
         profiles: &[PeerProfile],
-    ) -> (Credits, Vec<Completion>) {
+    ) -> Credits {
         let mut online = online0.to_vec();
         let mut cursor = 0usize;
         let mut credits = Credits::new();
-        let mut completions = Vec::new();
         let mut now = start;
         while now < end_exclusive {
             while cursor < events.len() && events[cursor].time <= now {
@@ -216,10 +215,10 @@ impl SwarmRunner {
                 let link = link_of(profiles, ev.peer);
                 self.apply_event(&ev, now, link, online[ev.peer.index()]);
             }
-            completions.extend(self.advance_tick(now, dt, &online, profiles, &mut credits));
+            self.advance_tick(now, dt, &online, profiles, &mut credits);
             now += dt;
         }
-        (credits, completions)
+        credits
     }
 }
 
@@ -231,7 +230,6 @@ pub struct BitTorrentNet {
     swarms: Vec<SwarmRunner>,
     online: Vec<bool>,
     ledger: TransferLedger,
-    completions: Vec<Completion>,
 }
 
 impl BitTorrentNet {
@@ -254,7 +252,6 @@ impl BitTorrentNet {
                 .collect(),
             online: vec![false; trace.peers.len()],
             ledger: TransferLedger::new(),
-            completions: Vec::new(),
         }
     }
 
@@ -268,13 +265,23 @@ impl BitTorrentNet {
         self.online[peer.index()]
     }
 
-    /// True when the per-peer and per-swarm tables are sized for `trace` —
-    /// what a restored substrate must satisfy before trace events index it.
+    /// True when the per-peer and per-swarm tables are sized for `trace`
+    /// and every swarm member and seeding budget names one of its peers —
+    /// what a restored substrate must satisfy before trace events and
+    /// ticks index it.
     pub fn fits(&self, trace: &Trace) -> bool {
         let peers = trace.peer_count();
+        let names_a_peer = |runner: &SwarmRunner| {
+            let mut ids = runner
+                .sim
+                .members()
+                .chain(runner.seed_budget.keys().copied());
+            ids.all(|peer| peer.index() < peers)
+        };
         self.profiles.len() == peers
             && self.online.len() == peers
             && self.swarms.len() == trace.swarms.len()
+            && self.swarms.iter().all(names_a_peer)
     }
 
     /// Online flags for every trace peer, indexed by id.
@@ -294,11 +301,6 @@ impl BitTorrentNet {
     /// The global transfer ledger.
     pub fn ledger(&self) -> &TransferLedger {
         &self.ledger
-    }
-
-    /// Completions observed so far (time-ordered).
-    pub fn completions(&self) -> &[Completion] {
-        &self.completions
     }
 
     /// Access a swarm's simulation state.
@@ -335,20 +337,21 @@ impl BitTorrentNet {
     }
 
     /// Advance all swarms by one tick, applying seeding policies
-    /// (immediate mode, ascending swarm order).
-    pub fn tick(&mut self, now: SimTime) {
+    /// (immediate mode, ascending swarm order). Returns the tick's
+    /// completions in swarm order.
+    pub fn tick(&mut self, now: SimTime) -> Vec<Completion> {
         let dt = self.cfg.tick;
         let BitTorrentNet {
             swarms,
             profiles,
             online,
             ledger,
-            completions,
             ..
         } = self;
-        for runner in swarms.iter_mut() {
-            completions.extend(runner.advance_tick(now, dt, online, profiles, ledger));
-        }
+        swarms
+            .iter_mut()
+            .flat_map(|runner| runner.advance_tick(now, dt, online, profiles, ledger))
+            .collect()
     }
 
     /// Hand every tick in `[start, end_exclusive)` for all swarms to
@@ -358,9 +361,9 @@ impl BitTorrentNet {
     /// `events` must be exactly the trace events that become due in the
     /// window (they are replayed per tick with the same `time <= tick` rule
     /// as immediate mode); `online0` is the online snapshot from the end of
-    /// the previous window. One window at a time: the ledger, the
-    /// completion log and the online flags stay readable meanwhile, and
-    /// the window writes to none of them until it is finished.
+    /// the previous window. One window at a time: the ledger and the online
+    /// flags stay readable meanwhile, and the window writes to neither of
+    /// them until it is finished.
     pub fn begin_window(
         &mut self,
         start: SimTime,
@@ -392,7 +395,7 @@ impl BitTorrentNet {
                 jobs.push(Box::new(move || {
                     let mut chunk = chunk;
                     let (events, online0, profiles) = &*ctx;
-                    let booked: Vec<(Credits, Vec<Completion>)> = chunk
+                    let booked: Vec<Credits> = chunk
                         .iter_mut()
                         .map(|r| {
                             r.advance_window(start, end_exclusive, dt, events, online0, profiles)
@@ -408,30 +411,17 @@ impl BitTorrentNet {
         }
     }
 
-    /// Wait for `window`'s swarms, put them back and merge what they did in
-    /// canonical order: credits ascending by swarm id, completions by
-    /// `(time, swarm)`. Returns the first tick not yet simulated (the next
-    /// window's `start`).
+    /// Wait for `window`'s swarms, put them back and fold their credits
+    /// into the ledger ascending by swarm id. Returns the first tick not
+    /// yet simulated (the next window's `start`).
     pub fn finish_window(&mut self, window: Window) -> SimTime {
         // Results come back in job-submission order == ascending swarm id.
-        let mut keyed_completions: Vec<Vec<((SimTime, u32), Completion)>> = Vec::new();
         for (chunk, booked) in window.chunks.wait() {
-            for (runner, (mut credits, completions)) in chunk.into_iter().zip(booked) {
+            for (runner, mut credits) in chunk.into_iter().zip(booked) {
                 self.ledger.credit_window(&mut credits);
-                keyed_completions.push(
-                    completions
-                        .into_iter()
-                        .map(|c| ((c.time, c.swarm.index() as u32), c))
-                        .collect(),
-                );
                 self.swarms.push(runner);
             }
         }
-        self.completions.extend(
-            merge_canonical(keyed_completions)
-                .into_iter()
-                .map(|(_, c)| c),
-        );
         window.end
     }
 
@@ -489,8 +479,7 @@ rvs_checkpoint::persist_struct!(BitTorrentNet {
     profiles,
     swarms,
     online,
-    ledger,
-    completions
+    ledger
 });
 
 #[cfg(test)]
@@ -500,6 +489,24 @@ mod tests {
 
     fn quick_trace(seed: u64) -> Trace {
         TraceGenConfig::quick(15, SimDuration::from_days(1)).generate(seed)
+    }
+
+    /// [`BitTorrentNet::run_trace`]'s replay, keeping the completions each
+    /// tick returns.
+    fn replay(trace: &Trace, seed: u64) -> (BitTorrentNet, Vec<Completion>) {
+        let cfg = NetConfig::default();
+        let mut net = BitTorrentNet::new(trace, cfg, &DetRng::new(seed).fork(0xB177));
+        let mut events = trace.events.iter().peekable();
+        let mut completions = Vec::new();
+        let mut now = SimTime::ZERO;
+        while now < SimTime::ZERO + trace.duration {
+            while let Some(ev) = events.next_if(|ev| ev.time <= now) {
+                net.apply_event(ev, now);
+            }
+            completions.extend(net.tick(now));
+            now += cfg.tick;
+        }
+        (net, completions)
     }
 
     #[test]
@@ -521,15 +528,7 @@ mod tests {
 
     #[test]
     fn completions_occur_and_are_ordered() {
-        let trace = quick_trace(7);
-        let net = BitTorrentNet::run_trace(
-            &trace,
-            NetConfig::default(),
-            2,
-            SimDuration::from_hours(24),
-            |_, _| {},
-        );
-        let c = net.completions();
+        let (_, c) = replay(&quick_trace(7), 2);
         assert!(!c.is_empty(), "some downloads should complete in a day");
         for w in c.windows(2) {
             assert!(w[0].time <= w[1].time);
@@ -539,14 +538,8 @@ mod tests {
     #[test]
     fn free_riders_leave_after_completion() {
         let trace = quick_trace(9);
-        let net = BitTorrentNet::run_trace(
-            &trace,
-            NetConfig::default(),
-            3,
-            SimDuration::from_hours(24),
-            |_, _| {},
-        );
-        for c in net.completions() {
+        let (net, completions) = replay(&trace, 3);
+        for c in completions {
             let p = &trace.peers[c.peer.index()];
             if p.free_rider {
                 assert!(
@@ -636,9 +629,9 @@ mod tests {
         assert!(uploaded_any >= 1);
     }
 
-    /// The windowed driver must be byte-identical to the immediate driver:
-    /// same ledger, same completion log, for any window partition and any
-    /// thread count.
+    /// The windowed driver must be byte-identical to the immediate driver —
+    /// the same checkpoint bytes, so the same ledger, swarms and generators —
+    /// for any window partition and any thread count.
     #[test]
     fn windowed_replay_matches_immediate_replay() {
         let trace = quick_trace(19);
@@ -695,23 +688,17 @@ mod tests {
             (4, SimDuration::from_hours(3)),
             (8, SimDuration::from_secs(10)),
         ] {
-            let net = windowed(threads, window);
-            assert_eq!(
-                net.ledger(),
-                immediate.ledger(),
-                "ledger diverged at {threads} threads, window {window}"
-            );
-            assert_eq!(
-                net.completions(),
-                immediate.completions(),
-                "completions diverged at {threads} threads, window {window}"
+            assert!(
+                rvs_checkpoint::to_bytes(&windowed(threads, window))
+                    == rvs_checkpoint::to_bytes(&immediate),
+                "the nets diverged at {threads} threads, window {window}"
             );
         }
     }
 
     /// While a window is out on the pool the net holds no swarms and its
-    /// ledger and completion log are as they were; finishing it lands in
-    /// the state `advance_window` reaches.
+    /// ledger is as it was; finishing it lands in the state
+    /// `advance_window` reaches.
     #[test]
     fn a_window_out_on_the_pool_leaves_the_books_until_it_is_finished() {
         let trace = quick_trace(21);
@@ -735,11 +722,9 @@ mod tests {
                 "swarms stayed home at {threads} threads"
             );
             assert_eq!(net.ledger(), fresh.ledger());
-            assert_eq!(net.completions(), fresh.completions());
             assert_eq!(net.finish_window(window), serial_end);
             assert_eq!(net.swarm_count(), trace.swarms.len());
             assert_eq!(net.ledger(), serial.ledger());
-            assert_eq!(net.completions(), serial.completions());
             assert!(net.ledger().total_kib() > 0, "the window moved no data");
         }
     }

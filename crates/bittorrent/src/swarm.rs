@@ -47,8 +47,6 @@ pub struct Completion {
     pub time: SimTime,
 }
 
-rvs_checkpoint::persist_struct!(Completion { peer, swarm, time });
-
 /// Link capacities and reachability of a member, supplied at join time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkProfile {

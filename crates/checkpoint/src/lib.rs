@@ -62,7 +62,7 @@ use std::sync::Arc;
 
 /// Current checkpoint format version. Bump on ANY encoding change and
 /// document the new layout in DESIGN.md §12.
-pub const FORMAT_VERSION: u32 = 10;
+pub const FORMAT_VERSION: u32 = 11;
 
 /// Magic bytes opening every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"RVSCKPT\0";

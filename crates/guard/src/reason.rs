@@ -18,13 +18,11 @@ pub enum MessageClass {
     Moderations,
     /// BarterCast transfer records (`bartercast`).
     BarterRecords,
-    /// Peer-sampling view exchanges (`pss`).
-    PssView,
 }
 
 impl MessageClass {
     /// Number of message classes (token-bucket array width).
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 4;
 
     /// Every class, in bucket order.
     pub const ALL: [MessageClass; MessageClass::COUNT] = [
@@ -32,7 +30,6 @@ impl MessageClass {
         MessageClass::TopK,
         MessageClass::Moderations,
         MessageClass::BarterRecords,
-        MessageClass::PssView,
     ];
 
     /// Dense index of this class into per-peer bucket arrays.
@@ -42,7 +39,6 @@ impl MessageClass {
             MessageClass::TopK => 1,
             MessageClass::Moderations => 2,
             MessageClass::BarterRecords => 3,
-            MessageClass::PssView => 4,
         }
     }
 
@@ -53,7 +49,6 @@ impl MessageClass {
             MessageClass::TopK => "topk",
             MessageClass::Moderations => "moderations",
             MessageClass::BarterRecords => "barter_records",
-            MessageClass::PssView => "pss_view",
         }
     }
 }

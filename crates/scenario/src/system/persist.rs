@@ -1,9 +1,7 @@
 //! Checkpointing: the section order of a checkpoint, written and read,
 //! and the checks that span sections.
 
-use super::delivery::{
-    check_fault_queue, persist_dedup_windows, restore_dedup_windows, FaultEvent,
-};
+use super::delivery::{inbox_gauges, persist_dedup_windows, restore_dedup_windows, FaultEvent};
 use super::{flash_crowd, Pss, System};
 use crate::checkpoint::{Checkpoint, Identity};
 use crate::config::{ProtocolConfig, ScenarioSetup};
@@ -101,7 +99,6 @@ impl System {
         self.faults.persist(&mut enc);
         self.fault_events.persist(&mut enc);
         enc.u64(self.next_msg_id);
-        enc.u64(self.in_flight());
         enc.u64(self.max_fired_msg);
         persist_dedup_windows(&self.seen_msgs, &mut enc);
         self.vox_backoff.persist(&mut enc);
@@ -112,7 +109,6 @@ impl System {
         self.flooder.persist(&mut enc);
         self.malformer.persist(&mut enc);
         self.rng_malform.persist(&mut enc);
-        self.inbox_load.persist(&mut enc);
         enc
     }
 
@@ -123,16 +119,17 @@ impl System {
     /// the flash-crowd handle from the persisted spec, a fresh phase
     /// timer, and auditing off (call [`System::enable_audit`] again to
     /// resume invariant checking; the auditor draws no randomness, so
-    /// turning it on never changes the run).
+    /// turning it on never changes the run) — and the inbox gauges from the
+    /// fault queue.
     ///
     /// Never panics on damaged input: corrupt, truncated, or
     /// version-skewed blobs surface as typed [`DecodeError`]s, and
-    /// cross-field consistency (population sizes, cursor bounds,
-    /// per-node vector lengths, a non-zero tick, each protocol section's
-    /// config equal to `cfg`'s, every cast voter inside the population,
-    /// and a fault queue that names no node outside it and agrees with the
-    /// inbox gauges and the in-flight count) is validated before any state
-    /// is used.
+    /// cross-field consistency (a valid trace, population sizes, cursor
+    /// bounds, a clock its cursors agree with, per-node vector lengths, a
+    /// non-zero tick, each protocol section's config equal to `cfg`'s,
+    /// every cast voter, swarm member and seeding budget inside the
+    /// population, and a fault queue that names no node outside it) is
+    /// validated before any state is used.
     ///
     /// [`DecodeError`]: rvs_checkpoint::DecodeError
     pub fn restore(ckpt: &Checkpoint) -> Result<System, rvs_checkpoint::DecodeError> {
@@ -193,7 +190,6 @@ impl System {
         let faults = FaultPlane::restore(&mut dec)?;
         let fault_events: Engine<FaultEvent> = Engine::restore(&mut dec)?;
         let next_msg_id = dec.u64()?;
-        let in_flight = dec.u64()?;
         let max_fired_msg = dec.u64()?;
         let seen_msgs = restore_dedup_windows(&mut dec)?;
         let vox_backoff: Vec<Backoff> = Vec::restore(&mut dec)?;
@@ -204,12 +200,14 @@ impl System {
         let flooder: Option<Flooder> = Option::restore(&mut dec)?;
         let malformer: Option<Malformer> = Option::restore(&mut dec)?;
         let rng_malform = DetRng::restore(&mut dec)?;
-        let inbox_load: Vec<u32> = Vec::restore(&mut dec)?;
         dec.finish()?;
 
         // Cross-field consistency: a blob that decodes field-by-field can
         // still describe an impossible system; reject it before wiring.
         let crowd_size = setup.crowd.map(|c| c.size).unwrap_or(0);
+        trace
+            .validate()
+            .map_err(|err| corrupt(format!("`trace`: {err}")))?;
         if trace.peer_count() != n_trace {
             return Err(corrupt(format!(
                 "trace has {} peers but header claims {n_trace}",
@@ -235,6 +233,32 @@ impl System {
         if cfg.net.tick.as_millis() == 0 {
             return Err(corrupt("`cfg` has a zero BitTorrent tick".into()));
         }
+        // `step` keeps `now` and the window start on the tick grid, the
+        // window at most one gossip interval behind, and the next round
+        // due from the tick before `now` to one interval past it; the fault
+        // queue's clock is the last horizon `now` handed it. A clock far
+        // from its cursors would tick BitTorrent all the way up to it.
+        let (tick, every) = (cfg.net.tick.as_millis(), cfg.gossip_every.as_millis());
+        let at = now.as_millis();
+        let (window, gossip) = (bt_window_start.as_millis(), next_gossip.as_millis());
+        let last_tick = at.saturating_sub(tick);
+        if at % tick != 0
+            || window % tick != 0
+            || window > at
+            || at - window > every
+            || gossip < last_tick
+            || gossip - last_tick > every
+            || fault_events.now() > now
+        {
+            return Err(corrupt(format!(
+                "clock at {now} disagrees with its cursors: BitTorrent window from \
+                 {bt_window_start}, next round at {next_gossip}, fault queue at {} \
+                 ({} ticks, a round every {})",
+                fault_events.now(),
+                cfg.net.tick,
+                cfg.gossip_every
+            )));
+        }
         for (name, same) in [
             ("net", net.config() == cfg.net),
             ("bartercast", bc.config() == cfg.bartercast),
@@ -258,7 +282,6 @@ impl System {
             ("backoff states", vox_backoff.len()),
             ("decliner windows", vox_decliners.len()),
             ("guard records", guard.len()),
-            ("inbox gauges", inbox_load.len()),
         ] {
             if len != n_total {
                 return Err(corrupt(format!("{name} {len} != total nodes {n_total}")));
@@ -292,7 +315,7 @@ impl System {
         }
         if !net.fits(&trace) || bt_online0.len() != n_trace {
             return Err(corrupt(format!(
-                "BitTorrent substrate or its online snapshot ({}) is not sized for the trace \
+                "BitTorrent substrate or its online snapshot ({}) does not fit the trace \
                  ({n_trace} peers, {} swarms)",
                 bt_online0.len(),
                 trace.swarms.len()
@@ -305,7 +328,7 @@ impl System {
                 spec.voter
             )));
         }
-        check_fault_queue(&fault_events, &inbox_load, in_flight)?;
+        let inbox_load = inbox_gauges(&fault_events, n_total)?;
 
         // Volatile rebuilds — everything deliberately outside the blob.
         let registry = KeyRegistry::new(n_total, seed ^ 0x5EED);

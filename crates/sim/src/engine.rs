@@ -31,7 +31,6 @@ use crate::time::{SimDuration, SimTime};
 pub struct Engine<E> {
     now: SimTime,
     queue: EventQueue<E>,
-    processed: u64,
 }
 
 impl<E> Default for Engine<E> {
@@ -46,7 +45,6 @@ impl<E> Engine<E> {
         Engine {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-            processed: 0,
         }
     }
 
@@ -54,12 +52,6 @@ impl<E> Engine<E> {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Total number of events fired so far.
-    #[inline]
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 
     /// Number of events still pending.
@@ -101,7 +93,6 @@ impl<E> Engine<E> {
         if matches!(self.queue.peek_time(), Some(t) if t < horizon) {
             if let Some((t, e)) = self.queue.pop() {
                 self.now = t;
-                self.processed += 1;
                 return Some((t, e));
             }
         }
@@ -112,25 +103,19 @@ impl<E> Engine<E> {
     }
 }
 
-/// Stable binary encoding: clock, processed count, then the queue. Restore
+/// Stable binary encoding: clock, then the queue. Restore
 /// rebuilds the engine directly (bypassing [`Engine::schedule_at`]'s
 /// past-time assertion, which restored queues trivially satisfy anyway).
 impl<E: rvs_checkpoint::Persist> rvs_checkpoint::Persist for Engine<E> {
     fn persist(&self, enc: &mut rvs_checkpoint::Encoder) {
         self.now.persist(enc);
-        enc.u64(self.processed);
         self.queue.persist(enc);
     }
 
     fn restore(dec: &mut rvs_checkpoint::Decoder<'_>) -> Result<Self, rvs_checkpoint::DecodeError> {
         let now = SimTime::restore(dec)?;
-        let processed = dec.u64()?;
         let queue = EventQueue::restore(dec)?;
-        Ok(Engine {
-            now,
-            queue,
-            processed,
-        })
+        Ok(Engine { now, queue })
     }
 }
 
@@ -156,7 +141,6 @@ mod tests {
         assert!(eng.pending_events().eq([&Ev::Ping(1)]));
         let (t, _) = eng.next_before(SimTime::MAX).unwrap();
         assert_eq!(t, SimTime::from_secs(5));
-        assert_eq!(eng.processed(), 2);
     }
 
     #[test]

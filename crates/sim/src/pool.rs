@@ -2,20 +2,14 @@
 //!
 //! Everything in this workspace that fans out across threads goes through
 //! this module — its thread calls carry the workspace's only grants against
-//! clippy's `ambient-thread` bans (DESIGN.md §9). Two primitives are exposed:
-//!
-//! * [`Pool::submit`] — hand a batch of jobs to the workers and get a
-//!   [`Pending`] back at once; [`Pending::wait`] returns the results **in
-//!   job order**, regardless of which worker finished first, so the caller
-//!   can work between the two. [`Pool::scatter`] is `submit(..).wait()`.
-//!   With one thread the jobs run inline on the caller's thread, in index
-//!   order, before `submit` returns, so the serial engine and the parallel
-//!   engine share a single code path and byte-identical results are a
-//!   structural property, not an accident.
-//! * [`merge_canonical`] — fold per-shard, key-ordered result streams into
-//!   one stream sorted by a canonical key (BitTorrent windows key their
-//!   completions by `(time, swarm)`), independent of how items were
-//!   sharded.
+//! clippy's `ambient-thread` bans (DESIGN.md §9). [`Pool::submit`] hands a
+//! batch of jobs to the workers and returns a [`Pending`] at once;
+//! [`Pending::wait`] returns the results **in job order**, regardless of
+//! which worker finished first, so the caller can work between the two.
+//! [`Pool::scatter`] is `submit(..).wait()`. With one thread the jobs run
+//! inline on the caller's thread, in index order, before `submit` returns,
+//! so the serial engine and the parallel engine share a single code path
+//! and byte-identical results are a structural property, not an accident.
 //!
 //! Determinism contract: a job may only touch state it owns (moved in) plus
 //! shared read-only context. All cross-shard effects must be returned as
@@ -237,21 +231,6 @@ where
     out
 }
 
-/// Merge per-shard result streams into one stream in canonical key order.
-///
-/// The sort is stable, so when equal keys never come from two different
-/// shards (BitTorrent windows key completions by `(time, swarm)`, and each
-/// swarm's completions are one shard's stream, in the swarm's own order)
-/// the output is fully determined by the keys and each stream's order —
-/// independent of shard count, shard assignment, and the interleaving in
-/// which shards produced items.
-/// That invariance is proven by the proptest in `crates/sim/tests`.
-pub fn merge_canonical<K: Ord, T>(shards: Vec<Vec<(K, T)>>) -> Vec<(K, T)> {
-    let mut out: Vec<(K, T)> = shards.into_iter().flatten().collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
 /// The thread count selected by the `RVS_THREADS` environment variable
 /// (the knob the CI matrix sweeps), defaulting to 1 — the serial engine —
 /// when unset or unparsable. Clamped to [1, 64].
@@ -407,20 +386,6 @@ mod tests {
             assert_eq!(out, (100..100 + n).collect::<Vec<_>>());
             assert_eq!(out, run_indexed(n, 1, |i| i + 100));
         }
-    }
-
-    #[test]
-    fn merge_canonical_sorts_by_key() {
-        let shards = vec![
-            vec![(3u64, "c"), (5, "e")],
-            vec![(1, "a"), (4, "d")],
-            vec![(2, "b")],
-        ];
-        let merged = merge_canonical(shards);
-        assert_eq!(
-            merged,
-            vec![(1, "a"), (2, "b"), (3, "c"), (4, "d"), (5, "e")]
-        );
     }
 
     #[test]

@@ -244,8 +244,9 @@ fn byzantine_resume_mid_quarantine_is_byte_identical() {
     // straight attacked run's exact fingerprint. The byzantine shape — the
     // guard armed with a small inbox, 4 flooders, 10% wire mutation, on
     // top of the chaos schedule — puts quarantine clocks, strike counters,
-    // token buckets, the malformer RNG lane and inbox gauges in the blob;
-    // any of it the checkpoint forgets diverges downstream.
+    // token buckets and the malformer RNG lane in the blob, and deliveries
+    // whose inbox gauges restore recounts; any of it the checkpoint
+    // forgets or miscounts diverges downstream.
     let (peers, hours, seed) = (18usize, 18u64, 202u64);
     let byzantine = || {
         let (mut system, m) = build(peers, hours, seed, chaos_schedule());

@@ -8,7 +8,7 @@
 //!   a silently half-restored system;
 //! * flipping any bit of a real checkpoint never panics: either a typed
 //!   error surfaces, or the blob still describes a consistent system whose
-//!   re-encoding is a canonical fixed point;
+//!   re-encoding is a canonical fixed point and which resumes for an hour;
 //! * version skew is a typed `WrongVersion` before any payload is trusted;
 //! * crafted blobs whose sections each decode but describe different
 //!   populations — a section spliced in from a smaller run, be it a layer,
@@ -16,11 +16,12 @@
 //!   system that panics a round later;
 //! * so are a zero BitTorrent tick and a `net`, `bartercast`, `modcast` or
 //!   `votes` section run under another config than `cfg`'s copy;
-//! * so are a cast voter outside the population, and a `faults` queue
-//!   that disagrees with the rest of the system: a queued delivery to or
-//!   from a node outside the population, an inbox gauge other than the
-//!   queued copies addressed to its node, an in-flight count other than
-//!   the queued primaries;
+//! * so are a trace that `Trace::validate` refuses (an event naming a peer
+//!   outside it), a cast voter outside the population, a swarm's seeding
+//!   budget for a peer outside the trace, a queued delivery to or from a
+//!   node outside the population, and a clock its cursors disagree with:
+//!   off the tick grid, behind the BitTorrent window or the fault queue, or
+//!   more than a gossip interval from the window or the next round;
 //! * and whatever no program state encodes to — one defect per case, each
 //!   a `Corrupt` naming its type:
 //!   * a bitfield with a shape byte past 2, a partial one holding no piece
@@ -61,9 +62,9 @@ use robust_vote_sampling::faults::{Backoff, FaultPlane, FaultSchedule};
 use robust_vote_sampling::scenario::{
     Checkpoint, ModeratorSpec, ProtocolConfig, System, VoteSamplingConfig,
 };
-use robust_vote_sampling::trace::{PeerProfile, SwarmSpec};
+use robust_vote_sampling::trace::{PeerProfile, SwarmSpec, TraceEvent};
 use rvs_bittorrent::swarm::{LinkProfile, MemberRole};
-use rvs_bittorrent::{Bitfield, Completion, NetConfig, SwarmSim};
+use rvs_bittorrent::{Bitfield, NetConfig, SwarmSim};
 use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
 use rvs_sim::{DetRng, Engine, NodeId, SimDuration, SimTime};
 use rvs_telemetry::SharedCounter;
@@ -144,17 +145,20 @@ proptest! {
     /// A single bit-flip anywhere in a real checkpoint never panics. When
     /// the damaged blob still restores (the flip landed in a value any
     /// system could hold), its re-encoding must be a canonical fixed
-    /// point: restore → checkpoint → restore → checkpoint is byte-stable.
+    /// point — restore → checkpoint → restore → checkpoint is byte-stable —
+    /// and the system resumes for a simulated hour.
     #[test]
     fn bit_flip_never_panics(pos_frac in 0.0f64..1.0, bit in 0u8..8) {
         let mut bytes = base().bytes.clone();
         let pos = ((bytes.len() as f64) * pos_frac) as usize % bytes.len();
         bytes[pos] ^= 1 << bit;
-        if let Ok(restored) = try_restore(&bytes) {
+        if let Ok(mut restored) = try_restore(&bytes) {
             let canon = restored.checkpoint().into_bytes();
             let again = try_restore(&canon)
                 .map_err(|e| TestCaseError::fail(format!("canonical re-restore failed: {e}")))?;
             prop_assert_eq!(again.checkpoint().into_bytes(), canon);
+            let hour = SimDuration::from_hours(1);
+            restored.run_until(restored.now().saturating_add(hour), hour, |_, _| {});
         }
     }
 
@@ -442,7 +446,7 @@ fn a_layer_from_a_smaller_run_is_corrupt_not_a_later_panic() {
             ("rng", "send RNG lanes 8 != total nodes 10"),
             (
                 "bt",
-                "BitTorrent substrate or its online snapshot (8) is not sized for the trace \
+                "BitTorrent substrate or its online snapshot (8) does not fit the trace \
                  (10 peers, 3 swarms)",
             ),
             ("faults", "dedup windows 8 != total nodes 10"),
@@ -514,15 +518,18 @@ struct LedgerRow {
 /// The `net` section, field by field: the `NetConfig` and the peer
 /// profiles; the swarm count, then per swarm its runner — the `SwarmSim`
 /// (spec, member count, the members, next rechoke), its coin and its
-/// seeding budgets; the online flags; the ledger, all varints — the
-/// uploader count, per uploader its gap and row length, per entry the
-/// downloader's gap and the KiB — and the completions.
+/// seeding budgets (a count, then per budget the peer and the time left);
+/// the online flags; and the ledger, all varints — the uploader count, per
+/// uploader its gap and row length, per entry the downloader's gap and the
+/// KiB.
 struct NetBytes {
     swarm_count: Field,
     /// From the first runner's first byte to one past the last's.
     runners: Range<usize>,
     /// Per swarm: its spec and its members.
     swarms: Vec<(SwarmSpec, Vec<MemberBytes>)>,
+    /// Per swarm: its budget count and where its budgets end.
+    budgets: Vec<(Field, usize)>,
     ledger_count: Field,
     ledger: Vec<LedgerRow>,
 }
@@ -533,12 +540,18 @@ impl NetBytes {
         f.skip::<(NetConfig, Arc<Vec<PeerProfile>>)>();
         let swarm_count = f.fixed::<usize>();
         let first = f.at();
+        let mut budgets = Vec::new();
         let swarms = (0..swarm_count.value)
             .map(|_| {
                 let spec = f.get();
                 let members = f.fixed::<usize>();
                 let members = (0..members.value).map(|_| member(&mut f)).collect();
-                f.skip::<(SimTime, DetRng, BTreeMap<NodeId, SimDuration>)>();
+                f.skip::<(SimTime, DetRng)>();
+                let count = f.fixed::<usize>();
+                for _ in 0..count.value {
+                    f.skip::<(NodeId, SimDuration)>();
+                }
+                budgets.push((count, f.at()));
                 (spec, members)
             })
             .collect();
@@ -566,12 +579,12 @@ impl NetBytes {
                 }
             })
             .collect();
-        f.skip::<Vec<Completion>>();
         f.done();
         NetBytes {
             swarm_count,
             runners,
             swarms,
+            budgets,
             ledger_count,
             ledger,
         }
@@ -951,14 +964,14 @@ impl Persist for FaultEventBytes {
 }
 
 /// The dedup windows of a `faults` section, per node its length and its
-/// ids' gaps. The section is the `FaultPlane`, the event engine, the
-/// message-id counters, the windows — a node count, then per node a
-/// varint length and the ids as varint gaps — and the VoxPopuli backoff
-/// states and decliner windows.
+/// ids' gaps. The section is the `FaultPlane`, the event engine, the next
+/// and the highest applied message id, the windows — a node count, then
+/// per node a varint length and the ids as varint gaps — and the
+/// VoxPopuli backoff states and decliner windows.
 fn dedup_windows(ckpt: &Sections) -> Vec<(Field, Vec<Field>)> {
     let mut f = ckpt.fields("faults", 0);
     f.skip::<(FaultPlane, Engine<FaultEventBytes>)>();
-    f.skip::<(u64, u64, u64)>();
+    f.skip::<(u64, u64)>();
     let nodes = f.fixed::<usize>();
     let windows = (0..nodes.value)
         .map(|_| {
@@ -1021,13 +1034,12 @@ fn queued() -> Sections {
 }
 
 /// The queued deliveries of a `faults` section, per copy its sender,
-/// receiver and primary flag, and the in-flight count written after the
-/// queue. The event engine is a clock, a processed count and the queue: a
+/// receiver and primary flag. The event engine is a clock and the queue: a
 /// sequence counter, an entry count, per entry a time, a sequence number
-/// and the event; then come the next message id and the in-flight count.
-fn fault_queue(ckpt: &Sections) -> (Vec<[Field; 3]>, Field) {
+/// and the event.
+fn fault_queue(ckpt: &Sections) -> Vec<[Field; 3]> {
     let mut f = ckpt.fields("faults", 0);
-    f.skip::<(FaultPlane, (SimTime, u64, u64))>();
+    f.skip::<(FaultPlane, (SimTime, u64))>();
     let entries = f.fixed::<usize>().value;
     let mut deliveries = Vec::new();
     for _ in 0..entries {
@@ -1044,44 +1056,18 @@ fn fault_queue(ckpt: &Sections) -> (Vec<[Field; 3]>, Field) {
             _ => f.skip::<NodeId>(),
         }
     }
-    f.skip::<u64>();
-    let in_flight = f.fixed::<u64>();
     assert!(!deliveries.is_empty(), "no delivery queued at the cut");
-    (deliveries, in_flight)
+    deliveries
 }
 
 #[test]
 fn a_queued_delivery_naming_a_node_outside_the_population_is_corrupt() {
     let ckpt = queued();
-    let (deliveries, _) = fault_queue(&ckpt);
-    let [from, to, _] = &deliveries[0];
+    let [from, to, _] = &fault_queue(&ckpt)[0];
     for end in [from, to] {
         let what = "names a node outside the 10 nodes";
         ckpt.refuses("faults", [end.to(50_000)], what);
     }
-}
-
-#[test]
-fn inbox_gauges_other_than_the_queued_copies_are_corrupt() {
-    // A copy readdressed to a third node: the gauges still count it at its
-    // first receiver.
-    let ckpt = queued();
-    let (deliveries, _) = fault_queue(&ckpt);
-    let [from, to, _] = &deliveries[0];
-    let third = (0..).find(|n| ![from.value, to.value].contains(n));
-    let what = "inbox gauge of node";
-    ckpt.refuses("faults", [to.to(third.expect("a third node"))], what);
-}
-
-#[test]
-fn an_in_flight_count_other_than_the_queued_primaries_is_corrupt() {
-    let ckpt = queued();
-    let (deliveries, in_flight) = fault_queue(&ckpt);
-    let primaries = deliveries.iter().filter(|[.., p]| p.value == 1).count();
-    assert_eq!(in_flight.value, primaries as u64);
-    // A count that took in none of the queued primaries.
-    let what = format!("0 deliveries in flight with {primaries} primaries queued");
-    ckpt.refuses("faults", [in_flight.to(0)], &what);
 }
 
 #[test]
@@ -1094,6 +1080,89 @@ fn a_voter_outside_the_population_is_corrupt() {
     let voter = f.fixed::<NodeId>();
     let what = "voter n50000 is outside the 10 nodes";
     base().refuses("setup", [voter.to(50_000)], what);
+}
+
+#[test]
+fn a_trace_event_naming_a_peer_outside_the_trace_is_corrupt() {
+    // `trace`: the seed, the span, the peers and the swarms, then the
+    // events — a count, and per event its time, its peer and its kind. The
+    // last event is still ahead of the cut, where the resume would index
+    // the online flags by its peer.
+    let mut f = base().fields("trace", 0);
+    f.skip::<(u64, SimDuration, (Vec<PeerProfile>, Vec<SwarmSpec>))>();
+    let last = f.fixed::<usize>().value - 1;
+    for _ in 0..last {
+        f.skip::<TraceEvent>();
+    }
+    f.skip::<SimTime>();
+    let peer = f.fixed::<NodeId>();
+    let what = format!("`trace`: event {last} references unknown peer n60000");
+    base().refuses("trace", [peer.to(60_000)], &what);
+}
+
+#[test]
+fn a_seeding_budget_for_a_peer_outside_the_trace_is_corrupt() {
+    // One more budget in the first swarm, after its own: peer 60000 with
+    // an hour to seed, which the next tick would look up as online.
+    let net = NetBytes::of(base());
+    let (count, end) = &net.budgets[0];
+    let budget = rvs_checkpoint::to_bytes(&(NodeId(60_000), SimDuration::from_hours(1)));
+    let what = "BitTorrent substrate or its online snapshot (10) does not fit the trace";
+    base().refuses(
+        "net",
+        [count.to(count.value + 1), (*end..*end, budget)],
+        what,
+    );
+}
+
+#[test]
+fn a_clock_its_cursors_disagree_with_is_corrupt() {
+    // The identity prefix's `now` sits after the header and the seed; the
+    // BitTorrent window start opens `bt`, the next round follows the event
+    // cursor in `clock`, and the fault queue's clock follows the fault
+    // plane in `faults`.
+    let ckpt = base();
+    let mut dec = Decoder::new(&ckpt.bytes);
+    rvs_checkpoint::read_header(&mut dec).expect("an honest header");
+    dec.u64().expect("the seed");
+    let at = ckpt.bytes.len() - dec.remaining();
+    let now = SimTime::restore(&mut dec).expect("the clock");
+    let tick = ProtocolConfig::default().net.tick;
+    let with_now = |t: SimTime| {
+        let mut bytes = ckpt.bytes.clone();
+        bytes[at..at + 8].copy_from_slice(&t.as_millis().to_le_bytes());
+        bytes
+    };
+    let mut clock = ckpt.fields("clock", 0);
+    clock.skip::<usize>();
+    let next_gossip = clock.fixed::<SimTime>();
+    let window = ckpt.fields("bt", 0).fixed::<SimTime>();
+    let mut faults = ckpt.fields("faults", 0);
+    faults.skip::<FaultPlane>();
+    let queue_clock = faults.fixed::<SimTime>();
+    let what = "disagrees with its cursors";
+    // `now` 2⁴⁰ ms (about 305,000 h) on, a tick back, and off the grid.
+    let far = now + SimDuration::from_millis(1 << 40);
+    for t in [
+        far,
+        SimTime::from_millis(now.as_millis() - tick.as_millis()),
+        now + SimDuration::from_millis(1),
+    ] {
+        assert_corrupt(&with_now(t), what);
+    }
+    // The window an hour behind or off the grid, the next round a day
+    // ahead or overdue since the start, the fault queue's clock past `now`.
+    let hour = SimDuration::from_hours(1).as_millis();
+    for edit in [window.to(window.value - hour), window.to(window.value - 1)] {
+        ckpt.refuses("bt", [edit], what);
+    }
+    for edit in [
+        next_gossip.to(next_gossip.value + 24 * hour),
+        next_gossip.to(0),
+    ] {
+        ckpt.refuses("clock", [edit], what);
+    }
+    ckpt.refuses("faults", [queue_clock.to(now.as_millis() + 1)], what);
 }
 
 #[test]

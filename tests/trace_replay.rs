@@ -11,14 +11,24 @@ use rvs_trace::{TraceEventKind, TraceGenConfig};
 #[test]
 fn completed_downloads_moved_at_least_the_file() {
     let trace = TraceGenConfig::quick(12, SimDuration::from_days(1)).generate(3);
-    let net = BitTorrentNet::run_trace(
-        &trace,
-        NetConfig::default(),
-        3,
-        SimDuration::from_hours(24),
-        |_, _| {},
+    // `run_trace`'s replay, keeping the completions each tick returns.
+    let cfg = NetConfig::default();
+    let mut net = BitTorrentNet::new(&trace, cfg, &DetRng::new(3).fork(0xB177));
+    let mut events = trace.events.iter().peekable();
+    let mut completions = Vec::new();
+    let mut now = SimTime::ZERO;
+    while now < SimTime::ZERO + trace.duration {
+        while let Some(ev) = events.next_if(|ev| ev.time <= now) {
+            net.apply_event(ev, now);
+        }
+        completions.extend(net.tick(now));
+        now += cfg.tick;
+    }
+    assert!(
+        !completions.is_empty(),
+        "some downloads should complete in a day"
     );
-    for c in net.completions() {
+    for c in completions {
         let spec = &trace.swarms[c.swarm.index()];
         let downloaded = net.ledger().total_downloaded_kib(c.peer);
         let file_kib = spec.file_size_mib as u64 * 1024;
