@@ -39,6 +39,7 @@
 
 use crate::ledger::{CreditSink, TransferLedger};
 use crate::swarm::{Completion, LinkProfile, MemberRole, SwarmSim};
+use rvs_checkpoint::{DecodeError, Decoder, Encoder, Persist};
 use rvs_sim::pool::{Pending, Pool};
 use rvs_sim::{DetRng, NodeId, SimDuration, SimTime, SwarmId};
 use rvs_trace::{PeerProfile, Trace, TraceEvent, TraceEventKind};
@@ -74,12 +75,6 @@ struct SwarmRunner {
     /// Remaining online seeding budget per altruist member of this swarm.
     seed_budget: BTreeMap<NodeId, SimDuration>,
 }
-
-rvs_checkpoint::persist_struct!(SwarmRunner {
-    sim,
-    rng,
-    seed_budget
-});
 
 /// What one swarm booked during a window: `(from, to, kib)` in arrival
 /// order.
@@ -263,25 +258,6 @@ impl BitTorrentNet {
     /// Is `peer` currently online?
     pub fn is_online(&self, peer: NodeId) -> bool {
         self.online[peer.index()]
-    }
-
-    /// True when the per-peer and per-swarm tables are sized for `trace`
-    /// and every swarm member and seeding budget names one of its peers —
-    /// what a restored substrate must satisfy before trace events and
-    /// ticks index it.
-    pub fn fits(&self, trace: &Trace) -> bool {
-        let peers = trace.peer_count();
-        let names_a_peer = |runner: &SwarmRunner| {
-            let mut ids = runner
-                .sim
-                .members()
-                .chain(runner.seed_budget.keys().copied());
-            ids.all(|peer| peer.index() < peers)
-        };
-        self.profiles.len() == peers
-            && self.online.len() == peers
-            && self.swarms.len() == trace.swarms.len()
-            && self.swarms.iter().all(names_a_peer)
     }
 
     /// Online flags for every trace peer, indexed by id.
@@ -474,18 +450,78 @@ impl BitTorrentNet {
     }
 }
 
-rvs_checkpoint::persist_struct!(BitTorrentNet {
-    cfg,
-    profiles,
-    swarms,
-    online,
-    ledger
-});
+/// Stable binary encoding: the config, the swarm count and per swarm its
+/// sim, coin and seeding budgets, the online flags and the ledger. The
+/// peer profiles and swarm specs are the trace's, written once there.
+impl BitTorrentNet {
+    /// Write the substrate but what its trace holds.
+    pub fn persist(&self, enc: &mut Encoder) {
+        self.cfg.persist(enc);
+        enc.usize(self.swarms.len());
+        for runner in &self.swarms {
+            runner.sim.persist(enc);
+            runner.rng.persist(enc);
+            runner.seed_budget.persist(enc);
+        }
+        self.online.persist(enc);
+        self.ledger.persist(enc);
+    }
+
+    /// The substrate [`BitTorrentNet::persist`] wrote over `trace`, a valid
+    /// one. Refuses a zero tick, a swarm count or online table other than
+    /// the trace's, and a member or seeding budget naming no trace peer.
+    pub fn restore(dec: &mut Decoder<'_>, trace: &Trace) -> Result<Self, DecodeError> {
+        let corrupt = |what: String| Err(DecodeError::Corrupt(format!("BitTorrentNet: {what}")));
+        let cfg = NetConfig::restore(dec)?;
+        if cfg.tick.as_millis() == 0 {
+            return corrupt("zero BitTorrent tick".to_string());
+        }
+        let (count, peers, files) = (dec.usize()?, trace.peer_count(), trace.swarms.len());
+        if count != files {
+            return corrupt(format!("{count} swarms, the trace has {files}"));
+        }
+        let mut swarms = Vec::with_capacity(count);
+        for &spec in &trace.swarms {
+            let sim = SwarmSim::restore(spec, dec)?;
+            let (rng, seed_budget): (_, BTreeMap<_, _>) = Persist::restore(dec)?;
+            let ids = sim.members().chain(seed_budget.keys().copied());
+            if let Some(peer) = ids.max().filter(|peer| peer.index() >= peers) {
+                return corrupt(format!(
+                    "swarm {} names {peer}, past {peers} peers",
+                    spec.id
+                ));
+            }
+            swarms.push(SwarmRunner {
+                sim,
+                rng,
+                seed_budget,
+            });
+        }
+        let online: Vec<bool> = Vec::restore(dec)?;
+        if online.len() != peers {
+            return corrupt(format!("{} online flags for {peers} peers", online.len()));
+        }
+        let (profiles, ledger) = (Arc::new(trace.peers.clone()), TransferLedger::restore(dec)?);
+        Ok(BitTorrentNet {
+            cfg,
+            profiles,
+            swarms,
+            online,
+            ledger,
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rvs_trace::TraceGenConfig;
+
+    fn bytes(net: &BitTorrentNet) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        net.persist(&mut enc);
+        enc.into_bytes()
+    }
 
     fn quick_trace(seed: u64) -> Trace {
         TraceGenConfig::quick(15, SimDuration::from_days(1)).generate(seed)
@@ -689,8 +725,7 @@ mod tests {
             (8, SimDuration::from_secs(10)),
         ] {
             assert!(
-                rvs_checkpoint::to_bytes(&windowed(threads, window))
-                    == rvs_checkpoint::to_bytes(&immediate),
+                bytes(&windowed(threads, window)) == bytes(&immediate),
                 "the nets diverged at {threads} threads, window {window}"
             );
         }

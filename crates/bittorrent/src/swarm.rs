@@ -548,8 +548,9 @@ impl SwarmSim {
     }
 }
 
-/// Stable binary encoding: spec, members (a length, then id and
-/// member in ascending id order), next rechoke. Slots are found by binary
+/// Stable binary encoding: members (a length, then id and member in
+/// ascending id order), next rechoke. The spec is not written: it is the
+/// trace's, and restore takes it from there. Slots are found by binary
 /// search, so restore refuses ids that are not strictly ascending. The
 /// availability counts are a function of the member bitfields and are not
 /// written: restore checks that every bitfield is over the file's pieces,
@@ -557,16 +558,16 @@ impl SwarmSim {
 /// by piece — and builds the level index from that count, which is sized
 /// by the highest count and so by the members. Both are
 /// [allotted](Decoder::allot) before they are built.
-impl Persist for SwarmSim {
-    fn persist(&self, enc: &mut Encoder) {
-        self.spec.persist(enc);
+impl SwarmSim {
+    /// Write the swarm's state, all of it but the spec.
+    pub fn persist(&self, enc: &mut Encoder) {
         self.members.persist(enc);
         self.next_rechoke.persist(enc);
     }
 
-    fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+    /// The swarm of `spec` that [`SwarmSim::persist`] wrote.
+    pub fn restore(spec: SwarmSpec, dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let corrupt = |what: String| Err(DecodeError::Corrupt(format!("SwarmSim: {what}")));
-        let spec = SwarmSpec::restore(dec)?;
         if spec.piece_size_kib == 0 {
             return corrupt("piece size is zero".to_string());
         }
@@ -816,7 +817,7 @@ mod tests {
         // mid-piece and leaves a fraction of a KiB uncredited.
         let mut sim = SwarmSim::new(spec(10));
         sim.join(NodeId(1), MemberRole::Leecher, link(true, 512), true);
-        let fresh = rvs_checkpoint::to_bytes(&sim).len();
+        let fresh = bytes(&sim).len();
         let mut ledger = TransferLedger::new();
         let mut rng = DetRng::new(1);
         let dt = SimDuration::from_millis(333);
@@ -834,7 +835,7 @@ mod tests {
             assert!(downloader.sources.is_empty() && downloader.unchoked.is_empty());
         }
         // Three departed peers later the downloader encodes as on day one.
-        assert_eq!(rvs_checkpoint::to_bytes(&sim).len(), fresh);
+        assert_eq!(bytes(&sim).len(), fresh);
         // A peer that joins again starts from nothing carried.
         sim.join(NodeId(0), MemberRole::Seeder, link(true, 100), true);
         assert!(sim.member(NodeId(1)).expect("member").sources.is_empty());
@@ -897,8 +898,23 @@ mod tests {
         &mut sim.members[at].1
     }
 
+    fn bytes(sim: &SwarmSim) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        sim.persist(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// `sim` written and restored against its own spec.
+    fn roundtrip(sim: &SwarmSim) -> Result<SwarmSim, DecodeError> {
+        let bytes = bytes(sim);
+        let mut dec = Decoder::new(&bytes);
+        let back = SwarmSim::restore(sim.spec, &mut dec)?;
+        dec.finish()?;
+        Ok(back)
+    }
+
     fn corrupt_message(sim: &SwarmSim) -> String {
-        match rvs_checkpoint::from_bytes::<SwarmSim>(&rvs_checkpoint::to_bytes(sim)) {
+        match roundtrip(sim) {
             Err(DecodeError::Corrupt(msg)) => msg,
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -909,8 +925,7 @@ mod tests {
         let sim = busy_swarm();
         let progress = sim.progress(NodeId(1)).expect("member");
         assert!(progress > 0.0 && progress < 1.0, "mid-download: {progress}");
-        let back: SwarmSim =
-            rvs_checkpoint::from_bytes(&rvs_checkpoint::to_bytes(&sim)).expect("roundtrip");
+        let back = roundtrip(&sim).expect("roundtrip");
         assert_eq!(back.availability, sim.availability);
     }
 

@@ -301,7 +301,6 @@ impl MapSwarm {
     /// The checkpoint bytes, written from the maps.
     fn to_bytes(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
-        self.spec.persist(&mut enc);
         enc.usize(self.members.len());
         for (id, m) in &self.members {
             id.persist(&mut enc);
@@ -403,11 +402,10 @@ proptest! {
                     }
                 }
                 Op::Roundtrip => {
-                    let bytes = rvs_checkpoint::to_bytes(&sim);
-                    sim = rvs_checkpoint::from_bytes(&bytes).expect("own checkpoint");
+                    sim = super::roundtrip(&sim).expect("own checkpoint");
                 }
             }
-            prop_assert_eq!(rvs_checkpoint::to_bytes(&sim), oracle.to_bytes());
+            prop_assert_eq!(super::bytes(&sim), oracle.to_bytes());
             prop_assert_eq!(&sim.availability, &oracle.availability);
             prop_assert_eq!(&ledger, &oracle_ledger);
             prop_assert_eq!(&rng, &oracle_rng);

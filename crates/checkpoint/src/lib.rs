@@ -58,11 +58,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::Arc;
 
 /// Current checkpoint format version. Bump on ANY encoding change and
 /// document the new layout in DESIGN.md §12.
-pub const FORMAT_VERSION: u32 = 11;
+pub const FORMAT_VERSION: u32 = 12;
 
 /// Magic bytes opening every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"RVSCKPT\0";
@@ -759,17 +758,6 @@ impl<T: Persist + Ord> Persist for BTreeSet<T> {
     }
 }
 
-/// Shared immutable state is written through the pointer and comes back
-/// unshared: sharing is an optimization, not semantics.
-impl<T: Persist> Persist for Arc<T> {
-    fn persist(&self, enc: &mut Encoder) {
-        (**self).persist(enc);
-    }
-    fn restore(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Arc::new(T::restore(dec)?))
-    }
-}
-
 /// Encode `value` as a standalone byte vector (no file header).
 pub fn to_bytes<T: Persist>(value: &T) -> Vec<u8> {
     let mut enc = Encoder::new();
@@ -921,13 +909,6 @@ mod tests {
         persist_struct!(Millis { 0 });
         roundtrip(&Millis(86_400_000));
         assert_eq!(to_bytes(&Millis(5)), to_bytes(&5u64));
-    }
-
-    #[test]
-    fn shared_values_persist_as_their_contents() {
-        let inner = vec![3u32, 1, 4];
-        roundtrip(&Arc::new(inner.clone()));
-        assert_eq!(to_bytes(&Arc::new(inner.clone())), to_bytes(&inner));
     }
 
     #[test]

@@ -52,19 +52,6 @@ impl Default for ProtocolConfig {
     }
 }
 
-rvs_checkpoint::persist_struct!(ProtocolConfig {
-    net,
-    bartercast,
-    modcast,
-    votes,
-    gossip_every,
-    experience_t_mib,
-    adaptive_t,
-    vox_enabled,
-    use_newscast_pss,
-    message_loss
-});
-
 /// A moderator that publishes one moderation when it first appears.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModeratorSpec {
