@@ -56,6 +56,22 @@ impl Flooder {
     pub fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.members.iter().copied()
     }
+
+    /// Is `per_round` a send budget a flood over `population` nodes may
+    /// have: at most one extra send per node? A round's work grows with
+    /// the budget times the members, so `rvs attack --flood-rate` and
+    /// checkpoint restore both bound it here.
+    pub fn rate_within(per_round: u32, population: usize) -> bool {
+        usize::try_from(per_round).is_ok_and(|rate| rate <= population)
+    }
+
+    /// Does this flood fit a population of `population` nodes: its rate
+    /// [within](Flooder::rate_within) the bound and every member one of
+    /// the nodes?
+    pub fn within(&self, population: usize) -> bool {
+        let last = self.members.last().map_or(0, |m| m.index() + 1);
+        Flooder::rate_within(self.per_round, population) && last <= population
+    }
 }
 
 rvs_checkpoint::persist_struct!(Flooder { members, per_round });
@@ -74,6 +90,17 @@ mod tests {
         assert!(!f.is_member(NodeId(4)));
         let members: Vec<NodeId> = f.members().collect();
         assert_eq!(members, (5..9).map(NodeId).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_flood_fits_its_population_or_not() {
+        assert!(Flooder::rate_within(12, 12) && !Flooder::rate_within(13, 12));
+        assert!(Flooder::rate_within(0, 0) && !Flooder::rate_within(u32::MAX, 100));
+        let f = Flooder::new((5..9).map(NodeId), 9);
+        assert!(f.within(9) && f.within(100));
+        assert!(!f.within(8), "member n8 is outside 8 nodes");
+        assert!(!Flooder::new([NodeId(0)], 101).within(100));
+        assert!(Flooder::new([], 3).within(3));
     }
 
     #[test]

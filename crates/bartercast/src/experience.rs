@@ -78,6 +78,14 @@ impl AdaptiveThreshold {
         }
     }
 
+    /// Is `[t_min_mib, t_max_mib]` a range [`observe_dispersion`] can
+    /// clamp to: neither bound NaN and the lower not above the upper?
+    ///
+    /// [`observe_dispersion`]: AdaptiveThreshold::observe_dispersion
+    pub fn has_range(&self) -> bool {
+        self.t_min_mib <= self.t_max_mib
+    }
+
     /// Feed one dispersion observation `d ∈ [0, 1]` (e.g. the fraction of
     /// moderators whose incoming votes conflict). Raises `T` by
     /// `raise_mib` when `d > D_max`, lowers it by `decay_mib` otherwise,

@@ -402,7 +402,18 @@ impl System {
 
     /// Arm the flooding adversary: each member initiates `per_round`
     /// extra gossip sends per round through the normal send path.
+    ///
+    /// # Panics
+    ///
+    /// If the flood does not fit the population
+    /// ([`Flooder::within`]): a member outside it, or more sends a round
+    /// than it has nodes.
     pub fn set_flooder(&mut self, flooder: Flooder) {
+        assert!(
+            flooder.within(self.n_total),
+            "the flood does not fit the {} nodes",
+            self.n_total
+        );
         self.flooder = Some(flooder);
     }
 

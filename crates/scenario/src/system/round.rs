@@ -349,7 +349,7 @@ impl System {
     fn run_flooder_sends(&mut self) {
         let Some(f) = &self.flooder else { return };
         let per_round = f.per_round();
-        let members: Vec<NodeId> = f.members().filter(|m| m.index() < self.n_total).collect();
+        let members: Vec<NodeId> = f.members().collect();
         for m in members {
             if !self.is_online(m) {
                 continue;

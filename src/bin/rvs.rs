@@ -88,8 +88,8 @@ USAGE:
                [--guard on|FILE] [--threads N] [--telemetry FILE|-]
         Figure 8 flash-crowd scenario; prints the pollution curve.
         --flood N (at most --peers) turns the N highest-index trace peers
-        into flooders (--flood-rate extra sends per member per round,
-        default 12);
+        into flooders (--flood-rate extra sends per member per round, at
+        most --peers + --crowd, default 12 or that if smaller);
         --malform PM mutates PM per mille (at most 1000) of guarded
         wire messages.
         Either attack arms the guard plane's active preset unless
@@ -463,7 +463,13 @@ fn cmd_attack(args: &Args) -> Result<(), ExitCode> {
     // preset unless --guard picked a config explicitly.
     let want = format!("at most --peers ({n_trace})");
     let flood = args.get_in("flood", &want, |&f| f <= n_trace).unwrap_or(0);
-    let flood_rate = args.get("flood-rate").unwrap_or(12);
+    let population = n_trace + crowd;
+    let want = format!("at most the population, --peers + --crowd ({population})");
+    let within = |rate: &u32| Flooder::rate_within(*rate, population);
+    let default_rate = u32::try_from(population).map_or(12, |p| p.min(12));
+    let flood_rate = args
+        .get_in("flood-rate", &want, within)
+        .unwrap_or(default_rate);
     let malform = args.within("malform", 0, 1000).unwrap_or(0);
     let threads = threads(args);
     let cfg = SpamAttackConfig {

@@ -146,6 +146,20 @@ fn parsable_but_impossible_values_are_rejected() {
         &["attack", "--peers", "12", "--hours", "2", "--flood", "50"],
         "--flood must be at most --peers (12), got 50",
     );
+    // A send budget past the population used to be taken as given, and a
+    // round's work grows with it.
+    assert_rejected(
+        &[
+            "attack",
+            "--peers",
+            "12",
+            "--crowd",
+            "8",
+            "--flood-rate",
+            "21",
+        ],
+        "--flood-rate must be at most the population, --peers + --crowd (20), got 21",
+    );
 }
 
 #[test]
